@@ -55,12 +55,12 @@ def test_wallclock_dispatch_tiers(record, tmp_path_factory):
                    family["speedup_trimmed_x"], family["link_bounces"],
                    family["regions_fused"], family["identical_results"])
             )
-        elif "sync_s" in family:
+        elif "eager_s" in family:
             rows.append(
-                "%-18s sync %.3fs  background %.3fs  ttfo %.3f/%.3fs "
+                "%-18s eager %.3fs  tiered %.3fs  ttfo %.3f/%.3fs "
                 "(%.2fx)  warm compiles %d  identical=%s"
-                % (name, family["sync_s"], family["background_s"],
-                   family["sync_ttfo_s"], family["background_ttfo_s"],
+                % (name, family["eager_s"], family["tiered_s"],
+                   family["eager_ttfo_s"], family["tiered_ttfo_s"],
                    family["ttfo_ratio_x"],
                    family["prewarm_warm_host_compiles"],
                    family["identical_results"])
@@ -137,16 +137,16 @@ def test_wallclock_dispatch_tiers(record, tmp_path_factory):
         % linking["speedup_trimmed_x"]
     )
 
-    # Tiered warm-up: background compilation must agree bit-for-bit
-    # with the interpreted oracle, cut time-to-first-output to at most
-    # 0.6x of synchronous compilation, and leave a prewarmed corpus
+    # Tiered warm-up: the default tier-up must agree bit-for-bit with
+    # the interpreted oracle, cut time-to-first-output to at most 0.6x
+    # of compile threshold 1, and leave a prewarmed corpus
     # with nothing to compile.  The prewarm --jobs monotonicity check
     # is core-aware (see docs/performance.md), so it holds on 1-core
     # runners too.
     warmup = results["workloads"]["tiered_warmup"]
     assert warmup["oracle_identical"], warmup
     assert warmup["ttfo_ratio_x"] <= 0.6, (
-        "background TTFO %.2fx of sync exceeds the 0.6x cap"
+        "tiered TTFO %.2fx of threshold 1 exceeds the 0.6x cap"
         % warmup["ttfo_ratio_x"]
     )
     assert warmup["prewarm_warm_host_compiles"] == 0, warmup

@@ -50,7 +50,8 @@ workload families the cycle-level benchmarks regenerate from the paper:
   probe, and dlopen/dlclose+SMC interleavings.  Timed modes are plain
   interpreted vs. compiled dispatch; the report's point is the extras:
   every workload compared field-for-field against the interpreted
-  oracle under compiled, linked, and background-compile dispatch, the
+  oracle under compiled and linked dispatch at compile threshold 1 and
+  under the default tier-up, the
   self-observing workloads compared byte-for-byte against the *native*
   oracle (``stale_reads`` counts mismatches — one stale code byte read
   via ``LD`` or one missed invalidation changes the folded output),
@@ -60,12 +61,13 @@ workload families the cycle-level benchmarks regenerate from the paper:
   required — a persisted trace must not resurrect pre-SMC code).
 * ``tiered_warmup``: the startup-heavy corpus
   (:mod:`repro.workloads.warmup`) cold (factory memo cleared per rep),
-  synchronous vs. background compilation (``VMConfig.compile_mode``).
-  The family's headline metric is *time-to-first-output* rather than
-  total wall clock: background mode interprets cold traces while a
-  compile queue builds their closures off-path, so the program reaches
-  its first write without paying host ``compile()`` for startup code
-  that runs once.  The report also carries a ``repro prewarm`` sweep
+  compile threshold 1 (``eager``: every trace compiles at its first
+  entry) vs. the default tier-up (``tiered``,
+  ``VMConfig.compile_threshold``).  The family's headline metric is
+  *time-to-first-output*: the tiered mode interprets cold traces until
+  they prove reuse, so the program reaches its first write without
+  paying host ``compile()`` for startup code that runs once.  The
+  report also carries a ``repro prewarm`` sweep
   over ``--jobs 1/2/4`` (cold-sweep wall clock per job count, core-aware
   monotonicity flag) and the warm-run host-compile count against the
   prewarmed stores (must be zero).
@@ -840,12 +842,6 @@ def _record_ttfo() -> Callable[[str], float]:
     )
 
 
-#: Queue depth for the tiered_warmup family: deep enough that the gate
-#: corpus's cold burst (~300 traces per app) never overflows into the
-#: queue-full synchronous fallback — overflow is correct but puts
-#: compiles back on the TTFO path, which is what the family measures.
-_WARMUP_QUEUE_DEPTH = 2048
-
 #: ``repro prewarm --jobs`` values the tiered_warmup extras sweep.
 _PREWARM_JOBS_SWEEP = (1, 2, 4)
 
@@ -860,16 +856,12 @@ _PREWARM_NOISE_X = 1.5
 
 
 def _tiered_warmup_sweep(scratch_dir: str):
-    """Cold startup corpus: synchronous vs. background compilation.
+    """Cold startup corpus: compile threshold 1 vs. the default tier-up.
 
     Each repetition clears the in-process factory memo, so every sweep
-    pays the full cold-start cost under both modes.  Total wall clock is
-    expected to be roughly equal — background mode still compiles
-    everything, just off the critical path (and drains its queue before
-    the run returns) — which is exactly why the family's gate reads the
-    TTFO probe, not the sweep time.  The interpreted oracle pins the
-    background tier's observable behavior; the extras carry the
-    ``repro prewarm`` jobs sweep and the warm-run verification.
+    pays the full cold-start cost under both modes.  The interpreted
+    oracle pins the tiered mode's observable behavior; the extras carry
+    the ``repro prewarm`` jobs sweep and the warm-run verification.
     """
     from repro.persist.prewarm import run_prewarm, verify_warm
     from repro.vm.compile import clear_code_object_cache
@@ -879,32 +871,26 @@ def _tiered_warmup_sweep(scratch_dir: str):
     ordered = sorted(apps.items())
 
     def config(mode: str) -> VMConfig:
-        return VMConfig(
-            compile_mode=mode, compile_queue_depth=_WARMUP_QUEUE_DEPTH
-        )
+        return VMConfig(compile_threshold=1) if mode == "eager" else VMConfig()
 
     def sweep(mode: str) -> list:
         clear_code_object_cache()
         return [run_vm(app, "default", vm_config=config(mode))
                 for _name, app in ordered]
 
-    # Background vs. the interpreted oracle: a TTFO win can never come
-    # from divergent simulation (identical_results already pins
-    # background against sync; this pins both against the reference
-    # tier).
+    # Tiered vs. the interpreted oracle: a TTFO win can never come from
+    # divergent simulation (identical_results already pins tiered
+    # against eager; this pins both against the reference tier).
     gate_app = apps[GATE_APP]
     oracle_sig = _result_signature(
         run_vm(gate_app, "default",
                vm_config=VMConfig(dispatch_mode="interpreted"))
     )
     clear_code_object_cache()
-    background_sig = _result_signature(
-        run_vm(gate_app, "default", vm_config=config("background"))
+    tiered_sig = _result_signature(
+        run_vm(gate_app, "default", vm_config=config("tiered"))
     )
-    oracle_identical = background_sig == oracle_sig
-    clear_code_object_cache()
-    probe_result = run_vm(gate_app, "default", vm_config=config("background"))
-    queue_stats = probe_result.queue_stats.to_dict()
+    oracle_identical = tiered_sig == oracle_sig
 
     def extras() -> Dict[str, object]:
         cpu_count = os.cpu_count() or 1
@@ -950,7 +936,6 @@ def _tiered_warmup_sweep(scratch_dir: str):
         return {
             "oracle_identical": oracle_identical,
             "cpu_count": cpu_count,
-            "queue": queue_stats,
             "prewarm_jobs_sweep": sweep_rows,
             "jobs_monotonic_ok": monotonic,
             "prewarm_warm_host_compiles": warm_host_compiles,
@@ -972,8 +957,9 @@ def _transparency_sweep(scratch_dir: str):
     audit:
 
     * every workload's full signature (output, exit status, every
-      VMStats counter) under compiled, linked, and background-compile
-      dispatch against the interpreted oracle;
+      VMStats counter) under compiled and linked dispatch at compile
+      threshold 1 and under the default tier-up, against the
+      interpreted oracle;
     * the self-observing workloads (everything but the clock probe)
       byte-compared against the *native* oracle — their outputs fold
       every code byte they read and every self-write they observe, so
@@ -1015,12 +1001,9 @@ def _transparency_sweep(scratch_dir: str):
                 for _name, wl in ordered]
 
     tier_configs = {
-        "compiled": VMConfig(dispatch_mode="compiled", trace_linking=False),
-        "linked": VMConfig(dispatch_mode="compiled", trace_linking=True),
-        "background": VMConfig(
-            dispatch_mode="compiled", compile_mode="background",
-            compile_queue_depth=512,
-        ),
+        "compiled": VMConfig(trace_linking=False, compile_threshold=1),
+        "linked": VMConfig(compile_threshold=1),
+        "tiered": VMConfig(),
     }
 
     def extras() -> Dict[str, object]:
@@ -1188,7 +1171,7 @@ def run_wallclock(
 
     def _build_tiered_warmup():
         sweep, extras, ttfo = _tiered_warmup_sweep(scratch_dir)
-        return sweep, ("sync", "background"), extras, ttfo
+        return sweep, ("eager", "tiered"), extras, ttfo
 
     def _build_transparency():
         sweep, extras, ttfo = _transparency_sweep(scratch_dir)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.isa.encoding import decode_all
+from repro.isa.encoding import decode_all, encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import ABSOLUTE_TARGET
 from repro.loader.linker import LoadedProcess
@@ -132,21 +132,29 @@ def revive_trace(
     if image_base is None:
         return None
 
-    body = persisted.code[: persisted.n_insts * INSTRUCTION_SIZE]
+    code = persisted.code
+    body = code[: persisted.n_insts * INSTRUCTION_SIZE]
     instructions = decode_all(body)
 
     if rebase:
         entry = image_base + persisted.image_offset
+        relocated = False
         for reloc in persisted.relocs:
             target_base = base_of(reloc.target_path)
             if target_base is None:
                 return None
             inst = instructions[reloc.index]
+            imm = target_base + reloc.target_offset
+            relocated = relocated or imm != inst.imm
             instructions[reloc.index] = Instruction(
-                inst.opcode,
-                rd=inst.rd, rs1=inst.rs1, rs2=inst.rs2,
-                imm=target_base + reloc.target_offset,
+                inst.opcode, rd=inst.rd, rs1=inst.rs1, rs2=inst.rs2, imm=imm,
             )
+        if relocated:
+            # The code bytes must encode what executes: they key the
+            # compiled tier's factory memo and body stores
+            # (repro.vm.compile), so stale literals would hand this trace
+            # the closure of a same-entry trace that jumps elsewhere.
+            code = encode_all(instructions) + code[len(body):]
     else:
         entry = persisted.entry
         if image_base + persisted.image_offset != entry:
@@ -194,13 +202,13 @@ def revive_trace(
     # A revived trace never carries a compiled-tier closure: closures
     # capture run-scoped objects (machine, stats, analysis context) and
     # are host-level artifacts, so they are not persisted.  The compiled
-    # dispatcher specializes the trace lazily at its first execution —
-    # the same event its demand-load is charged to — so persistence and
-    # trace compilation compose with no extra simulated cost.
+    # dispatcher specializes the trace lazily once it reaches its compile
+    # entry (repro.vm.compile's tier-up), which charges nothing simulated,
+    # so persistence and trace compilation compose with no extra cost.
     translated = TranslatedTrace(
         trace=trace,
-        code_bytes=persisted.code,
-        code_size=len(persisted.code),
+        code_bytes=code,
+        code_size=len(code),
         data_size=persisted.data_size,
         points=points,
         points_by_index=points_by_index,

@@ -196,16 +196,6 @@ class PersistenceReport:
     region_hops: int = 0
     region_invalidations: int = 0
     fusion_aborts: int = 0
-    #: Background compile-queue counters (repro.vm.stats.QueueStats;
-    #: host-side only, zeros under compile_mode="sync" or interpreted
-    #: dispatch).
-    queue_enqueued: int = 0
-    queue_compiled_offpath: int = 0
-    queue_swap_ins: int = 0
-    queue_generation_discards: int = 0
-    queue_full_syncs: int = 0
-    queue_backlog_high_water: int = 0
-    queue_interpreted_runs: int = 0
     #: Record-and-replay lifecycle (repro.replay; the session is
     #: persistence-neutral in either mode, so these are report-only):
     #: recording: "" (off), "recording", "written", "unsaved" (no
@@ -386,8 +376,8 @@ class PersistentCacheSession:
         # themselves, recreating the persisted link web; the open cost
         # already covers this (the file stores the links).  Preloaded
         # residents are demand-paged: the first execution charges the
-        # trace+metadata load, and (under compiled dispatch) specializes
-        # the trace into its closure at the same point.
+        # trace+metadata load; compiled dispatch specializes the trace
+        # into its closure once it reaches its compile entry.
         from repro.vm.codecache import CacheFull
 
         for revived in preload:
@@ -682,20 +672,6 @@ class PersistentCacheSession:
             self.report_data.daemon_fallbacks = getattr(
                 shared, "daemon_fallbacks", 0
             )
-        queue = getattr(engine, "_compile_queue", None)
-        if queue is not None:
-            qs = queue.stats
-            self.report_data.queue_enqueued = qs.enqueued
-            self.report_data.queue_compiled_offpath = qs.compiled_offpath
-            self.report_data.queue_swap_ins = qs.swap_ins
-            self.report_data.queue_generation_discards = (
-                qs.generation_discards
-            )
-            self.report_data.queue_full_syncs = qs.queue_full_syncs
-            self.report_data.queue_backlog_high_water = (
-                qs.backlog_high_water
-            )
-            self.report_data.queue_interpreted_runs = qs.interpreted_runs
 
     def _save_sidecar(self) -> None:
         """Persist newly recorded compiled bodies (report-only failure).

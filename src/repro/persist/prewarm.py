@@ -31,7 +31,7 @@ from repro.persist.database import CacheDatabase
 from repro.persist.daemon import resolve_shared_store
 from repro.persist.manager import PersistenceConfig
 from repro.vm.compile import clear_code_object_cache
-from repro.vm.engine import VM_VERSION
+from repro.vm.engine import VM_VERSION, VMConfig
 
 
 class PrewarmError(Exception):
@@ -147,7 +147,11 @@ def _run_corpus_apps(
     shared_store_dir: Optional[str],
     readonly: bool = False,
 ) -> Dict[str, int]:
-    """Run each named app once under a persisting session; sum counters."""
+    """Run each named app once under a persisting session; sum counters.
+
+    Compile threshold 1: a prewarm exists to fill the stores completely,
+    so every trace compiles, however few times the corpus enters it.
+    """
     from repro.workloads.harness import run_vm
 
     totals = {
@@ -167,6 +171,7 @@ def _run_corpus_apps(
                 persistence=_session_config(
                     db_dir, shared_store_dir, readonly=readonly
                 ),
+                vm_config=VMConfig(compile_threshold=1),
             )
             report = result.persistence_report
             totals["traces_persisted"] += report.get(
@@ -256,6 +261,13 @@ def run_prewarm(
     if jobs < 1:
         raise PrewarmError("jobs must be >= 1 (got %d)" % jobs)
     names = tuple(app_names) if app_names else corpus_app_names(corpus)
+    try:
+        # Fail here, in one line, rather than in every worker process.
+        CacheDatabase(db_dir)
+    except OSError as exc:
+        raise PrewarmError(
+            "cannot open cache database %s: %s" % (db_dir, exc)
+        ) from exc
     report = PrewarmReport(
         db_dir=db_dir,
         shared_store_dir=shared_store_dir,

@@ -31,8 +31,7 @@ replay can be diffed against it without rerunning the original build:
   run's ``VMRunResult`` (output, exit status, every ``VMStats`` field,
   tool accounting, cache occupancy).  Host-side accounting that is
   allowed to differ between builds and tiers (``persistence_report``,
-  ``ic_stats``, ``link_stats``, ``queue_stats``) is deliberately
-  excluded.
+  ``ic_stats``, ``link_stats``) is deliberately excluded.
 
 File framing follows the PCC2/PCS1 discipline exactly (same preamble
 shape, per-section CRCs, whole-file trailer CRC, atomic write-replace
@@ -137,9 +136,8 @@ def result_snapshot(result) -> Dict[str, object]:
     Includes everything the replay acceptance criterion covers: output,
     exit status, instruction count, the full ``VMStats``, the tool
     accounting and the code-cache occupancy.  Excludes the host-side-only
-    fields that legitimately vary across builds/tiers/compile modes:
-    ``persistence_report``, ``ic_stats``, ``link_stats`` and
-    ``queue_stats``.
+    fields that legitimately vary across builds, tiers and compile
+    thresholds: ``persistence_report``, ``ic_stats`` and ``link_stats``.
     """
     return _canonical(
         {

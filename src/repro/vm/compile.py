@@ -38,11 +38,23 @@ enforces the equivalence over the workloads corpus.
 Compiled bodies are plain Python objects attached to the resident trace
 (:attr:`TranslatedTrace.compiled_body`).  They are invalidated with the
 trace on code-cache eviction (self-modifying code, module unload) and
-flush, and are never persisted: a preloaded persistent trace recompiles
-lazily on its first execution, whose cost is already charged as the
-demand-load of the trace (simulated cycles are identical across tiers by
-construction — host-level compilation time is the price the simulator
-pays once to run many times faster).
+flush; the closures themselves are never persisted (simulated cycles are
+identical across tiers by construction — host-level compilation time is
+the price the simulator pays once to run many times faster).
+
+**Tier-up.**  Most traces a program selects run only a handful of times,
+so compiling every trace at its first entry spends most of a cold run in
+host ``compile()``.  Instead a trace runs on the interpreted tier — which
+is bit-identical per execution — until its *compile entry*, decided once
+at its first entry by :meth:`TraceCompiler.compile_entry`:
+
+* **1** when the body needs no host ``compile()``: a factory-memo hit,
+  or a digest the attached body store already holds in memory;
+* **2** for a trace revived from the persistent cache: its one host
+  compile is stored and reused by every later process, yet a revived
+  trace entered only once never pays it;
+* otherwise ``compile_threshold`` (:data:`DEFAULT_COMPILE_THRESHOLD`;
+  1 compiles every trace at its first entry).
 
 Generated **closure factories** are memoized in a module-level table
 keyed by everything the source bakes in (uops, entry, links, points,
@@ -107,7 +119,6 @@ from __future__ import annotations
 
 import hashlib
 import marshal
-import threading
 import time
 from types import SimpleNamespace
 from typing import Dict, List, Optional
@@ -141,6 +152,9 @@ REGION_FUSE_THRESHOLD = 16
 #: Maximum member traces in one fused region (keeps generated bodies,
 #: and the blast radius of one member's invalidation, bounded).
 REGION_MAX_MEMBERS = 8
+#: Entries a fresh trace runs interpreted before it compiles.  At
+#: startup, 98% of the traces the GUI apps select run 32 times or fewer.
+DEFAULT_COMPILE_THRESHOLD = 32
 
 
 class CompileError(Exception):
@@ -181,13 +195,6 @@ _INT64_MAX = 9223372036854775807
 #: policy the code cache uses).
 _FACTORIES: Dict[tuple, tuple] = {}
 _FACTORIES_CAP = 8192
-
-#: Serializes factory resolution (memo probe + sidecar lookup + host
-#: compile + memo/store insertion) so background compile-queue workers
-#: (:mod:`repro.vm.compilequeue`) and the engine thread never interleave
-#: inside the critical section.  Binding a resolved factory to a run's
-#: captures happens outside the lock — it touches no shared state.
-_FACTORY_LOCK = threading.Lock()
 
 
 def _body_digest(key: tuple) -> str:
@@ -336,8 +343,11 @@ class TraceCompiler:
         ic_stats: Optional[ICStats] = None,
         link_stats: Optional[LinkStats] = None,
         max_instructions: Optional[int] = None,
+        compile_threshold: int = DEFAULT_COMPILE_THRESHOLD,
     ):
         self.machine = machine
+        #: Compile entry of a fresh trace (see :meth:`compile_entry`).
+        self.compile_threshold = compile_threshold
         self.stats = stats
         self.accounting = accounting
         self.cost = cost_model
@@ -403,57 +413,31 @@ class TraceCompiler:
 
     # -- public API -----------------------------------------------------------
 
-    def prepare(self, translated: TranslatedTrace):
-        """Resolve the closure factory for ``translated`` without binding.
+    def compile_entry(self, translated: TranslatedTrace) -> int:
+        """Decide, at its first entry, the entry ``translated`` compiles on.
 
-        This is the expensive, run-independent half of :meth:`compile` —
-        memo probe, sidecar revive, or source generation + host
-        ``compile()`` — and the only half a background compile-queue
-        worker runs.  Thread-safe: the whole resolution holds
-        :data:`_FACTORY_LOCK`.  Returns an opaque prepared handle for
-        :meth:`bind`, or None when the trace is uncompilable (the caller
-        attaches :data:`UNCOMPILABLE`).
+        1 when the body needs no host ``compile()`` (a factory-memo hit,
+        or the attached store's in-memory ``entries`` holds its digest),
+        2 when the trace was revived from the persistent cache, otherwise
+        :attr:`compile_threshold`.  The memo key, and the digest when the
+        store was consulted, are kept on the trace for :meth:`compile`.
         """
-        try:
-            key = _trace_key(translated, self.cost)
-            slots, callbacks = _capture_lists(translated)
-            with _FACTORY_LOCK:
-                cached = _FACTORIES.get(key)
-                if cached is None:
-                    digest = _body_digest(key)
-                    make, body_bytes, cost_us = self._build_factory(
-                        lambda: self._generate(translated, slots, callbacks),
-                        "<trace@0x%x>" % translated.entry,
-                        digest,
-                    )
-                    if len(_FACTORIES) >= _FACTORIES_CAP:
-                        _FACTORIES.clear()
-                    _FACTORIES[key] = (make, digest, body_bytes, cost_us)
-                else:
-                    make, digest, body_bytes, cost_us = cached
-                    self.code_memo_hits += 1
-                    store = self.body_store
-                    if store is not None and digest not in store.entries:
-                        # A fresh (or pruned) sidecar still learns bodies
-                        # the in-process memo already knows, at zero
-                        # compile cost.
-                        store.record_bytes(digest, body_bytes,
-                                           cost_us=cost_us)
-        except CompileError:
-            return None
-        return make, slots, callbacks
-
-    def bind(self, translated: TranslatedTrace, prepared):
-        """Bind a :meth:`prepare`\\ d factory to this run's captures.
-
-        Cheap and run-scoped; must run on the engine thread (the closure
-        references the live machine).  Attaches and returns the body.
-        """
-        make, slots, callbacks = prepared
-        body = make(self._context, slots, callbacks)
-        translated.compiled_body = body
-        self.compiled_count += 1
-        return body
+        key = _trace_key(translated, self.cost)
+        digest = None
+        entry = self.compile_threshold
+        if key in _FACTORIES:
+            entry = 1
+        else:
+            store = self.body_store
+            if store is not None and store.entries:
+                digest = _body_digest(key)
+                if digest in store.entries:
+                    entry = 1
+            if translated.from_persistent:
+                entry = min(entry, 2)
+        translated.compile_key = (key, digest)
+        translated.compile_at = entry
+        return entry
 
     def compile(self, translated: TranslatedTrace):
         """Specialize ``translated``; attach and return the closure.
@@ -462,11 +446,23 @@ class TraceCompiler:
         returned, and the engine executes the trace interpreted — the
         tiers are observably identical, so falling back is always safe.
         """
-        prepared = self.prepare(translated)
-        if prepared is None:
+        try:
+            key, digest = translated.compile_key or (
+                _trace_key(translated, self.cost), None
+            )
+            slots, callbacks = _capture_lists(translated)
+            make = self._factory(
+                key, digest,
+                lambda: self._generate(translated, slots, callbacks),
+                "<trace@0x%x>" % translated.entry,
+            )
+        except CompileError:
             translated.compiled_body = UNCOMPILABLE
             return UNCOMPILABLE
-        return self.bind(translated, prepared)
+        body = make(self._context, slots, callbacks)
+        translated.compiled_body = body
+        self.compiled_count += 1
+        return body
 
     def compile_region(self, members: List[TranslatedTrace]):
         """Fuse a stable hot chain into one superblock closure.
@@ -494,32 +490,40 @@ class TraceCompiler:
                 member_slots, member_callbacks = _capture_lists(member)
                 slots.extend(member_slots)
                 callbacks.extend(member_callbacks)
-            with _FACTORY_LOCK:
-                cached = _FACTORIES.get(key)
-                if cached is None:
-                    digest = _body_digest(key)
-                    make, body_bytes, cost_us = self._build_factory(
-                        lambda: self._generate_region(
-                            members, slots, callbacks
-                        ),
-                        "<region@0x%x>" % members[0].entry,
-                        digest,
-                    )
-                    if len(_FACTORIES) >= _FACTORIES_CAP:
-                        _FACTORIES.clear()
-                    _FACTORIES[key] = (make, digest, body_bytes, cost_us)
-                else:
-                    make, digest, body_bytes, cost_us = cached
-                    self.code_memo_hits += 1
-                    store = self.body_store
-                    if store is not None and digest not in store.entries:
-                        store.record_bytes(digest, body_bytes,
-                                           cost_us=cost_us)
+            make = self._factory(
+                key, None,
+                lambda: self._generate_region(members, slots, callbacks),
+                "<region@0x%x>" % members[0].entry,
+            )
             body = make(self._context, slots, callbacks, members)
         except CompileError:
             return None
         self.regions_compiled += 1
         return body
+
+    def _factory(self, key: tuple, digest: Optional[str], source_fn,
+                 filename: str):
+        """The ``_make`` factory for ``key``: a memo hit, else a sidecar
+        revive or a host compile (:meth:`_build_factory`), memoized."""
+        cached = _FACTORIES.get(key)
+        if cached is not None:
+            make, digest, body_bytes, cost_us = cached
+            self.code_memo_hits += 1
+            store = self.body_store
+            if store is not None and digest not in store.entries:
+                # A fresh (or pruned) sidecar still learns bodies the
+                # in-process memo already knows, at zero compile cost.
+                store.record_bytes(digest, body_bytes, cost_us=cost_us)
+            return make
+        if digest is None:
+            digest = _body_digest(key)
+        make, body_bytes, cost_us = self._build_factory(
+            source_fn, filename, digest
+        )
+        if len(_FACTORIES) >= _FACTORIES_CAP:
+            _FACTORIES.clear()
+        _FACTORIES[key] = (make, digest, body_bytes, cost_us)
+        return make
 
     def _build_factory(self, source_fn, filename: str, digest: str):
         """Produce ``(make, marshal_bytes, cost_us)`` for a memo miss.
@@ -530,7 +534,7 @@ class TraceCompiler:
         treated as free to recompute by cost-aware admission); a miss (or
         no store) compiles from ``source_fn()``, measures the host
         ``compile()`` wall clock, and records the result into the store
-        for the next process.  Caller holds :data:`_FACTORY_LOCK`.
+        for the next process.
         """
         store = self.body_store
         if store is not None:

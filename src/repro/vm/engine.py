@@ -42,13 +42,13 @@ from repro.vm.codecache import (
     DEFAULT_DATA_POOL_BYTES,
 )
 from repro.vm.compile import (
+    DEFAULT_COMPILE_THRESHOLD,
     REGION_FUSE_THRESHOLD,
     REGION_MAX_MEMBERS,
     TraceCompiler,
     UNCOMPILABLE,
 )
-from repro.vm.compilequeue import CompileQueue
-from repro.vm.stats import ICStats, LinkStats, QueueStats, VMStats
+from repro.vm.stats import ICStats, LinkStats, VMStats
 from repro.vm.trace import ExitKind, TraceSelector
 from repro.vm.translator import TranslatedTrace, Translator
 from repro.isa.opcodes import Opcode
@@ -94,11 +94,12 @@ class VMConfig:
     #: after Li et al.'s IA32EL work the paper discusses in §5).
     module_retention: bool = True
     #: How translated traces execute: ``"compiled"`` specializes each
-    #: trace into a Python closure (repro.vm.compile) on its first
-    #: execution; ``"interpreted"`` walks uops through step_uop.  The
-    #: tiers are observably identical — same output, exit status, and
-    #: VMStats to the bit (see docs/performance.md); interpreted is the
-    #: reference oracle, compiled the fast default.
+    #: trace into a Python closure (repro.vm.compile) once it reaches its
+    #: compile entry (see ``compile_threshold``); ``"interpreted"`` walks
+    #: uops through step_uop.  The tiers are observably identical — same
+    #: output, exit status, and VMStats to the bit (see
+    #: docs/performance.md); interpreted is the reference oracle,
+    #: compiled the fast default.
     dispatch_mode: str = "compiled"
     #: Chain compiled closures directly: a patched or IC-predicted exit
     #: hands the successor's closure to the engine's trampoline instead
@@ -108,23 +109,14 @@ class VMConfig:
     #: reverts to the one-closure-call-per-dispatch behavior (the bench
     #: baseline for the trace_linking family).
     trace_linking: bool = True
-    #: When a cold trace's closure is built: ``"sync"`` (default)
-    #: compiles on the execution path at first entry — the bit-exact
-    #: baseline; ``"background"`` hands cold traces to a bounded compile
-    #: queue (repro.vm.compilequeue) and executes them **interpreted**
-    #: until the finished closure swaps in at a later entry, taking host
-    #: ``compile()`` off the time-to-first-output path.  Host-side
-    #: scheduling only — the tiers are observably identical per
-    #: execution, so ``VMStats`` is bit-identical across compile modes.
-    compile_mode: str = "sync"
-    #: Bound on queued-but-unstarted background compiles; a full queue
-    #: degrades the enqueue to a synchronous compile (never drops).
-    compile_queue_depth: int = 128
-    #: Background compile worker threads.  One is the right default on
-    #: CPython: workers only overlap with execution at GIL switch
-    #: granularity, and a single worker already drains the startup
-    #: backlog off the first-output path.
-    compile_workers: int = 1
+    #: Compiled-tier tier-up: a fresh trace runs interpreted for its
+    #: first ``compile_threshold - 1`` entries and compiles on the next.
+    #: Traces whose body needs no host ``compile()`` compile at entry 1,
+    #: revived persistent traces at entry 2 (repro.vm.compile
+    #: ``TraceCompiler.compile_entry``); 1 compiles every trace at its
+    #: first entry.  Host-side only — the tiers are observably identical
+    #: per execution, so ``VMStats`` is bit-identical at any threshold.
+    compile_threshold: int = DEFAULT_COMPILE_THRESHOLD
 
 
 @dataclass
@@ -148,10 +140,6 @@ class VMRunResult:
     #: compiled tier (all-zero under interpreted dispatch or with
     #: ``trace_linking`` off).  Host-side only, like ``ic_stats``.
     link_stats: LinkStats = field(default_factory=LinkStats)
-    #: Background compile-queue accounting (all-zero under
-    #: ``compile_mode="sync"`` or interpreted dispatch).  Host-side
-    #: only, like ``ic_stats`` and ``link_stats``.
-    queue_stats: QueueStats = field(default_factory=QueueStats)
 
     @property
     def total_cycles(self) -> float:
@@ -177,7 +165,6 @@ class Engine:
         self._persistence_disabled = False
         #: Per-run dispatch state (rebuilt by every run()).
         self._compiler: Optional[TraceCompiler] = None
-        self._compile_queue: Optional[CompileQueue] = None
         self._analysis_context: Optional[AnalysisContext] = None
 
     # -- public API -------------------------------------------------------------
@@ -220,11 +207,10 @@ class Engine:
                 "unknown dispatch_mode %r (expected 'interpreted' or"
                 " 'compiled')" % (dispatch_mode,)
             )
-        compile_mode = self.config.compile_mode
-        if compile_mode not in ("sync", "background"):
+        if self.config.compile_threshold < 1:
             raise EngineError(
-                "unknown compile_mode %r (expected 'sync' or"
-                " 'background')" % (compile_mode,)
+                "compile_threshold must be >= 1 (got %r)"
+                % (self.config.compile_threshold,)
             )
         machine = machine or Machine(process)
         machine.set_args(*args)
@@ -251,19 +237,9 @@ class Engine:
                 self._analysis_context, code_cache=cache,
                 ic_stats=ic_stats, link_stats=link_stats,
                 max_instructions=self.config.max_instructions,
+                compile_threshold=self.config.compile_threshold,
             )
             if dispatch_mode == "compiled"
-            else None
-        )
-        # Background mode only applies to the compiled tier (interpreted
-        # dispatch never compiles anything to defer).
-        self._compile_queue = (
-            CompileQueue(
-                self._compiler, cache,
-                depth=self.config.compile_queue_depth,
-                workers=self.config.compile_workers,
-            )
-            if self._compiler is not None and compile_mode == "background"
             else None
         )
 
@@ -344,38 +320,33 @@ class Engine:
         arrived_resident: Optional[TranslatedTrace] = None
 
         budget = self.config.max_instructions
-        try:
-            while pc is not None:
-                if stats.instructions_executed >= budget:
-                    raise MachineFault("instruction budget exhausted", pc)
-                if arrived_resident is not None:
-                    translated = arrived_resident
-                    arrived_resident = None
-                else:
-                    translated = cache.lookup(pc)
-                    if translated is None:
-                        translated = self._translate_at(
-                            pc, machine, selector, translator, cache, stats
-                        )
-                pc, exit_status, arrived_resident = self._execute_trace(
-                    translated, context, machine, cache, stats, accounting,
-                    exit_status
-                )
-                if (
-                    pc is not None
-                    and arrived_resident is None
-                    and pc in cache
-                ):
-                    # The exit found its target resident (indirect hit or
-                    # post-emulation resume): no VM round-trip needed.
-                    arrived_resident = cache.lookup(pc)
-                elif pc is not None and arrived_resident is None:
-                    stats.charge_dispatch(cost.vm_entry)
-                    stats.vm_entries += 1
-        finally:
-            # Worker threads never outlive their run, whatever ends it.
-            if self._compile_queue is not None:
-                self._compile_queue.shutdown()
+        while pc is not None:
+            if stats.instructions_executed >= budget:
+                raise MachineFault("instruction budget exhausted", pc)
+            if arrived_resident is not None:
+                translated = arrived_resident
+                arrived_resident = None
+            else:
+                translated = cache.lookup(pc)
+                if translated is None:
+                    translated = self._translate_at(
+                        pc, machine, selector, translator, cache, stats
+                    )
+            pc, exit_status, arrived_resident = self._execute_trace(
+                translated, context, machine, cache, stats, accounting,
+                exit_status
+            )
+            if (
+                pc is not None
+                and arrived_resident is None
+                and pc in cache
+            ):
+                # The exit found its target resident (indirect hit or
+                # post-emulation resume): no VM round-trip needed.
+                arrived_resident = cache.lookup(pc)
+            elif pc is not None and arrived_resident is None:
+                stats.charge_dispatch(cost.vm_entry)
+                stats.vm_entries += 1
 
         self.tool.on_exit(machine, exit_status)
 
@@ -400,11 +371,6 @@ class Engine:
             persistence_report=persistence_report,
             ic_stats=ic_stats,
             link_stats=link_stats,
-            queue_stats=(
-                self._compile_queue.stats
-                if self._compile_queue is not None
-                else QueueStats()
-            ),
         )
         if self.persistence is not None and hasattr(
             self.persistence, "on_result"
@@ -480,12 +446,12 @@ class Engine:
 
         Two tiers execute the trace body (identically — see
         docs/performance.md): the compiled tier runs the trace's
-        specialized closure, built lazily on first execution; the
-        interpreted tier below is the reference oracle.  A preloaded
-        persistent trace arrives without a closure and compiles on its
-        first execution here — the same event its demand-load is charged
-        to, so persistence and compilation compose without any new
-        simulated cost.
+        specialized closure; the interpreted tier below is the reference
+        oracle.  Tier-up: a trace without a closure runs interpreted
+        until its compile entry (decided at its first entry, see
+        :meth:`~repro.vm.compile.TraceCompiler.compile_entry`) and
+        compiles on that entry.  The tiers are bit-identical per
+        execution, so mixing them changes no simulated cost.
         """
         cost = self.cost_model
         if translated.from_persistent and not translated.demand_loaded:
@@ -498,17 +464,11 @@ class Engine:
 
         compiler = self._compiler
         if compiler is not None:
-            queue = self._compile_queue
             body = translated.compiled_body
-            if body is None:
-                if queue is not None:
-                    # Background mode: enqueue (or swap in a finished
-                    # body).  None means still pending — execute the
-                    # trace interpreted this time; the tiers are
-                    # bit-identical per execution, so mixing is safe.
-                    body = queue.poll(translated)
-                else:
-                    body = compiler.compile(translated)
+            if body is None and translated.executions >= (
+                translated.compile_at or compiler.compile_entry(translated)
+            ):
+                body = compiler.compile(translated)
             if body is not None and body is not UNCOMPILABLE:
                 if not self.config.trace_linking:
                     # PR-5 behavior: one closure call per dispatch.
@@ -545,17 +505,22 @@ class Engine:
                         # budget check raises at exactly the pc the
                         # interpreted tier would have faulted at.
                         return next_pc, exit_status, resident
+                    # A successor handed back to the dispatch loop gets
+                    # its demand-load/executions bookkeeping from the
+                    # preamble and runs interpreted there (no vm_entry
+                    # charge on the arrived_resident path — the same
+                    # simulated cost as continuing the chain).
                     next_body = resident.compiled_body
-                    if next_body is None and queue is None:
+                    if next_body is None:
+                        if resident.executions + 1 < (
+                            resident.compile_at
+                            or compiler.compile_entry(resident)
+                        ):
+                            # Not yet at its compile entry: a cold
+                            # successor, not a bounce.
+                            return next_pc, exit_status, resident
                         next_body = compiler.compile(resident)
-                    if next_body is None or next_body is UNCOMPILABLE:
-                        # Uncompilable successor, or (background mode)
-                        # its body does not exist yet: bounce back to
-                        # the dispatch loop, whose preamble redoes the
-                        # demand-load/executions bookkeeping and polls
-                        # the queue / runs the resident interpreted (no
-                        # vm_entry charge on the arrived_resident path —
-                        # same simulated cost as continuing the chain).
+                    if next_body is UNCOMPILABLE:
                         links.link_bounces += 1
                         return next_pc, exit_status, resident
                     if resident.from_persistent and not resident.demand_loaded:
@@ -591,9 +556,9 @@ class Engine:
                         slot, next_pc, cache, stats, exit_status
                     )
                 return next_pc, exit_status, None
-            # Uncompilable trace — or its body is still pending in the
-            # background compile queue: fall through to the interpreted
-            # oracle (bit-identical per execution).
+            # Uncompilable trace, or one below its compile entry: fall
+            # through to the interpreted oracle (bit-identical per
+            # execution).
 
         trace = translated.trace
         uops = trace.uops

@@ -111,8 +111,10 @@ class LinkStats:
     #: Trampoline hops through an indirect-exit inline-cache prediction.
     link_ic_hops: int = 0
     #: Linked exits (slot patched or IC-resolved resident) that still
-    #: fell back to the dispatch loop: successor uncompilable, or the
-    #: instruction budget intervened.  Zero on the stable-chain corpus.
+    #: fell back to the dispatch loop because the successor is
+    #: uncompilable.  A successor below its compile entry also returns
+    #: to the loop, to run interpreted, but is not counted.  Zero on the
+    #: stable-chain corpus.
     link_bounces: int = 0
     #: Superblock regions fused from stable hot chains this run.
     regions_fused: int = 0
@@ -145,55 +147,6 @@ class LinkStats:
             "region_invalidations": self.region_invalidations,
             "fusion_aborts": self.fusion_aborts,
             "chained_exits": self.chained_exits,
-        }
-
-
-@dataclass
-class QueueStats:
-    """Host-side counters for the background compile queue
-    (:mod:`repro.vm.compilequeue`).
-
-    Like :class:`ICStats` and :class:`LinkStats`, deliberately **not**
-    part of :class:`VMStats`: whether a trace's closure was produced on
-    the execution path (``compile_mode="sync"``) or by a background
-    worker is pure host-side scheduling — the trace executes
-    bit-identically either way (interpreted while the body is pending,
-    compiled after the swap-in), so any counter here would differ
-    between compile modes and break the bit-identical ``VMStats``
-    contract.  The accounting travels beside the run result
-    (:attr:`repro.vm.engine.VMRunResult.queue_stats`).
-    """
-
-    #: Cold traces handed to the background queue.
-    enqueued: int = 0
-    #: Factory resolutions completed by a worker (off the execution path).
-    compiled_offpath: int = 0
-    #: Finished bodies bound and attached at a later trace entry.
-    swap_ins: int = 0
-    #: Finished bodies discarded because ``CodeCache.generation``
-    #: advanced between enqueue and swap-in (SMC eviction, module
-    #: unload, cache flush) — the trace is re-enqueued, and the factory
-    #: memo makes the second resolution nearly free.
-    generation_discards: int = 0
-    #: Enqueue attempts that found the queue full and compiled
-    #: synchronously instead (backpressure never drops a trace).
-    queue_full_syncs: int = 0
-    #: Deepest backlog observed at enqueue time.
-    backlog_high_water: int = 0
-    #: Trace executions taken interpreted because the body was still
-    #: pending (enqueued or in flight) at entry.
-    interpreted_runs: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (bench tables, session reports)."""
-        return {
-            "enqueued": self.enqueued,
-            "compiled_offpath": self.compiled_offpath,
-            "swap_ins": self.swap_ins,
-            "generation_discards": self.generation_discards,
-            "queue_full_syncs": self.queue_full_syncs,
-            "backlog_high_water": self.backlog_high_water,
-            "interpreted_runs": self.interpreted_runs,
         }
 
 

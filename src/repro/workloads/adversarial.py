@@ -43,7 +43,7 @@ the result:
 All programs read their iteration count from ``a2`` (the standard
 ``InputSpec.hot_iterations`` slot) and run at least once.  The
 ``transparency`` bench family (:mod:`repro.bench`) runs this suite
-under interpreted/compiled/linked/background dispatch against the
+under interpreted, compiled, linked and tiered dispatch against the
 interpreted oracle and across warm restarts over the sidecar, the
 shared per-host store, and the cache-server daemon.
 """

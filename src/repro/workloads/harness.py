@@ -58,9 +58,8 @@ class FirstOutputTimer(bytearray):
     ``time.perf_counter()`` at the moment the first non-empty write
     lands, or None if the program never wrote.  Subtracting the
     caller's pre-run stamp gives time-to-first-output (TTFO) — the
-    metric the tiered warm-up bench family gates, since background
-    compilation's whole point is taking host ``compile()`` off this
-    path.
+    metric the tiered warm-up bench family gates, since the compile
+    tier-up's whole point is taking host ``compile()`` off this path.
     """
 
     def __init__(self) -> None:

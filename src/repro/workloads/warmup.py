@@ -1,10 +1,10 @@
-"""Startup-heavy corpus for the tiered warm-up (background compile) bench.
+"""Startup-heavy corpus for the tiered warm-up (compile tier-up) bench.
 
-The off-path compile pipeline (:mod:`repro.vm.compilequeue`) pays off
-exactly when a run's cold phase is *compile-dominated*: lots of distinct
-traces that each execute about once before the program produces its
-first observable output.  Synchronous compilation then charges every
-host ``compile()`` to the time-to-first-output (TTFO) critical path for
+The compiled tier's tier-up (:mod:`repro.vm.compile`) pays off exactly
+when a run's cold phase is *compile-dominated*: lots of distinct traces
+that each execute about once before the program produces its first
+observable output.  Compiling at first entry then charges every host
+``compile()`` to the time-to-first-output (TTFO) critical path for
 bodies whose single execution could have been interpreted, which is the
 CGO'07 paper's cold-start story (startup code is translated, executed
 once, and never revisited).
@@ -87,8 +87,9 @@ def build_warmup_workload(name: str) -> Workload:
             % (name, ", ".join(sorted(WARMUP_APPS)))
         ) from exc
     builder = AppBuilder("warmup/%s" % name, seed=seed)
-    # Cold startup first: every block tree is translated, compiled (in
-    # sync mode), and executed exactly once before the output marker.
+    # Cold startup first: every block tree is translated (and, at
+    # compile threshold 1, compiled) and executed exactly once before
+    # the output marker.
     for index in range(blocks):
         builder.add_init_block(
             "init_%02d" % index, size=block_size, subfunctions=3, repeat=1

@@ -32,8 +32,12 @@ from repro.workloads.harness import run_native as run_workload_native
 from repro.workloads.harness import run_vm
 
 INTERPRETED = VMConfig(dispatch_mode="interpreted")
-COMPILED = VMConfig(dispatch_mode="compiled", trace_linking=False)
-LINKED = VMConfig(dispatch_mode="compiled", trace_linking=True)
+# The compiled tiers compile every trace at its first entry, so IC and
+# region mechanics engage; the default tier-up is audited separately.
+COMPILED = VMConfig(dispatch_mode="compiled", trace_linking=False,
+                    compile_threshold=1)
+LINKED = VMConfig(dispatch_mode="compiled", trace_linking=True,
+                  compile_threshold=1)
 
 
 def _words(output: bytes):

@@ -68,7 +68,7 @@ def run_session(workload, input_name, db_dir, shared=None, readonly=False):
             readonly=readonly,
             shared_store=shared,
         ),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
 
 
@@ -139,18 +139,26 @@ class TestDifferential:
         reports = {}
         for mode in ("file", "daemon"):
             store_dir = str(tmp_path / ("store-" + mode))
+            # Stamps are whole seconds, and a touch refreshes only a
+            # stamp from an earlier second: every session gets its own
+            # second on both transports, so refresh counts cannot
+            # depend on where the wall clock's second boundaries fall.
+            clock = FakeClock()
             server = None
             if mode == "daemon":
-                server = CacheServer(store_dir, vm_version=VM_VERSION)
+                server = CacheServer(store_dir, vm_version=VM_VERSION,
+                                     clock=clock)
                 server.start()
             try:
                 def attach():
+                    clock.now += 1
                     if mode == "daemon":
                         store = DaemonBackedStore(store_dir, VM_VERSION)
                         assert store.transport == "daemon"
                         return store
                     return SharedBodyStore(store_dir,
-                                           vm_version=VM_VERSION)
+                                           vm_version=VM_VERSION,
+                                           clock=clock)
 
                 runs = []
                 donor_db = str(tmp_path / ("donor-" + mode))

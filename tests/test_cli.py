@@ -90,6 +90,7 @@ class TestTimeline:
 
 class TestPcache:
     def test_list_empty(self, capsys, tmp_path):
+        (tmp_path / "empty").mkdir()
         code, out = run_cli(capsys, "pcache", "list", str(tmp_path / "empty"))
         assert code == 0
         assert "empty database" in out

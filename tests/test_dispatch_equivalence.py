@@ -42,6 +42,12 @@ def _config(mode):
     return VMConfig(dispatch_mode=mode)
 
 
+def _eager_config(mode, **kwargs):
+    """Compile every trace at its first entry: for suites that test
+    compiled-tier mechanics (ICs, regions), not tiering."""
+    return VMConfig(dispatch_mode=mode, compile_threshold=1, **kwargs)
+
+
 def signature(result):
     """Everything observable from a run, ready for exact comparison."""
     return {
@@ -436,7 +442,7 @@ class TestPolymorphicIC:
         for name, workload in sorted(self._suite().items()):
             results = assert_equivalent(
                 lambda mode, wl=workload: run_vm(
-                    wl, "run", vm_config=_config(mode)
+                    wl, "run", vm_config=_eager_config(mode)
                 ),
                 context=("indirect-corpus", name),
             )
@@ -455,7 +461,7 @@ class TestPolymorphicIC:
         cell missed every call, with MTF keeping the pair in the top
         two chain entries."""
         workload = self._suite()["alternating_pair"]
-        result = run_vm(workload, "run", vm_config=_config("compiled"))
+        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
         ics = result.ic_stats
         assert ics.hit_rate > 0.8, ics.to_dict()
         assert ics.depth_hits[0] > 0 and ics.depth_hits[1] > 0
@@ -468,7 +474,7 @@ class TestPolymorphicIC:
         """Three cycling targets settle at chain depth 3 under MTF (the
         hit target moves to front, pushing the next one to the back)."""
         workload = self._suite()["rotating_3"]
-        result = run_vm(workload, "run", vm_config=_config("compiled"))
+        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
         ics = result.ic_stats
         assert ics.hit_rate > 0.8, ics.to_dict()
         assert ics.depth_hits[2] > 0
@@ -486,7 +492,7 @@ class TestPolymorphicIC:
 
         suite = self._suite()
         workload = suite["megamorphic"]
-        result = run_vm(workload, "run", vm_config=_config("compiled"))
+        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
         ics = result.ic_stats
         # The callr site's eight targets (plus the helpers' ret sites
         # resolving back to the loop) all fill within the first cycles;
@@ -510,7 +516,7 @@ class TestPolymorphicIC:
         generation guard must reset it wholesale and re-resolve into
         the patched code."""
         results = assert_equivalent(
-            lambda mode: Engine(config=_config(mode)).run(
+            lambda mode: Engine(config=_eager_config(mode)).run(
                 load_process(build_ic_reset_image())
             ),
             context="ic-reset",
@@ -533,7 +539,7 @@ class TestPolymorphicIC:
         config_kwargs = dict(code_pool_bytes=768)
         results = assert_equivalent(
             lambda mode: Engine(
-                config=VMConfig(dispatch_mode=mode, **config_kwargs)
+                config=_eager_config(mode, **config_kwargs)
             ).run(load_process(build_indirect_image())),
             context="ic-flush",
         )
@@ -804,9 +810,9 @@ class TestTraceLinking:
         must unlink the incoming slot and kill the region, and the next
         call reaches the new code under all three tiers."""
         results = self.assert_three_way(
-            lambda mode: Engine(config=self._link_config(mode)).run(
-                load_process(build_chain_smc_image())
-            ),
+            lambda mode: Engine(
+                config=self._link_config(mode, compile_threshold=1)
+            ).run(load_process(build_chain_smc_image())),
             context="chain-smc",
         )
         linked = results["linked"]

@@ -137,7 +137,8 @@ class TestKillNine:
                    database=CacheDatabase(str(tmp_path / "donor")),
                    shared_store=shared,
                ),
-               vm_config=VMConfig(dispatch_mode="compiled"))
+               vm_config=VMConfig(dispatch_mode="compiled",
+                                  compile_threshold=1))
         process = start_daemon_process(store_dir)
         os.kill(process.pid, signal.SIGKILL)
         process.join(timeout=10)
@@ -151,7 +152,8 @@ class TestKillNine:
                     readonly=True,
                     shared_store=attached,
                 ),
-                vm_config=VMConfig(dispatch_mode="compiled"),
+                vm_config=VMConfig(dispatch_mode="compiled",
+                                   compile_threshold=1),
             )
 
         via_daemon_spec = consumer(

@@ -43,6 +43,7 @@ class TestFsck:
         assert filename in out
 
     def test_empty_database(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
         code, out = run_cli(capsys, "cache", "fsck", str(tmp_path / "empty"))
         assert code == 0
         assert "nothing to check" in out
@@ -119,3 +120,62 @@ class TestScriptEntryPoint:
         )
         assert damaged.returncode == 1, damaged.stderr
         assert "fsck: damage found" in damaged.stdout
+
+
+class TestDatabaseErrors:
+    """Read-only commands never create a database, and a database that
+    cannot be created ends the command with one stderr line, never a
+    traceback."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("cache", "fsck"), ("pcache", "list"), ("pcache", "show"),
+         ("replay",)],
+        ids=["cache-fsck", "pcache-list", "pcache-show", "replay"],
+    )
+    def test_missing_directory_is_an_error(self, tmp_path, argv):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv) + [str(missing)])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert str(missing) in message
+        assert not missing.exists()
+
+    def test_missing_directory_from_the_shell(self, tmp_path):
+        missing = str(tmp_path / "missing")
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "cache", "fsck", missing],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode != 0
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert not os.path.exists(missing)
+
+    @staticmethod
+    def unwritable(tmp_path) -> str:
+        """A database path whose parent is a regular file (refused even
+        to root, unlike a mode-bit probe)."""
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        return str(blocker / "db")
+
+    def test_run_unwritable_pcache(self, tmp_path):
+        path = self.unwritable(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "spec", "164.gzip", "train", "--pcache", path])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "cannot open cache database" in message
+
+    def test_prewarm_unwritable_pcache(self, tmp_path, capsys):
+        path = self.unwritable(tmp_path)
+        code = main(["prewarm", "--pcache", path, "--corpus", "tiny"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert "cannot open cache database" in err

@@ -59,7 +59,7 @@ def compiled_run(workload, input_name, db, **kwargs):
         workload,
         input_name,
         persistence=PersistenceConfig(database=db, **kwargs),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
 
 

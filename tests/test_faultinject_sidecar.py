@@ -52,7 +52,7 @@ def compiled_run(workload, input_name, db):
         workload,
         input_name,
         persistence=PersistenceConfig(database=db),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
 
 
@@ -170,7 +170,7 @@ class TestFaultedSidecarWrites:
         result = run_vm(
             workload, "b",
             persistence=PersistenceConfig(database=db),
-            vm_config=VMConfig(dispatch_mode="compiled"),
+            vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
         )
         report = result.persistence_report
         assert report["sidecar_state"].startswith("write-error")
@@ -195,7 +195,8 @@ class TestFaultedSidecarWrites:
             run_vm(
                 workload, "b",
                 persistence=PersistenceConfig(database=db),
-                vm_config=VMConfig(dispatch_mode="compiled"),
+                vm_config=VMConfig(dispatch_mode="compiled",
+                                   compile_threshold=1),
             )
         # The previous sidecar is untouched (rename never happened) and
         # the next process runs normally from it.

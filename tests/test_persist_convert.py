@@ -3,6 +3,7 @@
 import pytest
 
 from repro.binfmt.image import ImageKind
+from repro.isa.encoding import encode_all
 from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.loader.linker import ImageStore, load_process
 from repro.machine.costs import DEFAULT_COST_MODEL
@@ -137,6 +138,27 @@ class TestRevive:
         call_inst = revived.trace.instructions[0]
         assert call_inst.imm == new_target
         assert revived.final_slot.exit.target == new_target
+
+    def test_rebase_reencodes_code_bytes(self):
+        """A relocated trace's code bytes encode the instructions it
+        executes: they key the compiled tier's factory memo and body
+        stores, where stale literals would alias a same-entry trace that
+        jumps elsewhere."""
+        process_out = build_process()
+        translated = select_and_translate(process_out, process_out.entry_address)
+        record = persist_trace(translated, process_out)
+        process_in = build_process(PerturbedLayout(3))
+
+        def base_of(path):
+            mapping = process_in.space.mapping_for_image(path)
+            return mapping.base if mapping else None
+
+        revived = revive_trace(record, None, base_of, rebase=True)
+        body = encode_all(revived.trace.instructions)
+        assert revived.code_bytes[:len(body)] == body
+        assert revived.code_bytes[len(body):] == record.code[len(body):]
+        assert revived.code_bytes != record.code
+        assert revived.code_size == len(record.code)
 
     def test_revive_missing_image(self):
         record, _revived, _process = self._roundtrip(rebase=False)

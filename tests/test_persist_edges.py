@@ -51,9 +51,6 @@ class TestSessionLifecycle:
             "link_direct_hops", "link_ic_hops", "link_bounces",
             "regions_fused", "region_entries", "region_hops",
             "region_invalidations", "fusion_aborts",
-            "queue_enqueued", "queue_compiled_offpath", "queue_swap_ins",
-            "queue_generation_discards", "queue_full_syncs",
-            "queue_backlog_high_water", "queue_interpreted_runs",
             "record_state", "record_events", "record_log",
             "replay_state", "replay_events",
         }

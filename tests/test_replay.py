@@ -485,6 +485,7 @@ class TestCli:
     def test_empty_database_diff_is_clean_noop(self, tmp_path, capsys):
         from repro.cli import main
 
+        (tmp_path / "empty").mkdir()
         assert main(["replay", str(tmp_path / "empty"), "--diff"]) == 0
         assert "no replay logs" in capsys.readouterr().out
 

@@ -65,7 +65,7 @@ def compiled_run(workload, input_name, db, **kwargs):
         workload,
         input_name,
         persistence=PersistenceConfig(database=db, **kwargs),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
 
 
@@ -609,7 +609,7 @@ class TestEndToEnd:
             persistence=PersistenceConfig(
                 database=db, shared_store=session_store
             ),
-            vm_config=VMConfig(dispatch_mode="compiled"),
+            vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
         )
         assert session_store.total_entries() > 0
         assert db_store.total_entries() == 0

@@ -201,7 +201,7 @@ def session_worker(store_dir: str, db_dir: str, out_path: str) -> None:
         workload,
         "a",
         persistence=PersistenceConfig(database=db),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
     payload = {
         "observable": (
@@ -227,7 +227,7 @@ def test_concurrent_sessions_match_private_sidecar_path(tmp_path):
         workload,
         "a",
         persistence=PersistenceConfig(database=reference_db),
-        vm_config=VMConfig(dispatch_mode="compiled"),
+        vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
     expected = (
         reference.output,
