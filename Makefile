@@ -86,13 +86,15 @@ daemon-smoke:
 	$(PYTHON) -m repro.cli cache fsck $(DSSTORE)
 
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
-# the anti-instrumentation differential suite plus the transparency
-# bench family's --check gate — every dispatch tier bit-identical to
-# the interpreted oracle on the adversarial corpus, zero stale
-# code-byte reads cold and warm (sidecar/shared store/daemon), and the
-# SMC detector engaged on every churner.
+# the anti-instrumentation differential suite, the compiled tier's
+# memory helpers (faults, window, SMC check) against the oracle, plus
+# the transparency bench family's --check gate — every dispatch tier
+# bit-identical to the interpreted oracle on the adversarial corpus,
+# zero stale code-byte reads cold and warm (sidecar/shared
+# store/daemon), and the SMC detector engaged on every churner.
 transparency-smoke:
-	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py
+	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
+		tests/test_dispatch_equivalence.py::TestMemoryOps
 	$(PYTHON) -m repro.cli bench --family transparency --check \
 		--warmup 1 --reps 2 --out /tmp/pcc-bench-transparency.json
 

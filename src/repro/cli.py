@@ -186,7 +186,13 @@ def cmd_run(args) -> int:
             from repro.persist.daemon import resolve_shared_store
             from repro.vm.engine import VM_VERSION
 
-            shared = resolve_shared_store(args.shared_store, VM_VERSION)
+            try:
+                shared = resolve_shared_store(args.shared_store, VM_VERSION)
+            except OSError as exc:
+                raise SystemExit(
+                    "error: cannot open shared store %s: %s"
+                    % (args.shared_store, exc)
+                ) from exc
         persistence = PersistenceConfig(
             database=_open_database(args.pcache, shared_store=shared),
             inter_application=args.inter_app,
@@ -444,13 +450,15 @@ def cmd_cache_gc(args) -> int:
     extra databases before marking.  Always exits 0 on a completed run
     (an unreadable reference index is reported, not fatal: eviction can
     only cost a recompile); ``--json`` prints the machine-readable
-    report.
+    report.  A missing directory is an error (exit 1), never created.
     """
     import json as json_module
 
     from repro.persist.sharedstore import SharedBodyStore
     from repro.vm.engine import VM_VERSION
 
+    if not os.path.isdir(args.directory):
+        raise SystemExit("error: no shared store at %s" % args.directory)
     store = SharedBodyStore(args.directory, vm_version=VM_VERSION)
     for db_dir in args.db or []:
         store.register_database(db_dir)

@@ -21,7 +21,8 @@ from repro.binfmt.image import Image
 #: Machine word size in bytes (load/store granularity).
 WORD_SIZE = 8
 
-_WORD = struct.Struct("<q")
+#: Packs and unpacks one word.
+WORD_STRUCT = struct.Struct("<q")
 _UWORD_MASK = (1 << 64) - 1
 
 
@@ -68,19 +69,30 @@ class Mapping:
         return base < self.end and self.base < base + size
 
 
+def _miss_window() -> list:
+    """A window no address hits: no offset lies in ``0..-1``."""
+    return [0, -1, bytearray()]
+
+
 @dataclass
 class AddressSpace:
     """A sorted collection of mappings with word/byte access helpers.
 
-    Word accesses cache the last mapping hit (``_hot``): loads and stores
-    cluster heavily on the stack/heap, so the common case skips the
-    bisect.  The cache is invalidated on unmap; insertion cannot make it
-    stale (mappings never overlap).
+    ``window`` is the one hot-mapping cache: ``[base, last word offset,
+    data]`` of the mapping :meth:`find_mapping` returned last, so an
+    access at ``offset = addr - base`` with ``0 <= offset <= last`` hits
+    without a bisect.  Loads and stores cluster heavily on the
+    stack/heap, so that is the common case.  The list is updated in
+    place, never replaced: the compiled tier's memory helpers
+    (:mod:`repro.vm.compile`) hold it for a whole run.  Unmapping resets
+    it to a window no address hits; insertion cannot make it stale
+    (mappings never overlap).
     """
 
     mappings: List[Mapping] = field(default_factory=list)
     _bases: List[int] = field(default_factory=list)
-    _hot: Optional[Mapping] = field(default=None, repr=False, compare=False)
+    window: list = field(default_factory=_miss_window, init=False,
+                         repr=False, compare=False)
 
     def add_mapping(self, mapping: Mapping) -> Mapping:
         """Insert a mapping; reject overlaps."""
@@ -118,15 +130,17 @@ class AddressSpace:
             ) from exc
         del self.mappings[index]
         del self._bases[index]
-        self._hot = None
+        self.window[:] = _miss_window()
 
     def find_mapping(self, addr: int) -> Mapping:
-        """Return the mapping containing ``addr``."""
+        """Return the mapping containing ``addr``; it becomes the window."""
         index = bisect.bisect_right(self._bases, addr) - 1
         if index >= 0:
             mapping = self.mappings[index]
             if mapping.contains(addr):
-                self._hot = mapping
+                self.window[:] = (
+                    mapping.base, mapping.size - WORD_SIZE, mapping.data
+                )
                 return mapping
         raise MemoryError_("unmapped address 0x%x" % addr)
 
@@ -141,17 +155,17 @@ class AddressSpace:
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         """Read raw bytes; the range must stay within one mapping."""
-        mapping = self._hot
-        if mapping is None or not (
-            mapping.base <= addr < mapping.base + len(mapping.data)
-        ):
+        base, last, data = self.window
+        offset = addr - base
+        if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)
-        if addr + length > mapping.end:
+            offset = addr - mapping.base
+            data = mapping.data
+        if offset + length > len(data):
             raise MemoryError_(
                 "read of %d bytes at 0x%x crosses mapping end" % (length, addr)
             )
-        offset = addr - mapping.base
-        return bytes(mapping.data[offset : offset + length])
+        return bytes(data[offset : offset + length])
 
     def write_bytes(self, addr: int, payload: bytes) -> None:
         """Write raw bytes; the range must stay within one mapping."""
@@ -164,29 +178,36 @@ class AddressSpace:
         offset = addr - mapping.base
         mapping.data[offset : offset + len(payload)] = payload
 
+    # The window probe is inlined in both word accessors: they run once
+    # per interpreted LD/ST.
+
     def read_word(self, addr: int) -> int:
         """Read one signed 64-bit little-endian word."""
-        mapping = self._hot
-        if mapping is None or not (
-            mapping.base <= addr < mapping.base + len(mapping.data)
-        ):
+        base, last, data = self.window
+        offset = addr - base
+        if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)
-        offset = addr - mapping.base
-        if offset + WORD_SIZE > len(mapping.data):
-            raise MemoryError_("word read at 0x%x crosses mapping end" % addr)
-        return _WORD.unpack_from(mapping.data, offset)[0]
+            offset = addr - mapping.base
+            data = mapping.data
+            if offset + WORD_SIZE > len(data):
+                raise MemoryError_(
+                    "word read at 0x%x crosses mapping end" % addr
+                )
+        return WORD_STRUCT.unpack_from(data, offset)[0]
 
     def write_word(self, addr: int, value: int) -> None:
         """Write one word, wrapping to the signed 64-bit range."""
-        mapping = self._hot
-        if mapping is None or not (
-            mapping.base <= addr < mapping.base + len(mapping.data)
-        ):
+        base, last, data = self.window
+        offset = addr - base
+        if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)
-        offset = addr - mapping.base
-        if offset + WORD_SIZE > len(mapping.data):
-            raise MemoryError_("word write at 0x%x crosses mapping end" % addr)
+            offset = addr - mapping.base
+            data = mapping.data
+            if offset + WORD_SIZE > len(data):
+                raise MemoryError_(
+                    "word write at 0x%x crosses mapping end" % addr
+                )
         if -9223372036854775808 <= value <= 9223372036854775807:
-            _WORD.pack_into(mapping.data, offset, value)
+            WORD_STRUCT.pack_into(data, offset, value)
         else:
-            _WORD.pack_into(mapping.data, offset, to_signed_word(value))
+            WORD_STRUCT.pack_into(data, offset, to_signed_word(value))

@@ -375,8 +375,8 @@ def resolve_shared_store(
     transport degrades to the wrapped file store at construction.
     """
     env = os.environ.get(DAEMON_ENV, "")
-    if spec.startswith(DAEMON_SCHEME):
-        directory = spec[len(DAEMON_SCHEME):] or "."
+    directory = shared_store_directory(spec)
+    if spec.startswith(DAEMON_SCHEME) or env:
         return DaemonBackedStore(
             directory,
             vm_version,
@@ -384,15 +384,14 @@ def resolve_shared_store(
             timeout_s=timeout_s,
             **store_kwargs,
         )
-    if env:
-        return DaemonBackedStore(
-            spec,
-            vm_version,
-            socket_spec=_env_socket(env),
-            timeout_s=timeout_s,
-            **store_kwargs,
-        )
-    return SharedBodyStore(spec, vm_version=vm_version, **store_kwargs)
+    return SharedBodyStore(directory, vm_version=vm_version, **store_kwargs)
+
+
+def shared_store_directory(spec: str) -> str:
+    """The store directory a ``--shared-store`` spec names."""
+    if spec.startswith(DAEMON_SCHEME):
+        return spec[len(DAEMON_SCHEME):] or "."
+    return spec
 
 
 def _env_socket(env: str) -> Optional[str]:

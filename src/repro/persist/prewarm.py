@@ -28,8 +28,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.persist.database import CacheDatabase
-from repro.persist.daemon import resolve_shared_store
+from repro.persist.daemon import resolve_shared_store, shared_store_directory
 from repro.persist.manager import PersistenceConfig
+from repro.persist.sharedstore import SharedBodyStore
 from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 
@@ -261,8 +262,17 @@ def run_prewarm(
     if jobs < 1:
         raise PrewarmError("jobs must be >= 1 (got %d)" % jobs)
     names = tuple(app_names) if app_names else corpus_app_names(corpus)
+    # Fail here, in one line, rather than in every worker process; the
+    # store first, so that a bad one leaves no database behind.
+    if shared_store_dir:
+        try:
+            SharedBodyStore(shared_store_directory(shared_store_dir),
+                            VM_VERSION)
+        except OSError as exc:
+            raise PrewarmError(
+                "cannot open shared store %s: %s" % (shared_store_dir, exc)
+            ) from exc
     try:
-        # Fail here, in one line, rather than in every worker process.
         CacheDatabase(db_dir)
     except OSError as exc:
         raise PrewarmError(

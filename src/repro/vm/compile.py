@@ -18,6 +18,10 @@ Specializations applied per trace:
   literals;
 * the signed-64-bit wrap check is dropped for ops that provably cannot
   overflow (:data:`repro.machine.cpu.OVERFLOW_SAFE_OPS`);
+* every ``LD``/``ST`` is one call to the run's ``load``/``store``
+  helpers (:func:`memory_helpers`), which hold the hot-mapping fast
+  path, the fault rewrapping and the SMC check out of line, so the
+  persisted bodies stay small;
 * analysis-point checks are hoisted out entirely for traces with no
   instrumentation; instrumented sites inline the callback invocation
   against the run's single mutable :class:`AnalysisContext`;
@@ -125,7 +129,7 @@ from typing import Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.isa import registers as regs
-from repro.loader.mapper import to_signed_word
+from repro.loader.mapper import WORD_SIZE, WORD_STRUCT, to_signed_word
 from repro.machine.costs import CostModel
 from repro.machine.cpu import (
     CODE_PAGE_SHIFT,
@@ -298,6 +302,68 @@ def _store(
     )
 
 
+def _address(rs1: int, imm: int) -> str:
+    """The effective-address expression of a memory op."""
+    return "r[%d] + %d" % (rs1, imm) if imm else "r[%d]" % rs1
+
+
+def memory_helpers(machine):
+    """Build the run's ``load(addr, pc)`` and ``store(addr, value, pc)``.
+
+    Every compiled LD/ST site is one call to these, which keeps the
+    persisted bodies small.  An access inside the address space's
+    window (:attr:`repro.loader.mapper.AddressSpace.window`) unpacks or
+    packs the word in place; ``store`` takes that path only for a value
+    within int64.  Every other access goes through ``read_word`` /
+    ``write_word``, and their exception becomes ``MachineFault(str(exc),
+    pc)``, as in ``step_uop``.  After the write ``store`` runs
+    ``step_uop``'s SMC check: the written word's first code page, the
+    next page only when the word straddles into it, then
+    ``machine.on_code_write``.
+    """
+    space = machine.process.space
+    window = space.window
+    read_word = space.read_word
+    write_word = space.write_word
+    unpack_from = WORD_STRUCT.unpack_from
+    pack_into = WORD_STRUCT.pack_into
+    pages = machine.executed_code_pages
+    code_write = machine.on_code_write
+    shift = CODE_PAGE_SHIFT
+    page_mask = (1 << CODE_PAGE_SHIFT) - 1
+    # A word starting past this page offset ends on the next page.
+    last_unstraddled = (1 << CODE_PAGE_SHIFT) - WORD_SIZE
+
+    def load(addr, pc):
+        base, last, data = window
+        offset = addr - base
+        if 0 <= offset <= last:
+            return unpack_from(data, offset)[0]
+        try:
+            return read_word(addr)
+        except Exception as exc:
+            raise MachineFault(str(exc), pc) from exc
+
+    def store(addr, value, pc):
+        base, last, data = window
+        offset = addr - base
+        if (0 <= offset <= last
+                and -9223372036854775808 <= value <= 9223372036854775807):
+            pack_into(data, offset, value)
+        else:
+            try:
+                write_word(addr, value)
+            except Exception as exc:
+                raise MachineFault(str(exc), pc) from exc
+        page = addr >> shift
+        if page in pages or (
+            addr & page_mask > last_unstraddled and page + 1 in pages
+        ):
+            code_write(addr)
+
+    return load, store
+
+
 def _capture_lists(translated: TranslatedTrace):
     """The run-varying objects a trace's closure captures, in the
     canonical order both :meth:`TraceCompiler._generate` (naming) and
@@ -373,6 +439,7 @@ class TraceCompiler:
         #: The attached compiled-body sidecar store, or None (attached by
         #: the persistence session via :meth:`attach_body_store`).
         self.body_store = None
+        load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
         #: compiler builds (per-trace state travels separately).
         self._context = SimpleNamespace(
@@ -380,10 +447,8 @@ class TraceCompiler:
             stats=stats,
             to_signed=to_signed_word,
             MachineFault=MachineFault,
-            read_word=machine.process.space.read_word,
-            write_word=machine.process.space.write_word,
-            pages=machine.executed_code_pages,
-            code_write=machine.on_code_write,
+            load=load,
+            store=store,
             syscall_step=syscall_uop_step,
             halt_event=halt_step_event,
             acx=analysis_context,
@@ -570,9 +635,9 @@ class TraceCompiler:
     #: Capture-namespace names the factory preamble may bind (in this
     #: order); only the ones the generated body actually uses are bound.
     _CAPTURE_NAMES = (
-        "to_signed", "MachineFault", "read_word", "write_word",
-        "pages", "code_write", "syscall_step", "halt_event", "acx",
-        "record_call", "cache", "cache_lookup", "ics", "links", "budget",
+        "to_signed", "MachineFault", "load", "store", "syscall_step",
+        "halt_event", "acx", "record_call", "cache", "cache_lookup", "ics",
+        "links", "budget",
     )
 
     def _generate(self, translated: TranslatedTrace, slots, callbacks) -> str:
@@ -743,7 +808,9 @@ class TraceCompiler:
                 emit.emit("acx.trace_entry = %d" % entry)
                 emit.emit("acx.index = %d" % index)
                 if point.wants_effective_address and op in (_LD, _ST):
-                    emit.emit("acx.effective_address = r[%d] + %d" % (rs1, imm))
+                    emit.emit(
+                        "acx.effective_address = %s" % _address(rs1, imm)
+                    )
                 else:
                     emit.emit("acx.effective_address = None")
                 emit.emit("%s(acx)" % cb)
@@ -766,32 +833,19 @@ class TraceCompiler:
                     may_overflow = False
                 _store(emit, uses, rd, expr, may_overflow=may_overflow)
             elif op == _LD:
-                uses.update(("read_word", "MachineFault"))
-                emit.emit("try:")
-                if rd == regs.ZERO:
-                    emit.emit("read_word(r[%d] + %d)" % (rs1, imm), 3)
-                else:
-                    # read_word yields an in-range signed word: no wrap check.
-                    emit.emit("r[%d] = read_word(r[%d] + %d)" % (rd, rs1, imm), 3)
-                emit.emit("except Exception as exc:")
-                emit.emit("raise MachineFault(str(exc), %d) from exc" % pc, 3)
+                # Memory sites are one helper call each (memory_helpers
+                # holds the fault handling and the SMC check).
+                uses.add("load")
+                call = "load(%s, %d)" % (_address(rs1, imm), pc)
+                # load yields an in-range signed word: no wrap check.
+                if rd != regs.ZERO:
+                    call = "r[%d] = %s" % (rd, call)
+                emit.emit(call)
             elif op == _ST:
-                uses.update(
-                    ("write_word", "MachineFault", "pages", "code_write")
-                )
-                emit.emit("addr = r[%d] + %d" % (rs1, imm))
-                emit.emit("try:")
-                emit.emit("write_word(addr, r[%d])" % rs2, 3)
-                emit.emit("except Exception as exc:")
-                emit.emit("raise MachineFault(str(exc), %d) from exc" % pc, 3)
-                # Check the pages of both the first and last written
-                # byte: an 8-byte store may straddle a page boundary.
+                uses.add("store")
                 emit.emit(
-                    "if (addr >> %d) in pages or"
-                    " ((addr + 7) >> %d) in pages:"
-                    % (CODE_PAGE_SHIFT, CODE_PAGE_SHIFT)
+                    "store(%s, r[%d], %d)" % (_address(rs1, imm), rs2, pc)
                 )
-                emit.emit("code_write(addr)", 3)
             elif op == _DIV:
                 uses.add("MachineFault")
                 emit.emit("d = r[%d]" % rs2)

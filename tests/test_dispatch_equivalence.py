@@ -16,16 +16,30 @@ behavior, which docs/performance.md forbids.
 
 import pytest
 
-from repro.binfmt.image import ImageBuilder
+from repro.binfmt.image import ImageBuilder, ImageKind
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
 from repro.loader.linker import load_process
-from repro.machine.cpu import HEAP_BASE, Machine, run_native
-from repro.machine.syscalls import SYS_EXIT
+from repro.loader.mapper import AddressSpace
+from repro.machine.cpu import (
+    HEAP_BASE,
+    HEAP_SIZE,
+    Machine,
+    MachineFault,
+    run_native,
+)
+from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
 from repro.vm.engine import Engine, VMConfig
+from repro.workloads.adversarial import (
+    CODE_PAGE,
+    _materialize,
+    _pad_to_page_boundary,
+    _straddle_words,
+)
+from repro.workloads.builder import FunctionCode
 from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
 from repro.workloads.oracle import PHASES, build_oracle
@@ -89,11 +103,14 @@ def oracle_workload():
 
 
 class TestCorpora:
+    #: Run config per mode; the subclass below compiles every trace.
+    config = staticmethod(_config)
+
     def test_spec2k_train(self, spec_suite):
         for name, workload in sorted(spec_suite.items()):
             assert_equivalent(
                 lambda mode, wl=workload: run_vm(
-                    wl, "train", vm_config=_config(mode)
+                    wl, "train", vm_config=self.config(mode)
                 ),
                 context=("spec2k", name),
             )
@@ -102,7 +119,7 @@ class TestCorpora:
         for name, app in sorted(gui_suite.items()):
             assert_equivalent(
                 lambda mode, wl=app: run_vm(
-                    wl, "startup", vm_config=_config(mode)
+                    wl, "startup", vm_config=self.config(mode)
                 ),
                 context=("gui", name),
             )
@@ -111,7 +128,7 @@ class TestCorpora:
         for phase in PHASES:
             assert_equivalent(
                 lambda mode, ph=phase: run_vm(
-                    oracle_workload, ph, vm_config=_config(mode)
+                    oracle_workload, ph, vm_config=self.config(mode)
                 ),
                 context=("oracle", phase),
             )
@@ -127,7 +144,7 @@ class TestCorpora:
             return [
                 run_vm(workload, input_name,
                        persistence=PersistenceConfig(database=db),
-                       vm_config=_config(mode))
+                       vm_config=self.config(mode))
                 for workload, input_name in cases
             ]
 
@@ -136,6 +153,14 @@ class TestCorpora:
             zip(sequences["interpreted"], sequences["compiled"])
         ):
             assert signature(res_i) == signature(res_c), ("case", index)
+
+
+class TestCorporaEager(TestCorpora):
+    """The corpora at ``compile_threshold=1``: at the default threshold
+    the traces GUI startup enters only a few times never compile, so
+    this pass is what runs the compiled tier's codegen on them."""
+
+    config = staticmethod(_eager_config)
 
 
 class TestPersistence:
@@ -890,6 +915,344 @@ class TestTraceLinking:
         assert links.link_bounces == 0, links.to_dict()
         assert links.regions_fused > 0, links.to_dict()
         assert links.link_direct_hops > 0, links.to_dict()
+
+
+def _exiting(code, name="memops-app"):
+    """``code`` followed by ``exit(a0)`` as ``main`` of a fresh image."""
+    builder = ImageBuilder(name)
+    builder.add_function(
+        "main", list(code) + [ins.movi(regs.RV, SYS_EXIT), ins.syscall()]
+    )
+    builder.set_entry("main")
+    return builder.build()
+
+
+#: An address below every mapping.
+_UNMAPPED = 0x100
+_HEAP_END = HEAP_BASE + HEAP_SIZE
+
+
+class TestMemoryOps:
+    """LD/ST through the compiled tier's two per-run memory helpers.
+
+    The compiled tier runs at ``compile_threshold=1`` here, so every
+    trace compiles at its first entry and every memory op executes as a
+    ``load``/``store`` call.  Each case pins one path of the helpers
+    (window hit, lookup, fault, wrap, SMC check) against the
+    interpreted oracle.
+    """
+
+    @staticmethod
+    def fault(image, mode):
+        """``(message, pc)`` of the MachineFault ``image`` ends in."""
+        with pytest.raises(MachineFault) as excinfo:
+            if mode == "native":
+                run_native(Machine(load_process(image)))
+            else:
+                Engine(config=_eager_config(mode)).run(load_process(image))
+        return str(excinfo.value), excinfo.value.pc
+
+    def assert_same_fault(self, image, expected):
+        faults = {mode: self.fault(image, mode)
+                  for mode in ("native",) + MODES}
+        assert len(set(faults.values())) == 1, faults
+        message, pc = faults["compiled"]
+        assert expected in message, message
+        return pc
+
+    @pytest.mark.parametrize("op", ["ld", "st"])
+    def test_unmapped_access_faults_identically(self, op):
+        t0, t1 = regs.T0, regs.T0 + 1
+        access = (ins.ld(regs.A0, t0, 16) if op == "ld"
+                  else ins.st(t0, t1, 16))
+        image = _exiting([
+            ins.movi(t0, _UNMAPPED),
+            ins.movi(t1, 5),
+            access,
+        ])
+        pc = self.assert_same_fault(
+            image, "unmapped address 0x%x" % (_UNMAPPED + 16)
+        )
+        process = load_process(image)
+        assert pc == process.entry_address + 2 * 8
+
+    @pytest.mark.parametrize("op", ["ld", "st"])
+    def test_word_crossing_mapping_end_faults_identically(self, op):
+        """The heap's last word hits the window; a word at its last 4
+        bytes must fall through to the lookup and fault."""
+        t0, t1, t2 = regs.T0, regs.T0 + 1, regs.T0 + 2
+        access = (ins.ld(regs.A0, t0, 4) if op == "ld"
+                  else ins.st(t0, t1, 4))
+        image = _exiting([
+            ins.movi(t0, _HEAP_END - 8),
+            ins.movi(t1, 7),
+            ins.st(t0, t1, 0),          # the last word: in bounds
+            ins.ld(t2, t0, 0),
+            access,                     # heap end - 4: crosses the end
+        ])
+        self.assert_same_fault(
+            image, "word %s at 0x%x crosses mapping end"
+            % ("read" if op == "ld" else "write", _HEAP_END - 4)
+        )
+
+    def test_alternating_stack_and_heap_in_one_trace(self):
+        """Every access moves the window to the other mapping."""
+        t0, t1, t2, t3 = (regs.T0 + i for i in range(4))
+        loop = [
+            ins.ld(t1, regs.SP, -8),    # stack
+            ins.ld(t2, t0, 0),          # heap
+            ins.add(t1, t1, t3),
+            ins.st(regs.SP, t1, -8),    # stack
+            ins.add(t2, t2, t1),
+            ins.st(t0, t2, 0),          # heap
+            ins.addi(t3, t3, -1),
+        ]
+        head = 2
+        code = [ins.movi(t0, HEAP_BASE), ins.movi(t3, 40)] + loop
+        code.append(ins.bne(t3, regs.ZERO, (head - (len(code) + 1)) * 8))
+        code += [
+            ins.movi(regs.A0, 8),
+            ins.or_(regs.A1, t0, regs.ZERO),
+            ins.movi(regs.RV, SYS_WRITE),
+            ins.syscall(),
+            ins.andi(regs.A0, t2, 127),
+        ]
+        image = _exiting(code)
+        native = run_native(Machine(load_process(image)))
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image)
+            ),
+            context="stack-heap",
+        )
+        compiled = results["compiled"]
+        assert compiled.output == native.output
+        assert compiled.exit_status == native.exit_status
+        stack = heap = 0
+        for counter in range(40, 0, -1):
+            stack += counter
+            heap += stack
+        assert compiled.output == heap.to_bytes(8, "little")
+
+    def test_out_of_int64_argument_wraps_on_store(self):
+        """``set_args`` does not wrap; a store of such a value leaves
+        the window fast path and wraps exactly like ``write_word``."""
+        args = ((1 << 64) + 5, -(1 << 63) - 3)
+        image = _exiting([
+            ins.ld(regs.T0, regs.SP, 0),    # the window is the stack
+            ins.st(regs.SP, regs.A0, -16),
+            ins.st(regs.SP, regs.A1, -8),
+            ins.ld(regs.T0 + 1, regs.SP, -16),
+            ins.addi(regs.A1, regs.SP, -16),
+            ins.movi(regs.A0, 16),
+            ins.movi(regs.RV, SYS_WRITE),
+            ins.syscall(),
+            ins.andi(regs.A0, regs.T0 + 1, 127),
+        ])
+        machine = Machine(load_process(image))
+        machine.set_args(*args)
+        native = run_native(machine)
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image), args=args
+            ),
+            context="wrap",
+        )
+        expected = (5).to_bytes(8, "little") + (
+            (1 << 63) - 3
+        ).to_bytes(8, "little")
+        for result in (native, results["compiled"]):
+            assert result.output == expected
+            assert result.exit_status == 5
+
+    @staticmethod
+    def build_dlclose_image():
+        """Each iteration dlopens a plugin, stores 0x1111 into its
+        ``slot`` and dlcloses it, then stores 0x2222 through a pointer
+        that is a heap word in the first iteration and the dead slot in
+        the second.  The second store runs in a resident compiled trace,
+        with nothing between the unmap and the store that could move the
+        window."""
+        plugin = ImageBuilder("slot-plugin.so", ImageKind.SHARED_LIBRARY)
+        plugin.add_function("plugin_noop", [ins.ret()])
+        plugin.add_data("slot", bytes(8))
+        module = plugin.build()
+        slot = module.find_symbol("slot").vaddr
+        t0, t1, t2, t3, t4, t5 = (regs.T0 + i for i in range(6))
+        code = [ins.movi(regs.S0, 0), ins.movi(t5, HEAP_BASE)]
+        head = len(code)
+        code += [
+            ins.movi(regs.A0, 0),
+            ins.movi(regs.RV, SYS_DLOPEN),
+            ins.syscall(),
+            ins.addi(t0, regs.RV, slot),
+            ins.movi(t1, 0x1111),
+            ins.st(t0, t1, 0),
+            ins.movi(regs.A0, 0),
+            ins.movi(regs.RV, SYS_DLCLOSE),
+            ins.syscall(),
+            # t4 = heap + (slot - heap) * (s0 >= 1)
+            ins.movi(t2, 1),
+            ins.slt(t3, regs.S0, t2),
+            ins.xori(t3, t3, 1),
+            ins.sub(t4, t0, t5),
+            ins.mul(t4, t4, t3),
+            ins.add(t4, t5, t4),
+            ins.movi(t1, 0x2222),
+            ins.st(t4, t1, 0),
+            ins.addi(regs.S0, regs.S0, 1),
+            ins.movi(t2, 2),
+        ]
+        code.append(ins.blt(regs.S0, t2, (head - (len(code) + 1)) * 8))
+        return _exiting(code, name="dlclose-window-app"), module, slot
+
+    def test_dlclose_resets_the_window(self):
+        image, module, slot = self.build_dlclose_image()
+        faults = {}
+        for mode in MODES:
+            machine = Machine(load_process(image, optional_modules=[module]))
+            unloaded = []
+            machine.module_listeners.append(
+                lambda kind, mapping, seen=unloaded:
+                kind == "unload" and seen.append(mapping)
+            )
+            with pytest.raises(MachineFault) as excinfo:
+                Engine(config=_eager_config(mode)).run(
+                    machine.process, machine=machine
+                )
+            faults[mode] = (str(excinfo.value), excinfo.value.pc)
+            assert len(unloaded) == 2, mode
+            dead = unloaded[-1]
+            word = int.from_bytes(dead.data[slot:slot + 8], "little")
+            assert word == 0x1111, (mode, hex(word))
+            assert "unmapped address 0x%x" % (dead.base + slot) in (
+                faults[mode][0]
+            )
+        assert faults["interpreted"] == faults["compiled"]
+
+    @staticmethod
+    def build_heap_code_image():
+        """Writes ``movi a0, 1; ret`` to the heap and calls it, then
+        patches the first word to ``movi a0, 98`` and calls it again
+        (exit 99).  A heap load before each group of stores puts the
+        window on the heap, so every store to the heap code is a
+        window hit."""
+        t0, t2, t4 = regs.T0, regs.T0 + 2, regs.T0 + 4
+        main = FunctionCode()
+        main.emit(ins.movi(t0, HEAP_BASE))
+        main.emit(ins.ld(t4, t0, 64))
+        _materialize(main, t2, _word_of(ins.movi(regs.A0, 1)))
+        main.emit(ins.st(t0, t2, 0))
+        _materialize(main, t2, _word_of(ins.ret()))
+        main.emit(ins.st(t0, t2, 8))
+        main.emit(ins.callr(t0))                 # a0 = 1
+        main.emit(ins.or_(regs.S0, regs.A0, regs.ZERO))
+        main.emit(ins.ld(t4, t0, 64))
+        _materialize(main, t2, _word_of(ins.movi(regs.A0, 98)))
+        main.emit(ins.st(t0, t2, 0))             # SMC on an anonymous page
+        main.emit(ins.callr(t0))                 # a0 = 98
+        main.emit(ins.add(regs.A0, regs.A0, regs.S0))
+        return _exiting(main.code, name="heap-code-app")
+
+    def test_fast_path_store_into_executed_anonymous_page_evicts(
+        self, monkeypatch
+    ):
+        image = self.build_heap_code_image()
+        slow_writes = []
+        original = AddressSpace.write_word
+
+        def spy(space, addr, value):
+            if HEAP_BASE <= addr < HEAP_BASE + 16:
+                slow_writes.append(addr)
+            return original(space, addr, value)
+
+        monkeypatch.setattr(AddressSpace, "write_word", spy)
+        counts = {}
+
+        def run_one(mode):
+            del slow_writes[:]
+            result = Engine(config=_eager_config(mode)).run(
+                load_process(image)
+            )
+            counts[mode] = len(slow_writes)
+            return result
+
+        results = assert_equivalent(run_one, context="heap-smc")
+        compiled = results["compiled"]
+        assert compiled.exit_status == 99
+        assert compiled.stats.smc_invalidations > 0
+        # The oracle writes every word through write_word; the compiled
+        # tier wrote all three, the patch included, on the fast path.
+        assert counts == {"interpreted": 3, "compiled": 0}
+
+    @staticmethod
+    def build_second_page_image():
+        """A word store at ``&patchme - 4`` whose first page holds only
+        padding that never runs, so only the next-page check sees the
+        write to ``patchme``'s page.  ``patchme`` sets t8 before the
+        patch and t9 after it: exit ``(500 + 2 * 500) & 127`` = 92, or
+        104 if the patched call ran stale code."""
+        t1, t6, t8, t9 = (regs.T0 + i for i in (1, 6, 8, 9))
+        builder = ImageBuilder("second-page-smc-app")
+        main = FunctionCode()
+        main.symbol_refs.append((len(main.code), "patchme"))
+        main.emit(ins.movi(t1, 0))                  # t1 = &patchme
+        main.emit(ins.callr(t1))                    # t8 = 500
+        main.emit(ins.add(regs.S0, regs.S0, t8))
+        _materialize(main, t6, _straddle_words()[1])
+        main.emit(ins.st(t1, t6, -4))               # the straddle
+        main.emit(ins.movi(t8, 0))
+        main.emit(ins.movi(t9, 0))
+        main.emit(ins.callr(t1))                    # t9 = 500
+        main.emit(ins.add(regs.S0, regs.S0, t8))
+        main.emit(ins.shli(t9, t9, 1))
+        main.emit(ins.add(regs.S0, regs.S0, t9))
+        main.emit(ins.andi(regs.A0, regs.S0, 127))
+        main.emit(ins.movi(regs.RV, SYS_EXIT))
+        main.emit(ins.syscall())
+        builder.add_function("main", main.code, symbol_refs=main.symbol_refs)
+        first = _pad_to_page_boundary(builder)
+        boundary = _pad_to_page_boundary(builder)
+        assert boundary == first + CODE_PAGE
+        vaddr = builder.add_function("patchme", [ins.movi(t8, 500), ins.ret()])
+        assert vaddr == boundary
+        builder.set_entry("main")
+        return builder.build()
+
+    def test_straddling_store_checks_the_next_page(self):
+        image = self.build_second_page_image()
+        native = run_native(Machine(load_process(image)))
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image)
+            ),
+            context="second-page",
+        )
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == 92
+        assert compiled.stats.smc_invalidations > 0
+
+    def test_generated_sites_are_single_helper_calls(self, monkeypatch):
+        from repro.vm.compile import TraceCompiler, clear_code_object_cache
+
+        sources = []
+        original = TraceCompiler._generate
+
+        def capture(self, *args):
+            source = original(self, *args)
+            sources.append(source)
+            return source
+
+        monkeypatch.setattr(TraceCompiler, "_generate", capture)
+        clear_code_object_cache()
+        Engine(config=_eager_config("compiled")).run(
+            load_process(self.build_heap_code_image())
+        )
+        memory = [source for source in sources if "store(" in source]
+        assert memory
+        for source in memory:
+            for word in ("try", "MachineFault", "pages", "code_write"):
+                assert word not in source, (word, source)
 
 
 class TestConfig:

@@ -130,8 +130,9 @@ class TestDatabaseErrors:
     @pytest.mark.parametrize(
         "argv",
         [("cache", "fsck"), ("pcache", "list"), ("pcache", "show"),
-         ("replay",)],
-        ids=["cache-fsck", "pcache-list", "pcache-show", "replay"],
+         ("replay",), ("cache", "gc")],
+        ids=["cache-fsck", "pcache-list", "pcache-show", "replay",
+             "cache-gc"],
     )
     def test_missing_directory_is_an_error(self, tmp_path, argv):
         missing = tmp_path / "missing"
@@ -179,3 +180,25 @@ class TestDatabaseErrors:
         assert code == 2
         assert err.count("\n") == 1, err
         assert "cannot open cache database" in err
+
+    def test_run_unwritable_shared_store(self, tmp_path):
+        db = tmp_path / "db"
+        store = self.unwritable(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "spec", "164.gzip", "train", "--pcache", str(db),
+                  "--shared-store", store])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "cannot open shared store %s" % store in message
+        assert not db.exists()
+
+    def test_prewarm_unwritable_shared_store(self, tmp_path, capsys):
+        db = tmp_path / "db"
+        store = self.unwritable(tmp_path)
+        code = main(["prewarm", "--pcache", str(db), "--corpus", "tiny",
+                     "--shared-store", store])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1, err
+        assert "cannot open shared store %s" % store in err
+        assert not db.exists()

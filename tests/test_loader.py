@@ -99,6 +99,92 @@ class TestAddressSpace:
         assert space.read_bytes(0x2010, 5) == b"hello"
 
 
+class TestWindow:
+    """``AddressSpace.window``: the one hot-mapping cache shared by the
+    word and byte accessors and the compiled tier's memory helpers."""
+
+    def test_starts_as_a_miss(self):
+        _base, last, _data = AddressSpace().window
+        assert last < 0
+
+    def test_find_mapping_sets_the_window_in_place(self):
+        space = AddressSpace()
+        mapping = space.map_anonymous(0x1000, 256)
+        window = space.window
+        space.find_mapping(0x1010)
+        assert space.window is window
+        assert window[:2] == [0x1000, 256 - WORD_SIZE]
+        assert window[2] is mapping.data
+
+    def test_hits_skip_the_lookup(self, monkeypatch):
+        space = AddressSpace()
+        space.map_anonymous(0x1000, 256)
+        space.write_word(0x1000, 5)
+        lookups = []
+        original = space.find_mapping
+        monkeypatch.setattr(
+            space, "find_mapping",
+            lambda addr: lookups.append(addr) or original(addr),
+        )
+        space.write_word(0x10F8, -1)
+        assert space.read_word(0x1000) == 5
+        assert space.read_bytes(0x10F8, 8) == b"\xff" * 8
+        assert lookups == []
+
+    def test_switches_between_mappings(self):
+        space = AddressSpace()
+        space.map_anonymous(0x1000, 64)
+        space.map_anonymous(0x2000, 64)
+        for step in range(4):
+            space.write_word(0x1000, step)
+            space.write_word(0x2000, -step)
+        assert space.read_word(0x1000) == 3
+        assert space.read_word(0x2000) == -3
+        assert space.window[0] == 0x2000
+
+    def test_last_word_hits_and_a_crossing_word_faults(self):
+        space = AddressSpace()
+        space.map_anonymous(0x1000, 64)
+        space.write_word(0x1038, 9)
+        assert space.read_word(0x1038) == 9
+        with pytest.raises(MemoryError_, match="word read at 0x103c crosses"):
+            space.read_word(0x103C)
+        with pytest.raises(MemoryError_, match="word write at 0x103c crosses"):
+            space.write_word(0x103C, 1)
+
+    def test_out_of_range_value_wraps_on_a_hit(self):
+        space = AddressSpace()
+        space.map_anonymous(0x1000, 64)
+        space.read_word(0x1000)
+        space.write_word(0x1000, (1 << 64) + 5)
+        space.write_word(0x1008, -(1 << 63) - 3)
+        assert space.read_word(0x1000) == 5
+        assert space.read_word(0x1008) == (1 << 63) - 3
+
+    def test_remove_mapping_resets_the_window(self):
+        space = AddressSpace()
+        space.map_anonymous(0x1000, 64)
+        dead = space.map_anonymous(0x2000, 64)
+        space.write_word(0x2000, 7)
+        window = space.window
+        space.remove_mapping(dead)
+        assert space.window is window and window[1] < 0
+        with pytest.raises(MemoryError_, match="unmapped"):
+            space.write_word(0x2000, 8)
+        with pytest.raises(MemoryError_, match="unmapped"):
+            space.read_word(0x2000)
+        assert int.from_bytes(dead.data[:8], "little") == 7
+
+    def test_mapping_smaller_than_a_word_never_hits(self):
+        space = AddressSpace()
+        small = space.map_anonymous(0x1000, 4)
+        small.data[:] = b"abcd"
+        assert space.read_bytes(0x1000, 4) == b"abcd"
+        assert space.window[1] < 0
+        with pytest.raises(MemoryError_, match="crosses mapping end"):
+            space.read_word(0x1000)
+
+
 class TestLinker:
     def test_simple_executable(self):
         image = image_from_asm("main:\n    halt\n")
