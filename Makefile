@@ -42,13 +42,15 @@ RDB ?= /tmp/pcc-replay-db
 # Record/replay smoke (docs/record-replay.md): record one session per
 # nondeterminism-sensitive workload, then differentially replay the
 # whole database under both dispatch tiers.  Any structural divergence
-# or result drift fails the target.
+# or result drift fails the target.  The closing fsck reads every PCRL1
+# log back section by section.
 replay-smoke:
 	rm -rf $(RDB)
 	$(PYTHON) -m repro.cli run nondet dice short --record --pcache $(RDB)
 	$(PYTHON) -m repro.cli run nondet clockwork short --record --pcache $(RDB)
 	$(PYTHON) -m repro.cli run nondet relay long --record --pcache $(RDB) --layout-seed 7
 	$(PYTHON) -m repro.cli replay $(RDB) --diff
+	$(PYTHON) -m repro.cli cache fsck $(RDB)
 
 # Prewarm database/store directories (override: make prewarm-smoke PWDB=... PWSTORE=...)
 PWDB ?= /tmp/pcc-prewarm-db
@@ -57,13 +59,17 @@ PWSTORE ?= /tmp/pcc-prewarm-store
 # Parallel-prewarm smoke (docs/performance.md): mass-compile the tiny
 # startup corpus across two worker processes into a fresh database +
 # shared store, then re-prewarm with --verify — the second pass must
-# perform zero host compiles or the target fails.
+# perform zero host compiles or the target fails.  The closing fscks
+# read back the database (PCC2 caches + PCS1 sidecar) and the store
+# (PCSS1 shards).
 prewarm-smoke:
 	rm -rf $(PWDB) $(PWSTORE)
 	$(PYTHON) -m repro.cli prewarm --pcache $(PWDB) --jobs 2 \
 		--corpus tiny --shared-store $(PWSTORE)
 	$(PYTHON) -m repro.cli prewarm --pcache $(PWDB) --jobs 2 \
 		--corpus tiny --shared-store $(PWSTORE) --verify
+	$(PYTHON) -m repro.cli cache fsck $(PWDB)
+	$(PYTHON) -m repro.cli cache fsck $(PWSTORE)
 
 # Daemon-smoke directories (override: make daemon-smoke DSDB=... DSSTORE=...)
 DSDB ?= /tmp/pcc-daemon-db

@@ -243,13 +243,21 @@ def cmd_replay(args) -> int:
         replay_session,
         resolve_standard,
     )
+    from repro.replay.log import ReplayLogError
     from repro.replay.session import ReplayDivergence
 
     db = _existing_database(args.directory)
     modes = REPLAY_MODES if args.mode == "both" else (args.mode,)
 
     if args.log and not args.diff:
-        log = db.load_replay_log(args.log)
+        try:
+            log = db.load_replay_log(args.log)
+        except (OSError, ReplayLogError) as exc:
+            # A damaged log is already quarantined; either way there is
+            # nothing to replay.
+            raise SystemExit(
+                "error: cannot load replay log %s: %s" % (args.log, exc)
+            ) from exc
         workload, input_name, tool_factory = resolve_standard(log.meta)
         failures = 0
         for mode in modes:
@@ -361,61 +369,31 @@ def cmd_pcache_show(args) -> int:
     return 0
 
 
-def _fsck_shared_store(args) -> int:
-    """``repro cache fsck`` against a shared compiled-body store.
-
-    Same contract as the database form: exit 0 when healthy, 1 on
-    damage; stale keytag pools and leftover ``.tmp`` files are notes.
-    """
-    from repro.persist.sharedstore import SharedBodyStore
-    from repro.vm.engine import VM_VERSION
-
-    store = SharedBodyStore(args.directory, vm_version=VM_VERSION)
-    report = store.fsck(quarantine=args.quarantine)
-    if not report.items and not report.notes:
-        print("(empty shared store: nothing to check)")
-        return 0
-    rows = [
-        {
-            "file": item.filename,
-            "status": item.status,
-            "section": item.section or "-",
-            "detail": item.detail or "-",
-        }
-        for item in report.items
-    ]
-    if rows:
-        print(format_table(rows, columns=["file", "status", "section", "detail"]))
-    for note in report.notes:
-        print("note: %s %s: %s" % (note.filename, note.status,
-                                   note.detail or ""))
-    for filename in report.quarantined:
-        print("quarantined: %s" % filename)
-    print("fsck: %s" % ("clean" if report.clean else "damage found"))
-    return 0 if report.clean else 1
-
-
 def cmd_cache_fsck(args) -> int:
-    """``repro cache fsck``: validate every cache file section by section.
+    """``repro cache fsck``: validate every framed file section by section.
 
     Exit code 0 when the database is fully healthy, 1 when any damage,
     orphan, or interrupted write was found.  ``--quarantine`` moves
-    damaged indexed files into the ``quarantine/`` subdirectory (never
-    deletes them) and drops them from the index.  Pointed at a shared
-    compiled-body store directory instead of a database, it validates
-    every shard of every pool.
+    damaged files into the ``quarantine/`` subdirectory (never deletes
+    them) and drops damaged cache files from the index.  Pointed at a
+    shared compiled-body store directory instead of a database, it
+    validates every shard of every pool.
     """
-    from repro.persist.sharedstore import is_shared_store
+    from repro.persist.sharedstore import SharedBodyStore, is_shared_store
+    from repro.vm.engine import VM_VERSION
 
     if is_shared_store(args.directory):
-        return _fsck_shared_store(args)
-    db = _existing_database(args.directory)
-    for kind, filename, reason in db.events:
+        kind, events = "shared store", []
+        owner = SharedBodyStore(args.directory, vm_version=VM_VERSION)
+    else:
+        owner = _existing_database(args.directory)
+        kind, events = "database", list(owner.events)
+    for event, filename, reason in events:
         # Damage found while merely opening the database (corrupt index).
-        print("%-12s %s: %s" % (kind, filename, reason))
-    report = db.fsck(quarantine=args.quarantine)
-    if not report.items and not report.notes and not db.events:
-        print("(empty database: nothing to check)")
+        print("%-12s %s: %s" % (event, filename, reason))
+    report = owner.fsck(quarantine=args.quarantine)
+    if not report.items and not report.notes and not events:
+        print("(empty %s: nothing to check)" % kind)
         return 0
     rows = [
         {
@@ -429,13 +407,14 @@ def cmd_cache_fsck(args) -> int:
     if rows:
         print(format_table(rows, columns=["file", "status", "section", "detail"]))
     for note in report.notes:
-        # Informational findings (stale or orphaned sidecar): worth
-        # surfacing, but not damage — they never flip the exit code.
+        # Informational findings (stale or orphaned sidecar, stale pool,
+        # leftover store tmp): worth surfacing, but not damage — they
+        # never flip the exit code.
         print("note: %s %s: %s" % (note.filename, note.status,
                                    note.detail or ""))
     for filename in report.quarantined:
         print("quarantined: %s" % filename)
-    healthy = report.clean and not db.events
+    healthy = report.clean and not events
     print("fsck: %s" % ("clean" if healthy else "damage found"))
     return 0 if healthy else 1
 
@@ -542,18 +521,23 @@ def cmd_cache_serve(args) -> int:
         return 0
 
     if args.detach:
-        os.makedirs(args.directory, exist_ok=True)
         log_path = os.path.join(args.directory, "daemon.log")
         command = [sys.executable, "-m", "repro", "cache", "serve",
                    args.directory, "--socket", address]
         if args.max_bytes is not None:
             command += ["--max-bytes", str(args.max_bytes)]
         command += ["--flush-interval", str(args.flush_interval)]
-        with open(log_path, "ab") as log:
-            subprocess.Popen(
-                command, stdout=log, stderr=log,
-                stdin=subprocess.DEVNULL, start_new_session=True,
-            )
+        try:
+            os.makedirs(args.directory, exist_ok=True)
+            with open(log_path, "ab") as log:
+                subprocess.Popen(
+                    command, stdout=log, stderr=log,
+                    stdin=subprocess.DEVNULL, start_new_session=True,
+                )
+        except OSError as exc:
+            print("error: cannot serve %s: %s" % (args.directory, exc),
+                  file=sys.stderr)
+            return 1
         deadline = time_module.monotonic() + 15.0
         while time_module.monotonic() < deadline:
             probe = DaemonClient(address, vm_version=VM_VERSION,
@@ -573,17 +557,18 @@ def cmd_cache_serve(args) -> int:
               file=sys.stderr)
         return 1
 
-    server = CacheServer(
-        args.directory,
-        vm_version=VM_VERSION,
-        address=address,
-        max_bytes=args.max_bytes,
-        flush_interval_s=args.flush_interval,
-    )
     try:
+        server = CacheServer(
+            args.directory,
+            vm_version=VM_VERSION,
+            address=address,
+            max_bytes=args.max_bytes,
+            flush_interval_s=args.flush_interval,
+        )
         bound = server.start()
     except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+        print("error: cannot serve %s: %s" % (args.directory, exc),
+              file=sys.stderr)
         return 1
     print("serving %s at %s (%d entries warm); ^C to stop"
           % (args.directory, bound, len(server.hot_entries())))

@@ -14,12 +14,8 @@ from repro.persist.convert import (
     persist_trace,
     revive_trace,
 )
-from repro.persist.database import (
-    CacheDatabase,
-    CacheEntry,
-    FsckItem,
-    FsckReport,
-)
+from repro.persist.database import CacheDatabase, CacheEntry
+from repro.persist.framing import FsckItem, FsckReport
 from repro.persist.keys import (
     MappingKey,
     cache_lookup_digest,

@@ -51,9 +51,10 @@ requests and responses::
                                              stamp, cost_us], ...]}
     4+h     p     body pool (concatenated blobs the records index)
 
-Directory records reuse the PCSS1 record shape: four-element records
-(written before compile costs were tracked) parse with cost 0, exactly
-like :func:`repro.persist.sharedstore.parse_shard`.  A reader rejects a
+Records are the PCSS1 body table (:func:`repro.persist.framing.
+pack_records`): four-element records (written before compile costs were
+tracked) parse with cost 0, exactly like
+:func:`repro.persist.sharedstore.parse_shard`.  A reader rejects a
 frame on any magic/version/reserved/CRC/bounds mismatch — one
 detectable failure per flipped byte — and the connection is torn down
 rather than resynchronized (the client falls back to the flock store).
@@ -79,10 +80,16 @@ import socket
 import struct
 import threading
 import time
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.persist.framing import (
+    PREAMBLE,
+    FrameError,
+    crc32,
+    pack_records,
+    parse_records,
+)
 from repro.persist.sharedstore import (
     SharedBodyStore,
     shard_prefix,
@@ -92,10 +99,10 @@ from repro.persist.storage import FileStorage
 FRAME_MAGIC = b"PCSD"
 PROTOCOL_VERSION = 1
 
-#: Same preamble shape as PCSS1/PCS1/PCC2: magic, version, reserved,
-#: then (payload length, payload CRC) instead of the file formats'
-#: (header length, header CRC) — a frame is one self-contained payload.
-FRAME_PREAMBLE = struct.Struct("<4sHHII")
+#: The file formats' preamble: magic, version, reserved, then (payload
+#: length, payload CRC) instead of (header length, header CRC) — a frame
+#: is one self-contained payload.
+FRAME_PREAMBLE = PREAMBLE
 
 #: Upper bound on one frame's payload: far above any real publish batch
 #: (whole warm pools are a few MiB) but small enough that a garbage
@@ -111,20 +118,9 @@ SOCKET_NAME = "daemon.sock"
 DEFAULT_FLUSH_INTERVAL_S = 2.0
 
 
-class DaemonProtocolError(Exception):
-    """Raised when a PCSD frame is malformed.
-
-    ``section`` names where the damage was detected: ``"preamble"``,
-    ``"payload"``, ``"header"`` or ``"records"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
-
-
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+class DaemonProtocolError(FrameError):
+    """A PCSD frame is malformed; ``section`` is ``"preamble"``,
+    ``"payload"``, ``"header"`` or ``"records"``."""
 
 
 # -- frame serialization ------------------------------------------------------
@@ -138,41 +134,25 @@ def pack_frame(
     """Serialize one message: op + meta + ``{digest: (blob, stamp[,
     cost_us])}`` → framed bytes.  Two-tuple values pack with cost 0,
     mirroring :func:`repro.persist.sharedstore.pack_shard`."""
-    pool = bytearray()
-    records = []
-    for digest in sorted(entries or {}):
-        record = entries[digest]
-        blob, stamp = record[0], record[1]
-        cost_us = int(record[2]) if len(record) > 2 else 0
-        records.append([digest, len(pool), len(blob), int(stamp), cost_us])
-        pool.extend(blob)
+    records, pool = pack_records(entries or {})
     header = {"op": op, "meta": meta or {}, "records": records}
     header_blob = json.dumps(header, sort_keys=True).encode()
     payload = b"".join(
-        [struct.pack("<I", len(header_blob)), header_blob, bytes(pool)]
+        [struct.pack("<I", len(header_blob)), header_blob, pool]
     )
     return (
-        FRAME_PREAMBLE.pack(
-            FRAME_MAGIC, PROTOCOL_VERSION, 0, len(payload), _crc(payload)
+        PREAMBLE.pack(
+            FRAME_MAGIC, PROTOCOL_VERSION, 0, len(payload), crc32(payload)
         )
         + payload
     )
 
 
-def parse_frame(blob: bytes):
-    """Verify and split a frame into ``(op, meta, entries)``.
-
-    ``entries`` maps digest → ``(blob, stamp, cost_us)``; four-element
-    records (the pre-cost PCSS1 shape) parse with cost 0.  Raises
-    :class:`DaemonProtocolError` naming the damaged section on any
-    magic, version, CRC, framing or type mismatch.
-    """
-    if len(blob) < FRAME_PREAMBLE.size:
-        raise DaemonProtocolError(
-            "frame too short for preamble", section="preamble"
-        )
+def _check_preamble(blob: bytes) -> Tuple[int, int]:
+    """Validate a frame preamble before its length is trusted; returns
+    ``(payload_len, payload_crc)``."""
     magic, version, reserved, payload_len, payload_crc = (
-        FRAME_PREAMBLE.unpack_from(blob, 0)
+        PREAMBLE.unpack_from(blob, 0)
     )
     if magic != FRAME_MAGIC:
         raise DaemonProtocolError("bad magic", section="preamble")
@@ -184,10 +164,26 @@ def parse_frame(blob: bytes):
         raise DaemonProtocolError("bad reserved field", section="preamble")
     if payload_len > MAX_PAYLOAD_BYTES:
         raise DaemonProtocolError("oversized payload", section="preamble")
-    if len(blob) != FRAME_PREAMBLE.size + payload_len:
+    return payload_len, payload_crc
+
+
+def parse_frame(blob: bytes):
+    """Verify and split a frame into ``(op, meta, entries)``.
+
+    ``entries`` maps digest → ``(blob, stamp, cost_us)``; four-element
+    records (the pre-cost PCSS1 shape) parse with cost 0.  Raises
+    :class:`DaemonProtocolError` naming the damaged section on any
+    magic, version, CRC, framing or type mismatch.
+    """
+    if len(blob) < PREAMBLE.size:
+        raise DaemonProtocolError(
+            "frame too short for preamble", section="preamble"
+        )
+    payload_len, payload_crc = _check_preamble(blob)
+    if len(blob) != PREAMBLE.size + payload_len:
         raise DaemonProtocolError("truncated frame", section="payload")
-    payload = blob[FRAME_PREAMBLE.size:]
-    if _crc(payload) != payload_crc:
+    payload = blob[PREAMBLE.size:]
+    if crc32(payload) != payload_crc:
         raise DaemonProtocolError("payload checksum mismatch",
                                   section="payload")
     if len(payload) < 4:
@@ -210,33 +206,9 @@ def parse_frame(blob: bytes):
     ):
         raise DaemonProtocolError("malformed header fields",
                                   section="header")
-    pool = payload[4 + header_len:]
-    entries: Dict[str, Tuple[bytes, int, int]] = {}
-    try:
-        for record in records:
-            if len(record) == 4:
-                digest, offset, size, stamp = record
-                cost_us = 0
-            else:
-                digest, offset, size, stamp, cost_us = record
-            if (
-                not isinstance(digest, str)
-                or offset < 0
-                or size < 0
-                or offset + size > len(pool)
-            ):
-                raise DaemonProtocolError(
-                    "record out of bounds", section="records"
-                )
-            entries[digest] = (
-                pool[offset : offset + size], int(stamp), int(cost_us)
-            )
-    except DaemonProtocolError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise DaemonProtocolError(
-            "malformed records: %s" % exc, section="records"
-        ) from exc
+    entries = parse_records(
+        records, payload[4 + header_len:], DaemonProtocolError, "records"
+    )
     return op, meta, entries
 
 
@@ -248,24 +220,11 @@ def read_frame(sock: socket.socket) -> Optional[bytes]:
     multi-megabyte body.  A connection that dies mid-frame raises
     :class:`DaemonProtocolError` — the stream cannot be resynchronized.
     """
-    preamble = _recv_exact(sock, FRAME_PREAMBLE.size, allow_eof=True)
+    preamble = _recv_exact(sock, PREAMBLE.size, allow_eof=True)
     if preamble is None:
         return None
-    magic, version, reserved, payload_len, _crc32 = (
-        FRAME_PREAMBLE.unpack_from(preamble, 0)
-    )
-    if magic != FRAME_MAGIC:
-        raise DaemonProtocolError("bad magic", section="preamble")
-    if version != PROTOCOL_VERSION:
-        raise DaemonProtocolError(
-            "unsupported protocol version %r" % version, section="preamble"
-        )
-    if reserved != 0:
-        raise DaemonProtocolError("bad reserved field", section="preamble")
-    if payload_len > MAX_PAYLOAD_BYTES:
-        raise DaemonProtocolError("oversized payload", section="preamble")
-    payload = _recv_exact(sock, payload_len)
-    return preamble + payload
+    payload_len, _payload_crc = _check_preamble(preamble)
+    return preamble + _recv_exact(sock, payload_len)
 
 
 def _recv_exact(sock, size, allow_eof=False):
@@ -558,6 +517,9 @@ class CacheServer:
                     self.stats.hits += 1
                 else:
                     self.stats.misses += 1
+            # An adopted body counts against the cap like a published
+            # one; the reply already holds it either way.
+            self.stats.evicted += self._evict_for_cap()
         return pack_frame("bodies", {"count": len(found)}, found)
 
     def _handle_publish(self, meta, entries) -> bytes:

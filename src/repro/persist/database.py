@@ -34,21 +34,17 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional
 
-from repro.persist.cachefile import (
-    CacheFileError,
-    PersistentCache,
-    verify_sections,
-)
+from repro.persist.cachefile import CacheFileError, PersistentCache
+from repro.persist.framing import FsckItem, FsckReport, stale_tmp
 from repro.persist.keys import MappingKey, tool_key, vm_key
 from repro.persist.sidecar import (
     CompiledBodyStore,
     SIDECAR_NAME,
     SidecarError,
-    sidecar_staleness,
-    verify_sidecar,
 )
 from repro.persist.storage import FileStorage, TMP_SUFFIX
 
@@ -78,36 +74,6 @@ class CacheEntry:
     filename: str
     trace_count: int
     file_size: int
-
-
-@dataclass
-class FsckItem:
-    """Health of one database file, as reported by :meth:`fsck`."""
-
-    filename: str
-    #: "ok" | "missing" | "corrupt" | "orphan" | "stale-tmp" | "stale-vm"
-    status: str
-    section: str = ""
-    detail: str = ""
-
-
-@dataclass
-class FsckReport:
-    """Result of a database consistency check."""
-
-    items: List[FsckItem] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-    #: Informational findings that do not make the database unhealthy:
-    #: a compiled-body sidecar that is stale (other VM version / host
-    #: bytecode format) or orphaned (no indexed caches to serve).  Both
-    #: are expected states — the next warm run rewrites the sidecar
-    #: under current keys — unlike ``items`` damage, which marks bytes
-    #: that can never be used again.
-    notes: List[FsckItem] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return all(item.status == "ok" for item in self.items)
 
 
 class CacheDatabase:
@@ -504,159 +470,102 @@ class CacheDatabase:
     def fsck(
         self, quarantine: bool = False, vm_version: Optional[str] = None
     ) -> FsckReport:
-        """Validate every indexed file section by section.
+        """Validate every framed file section by section.
 
-        Also reports files the index does not know about (orphans, e.g.
-        after an index reset), leftover ``.tmp`` files from interrupted
-        atomic writes, and the compiled-body sidecar (CRC verification
-        plus wholesale staleness against ``vm_version`` — defaulting to
-        the running VM's — and the host bytecode tag).  With
-        ``quarantine=True`` damaged indexed files and a damaged sidecar
-        are moved aside (and indexed files dropped from the index).
+        Checks the compiled-body sidecar (CRCs plus wholesale staleness
+        against ``vm_version`` — defaulting to the running VM's — and
+        the host bytecode tag), every recorded replay log and every
+        indexed cache file, then reports files the index does not know
+        about (orphans, e.g. after an index reset) and leftover ``.tmp``
+        files from interrupted atomic writes.  With ``quarantine=True``
+        damaged files are moved aside (and indexed files dropped from
+        the index).
         """
+        from repro.replay.log import REPLAY_LOG_SUFFIX, ReplayLog
+
         report = FsckReport()
-        self._fsck_sidecar(report, quarantine, vm_version)
-        self._fsck_replay_logs(report, quarantine)
+        # (label relative to the directory, parser, index entry or None)
+        files = []
+        if self.storage.exists(self._sidecar_path()):
+            files.append((SIDECAR_NAME, CompiledBodyStore.from_bytes, None))
+        if self.storage.exists(self.replay_directory()):
+            for name in self.storage.listdir(self.replay_directory()):
+                label = "%s/%s" % (REPLAY_DIR, name)
+                if name.endswith(TMP_SUFFIX):
+                    report.items.append(stale_tmp(label))
+                elif name.endswith(REPLAY_LOG_SUFFIX):
+                    files.append((label, ReplayLog.from_bytes, None))
         indexed = set()
-        for entry in list(self._entries):
+        for entry in self._entries:
             indexed.add(entry.filename)
-            path = os.path.join(self.directory, entry.filename)
-            if not self.storage.exists(path):
+            if not self.storage.exists(
+                os.path.join(self.directory, entry.filename)
+            ):
                 report.items.append(FsckItem(entry.filename, "missing"))
                 continue
-            try:
-                blob = self.storage.read_bytes(path)
-            except OSError as exc:
-                report.items.append(
-                    FsckItem(entry.filename, "corrupt", detail=str(exc))
-                )
+            files.append((entry.filename, PersistentCache.from_bytes, entry))
+        for label, parse, entry in files:
+            path = os.path.join(self.directory, label)
+            parsed = report.check(
+                self.storage, path, label, parse,
+                partial(self._fsck_quarantine, label, entry)
+                if quarantine else None,
+            )
+            if parsed is None:
                 continue
-            damage = verify_sections(blob)
-            if not damage:
-                report.items.append(FsckItem(entry.filename, "ok"))
-                continue
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(entry.filename, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(entry.filename, "fsck: %s" % damage)
-                self._drop_entry(entry)
-                report.quarantined.append(entry.filename)
+            note = (
+                self._sidecar_note(parsed, vm_version)
+                if label == SIDECAR_NAME else None
+            )
+            if note is not None:
+                report.notes.append(note)
+            else:
+                report.items.append(FsckItem(label, "ok"))
         for filename in self.storage.listdir(self.directory):
             path = os.path.join(self.directory, filename)
             if filename in indexed or os.path.isdir(path):
                 continue
-            if filename in (INDEX_NAME, LOCK_NAME, SIDECAR_NAME):
-                continue
             if filename.endswith(TMP_SUFFIX):
-                report.items.append(
-                    FsckItem(
-                        filename,
-                        "stale-tmp",
-                        detail="leftover from an interrupted atomic write",
-                    )
-                )
+                report.items.append(stale_tmp(filename))
             elif filename.endswith(".cache"):
                 report.items.append(
                     FsckItem(filename, "orphan", detail="not in the index")
                 )
         return report
 
-    def _fsck_replay_logs(self, report: FsckReport, quarantine: bool) -> None:
-        """Health-check every recorded replay log for :meth:`fsck`."""
-        from repro.replay.log import REPLAY_LOG_SUFFIX, verify_replay_log
-
-        directory = self.replay_directory()
-        if not self.storage.exists(directory):
-            return
-        for name in self.storage.listdir(directory):
-            label = "%s/%s" % (REPLAY_DIR, name)
-            path = os.path.join(directory, name)
-            if name.endswith(TMP_SUFFIX):
-                report.items.append(
-                    FsckItem(
-                        label,
-                        "stale-tmp",
-                        detail="leftover from an interrupted atomic write",
-                    )
-                )
-                continue
-            if not name.endswith(REPLAY_LOG_SUFFIX):
-                continue
-            try:
-                blob = self.storage.read_bytes(path)
-            except OSError as exc:
-                report.items.append(
-                    FsckItem(label, "corrupt", detail=str(exc))
-                )
-                continue
-            damage = verify_replay_log(blob)
-            if not damage:
-                report.items.append(FsckItem(label, "ok"))
-                continue
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(label, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(label, "fsck: %s" % damage)
-                report.quarantined.append(label)
-
-    def _fsck_sidecar(
-        self,
-        report: FsckReport,
-        quarantine: bool,
-        vm_version: Optional[str],
+    def _fsck_quarantine(
+        self, label: str, entry: Optional[CacheEntry], reason: str
     ) -> None:
-        """Health-check the compiled-body sidecar for :meth:`fsck`."""
-        path = self._sidecar_path()
-        if not self.storage.exists(path):
-            return
-        try:
-            blob = self.storage.read_bytes(path)
-        except OSError as exc:
-            report.items.append(
-                FsckItem(SIDECAR_NAME, "corrupt", detail=str(exc))
-            )
-            return
-        damage = verify_sidecar(blob)
-        if damage:
-            for section, reason in sorted(damage.items()):
-                report.items.append(
-                    FsckItem(SIDECAR_NAME, "corrupt", section, reason)
-                )
-            if quarantine:
-                self._quarantine(SIDECAR_NAME, "fsck: %s" % damage)
-                report.quarantined.append(SIDECAR_NAME)
-            return
+        self._quarantine(label, reason)
+        if entry is not None:
+            self._drop_entry(entry)
+
+    def _sidecar_note(
+        self, store: CompiledBodyStore, vm_version: Optional[str]
+    ) -> Optional[FsckItem]:
+        """The fsck note for a sound sidecar, or None when it is in use.
+
+        A stale sidecar is unreachable as a whole (wholesale
+        invalidation), not damaged, and an orphaned one has no indexed
+        caches to serve: both are notes, never quarantined — the next
+        warm run rewrites the file under current keys.
+        """
         if vm_version is None:
             # Layering note: persist/ never imports vm/ at module scope;
             # the default current-VM stamp is resolved lazily here.
             from repro.vm.engine import VM_VERSION
 
             vm_version = VM_VERSION
-        stale = sidecar_staleness(blob, vm_version)
+        stale = store.staleness(vm_version)
         if stale is not None:
-            # Stale entries are unreachable as a whole (wholesale
-            # invalidation), not damaged: note, never quarantine — the
-            # next warm run simply rewrites the file under current keys.
-            report.notes.append(
-                FsckItem(SIDECAR_NAME, "stale-vm", detail=stale)
+            return FsckItem(SIDECAR_NAME, "stale-vm", detail=stale)
+        if not self._entries and len(store):
+            return FsckItem(
+                SIDECAR_NAME,
+                "orphan",
+                detail=(
+                    "%d compiled bodies but no indexed caches to"
+                    " revive them for" % len(store)
+                ),
             )
-            return
-        if not self._entries:
-            store = CompiledBodyStore.from_bytes(blob)
-            if len(store):
-                report.notes.append(
-                    FsckItem(
-                        SIDECAR_NAME,
-                        "orphan",
-                        detail=(
-                            "%d compiled bodies but no indexed caches to"
-                            " revive them for" % len(store)
-                        ),
-                    )
-                )
-                return
-        report.items.append(FsckItem(SIDECAR_NAME, "ok"))
+        return None

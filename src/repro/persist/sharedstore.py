@@ -49,9 +49,8 @@ On-disk layout::
       bodies/<keytag>/<pp>.pcs.lock
       quarantine/              # damaged shards, moved aside (never deleted)
 
-Shard file framing (PCSS1) mirrors the sidecar's PCS1 discipline — a
-fixed preamble, CRC-checked header JSON, per-section CRCs and a
-whole-file trailer CRC — with one extension: each directory record
+Shard files (PCSS1) use the sidecar's framing
+(:mod:`repro.persist.framing`) with one extension: each directory record
 carries a last-use stamp and the measured host-compile cost
 (``[digest, offset, size, stamp, cost_us]``; pre-cost four-element
 records still parse, as cost 0) so the LRU/size cap can evict cold
@@ -78,12 +77,22 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import time
-import zlib
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
+    PREAMBLE,
+    FrameError,
+    Framing,
+    FsckItem,
+    FsckReport,
+    damage_map,
+    pack_records,
+    parse_records,
+    stale_tmp,
+)
 from repro.persist.sidecar import (
     CompiledBodyStore,
     SIDECAR_NAME,
@@ -94,10 +103,6 @@ from repro.persist.storage import FileStorage, TMP_SUFFIX
 
 MAGIC = b"PCSS"
 FORMAT_VERSION = 1
-
-#: Same preamble shape as PCS1/PCC2: magic, version, reserved, header
-#: length, header CRC.
-PREAMBLE = struct.Struct("<4sHHII")
 
 #: Hex characters of the digest that name a shard.  Two characters give
 #: up to 256 lazily created shards per keytag — enough that concurrent
@@ -115,20 +120,12 @@ LOCK_SUFFIX = ".lock"
 SECTIONS = ("header", "directory", "body_pool")
 
 
-class SharedStoreError(Exception):
-    """Raised when a shard (or registry) file is malformed.
-
-    ``section`` names where the damage was detected: one of
-    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
+class SharedStoreError(FrameError):
+    """A shard (or registry) file is malformed; ``section`` is one of
+    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``."""
 
 
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+FRAMING = Framing(MAGIC, FORMAT_VERSION, SECTIONS[1:], SharedStoreError)
 
 
 def store_keytag(vm_version: str, host_tag: Optional[str] = None) -> str:
@@ -171,39 +168,11 @@ def pack_shard(
     """Serialize one shard: ``{digest: (blob, stamp[, cost_us])}`` →
     framed bytes.  Two-tuple values (pre-cost callers/tests) pack with
     cost 0 — an unmeasured body is treated as free to recompute."""
-    pool = bytearray()
-    directory = []
-    for digest in sorted(entries):
-        record = entries[digest]
-        blob, stamp = record[0], record[1]
-        cost_us = int(record[2]) if len(record) > 2 else 0
-        directory.append(
-            [digest, len(pool), len(blob), int(stamp), cost_us]
-        )
-        pool.extend(blob)
-    directory_blob = json.dumps(directory, sort_keys=True).encode()
-    pool_blob = bytes(pool)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "vm_version": vm_version,
-        "host_tag": host_tag,
-        "sections": {
-            "directory": [len(directory_blob), _crc(directory_blob)],
-            "body_pool": [len(pool_blob), _crc(pool_blob)],
-        },
-    }
-    header_blob = json.dumps(header, sort_keys=True).encode()
-    body = b"".join(
-        [
-            PREAMBLE.pack(
-                MAGIC, FORMAT_VERSION, 0, len(header_blob), _crc(header_blob)
-            ),
-            header_blob,
-            directory_blob,
-            pool_blob,
-        ]
+    records, pool = pack_records(entries)
+    return FRAMING.pack(
+        {"vm_version": vm_version, "host_tag": host_tag},
+        [json.dumps(records, sort_keys=True).encode(), pool],
     )
-    return body + struct.pack("<I", _crc(body))
 
 
 def parse_shard(blob: bytes):
@@ -211,122 +180,28 @@ def parse_shard(blob: bytes):
 
     ``entries`` maps digest → ``(blob, stamp, cost_us)``; four-element
     directory records (written before compile costs were tracked) parse
-    with cost 0.  Raises
-    :class:`SharedStoreError` naming the damaged section on any CRC,
-    framing or type mismatch — exactly one detectable section per flipped
-    byte, mirroring the PCS1 parser.
+    with cost 0.  Raises :class:`SharedStoreError` naming the damaged
+    section on any CRC, framing or type mismatch.
     """
-    if len(blob) < PREAMBLE.size + 4:
-        raise SharedStoreError("file too short for preamble", section="preamble")
-    magic, version, _reserved, header_len, header_crc = PREAMBLE.unpack_from(
-        blob, 0
+    _flags, header, sections = FRAMING.parse(blob)
+    vm_version = header.get("vm_version")
+    host_tag = header.get("host_tag")
+    if not isinstance(vm_version, str) or not isinstance(host_tag, str):
+        raise SharedStoreError(
+            "malformed header fields: key stamps must be strings",
+            section="header",
+        )
+    entries = parse_records(
+        FRAMING.json_section(sections, "directory"),
+        sections["body_pool"], SharedStoreError, "directory",
     )
-    if magic != MAGIC:
-        raise SharedStoreError("bad magic", section="preamble")
-    if version != FORMAT_VERSION:
-        raise SharedStoreError(
-            "unsupported format version %r" % version, section="header"
-        )
-    header_start = PREAMBLE.size
-    header_end = header_start + header_len
-    if header_end + 4 > len(blob):
-        raise SharedStoreError("truncated header", section="header")
-    header_blob = blob[header_start:header_end]
-    if _crc(header_blob) != header_crc:
-        raise SharedStoreError("header checksum mismatch", section="header")
-    try:
-        header = json.loads(header_blob)
-    except ValueError as exc:
-        raise SharedStoreError("bad header JSON", section="header") from exc
-    if not isinstance(header, dict):
-        raise SharedStoreError("bad header JSON", section="header")
-    sections = header.get("sections")
-    if not isinstance(sections, dict):
-        raise SharedStoreError("missing section table", section="header")
-
-    offset = header_end
-    payloads: Dict[str, bytes] = {}
-    for name in ("directory", "body_pool"):
-        try:
-            size, crc = sections[name]
-            size = int(size)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SharedStoreError(
-                "bad section table entry for %s" % name, section="header"
-            ) from exc
-        if size < 0 or offset + size + 4 > len(blob):
-            raise SharedStoreError("truncated %s section" % name, section=name)
-        payload = blob[offset : offset + size]
-        if _crc(payload) != crc:
-            raise SharedStoreError("%s checksum mismatch" % name, section=name)
-        payloads[name] = payload
-        offset += size
-    if offset != len(blob) - 4:
-        raise SharedStoreError(
-            "trailing garbage after body pool", section="trailer"
-        )
-    (file_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if _crc(blob[:-4]) != file_crc:
-        raise SharedStoreError("whole-file checksum mismatch", section="trailer")
-
-    try:
-        vm_version = header["vm_version"]
-        host_tag = header["host_tag"]
-        if not isinstance(vm_version, str) or not isinstance(host_tag, str):
-            raise TypeError("key stamps must be strings")
-    except (KeyError, TypeError) as exc:
-        raise SharedStoreError(
-            "malformed header fields: %s" % exc, section="header"
-        ) from exc
-    try:
-        directory = json.loads(payloads["directory"])
-    except ValueError as exc:
-        raise SharedStoreError("bad directory JSON", section="directory") from exc
-    if not isinstance(directory, list):
-        raise SharedStoreError("bad directory JSON", section="directory")
-    pool = payloads["body_pool"]
-    entries: Dict[str, Tuple[bytes, int, int]] = {}
-    try:
-        for record in directory:
-            if len(record) == 4:
-                digest, rec_offset, size, stamp = record
-                cost_us = 0
-            else:
-                digest, rec_offset, size, stamp, cost_us = record
-            if (
-                not isinstance(digest, str)
-                or rec_offset < 0
-                or size < 0
-                or rec_offset + size > len(pool)
-            ):
-                raise SharedStoreError(
-                    "directory record out of bounds", section="directory"
-                )
-            entries[digest] = (
-                pool[rec_offset : rec_offset + size],
-                int(stamp),
-                int(cost_us),
-            )
-    except SharedStoreError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise SharedStoreError(
-            "malformed directory: %s" % exc, section="directory"
-        ) from exc
     return vm_version, host_tag, entries
 
 
 def verify_shard(blob: bytes) -> Dict[str, str]:
-    """Best-effort per-section damage map of a raw shard blob (fsck).
-
-    Empty when healthy; otherwise ``{section: reason}``.
-    """
-    status: Dict[str, str] = {}
-    try:
-        parse_shard(blob)
-    except SharedStoreError as exc:
-        status[exc.section or "preamble"] = str(exc)
-    return status
+    """Per-section damage map of a raw shard blob, for fsck: ``{}`` when
+    healthy, else ``{section: reason}``."""
+    return damage_map(parse_shard, blob)
 
 
 # -- reports ------------------------------------------------------------------
@@ -347,32 +222,6 @@ class PublishResult:
     #: Offered bodies skipped by cost-aware admission: their measured
     #: compile cost fell below the store's storage-cost floor.
     admission_skipped: int = 0
-
-
-@dataclass
-class SharedFsckItem:
-    """Health of one store file, for ``cache fsck``."""
-
-    filename: str
-    #: "ok" | "corrupt" | "stale-keytag" | "stale-tmp" | "key-mismatch"
-    status: str
-    section: str = ""
-    detail: str = ""
-
-
-@dataclass
-class SharedFsckReport:
-    """Result of a shared-store consistency check."""
-
-    items: List[SharedFsckItem] = field(default_factory=list)
-    #: Informational findings (stale keytag pools, leftover tmp files):
-    #: expected states, not damage — they never make the store unhealthy.
-    notes: List[SharedFsckItem] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return all(item.status == "ok" for item in self.items)
 
 
 @dataclass
@@ -894,7 +743,7 @@ class SharedBodyStore:
 
     # -- consistency check ---------------------------------------------------
 
-    def fsck(self, quarantine: bool = False) -> SharedFsckReport:
+    def fsck(self, quarantine: bool = False) -> FsckReport:
         """Validate every shard of every pool, section by section.
 
         Shards of the current pool are checked for framing damage and
@@ -904,13 +753,13 @@ class SharedBodyStore:
         interrupted atomic writes.  With ``quarantine=True`` damaged
         shards are moved aside.
         """
-        report = SharedFsckReport()
+        report = FsckReport()
         bodies = os.path.join(self.directory, BODIES_DIR)
         self._read_registry()  # surfaces a corrupt registry via events
         for kind, filename, reason in self.events:
             if kind == "quarantine" and REGISTRY_NAME in filename:
                 report.items.append(
-                    SharedFsckItem(REGISTRY_NAME, "corrupt", detail=reason)
+                    FsckItem(REGISTRY_NAME, "corrupt", detail=reason)
                 )
         if not os.path.isdir(bodies):
             return report
@@ -921,7 +770,7 @@ class SharedBodyStore:
                 continue
             if name != current:
                 report.notes.append(
-                    SharedFsckItem(
+                    FsckItem(
                         os.path.join(BODIES_DIR, name),
                         "stale-keytag",
                         detail="pool for another VM version or host tag; "
@@ -932,45 +781,25 @@ class SharedBodyStore:
             for filename in self.storage.listdir(pool):
                 rel = os.path.join(BODIES_DIR, name, filename)
                 path = os.path.join(pool, filename)
-                if filename.endswith(LOCK_SUFFIX):
-                    continue
                 if filename.endswith(TMP_SUFFIX):
-                    report.notes.append(
-                        SharedFsckItem(
-                            rel,
-                            "stale-tmp",
-                            detail="leftover from an interrupted atomic write",
-                        )
-                    )
-                    continue
+                    report.notes.append(stale_tmp(rel))
                 if not filename.endswith(SHARD_SUFFIX):
                     continue
-                try:
-                    blob = self.storage.read_bytes(path)
-                except OSError as exc:
-                    report.items.append(
-                        SharedFsckItem(rel, "corrupt", detail=str(exc))
-                    )
+                shard = report.check(
+                    self.storage, path, rel, parse_shard,
+                    partial(self._quarantine, path) if quarantine else None,
+                )
+                if shard is None:
                     continue
-                damage = verify_shard(blob)
-                if damage:
-                    for section, reason in sorted(damage.items()):
-                        report.items.append(
-                            SharedFsckItem(rel, "corrupt", section, reason)
-                        )
-                    if quarantine:
-                        self._quarantine(path, "fsck: %s" % damage)
-                        report.quarantined.append(rel)
-                    continue
-                vm_version, host_tag, _entries = parse_shard(blob)
+                vm_version, host_tag, _entries = shard
                 if vm_version != self.vm_version or host_tag != self.host_tag:
                     report.items.append(
-                        SharedFsckItem(
+                        FsckItem(
                             rel,
                             "key-mismatch",
                             detail="stamped (%s, %s)" % (vm_version, host_tag),
                         )
                     )
                     continue
-                report.items.append(SharedFsckItem(rel, "ok"))
+                report.items.append(FsckItem(rel, "ok"))
         return report

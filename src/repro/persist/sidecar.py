@@ -26,10 +26,11 @@ policy is simpler (and stricter) than the trace cache's:
   format version).  Any mismatch invalidates the sidecar *wholesale*:
   there is no per-entry salvage, because one compiler change can move
   every generated byte.
-* **integrity** — same framing discipline as PCC v2: a fixed preamble,
-  a CRC-checked header, per-section CRCs (directory, body pool) and a
-  whole-file trailer CRC, written via the same atomic write-replace
-  storage seam.  Damage is attributed to a section for fsck.
+* **integrity** — the PCC v2 framing (:mod:`repro.persist.framing`):
+  a fixed preamble, a CRC-checked header, per-section CRCs (directory,
+  body pool) and a whole-file trailer CRC, written via the same atomic
+  write-replace storage seam.  Damage is attributed to a section for
+  fsck.
 * **containment** — a corrupt sidecar is quarantined (moved aside,
   never deleted) by the database layer and replaced with a fresh store;
   trace persistence is entirely unaffected.
@@ -42,36 +43,30 @@ policy is simpler (and stricter) than the trace cache's:
   re-prove itself against the current cache, so a stale link can never
   be revived from disk.
 
-File layout (all integers little-endian)::
-
-    offset  size  field
-    0       4     magic "PCS1"
-    4       2     u16 format_version
-    6       2     u16 reserved (0)
-    8       4     u32 header_len
-    12      4     u32 CRC-32 of the header JSON
-    16      n     header JSON (keys + section table)
-    16+n    d     directory JSON: [[digest, offset, size], ...]
-    ...           body pool (concatenated marshal blobs)
-    end-4   4     u32 CRC-32 of bytes [0, end-4)
+The header JSON carries ``vm_version`` and ``host_tag``; the directory
+section is a JSON list of ``[digest, offset, size]`` rows into the body
+pool of concatenated marshal blobs.
 """
 
 from __future__ import annotations
 
 import json
 import marshal
-import struct
 import sys
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
+    PREAMBLE,
+    FrameError,
+    Framing,
+    damage_map,
+    pack_records,
+    parse_records,
+)
+
 MAGIC = b"PCS1"
 FORMAT_VERSION = 1
-
-#: Fixed-size binary preamble: magic, version, reserved, header length,
-#: header CRC — the same shape as the PCC v2 preamble.
-PREAMBLE = struct.Struct("<4sHHII")
 
 #: Section names used in error attribution and fsck reports.
 SECTIONS = ("header", "directory", "body_pool")
@@ -80,20 +75,12 @@ SECTIONS = ("header", "directory", "body_pool")
 SIDECAR_NAME = "compiled-bodies.pcs"
 
 
-class SidecarError(Exception):
-    """Raised when a sidecar file is malformed.
-
-    ``section`` names where the damage was detected: one of
-    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``.
-    """
-
-    def __init__(self, message: str, section: str = ""):
-        super().__init__(message)
-        self.section = section
+class SidecarError(FrameError):
+    """A sidecar file is malformed; ``section`` is one of
+    :data:`SECTIONS`, ``"preamble"`` or ``"trailer"``."""
 
 
-def _crc(blob: bytes) -> int:
-    return zlib.crc32(blob) & 0xFFFFFFFF
+FRAMING = Framing(MAGIC, FORMAT_VERSION, SECTIONS[1:], SidecarError)
 
 
 def host_code_tag() -> str:
@@ -138,6 +125,19 @@ class CompiledBodyStore:
         return (
             self.vm_version == vm_version and self.host_tag == host_code_tag()
         )
+
+    def staleness(self, vm_version: str) -> Optional[str]:
+        """Why this store is unusable under ``vm_version`` on this host,
+        or None if usable."""
+        if self.vm_version != vm_version:
+            return "built by VM %r, current is %r" % (
+                self.vm_version, vm_version,
+            )
+        if self.host_tag != host_code_tag():
+            return "built for host %r, current is %r" % (
+                self.host_tag, host_code_tag(),
+            )
+        return None
 
     def compatible_with(self, other: "CompiledBodyStore") -> bool:
         """Whether two stores' entries may be merged."""
@@ -187,68 +187,28 @@ class CompiledBodyStore:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        pool = bytearray()
-        directory = []
-        for digest in sorted(self.entries):
-            blob = self.entries[digest]
-            directory.append([digest, len(pool), len(blob)])
-            pool.extend(blob)
-        directory_blob = json.dumps(directory, sort_keys=True).encode()
-        pool_blob = bytes(pool)
-        header = {
-            "format_version": FORMAT_VERSION,
-            "vm_version": self.vm_version,
-            "host_tag": self.host_tag,
-            "sections": {
-                "directory": [len(directory_blob), _crc(directory_blob)],
-                "body_pool": [len(pool_blob), _crc(pool_blob)],
-            },
-        }
-        header_blob = json.dumps(header, sort_keys=True).encode()
-        body = b"".join(
-            [
-                PREAMBLE.pack(
-                    MAGIC, FORMAT_VERSION, 0, len(header_blob),
-                    _crc(header_blob),
-                ),
-                header_blob,
-                directory_blob,
-                pool_blob,
-            ]
+        records, pool = pack_records(self.entries, stamped=False)
+        return FRAMING.pack(
+            {"vm_version": self.vm_version, "host_tag": self.host_tag},
+            [json.dumps(records, sort_keys=True).encode(), pool],
         )
-        return body + struct.pack("<I", _crc(body))
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "CompiledBodyStore":
-        header, directory, pool = _parse_frame(blob)
+        _flags, header, sections = FRAMING.parse(blob)
         try:
             store = cls(
                 vm_version=header["vm_version"],
                 host_tag=header["host_tag"],
             )
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
             raise SidecarError(
                 "malformed header fields: %s" % exc, section="header"
             ) from exc
-        try:
-            for record in directory:
-                digest, offset, size = record
-                if (
-                    not isinstance(digest, str)
-                    or offset < 0
-                    or size < 0
-                    or offset + size > len(pool)
-                ):
-                    raise SidecarError(
-                        "directory record out of bounds", section="directory"
-                    )
-                store.entries[digest] = pool[offset : offset + size]
-        except SidecarError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SidecarError(
-                "malformed directory: %s" % exc, section="directory"
-            ) from exc
+        store.entries = parse_records(
+            FRAMING.json_section(sections, "directory"),
+            sections["body_pool"], SidecarError, "directory", stamped=False,
+        )
         return store
 
 
@@ -393,93 +353,12 @@ class ChainedBodyStore:
         self._touched.clear()
 
 
-def _parse_frame(blob: bytes):
-    """Split ``blob`` into verified (header, directory, body pool)."""
-    if len(blob) < PREAMBLE.size + 4:
-        raise SidecarError("file too short for preamble", section="preamble")
-    magic, version, _reserved, header_len, header_crc = PREAMBLE.unpack_from(
-        blob, 0
-    )
-    if magic != MAGIC:
-        raise SidecarError("bad magic", section="preamble")
-    if version != FORMAT_VERSION:
-        raise SidecarError(
-            "unsupported format version %r" % version, section="header"
-        )
-    header_start = PREAMBLE.size
-    header_end = header_start + header_len
-    if header_end + 4 > len(blob):
-        raise SidecarError("truncated header", section="header")
-    header_blob = blob[header_start:header_end]
-    if _crc(header_blob) != header_crc:
-        raise SidecarError("header checksum mismatch", section="header")
-    try:
-        header = json.loads(header_blob)
-    except ValueError as exc:
-        raise SidecarError("bad header JSON", section="header") from exc
-    if not isinstance(header, dict):
-        raise SidecarError("bad header JSON", section="header")
-    sections = header.get("sections")
-    if not isinstance(sections, dict):
-        raise SidecarError("missing section table", section="header")
-
-    offset = header_end
-    payloads: Dict[str, bytes] = {}
-    for name in ("directory", "body_pool"):
-        try:
-            size, crc = sections[name]
-            size = int(size)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SidecarError(
-                "bad section table entry for %s" % name, section="header"
-            ) from exc
-        if size < 0 or offset + size + 4 > len(blob):
-            raise SidecarError("truncated %s section" % name, section=name)
-        payload = blob[offset : offset + size]
-        if _crc(payload) != crc:
-            raise SidecarError("%s checksum mismatch" % name, section=name)
-        payloads[name] = payload
-        offset += size
-    if offset != len(blob) - 4:
-        raise SidecarError(
-            "trailing garbage after body pool", section="trailer"
-        )
-    (file_crc,) = struct.unpack_from("<I", blob, len(blob) - 4)
-    if _crc(blob[:-4]) != file_crc:
-        raise SidecarError("whole-file checksum mismatch", section="trailer")
-    try:
-        directory = json.loads(payloads["directory"])
-    except ValueError as exc:
-        raise SidecarError(
-            "bad directory JSON", section="directory"
-        ) from exc
-    if not isinstance(directory, list):
-        raise SidecarError("bad directory JSON", section="directory")
-    return header, directory, payloads["body_pool"]
-
-
 def verify_sidecar(blob: bytes) -> Dict[str, str]:
-    """Best-effort per-section damage map of a raw sidecar blob (fsck).
-
-    Empty when healthy; otherwise ``{section: reason}``.
-    """
-    status: Dict[str, str] = {}
-    try:
-        CompiledBodyStore.from_bytes(blob)
-    except SidecarError as exc:
-        status[exc.section or "preamble"] = str(exc)
-    return status
+    """Per-section damage map of a raw sidecar blob, for fsck: ``{}``
+    when healthy, else ``{section: reason}``."""
+    return damage_map(CompiledBodyStore.from_bytes, blob)
 
 
 def sidecar_staleness(blob: bytes, vm_version: str) -> Optional[str]:
     """Why a (structurally valid) sidecar is unusable, or None if usable."""
-    store = CompiledBodyStore.from_bytes(blob)
-    if store.vm_version != vm_version:
-        return "built by VM %r, current is %r" % (
-            store.vm_version, vm_version,
-        )
-    if store.host_tag != host_code_tag():
-        return "built for host %r, current is %r" % (
-            store.host_tag, host_code_tag(),
-        )
-    return None
+    return CompiledBodyStore.from_bytes(blob).staleness(vm_version)

@@ -372,6 +372,21 @@ class TestCostAwareEviction:
         assert fresh.lookup(victim) is None
         assert fresh.lookup(keeper) == b"K" * 10
 
+    def test_body_healed_from_disk_respects_the_cap(self, tmp_path):
+        """A lookup miss that adopts a body from the shard files must
+        not leave the hot index over its cap."""
+        server = self.make_server(tmp_path, max_bytes=20, clock=FakeClock())
+        SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION
+                        ).publish({digest_for(1): b"D" * 10})
+        self.publish(server, digest_for(2), b"P" * 10, 50)
+        self.publish(server, digest_for(3), b"Q" * 10, 60)
+        _op, _meta, entries = parse_frame(server.handle_frame(pack_frame(
+            "lookup", {"digests": [digest_for(1)]}
+        )))
+        assert entries[digest_for(1)][0] == b"D" * 10
+        hot = server.hot_entries()
+        assert sum(len(record[0]) for record in hot.values()) <= 20
+
 
 class TestAdmissionParity:
     def test_daemon_applies_the_same_cost_floor(self, tmp_path):

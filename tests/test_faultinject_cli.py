@@ -202,3 +202,70 @@ class TestDatabaseErrors:
         assert err.count("\n") == 1, err
         assert "cannot open shared store %s" % store in err
         assert not db.exists()
+
+
+class TestReplayLogErrors:
+    """``repro replay DB --log NAME`` ends in one stderr line, exit 1,
+    when NAME is missing or damaged; damage is still quarantined."""
+
+    @staticmethod
+    def recorded(tmp_path):
+        from repro.replay.harness import record_session
+        from repro.workloads.nondet import build_nondet_suite
+
+        db = CacheDatabase(str(tmp_path / "db"))
+        rec = record_session(build_nondet_suite()["dice"], "short",
+                             database=db, suite="nondet")
+        return db, rec.log_name
+
+    def test_missing_log(self, tmp_path):
+        db, _name = self.recorded(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["replay", db.directory, "--log", "absent.pcrl"])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert "absent.pcrl" in message
+
+    def test_damaged_log_from_the_shell(self, tmp_path):
+        db, name = self.recorded(tmp_path)
+        path = os.path.join(db.replay_directory(), name)
+        flip_byte(path, 40)
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "replay", db.directory,
+             "--log", name],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr and name in done.stderr
+        assert not os.path.exists(path)
+        assert os.path.exists(os.path.join(
+            db.directory, QUARANTINE_DIR, "replay", name
+        ))
+
+
+class TestCacheServeErrors:
+    """``repro cache serve`` on a directory that cannot be created ends
+    in one stderr line, exit 1; ``--status`` never creates state."""
+
+    @pytest.mark.parametrize("detach", [False, True],
+                             ids=["foreground", "detach"])
+    def test_uncreatable_directory(self, tmp_path, capsys, detach):
+        store = TestDatabaseErrors.unwritable(tmp_path)
+        argv = ["cache", "serve", store] + (["--detach"] if detach else [])
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1, err
+        assert "cannot serve %s" % store in err
+
+    def test_status_on_missing_directory(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        code = main(["cache", "serve", str(missing), "--status"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1, err
+        assert not missing.exists()
