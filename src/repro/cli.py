@@ -39,7 +39,7 @@ import os
 import sys
 from typing import Dict, Optional
 
-from repro import __version__
+from repro import __version__, bench
 from repro.analysis.report import format_table
 from repro.analysis.timeline import render_timeline, summarize_timeline
 from repro.binfmt.image import Image
@@ -110,6 +110,13 @@ def _open_database(directory: str, **kwargs) -> CacheDatabase:
         raise SystemExit(
             "error: cannot open cache database %s: %s" % (directory, exc)
         ) from exc
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
 
 
 def _existing_database(directory: str) -> CacheDatabase:
@@ -582,501 +589,51 @@ def cmd_cache_serve(args) -> int:
     return 0
 
 
+def _results_path_problem(path: str) -> Optional[str]:
+    """Why ``path`` cannot take a results file, or None; creates nothing."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        return "%s is not a directory" % directory
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.access(directory, os.W_OK):
+        return "%s is not writable" % directory
+    return None
+
+
 def cmd_bench(args) -> int:
-    """``repro bench``: wall-clock dispatch-tier benchmark suite."""
+    """``repro bench``: the wall-clock benchmark families.
+
+    Verdicts, and with ``--check`` the exit code, cover the families
+    this invocation measured; families carried over from the results
+    file are listed, not judged.
+    """
     import tempfile
 
-    from repro.bench import (
-        GATE_THRESHOLD_X,
-        GATE_WORKLOAD,
-        default_output_path,
-        run_wallclock,
-    )
-
-    out_path = args.out or default_output_path()
-    families = tuple(args.family) if args.family else None
+    out_path = args.out or bench.default_output_path()
+    problem = _results_path_problem(out_path)
+    if problem is not None:
+        print("error: cannot write results to %s: %s" % (out_path, problem),
+              file=sys.stderr)
+        return 1
+    measured = tuple(args.family or (decl.name for decl in bench.FAMILIES))
     with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
-        results = run_wallclock(
+        results = bench.run_wallclock(
             scratch_dir=scratch,
             warmup=args.warmup,
             reps=args.reps,
-            families=families,
+            families=measured,
             out_path=out_path,
         )
-
-    def ttfo_cell(family, baseline, contender):
-        """Per-family time-to-first-output column: baseline/contender."""
-        base = family.get("%s_ttfo_s" % baseline)
-        cont = family.get("%s_ttfo_s" % contender)
-        if base is None or cont is None:
-            return "-"
-        return "%.3f/%.3f" % (base, cont)
-
-    tier_rows, sidecar_rows, shared_rows, record_rows = [], [], [], []
-    link_rows, warmup_rows, fleet_rows, transparency_rows = [], [], [], []
-    for name, family in sorted(results["workloads"].items()):
-        if "eager_s" in family:
-            # The tiered-warmup family's headline is TTFO: compile
-            # threshold 1 vs. the default tier-up on cold startup.
-            warmup_rows.append(
-                {
-                    "workload": name,
-                    "eager_ttfo_s": "%.3f" % family["eager_ttfo_s"],
-                    "tiered_ttfo_s": "%.3f" % family["tiered_ttfo_s"],
-                    "ttfo_ratio": "%.2f" % family["ttfo_ratio_x"],
-                    "warm_compiles": "%d" % (
-                        family["prewarm_warm_host_compiles"]
-                    ),
-                    "jobs_mono": str(family["jobs_monotonic_ok"]),
-                    "identical": str(
-                        family["identical_results"]
-                        and family["oracle_identical"]
-                    ),
-                }
-            )
-        elif "nolink_s" in family:
-            # The trace-linking family compares the compiled tier
-            # against itself with linking + fusion disabled; the
-            # headline number is the trimmed-mean speedup.
-            link_rows.append(
-                {
-                    "workload": name,
-                    "nolink_s": "%.3f" % family["nolink_s"],
-                    "linked_s": "%.3f" % family["linked_s"],
-                    "speedup_x": "%.2f" % family["speedup_trimmed_x"],
-                    "bounces": "%d" % family["link_bounces"],
-                    "regions": "%d" % family["regions_fused"],
-                    "ttfo_s": ttfo_cell(family, "nolink", "linked"),
-                    "identical": str(
-                        family["identical_results"]
-                        and family["oracle_identical"]
-                    ),
-                }
-            )
-        elif "isolated_s" in family:
-            # The shared-store family times a never-warmed database's
-            # cold run with vs. without the per-host body pool.
-            shared_rows.append(
-                {
-                    "workload": name,
-                    "isolated_s": "%.3f" % family["isolated_s"],
-                    "shared_s": "%.3f" % family["shared_s"],
-                    "speedup_x": "%.2f" % family["speedup_x"],
-                    "host_compiles": "%d/%d" % (
-                        family["host_compiles_isolated"],
-                        family["host_compiles_shared"],
-                    ),
-                    "shared_hits": "%d" % family["shared_hits_shared"],
-                    "ttfo_s": ttfo_cell(family, "isolated", "shared"),
-                    "identical": str(family["identical_results"]),
-                }
-            )
-        elif "flock_s" in family:
-            # The fleet-warmup family times an N-process warm fleet
-            # over the flock files vs. the cache-server daemon; the
-            # per-lookup p50 latencies are the daemon's headline.
-            fleet_rows.append(
-                {
-                    "workload": name,
-                    "flock_s": "%.3f" % family["flock_s"],
-                    "daemon_s": "%.3f" % family["daemon_s"],
-                    "procs": "%d" % family["fleet_processes"],
-                    "host_compiles": "%d/%d" % (
-                        family["fleet_host_compiles_flock"],
-                        family["fleet_host_compiles_daemon"],
-                    ),
-                    "lookup_p50_us": "%.1f/%.1f" % (
-                        family["flock_lookup_p50_us"],
-                        family["daemon_lookup_p50_us"],
-                    ),
-                    "fallback": str(family["fallback_ok"]),
-                    "identical": str(family["identical_results"]),
-                }
-            )
-        elif "plain_s" in family:
-            # The record-overhead family times plain vs. recording runs;
-            # the interesting number is the relative cost, not a speedup.
-            record_rows.append(
-                {
-                    "workload": name,
-                    "plain_s": "%.3f" % family["plain_s"],
-                    "record_s": "%.3f" % family["record_s"],
-                    "overhead": "%.1f%%" % (
-                        100.0 * (family["record_s"] / family["plain_s"] - 1.0)
-                    ),
-                    "ttfo_s": ttfo_cell(family, "plain", "record"),
-                    "identical": str(family["identical_results"]),
-                }
-            )
-        elif "stale_reads" in family:
-            # The transparency family's headline is the audit, not the
-            # sweep time: oracle identity across dispatch tiers, zero
-            # stale code-byte reads, engaged SMC detection, and
-            # bit-identical warm restarts over every transport.
-            churn_smc = family.get("churn_smc") or {}
-            transparency_rows.append(
-                {
-                    "workload": name,
-                    "interpreted_s": "%.3f" % family["interpreted_s"],
-                    "compiled_s": "%.3f" % family["compiled_s"],
-                    "stale_reads": "%d" % family["stale_reads"],
-                    "smc_inval": "%d" % sum(churn_smc.values()),
-                    "warm": str(family["warm_identical"]),
-                    "ttfo_s": ttfo_cell(family, "interpreted", "compiled"),
-                    "identical": str(
-                        family["identical_results"]
-                        and family["oracle_identical"]
-                    ),
-                }
-            )
-        elif "interpreted_s" in family:
-            tier_rows.append(
-                {
-                    "workload": name,
-                    "interpreted_s": "%.3f" % family["interpreted_s"],
-                    "compiled_s": "%.3f" % family["compiled_s"],
-                    "speedup_x": "%.2f" % family["speedup_x"],
-                    "spread": "%.0f%%/%.0f%%" % (
-                        family["interpreted_spread_pct"],
-                        family["compiled_spread_pct"],
-                    ),
-                    "ttfo_s": ttfo_cell(family, "interpreted", "compiled"),
-                    "identical": str(family["identical_results"]),
-                }
-            )
-        else:
-            # The sidecar family times cold vs. warm host-compile cost
-            # under the compiled tier, so its columns differ.
-            sidecar_rows.append(
-                {
-                    "workload": name,
-                    "cold_s": "%.3f" % family["cold_s"],
-                    "warm_s": "%.3f" % family["warm_s"],
-                    "speedup_x": "%.2f" % family["speedup_x"],
-                    "host_compiles": "%d/%d" % (
-                        family["host_compiles_cold"],
-                        family["host_compiles_warm"],
-                    ),
-                    "ttfo_s": ttfo_cell(family, "cold", "warm"),
-                    "identical": str(family["identical_results"]),
-                }
-            )
-    if tier_rows:
-        print(format_table(
-            tier_rows,
-            columns=["workload", "interpreted_s", "compiled_s", "speedup_x",
-                     "spread", "ttfo_s", "identical"],
-            title="Wall-clock dispatch benchmark (best of %d, %d warmup)"
-                  % (args.reps, args.warmup),
-        ))
-    if sidecar_rows:
-        print(format_table(
-            sidecar_rows,
-            columns=["workload", "cold_s", "warm_s", "speedup_x",
-                     "host_compiles", "ttfo_s", "identical"],
-            title="Compiled-body sidecar: cold vs. warm host compile()",
-        ))
-    if shared_rows:
-        print(format_table(
-            shared_rows,
-            columns=["workload", "isolated_s", "shared_s", "speedup_x",
-                     "host_compiles", "shared_hits", "ttfo_s", "identical"],
-            title="Shared per-host store: DB-A warms DB-B",
-        ))
-    if record_rows:
-        print(format_table(
-            record_rows,
-            columns=["workload", "plain_s", "record_s", "overhead",
-                     "ttfo_s", "identical"],
-            title="Recording overhead: plain vs. record-enabled runs",
-        ))
-    if link_rows:
-        print(format_table(
-            link_rows,
-            columns=["workload", "nolink_s", "linked_s", "speedup_x",
-                     "bounces", "regions", "ttfo_s", "identical"],
-            title="Trace linking + superblock fusion "
-                  "(trimmed-mean speedup)",
-        ))
-    if warmup_rows:
-        print(format_table(
-            warmup_rows,
-            columns=["workload", "eager_ttfo_s", "tiered_ttfo_s",
-                     "ttfo_ratio", "warm_compiles", "jobs_mono", "identical"],
-            title="Tiered warm-up: compile threshold 1 vs. tier-up "
-                  "(time-to-first-output)",
-        ))
-    if fleet_rows:
-        print(format_table(
-            fleet_rows,
-            columns=["workload", "flock_s", "daemon_s", "procs",
-                     "host_compiles", "lookup_p50_us", "fallback",
-                     "identical"],
-            title="Fleet warm-up: flock store vs. cache-server daemon "
-                  "(per-lookup p50 flock/daemon)",
-        ))
-    if transparency_rows:
-        print(format_table(
-            transparency_rows,
-            columns=["workload", "interpreted_s", "compiled_s",
-                     "stale_reads", "smc_inval", "warm", "ttfo_s",
-                     "identical"],
-            title="Transparency under attack: anti-instrumentation corpus",
-        ))
-        tr_family = results["workloads"].get("transparency")
-        if tr_family and tr_family.get("churn_smc"):
-            print("transparency SMC churners (interpreted oracle):")
-            for corpus, count in sorted(tr_family["churn_smc"].items()):
-                print("  %-15s invalidations %d" % (corpus, count))
-    tw_family = results["workloads"].get("tiered_warmup")
-    if tw_family and tw_family.get("prewarm_jobs_sweep"):
-        print("prewarm cold-sweep wall clock (%d cores):"
-              % tw_family.get("cpu_count", 1))
-        for row in tw_family["prewarm_jobs_sweep"]:
-            print(
-                "  --jobs %d  %.2fs  compiled %d  admitted %d%s"
-                % (row["jobs"], row["wall_s"], row["compiled"],
-                   row["admitted"],
-                   "" if row.get("monotonic_ok", True) else "  (regressed)")
-            )
-    tl_family = results["workloads"].get("trace_linking")
-    if tl_family and tl_family.get("link_per_corpus"):
-        print("trace_linking chain corpora (linked compiled tier):")
-        for corpus, link in sorted(tl_family["link_per_corpus"].items()):
-            print(
-                "  %-10s direct hops %-7d region entries/hops %d/%d  "
-                "fused %d  bounces %d"
-                % (corpus, link["link_direct_hops"],
-                   link["region_entries"], link["region_hops"],
-                   link["regions_fused"], link["link_bounces"])
-            )
-    ih_family = results["workloads"].get("indirect_heavy")
-    if ih_family and ih_family.get("ic_per_corpus"):
-        print("indirect_heavy inline-cache chains (compiled tier):")
-        for corpus, ic in sorted(ih_family["ic_per_corpus"].items()):
-            print(
-                "  %-17s hit rate %5.1f%%  hits/overflow/misses %d/%d/%d  "
-                "promotions %d  depth hits %s"
-                % (corpus, 100.0 * ic["hit_rate"], ic["hits"],
-                   # .get: merged JSON may predate the megamorphic tier.
-                   ic.get("overflow_hits", 0), ic["misses"],
-                   ic["promotions"], ic["depth_hits"])
-            )
+    print(bench.render(results, measured))
     print("results written to %s" % out_path)
-
-    gate = results["gate"]
-    if "pass" in gate:
-        print(
-            "gate: %s speedup %.2fx (threshold %.1fx) -> %s"
-            % (GATE_WORKLOAD, gate["speedup_x"], GATE_THRESHOLD_X,
-               "PASS" if gate["pass"] else "FAIL")
-        )
-        if args.check:
-            # An explicit --check-threshold overrides the recorded gate
-            # for the exit code only (CI smoke uses 1.0: merely "not
-            # slower", robust to shared-runner noise).
-            threshold = (
-                args.check_threshold if args.check_threshold is not None
-                else GATE_THRESHOLD_X
-            )
-            family = results["workloads"][GATE_WORKLOAD]
-            trimmed = family.get("speedup_trimmed_x", family["speedup_x"])
-            ok = family["identical_results"] and trimmed >= threshold
-            if not ok:
-                return 1
-    if args.check and "sidecar_cold_warm" in results["workloads"]:
-        family = results["workloads"]["sidecar_cold_warm"]
-        warm_ok = (family["identical_results"]
-                   and family["host_compiles_warm"] == 0)
-        print(
-            "sidecar: host compiles cold=%d warm=%d -> %s"
-            % (family["host_compiles_cold"], family["host_compiles_warm"],
-               "PASS" if warm_ok else "FAIL")
-        )
-        if not warm_ok:
-            return 1
-    if args.check and "shared_store" in results["workloads"]:
-        family = results["workloads"]["shared_store"]
-        # The cross-application acceptance gate: a database that never
-        # ran a workload performs zero host compile()s when another
-        # database on the host already published the bodies — and the
-        # isolated control actually paid them, so zero is meaningful.
-        shared_ok = (
-            family["identical_results"]
-            and family["host_compiles_shared"] == 0
-            and family["host_compiles_isolated"] > 0
-            and family["shared_hits_shared"] > 0
-        )
-        print(
-            "shared store: host compiles isolated=%d shared=%d "
-            "(shared hits %d) -> %s"
-            % (family["host_compiles_isolated"],
-               family["host_compiles_shared"],
-               family["shared_hits_shared"],
-               "PASS" if shared_ok else "FAIL")
-        )
-        if not shared_ok:
-            return 1
-    if args.check and "record_overhead" in results["workloads"]:
-        family = results["workloads"]["record_overhead"]
-        overhead_pct = 100.0 * (family["record_s"] / family["plain_s"] - 1.0)
-        record_ok = family["identical_results"] and overhead_pct < 10.0
-        print(
-            "record overhead: %.1f%% (cap 10%%), identical=%s -> %s"
-            % (overhead_pct, family["identical_results"],
-               "PASS" if record_ok else "FAIL")
-        )
-        if not record_ok:
-            return 1
-    if args.check and "indirect_heavy" in results["workloads"]:
-        family = results["workloads"]["indirect_heavy"]
-        per = family.get("ic_per_corpus") or {}
-        # The chains must actually engage on the corpora built to fit
-        # them.  Megamorphic is deliberately excluded: its callr site
-        # cycles more targets than the chain holds, so a near-zero hit
-        # rate there is the designed behavior, not a regression.
-        ic_ok = (
-            family["identical_results"]
-            and all(per.get(name, {}).get("hit_rate", 0.0) > 0.0
-                    for name in ("alternating_pair", "rotating_3"))
-        )
-        print(
-            "indirect ICs: identical=%s alternating_pair=%.1f%% "
-            "rotating_3=%.1f%% -> %s"
-            % (family["identical_results"],
-               100.0 * per.get("alternating_pair", {}).get("hit_rate", 0.0),
-               100.0 * per.get("rotating_3", {}).get("hit_rate", 0.0),
-               "PASS" if ic_ok else "FAIL")
-        )
-        if not ic_ok:
-            return 1
-    if args.check and "trace_linking" in results["workloads"]:
-        family = results["workloads"]["trace_linking"]
-        # The linked tier must win without changing a single observable:
-        # bit-identical to the no-link tier AND to the interpreted
-        # oracle, with every stable-chain exit resolved in cache (zero
-        # dispatcher bounces) and fusion actually engaged.
-        link_ok = (
-            family["identical_results"]
-            and family["oracle_identical"]
-            and family["link_bounces"] == 0
-            and family["regions_fused"] > 0
-        )
-        print(
-            "trace linking: identical=%s oracle=%s bounces=%d "
-            "regions=%d -> %s"
-            % (family["identical_results"], family["oracle_identical"],
-               family["link_bounces"], family["regions_fused"],
-               "PASS" if link_ok else "FAIL")
-        )
-        if not link_ok:
-            return 1
-    if args.check and "tiered_warmup" in results["workloads"]:
-        family = results["workloads"]["tiered_warmup"]
-        # The tiered warm-up acceptance gate: the default tier-up must
-        # reach first output in at most 60% of the threshold-1 cold
-        # TTFO without changing one observable (bit-identical to
-        # threshold 1 AND to the interpreted oracle), the prewarm jobs sweep
-        # must scale core-awarely, and a prewarmed store must leave the
-        # warm run nothing to compile.
-        ratio = family.get("ttfo_ratio_x", 1.0)
-        warmup_ok = (
-            family["identical_results"]
-            and family["oracle_identical"]
-            and ratio <= 0.6
-            and family["prewarm_warm_host_compiles"] == 0
-            and family["jobs_monotonic_ok"]
-        )
-        print(
-            "tiered warmup: ttfo ratio %.2f (cap 0.60) warm compiles=%d "
-            "jobs monotonic=%s identical=%s oracle=%s -> %s"
-            % (ratio, family["prewarm_warm_host_compiles"],
-               family["jobs_monotonic_ok"], family["identical_results"],
-               family["oracle_identical"],
-               "PASS" if warmup_ok else "FAIL")
-        )
-        if not warmup_ok:
-            return 1
-    if args.check and "fleet_warmup" in results["workloads"]:
-        family = results["workloads"]["fleet_warmup"]
-        # The fleet acceptance gate: the warm fleet compiles nothing
-        # over the socket, both transports are bit-identical, warm
-        # daemon lookups beat the flock store's stat-revalidated path,
-        # sessions against a dead daemon silently fall back to the
-        # files, and the store is still fsck-clean after the daemon's
-        # write-backs.  The fleet wall clock itself is not gated: on a
-        # loaded single-core CI runner, N-process spawn noise dwarfs
-        # the lookup path either way.
-        fleet_ok = (
-            family["identical_results"]
-            and family["daemon_alive"]
-            and family["fleet_host_compiles_daemon"] == 0
-            and family["daemon_lookup_p50_us"]
-                < family["flock_lookup_p50_us"]
-            and family["fallback_ok"]
-            and family["fsck_clean"]
-        )
-        print(
-            "fleet warmup: %d procs, host compiles flock=%d daemon=%d, "
-            "lookup p50 %.1f/%.1fus p99 %.1f/%.1fus (flock/daemon), "
-            "fallback=%s fsck=%s identical=%s -> %s"
-            % (family["fleet_processes"],
-               family["fleet_host_compiles_flock"],
-               family["fleet_host_compiles_daemon"],
-               family["flock_lookup_p50_us"],
-               family["daemon_lookup_p50_us"],
-               family["flock_lookup_p99_us"],
-               family["daemon_lookup_p99_us"],
-               family["fallback_ok"], family["fsck_clean"],
-               family["identical_results"],
-               "PASS" if fleet_ok else "FAIL")
-        )
-        if not fleet_ok:
-            return 1
-    if args.check and "transparency" in results["workloads"]:
-        family = results["workloads"]["transparency"]
-        # The transparency acceptance gate: every dispatch tier
-        # bit-identical to the interpreted oracle (output, exit status,
-        # every VMStats counter), zero stale code-byte reads against
-        # the native oracle (cold and across every warm transport),
-        # the SMC detector engaged on every churner, and warm restarts
-        # that actually revived persisted traces.
-        churn_smc = family.get("churn_smc") or {}
-        transparency_ok = (
-            family["identical_results"]
-            and family["oracle_identical"]
-            and family["stale_reads"] == 0
-            and family["smc_ok"]
-            and family["warm_identical"]
-            and family["warm_preloaded"] > 0
-        )
-        print(
-            "transparency: identical=%s oracle=%s stale reads=%d "
-            "churn invalidations=%d warm=%s (preloaded %d) -> %s"
-            % (family["identical_results"], family["oracle_identical"],
-               family["stale_reads"], sum(churn_smc.values()),
-               family["warm_identical"], family["warm_preloaded"],
-               "PASS" if transparency_ok else "FAIL")
-        )
-        for failure in family.get("oracle_failures") or []:
-            print("  oracle divergence: %s" % failure)
-        for failure in family.get("warm_failures") or []:
-            print("  warm divergence: %s" % failure)
-        if not transparency_ok:
-            return 1
-    if args.check:
-        # Noise advisory (never flips the exit code): a family whose
-        # per-mode max-over-min spread exceeds the threshold ran on a
-        # machine too loaded for its numbers to be trusted.
-        for name, family in sorted(results["workloads"].items()):
-            for key in sorted(family):
-                if key.endswith("_spread_pct") and family[key] > 25.0:
-                    print(
-                        "warning: %s %s %.0f%% exceeds 25%% — rerun on "
-                        "a quieter machine before trusting the speedup"
-                        % (name, key, family[key])
-                    )
-    return 0
+    carried = sorted(set(results["workloads"]) - set(measured))
+    if carried:
+        print("carried over, not judged: %s" % ", ".join(carried))
+    verdicts = bench.judge(results, measured, threshold=args.check_threshold)
+    for verdict in verdicts:
+        print(verdict.line)
+    return 1 if args.check and not all(v.ok for v in verdicts) else 0
 
 
 def cmd_prewarm(args) -> int:
@@ -1280,23 +837,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--warmup", type=int, default=2,
                      help="untimed repetitions per family/mode (default 2)")
-    sub.add_argument("--reps", type=int, default=5,
+    sub.add_argument("--reps", type=_positive_int, default=5,
                      help="timed repetitions per family/mode (default 5)")
     sub.add_argument("--family", action="append",
-                     choices=("fig5a_gui", "fig2b_gui", "headline_spec",
-                              "sidecar_cold_warm", "shared_store",
-                              "indirect_heavy", "record_overhead",
-                              "trace_linking", "tiered_warmup",
-                              "fleet_warmup", "transparency"),
+                     choices=[decl.name for decl in bench.FAMILIES],
                      help="run only this family (repeatable; default all)")
     sub.add_argument("--out", metavar="PATH",
                      help="result JSON path (default BENCH_wallclock.json "
                           "at the repo root)")
     sub.add_argument("--check", action="store_true",
-                     help="exit non-zero when the fig5a speedup gate fails")
+                     help="exit non-zero when a measured family's gate "
+                          "fails")
     sub.add_argument("--check-threshold", type=float, default=None,
-                     help="override the --check speedup threshold "
-                          "(default: the recorded 1.5x gate)")
+                     help="override the acceptance gate's speedup "
+                          "threshold (default: the recorded 1.5x)")
     sub.set_defaults(func=cmd_bench)
 
     sub = subparsers.add_parser(

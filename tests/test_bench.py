@@ -10,6 +10,7 @@ corrupt file).
 """
 
 import json
+import os
 
 import pytest
 
@@ -122,3 +123,195 @@ class TestRunWallclockMerge:
         per = family["ic_per_corpus"]
         assert per["alternating_pair"]["hit_rate"] > 0.8
         assert per["rotating_3"]["hit_rate"] > 0.8
+
+
+_COMMITTED = os.path.join(
+    os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_wallclock.json"
+)
+
+#: The committed file predates the fleet_warmup family; this entry has
+#: the keys that family writes, with passing values.
+_FLEET = {
+    "daemon_alive": True,
+    "daemon_lookup_p50_us": 0.3,
+    "daemon_lookup_p99_us": 1.2,
+    "daemon_s": 0.61,
+    "daemon_spread_pct": 4.0,
+    "daemon_trimmed_s": 0.62,
+    "daemon_transport_used": "daemon",
+    "fallback_ok": True,
+    "fleet_host_compiles_daemon": 0,
+    "fleet_host_compiles_flock": 0,
+    "fleet_processes": 4,
+    "fleet_shared_hits_daemon": 9000,
+    "flock_lookup_p50_us": 3.9,
+    "flock_lookup_p99_us": 9.5,
+    "flock_s": 0.64,
+    "flock_spread_pct": 3.0,
+    "flock_trimmed_s": 0.65,
+    "fsck_clean": True,
+    "identical_results": True,
+    "lookup_samples": 6000,
+    "reps_daemon_s": [0.61, 0.63],
+    "reps_flock_s": [0.64, 0.66],
+    "speedup_trimmed_x": 1.05,
+    "speedup_x": 1.05,
+}
+
+
+def _committed_results():
+    with open(_COMMITTED) as handle:
+        workloads = json.load(handle)["workloads"]
+    workloads["fleet_warmup"] = dict(_FLEET)
+    return _fake_results(**workloads)
+
+
+def _set(family, path, value):
+    """Set ``family[a][b]...`` for a dotted ``path``."""
+    *parents, leaf = path.split(".")
+    for key in parents:
+        family = family[key]
+    family[leaf] = value
+
+
+#: One case per ``--check`` predicate: (family, field, failing value).
+#: A callable value computes the failing value from the family.
+_FLIPS = [
+    ("fig5a_gui", "identical_results", False),
+    ("fig5a_gui", "speedup_trimmed_x", 1.2),
+    ("sidecar_cold_warm", "identical_results", False),
+    ("sidecar_cold_warm", "host_compiles_warm", 1),
+    ("shared_store", "identical_results", False),
+    ("shared_store", "host_compiles_shared", 1),
+    ("shared_store", "host_compiles_isolated", 0),
+    ("shared_store", "shared_hits_shared", 0),
+    ("record_overhead", "identical_results", False),
+    ("record_overhead", "record_s", lambda f: f["plain_s"] * 1.10),
+    ("indirect_heavy", "identical_results", False),
+    ("indirect_heavy", "ic_per_corpus.alternating_pair.hit_rate", 0.0),
+    ("indirect_heavy", "ic_per_corpus.rotating_3.hit_rate", 0.0),
+    ("trace_linking", "identical_results", False),
+    ("trace_linking", "oracle_identical", False),
+    ("trace_linking", "link_bounces", 1),
+    ("trace_linking", "regions_fused", 0),
+    ("tiered_warmup", "identical_results", False),
+    ("tiered_warmup", "oracle_identical", False),
+    ("tiered_warmup", "ttfo_ratio_x", 0.7),
+    ("tiered_warmup", "prewarm_warm_host_compiles", 1),
+    ("tiered_warmup", "jobs_monotonic_ok", False),
+    ("fleet_warmup", "identical_results", False),
+    ("fleet_warmup", "daemon_alive", False),
+    ("fleet_warmup", "fleet_host_compiles_daemon", 1),
+    ("fleet_warmup", "daemon_lookup_p50_us",
+     lambda f: f["flock_lookup_p50_us"]),
+    ("fleet_warmup", "fallback_ok", False),
+    ("fleet_warmup", "fsck_clean", False),
+    ("transparency", "identical_results", False),
+    ("transparency", "oracle_identical", False),
+    ("transparency", "stale_reads", 1),
+    ("transparency", "smc_ok", False),
+    ("transparency", "warm_identical", False),
+    ("transparency", "warm_preloaded", 0),
+]
+
+
+class TestCheck:
+    """``repro bench --check`` over fixed results: every predicate the
+    gate judges fails the command when its one field is flipped."""
+
+    @staticmethod
+    def check(monkeypatch, capsys, tmp_path, results, *extra):
+        import repro.bench
+        from repro.cli import main
+
+        def fake_run_wallclock(scratch_dir, warmup=2, reps=3,
+                               families=None, out_path=None):
+            fig5a = results["workloads"][GATE_WORKLOAD]
+            results["gate"] = {
+                "workload": GATE_WORKLOAD,
+                "threshold_x": 1.5,
+                "speedup_x": fig5a["speedup_x"],
+                "speedup_trimmed_x": fig5a["speedup_trimmed_x"],
+                "pass": fig5a["identical_results"]
+                and fig5a["speedup_trimmed_x"] >= 1.5,
+            }
+            return results
+
+        monkeypatch.setattr(repro.bench, "run_wallclock", fake_run_wallclock)
+        code = main(["bench", "--check", "--out",
+                     str(tmp_path / "bench.json")] + list(extra))
+        return code, capsys.readouterr().out
+
+    def test_committed_results_pass(self, monkeypatch, capsys, tmp_path):
+        code, out = self.check(monkeypatch, capsys, tmp_path,
+                               _committed_results())
+        assert code == 0, out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize(
+        "name,path,value", _FLIPS,
+        ids=["%s-%s" % (name, path) for name, path, _value in _FLIPS],
+    )
+    def test_flipped_field_fails(self, monkeypatch, capsys, tmp_path,
+                                 name, path, value):
+        results = _committed_results()
+        family = results["workloads"][name]
+        _set(family, path, value(family) if callable(value) else value)
+        code, out = self.check(monkeypatch, capsys, tmp_path, results)
+        assert code == 1, out
+        assert "FAIL" in out
+        assert name in out
+
+    def test_carried_over_families_are_not_judged(
+        self, monkeypatch, capsys, tmp_path
+    ):
+        """A family this invocation did not measure gets no verdict and
+        cannot fail the exit code; it is listed as carried over."""
+        results = _committed_results()
+        results["workloads"][GATE_WORKLOAD]["speedup_trimmed_x"] = 1.2
+        code, out = self.check(monkeypatch, capsys, tmp_path, results,
+                               "--family", "indirect_heavy")
+        assert code == 0, out
+        verdicts = [line for line in out.splitlines() if " -> " in line]
+        assert len(verdicts) == 1 and "indirect_heavy" in verdicts[0], out
+        carried = [line for line in out.splitlines() if "carried over" in line]
+        assert len(carried) == 1 and GATE_WORKLOAD in carried[0], out
+
+    @pytest.mark.parametrize("threshold,expected", [("1.0", 0), ("1.3", 1)])
+    def test_verdict_prints_what_it_judged(
+        self, monkeypatch, capsys, tmp_path, threshold, expected
+    ):
+        """The gate line shows the trimmed speedup the exit code reads
+        and the ``--check-threshold`` it applied, not the best rep
+        against the recorded 1.5x."""
+        results = _committed_results()
+        fig5a = results["workloads"][GATE_WORKLOAD]
+        fig5a["speedup_x"], fig5a["speedup_trimmed_x"] = 1.24, 1.2
+        code, out = self.check(monkeypatch, capsys, tmp_path, results,
+                               "--check-threshold", threshold)
+        assert code == expected, out
+        [line] = [line for line in out.splitlines()
+                  if GATE_WORKLOAD in line and " -> " in line]
+        assert "speedup_trimmed_x=1.2 (>= %g)" % float(threshold) in line
+        assert line.endswith("PASS") if expected == 0 else "FAIL" in line
+
+    @pytest.mark.parametrize("name", ["fig2b_gui", "headline_spec"])
+    def test_identity_gated_on_every_family(
+        self, monkeypatch, capsys, tmp_path, name
+    ):
+        results = _committed_results()
+        results["workloads"][name]["identical_results"] = False
+        code, out = self.check(monkeypatch, capsys, tmp_path, results)
+        assert code == 1, out
+        [line] = [line for line in out.splitlines() if "FAIL" in line]
+        assert name in line and "identical_results=False" in line
+
+    def test_ic_hit_rate_floor(self, monkeypatch, capsys, tmp_path):
+        """``--check`` holds the IC chains to the same 0.8 hit rate the
+        benchmark suite asserts."""
+        results = _committed_results()
+        per = results["workloads"]["indirect_heavy"]["ic_per_corpus"]
+        per["rotating_3"]["hit_rate"] = 0.5
+        code, out = self.check(monkeypatch, capsys, tmp_path, results)
+        assert code == 1, out
+        assert "rotating_3.hit_rate=0.5 (> 0.8)" in out

@@ -5,6 +5,7 @@ documented command line (also exposed as ``make fsck``) is exercised
 verbatim, not just the in-process entry point.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -269,3 +270,52 @@ class TestCacheServeErrors:
         assert code == 1
         assert err.count("\n") == 1, err
         assert not missing.exists()
+
+
+class TestBenchErrors:
+    """Bad ``repro bench`` arguments end in one stderr line before any
+    family runs, and an interrupted results write keeps the old file."""
+
+    @pytest.fixture
+    def no_family_runs(self, monkeypatch):
+        import repro.bench
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a bench family ran")
+
+        monkeypatch.setattr(repro.bench, "run_wallclock", refuse)
+
+    def test_zero_reps_is_a_usage_error(self, capsys, no_family_runs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--reps", "0"])
+        assert excinfo.value.code == 2
+        assert "--reps" in capsys.readouterr().err
+
+    def test_unwritable_out_fails_first(self, tmp_path, capsys,
+                                        no_family_runs):
+        out = TestDatabaseErrors.unwritable(tmp_path)
+        code = main(["bench", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1, err
+        assert "error: cannot write results to %s" % out in err
+        assert os.listdir(tmp_path) == ["blocker"]
+
+    def test_interrupted_write_keeps_the_results_file(self, tmp_path,
+                                                      monkeypatch):
+        import repro.bench
+        from repro.testing.faultfs import FaultPlan, FaultyStorage
+
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps({"workloads": {
+            "fig5a_gui": {"speedup_x": 2.5, "identical_results": True},
+        }}))
+        before = path.read_bytes()
+        monkeypatch.setattr(
+            repro.bench, "FileStorage",
+            lambda: FaultyStorage(FaultPlan(fail_write_on_call=1)),
+        )
+        with pytest.raises(OSError):
+            repro.bench.run_wallclock(str(tmp_path / "scratch"),
+                                      families=(), out_path=str(path))
+        assert path.read_bytes() == before
