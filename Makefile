@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock fsck stress gc replay-smoke prewarm-smoke daemon-smoke transparency-smoke
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke daemon-smoke transparency-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,6 +25,25 @@ benchmarks:
 # slower", as in CI.
 bench-wallclock:
 	$(PYTHON) -m repro.cli bench --check --check-threshold 1.0
+
+# The benchmark's correctness checks, end to end: bench/run.py's
+# contract mode (BENCHMARK.json's command) for 3 s on spec_ref, where
+# all 11 SPEC programs must match their native references, and on
+# gui_warm, where no warm run may translate or host-compile anything.
+# Each run's last line must read "correct": true with "failed": 0;
+# otherwise the target prints the run's output and fails.
+BENCH_RESULT_OK = import json, sys; line = sys.stdin.read(); \
+	print(line.strip()); result = json.loads(line); \
+	sys.exit(not (result["correct"] is True and result["failed"] == 0))
+
+bench-contract-smoke:
+	@for workload in spec_ref gui_warm; do \
+		echo "$$workload:"; \
+		out=$$(python3 bench/run.py --workload $$workload --seconds 3) \
+			&& printf '%s\n' "$$out" | tail -n 1 \
+			| $(PYTHON) -c '$(BENCH_RESULT_OK)' \
+			|| { printf '%s\n' "$$out"; exit 1; }; \
+	done
 
 # Check a persistent-cache database's integrity section by section.
 fsck:
@@ -93,14 +112,16 @@ daemon-smoke:
 
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite, the compiled tier's
-# memory helpers (faults, window, SMC check) against the oracle, plus
+# memory helpers and inline region sites (faults, window, SMC check,
+# the window's code-free flag) against the oracle, plus
 # the transparency bench family's --check gate — every dispatch tier
 # bit-identical to the interpreted oracle on the adversarial corpus,
 # zero stale code-byte reads cold and warm (sidecar/shared
 # store/daemon), and the SMC detector engaged on every churner.
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
-		tests/test_dispatch_equivalence.py::TestMemoryOps
+		tests/test_dispatch_equivalence.py::TestMemoryOps \
+		tests/test_dispatch_equivalence.py::TestCodeFreeFlag
 	$(PYTHON) -m repro.cli bench --family transparency --check \
 		--warmup 1 --reps 2 --out /tmp/pcc-bench-transparency.json
 

@@ -47,12 +47,16 @@ class Mapping:
         data: Backing bytes (length = mapping size).
         image: The image mapped here, or None for anonymous regions.
         name: Diagnostic label.
+        code_free: No page the mapping covers holds executed code.
+            Cleared by :meth:`AddressSpace.mark_code`, never set again:
+            a mapping that ran code stays watched for self-modification.
     """
 
     base: int
     data: bytearray
     image: Optional[Image] = None
     name: str = ""
+    code_free: bool = field(default=True, compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -71,7 +75,7 @@ class Mapping:
 
 def _miss_window() -> list:
     """A window no address hits: no offset lies in ``0..-1``."""
-    return [0, -1, bytearray()]
+    return [0, -1, bytearray(), False]
 
 
 @dataclass
@@ -79,14 +83,18 @@ class AddressSpace:
     """A sorted collection of mappings with word/byte access helpers.
 
     ``window`` is the one hot-mapping cache: ``[base, last word offset,
-    data]`` of the mapping :meth:`find_mapping` returned last, so an
-    access at ``offset = addr - base`` with ``0 <= offset <= last`` hits
-    without a bisect.  Loads and stores cluster heavily on the
-    stack/heap, so that is the common case.  The list is updated in
-    place, never replaced: the compiled tier's memory helpers
+    data, code_free]`` of the mapping :meth:`find_mapping` returned
+    last, so an access at ``offset = addr - base`` with ``0 <= offset <=
+    last`` hits without a bisect.  Loads and stores cluster heavily on
+    the stack/heap, so that is the common case.  ``code_free`` copies
+    :attr:`Mapping.code_free`: a window-hit store into a code-free
+    mapping cannot modify executed code, so the compiled tier skips its
+    SMC check.  The list is updated in place, never replaced: the
+    compiled tier's memory helpers and region bodies
     (:mod:`repro.vm.compile`) hold it for a whole run.  Unmapping resets
-    it to a window no address hits; insertion cannot make it stale
-    (mappings never overlap).
+    it to a window no address hits, and :meth:`mark_code` clears its
+    ``code_free`` slot; insertion cannot make it stale (mappings never
+    overlap).
     """
 
     mappings: List[Mapping] = field(default_factory=list)
@@ -139,10 +147,26 @@ class AddressSpace:
             mapping = self.mappings[index]
             if mapping.contains(addr):
                 self.window[:] = (
-                    mapping.base, mapping.size - WORD_SIZE, mapping.data
+                    mapping.base, mapping.size - WORD_SIZE, mapping.data,
+                    mapping.code_free,
                 )
                 return mapping
         raise MemoryError_("unmapped address 0x%x" % addr)
+
+    def mark_code(self, start: int, end: int) -> None:
+        """Bytes ``start..end-1`` hold executed code: every mapping that
+        overlaps them stops being code-free, and so does the window when
+        it is one of them."""
+        window = self.window
+        index = bisect.bisect_left(self._bases, end) - 1
+        while index >= 0:
+            mapping = self.mappings[index]
+            if mapping.end <= start:
+                break
+            mapping.code_free = False
+            if window[2] is mapping.data:
+                window[3] = False
+            index -= 1
 
     def mapping_for_image(self, path: str) -> Optional[Mapping]:
         """Return the mapping of the image with the given path, if loaded."""
@@ -155,7 +179,7 @@ class AddressSpace:
 
     def read_bytes(self, addr: int, length: int) -> bytes:
         """Read raw bytes; the range must stay within one mapping."""
-        base, last, data = self.window
+        base, last, data, _code_free = self.window
         offset = addr - base
         if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)
@@ -183,7 +207,7 @@ class AddressSpace:
 
     def read_word(self, addr: int) -> int:
         """Read one signed 64-bit little-endian word."""
-        base, last, data = self.window
+        base, last, data, _code_free = self.window
         offset = addr - base
         if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)
@@ -197,7 +221,7 @@ class AddressSpace:
 
     def write_word(self, addr: int, value: int) -> None:
         """Write one word, wrapping to the signed 64-bit range."""
-        base, last, data = self.window
+        base, last, data, _code_free = self.window
         offset = addr - base
         if not 0 <= offset <= last:
             mapping = self.find_mapping(addr)

@@ -245,8 +245,30 @@ class Machine:
                 raise MachineFault("fetch from unmapped memory", pc) from exc
             inst = decode(raw)
             self.decode_cache[pc] = inst
-            self.executed_code_pages.add(pc >> CODE_PAGE_SHIFT)
+            page = pc >> CODE_PAGE_SHIFT
+            if page not in self.executed_code_pages:
+                self.track_code_pages(page, page)
         return inst
+
+    def track_code_pages(self, first: int, last: int) -> None:
+        """Add code pages ``first..last`` to :attr:`executed_code_pages`.
+
+        A mapping that covers a newly tracked page stops being code-free
+        (:meth:`~repro.loader.mapper.AddressSpace.mark_code`), so the
+        compiled tier's window-hit stores into it take the SMC check
+        again.  Both callers run off the per-instruction path: a pc's
+        first decode, and trace insertion into the code cache (which
+        covers revived and module-retained traces ``fetch`` never saw).
+        Pages are tracked only while a mapping covers them and dlclose
+        drops a dead mapping's pages, so a new mapping starts code-free.
+        """
+        pages = self.executed_code_pages
+        for page in range(first, last + 1):
+            if page not in pages:
+                pages.add(page)
+                self.process.space.mark_code(
+                    page << CODE_PAGE_SHIFT, (page + 1) << CODE_PAGE_SHIFT
+                )
 
     def dlopen(self, index: int) -> int:
         """Load optional module ``index``; return its base address."""

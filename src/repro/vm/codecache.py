@@ -16,8 +16,9 @@ uses for its reserved 512MB region).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.machine.cpu import CODE_PAGE_SHIFT
 from repro.vm.translator import LinkSlot, TranslatedTrace
 
 #: Pool sizes used when none are specified: "512MB of an application's
@@ -56,19 +57,19 @@ class CodeCache:
         self,
         code_capacity: int = DEFAULT_CODE_POOL_BYTES,
         data_capacity: int = DEFAULT_DATA_POOL_BYTES,
-        page_tracker: Optional[set] = None,
+        track_pages: Optional[Callable[[int, int], None]] = None,
     ):
         if code_capacity <= 0 or data_capacity <= 0:
             raise ValueError("pool capacities must be positive")
         self.code_capacity = code_capacity
         self.data_capacity = data_capacity
-        #: Machine-owned set of executed-code page numbers.  The SMC
-        #: detector only watches pages in this set, so *every* page a
-        #: resident trace covers must be in it — including traces that
+        #: The machine's ``track_code_pages(first, last)``.  The SMC
+        #: detector only watches tracked pages, so *every* page a
+        #: resident trace covers must be tracked — including traces that
         #: arrive without a fresh translation (module-retention revival,
         #: persistent-cache preload), whose pages ``Machine.fetch``
         #: never saw (or saw before a dlclose discarded the tracking).
-        self.page_tracker = page_tracker
+        self.track_pages = track_pages
         self.code_used = 0
         self.data_used = 0
         self.stats = CodeCacheStats()
@@ -135,12 +136,12 @@ class CodeCache:
         self.data_used += translated.data_size
         self._by_entry[entry] = translated
         self.stats.traces_inserted += 1
-        if self.page_tracker is not None:
-            from repro.machine.cpu import CODE_PAGE_SHIFT
-
-            first = translated.trace.entry >> CODE_PAGE_SHIFT
-            last = (translated.trace.end - 1) >> CODE_PAGE_SHIFT
-            self.page_tracker.update(range(first, last + 1))
+        if self.track_pages is not None:
+            trace = translated.trace
+            self.track_pages(
+                trace.entry >> CODE_PAGE_SHIFT,
+                (trace.end - 1) >> CODE_PAGE_SHIFT,
+            )
 
         patches = 0
         # Incoming: every pending exit that targets this entry.  The

@@ -18,10 +18,15 @@ Specializations applied per trace:
   literals;
 * the signed-64-bit wrap check is dropped for ops that provably cannot
   overflow (:data:`repro.machine.cpu.OVERFLOW_SAFE_OPS`);
-* every ``LD``/``ST`` is one call to the run's ``load``/``store``
-  helpers (:func:`memory_helpers`), which hold the hot-mapping fast
-  path, the fault rewrapping and the SMC check out of line, so the
-  persisted bodies stay small;
+* memory ops split on region fusion, the observable hotness signal.
+  In a solo trace body every ``LD``/``ST`` is one call to the run's
+  ``load``/``store`` helpers (:func:`memory_helpers`), which hold the
+  hot-mapping fast path, the fault rewrapping and the SMC check out of
+  line, so the hundreds of bodies a warm-up compiles stay small.  A
+  fused region body carries the hot loops, so each of its sites is an
+  inline window hit over locals bound once per entry, and calls the
+  helper only on a miss, a store into a mapping that holds executed
+  code, or a store value outside int64;
 * analysis-point checks are hoisted out entirely for traces with no
   instrumentation; instrumented sites inline the callback invocation
   against the run's single mutable :class:`AnalysisContext`;
@@ -123,8 +128,9 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import sys
 import time
-from types import SimpleNamespace
+from types import CodeType, SimpleNamespace
 from typing import Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_SIZE
@@ -267,6 +273,31 @@ def _trace_key(translated: TranslatedTrace, cost: CostModel) -> tuple:
     )
 
 
+def _strip_line_tables(code: CodeType) -> CodeType:
+    """``code`` with the line table of it and of every nested code
+    object reduced to one line for all instructions.
+
+    A body has no source file and a ``MachineFault`` names the guest pc,
+    never a host line, so the tables only cost persisted bytes.  The
+    reduced table (CPython 3.11+ location format: one "no column, line
+    delta 0" entry per 8 code units) is about a fifth the size of a
+    real one; an empty table would be smaller still, but the
+    ``traceback`` module and pytest cannot format a frame without
+    positions.  Older hosts keep their tables.
+    """
+    if sys.version_info < (3, 11):
+        return code
+    consts = tuple(
+        _strip_line_tables(const) if isinstance(const, CodeType) else const
+        for const in code.co_consts
+    )
+    full, rest = divmod(len(code.co_code) // 2, 8)
+    table = b"\xef\x00" * full
+    if rest:
+        table += bytes((0xE8 | (rest - 1), 0))
+    return code.replace(co_linetable=table, co_consts=consts)
+
+
 def _flt(value: float) -> str:
     """A float literal that round-trips exactly (repr is lossless)."""
     return repr(float(value))
@@ -310,16 +341,19 @@ def _address(rs1: int, imm: int) -> str:
 def memory_helpers(machine):
     """Build the run's ``load(addr, pc)`` and ``store(addr, value, pc)``.
 
-    Every compiled LD/ST site is one call to these, which keeps the
-    persisted bodies small.  An access inside the address space's
-    window (:attr:`repro.loader.mapper.AddressSpace.window`) unpacks or
-    packs the word in place; ``store`` takes that path only for a value
-    within int64.  Every other access goes through ``read_word`` /
+    Every LD/ST site of a solo trace body is one call to these, which
+    keeps the bodies a warm-up compiles by the hundred small.  A region
+    body inlines the window hit and calls them only on its fallbacks
+    (see :meth:`TraceCompiler._emit_memory_op`).  An access inside the
+    address space's window
+    (:attr:`repro.loader.mapper.AddressSpace.window`) unpacks or packs
+    the word in place; ``store`` takes that path only for a value within
+    int64.  Every other access goes through ``read_word`` /
     ``write_word``, and their exception becomes ``MachineFault(str(exc),
     pc)``, as in ``step_uop``.  After the write ``store`` runs
-    ``step_uop``'s SMC check: the written word's first code page, the
-    next page only when the word straddles into it, then
-    ``machine.on_code_write``.
+    ``step_uop``'s SMC check, unless it was a window hit into a code-free
+    mapping: the written word's first code page, the next page only when
+    the word straddles into it, then ``machine.on_code_write``.
     """
     space = machine.process.space
     window = space.window
@@ -335,7 +369,7 @@ def memory_helpers(machine):
     last_unstraddled = (1 << CODE_PAGE_SHIFT) - WORD_SIZE
 
     def load(addr, pc):
-        base, last, data = window
+        base, last, data, _code_free = window
         offset = addr - base
         if 0 <= offset <= last:
             return unpack_from(data, offset)[0]
@@ -345,11 +379,13 @@ def memory_helpers(machine):
             raise MachineFault(str(exc), pc) from exc
 
     def store(addr, value, pc):
-        base, last, data = window
+        base, last, data, code_free = window
         offset = addr - base
         if (0 <= offset <= last
                 and -9223372036854775808 <= value <= 9223372036854775807):
             pack_into(data, offset, value)
+            if code_free:
+                return
         else:
             try:
                 write_word(addr, value)
@@ -449,6 +485,9 @@ class TraceCompiler:
             MachineFault=MachineFault,
             load=load,
             store=store,
+            window=machine.process.space.window,
+            unpack_from=WORD_STRUCT.unpack_from,
+            pack_into=WORD_STRUCT.pack_into,
             syscall_step=syscall_uop_step,
             halt_event=halt_step_event,
             acx=analysis_context,
@@ -622,6 +661,9 @@ class TraceCompiler:
         code = compile(source, filename, "exec")
         cost_us = int((time.perf_counter() - start) * 1_000_000)
         self.host_compiles += 1
+        # Exec what is marshaled: a fresh compile and a revive then run
+        # the same code object.
+        code = _strip_line_tables(code)
         namespace = {}
         exec(code, namespace)  # noqa: S102 - self-generated source
         make = namespace["_make"]
@@ -635,9 +677,9 @@ class TraceCompiler:
     #: Capture-namespace names the factory preamble may bind (in this
     #: order); only the ones the generated body actually uses are bound.
     _CAPTURE_NAMES = (
-        "to_signed", "MachineFault", "load", "store", "syscall_step",
-        "halt_event", "acx", "record_call", "cache", "cache_lookup", "ics",
-        "links", "budget",
+        "to_signed", "MachineFault", "load", "store", "window",
+        "unpack_from", "pack_into", "syscall_step", "halt_event", "acx",
+        "record_call", "cache", "cache_lookup", "ics", "links", "budget",
     )
 
     def _generate(self, translated: TranslatedTrace, slots, callbacks) -> str:
@@ -689,7 +731,8 @@ class TraceCompiler:
                     position + 1, slot_names,
                 )
             cb_base = self._emit_trace_body(
-                emit, uses, member, slot_names, cb_base, junction=junction
+                emit, uses, member, slot_names, cb_base, junction=junction,
+                inline_memory=True,
             )
         return self._factory_source(
             emit, uses, len(slots), len(callbacks),
@@ -740,7 +783,8 @@ class TraceCompiler:
         return junction
 
     def _emit_trace_body(
-        self, emit, uses, translated, slot_names, cb_base, junction=None
+        self, emit, uses, translated, slot_names, cb_base, junction=None,
+        inline_memory=False,
     ) -> int:
         """Emit one trace's inlined instruction semantics at depth 2.
 
@@ -749,7 +793,9 @@ class TraceCompiler:
         named ``cb<k>`` counting from ``cb_base``.  ``junction`` (region
         non-last members only) replaces the final linkable exit's return
         with an inline guard + fall-through into the next member's body.
-        Returns the callback index after this trace.
+        ``inline_memory`` (region members) emits each memory op as an
+        inline window hit (:meth:`_emit_memory_op`) instead of one helper
+        call.  Returns the callback index after this trace.
         """
         trace = translated.trace
         uops = trace.uops
@@ -821,6 +867,10 @@ class TraceCompiler:
                 emit.emit(
                     "record_call(%r, %s)" % (point.label or "point", charge)
                 )
+                if inline_memory:
+                    # A callback may move the window or flip its flag.
+                    uses.add("window")
+                    emit.emit("wb, wl, wd, wc = window")
 
             if op in UOP_VALUE_EXPRESSIONS:
                 sh = imm & 63
@@ -832,20 +882,24 @@ class TraceCompiler:
                     # A non-zero unsigned right shift cannot overflow.
                     may_overflow = False
                 _store(emit, uses, rd, expr, may_overflow=may_overflow)
-            elif op == _LD:
-                # Memory sites are one helper call each (memory_helpers
-                # holds the fault handling and the SMC check).
-                uses.add("load")
-                call = "load(%s, %d)" % (_address(rs1, imm), pc)
-                # load yields an in-range signed word: no wrap check.
-                if rd != regs.ZERO:
-                    call = "r[%d] = %s" % (rd, call)
-                emit.emit(call)
-            elif op == _ST:
-                uses.add("store")
-                emit.emit(
-                    "store(%s, r[%d], %d)" % (_address(rs1, imm), rs2, pc)
-                )
+            elif op in (_LD, _ST):
+                if inline_memory:
+                    self._emit_memory_op(emit, uses, uop, pc)
+                elif op == _LD:
+                    # Solo sites are one helper call each (memory_helpers
+                    # holds the fault handling and the SMC check).
+                    uses.add("load")
+                    call = "load(%s, %d)" % (_address(rs1, imm), pc)
+                    # load yields an in-range signed word: no wrap check.
+                    if rd != regs.ZERO:
+                        call = "r[%d] = %s" % (rd, call)
+                    emit.emit(call)
+                else:
+                    uses.add("store")
+                    emit.emit(
+                        "store(%s, r[%d], %d)"
+                        % (_address(rs1, imm), rs2, pc)
+                    )
             elif op == _DIV:
                 uses.add("MachineFault")
                 emit.emit("d = r[%d]" % rs2)
@@ -906,6 +960,44 @@ class TraceCompiler:
             final_exit(entry + n * INSTRUCTION_SIZE, n, n - 1)
         return cb_index
 
+    @staticmethod
+    def _emit_memory_op(emit, uses, uop, pc: int) -> None:
+        """One region-body LD/ST as an inline window hit.
+
+        ``wb, wl, wd, wc`` are the window's slots, bound to locals at
+        region entry.  A load hits when the word lies inside the
+        window's mapping; a store also needs a code-free mapping and a
+        value within int64 (``write_word`` wraps, ``pack_into`` would
+        raise).  Anything else calls the run's helper, which handles
+        the lookup, the fault and the SMC check exactly as for a solo
+        site, then re-reads the window the helper may have moved.
+        """
+        op, rd, rs1, rs2, imm = uop
+        uses.update(("window", "load" if op == _LD else "store"))
+        emit.emit("o = %s - wb" % _address(rs1, imm))
+        if op == _LD:
+            if rd == regs.ZERO:
+                # Discarded value: only a miss (which may fault) matters.
+                emit.emit("if not 0 <= o <= wl:")
+                emit.emit("load(o + wb, %d)" % pc, 3)
+            else:
+                uses.add("unpack_from")
+                emit.emit("if 0 <= o <= wl:")
+                emit.emit("r[%d] = unpack_from(wd, o)[0]" % rd, 3)
+                emit.emit("else:")
+                emit.emit("r[%d] = load(o + wb, %d)" % (rd, pc), 3)
+        else:
+            uses.add("pack_into")
+            emit.emit("v = r[%d]" % rs2)
+            emit.emit(
+                "if wc and 0 <= o <= wl and %d <= v <= %d:"
+                % (_INT64_MIN, _INT64_MAX)
+            )
+            emit.emit("pack_into(wd, o, v)", 3)
+            emit.emit("else:")
+            emit.emit("store(o + wb, v, %d)" % pc, 3)
+        emit.emit("wb, wl, wd, wc = window", 3)
+
     def _factory_source(
         self, emit, uses, n_slots: int, n_callbacks: int, region_members: int
     ) -> str:
@@ -939,6 +1031,8 @@ class TraceCompiler:
             out.emit("m%d = members[%d]" % (i, i), 1)
         out.emit("def run():", 1)
         out.emit("r = machine.registers")
+        if "window" in uses:
+            out.emit("wb, wl, wd, wc = window")
         out.lines.extend(emit.lines)
         out.emit("return run", 1)
         return out.source()

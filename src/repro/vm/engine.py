@@ -66,7 +66,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.5.0"
+VM_VERSION = "repro-dbi-1.6.0"
 
 
 class EngineError(Exception):
@@ -218,7 +218,7 @@ class Engine:
         machine.os_state.clock = lambda: stats.total_cycles
         cache = CodeCache(
             self.config.code_pool_bytes, self.config.data_pool_bytes,
-            page_tracker=machine.executed_code_pages,
+            track_pages=machine.track_code_pages,
         )
         selector = TraceSelector(machine.fetch, self.config.max_trace_insts)
         translator = Translator(self.cost_model, self.tool)

@@ -14,6 +14,8 @@ Any divergence here means a closure specialization changed observable
 behavior, which docs/performance.md forbids.
 """
 
+import traceback
+
 import pytest
 
 from repro.binfmt.image import ImageBuilder, ImageKind
@@ -30,7 +32,7 @@ from repro.machine.cpu import (
 )
 from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
-from repro.persist.manager import PersistenceConfig
+from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
 from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import (
@@ -931,15 +933,69 @@ def _exiting(code, name="memops-app"):
 _UNMAPPED = 0x100
 _HEAP_END = HEAP_BASE + HEAP_SIZE
 
+#: Calls through one direct call site in :func:`_region_loop`.  The
+#: site's trace and the callee fuse into a region at the 16th call
+#: (``REGION_FUSE_THRESHOLD``), so the last calls run in the region body.
+_REGION_CALLS = 24
+#: :func:`_region_loop`'s call counter, and its last-call flag (1 on the
+#: last call, 0 before).
+_COUNTER, _LAST = regs.S1, regs.T15
+#: The counter value of the round that first runs the heap code in
+#: ``build_region_heap_code_image``, past the fusing calls.
+_HEAP_CALL = 4
+
+
+def _region_loop(op, prologue=(), before_call=(), epilogue=(),
+                 name="memops-region-app"):
+    """``main``: ``prologue``, then ``_REGION_CALLS`` rounds of
+    ``before_call`` and a direct call of ``op`` (``op`` then ``ret``),
+    then ``epilogue`` and ``exit(a0)``."""
+    builder = ImageBuilder(name)
+    builder.add_function("op", list(op) + [ins.ret()])
+    main = FunctionCode(list(prologue))
+    main.emit(ins.movi(_COUNTER, _REGION_CALLS))
+    head = len(main.code)
+    main.emit(ins.movi(_LAST, 2))
+    main.emit(ins.slt(_LAST, _COUNTER, _LAST))
+    main.code.extend(before_call)
+    main.emit_call("op")
+    main.emit(ins.addi(_COUNTER, _COUNTER, -1))
+    main.emit(ins.bne(_COUNTER, regs.ZERO, (head - (len(main.code) + 1)) * 8))
+    main.code.extend(epilogue)
+    main.emit(ins.movi(regs.RV, SYS_EXIT))
+    main.emit(ins.syscall())
+    builder.add_function("main", main.code, symbol_refs=main.symbol_refs)
+    builder.set_entry("main")
+    return builder.build()
+
+
+def _through_region(walk):
+    """Whether a fused region body is among the frames of ``walk``
+    (``traceback.walk_stack`` or ``traceback.walk_tb``)."""
+    return any(
+        frame.f_code.co_filename.startswith("<region@") for frame, _ in walk
+    )
+
+
+def _record_region_code_writes(machine):
+    """Per code write on ``machine``: whether a region body made it."""
+    seen = []
+    machine.code_write_listeners.append(
+        lambda _addr: seen.append(_through_region(traceback.walk_stack(None)))
+    )
+    return seen
+
 
 class TestMemoryOps:
     """LD/ST through the compiled tier's two per-run memory helpers.
 
     The compiled tier runs at ``compile_threshold=1`` here, so every
-    trace compiles at its first entry and every memory op executes as a
-    ``load``/``store`` call.  Each case pins one path of the helpers
-    (window hit, lookup, fault, wrap, SMC check) against the
-    interpreted oracle.
+    trace compiles at its first entry and every memory op of a solo
+    body executes as a ``load``/``store`` call.  Each case pins one path
+    of the helpers (window hit, lookup, fault, wrap, SMC check) against
+    the interpreted oracle.  The ``region`` cases run each path again
+    with the memory op inside a fused region body, whose sites do the
+    window hit inline and call the helpers only on a fallback.
     """
 
     @staticmethod
@@ -1232,6 +1288,350 @@ class TestMemoryOps:
         assert native.exit_status == compiled.exit_status == 92
         assert compiled.stats.smc_invalidations > 0
 
+    # -- the same paths inside a fused region body --------------------------
+    #
+    # Region bodies inline each memory op as a window hit and call the
+    # helpers only on a fallback (repro.vm.compile), so every path above
+    # runs again with its memory op in the region-fused callee of
+    # _region_loop.
+
+    def assert_same_region_fault(self, image, expected):
+        """As :meth:`assert_same_fault`, and the compiled tier raised the
+        fault inside a fused region body."""
+        pc = self.assert_same_fault(image, expected)
+        engine = Engine(config=_eager_config("compiled"))
+        with pytest.raises(MachineFault) as excinfo:
+            engine.run(load_process(image))
+        assert engine._compiler.link_stats.regions_fused > 0
+        assert _through_region(traceback.walk_tb(excinfo.tb))
+        return pc
+
+    @pytest.mark.parametrize("op", ["ld", "st"])
+    @pytest.mark.parametrize("bad", [_UNMAPPED, _HEAP_END - 4],
+                             ids=["unmapped", "crossing"])
+    def test_faults_identically_in_a_region_body(self, op, bad):
+        """Every call but the last hits the window at the heap's last
+        word.  The last one, run by the region body, is an unmapped
+        address or a word crossing the heap's end."""
+        t0, t1, t2, t3 = (regs.T0 + i for i in range(4))
+        good = _HEAP_END - 8
+        image = _region_loop(
+            [ins.ld(regs.A0, t0, 0) if op == "ld" else ins.st(t0, t1, 0)],
+            prologue=[ins.movi(t1, 7), ins.movi(t2, good),
+                      ins.movi(t3, bad - good)],
+            before_call=[ins.mul(t0, t3, _LAST), ins.add(t0, t2, t0)],
+        )
+        if bad == _UNMAPPED:
+            expected = "unmapped address 0x%x" % bad
+        else:
+            expected = "word %s at 0x%x crosses mapping end" % (
+                "read" if op == "ld" else "write", bad
+            )
+        pc = self.assert_same_region_fault(image, expected)
+        assert pc == load_process(image).resolve_symbol("op")
+
+    def test_window_hits_in_a_region_body(self):
+        """Every access after the first hits the stack window, so the
+        region body's inline load and store paths carry the values the
+        output depends on."""
+        t1, t2 = regs.T0 + 1, regs.T0 + 2
+        image = _region_loop(
+            [
+                ins.ld(t1, regs.SP, -8),
+                ins.add(t1, t1, _COUNTER),
+                ins.st(regs.SP, t1, -8),
+                ins.ld(t2, regs.SP, -16),
+                ins.add(t2, t2, t1),
+                ins.st(regs.SP, t2, -16),
+            ],
+            epilogue=[
+                ins.movi(regs.A0, 16),
+                ins.addi(regs.A1, regs.SP, -16),
+                ins.movi(regs.RV, SYS_WRITE),
+                ins.syscall(),
+                ins.andi(regs.A0, t2, 127),
+            ],
+        )
+        native = run_native(Machine(load_process(image)))
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image)
+            ),
+            context="window-hits-region",
+        )
+        compiled = results["compiled"]
+        assert compiled.link_stats.regions_fused > 0
+        first = second = 0
+        for counter in range(_REGION_CALLS, 0, -1):
+            first += counter
+            second += first
+        expected = second.to_bytes(8, "little") + first.to_bytes(8, "little")
+        assert compiled.output == native.output == expected
+        assert compiled.exit_status == native.exit_status == second & 127
+
+    def test_alternating_stack_and_heap_in_a_region_body(self):
+        t0, t1, t2 = regs.T0, regs.T0 + 1, regs.T0 + 2
+        image = _region_loop(
+            [
+                ins.ld(t1, regs.SP, -8),    # stack
+                ins.ld(t2, t0, 0),          # heap
+                ins.add(t1, t1, _COUNTER),
+                ins.st(regs.SP, t1, -8),    # stack
+                ins.add(t2, t2, t1),
+                ins.st(t0, t2, 0),          # heap
+            ],
+            prologue=[ins.movi(t0, HEAP_BASE)],
+            epilogue=[
+                ins.movi(regs.A0, 8),
+                ins.or_(regs.A1, t0, regs.ZERO),
+                ins.movi(regs.RV, SYS_WRITE),
+                ins.syscall(),
+                ins.andi(regs.A0, t2, 127),
+            ],
+        )
+        native = run_native(Machine(load_process(image)))
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image)
+            ),
+            context="stack-heap-region",
+        )
+        compiled = results["compiled"]
+        assert compiled.link_stats.regions_fused > 0
+        assert compiled.link_stats.region_entries > 0
+        stack = heap = 0
+        for counter in range(_REGION_CALLS, 0, -1):
+            stack += counter
+            heap += stack
+        assert compiled.output == native.output == heap.to_bytes(8, "little")
+        assert compiled.exit_status == native.exit_status
+
+    def test_out_of_int64_argument_wraps_on_store_in_a_region_body(self):
+        args = ((1 << 64) + 5, -(1 << 63) - 3)
+        t0, t1 = regs.T0, regs.T0 + 1
+        image = _region_loop(
+            [ins.st(regs.SP, regs.A0, -16), ins.st(regs.SP, regs.A1, -8)],
+            prologue=[ins.ld(t0, regs.SP, 0)],  # the window is the stack
+            epilogue=[
+                ins.ld(t1, regs.SP, -16),
+                ins.addi(regs.A1, regs.SP, -16),
+                ins.movi(regs.A0, 16),
+                ins.movi(regs.RV, SYS_WRITE),
+                ins.syscall(),
+                ins.andi(regs.A0, t1, 127),
+            ],
+        )
+        machine = Machine(load_process(image))
+        machine.set_args(*args)
+        native = run_native(machine)
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image), args=args
+            ),
+            context="wrap-region",
+        )
+        assert results["compiled"].link_stats.regions_fused > 0
+        expected = (5).to_bytes(8, "little") + (
+            (1 << 63) - 3
+        ).to_bytes(8, "little")
+        for result in (native, results["compiled"]):
+            assert result.output == expected
+            assert result.exit_status == 5
+
+    def test_dlclose_resets_the_window_in_a_region_body(self):
+        """Each round dlopens the plugin, stores 0x1111 into its ``slot``
+        and dlcloses it; the region-fused ``op`` then stores 0x2222 to a
+        heap word, and in the last round to the dead slot.  The region
+        is entered after the unmap, so it must bind the reset window."""
+        plugin = ImageBuilder("slot-plugin.so", ImageKind.SHARED_LIBRARY)
+        plugin.add_function("plugin_noop", [ins.ret()])
+        plugin.add_data("slot", bytes(8))
+        module = plugin.build()
+        slot = module.find_symbol("slot").vaddr
+        t0, t1, t4, t5 = regs.T0, regs.T0 + 1, regs.T0 + 4, regs.T0 + 5
+        image = _region_loop(
+            [ins.st(t4, t1, 0)],
+            prologue=[ins.movi(t5, HEAP_BASE)],
+            before_call=[
+                ins.movi(regs.A0, 0),
+                ins.movi(regs.RV, SYS_DLOPEN),
+                ins.syscall(),
+                ins.addi(t0, regs.RV, slot),
+                ins.movi(t1, 0x1111),
+                ins.st(t0, t1, 0),
+                ins.movi(regs.A0, 0),
+                ins.movi(regs.RV, SYS_DLCLOSE),
+                ins.syscall(),
+                # t4 = heap, or the dead slot in the last round
+                ins.sub(t4, t0, t5),
+                ins.mul(t4, t4, _LAST),
+                ins.add(t4, t5, t4),
+                ins.movi(t1, 0x2222),
+            ],
+            name="dlclose-region-app",
+        )
+        faults = {}
+        for mode in MODES:
+            machine = Machine(load_process(image, optional_modules=[module]))
+            unloaded = []
+            machine.module_listeners.append(
+                lambda kind, mapping, seen=unloaded:
+                kind == "unload" and seen.append(mapping)
+            )
+            engine = Engine(config=_eager_config(mode))
+            with pytest.raises(MachineFault) as excinfo:
+                engine.run(machine.process, machine=machine)
+            faults[mode] = (str(excinfo.value), excinfo.value.pc)
+            assert len(unloaded) == _REGION_CALLS, mode
+            dead = unloaded[-1]
+            word = int.from_bytes(dead.data[slot:slot + 8], "little")
+            assert word == 0x1111, (mode, hex(word))
+            assert "unmapped address 0x%x" % (dead.base + slot) in (
+                faults[mode][0]
+            )
+        assert faults["interpreted"] == faults["compiled"]
+        assert engine._compiler.link_stats.regions_fused > 0
+        assert _through_region(traceback.walk_tb(excinfo.tb))
+
+    @staticmethod
+    def build_region_heap_code_image():
+        """Rounds of a region-fused ``op: st t4, t3, 0`` followed by
+        ``callr t5``.  The prologue writes ``movi a0, 1; ret`` to the
+        heap base but nothing runs it yet, so the region fuses while the
+        heap, where ``op`` stores data two pages up, holds no executed
+        code.  ``t5`` is ``nop_fn`` except in round ``_HEAP_CALL``,
+        which runs the heap code; every later ``op``, run by the region
+        body, patches its first word to ``movi a0, 98``.  The return
+        site of ``callr`` is resident by then, so nothing moves the
+        window between the first run of the heap code and the patch.
+        The closing call exits ``98 + 1`` = 99, or 2 if it ran stale
+        code."""
+        t0, t2, t3, t4, t5, t6, t7 = (
+            regs.T0 + i for i in (0, 2, 3, 4, 5, 6, 7)
+        )
+        builder = ImageBuilder("heap-code-region-app")
+        builder.add_function("op", [ins.st(t4, t3, 0), ins.ret()])
+        builder.add_function("nop_fn", [ins.movi(regs.A0, 0), ins.ret()])
+        main = FunctionCode()
+        main.emit(ins.movi(t0, HEAP_BASE))
+        _materialize(main, t2, _word_of(ins.movi(regs.A0, 1)))
+        main.emit(ins.st(t0, t2, 0))
+        _materialize(main, t2, _word_of(ins.ret()))
+        main.emit(ins.st(t0, t2, 8))
+        _materialize(main, t3, _word_of(ins.movi(regs.A0, 98)))
+        main.symbol_refs.append((len(main.code), "nop_fn"))
+        main.emit(ins.movi(regs.S0, 0))             # s0 = &nop_fn
+        main.emit(ins.movi(t7, 0))                  # sum
+        main.emit(ins.movi(_COUNTER, _REGION_CALLS + _HEAP_CALL))
+        head = len(main.code)
+        # t4 = heap + 2 pages until the heap code has run, then the heap
+        main.emit(ins.movi(t6, _HEAP_CALL - 1))
+        main.emit(ins.slt(t6, t6, _COUNTER))
+        main.emit(ins.movi(t4, 2 * CODE_PAGE))
+        main.emit(ins.mul(t4, t4, t6))
+        main.emit(ins.add(t4, t0, t4))
+        main.emit_call("op")
+        # t5 = the heap in round _HEAP_CALL, else nop_fn
+        main.emit(ins.movi(t6, _HEAP_CALL + 1))
+        main.emit(ins.slt(t5, _COUNTER, t6))
+        main.emit(ins.movi(t6, _HEAP_CALL))
+        main.emit(ins.slt(t6, _COUNTER, t6))
+        main.emit(ins.sub(t6, t5, t6))
+        main.emit(ins.sub(t5, t0, regs.S0))
+        main.emit(ins.mul(t5, t5, t6))
+        main.emit(ins.add(t5, regs.S0, t5))
+        main.emit(ins.callr(t5))
+        main.emit(ins.add(t7, t7, regs.A0))
+        main.emit(ins.addi(_COUNTER, _COUNTER, -1))
+        main.emit(ins.bne(
+            _COUNTER, regs.ZERO, (head - (len(main.code) + 1)) * 8
+        ))
+        main.emit(ins.callr(t0))                    # a0 = 98
+        main.emit(ins.add(regs.A0, regs.A0, t7))
+        main.emit(ins.movi(regs.RV, SYS_EXIT))
+        main.emit(ins.syscall())
+        builder.add_function("main", main.code, symbol_refs=main.symbol_refs)
+        builder.set_entry("main")
+        return builder.build()
+
+    def test_region_store_into_executed_heap_page_evicts(self):
+        image = self.build_region_heap_code_image()
+        native = run_native(Machine(load_process(image)))
+        writes = {}
+
+        def run_one(mode):
+            machine = Machine(load_process(image))
+            writes[mode] = _record_region_code_writes(machine)
+            return Engine(config=_eager_config(mode)).run(
+                machine.process, machine=machine
+            )
+
+        results = assert_equivalent(run_one, context="heap-smc-region")
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == 99
+        assert compiled.stats.smc_invalidations > 0
+        assert compiled.link_stats.regions_fused > 0
+        # The first write into the executed heap page is a region store.
+        assert writes["compiled"][0] is True
+
+    @staticmethod
+    def build_region_second_page_image():
+        """build_second_page_image's straddling store as the region-fused
+        ``op``, called each round after ``patchme``.  ``patchme`` sets t8
+        before the first patch and t9 after it; main sums ``t8 + 2 *
+        t9``: exit ``(500 + 23 * 1000) & 127`` = 76, or 96 if the patch
+        was missed."""
+        t1, t6, t8, t9 = (regs.T0 + i for i in (1, 6, 8, 9))
+        builder = ImageBuilder("second-page-region-app")
+        main = FunctionCode()
+        main.symbol_refs.append((len(main.code), "patchme"))
+        main.emit(ins.movi(t1, 0))                  # t1 = &patchme
+        _materialize(main, t6, _straddle_words()[1])
+        main.emit(ins.movi(_COUNTER, _REGION_CALLS))
+        head = len(main.code)
+        main.emit(ins.movi(t8, 0))
+        main.emit(ins.movi(t9, 0))
+        main.emit(ins.callr(t1))
+        main.emit(ins.add(regs.S0, regs.S0, t8))
+        main.emit(ins.shli(t9, t9, 1))
+        main.emit(ins.add(regs.S0, regs.S0, t9))
+        main.emit_call("op")
+        main.emit(ins.addi(_COUNTER, _COUNTER, -1))
+        main.emit(ins.bne(
+            _COUNTER, regs.ZERO, (head - (len(main.code) + 1)) * 8
+        ))
+        main.emit(ins.andi(regs.A0, regs.S0, 127))
+        main.emit(ins.movi(regs.RV, SYS_EXIT))
+        main.emit(ins.syscall())
+        builder.add_function("main", main.code, symbol_refs=main.symbol_refs)
+        builder.add_function("op", [ins.st(t1, t6, -4), ins.ret()])
+        first = _pad_to_page_boundary(builder)
+        boundary = _pad_to_page_boundary(builder)
+        assert boundary == first + CODE_PAGE
+        vaddr = builder.add_function("patchme", [ins.movi(t8, 500), ins.ret()])
+        assert vaddr == boundary
+        builder.set_entry("main")
+        return builder.build()
+
+    def test_straddling_store_checks_the_next_page_in_a_region_body(self):
+        image = self.build_region_second_page_image()
+        native = run_native(Machine(load_process(image)))
+        writes = {}
+
+        def run_one(mode):
+            machine = Machine(load_process(image))
+            writes[mode] = _record_region_code_writes(machine)
+            return Engine(config=_eager_config(mode)).run(
+                machine.process, machine=machine
+            )
+
+        results = assert_equivalent(run_one, context="second-page-region")
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == 76
+        assert compiled.stats.smc_invalidations > 0
+        assert compiled.link_stats.regions_fused > 0
+        assert any(writes["compiled"])
+
     def test_generated_sites_are_single_helper_calls(self, monkeypatch):
         from repro.vm.compile import TraceCompiler, clear_code_object_cache
 
@@ -1253,6 +1653,140 @@ class TestMemoryOps:
         for source in memory:
             for word in ("try", "MachineFault", "pages", "code_write"):
                 assert word not in source, (word, source)
+
+
+class TestCodeFreeFlag:
+    """The window's code-free slot lets window-hit stores skip the SMC
+    check, so it must turn false as soon as a page of the mapping holds
+    executed code, whichever way the page got tracked.  Each program
+    below makes its patching store a window hit into a mapping whose
+    code only page tracking can know about; a flag left "code-free"
+    runs the stale code and exits differently.  (The region-body case,
+    a heap that held no code while the region fused, is
+    ``TestMemoryOps::test_region_store_into_executed_heap_page_evicts``.)
+    """
+
+    @staticmethod
+    def build_revived_patch_image():
+        """``patchme`` (``movi a0, 1; ret``) runs, then main loads from
+        and stores ``movi a0, 99`` to the word at ``t4``, and runs
+        ``patchme`` again.  ``t4`` is a heap word when ``a0`` is 0 (a
+        cold run that leaves every page unmodified, so all its traces
+        persist) and ``patchme`` when it is 1: exit 100, or 2 stale."""
+        t1, t2, t3, t4, t5 = (regs.T0 + i for i in range(1, 6))
+        builder = ImageBuilder("revived-patch-app")
+        builder.add_function("patchme", [ins.movi(regs.A0, 1), ins.ret()])
+        main = FunctionCode()
+        main.emit(ins.or_(regs.S1, regs.A0, regs.ZERO))
+        main.symbol_refs.append((len(main.code), "patchme"))
+        main.emit(ins.movi(t1, 0))                  # t1 = &patchme
+        main.emit_call("patchme")
+        main.emit(ins.or_(regs.S0, regs.A0, regs.ZERO))
+        main.emit(ins.movi(t5, HEAP_BASE))
+        main.emit(ins.sub(t4, t1, t5))
+        main.emit(ins.mul(t4, t4, regs.S1))
+        main.emit(ins.add(t4, t5, t4))
+        _materialize(main, t2, _word_of(ins.movi(regs.A0, 99)))
+        main.emit(ins.ld(t3, t4, 0))                # window: t4's mapping
+        main.emit(ins.st(t4, t2, 0))                # a window hit
+        main.emit_call("patchme")
+        main.emit(ins.add(regs.A0, regs.A0, regs.S0))
+        main.emit(ins.movi(regs.RV, SYS_EXIT))
+        main.emit(ins.syscall())
+        builder.add_function("main", main.code, symbol_refs=main.symbol_refs)
+        builder.set_entry("main")
+        return builder.build()
+
+    def test_store_into_revived_trace_evicts(self, tmp_path):
+        """The warm run revives every trace from the PCC file, so only
+        ``CodeCache.insert`` tracks the image's code pages: no
+        ``Machine.fetch`` runs before the patch."""
+        image = self.build_revived_patch_image()
+        machine = Machine(load_process(image))
+        machine.set_args(1)
+        native = run_native(machine)
+
+        def warm(mode):
+            db = CacheDatabase(str(tmp_path / mode))
+            for arg in (0, 1):
+                session = PersistentCacheSession(
+                    PersistenceConfig(database=db)
+                )
+                result = Engine(
+                    config=_eager_config(mode), persistence=session
+                ).run(load_process(image), args=(arg,))
+            return result
+
+        results = assert_equivalent(warm, context="revived-patch")
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == 100
+        assert compiled.stats.traces_from_persistent > 0
+        assert compiled.stats.smc_invalidations > 0
+
+    @staticmethod
+    def build_reload_patch_image():
+        """Two rounds of: dlopen the plugin, call its ``f`` (``movi a0,
+        7; ret``), load from and store ``movi a0, 50`` to the word at
+        ``t4``, call ``f`` again, dlclose.  ``t4`` is a heap word in
+        round 1 and ``f`` in round 2, after the reload at the same base
+        re-inserted ``f``'s retained trace.  Exit ``7 * 3 + 50`` = 71,
+        or 28 stale."""
+        plugin = ImageBuilder("patch-plugin.so", ImageKind.SHARED_LIBRARY)
+        plugin.add_function("f", [ins.movi(regs.A0, 7), ins.ret()])
+        module = plugin.build()
+        f = module.find_symbol("f").vaddr
+        t1, t2, t3, t4, t5, t6 = (regs.T0 + i for i in range(1, 7))
+        main = FunctionCode()
+        main.emit(ins.movi(regs.S0, 0))             # round
+        main.emit(ins.movi(regs.S1, 0))             # sum
+        main.emit(ins.movi(t5, HEAP_BASE))
+        _materialize(main, t2, _word_of(ins.movi(regs.A0, 50)))
+        head = len(main.code)
+        main.emit(ins.movi(regs.A0, 0))
+        main.emit(ins.movi(regs.RV, SYS_DLOPEN))
+        main.emit(ins.syscall())
+        main.emit(ins.addi(t1, regs.RV, f))
+        main.emit(ins.callr(t1))
+        main.emit(ins.add(regs.S1, regs.S1, regs.A0))
+        main.emit(ins.sub(t4, t1, t5))
+        main.emit(ins.mul(t4, t4, regs.S0))
+        main.emit(ins.add(t4, t5, t4))
+        main.emit(ins.ld(t3, t4, 0))                # window: t4's mapping
+        main.emit(ins.st(t4, t2, 0))                # a window hit
+        main.emit(ins.callr(t1))
+        main.emit(ins.add(regs.S1, regs.S1, regs.A0))
+        main.emit(ins.movi(regs.A0, 0))
+        main.emit(ins.movi(regs.RV, SYS_DLCLOSE))
+        main.emit(ins.syscall())
+        main.emit(ins.addi(regs.S0, regs.S0, 1))
+        main.emit(ins.movi(t6, 2))
+        main.emit(ins.blt(regs.S0, t6, (head - (len(main.code) + 1)) * 8))
+        main.emit(ins.andi(regs.A0, regs.S1, 127))
+        main.emit(ins.movi(regs.RV, SYS_EXIT))
+        main.emit(ins.syscall())
+        builder = ImageBuilder("reload-patch-app")
+        builder.add_function("main", main.code)
+        builder.set_entry("main")
+        return builder.build(), module
+
+    def test_store_into_module_reloaded_at_the_same_base_evicts(self):
+        """dlclose drops the module's page tracking; the reload maps a
+        fresh mapping, and only re-inserting the retained trace tracks
+        ``f``'s page again before the patch."""
+        image, module = self.build_reload_patch_image()
+        native = run_native(
+            Machine(load_process(image, optional_modules=[module]))
+        )
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(image, optional_modules=[module])
+            ),
+            context="reload-patch",
+        )
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == 71
+        assert compiled.stats.module_traces_retained > 0
+        assert compiled.stats.smc_invalidations > 0
 
 
 class TestConfig:

@@ -104,7 +104,7 @@ class TestWindow:
     word and byte accessors and the compiled tier's memory helpers."""
 
     def test_starts_as_a_miss(self):
-        _base, last, _data = AddressSpace().window
+        _base, last, _data, _code_free = AddressSpace().window
         assert last < 0
 
     def test_find_mapping_sets_the_window_in_place(self):

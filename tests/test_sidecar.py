@@ -9,12 +9,23 @@ importantly — that enabling or damaging it never changes anything the
 simulation observes.
 """
 
+import marshal
 import os
+import sys
+import traceback
+import types
 
 import pytest
 
+from repro.binfmt.image import ImageBuilder
+from repro.isa import instructions as ins
+from repro.isa import registers as regs
+from repro.loader.linker import load_process
+from repro.machine.cpu import HEAP_BASE, MachineFault
+from repro.machine.syscalls import SYS_EXIT
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
-from repro.persist.manager import PersistenceConfig
+from repro.persist.manager import PersistenceConfig, PersistentCacheSession
+from repro.persist.sharedstore import SharedBodyStore
 from repro.persist.sidecar import (
     PREAMBLE,
     SIDECAR_NAME,
@@ -25,7 +36,7 @@ from repro.persist.sidecar import (
     verify_sidecar,
 )
 from repro.vm.compile import clear_code_object_cache
-from repro.vm.engine import VM_VERSION, VMConfig
+from repro.vm.engine import VM_VERSION, Engine, VMConfig
 from repro.workloads.harness import run_vm
 
 from tests.test_persist_manager import mini_workload, persisted_run
@@ -320,3 +331,78 @@ class TestEndToEnd:
         result = compiled_run(workload, "a", db, sidecar=False)
         assert result.persistence_report["sidecar_state"] == "disabled"
         assert not os.path.exists(os.path.join(db.directory, SIDECAR_NAME))
+
+
+def _code_objects(code):
+    """``code`` and every code object nested in its constants."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_objects(const)
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="older hosts keep their bodies' line tables")
+class TestLineTables:
+    """Persisted bodies carry no line tables: every code object maps
+    all of its instructions to its first line, in the smallest table
+    the ``traceback`` module can still format."""
+
+    def test_persisted_bodies_map_every_instruction_to_one_line(
+        self, workload, tmp_path
+    ):
+        store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
+        db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
+        clear_code_object_cache()
+        result = compiled_run(workload, "a", db)
+        assert result.link_stats.regions_fused > 0
+        path = os.path.join(db.directory, SIDECAR_NAME)
+        private = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
+        shared = [blob for _digest, (blob, *_meta) in store.iter_entries()]
+        assert private.entries and shared
+        for blob in list(private.entries.values()) + shared:
+            for code in _code_objects(marshal.loads(blob)):
+                # One 2-byte entry per 8 code units.
+                units = len(code.co_code) // 2
+                assert len(code.co_linetable) == 2 * -(-units // 8)
+                lines = {line for _start, _end, line in code.co_lines()}
+                assert lines == {code.co_firstlineno}, code.co_name
+
+    def test_fault_in_a_revived_body_matches_the_oracle(self, tmp_path):
+        """The cold run loads a heap word; the warm run, with the body
+        revived from the sidecar, loads from an unmapped address."""
+        t0 = regs.T0
+        builder = ImageBuilder("revived-fault-app")
+        builder.add_function("main", [
+            ins.ld(t0, regs.A0, 0),
+            ins.addi(regs.A0, t0, 1),
+            ins.movi(regs.RV, SYS_EXIT),
+            ins.syscall(),
+        ])
+        builder.set_entry("main")
+        image = builder.build()
+        faults = {}
+        for mode in ("interpreted", "compiled"):
+            db = CacheDatabase(str(tmp_path / mode))
+
+            def engine():
+                clear_code_object_cache()  # a new process: no factory memo
+                return Engine(
+                    config=VMConfig(dispatch_mode=mode, compile_threshold=1),
+                    persistence=PersistentCacheSession(
+                        PersistenceConfig(database=db)
+                    ),
+                )
+
+            cold = engine().run(load_process(image), args=(HEAP_BASE,))
+            assert cold.exit_status == 1
+            warm = engine()
+            with pytest.raises(MachineFault) as excinfo:
+                warm.run(load_process(image), args=(0x100,))
+            faults[mode] = (str(excinfo.value), excinfo.value.pc)
+        assert faults["compiled"] == faults["interpreted"]
+        assert "unmapped address 0x100" in faults["compiled"][0]
+        assert warm._compiler.sidecar_hits > 0
+        assert warm._compiler.host_compiles == 0
+        # The revived frame still formats.
+        assert "<trace@" in "".join(traceback.format_exception(excinfo.value))
