@@ -28,16 +28,19 @@ bench-wallclock:
 
 # The benchmark's correctness checks, end to end: bench/run.py's
 # contract mode (BENCHMARK.json's command) for 3 s on spec_ref, where
-# all 11 SPEC programs must match their native references, and on
-# gui_warm, where no warm run may translate or host-compile anything.
-# Each run's last line must read "correct": true with "failed": 0;
-# otherwise the target prints the run's output and fails.
+# all 11 SPEC programs must match their native references, on gui_warm,
+# where no warm run may translate or host-compile anything, and on
+# gui_cold, whose runs execute almost entirely on compiled dispatch's
+# cold tier (traces below their compile entry) and must match their
+# native references too.  Each run's last line must read "correct":
+# true with "failed": 0; otherwise the target prints the run's output
+# and fails.
 BENCH_RESULT_OK = import json, sys; line = sys.stdin.read(); \
 	print(line.strip()); result = json.loads(line); \
 	sys.exit(not (result["correct"] is True and result["failed"] == 0))
 
 bench-contract-smoke:
-	@for workload in spec_ref gui_warm; do \
+	@for workload in spec_ref gui_warm gui_cold; do \
 		echo "$$workload:"; \
 		out=$$(python3 bench/run.py --workload $$workload --seconds 3) \
 			&& printf '%s\n' "$$out" | tail -n 1 \

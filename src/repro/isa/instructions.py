@@ -32,6 +32,9 @@ INSTRUCTION_SIZE = 8
 IMM_MIN = -(2**31)
 IMM_MAX = 2**31 - 1
 
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True)
 class Instruction:
@@ -60,6 +63,23 @@ class Instruction:
                 raise ValueError("register out of range: %r" % (reg,))
         if not IMM_MIN <= self.imm <= IMM_MAX:
             raise ValueError("immediate out of range: %r" % (self.imm,))
+
+    @classmethod
+    def _decoded(cls, opcode: Opcode, rd: int, rs1: int, rs2: int,
+                 imm: int) -> "Instruction":
+        """An instruction from already-checked fields, without
+        ``__post_init__``.  Only :func:`repro.isa.encoding.decode`
+        calls it, after its own operand checks."""
+        inst = _new(cls)
+        # As the generated frozen __init__ does: writing through
+        # ``__dict__`` instead would give every decoded instruction its
+        # own dict, 64 bytes more than a constructed one.
+        _set(inst, "opcode", opcode)
+        _set(inst, "rd", rd)
+        _set(inst, "rs1", rs1)
+        _set(inst, "rs2", rs2)
+        _set(inst, "imm", imm)
+        return inst
 
     def as_tuple(self):
         """Flatten to ``(opcode_int, rd, rs1, rs2, imm)``.

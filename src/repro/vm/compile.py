@@ -53,9 +53,11 @@ the price the simulator pays once to run many times faster).
 
 **Tier-up.**  Most traces a program selects run only a handful of times,
 so compiling every trace at its first entry spends most of a cold run in
-host ``compile()``.  Instead a trace runs on the interpreted tier — which
-is bit-identical per execution — until its *compile entry*, decided once
-at its first entry by :meth:`TraceCompiler.compile_entry`:
+host ``compile()``.  Instead a trace runs on the engine's cold tier —
+one :meth:`repro.machine.cpu.ExecutionContext.run_uops` call per entry,
+or the oracle's per-uop loop when it has analysis points, bit-identical
+per execution — until its *compile entry*, decided once at its first
+entry by :meth:`TraceCompiler.compile_entry`:
 
 * **1** when the body needs no host ``compile()``: a factory-memo hit,
   or a digest the attached body store already holds in memory;
@@ -98,7 +100,10 @@ Two PR-3 extensions complete that story:
   A **megamorphic overflow tier** backs the chain: every resident the
   site ever resolved is also remembered in a per-site hash table, so a
   target that cycled out of the bounded chain still dispatches without
-  a translation-map lookup (``ICStats.overflow_hits``).
+  a translation-map lookup (``ICStats.overflow_hits``).  A body holds
+  only the front-entry hit under the current generation inline; every
+  other path is one call to the run's ``ic_resolve`` helper
+  (:func:`inline_cache_helper`), so no body carries its own copy.
 
 Two PR-7 extensions close the paper's trace-linking story:
 
@@ -151,7 +156,7 @@ from repro.vm.trace import ExitKind
 from repro.vm.translator import TranslatedTrace
 
 #: Sentinel stored in ``TranslatedTrace.compiled_body`` when a trace
-#: cannot be specialized; the engine then executes it interpreted.
+#: cannot be specialized; the engine then runs it on the cold tier.
 UNCOMPILABLE = object()
 
 #: Trampoline hops through one final-exit link before the engine tries
@@ -162,7 +167,7 @@ REGION_FUSE_THRESHOLD = 16
 #: Maximum member traces in one fused region (keeps generated bodies,
 #: and the blast radius of one member's invalidation, bounded).
 REGION_MAX_MEMBERS = 8
-#: Entries a fresh trace runs interpreted before it compiles.  At
+#: Entries a fresh trace runs on the cold tier before it compiles.  At
 #: startup, 98% of the traces the GUI apps select run 32 times or fewer.
 DEFAULT_COMPILE_THRESHOLD = 32
 
@@ -400,6 +405,61 @@ def memory_helpers(machine):
     return load, store
 
 
+def inline_cache_helper(cache, ics: ICStats):
+    """Build the run's ``ic_resolve(ic, target)``: every inline-cache
+    path but the front-entry hit.
+
+    A body's indirect exit checks inline only that its cell ``ic``
+    (``[generation, MRU-first chain, overflow table]``, see
+    :meth:`TraceCompiler._emit_indirect_exit`) is current and that the
+    chain's front entry predicts ``target``; everything else is one call
+    to this helper, which returns the resident trace for ``target`` or
+    None.  Under the current generation it tries the deeper chain
+    entries (a hit moves to the front) and then the overflow table.  A
+    stale cell is emptied (``ics.resets`` counts non-empty ones) and
+    takes the current generation.  Otherwise the target is a miss:
+    resolved through ``cache.lookup``, and a resident result refills
+    the chain's front, truncated to :data:`IC_CHAIN_DEPTH`, and the
+    overflow table.
+    """
+    lookup = cache.lookup
+
+    def ic_resolve(ic, target):
+        generation = cache.generation
+        chain = ic[1]
+        if ic[0] == generation:
+            for depth in range(1, len(chain)):
+                pair = chain[depth]
+                if pair[0] == target:
+                    del chain[depth]
+                    chain.insert(0, pair)
+                    ics.hits += 1
+                    ics.promotions += 1
+                    ics.depth_hits[depth] += 1
+                    return pair[1]
+            resident = ic[2].get(target)
+            if resident is not None:
+                ics.overflow_hits += 1
+                return resident
+        else:
+            if chain or ic[2]:
+                del chain[:]
+                ic[2].clear()
+                ics.resets += 1
+            ic[0] = generation
+        ics.misses += 1
+        resident = lookup(target)
+        if resident is not None:
+            chain.insert(0, (target, resident))
+            if len(chain) > IC_CHAIN_DEPTH:
+                del chain[IC_CHAIN_DEPTH:]
+            ic[2][target] = resident
+            ics.fills += 1
+        return resident
+
+    return ic_resolve
+
+
 def _capture_lists(translated: TranslatedTrace):
     """The run-varying objects a trace's closure captures, in the
     canonical order both :meth:`TraceCompiler._generate` (naming) and
@@ -493,8 +553,8 @@ class TraceCompiler:
             acx=analysis_context,
             record_call=accounting.record_call,
             cache=cache,
-            cache_lookup=cache.lookup,
             ics=self.ic_stats,
+            ic_resolve=inline_cache_helper(cache, self.ic_stats),
             links=self.link_stats,
             # Region junctions re-check the instruction budget inline so a
             # fused chain faults exactly where the dispatcher would have.
@@ -679,7 +739,7 @@ class TraceCompiler:
     _CAPTURE_NAMES = (
         "to_signed", "MachineFault", "load", "store", "window",
         "unpack_from", "pack_into", "syscall_step", "halt_event", "acx",
-        "record_call", "cache", "cache_lookup", "ics", "links", "budget",
+        "record_call", "cache", "ics", "ic_resolve", "links", "budget",
     )
 
     def _generate(self, translated: TranslatedTrace, slots, callbacks) -> str:
@@ -1052,12 +1112,16 @@ class TraceCompiler:
         indirect-branch chaining): an MRU-first chain of up to
         :data:`~repro.vm.stats.IC_CHAIN_DEPTH` ``(target, resident)``
         predictions, validated wholesale against the code-cache
-        generation.  A front hit returns immediately; a deeper hit is
-        promoted to the front (move-to-front keeps an alternating pair
-        at depth 1 and a rotating triple at depth 2); a generation
-        advance discards the whole chain — an evicted trace can never
-        be dispatched; a miss resolves through the translation map and
-        refills the front, truncating the chain to its depth bound.
+        generation.  Only the common case is inline: a current cell
+        whose front entry predicts the target returns its resident.
+        Every other path is one call to the run's ``ic_resolve``
+        (:func:`inline_cache_helper`): a deeper hit is promoted to the
+        front (move-to-front keeps an alternating pair at depth 1 and a
+        rotating triple at depth 2); a generation advance discards the
+        whole chain — an evicted trace can never be dispatched; a miss
+        resolves through the translation map and refills the front,
+        truncating the chain to its depth bound.  One helper instead of
+        a copy per body keeps every body with an indirect exit small.
 
         Behind the chain sits the **megamorphic overflow tier**: a
         per-site hash table remembering every ``(target -> resident)``
@@ -1068,53 +1132,26 @@ class TraceCompiler:
         translation-map lookup and *without reordering the chain* — the
         MRU entries stay reserved for the truly-hot targets.
 
-        Cycle charges and ``indirect_resolutions`` are identical on
-        every path — all model the same resolver work — so the
-        interpreted oracle stays bit-identical; only the host-side
+        Cycle charges and ``indirect_resolutions`` are emitted before
+        the cache code and are identical on every path — all model the
+        same resolver work — so the interpreted oracle stays
+        bit-identical; only the host-side
         :class:`~repro.vm.stats.ICStats` counters see the difference.
         """
         final = translated.final_slot
         if final is not None and final.exit.kind == ExitKind.INDIRECT:
-            uses.update(("ic", "ics", "cache", "cache_lookup"))
+            uses.update(("ic", "ics", "cache", "ic_resolve"))
             lit = _flt(self.cost.indirect_resolution)
             emit.emit("stats.translated_exec_cycles += %s" % lit)
             emit.emit("stats._total += %s" % lit)
             emit.emit("stats.indirect_resolutions += 1")
-            emit.emit("g = cache.generation")
-            emit.emit("e = ic[1]")
-            emit.emit("if ic[0] == g:")
+            emit.emit("if ic[0] == cache.generation:")
+            emit.emit("e = ic[1]", 3)
             emit.emit("if e and e[0][0] == target:", 3)
             emit.emit("ics.hits += 1", 4)
             emit.emit("ics.depth_hits[0] += 1", 4)
             emit.emit("return (target, None, None, e[0][1])", 4)
-            emit.emit("for i in range(1, len(e)):", 3)
-            emit.emit("p = e[i]", 4)
-            emit.emit("if p[0] == target:", 4)
-            emit.emit("del e[i]", 5)
-            emit.emit("e.insert(0, p)", 5)
-            emit.emit("ics.hits += 1", 5)
-            emit.emit("ics.promotions += 1", 5)
-            emit.emit("ics.depth_hits[i] += 1", 5)
-            emit.emit("return (target, None, None, p[1])", 5)
-            emit.emit("p = ic[2].get(target)", 3)
-            emit.emit("if p is not None:", 3)
-            emit.emit("ics.overflow_hits += 1", 4)
-            emit.emit("return (target, None, None, p)", 4)
-            emit.emit("else:")
-            emit.emit("if e or ic[2]:", 3)
-            emit.emit("del e[:]", 4)
-            emit.emit("ic[2].clear()", 4)
-            emit.emit("ics.resets += 1", 4)
-            emit.emit("ic[0] = g", 3)
-            emit.emit("ics.misses += 1")
-            emit.emit("hit = cache_lookup(target)")
-            emit.emit("if hit is not None:")
-            emit.emit("e.insert(0, (target, hit))", 3)
-            emit.emit("if len(e) > %d:" % IC_CHAIN_DEPTH, 3)
-            emit.emit("del e[%d:]" % IC_CHAIN_DEPTH, 4)
-            emit.emit("ic[2][target] = hit", 3)
-            emit.emit("ics.fills += 1", 3)
-            emit.emit("return (target, None, None, hit)")
+            emit.emit("return (target, None, None, ic_resolve(ic, target))")
         elif final_name is None:
             emit.emit("return (target, None, None, None)")
         else:

@@ -66,7 +66,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.6.0"
+VM_VERSION = "repro-dbi-1.7.0"
 
 
 class EngineError(Exception):
@@ -95,11 +95,12 @@ class VMConfig:
     module_retention: bool = True
     #: How translated traces execute: ``"compiled"`` specializes each
     #: trace into a Python closure (repro.vm.compile) once it reaches its
-    #: compile entry (see ``compile_threshold``); ``"interpreted"`` walks
-    #: uops through step_uop.  The tiers are observably identical — same
-    #: output, exit status, and VMStats to the bit (see
-    #: docs/performance.md); interpreted is the reference oracle,
-    #: compiled the fast default.
+    #: compile entry (see ``compile_threshold``) and runs it on the cold
+    #: tier before that, one ``ExecutionContext.run_uops`` call per
+    #: trace entry; ``"interpreted"`` walks uops through step_uop, one
+    #: call per uop.  The tiers are observably identical — same output,
+    #: exit status, and VMStats to the bit (see docs/performance.md);
+    #: interpreted is the reference oracle, compiled the fast default.
     dispatch_mode: str = "compiled"
     #: Chain compiled closures directly: a patched or IC-predicted exit
     #: hands the successor's closure to the engine's trampoline instead
@@ -109,7 +110,7 @@ class VMConfig:
     #: reverts to the one-closure-call-per-dispatch behavior (the bench
     #: baseline for the trace_linking family).
     trace_linking: bool = True
-    #: Compiled-tier tier-up: a fresh trace runs interpreted for its
+    #: Compiled-tier tier-up: a fresh trace runs on the cold tier for its
     #: first ``compile_threshold - 1`` entries and compiles on the next.
     #: Traces whose body needs no host ``compile()`` compile at entry 1,
     #: revived persistent traces at entry 2 (repro.vm.compile
@@ -444,14 +445,19 @@ class Engine:
         ``next_resident`` is the already-linked next trace when the exit
         was a patched direct link (control never left the cache).
 
-        Two tiers execute the trace body (identically — see
-        docs/performance.md): the compiled tier runs the trace's
-        specialized closure; the interpreted tier below is the reference
-        oracle.  Tier-up: a trace without a closure runs interpreted
-        until its compile entry (decided at its first entry, see
+        Three executors run the trace body (identically — see
+        docs/performance.md).  Compiled dispatch runs the trace's
+        specialized closure.  Tier-up: a trace without a closure runs on
+        the cold tier until its compile entry (decided at its first
+        entry, see
         :meth:`~repro.vm.compile.TraceCompiler.compile_entry`) and
-        compiles on that entry.  The tiers are bit-identical per
-        execution, so mixing them changes no simulated cost.
+        compiles on that entry; an uncompilable trace stays there.  The
+        cold tier runs a trace without analysis points as one
+        :meth:`~repro.machine.cpu.ExecutionContext.run_uops` call.
+        Everything else, and every trace under interpreted dispatch,
+        runs on the per-uop loop at the end, the reference oracle.  The
+        executors are bit-identical per execution, so mixing them
+        changes no simulated cost.
         """
         cost = self.cost_model
         if translated.from_persistent and not translated.demand_loaded:
@@ -556,10 +562,44 @@ class Engine:
                         slot, next_pc, cache, stats, exit_status
                     )
                 return next_pc, exit_status, None
-            # Uncompilable trace, or one below its compile entry: fall
-            # through to the interpreted oracle (bit-identical per
-            # execution).
+            # Uncompilable trace, or one below its compile entry: the
+            # cold tier.  Without analysis points the whole trace is one
+            # run_uops call, and it leaves through the oracle's exits.
+            # With points it runs on the oracle's loop below.
+            if not translated.points_by_index:
+                trace = translated.trace
+                uops = trace.uops
+                index, next_pc, event = context.run_uops(uops, trace.entry)
+                steps = index + 1
+                stats.instructions_executed += steps
+                stats.charge_exec(steps * cost.translated_inst)
+                if event is not None:
+                    return self._handle_syscall_exit(
+                        event, next_pc, machine, stats, exit_status
+                    )
+                op = uops[index][0]
+                if _COND_LO <= op <= _COND_HI:
+                    if next_pc != trace.entry + steps * INSTRUCTION_SIZE:
+                        return self._leave_via_slot(
+                            translated.branch_slots[index], next_pc, cache,
+                            stats, exit_status
+                        )
+                elif op >= _UNCOND_LO:
+                    final = translated.final_slot
+                    if (final is not None
+                            and final.exit.kind == ExitKind.INDIRECT):
+                        stats.charge_exec(cost.indirect_resolution)
+                        stats.indirect_resolutions += 1
+                        return next_pc, exit_status, None
+                    return self._leave_via_slot(
+                        final, next_pc, cache, stats, exit_status
+                    )
+                # Instruction-limit fall-through exit.
+                return self._leave_via_slot(
+                    translated.final_slot, next_pc, cache, stats, exit_status
+                )
 
+        # The interpreted oracle: one step_uop call per uop.
         trace = translated.trace
         uops = trace.uops
         entry = trace.entry

@@ -46,7 +46,8 @@ class ICStats:
 
     #: Chain hits: the dynamic target was found in the site's chain.
     hits: int = 0
-    #: Chain misses: resolved through ``cache_lookup`` instead.
+    #: Chain misses: resolved through the code cache's ``lookup``
+    #: instead.
     misses: int = 0
     #: Misses whose resolution was resident and refilled the chain.
     fills: int = 0

@@ -26,6 +26,7 @@ from repro.loader.mapper import AddressSpace
 from repro.machine.cpu import (
     HEAP_BASE,
     HEAP_SIZE,
+    ExecutionContext,
     Machine,
     MachineFault,
     run_native,
@@ -34,6 +35,7 @@ from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
+from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import (
     CODE_PAGE,
@@ -62,6 +64,30 @@ def _eager_config(mode, **kwargs):
     """Compile every trace at its first entry: for suites that test
     compiled-tier mechanics (ICs, regions), not tiering."""
     return VMConfig(dispatch_mode=mode, compile_threshold=1, **kwargs)
+
+
+def _cold_config(mode, **kwargs):
+    """A compile threshold no trace reaches: compiled dispatch runs every
+    fresh trace on its cold tier (``ExecutionContext.run_uops``).  A
+    factory-memo hit still compiles at entry 1, so tests using this
+    start from an empty memo (the ``run_uops_calls`` fixture)."""
+    return VMConfig(dispatch_mode=mode, compile_threshold=1 << 30, **kwargs)
+
+
+@pytest.fixture
+def run_uops_calls(monkeypatch):
+    """A one-item list counting ``ExecutionContext.run_uops`` calls,
+    starting from an empty factory memo."""
+    clear_code_object_cache()
+    calls = [0]
+    original = ExecutionContext.run_uops
+
+    def spy(context, uops, entry):
+        calls[0] += 1
+        return original(context, uops, entry)
+
+    monkeypatch.setattr(ExecutionContext, "run_uops", spy)
+    return calls
 
 
 def signature(result):
@@ -163,6 +189,21 @@ class TestCorporaEager(TestCorpora):
     this pass is what runs the compiled tier's codegen on them."""
 
     config = staticmethod(_eager_config)
+
+
+class TestCorporaCold(TestCorpora):
+    """The corpora with a compile threshold no trace reaches, so compiled
+    dispatch runs every fresh trace on its cold tier, one
+    ``ExecutionContext.run_uops`` call per trace entry.  Traces the
+    regression sequence revives from its cache still compile at their
+    second entry."""
+
+    config = staticmethod(_cold_config)
+
+    @pytest.fixture(autouse=True)
+    def _cold_tier_ran(self, run_uops_calls):
+        yield
+        assert run_uops_calls[0] > 0
 
 
 class TestPersistence:
@@ -578,6 +619,102 @@ class TestPolymorphicIC:
         assert ics.hits > 0 and ics.fills > 0, ics.to_dict()
         assert (ics.hits + ics.overflow_hits + ics.misses
                 == compiled.stats.indirect_resolutions), ics.to_dict()
+
+
+def _ic_counts(hits, misses, fills, promotions, resets, overflow_hits,
+               depth_hits):
+    """An ``ICStats.to_dict()``, its hit rate derived as ICStats does."""
+    total = hits + overflow_hits + misses
+    return {
+        "hits": hits, "misses": misses, "fills": fills,
+        "promotions": promotions, "resets": resets,
+        "overflow_hits": overflow_hits, "depth_hits": depth_hits,
+        "hit_rate": (hits + overflow_hits) / total,
+    }
+
+
+def _indirect_runs(tmp_path):
+    """Each inline-cache test program, by name: a function of no
+    arguments returning the ``ICStats.to_dict()`` of its run(s)."""
+    from repro.workloads.indirect import build_indirect_suite
+
+    def one(config, image_fn=build_indirect_image, **image_args):
+        return Engine(config=config).run(
+            load_process(image_fn(**image_args))
+        ).ic_stats.to_dict()
+
+    def persisted():
+        db = CacheDatabase(str(tmp_path / "ic-db"))
+        return [
+            Engine(
+                config=_config("compiled"),
+                persistence=PersistentCacheSession(
+                    PersistenceConfig(database=db)
+                ),
+            ).run(load_process(build_indirect_image())).ic_stats.to_dict()
+            for _ in range(2)
+        ]
+
+    runs = {
+        "default": lambda: one(_config("compiled")),
+        "eager": lambda: one(_eager_config("compiled")),
+        "monomorphic": lambda: one(
+            _config("compiled"),
+            n_helpers=2, mono_iters=200, poly_iters=1, mega_iters=1,
+        ),
+        "flushing": lambda: one(
+            _eager_config("compiled", code_pool_bytes=768)
+        ),
+        "cold-warm": persisted,
+        "ic-reset": lambda: one(
+            _eager_config("compiled"), image_fn=build_ic_reset_image
+        ),
+    }
+    for name, workload in build_indirect_suite().items():
+        runs["corpus-" + name] = (
+            lambda wl=workload: run_vm(
+                wl, "run", vm_config=_eager_config("compiled")
+            ).ic_stats.to_dict()
+        )
+    return runs
+
+
+#: Exact inline-cache counts of every program in :func:`_indirect_runs`,
+#: each run from an empty factory memo (a memo hit compiles at entry 1,
+#: which changes how many exits run compiled).  A slow path that served
+#: a hit from the wrong tier, promoted differently or reset a cell it
+#: did not need to would change them.
+_PINNED_IC_COUNTS = {
+    "default": _ic_counts(87, 18, 16, 10, 0, 4, [77, 6, 0, 4]),
+    "eager": _ic_counts(245, 35, 24, 53, 0, 16, [192, 37, 0, 16]),
+    "monomorphic": _ic_counts(335, 5, 3, 0, 0, 0, [335, 0, 0, 0]),
+    "flushing": _ic_counts(235, 46, 29, 48, 0, 15, [187, 36, 0, 12]),
+    "cold-warm": [
+        _ic_counts(87, 18, 16, 10, 0, 4, [77, 6, 0, 4]),
+        _ic_counts(244, 24, 24, 56, 0, 20, [188, 37, 0, 19]),
+    ],
+    "ic-reset": _ic_counts(3, 9, 5, 0, 2, 0, [3, 0, 0, 0]),
+    "corpus-alternating_pair": _ic_counts(
+        7993, 7, 4, 3996, 0, 0, [3997, 3996, 0, 0]
+    ),
+    "corpus-megamorphic": _ic_counts(
+        2983, 25, 16, 992, 0, 992, [1991, 0, 0, 992]
+    ),
+    "corpus-rotating_3": _ic_counts(
+        5990, 10, 6, 2994, 0, 0, [2996, 0, 2994, 0]
+    ),
+}
+
+
+class TestPinnedICCounts:
+    """The inline caches' exact counts, where the tests above assert
+    only inequalities."""
+
+    @pytest.mark.parametrize("name", sorted(_PINNED_IC_COUNTS))
+    def test_counts_are_exact(self, name, tmp_path):
+        run = _indirect_runs(tmp_path)[name]
+        clear_code_object_cache()
+        assert run() == _PINNED_IC_COUNTS[name]
 
 
 class TestHardCases:
@@ -1787,6 +1924,240 @@ class TestCodeFreeFlag:
         assert native.exit_status == compiled.exit_status == 71
         assert compiled.stats.module_traces_retained > 0
         assert compiled.stats.smc_invalidations > 0
+
+
+def _in_run_uops(walk):
+    """Whether ``ExecutionContext.run_uops`` is among the frames of
+    ``walk`` (``traceback.walk_stack`` or ``traceback.walk_tb``)."""
+    return any(frame.f_code.co_name == "run_uops" for frame, _ in walk)
+
+
+def _cold_program_fault(name):
+    """``(image, expected message)`` of a one-trace program that faults
+    at its third instruction."""
+    t0, t1 = regs.T0, regs.T0 + 1
+    last_word = _HEAP_END - 8
+    programs = {
+        "unmapped-ld": (
+            [ins.movi(t0, _UNMAPPED), ins.movi(t1, 5),
+             ins.ld(regs.A0, t0, 16)],
+            "unmapped address 0x%x" % (_UNMAPPED + 16),
+        ),
+        "unmapped-st": (
+            [ins.movi(t0, _UNMAPPED), ins.movi(t1, 5), ins.st(t0, t1, 16)],
+            "unmapped address 0x%x" % (_UNMAPPED + 16),
+        ),
+        "crossing-ld": (
+            [ins.movi(t0, last_word), ins.movi(t1, 7),
+             ins.ld(regs.A0, t0, 4)],
+            "word read at 0x%x crosses mapping end" % (last_word + 4),
+        ),
+        "crossing-st": (
+            [ins.movi(t0, last_word), ins.movi(t1, 7), ins.st(t0, t1, 4)],
+            "word write at 0x%x crosses mapping end" % (last_word + 4),
+        ),
+        "div-zero": (
+            [ins.movi(t0, 5), ins.movi(t1, 0), ins.div(regs.A0, t0, t1)],
+            "division by zero",
+        ),
+    }
+    code, expected = programs[name]
+    return _exiting(code), expected
+
+
+def build_zero_offset_branch_image():
+    """``beq zero, zero, 0`` is always taken and lands on the
+    fall-through address, so the trace must go on to ``addi``: exit 42
+    from one trace entry and no link."""
+    builder = ImageBuilder("zero-offset-branch-app")
+    builder.add_function("main", [
+        ins.movi(regs.A0, 5),
+        ins.beq(regs.ZERO, regs.ZERO, 0),
+        ins.addi(regs.A0, regs.A0, 37),
+        ins.movi(regs.RV, SYS_EXIT),
+        ins.syscall(),
+    ])
+    builder.set_entry("main")
+    return builder.build()
+
+
+def build_in_trace_smc_image():
+    """``main`` stores ``movi a0, 99`` over its own instruction 7 and
+    then runs it, all in one trace.  Native execution decodes the new
+    word (exit 99); a running VM trace keeps the uops it was translated
+    with (exit 1)."""
+    new_word = _word_of(ins.movi(regs.A0, 99))
+    t1, t2 = regs.T0 + 1, regs.T0 + 2
+    builder = ImageBuilder("in-trace-smc-app")
+    builder.add_function("main", [
+        ins.movi(t1, 0),                        # t1 = &main        [reloc]
+        ins.movi(t2, new_word >> 16),
+        ins.shli(t2, t2, 16),
+        ins.ori(t2, t2, new_word & 0xFFFF),     # t2 = movi a0, 99
+        ins.st(t1, t2, 7 * 8),                  # patch instruction 7
+        ins.nop(),
+        ins.nop(),
+        ins.movi(regs.A0, 1),
+        ins.movi(regs.RV, SYS_EXIT),
+        ins.syscall(),
+    ], symbol_refs=[(0, "main")])
+    builder.set_entry("main")
+    return builder.build()
+
+
+class TestColdTier:
+    """Compiled dispatch's cold tier: a trace below its compile entry
+    runs as one ``ExecutionContext.run_uops`` call instead of one
+    ``step_uop`` call per uop.  Each case holds it to the interpreted
+    oracle (and to native execution where the program faults), with a
+    compile threshold no trace reaches; ``TestMemoryOps`` runs the same
+    programs compiled."""
+
+    @staticmethod
+    def fault(image, mode):
+        """``((message, pc), traceback)`` of the MachineFault ``image``
+        ends in."""
+        with pytest.raises(MachineFault) as excinfo:
+            if mode == "native":
+                run_native(Machine(load_process(image)))
+            else:
+                Engine(config=_cold_config(mode)).run(load_process(image))
+        return (str(excinfo.value), excinfo.value.pc), excinfo.tb
+
+    @pytest.mark.parametrize("name", [
+        "unmapped-ld", "unmapped-st", "crossing-ld", "crossing-st",
+        "div-zero",
+    ])
+    def test_faults_identically(self, name, run_uops_calls):
+        image, expected = _cold_program_fault(name)
+        faults, tracebacks = {}, {}
+        for mode in ("native",) + MODES:
+            faults[mode], tracebacks[mode] = self.fault(image, mode)
+        assert len(set(faults.values())) == 1, faults
+        message, pc = faults["compiled"]
+        assert expected in message, message
+        assert pc == load_process(image).entry_address + 2 * 8
+        assert _in_run_uops(traceback.walk_tb(tracebacks["compiled"]))
+        assert run_uops_calls[0] > 0
+
+    def test_out_of_int64_argument_wraps_on_store(self, run_uops_calls):
+        args = ((1 << 64) + 5, -(1 << 63) - 3)
+        image = _exiting([
+            ins.st(regs.SP, regs.A0, -16),
+            ins.st(regs.SP, regs.A1, -8),
+            ins.ld(regs.T0 + 1, regs.SP, -16),
+            ins.addi(regs.A1, regs.SP, -16),
+            ins.movi(regs.A0, 16),
+            ins.movi(regs.RV, SYS_WRITE),
+            ins.syscall(),
+            ins.andi(regs.A0, regs.T0 + 1, 127),
+        ])
+        results = assert_equivalent(
+            lambda mode: Engine(config=_cold_config(mode)).run(
+                load_process(image), args=args
+            ),
+            context="wrap-cold",
+        )
+        expected = (5).to_bytes(8, "little") + (
+            (1 << 63) - 3
+        ).to_bytes(8, "little")
+        assert results["compiled"].output == expected
+        assert results["compiled"].exit_status == 5
+        assert run_uops_calls[0] > 0
+
+    @pytest.mark.parametrize("build,status", [
+        (TestMemoryOps.build_heap_code_image, 99),
+        (TestMemoryOps.build_second_page_image, 92),
+    ], ids=["executed-heap-page", "straddling-store"])
+    def test_store_into_executed_code_evicts(
+        self, build, status, run_uops_calls
+    ):
+        """The patching store runs in ``run_uops``, whose SMC check sees
+        the executed page: the store's own page for the heap code, only
+        the next page for the straddling store."""
+        image = build()
+        native = run_native(Machine(load_process(image)))
+        writes = {}
+
+        def run_one(mode):
+            machine = Machine(load_process(image))
+            seen = writes[mode] = []
+            machine.code_write_listeners.append(
+                lambda _addr: seen.append(
+                    _in_run_uops(traceback.walk_stack(None))
+                )
+            )
+            return Engine(config=_cold_config(mode)).run(
+                machine.process, machine=machine
+            )
+
+        results = assert_equivalent(run_one, context=build.__name__)
+        compiled = results["compiled"]
+        assert native.exit_status == compiled.exit_status == status
+        assert compiled.stats.smc_invalidations > 0
+        assert writes["compiled"] and all(writes["compiled"])
+        assert not any(writes["interpreted"])
+        assert run_uops_calls[0] > 0
+
+    def test_zero_offset_taken_branch_stays_in_the_trace(
+        self, run_uops_calls
+    ):
+        image = build_zero_offset_branch_image()
+        configs = {
+            "oracle": VMConfig(dispatch_mode="interpreted"),
+            "cold": VMConfig(dispatch_mode="compiled"),
+            "compiled": _eager_config("compiled"),
+        }
+        signatures = {}
+        for name, config in configs.items():
+            calls_before = run_uops_calls[0]
+            result = Engine(config=config).run(load_process(image))
+            assert result.exit_status == 42, name
+            signatures[name] = signature(result)
+            ran_cold = run_uops_calls[0] > calls_before
+            assert ran_cold == (name == "cold"), name
+        assert signatures["cold"] == signatures["oracle"]
+        assert signatures["compiled"] == signatures["oracle"]
+        assert signatures["oracle"]["stats"]["vm_entries"] == 1
+        assert signatures["oracle"]["stats"]["link_patches"] == 0
+
+    def _in_trace_smc_runs(self):
+        image = build_in_trace_smc_image()
+        configs = {
+            "oracle": VMConfig(dispatch_mode="interpreted"),
+            "cold": _cold_config("compiled"),
+            "compiled": _eager_config("compiled"),
+        }
+        native = run_native(Machine(load_process(image)))
+        return native, {
+            name: Engine(config=config).run(load_process(image))
+            for name, config in configs.items()
+        }
+
+    def test_tiers_agree_on_in_trace_self_modification(
+        self, run_uops_calls
+    ):
+        """All three VM tiers run the patched instruction's old uop."""
+        _native, results = self._in_trace_smc_runs()
+        oracle = signature(results["oracle"])
+        assert signature(results["cold"]) == oracle
+        assert signature(results["compiled"]) == oracle
+        assert results["oracle"].exit_status == 1
+        assert results["oracle"].stats.smc_invalidations > 0
+        assert run_uops_calls[0] > 0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP open item 'In-trace self-modification': a running"
+        " trace keeps the uops it was translated with, so a store into"
+        " a later instruction of the same trace takes effect only at the"
+        " trace's next entry",
+    )
+    def test_in_trace_self_modification_matches_native(self):
+        native, results = self._in_trace_smc_runs()
+        assert native.exit_status == 99
+        for name, result in results.items():
+            assert result.exit_status == native.exit_status, name
 
 
 class TestConfig:

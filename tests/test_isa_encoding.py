@@ -90,3 +90,52 @@ class TestEncodingProperties:
     def test_injective(self, a, b):
         if a != b:
             assert encode(a) != encode(b)
+
+
+class TestTableDecode:
+    """``decode`` builds instructions from its opcode table without
+    ``Instruction.__post_init__``: the result must be indistinguishable
+    from a constructed instruction, and every rejection must read as
+    the constructor's would."""
+
+    @staticmethod
+    def fresh_decode(raw):
+        """Decode ``raw`` past the content-keyed decode memo."""
+        from repro.isa import encoding
+
+        encoding._DECODE_MEMO.pop(bytes(raw), None)
+        return decode(bytes(raw))
+
+    @pytest.mark.parametrize("opcode", _OPCODES, ids=lambda op: op.name)
+    def test_matches_the_constructor(self, opcode):
+        built = Instruction(opcode, rd=31, rs1=7, rs2=0, imm=IMM_MIN)
+        decoded = self.fresh_decode(encode(built))
+        assert type(decoded) is Instruction
+        assert type(decoded.opcode) is Opcode
+        assert decoded == built
+        assert hash(decoded) == hash(built)
+        assert repr(decoded) == repr(built)
+        assert vars(decoded) == vars(built)
+        with pytest.raises(AttributeError):
+            decoded.rd = 1
+
+    def test_illegal_opcode_message(self):
+        raw = bytearray(encode(ins.nop()) * 2)
+        raw[INSTRUCTION_SIZE] = 0xEE
+        message = "^illegal opcode 0xee at offset 8$"
+        with pytest.raises(DecodeError, match=message):
+            decode(bytes(raw), INSTRUCTION_SIZE)
+
+    @pytest.mark.parametrize("fields,bad", [
+        ((32, 0, 0), 32),
+        ((0, 200, 0), 200),
+        ((0, 0, 255), 255),
+        ((40, 41, 42), 40),     # rd is checked first,
+        ((0, 41, 42), 41),      # then rs1, then rs2
+    ])
+    def test_register_message_names_the_first_bad_field(self, fields, bad):
+        raw = bytearray(encode(ins.nop()))
+        raw[1:4] = bytes(fields)
+        message = "^register out of range: %d$" % bad
+        with pytest.raises(DecodeError, match=message):
+            self.fresh_decode(raw)
