@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke daemon-smoke transparency-smoke
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke transparency-smoke
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -52,11 +52,9 @@ bench-contract-smoke:
 fsck:
 	$(PYTHON) -m repro.cli cache fsck $(DB)
 
-# Multi-process stress for the shared per-host body store and the
-# cache-server daemon transport on top of it.
+# Multi-process stress for the shared per-host body store.
 stress:
-	$(PYTHON) -m pytest -q tests/test_sharedstore_concurrency.py \
-		tests/test_cacheserver_concurrency.py
+	$(PYTHON) -m pytest -q tests/test_sharedstore_concurrency.py
 
 # Replay-log database for `make replay-smoke` (override: make replay-smoke RDB=...)
 RDB ?= /tmp/pcc-replay-db
@@ -93,34 +91,14 @@ prewarm-smoke:
 	$(PYTHON) -m repro.cli cache fsck $(PWDB)
 	$(PYTHON) -m repro.cli cache fsck $(PWSTORE)
 
-# Daemon-smoke directories (override: make daemon-smoke DSDB=... DSSTORE=...)
-DSDB ?= /tmp/pcc-daemon-db
-DSSTORE ?= /tmp/pcc-daemon-store
-
-# Cache-server daemon smoke (docs/cache-format.md): start a detached
-# daemon on a fresh store, prewarm the tiny corpus through the socket
-# (daemon:// transport), re-prewarm with --verify (zero host compiles
-# or the CLI fails), then stop the daemon and fsck the store — the
-# daemon's write-backs must leave the shard files fully sound.
-daemon-smoke:
-	rm -rf $(DSDB) $(DSSTORE)
-	$(PYTHON) -m repro.cli cache serve $(DSSTORE) --detach
-	$(PYTHON) -m repro.cli prewarm --pcache $(DSDB) --jobs 2 \
-		--corpus tiny --shared-store daemon://$(DSSTORE)
-	$(PYTHON) -m repro.cli prewarm --pcache $(DSDB) --jobs 2 \
-		--corpus tiny --shared-store daemon://$(DSSTORE) --verify
-	$(PYTHON) -m repro.cli cache serve $(DSSTORE) --status
-	$(PYTHON) -m repro.cli cache serve $(DSSTORE) --stop
-	$(PYTHON) -m repro.cli cache fsck $(DSSTORE)
-
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite, the compiled tier's
 # memory helpers and inline region sites (faults, window, SMC check,
 # the window's code-free flag) against the oracle, plus
 # the transparency bench family's --check gate — every dispatch tier
 # bit-identical to the interpreted oracle on the adversarial corpus,
-# zero stale code-byte reads cold and warm (sidecar/shared
-# store/daemon), and the SMC detector engaged on every churner.
+# zero stale code-byte reads cold and warm (sidecar and shared
+# store), and the SMC detector engaged on every churner.
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \

@@ -60,7 +60,6 @@ import os
 import platform
 import shutil
 import time
-import types
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.analysis.report import format_table
@@ -775,204 +774,6 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
                        ttfo=GATE_APP)
 
 
-def _fleet_worker(task: tuple) -> types.SimpleNamespace:
-    """Pool entry point: one fleet member's warm session.
-
-    Runs in a forked child.  The inherited in-memory code-object memo
-    is cleared so every revive comes from a store — the child is a
-    stand-in for a fresh process attaching to the per-host pool — and
-    the shared-store spec string is resolved *here*, giving each member
-    its own daemon connection (or its own flock-store fallback).
-    Returns what :func:`_result_signature` reads plus the member's
-    store counters.
-    """
-    _mode, _index, db_dir, store_spec = task
-    gc.disable()
-    from repro.persist.daemon import resolve_shared_store
-    from repro.vm.engine import VM_VERSION
-
-    clear_code_object_cache()
-    apps, _store = build_gui_suite()
-    name, app = sorted(apps.items())[0]
-    result = run_vm(
-        app, "startup",
-        persistence=PersistenceConfig(
-            database=CacheDatabase(db_dir),
-            readonly=True,
-            shared_store=resolve_shared_store(store_spec, VM_VERSION),
-        ),
-        vm_config=_config("compiled"),
-    )
-    report = result.persistence_report
-    return types.SimpleNamespace(
-        output=result.output,
-        exit_status=result.exit_status,
-        stats=result.stats,
-        host_compiles=report["sidecar_host_compiles"],
-        shared_hits=report["shared_hits"],
-        transport=report["shared_transport"],
-    )
-
-
-def _lookup_latencies(store, digests, passes: int = 3) -> List[float]:
-    """Per-lookup wall clock (µs) over ``passes`` sweeps of ``digests``.
-
-    Multiple passes are the point of the comparison: the flock store
-    pays a ``stat`` on *every* pass (its revalidation is per-lookup),
-    while the daemon client pays one RPC per shard prefix on the first
-    pass and serves later passes from its prefix cache — the hot-shard
-    index made client-side.
-    """
-    samples: List[float] = []
-    for _ in range(passes):
-        for digest in digests:
-            start = time.perf_counter_ns()
-            store.lookup(digest)
-            samples.append((time.perf_counter_ns() - start) / 1000.0)
-    return samples
-
-
-def _percentile(samples: List[float], q: float) -> float:
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(round(q * (len(ordered) - 1))))]
-
-
-@_family(
-    "fleet_warmup",
-    ("flock", "daemon"),
-    checks=(
-        Check("daemon_alive"),
-        Check("fleet_host_compiles_daemon", "==", 0),
-        Check("daemon_lookup_p50_us", "<", "flock_lookup_p50_us"),
-        Check("fallback_ok"),
-        Check("fsck_clean"),
-    ),
-    cells=lambda f: {
-        "procs": "%d" % f["fleet_processes"],
-        "host_compiles": "%d/%d" % (f["fleet_host_compiles_flock"],
-                                    f["fleet_host_compiles_daemon"]),
-        "lookup_p50_us": "%.1f/%.1f" % (f["flock_lookup_p50_us"],
-                                        f["daemon_lookup_p50_us"]),
-        "lookup_p99_us": "%.1f/%.1f" % (f["flock_lookup_p99_us"],
-                                        f["daemon_lookup_p99_us"]),
-        "fallback": str(f["fallback_ok"]),
-        "fsck": str(f["fsck_clean"]),
-    },
-)
-def _fleet_warmup(scratch_dir: str) -> Sweep:
-    """A fleet of warm sessions against one per-host pool: daemon vs.
-    flock transport.
-
-    Setup (untimed): a donor database runs the first GUI app cold,
-    publishing every compiled body to a shared store, and an in-process
-    :class:`~repro.persist.cacheserver.CacheServer` starts on that
-    store.  Each timed sweep then forks ``REPRO_FLEET_SESSIONS``
-    (default 8) real processes, each a never-warmed read-only consumer
-    database attaching to the pool — over the flock files (``flock``
-    mode) or over the daemon socket (``daemon`` mode).  Both modes must
-    be bit-identical and compile nothing; the daemon's win is the
-    lookup path, reported as p50/p99 per-lookup latency in the extras
-    alongside a fallback probe (a ``daemon://`` session against the
-    stopped daemon must silently produce the flock result) and a final
-    fsck.  The fleet wall clock is reported but not gated: on a loaded
-    single-core runner, N-process spawn noise dwarfs the lookup path.
-    There is no TTFO probe: the extras stop the daemon, so a probe
-    would only measure the fallback path.
-    """
-    import multiprocessing
-
-    from repro.persist.cacheserver import CacheServer
-    from repro.persist.daemon import DaemonBackedStore
-    from repro.persist.sharedstore import SharedBodyStore
-    from repro.vm.engine import VM_VERSION
-
-    try:
-        fleet = max(1, int(os.environ.get("REPRO_FLEET_SESSIONS", "8")))
-    except ValueError:
-        fleet = 8
-    store_dir = os.path.join(scratch_dir, "fleet-store")
-    shared = SharedBodyStore(store_dir, vm_version=VM_VERSION)
-    apps, _store = build_gui_suite()
-    name, app = sorted(apps.items())[0]
-    donor = CacheDatabase(
-        os.path.join(scratch_dir, "fleet-donor"), shared_store=shared
-    )
-    clear_code_object_cache()
-    run_vm(app, "startup", persistence=PersistenceConfig(database=donor),
-           vm_config=_config("compiled"))
-    server = CacheServer(store_dir, vm_version=VM_VERSION)
-    server.start()
-    context = multiprocessing.get_context("fork")
-    specs = {"flock": store_dir, "daemon": "daemon://" + store_dir}
-    members: Dict[str, list] = {}
-
-    def sweep(mode: str) -> list:
-        tasks = [
-            (mode, index,
-             os.path.join(scratch_dir, "fleet-%s-%d" % (mode, index)),
-             specs[mode])
-            for index in range(fleet)
-        ]
-        pool = context.Pool(processes=fleet)
-        try:
-            members[mode] = pool.map(_fleet_worker, tasks)
-        finally:
-            pool.close()
-            pool.join()
-        return members[mode]
-
-    def extras() -> Dict[str, object]:
-        digests = [digest for digest, _record in shared.iter_entries()]
-        flock_lat = _lookup_latencies(
-            SharedBodyStore(store_dir, vm_version=VM_VERSION), digests
-        )
-        client = DaemonBackedStore(store_dir, VM_VERSION)
-        daemon_alive = client.transport == "daemon"
-        daemon_lat = _lookup_latencies(client, digests)
-        client.close()
-        server.stop()
-        # Fallback probe: the daemon is gone now, so a ``daemon://``
-        # session must silently degrade to the flock files and still
-        # produce the exact flock-mode result with zero host compiles.
-        fallback = _fleet_worker(
-            ("fallback", 0,
-             os.path.join(scratch_dir, "fleet-fallback-0"),
-             specs["daemon"])
-        )
-        fallback_ok = (
-            fallback.transport == "file"
-            and fallback.host_compiles == 0
-            and _result_signature(fallback)
-            == _result_signature(members["flock"][0])
-        )
-        fsck_clean = SharedBodyStore(
-            store_dir, vm_version=VM_VERSION
-        ).fsck().clean
-
-        def total(mode: str, counter: str) -> int:
-            return sum(getattr(member, counter) for member in members[mode])
-
-        return {
-            "fleet_processes": fleet,
-            "fleet_host_compiles_flock": total("flock", "host_compiles"),
-            "fleet_host_compiles_daemon": total("daemon", "host_compiles"),
-            "fleet_shared_hits_daemon": total("daemon", "shared_hits"),
-            "daemon_transport_used": members["daemon"][0].transport,
-            "daemon_alive": daemon_alive,
-            "flock_lookup_p50_us": _percentile(flock_lat, 0.50),
-            "flock_lookup_p99_us": _percentile(flock_lat, 0.99),
-            "daemon_lookup_p50_us": _percentile(daemon_lat, 0.50),
-            "daemon_lookup_p99_us": _percentile(daemon_lat, 0.99),
-            "lookup_samples": len(daemon_lat),
-            "fallback_ok": fallback_ok,
-            "fsck_clean": fsck_clean,
-        }
-
-    return Sweep(sweep, extras)
-
-
 def _transparency_lines(family: dict) -> List[str]:
     lines = ["transparency SMC churners (interpreted oracle):"]
     for corpus, count in sorted(family["churn_smc"].items()):
@@ -1021,10 +822,10 @@ def _transparency(scratch_dir: str) -> Sweep:
       through;
     * per-churner ``smc_invalidations`` (a churner that triggers zero
       invalidations means the SMC detector never saw its stores);
-    * a warm restart of the self-observing corpus over all three
-      persistence transports (sidecar, shared flock store, cache-server
-      daemon), each warm output compared byte-for-byte against the cold
-      run — a revived trace must not resurrect pre-SMC code.
+    * a warm restart of the self-observing corpus from the sidecar and
+      from the shared store, each warm output compared byte-for-byte
+      against the cold run — a revived trace must not resurrect pre-SMC
+      code.
 
     The clock probe is timed but exempt from the native comparison and
     the warm-restart check by design: its output embeds raw
@@ -1034,8 +835,6 @@ def _transparency(scratch_dir: str) -> Sweep:
     enforces) and cold vs. warm (persisted traces change the cost of a
     run; that is the point of the cache).
     """
-    from repro.persist.cacheserver import CacheServer
-    from repro.persist.daemon import resolve_shared_store
     from repro.persist.sharedstore import SharedBodyStore
     from repro.vm.engine import VM_VERSION
     from repro.workloads.adversarial import (
@@ -1078,56 +877,43 @@ def _transparency(scratch_dir: str) -> Sweep:
             if name in CHURN_WORKLOADS:
                 churn_smc[name] = oracle.stats.smc_invalidations
 
-        # Warm restart over all three transports: the adversarial
-        # corpus's code observations must survive persistence.
+        # Warm restart from the sidecar and from the shared store: the
+        # adversarial corpus's code observations must survive persistence.
         store_dir = os.path.join(scratch_dir, "transparency-store")
         shared = SharedBodyStore(store_dir, vm_version=VM_VERSION)
         warm_failures: List[str] = []
         warm_preloaded = 0
-        server = CacheServer(store_dir, vm_version=VM_VERSION)
-        server.start()
-        try:
-            daemon_store = resolve_shared_store(
-                "daemon://" + store_dir, VM_VERSION
+        for name in PERSISTED_WORKLOADS:
+            wl = suite[name]
+            db_dir = os.path.join(scratch_dir, "transparency-" + name)
+            donor = CacheDatabase(db_dir, shared_store=shared)
+            clear_code_object_cache()
+            cold = run_vm(
+                wl, "run",
+                persistence=PersistenceConfig(database=donor, sidecar=True),
+                vm_config=_config("compiled"),
             )
-            for name in PERSISTED_WORKLOADS:
-                wl = suite[name]
-                db_dir = os.path.join(scratch_dir, "transparency-" + name)
-                donor = CacheDatabase(db_dir, shared_store=shared)
+            cold_sig = _observed(cold)
+            warm_configs = {
+                "sidecar": PersistenceConfig(
+                    database=CacheDatabase(db_dir, shared_store=shared),
+                    sidecar=True,
+                ),
+                "shared": PersistenceConfig(
+                    database=CacheDatabase(db_dir), readonly=True,
+                    shared_store=shared,
+                ),
+            }
+            for source, persistence in warm_configs.items():
                 clear_code_object_cache()
-                cold = run_vm(
-                    wl, "run",
-                    persistence=PersistenceConfig(database=donor,
-                                                  sidecar=True),
+                warm = run_vm(
+                    wl, "run", persistence=persistence,
                     vm_config=_config("compiled"),
                 )
-                cold_sig = _observed(cold)
-                warm_configs = {
-                    "sidecar": PersistenceConfig(
-                        database=CacheDatabase(db_dir, shared_store=shared),
-                        sidecar=True,
-                    ),
-                    "shared": PersistenceConfig(
-                        database=CacheDatabase(db_dir), readonly=True,
-                        shared_store=shared,
-                    ),
-                    "daemon": PersistenceConfig(
-                        database=CacheDatabase(db_dir), readonly=True,
-                        shared_store=daemon_store,
-                    ),
-                }
-                for transport, persistence in warm_configs.items():
-                    clear_code_object_cache()
-                    warm = run_vm(
-                        wl, "run", persistence=persistence,
-                        vm_config=_config("compiled"),
-                    )
-                    warm_preloaded += warm.stats.traces_from_persistent
-                    if _observed(warm) != cold_sig:
-                        warm_failures.append("%s/%s" % (name, transport))
-                        stale_reads += 1
-        finally:
-            server.stop()
+                warm_preloaded += warm.stats.traces_from_persistent
+                if _observed(warm) != cold_sig:
+                    warm_failures.append("%s/%s" % (name, source))
+                    stale_reads += 1
 
         return {
             "oracle_identical": not oracle_failures,

@@ -119,6 +119,25 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
+def _shared_store_dir(text: str) -> str:
+    """``--shared-store``'s type, shared by ``run`` and ``prewarm``: a
+    store directory.  The retired socket scheme ends the command here,
+    while parsing, so nothing is created."""
+    if text.startswith("daemon://"):
+        raise SystemExit(
+            "error: --shared-store daemon://DIR was removed with the "
+            "cache-server daemon; use --shared-store DIR"
+        )
+    return text
+
+
 def _existing_database(directory: str) -> CacheDatabase:
     """The database a read-only command inspects: never created here."""
     if not os.path.isdir(directory):
@@ -186,15 +205,11 @@ def cmd_run(args) -> int:
     elif args.pcache:
         shared = None
         if args.shared_store:
-            # ``daemon://DIR`` (or REPRO_CACHE_DAEMON in the environment)
-            # selects the cache-server transport; a plain directory keeps
-            # the flock store.  Both fall back to the files when no
-            # daemon is listening.
-            from repro.persist.daemon import resolve_shared_store
+            from repro.persist.sharedstore import SharedBodyStore
             from repro.vm.engine import VM_VERSION
 
             try:
-                shared = resolve_shared_store(args.shared_store, VM_VERSION)
+                shared = SharedBodyStore(args.shared_store, VM_VERSION)
             except OSError as exc:
                 raise SystemExit(
                     "error: cannot open shared store %s: %s"
@@ -471,122 +486,11 @@ def cmd_cache_gc(args) -> int:
 
 
 def cmd_cache_serve(args) -> int:
-    """``repro cache serve``: the per-host cache-server daemon.
-
-    Foreground by default (^C flushes and exits cleanly).  ``--detach``
-    spawns the daemon as its own session with output to
-    ``DIR/daemon.log`` and waits until it answers a ping; ``--status``
-    pings a running daemon; ``--stop`` asks one to flush and exit.  The
-    daemon serves exactly one store directory, and sessions attach with
-    ``--shared-store daemon://DIR`` (or ``REPRO_CACHE_DAEMON=1``).
-    """
-    import json as json_module
-    import subprocess
-    import time as time_module
-
-    from repro.persist.cacheserver import CacheServer, default_socket_path
-    from repro.persist.daemon import DaemonClient, DaemonError
-    from repro.vm.engine import VM_VERSION
-
-    address = args.socket or default_socket_path(args.directory)
-
-    if args.status or args.stop:
-        client = DaemonClient(address, vm_version=VM_VERSION)
-        try:
-            if args.stop:
-                client.request("shutdown")
-                # The daemon tears down (final flush, socket unlink)
-                # within its poll interval; wait until pings fail so
-                # "stop" returning means "stopped".
-                deadline = time_module.monotonic() + 10.0
-                while time_module.monotonic() < deadline:
-                    probe = DaemonClient(address, vm_version=VM_VERSION,
-                                         timeout_s=0.5)
-                    try:
-                        probe.ping()
-                    except DaemonError:
-                        break
-                    finally:
-                        probe.close()
-                    time_module.sleep(0.1)
-                print("daemon at %s stopped" % address)
-                return 0
-            meta = client.ping()
-        except DaemonError as exc:
-            print("no daemon at %s (%s)" % (address, exc), file=sys.stderr)
-            return 1
-        finally:
-            client.close()
-        if args.json:
-            print(json_module.dumps(meta, indent=2, sort_keys=True))
-        else:
-            print(
-                "daemon pid %s at %s: %s entries (%s bytes hot, %s dirty)"
-                % (meta.get("pid"), address, meta.get("entries"),
-                   meta.get("hot_bytes"), meta.get("dirty"))
-            )
-        return 0
-
-    if args.detach:
-        log_path = os.path.join(args.directory, "daemon.log")
-        command = [sys.executable, "-m", "repro", "cache", "serve",
-                   args.directory, "--socket", address]
-        if args.max_bytes is not None:
-            command += ["--max-bytes", str(args.max_bytes)]
-        command += ["--flush-interval", str(args.flush_interval)]
-        try:
-            os.makedirs(args.directory, exist_ok=True)
-            with open(log_path, "ab") as log:
-                subprocess.Popen(
-                    command, stdout=log, stderr=log,
-                    stdin=subprocess.DEVNULL, start_new_session=True,
-                )
-        except OSError as exc:
-            print("error: cannot serve %s: %s" % (args.directory, exc),
-                  file=sys.stderr)
-            return 1
-        deadline = time_module.monotonic() + 15.0
-        while time_module.monotonic() < deadline:
-            probe = DaemonClient(address, vm_version=VM_VERSION,
-                                 timeout_s=0.5)
-            try:
-                meta = probe.ping()
-            except DaemonError:
-                time_module.sleep(0.1)
-                continue
-            finally:
-                probe.close()
-            print("daemon pid %s serving %s at %s (%s entries warm)"
-                  % (meta.get("pid"), args.directory, address,
-                     meta.get("entries")))
-            return 0
-        print("daemon did not come up at %s (see %s)" % (address, log_path),
-              file=sys.stderr)
-        return 1
-
-    try:
-        server = CacheServer(
-            args.directory,
-            vm_version=VM_VERSION,
-            address=address,
-            max_bytes=args.max_bytes,
-            flush_interval_s=args.flush_interval,
-        )
-        bound = server.start()
-    except OSError as exc:
-        print("error: cannot serve %s: %s" % (args.directory, exc),
-              file=sys.stderr)
-        return 1
-    print("serving %s at %s (%d entries warm); ^C to stop"
-          % (args.directory, bound, len(server.hot_entries())))
-    try:
-        while not server._shutdown.wait(0.2):
-            pass
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.stop()
-    return 0
+    """``repro cache serve``: removed; any arguments end here."""
+    raise SystemExit(
+        "error: repro cache serve was removed with the cache-server "
+        "daemon; sessions share a store with --shared-store DIR"
+    )
 
 
 def _results_path_problem(path: str) -> Optional[str]:
@@ -667,10 +571,7 @@ def cmd_prewarm(args) -> int:
             % (report.compiled, report.skipped)
         )
         if args.shared_store:
-            print(
-                "  shared store: admitted %d, below cost floor %d"
-                % (report.admitted, report.admission_skipped)
-            )
+            print("  shared store: admitted %d" % report.admitted)
         for job in report.job_reports:
             print(
                 "  job %d: %s  %.2fs  compiled %d"
@@ -724,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="interpret natively instead of under the VM")
     sub.add_argument("--tool", choices=sorted(_TOOLS), default="none",
                      help="instrumentation tool (default: none)")
-    sub.add_argument("--shared-store", metavar="DIR",
+    sub.add_argument("--shared-store", metavar="DIR", type=_shared_store_dir,
                      help="attach the per-host shared compiled-body store "
                           "at DIR (requires --pcache)")
     sub.add_argument("--pcache", metavar="DIR",
@@ -800,36 +701,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--db", action="append", metavar="DIR",
                      help="register this database before marking "
                           "(repeatable)")
-    sub.add_argument("--max-bytes", type=int, default=None,
+    sub.add_argument("--max-bytes", type=_non_negative_int, default=None,
                      help="LRU/size cap: evict least-recently-used "
-                          "bodies until the pool fits")
+                          "bodies until the pool fits (0 evicts all)")
     sub.add_argument("--json", action="store_true",
                      help="print the machine-readable report")
     sub.set_defaults(func=cmd_cache_gc)
-    sub = cache_sub.add_parser(
-        "serve", help="serve a shared store to a session fleet "
-                      "(per-host cache-server daemon)"
-    )
-    sub.add_argument("directory",
-                     help="shared-store directory to serve")
-    sub.add_argument("--socket", metavar="ADDR", default=None,
-                     help="socket address: a unix path or tcp://HOST:PORT "
-                          "(default: DIR/daemon.sock)")
-    sub.add_argument("--max-bytes", type=int, default=None,
-                     help="hot-index byte cap; eviction ranks by "
-                          "(cost_us, stamp) ascending")
-    sub.add_argument("--flush-interval", type=float, default=2.0,
-                     help="seconds between write-backs to the shard "
-                          "files (default 2.0)")
-    sub.add_argument("--detach", action="store_true",
-                     help="run the daemon in the background (logs to "
-                          "DIR/daemon.log) and wait until it answers")
-    sub.add_argument("--status", action="store_true",
-                     help="ping a running daemon and print its stats")
-    sub.add_argument("--stop", action="store_true",
-                     help="ask a running daemon to flush and exit")
-    sub.add_argument("--json", action="store_true",
-                     help="print --status output as JSON")
+    # No prefix character can occur in argv, so every old ``cache serve``
+    # command line, options included, parses as positionals and reaches
+    # the one-line removal error.
+    sub = cache_sub.add_parser("serve", add_help=False, prefix_chars="\0")
+    sub.add_argument("arguments", nargs="*")
     sub.set_defaults(func=cmd_cache_serve)
 
     sub = subparsers.add_parser(
@@ -864,7 +746,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--corpus", choices=("tiny", "warmup", "gui"),
                      default="warmup",
                      help="workload corpus to compile (default warmup)")
-    sub.add_argument("--shared-store", metavar="DIR",
+    sub.add_argument("--shared-store", metavar="DIR", type=_shared_store_dir,
                      help="also publish compiled bodies to this per-host "
                           "shared store")
     sub.add_argument("--verify", action="store_true",

@@ -1,6 +1,6 @@
-"""The one framing every persistent file and daemon frame shares.
+"""The one framing every persistent file shares.
 
-Five formats sit on the same 16-byte preamble and CRC-32:
+Four formats sit on the same 16-byte preamble and CRC-32:
 
 =====  ================================  ===============================
 magic  module                            sections after the header
@@ -9,11 +9,9 @@ PCC2   :mod:`repro.persist.cachefile`    directory, code_pool, data_pool
 PCS1   :mod:`repro.persist.sidecar`      directory, body_pool
 PCSS   :mod:`repro.persist.sharedstore`  directory, body_pool
 PCRL   :mod:`repro.replay.log`           events, baseline
-PCSD   :mod:`repro.persist.cacheserver`  (stream frame: see that module)
 =====  ================================  ===============================
 
-The four file formats use one sectioned layout (integers
-little-endian)::
+All four use one sectioned layout (integers little-endian)::
 
     offset  size  field
     0       4     magic
@@ -30,8 +28,7 @@ little-endian)::
 order and only then the trailer, so a flipped byte is attributed to the
 section holding it: every failure is a :class:`FrameError` whose
 ``section`` is ``"preamble"``, ``"header"``, a section name or
-``"trailer"``.  PCSD1 frames reuse the preamble and CRC over a stream
-payload, and PCS1, PCSS1 and PCSD1 lay out their bodies with
+``"trailer"``.  PCS1 and PCSS1 lay out their bodies with
 :func:`pack_records` / :func:`parse_records`.  :class:`FsckReport` is
 the one report ``repro cache fsck`` prints for databases and stores.
 """
@@ -44,8 +41,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Magic, version, feature flags, then (header length, header CRC) —
-#: or, in a PCSD1 frame, (payload length, payload CRC).
+#: Magic, version, feature flags, header length, header CRC.
 PREAMBLE = struct.Struct("<4sHHII")
 
 #: The whole-file CRC-32 closing every framed file.
@@ -188,7 +184,7 @@ class Framing:
         return value
 
 
-# -- body tables (PCS1, PCSS1, PCSD1) -----------------------------------------
+# -- body tables (PCS1, PCSS1) ------------------------------------------------
 
 
 def pack_records(

@@ -162,19 +162,6 @@ class PersistenceReport:
     #: body publish, no trace write) so a consumer that never writes
     #: still keeps its hot working set off the gc cap's eviction list.
     shared_touch_refreshes: int = 0
-    #: Offered bodies the shared store's cost-aware admission skipped:
-    #: their measured compile cost fell below the storage-cost floor
-    #: (REPRO_PUBLISH_MIN_COST_US; zero floor admits everything).
-    shared_admission_skipped: int = 0
-    #: How the shared store reached the pool: "" (no shared store),
-    #: "file" (flock-merged shard files), or "daemon" (the per-host
-    #: cache-server socket; repro.persist.daemon).  A session that
-    #: degraded mid-run reports the transport it ended on.
-    shared_transport: str = ""
-    #: Round trips to the cache-server daemon, and silent degradations
-    #: to the file path after a transport failure (0 or 1 per session).
-    daemon_rpcs: int = 0
-    daemon_fallbacks: int = 0
     #: Polymorphic indirect-branch inline-cache counters from the
     #: compiled tier (repro.vm.stats.ICStats; host-side only, zeros
     #: under interpreted dispatch).
@@ -663,15 +650,6 @@ class PersistentCacheSession:
         if store is not None and hasattr(store, "shared_hits"):
             self.report_data.shared_hits = store.shared_hits
             self.report_data.shared_misses = store.shared_misses
-        shared = self._shared_store
-        if shared is not None:
-            self.report_data.shared_transport = getattr(
-                shared, "transport", "file"
-            )
-            self.report_data.daemon_rpcs = getattr(shared, "daemon_rpcs", 0)
-            self.report_data.daemon_fallbacks = getattr(
-                shared, "daemon_fallbacks", 0
-            )
 
     def _save_sidecar(self) -> None:
         """Persist newly recorded compiled bodies (report-only failure).
@@ -715,14 +693,9 @@ class PersistentCacheSession:
         touched = chained.touched()
         if not pending and not touched:
             return
-        costs = (
-            chained.pending_costs()
-            if hasattr(chained, "pending_costs")
-            else {}
-        )
         try:
             result = self._shared_store.publish(
-                pending, touch=touched, costs=costs
+                pending, touch=touched, costs=chained.pending_costs()
             )
         except STORAGE_FAILURES as exc:
             self.report_data.shared_store_state = "write-error: %s" % exc
@@ -730,7 +703,6 @@ class PersistentCacheSession:
         self.report_data.shared_publishes += result.published
         self.report_data.shared_gc_evictions += result.evicted
         self.report_data.shared_touch_refreshes += result.refreshed
-        self.report_data.shared_admission_skipped += result.admission_skipped
         chained.clear_pending()
 
     def _touch_shared(self) -> None:

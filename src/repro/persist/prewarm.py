@@ -28,7 +28,6 @@ from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.persist.database import CacheDatabase
-from repro.persist.daemon import resolve_shared_store, shared_store_directory
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sharedstore import SharedBodyStore
 from repro.vm.compile import clear_code_object_cache
@@ -89,7 +88,6 @@ class PrewarmJobReport:
     sidecar_hits: int = 0
     shared_hits: int = 0
     shared_publishes: int = 0
-    admission_skipped: int = 0
     wall_s: float = 0.0
 
 
@@ -109,8 +107,6 @@ class PrewarmReport:
     skipped: int = 0
     #: Bodies admitted into the shared pool.
     admitted: int = 0
-    #: Bodies the shared pool's cost floor rejected at publish.
-    admission_skipped: int = 0
     wall_s: float = 0.0
     job_reports: List[PrewarmJobReport] = field(default_factory=list)
     #: Filled by the ``--verify`` warm pass: host compiles observed when
@@ -125,13 +121,8 @@ class PrewarmReport:
 def _session_config(
     db_dir: str, shared_store_dir: Optional[str], readonly: bool = False
 ) -> PersistenceConfig:
-    # The spec string crosses the fork boundary verbatim; each worker
-    # resolves it itself, so ``daemon://DIR`` specs (and the
-    # REPRO_CACHE_DAEMON env knob) give every job its own client
-    # connection to the per-host cache server — or its own flock-store
-    # fallback when no daemon is listening.
     shared = (
-        resolve_shared_store(shared_store_dir, VM_VERSION)
+        SharedBodyStore(shared_store_dir, VM_VERSION)
         if shared_store_dir
         else None
     )
@@ -161,7 +152,6 @@ def _run_corpus_apps(
         "sidecar_hits": 0,
         "shared_hits": 0,
         "shared_publishes": 0,
-        "admission_skipped": 0,
     }
     for name in names:
         workload = _build_app(corpus, name)
@@ -182,9 +172,6 @@ def _run_corpus_apps(
             totals["sidecar_hits"] += report.get("sidecar_hits", 0)
             totals["shared_hits"] += report.get("shared_hits", 0)
             totals["shared_publishes"] += report.get("shared_publishes", 0)
-            totals["admission_skipped"] += report.get(
-                "shared_admission_skipped", 0
-            )
     return totals
 
 
@@ -266,8 +253,7 @@ def run_prewarm(
     # store first, so that a bad one leaves no database behind.
     if shared_store_dir:
         try:
-            SharedBodyStore(shared_store_directory(shared_store_dir),
-                            VM_VERSION)
+            SharedBodyStore(shared_store_dir, VM_VERSION)
         except OSError as exc:
             raise PrewarmError(
                 "cannot open shared store %s: %s" % (shared_store_dir, exc)
@@ -302,7 +288,6 @@ def run_prewarm(
             sidecar_hits=totals["sidecar_hits"],
             shared_hits=totals["shared_hits"],
             shared_publishes=totals["shared_publishes"],
-            admission_skipped=totals["admission_skipped"],
             wall_s=totals["wall_s"],
         )
         report.job_reports.append(job_report)
@@ -310,7 +295,6 @@ def run_prewarm(
         report.compiled += job_report.host_compiles
         report.skipped += job_report.sidecar_hits + job_report.shared_hits
         report.admitted += job_report.shared_publishes
-        report.admission_skipped += job_report.admission_skipped
     report.wall_s = time.perf_counter() - start
     if verify:
         report.verify_host_compiles = verify_warm(

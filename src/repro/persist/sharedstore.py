@@ -54,7 +54,7 @@ Shard files (PCSS1) use the sidecar's framing
 carries a last-use stamp and the measured host-compile cost
 (``[digest, offset, size, stamp, cost_us]``; pre-cost four-element
 records still parse, as cost 0) so the LRU/size cap can evict cold
-bodies first and cost-aware admission can reason about recompute cost.
+bodies first and the pool records what each body cost to compile.
 
 Garbage collection (:meth:`SharedBodyStore.gc`) is mark-and-sweep:
 
@@ -219,9 +219,6 @@ class PublishResult:
     evicted: int = 0
     #: Shard files rewritten.
     shards_written: int = 0
-    #: Offered bodies skipped by cost-aware admission: their measured
-    #: compile cost fell below the store's storage-cost floor.
-    admission_skipped: int = 0
 
 
 @dataclass
@@ -274,7 +271,6 @@ class SharedBodyStore:
         storage: Optional[FileStorage] = None,
         max_bytes: Optional[int] = None,
         clock=time.time,
-        publish_min_cost_us: Optional[int] = None,
     ):
         self.directory = directory
         self.vm_version = vm_version
@@ -283,21 +279,6 @@ class SharedBodyStore:
         #: Soft size cap (sum of body bytes in the current pool); when
         #: set, every publish enforces it by LRU eviction.
         self.max_bytes = max_bytes
-        #: Cost-aware admission floor (µs of measured host-compile wall
-        #: clock): a publish skips bodies cheaper to recompute than to
-        #: store — "store only if recompute cost exceeds storage cost".
-        #: Defaults to ``REPRO_PUBLISH_MIN_COST_US`` (env), then 0,
-        #: which admits everything (the pre-cost behavior).  Unmeasured
-        #: bodies (sidecar revives, pool healing) offer cost 0 and are
-        #: skipped by any non-zero floor.
-        if publish_min_cost_us is None:
-            try:
-                publish_min_cost_us = int(
-                    os.environ.get("REPRO_PUBLISH_MIN_COST_US", "0") or 0
-                )
-            except ValueError:
-                publish_min_cost_us = 0
-        self.publish_min_cost_us = publish_min_cost_us
         #: Injectable time source so tests can pin LRU ordering.
         self.clock = clock
         #: (kind, filename, reason) records of quarantine/io events.
@@ -427,10 +408,9 @@ class SharedBodyStore:
         """Yield ``(digest, (blob, stamp, cost_us))`` for every body in
         the current keytag's pool.
 
-        This is the cache-server daemon's bulk-load path: it walks every
-        shard once through the same CRC-verified, damage-quarantining
-        reader as :meth:`lookup`, so a daemon never seeds its hot index
-        from a torn or corrupted shard.
+        Every shard is read once through the same CRC-verified,
+        damage-quarantining reader as :meth:`lookup`, so a torn or
+        corrupted shard yields nothing.
         """
         for prefix in self._shard_prefixes():
             for digest, record in sorted(self._load_shard(prefix).items()):
@@ -495,25 +475,19 @@ class SharedBodyStore:
         ``touch`` names already-present digests whose last-use stamp
         should be refreshed (the LRU signal from a session that revived
         them).  ``costs`` carries the measured host-compile wall clock
-        (µs) per offered digest; when the store has a non-zero
-        ``publish_min_cost_us`` floor, bodies cheaper than the floor are
-        skipped (``admission_skipped``) — recompiling them costs less
-        than storing them.  Per shard, the protocol is lock → fresh
-        re-read → merge → atomic write-replace → unlock, so concurrent
-        publishers never lose each other's bodies and readers never
-        observe a torn shard.  Content addressing makes the merge
+        (µs) per offered digest, recorded with a newly stored body (an
+        unmeasured one records 0).  Per shard, the protocol is lock →
+        fresh re-read → merge → atomic write-replace → unlock, so
+        concurrent publishers never lose each other's bodies and readers
+        never observe a torn shard.  Content addressing makes the merge
         trivial: an already-present digest keeps its existing bytes
         (equal by construction).
         """
         result = PublishResult()
         now = int(self.clock())
         costs = costs or {}
-        floor = self.publish_min_cost_us
         groups: Dict[str, Dict[str, Optional[bytes]]] = {}
         for digest, blob in blobs.items():
-            if floor > 0 and int(costs.get(digest, 0)) < floor:
-                result.admission_skipped += 1
-                continue
             groups.setdefault(shard_prefix(digest), {})[digest] = blob
         for digest in touch:
             groups.setdefault(shard_prefix(digest), {}).setdefault(digest, None)

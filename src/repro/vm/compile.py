@@ -202,10 +202,9 @@ _INT64_MAX = 9223372036854775807
 #: object (so a memo hit can still populate a fresh sidecar without
 #: recompiling), and the measured host ``compile()`` wall clock in
 #: microseconds (0 when the factory was revived from a sidecar rather
-#: than compiled here — the shared store's cost-aware admission treats
-#: unmeasured bodies as free to recompute).  A hit skips source
-#: generation, host compilation *and* the module ``exec`` — the factory
-#: is simply re-bound to the new run's captures.  Bounded: the table is
+#: than compiled here).  A hit skips source generation, host
+#: compilation *and* the module ``exec`` — the factory is simply
+#: re-bound to the new run's captures.  Bounded: the table is
 #: flushed wholesale when it outgrows the cap (the same reclamation
 #: policy the code cache uses).
 _FACTORIES: Dict[tuple, tuple] = {}
@@ -694,11 +693,10 @@ class TraceCompiler:
 
         Tries the attached sidecar first — a hit ``exec``\\ s the revived
         code object, skipping source generation and host ``compile()``
-        (reported cost 0: nothing was measured, and an unmeasured body is
-        treated as free to recompute by cost-aware admission); a miss (or
-        no store) compiles from ``source_fn()``, measures the host
-        ``compile()`` wall clock, and records the result into the store
-        for the next process.
+        (reported cost 0: nothing was measured); a miss (or no store)
+        compiles from ``source_fn()``, measures the host ``compile()``
+        wall clock, and records the result into the store for the next
+        process.
         """
         store = self.body_store
         if store is not None:

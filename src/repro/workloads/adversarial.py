@@ -44,8 +44,8 @@ All programs read their iteration count from ``a2`` (the standard
 ``InputSpec.hot_iterations`` slot) and run at least once.  The
 ``transparency`` bench family (:mod:`repro.bench`) runs this suite
 under interpreted, compiled, linked and tiered dispatch against the
-interpreted oracle and across warm restarts over the sidecar, the
-shared per-host store, and the cache-server daemon.
+interpreted oracle and across warm restarts over the sidecar and the
+shared per-host store.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ CHURN_WORKLOADS = (
 
 #: Suite members whose output depends only on code bytes and register
 #: state — never on the clock — so warm persisted runs (sidecar, shared
-#: store, daemon) must reproduce the cold output byte for byte.  The
+#: store) must reproduce the cold output byte for byte.  The
 #: ``timer`` program is excluded by design: persisted traces legitimately
 #: change the *cost* of a run (that is the whole point of the cache), so
 #: its raw clock deltas differ warm vs. cold while staying bit-identical

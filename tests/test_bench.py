@@ -129,40 +129,10 @@ _COMMITTED = os.path.join(
     os.path.dirname(os.path.abspath(__file__)), "..", "BENCH_wallclock.json"
 )
 
-#: The committed file predates the fleet_warmup family; this entry has
-#: the keys that family writes, with passing values.
-_FLEET = {
-    "daemon_alive": True,
-    "daemon_lookup_p50_us": 0.3,
-    "daemon_lookup_p99_us": 1.2,
-    "daemon_s": 0.61,
-    "daemon_spread_pct": 4.0,
-    "daemon_trimmed_s": 0.62,
-    "daemon_transport_used": "daemon",
-    "fallback_ok": True,
-    "fleet_host_compiles_daemon": 0,
-    "fleet_host_compiles_flock": 0,
-    "fleet_processes": 4,
-    "fleet_shared_hits_daemon": 9000,
-    "flock_lookup_p50_us": 3.9,
-    "flock_lookup_p99_us": 9.5,
-    "flock_s": 0.64,
-    "flock_spread_pct": 3.0,
-    "flock_trimmed_s": 0.65,
-    "fsck_clean": True,
-    "identical_results": True,
-    "lookup_samples": 6000,
-    "reps_daemon_s": [0.61, 0.63],
-    "reps_flock_s": [0.64, 0.66],
-    "speedup_trimmed_x": 1.05,
-    "speedup_x": 1.05,
-}
-
 
 def _committed_results():
     with open(_COMMITTED) as handle:
         workloads = json.load(handle)["workloads"]
-    workloads["fleet_warmup"] = dict(_FLEET)
     return _fake_results(**workloads)
 
 
@@ -199,13 +169,6 @@ _FLIPS = [
     ("tiered_warmup", "ttfo_ratio_x", 0.7),
     ("tiered_warmup", "prewarm_warm_host_compiles", 1),
     ("tiered_warmup", "jobs_monotonic_ok", False),
-    ("fleet_warmup", "identical_results", False),
-    ("fleet_warmup", "daemon_alive", False),
-    ("fleet_warmup", "fleet_host_compiles_daemon", 1),
-    ("fleet_warmup", "daemon_lookup_p50_us",
-     lambda f: f["flock_lookup_p50_us"]),
-    ("fleet_warmup", "fallback_ok", False),
-    ("fleet_warmup", "fsck_clean", False),
     ("transparency", "identical_results", False),
     ("transparency", "oracle_identical", False),
     ("transparency", "stale_reads", 1),

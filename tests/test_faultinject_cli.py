@@ -15,7 +15,9 @@ import pytest
 from repro.cli import main
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
 from repro.persist.manager import PersistenceConfig
+from repro.persist.sharedstore import SharedBodyStore
 from repro.testing.faultfs import flip_byte, truncate_file
+from repro.vm.engine import VM_VERSION
 from repro.workloads.harness import run_vm
 
 from tests.test_persist_manager import mini_workload
@@ -248,28 +250,66 @@ class TestReplayLogErrors:
         ))
 
 
-class TestCacheServeErrors:
-    """``repro cache serve`` on a directory that cannot be created ends
-    in one stderr line, exit 1; ``--status`` never creates state."""
+class TestRemovedDaemonEntryPoints:
+    """The cache-server daemon's two entry points were removed.  Each
+    old command line ends in one stderr line that names the removal and
+    points to ``--shared-store DIR``: exit 1, no traceback, and nothing
+    created, neither the store nor a ``daemon:`` directory."""
 
-    @pytest.mark.parametrize("detach", [False, True],
-                             ids=["foreground", "detach"])
-    def test_uncreatable_directory(self, tmp_path, capsys, detach):
-        store = TestDatabaseErrors.unwritable(tmp_path)
-        argv = ["cache", "serve", store] + (["--detach"] if detach else [])
-        code = main(argv)
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1, err
-        assert "cannot serve %s" % store in err
+    @pytest.mark.parametrize(
+        "argv",
+        [("run", "gui", "gvim", "startup", "--pcache", "D",
+          "--shared-store", "daemon://S"),
+         ("prewarm", "--pcache", "D", "--corpus", "tiny",
+          "--shared-store", "daemon://S"),
+         ("cache", "serve", "S"),
+         ("cache", "serve", "S", "--detach")],
+        ids=["run-daemon-store", "prewarm-daemon-store", "cache-serve",
+             "cache-serve-detach"],
+    )
+    def test_one_line_exit_one_nothing_created(self, tmp_path, argv):
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro"] + list(argv),
+            capture_output=True, text=True, env=env, cwd=str(tmp_path),
+            timeout=60,
+        )
+        assert done.returncode == 1, done.stderr
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "removed" in done.stderr
+        assert "--shared-store DIR" in done.stderr
+        assert done.stdout == ""
+        assert os.listdir(tmp_path) == []
 
-    def test_status_on_missing_directory(self, tmp_path, capsys):
-        missing = tmp_path / "missing"
-        code = main(["cache", "serve", str(missing), "--status"])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err.count("\n") == 1, err
-        assert not missing.exists()
+
+def tree_bytes(directory: str) -> dict:
+    """Every file under ``directory``: relative path -> contents."""
+    files = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as handle:
+                files[os.path.relpath(path, directory)] = handle.read()
+    return files
+
+
+class TestCacheGcErrors:
+    def test_negative_max_bytes_is_a_usage_error(self, tmp_path, capsys):
+        """A negative ``--max-bytes`` is refused before the store is
+        touched; only ``0`` means "evict every body"."""
+        store = SharedBodyStore(str(tmp_path / "store"), VM_VERSION)
+        store.publish({"%02x" % i + "ab" * 31: b"body-%d" % i
+                       for i in range(4)})
+        before = tree_bytes(store.directory)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["cache", "gc", store.directory, "--max-bytes", "-1"])
+        assert excinfo.value.code == 2
+        assert "--max-bytes" in capsys.readouterr().err
+        assert tree_bytes(store.directory) == before
+        assert store.total_entries() == 4
 
 
 class TestBenchErrors:

@@ -3,9 +3,9 @@
 Three contracts:
 
 * **bytes never move** — one fixed object per format (PCC2, PCS1,
-  PCSS1, PCRL1 and two PCSD1 frames) serializes to a pinned sha256, so
-  files written before the framing was shared stay valid byte for byte,
-  and each blob round-trips through the shared parser;
+  PCSS1 and PCRL1) serializes to a pinned sha256, so files written
+  before the framing was shared stay valid byte for byte, and each blob
+  round-trips through the shared parser;
 * **crafted headers fail typed** — a section table whose entry is not a
   pair of JSON integers with a non-negative size is header damage in
   every file format, even when the header CRC is valid;
@@ -23,7 +23,6 @@ import pytest
 
 from repro.cli import main
 from repro.persist.cachefile import CacheFileError, PersistentCache
-from repro.persist.cacheserver import pack_frame, parse_frame
 from repro.persist.database import CacheDatabase
 from repro.persist.framing import (
     FrameError,
@@ -68,24 +67,16 @@ def pcrl1_log():
     )
 
 
-LOOKUP_META = {"vm": VM, "host": HOST, "digests": [D0, D1]}
-PUBLISH_META = {"vm": VM, "host": HOST, "touch": [D1]}
-
 #: One fixed object per format, serialized.
 SAMPLES = {
     "PCC2": lambda: make_cache(n_traces=2).to_bytes(),
     "PCS1": lambda: pcs1_store().to_bytes(),
     "PCSS1": lambda: pack_shard(VM, HOST, SHARD_ENTRIES),
     "PCRL1": lambda: pcrl1_log().to_bytes(),
-    "PCSD1-lookup": lambda: pack_frame("lookup", LOOKUP_META),
-    "PCSD1-publish": lambda: pack_frame(
-        "publish", PUBLISH_META, {D0: SHARD_ENTRIES[D0]}
-    ),
 }
 
 #: What each format's own serializer wrote for SAMPLES before the
-#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCSS1/PCRL1 1, PCSD1
-#: PROTOCOL_VERSION 1).
+#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCSS1/PCRL1 1).
 GOLDEN_SHA256 = {
     "PCC2":
         "a351282619d6632e3ac117136c6254b90fc4bb00ef2ce737dca17af2a2c384fb",
@@ -95,10 +86,6 @@ GOLDEN_SHA256 = {
         "b68317b49e4030d43a1d14a9b4932f4fec9f6e042a336a7ca0057b0db7ffd2e4",
     "PCRL1":
         "8e451ab3ec086e79246ee62379f25af87abf593de1929ae0c6e00212999ea16b",
-    "PCSD1-lookup":
-        "ef20483e24ac108988779660176cf3218bd84e612e24584c938cdaf88ed6cb9e",
-    "PCSD1-publish":
-        "ebb8d184ba4df7afc000711649ccfdfd63752c2aae83b226675d9b37577b8335",
 }
 
 
@@ -146,14 +133,6 @@ class TestGoldenBytes:
     def test_pcrl1_round_trip(self):
         blob = SAMPLES["PCRL1"]()
         assert ReplayLog.from_bytes(blob) == pcrl1_log()
-
-    def test_pcsd1_round_trip(self):
-        assert parse_frame(SAMPLES["PCSD1-lookup"]()) == (
-            "lookup", LOOKUP_META, {}
-        )
-        assert parse_frame(SAMPLES["PCSD1-publish"]()) == (
-            "publish", PUBLISH_META, {D0: SHARD_ENTRIES[D0]}
-        )
 
 
 def crc(blob: bytes) -> int:

@@ -44,8 +44,7 @@ class TestSessionLifecycle:
             "sidecar_new_entries",
             "shared_store_state", "shared_hits", "shared_misses",
             "shared_publishes", "shared_gc_evictions",
-            "shared_touch_refreshes", "shared_admission_skipped",
-            "shared_transport", "daemon_rpcs", "daemon_fallbacks",
+            "shared_touch_refreshes",
             "ic_hits", "ic_misses", "ic_resets", "ic_depth_hits",
             "ic_overflow_hits",
             "link_direct_hops", "link_ic_hops", "link_bounces",

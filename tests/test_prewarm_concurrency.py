@@ -141,8 +141,7 @@ def test_clean_run_closes_pool():
         sentinel.append(task)
         return {"job": 0, "apps": [], "traces_persisted": 0,
                 "host_compiles": 0, "sidecar_hits": 0, "shared_hits": 0,
-                "shared_publishes": 0, "admission_skipped": 0,
-                "wall_s": 0.0}
+                "shared_publishes": 0, "wall_s": 0.0}
 
     import repro.persist.prewarm as prewarm_module
     original = prewarm_module._prewarm_worker

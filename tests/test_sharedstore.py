@@ -203,62 +203,8 @@ class TestLookupPublish:
 
 
 class TestCostAwareAdmission:
-    """The publish-time storage-cost floor (``publish_min_cost_us``).
-
-    The shared pool is a capped communal resource: admitting a body
-    whose host ``compile()`` took less than the floor spends pool bytes
-    (and future GC pressure) to save less time than a cache probe
-    costs.  The floor defaults to 0 — admit everything, the historical
-    behavior — and is tunable per store or via the
-    ``REPRO_PUBLISH_MIN_COST_US`` environment variable.
-    """
-
-    def test_default_floor_admits_everything(self, store):
-        assert store.publish_min_cost_us == 0
-        result = store.publish(
-            {digest_for(1): b"one", digest_for(2): b"two"},
-            costs={digest_for(1): 1},
-        )
-        assert result.published == 2
-        assert result.admission_skipped == 0
-
-    def test_floor_skips_cheap_bodies(self, tmp_path):
-        store = SharedBodyStore(
-            str(tmp_path / "floored"), vm_version=VM_VERSION,
-            publish_min_cost_us=100,
-        )
-        result = store.publish(
-            {digest_for(1): b"cheap", digest_for(2): b"costly"},
-            costs={digest_for(1): 99, digest_for(2): 100},
-        )
-        assert result.published == 1
-        assert result.admission_skipped == 1
-        assert store.lookup(digest_for(1)) is None
-        assert store.lookup(digest_for(2)) == b"costly"
-
-    def test_floor_skips_unmeasured_bodies(self, tmp_path):
-        """No recorded cost counts as cost 0: a non-zero floor skips
-        bodies that arrived without a measurement (sidecar revives,
-        pool healing) rather than guessing."""
-        store = SharedBodyStore(
-            str(tmp_path / "floored"), vm_version=VM_VERSION,
-            publish_min_cost_us=1,
-        )
-        result = store.publish({digest_for(1): b"unmeasured"})
-        assert result.published == 0
-        assert result.admission_skipped == 1
-
-    def test_floor_from_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_PUBLISH_MIN_COST_US", "250")
-        store = SharedBodyStore(
-            str(tmp_path / "env-floored"), vm_version=VM_VERSION
-        )
-        assert store.publish_min_cost_us == 250
-        monkeypatch.setenv("REPRO_PUBLISH_MIN_COST_US", "junk")
-        fallback = SharedBodyStore(
-            str(tmp_path / "env-junk"), vm_version=VM_VERSION
-        )
-        assert fallback.publish_min_cost_us == 0
+    """Every offered body is admitted, and its measured compile cost
+    (``cost_us``) is recorded in the shard."""
 
     def test_refresh_preserves_recorded_cost(self, store):
         """Republishing an already-admitted body refreshes its stamp
@@ -269,22 +215,6 @@ class TestCostAwareAdmission:
         prefix = shard_prefix(digest)
         record = store._load_shard(prefix)[digest]
         assert record[2] == 500
-
-    def test_session_reports_admission_skips(self, tmp_path, monkeypatch):
-        """End to end: a floored pool skips every body of a real run
-        and the session report says so; the run itself is unaffected."""
-        monkeypatch.setenv("REPRO_PUBLISH_MIN_COST_US", "60000000")
-        workload = mini_workload()
-        store = SharedBodyStore(
-            str(tmp_path / "store"), vm_version=VM_VERSION
-        )
-        db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
-        clear_code_object_cache()
-        result = compiled_run(workload, "a", db)
-        report = result.persistence_report
-        assert report["shared_admission_skipped"] > 0
-        assert report["shared_publishes"] == 0
-        assert result.exit_status == 0
 
 
 class TestWholesaleInvalidation:
@@ -743,6 +673,23 @@ class TestCli:
         assert "quarantined:" in capsys.readouterr().out
         assert not os.path.exists(path)
         assert os.listdir(os.path.join(store.directory, QUARANTINE_DIR))
+
+    def test_run_attaches_a_plain_directory_as_the_store(
+        self, tmp_path, capsys
+    ):
+        """``repro run --shared-store DIR`` publishes into shard files at
+        DIR, and fsck reads them back clean."""
+        from repro.cli import main
+
+        store_dir = str(tmp_path / "store")
+        clear_code_object_cache()
+        assert main(["run", "shell", "ls", "run", "--pcache",
+                     str(tmp_path / "db"), "--shared-store", store_dir]) == 0
+        assert "'shared_store_state': 'attached'" in capsys.readouterr().out
+        assert is_shared_store(store_dir)
+        store = SharedBodyStore(store_dir, vm_version=VM_VERSION)
+        assert store.total_entries() > 0
+        assert store.fsck().clean
 
     def test_fsck_notes_stale_pool(self, tmp_path, capsys):
         from repro.cli import main
