@@ -87,27 +87,33 @@ def encode_all(insts: Iterable[Instruction]) -> bytes:
     )
 
 
-#: Whole-body decode memo (same content-keyed reasoning as above): trace
-#: revive decodes the identical persisted bodies on every warm run, so
-#: one probe replaces a per-instruction loop.  Values are tuples — the
-#: caller gets a fresh list it may mutate (position-independent revive
-#: rewrites relocated entries).
-_BODY_MEMO: dict = {}
-_BODY_MEMO_CAP = 1 << 13
-
-
 def decode_all(data: bytes) -> List[Instruction]:
     """Decode a byte string that is an exact multiple of the instruction size."""
     body = bytes(data)
-    cached = _BODY_MEMO.get(body)
-    if cached is not None:
-        return list(cached)
     if len(body) % INSTRUCTION_SIZE != 0:
         raise DecodeError(
             "code length %d is not a multiple of %d" % (len(body), INSTRUCTION_SIZE)
         )
-    insts = [decode(body, off) for off in range(0, len(body), INSTRUCTION_SIZE)]
-    if len(_BODY_MEMO) >= _BODY_MEMO_CAP:
-        _BODY_MEMO.clear()
-    _BODY_MEMO[body] = tuple(insts)
-    return insts
+    return [decode(body, off) for off in range(0, len(body), INSTRUCTION_SIZE)]
+
+
+def decode_uops(body: bytes) -> List[tuple]:
+    """The micro-op tuples of an encoded body, without building any
+    :class:`Instruction`: what ``[i.as_tuple() for i in decode_all(body)]``
+    returns, from one ``struct.iter_unpack`` pass.
+
+    Every word is checked as :func:`decode` checks it (a known opcode,
+    registers in range); on the first bad word the body is handed to
+    :func:`decode_all`, so the :class:`DecodeError` raised is the one
+    decoding would raise.
+    """
+    if len(body) % INSTRUCTION_SIZE == 0:
+        uops = list(_STRUCT.iter_unpack(body))
+        for op, rd, rs1, rs2, _imm in uops:
+            if (op not in _OPCODES or rd >= NUM_REGISTERS
+                    or rs1 >= NUM_REGISTERS or rs2 >= NUM_REGISTERS):
+                break
+        else:
+            return uops
+    decode_all(body)
+    raise AssertionError("decode_all accepted a body decode_uops rejects")

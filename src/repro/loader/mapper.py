@@ -12,9 +12,10 @@ instruction, which keeps addresses, loads/stores and code fetch consistent.
 from __future__ import annotations
 
 import bisect
+import mmap
 import struct
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Union
 
 from repro.binfmt.image import Image
 
@@ -44,7 +45,12 @@ class Mapping:
 
     Attributes:
         base: Absolute start address.
-        data: Backing bytes (length = mapping size).
+        data: Backing bytes (length = mapping size): a ``bytearray``
+            holding an image's private copy, or for an anonymous region
+            a private anonymous ``mmap``, whose pages the kernel
+            zero-fills when a run first touches them.  Both take the
+            buffer protocol and same-size slice writes, which is all
+            the address space and the compiled tier do with them.
         image: The image mapped here, or None for anonymous regions.
         name: Diagnostic label.
         code_free: No page the mapping covers holds executed code.
@@ -53,7 +59,7 @@ class Mapping:
     """
 
     base: int
-    data: bytearray
+    data: Union[bytearray, mmap.mmap]
     image: Optional[Image] = None
     name: str = ""
     code_free: bool = field(default=True, compare=False, repr=False)
@@ -125,8 +131,11 @@ class AddressSpace:
         )
 
     def map_anonymous(self, base: int, size: int, name: str = "") -> Mapping:
-        """Map a zero-filled anonymous region."""
-        return self.add_mapping(Mapping(base=base, data=bytearray(size), name=name))
+        """Map a zero-filled anonymous region (stack, heap, thread-exit
+        stub).  ``MAP_PRIVATE``: a child forked from this process gets
+        its own copy-on-write view, so neither sees the other's stores."""
+        data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
+        return self.add_mapping(Mapping(base=base, data=data, name=name))
 
     def remove_mapping(self, mapping: Mapping) -> None:
         """Unmap a region (dynamic module unload)."""

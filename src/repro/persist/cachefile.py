@@ -32,6 +32,8 @@ import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
+from repro.isa.encoding import DecodeError, decode_uops
+from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
     PREAMBLE,
     FrameError,
@@ -136,6 +138,12 @@ class PersistedTrace:
     relocs: List[PersistedReloc] = field(default_factory=list)
     data_size: int = 0
     liveness: List[int] = field(default_factory=list)
+    #: The body's micro-ops, decoded and checked by
+    #: :meth:`PersistentCache.from_bytes` (:func:`decode_uops`), which
+    #: verbatim revive reads instead of decoding again; None for a record
+    #: built in this process.  Not part of the file.
+    uops: Optional[List[tuple]] = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def identity(self) -> Tuple[str, int]:
@@ -375,6 +383,21 @@ class PersistentCache:
                     raise CacheFileError(
                         "truncated code pool", section="code_pool"
                     )
+                body_size = record["n_insts"] * INSTRUCTION_SIZE
+                if body_size > len(code):
+                    raise CacheFileError(
+                        "trace at 0x%x: code shorter than its %d instructions"
+                        % (record["entry"], record["n_insts"]),
+                        section="code_pool",
+                    )
+                try:
+                    uops = decode_uops(code[:body_size])
+                except DecodeError as exc:
+                    raise CacheFileError(
+                        "trace at 0x%x: undecodable code: %s"
+                        % (record["entry"], exc),
+                        section="code_pool",
+                    ) from exc
                 cache.traces.append(
                     PersistedTrace(
                         entry=record["entry"],
@@ -386,6 +409,7 @@ class PersistentCache:
                         relocs=[PersistedReloc.from_json(r) for r in record["relocs"]],
                         data_size=record["data_size"],
                         liveness=list(record["liveness"]),
+                        uops=uops,
                     )
                 )
         except (KeyError, TypeError, ValueError, IndexError, struct.error) as exc:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.isa.encoding import decode_all, encode_all
+from repro.isa.encoding import decode_all, decode_uops, encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import ABSOLUTE_TARGET
 from repro.loader.linker import LoadedProcess
@@ -42,6 +42,10 @@ from repro.vm.translator import (
 
 class ConversionError(Exception):
     """Raised when a trace cannot be persisted or revived."""
+
+
+#: Persisted exit-kind integer -> :class:`ExitKind`.
+_EXIT_KINDS = {int(kind): kind for kind in ExitKind}
 
 
 def _locate(process: LoadedProcess, addr: int):
@@ -82,9 +86,10 @@ def persist_trace(
             )
         )
     relocs: List[PersistedReloc] = []
-    for index, inst in enumerate(trace.instructions):
-        if inst.opcode in ABSOLUTE_TARGET:
-            target_path, target_offset = _locate(process, inst.imm)
+    uops = trace.uops
+    for index, uop in enumerate(uops):
+        if uop[0] in ABSOLUTE_TARGET:
+            target_path, target_offset = _locate(process, uop[4])
             if target_path is None:
                 return None  # absolute literal into unbacked memory
             relocs.append(
@@ -98,7 +103,7 @@ def persist_trace(
         entry=trace.entry,
         image_path=trace.image_path,
         image_offset=trace.entry - trace.image_base,
-        n_insts=len(trace.instructions),
+        n_insts=len(uops),
         code=translated.code_bytes,
         exits=exits,
         relocs=relocs,
@@ -134,10 +139,9 @@ def revive_trace(
 
     code = persisted.code
     body = code[: persisted.n_insts * INSTRUCTION_SIZE]
-    instructions = decode_all(body)
-
     if rebase:
         entry = image_base + persisted.image_offset
+        instructions = decode_all(body)
         relocated = False
         for reloc in persisted.relocs:
             target_base = base_of(reloc.target_path)
@@ -159,6 +163,10 @@ def revive_trace(
         entry = persisted.entry
         if image_base + persisted.image_offset != entry:
             return None  # base moved; verbatim reuse would misexecute
+        # The body executes as stored, so its micro-ops come straight
+        # from the bytes; Instruction objects are built only if a tool
+        # or the translator reads them (Trace.from_body).
+        uops = persisted.uops or decode_uops(body)
         # Absolute literals baked into the body must still point where
         # they pointed at creation time: a trace that calls into a since-
         # relocated library embeds a stale literal (the paper's PUSH/JMP
@@ -166,9 +174,9 @@ def revive_trace(
         # validated.
         for reloc in persisted.relocs:
             target_base = base_of(reloc.target_path)
-            if target_base is None:
-                return None
-            if target_base + reloc.target_offset != instructions[reloc.index].imm:
+            if (target_base is None
+                    or target_base + reloc.target_offset
+                    != uops[reloc.index][4]):
                 return None
 
     exits: List[TraceExit] = []
@@ -183,16 +191,16 @@ def revive_trace(
             else:
                 return None  # static exit into unbacked memory
         exits.append(
-            TraceExit(kind=ExitKind(stored.kind), index=stored.index, target=target)
+            TraceExit(kind=_EXIT_KINDS[stored.kind], index=stored.index,
+                      target=target)
         )
 
-    trace = Trace(
-        entry=entry,
-        instructions=instructions,
-        exits=exits,
-        image_path=persisted.image_path,
-        image_base=image_base,
-    )
+    if rebase:
+        trace = Trace(entry, instructions, exits, persisted.image_path,
+                      image_base)
+    else:
+        trace = Trace.from_body(entry, body, uops, exits,
+                                persisted.image_path, image_base)
     points = list(tool.instrument_trace(trace)) if tool else []
     points_by_index: Dict[int, list] = {}
     for point in points:

@@ -32,7 +32,7 @@ implements the engine's persistence hooks:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.persist.cachefile import CacheFileError, PersistentCache, PersistedTrace
 from repro.persist.convert import persist_trace, revive_trace
@@ -328,6 +328,7 @@ class PersistentCacheSession:
                 validation[path] = "invalid"
 
         preload: List = []
+        base_of = self._base_of(process)
         for persisted in loaded.traces:
             mode = validation.get(persisted.image_path)
             if mode is None:
@@ -347,9 +348,7 @@ class PersistentCacheSession:
             # literals into a relocated library); otherwise reuse is
             # verbatim and revive_trace validates every embedded literal.
             revived = revive_trace(
-                persisted,
-                engine.tool,
-                self._base_of(process),
+                persisted, engine.tool, base_of,
                 rebase=self.config.relocatable,
             )
             if revived is None:
@@ -413,13 +412,13 @@ class PersistentCacheSession:
         from repro.vm.codecache import CacheFull
 
         keep: List[PersistedTrace] = []
+        base_of = self._base_of(machine.process)
         for persisted in self._retained:
             if persisted.image_path != image.path:
                 keep.append(persisted)
                 continue
             revived = revive_trace(
-                persisted, engine.tool, self._base_of(machine.process),
-                rebase=rebase,
+                persisted, engine.tool, base_of, rebase=rebase,
             )
             if revived is None:
                 self._invalidate_one(stats, cost, persisted)
@@ -786,12 +785,15 @@ class PersistentCacheSession:
         return any(page in modified_pages for page in range(first, last + 1))
 
     @staticmethod
-    def _base_of(process):
-        def base_of(path: str) -> Optional[int]:
-            mapping = process.space.mapping_for_image(path)
-            return mapping.base if mapping is not None else None
-
-        return base_of
+    def _base_of(process) -> Callable[[str], Optional[int]]:
+        """``revive_trace``'s ``base_of`` for the process's mappings as
+        they are now: each image path's load base, resolved once."""
+        bases: Dict[str, int] = {}
+        for mapping in process.space.mappings:
+            if mapping.image is not None:
+                # The first mapping of a path, as mapping_for_image.
+                bases.setdefault(mapping.image.path, mapping.base)
+        return bases.get
 
     def _write_back(self, engine, machine, cache, stats) -> None:
         if self.config.readonly:

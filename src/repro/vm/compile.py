@@ -133,6 +133,7 @@ from __future__ import annotations
 
 import hashlib
 import marshal
+import struct
 import sys
 import time
 from types import CodeType, SimpleNamespace
@@ -211,15 +212,50 @@ _FACTORIES: Dict[tuple, tuple] = {}
 _FACTORIES_CAP = 8192
 
 
+#: A trace key's fixed fields in its digest: the entry, the three cost
+#: constants, and the lengths of the code bytes, link pairs and points
+#: that follow.
+_KEY_HEAD = struct.Struct("<qdddIII")
+#: One link pair: exit kind and instruction index.
+_LINK = struct.Struct("<ii")
+#: One point's fixed fields: index, work cycles, effective-address flag
+#: and the length of the UTF-8 label that follows.
+_POINT_HEAD = struct.Struct("<qd?I")
+
+
+def _key_bytes(key: tuple) -> bytes:
+    """One :func:`_trace_key`, length-delimited: the code bytes as they
+    are, every other field packed, and each variable-length field led
+    by its length, so two different keys never give the same bytes."""
+    entry, code, links, points, translated_inst, analysis_call, indirect = key
+    parts = [
+        _KEY_HEAD.pack(entry, translated_inst, analysis_call, indirect,
+                       len(code), len(links), len(points)),
+        code,
+    ]
+    parts += [_LINK.pack(kind, index) for kind, index in links]
+    for index, label, work, wants_address in points:
+        label_bytes = label.encode()
+        parts.append(_POINT_HEAD.pack(index, work, wants_address,
+                                      len(label_bytes)))
+        parts.append(label_bytes)
+    return b"".join(parts)
+
+
 def _body_digest(key: tuple) -> str:
     """Sidecar name of one factory: a digest of the full memo key.
 
     The key already encodes everything the generated source depends on,
     so equal digests imply byte-identical factory code; the VM version
     and host bytecode tag are keyed at the store level
-    (:mod:`repro.persist.sidecar`), not per entry.
+    (:mod:`repro.persist.sidecar`), not per entry.  A region's digest
+    covers its members' keys in order.
     """
-    return hashlib.sha256(repr(key).encode()).hexdigest()
+    if key[0] == "region":
+        return hashlib.sha256(
+            b"region" + b"".join([_key_bytes(member) for member in key[1:]])
+        ).hexdigest()
+    return hashlib.sha256(b"trace" + _key_bytes(key)).hexdigest()
 
 
 class _NullCodeCache:
@@ -471,10 +507,10 @@ def _capture_lists(translated: TranslatedTrace):
     if final is not None:
         slots.append(final)
     points_by_index = translated.points_by_index
-    for index, inst in enumerate(translated.trace.instructions):
+    for index, uop in enumerate(translated.trace.uops):
         for point in points_by_index.get(index, ()):
             callbacks.append(point.callback)
-        if inst.opcode in _BRANCH_CONDITIONS and inst.imm != 0:
+        if uop[0] in _BRANCH_CONDITIONS and uop[4] != 0:
             slot = translated.branch_slots.get(index)
             if slot is None:
                 raise CompileError(

@@ -66,7 +66,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.7.0"
+VM_VERSION = "repro-dbi-1.8.0"
 
 
 class EngineError(Exception):

@@ -12,9 +12,10 @@ altered and no optimization is applied to application code.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
+from repro.isa.encoding import decode_all
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import Opcode
 
@@ -49,36 +50,76 @@ class TraceExit:
     target: Optional[int] = None
 
 
-@dataclass
 class Trace:
     """A selected (not yet translated) trace of original code.
 
     Attributes:
         entry: Original absolute address of the first instruction.
-        instructions: The fetched instructions, unaltered.
+        instructions: The fetched instructions, unaltered.  A trace
+            revived from its code bytes (:meth:`from_body`) decodes them
+            only when this is first read.
         exits: All potential exits, in instruction order.
         image_path: Path of the image the trace was fetched from.
         image_base: Load base of that image in this run.
     """
 
-    entry: int
-    instructions: List[Instruction] = field(default_factory=list)
-    exits: List[TraceExit] = field(default_factory=list)
-    image_path: str = ""
-    image_base: int = 0
-    _uops: Optional[List[tuple]] = field(default=None, repr=False, compare=False)
+    def __init__(
+        self,
+        entry: int,
+        instructions: Optional[List[Instruction]] = None,
+        exits: Optional[List[TraceExit]] = None,
+        image_path: str = "",
+        image_base: int = 0,
+    ):
+        self.entry = entry
+        self._instructions = [] if instructions is None else instructions
+        self.exits = [] if exits is None else exits
+        self.image_path = image_path
+        self.image_base = image_base
+        self._uops: Optional[List[tuple]] = None
+        self._body = b""
+
+    @classmethod
+    def from_body(
+        cls,
+        entry: int,
+        body: bytes,
+        uops: List[tuple],
+        exits: List[TraceExit],
+        image_path: str,
+        image_base: int,
+    ) -> "Trace":
+        """A trace whose micro-ops ``uops`` were read from its encoded
+        ``body`` (:func:`~repro.isa.encoding.decode_uops`); its
+        :class:`Instruction` objects are built only if something reads
+        :attr:`instructions`."""
+        trace = cls(entry, None, exits, image_path, image_base)
+        trace._instructions = None
+        trace._uops = uops
+        trace._body = body
+        return trace
+
+    @property
+    def instructions(self) -> List[Instruction]:
+        if self._instructions is None:
+            self._instructions = decode_all(self._body)
+        return self._instructions
 
     @property
     def uops(self) -> List[tuple]:
         """Flattened micro-op tuples for the dispatcher's hot loop."""
-        if self._uops is None or len(self._uops) != len(self.instructions):
-            self._uops = [inst.as_tuple() for inst in self.instructions]
-        return self._uops
+        uops = self._uops
+        instructions = self._instructions
+        if uops is None or (
+            instructions is not None and len(uops) != len(instructions)
+        ):
+            uops = self._uops = [inst.as_tuple() for inst in instructions]
+        return uops
 
     @property
     def size(self) -> int:
         """Original code footprint in bytes."""
-        return len(self.instructions) * INSTRUCTION_SIZE
+        return len(self.uops) * INSTRUCTION_SIZE
 
     @property
     def end(self) -> int:
@@ -89,7 +130,15 @@ class Trace:
         return self.entry + index * INSTRUCTION_SIZE
 
     def instruction_addresses(self) -> List[int]:
-        return [self.address_of(i) for i in range(len(self.instructions))]
+        return [self.address_of(i) for i in range(len(self.uops))]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (self.entry, self.instructions, self.exits, self.image_path,
+                self.image_base) == (other.entry, other.instructions,
+                                     other.exits, other.image_path,
+                                     other.image_base)
 
 
 class TraceSelector:
@@ -112,11 +161,12 @@ class TraceSelector:
         image_base: int = 0,
     ) -> Trace:
         """Fetch the trace starting at ``entry``."""
-        trace = Trace(entry=entry, image_path=image_path, image_base=image_base)
+        instructions: List[Instruction] = []
+        trace = Trace(entry, instructions, None, image_path, image_base)
         pc = entry
         for index in range(self.max_trace_insts):
             inst = self._fetch(pc)
-            trace.instructions.append(inst)
+            instructions.append(inst)
             if inst.is_conditional_branch:
                 trace.exits.append(
                     TraceExit(
@@ -132,7 +182,7 @@ class TraceSelector:
         # Fell off the instruction-count limit: fall-through exit to the
         # next sequential address.
         trace.exits.append(
-            TraceExit(ExitKind.FALLTHROUGH, len(trace.instructions) - 1, target=pc)
+            TraceExit(ExitKind.FALLTHROUGH, len(instructions) - 1, target=pc)
         )
         return trace
 

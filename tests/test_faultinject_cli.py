@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from repro.cli import main
+from repro.persist.cachefile import PersistentCache
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sharedstore import SharedBodyStore
@@ -359,3 +360,55 @@ class TestBenchErrors:
             repro.bench.run_wallclock(str(tmp_path / "scratch"),
                                       families=(), out_path=str(path))
         assert path.read_bytes() == before
+
+
+def _illegal_opcode(trace):
+    trace.code = b"\xee" + trace.code[1:]
+
+
+def _code_shorter_than_its_instructions(trace):
+    trace.n_insts = len(trace.code) // 8 + 1
+
+
+class TestUndecodableCode:
+    """A cache file whose CRCs all hold but whose first trace does not
+    decode is damage in ``code_pool``: fsck names it, and a run
+    quarantines the file and completes JIT-only instead of ending in a
+    ``DecodeError`` traceback."""
+
+    @staticmethod
+    def damaged_database(tmp_path, capsys, damage):
+        directory = str(tmp_path / "db")
+        assert main(["run", "gui", "gvim", "startup",
+                     "--pcache", directory]) == 0
+        capsys.readouterr()
+        [entry] = CacheDatabase(directory).entries()
+        path = os.path.join(directory, entry.filename)
+        with open(path, "rb") as handle:
+            cache = PersistentCache.from_bytes(handle.read())
+        damage(cache.traces[0])
+        with open(path, "wb") as handle:
+            handle.write(cache.to_bytes())
+        return directory, entry.filename
+
+    @pytest.mark.parametrize(
+        "damage", [_illegal_opcode, _code_shorter_than_its_instructions],
+        ids=["illegal-opcode", "code-shorter-than-n_insts"],
+    )
+    def test_fsck_names_code_pool_and_run_degrades(self, tmp_path, capsys,
+                                                   damage):
+        directory, filename = self.damaged_database(tmp_path, capsys, damage)
+        code, out = run_cli(capsys, "cache", "fsck", directory)
+        assert code == 1
+        [row] = [line for line in out.splitlines() if filename in line]
+        assert "code_pool" in row
+
+        code, out = run_cli(capsys, "run", "gui", "gvim", "startup",
+                            "--pcache", directory)
+        assert code == 0
+        assert "traces from pcache:     0" in out
+        assert "'fallback_jit_only': True" in out
+        assert "'degraded_reason': 'cache file quarantined at lookup'" in out
+        assert os.path.exists(
+            os.path.join(directory, QUARANTINE_DIR, filename)
+        )

@@ -1,5 +1,7 @@
 """Tests for address spaces, layouts, and the dynamic linker."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,7 @@ from repro.loader.mapper import (
     WORD_SIZE,
     to_signed_word,
 )
+from repro.machine.cpu import HEAP_BASE, Machine
 
 from tests.conftest import image_from_asm
 
@@ -97,6 +100,41 @@ class TestAddressSpace:
         space.map_anonymous(0x2000, 64)
         space.write_bytes(0x2010, b"hello")
         assert space.read_bytes(0x2010, 5) == b"hello"
+
+
+class TestAnonymousMappings:
+    """Stack and heap are private anonymous ``mmap`` regions: zero-filled
+    on first touch, and private to the process that writes them."""
+
+    def test_zero_filled_and_word_addressable(self):
+        space = AddressSpace()
+        mapping = space.map_anonymous(0x1000, 1 << 20)
+        assert space.read_word(0x1000 + (1 << 19)) == 0
+        space.write_word(0x1008, -3)
+        assert space.read_word(0x1008) == -3
+        mapping.data[16:24] = b"\x01" * 8
+        assert space.read_bytes(0x1010, 8) == b"\x01" * 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_childs_heap_store_stays_in_the_child(self):
+        machine = Machine(load_process(image_from_asm("main:\n    halt\n")))
+        space = machine.process.space
+        space.write_word(HEAP_BASE, 7)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                space.write_word(HEAP_BASE, 42)
+                os.write(write_fd, b"%d" % space.read_word(HEAP_BASE))
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            seen_by_child = pipe.read()
+        os.waitpid(pid, 0)
+        assert seen_by_child == b"42"
+        assert space.read_word(HEAP_BASE) == 7
 
 
 class TestWindow:

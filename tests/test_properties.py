@@ -6,21 +6,26 @@ properties every experiment silently depends on:
 * translated execution is architecturally identical to native execution
   for *any* program;
 * a persist/revive round trip reproduces the trace exactly;
-* cache files survive serialization byte-exactly;
+* cache files survive serialization byte-exactly, and a record whose
+  code does not decode is code-pool damage;
 * liveness analysis is a sound over-approximation.
 """
 
+import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.binfmt.image import ImageBuilder
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
+from repro.isa.opcodes import Opcode
 from repro.loader.linker import load_process
 from repro.machine.cpu import Machine, run_native
 from repro.machine.syscalls import SYS_EXIT
 from repro.persist.cachefile import (
+    CacheFileError,
     PersistedExit,
     PersistedTrace,
     PersistentCache,
@@ -124,6 +129,23 @@ def test_liveness_soundness_property(seed, length):
         written |= inst.registers_written()
 
 
+_OPCODE_BYTES = sorted(int(op) for op in Opcode)
+
+
+def _decodable(trace: PersistedTrace) -> PersistedTrace:
+    """``trace`` with its first ``n_insts`` code words folded into
+    decodable ones (opcode and register bytes mapped into range), as
+    every record of a cache file must be; immediates and the stub bytes
+    after the body stay as drawn."""
+    n_insts = min(trace.n_insts, len(trace.code) // 8)
+    code = bytearray(trace.code)
+    for word in range(0, n_insts * 8, 8):
+        code[word] = _OPCODE_BYTES[code[word] % len(_OPCODE_BYTES)]
+        for offset in range(word + 1, word + 4):
+            code[offset] %= regs.NUM_REGISTERS
+    return dataclasses.replace(trace, n_insts=n_insts, code=bytes(code))
+
+
 _trace_strategy = st.builds(
     PersistedTrace,
     entry=st.integers(0x1000, 0xFFFF00).map(lambda a: a & ~7),
@@ -144,7 +166,7 @@ _trace_strategy = st.builds(
     ),
     data_size=st.integers(64, 2048),
     liveness=st.lists(st.integers(0, 2**32 - 1), max_size=24),
-)
+).map(_decodable)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,6 +188,31 @@ def test_cachefile_roundtrip_property(traces):
         assert loaded.code == original.code
         assert loaded.exits == original.exits
         assert loaded.data_size == original.data_size
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    trace=_trace_strategy,
+    word=st.integers(0, 23),
+    offset=st.integers(0, 3),
+    illegal_opcode=st.sampled_from(
+        sorted(set(range(256)) - set(_OPCODE_BYTES))
+    ),
+    bad_register=st.integers(regs.NUM_REGISTERS, 255),
+)
+def test_cachefile_rejects_undecodable_code_property(
+    trace, word, offset, illegal_opcode, bad_register
+):
+    """A record whose body has a word ``decode`` rejects is code-pool
+    damage, even though every CRC of the file holds."""
+    position = word % trace.n_insts * 8 + offset
+    code = bytearray(trace.code)
+    code[position] = illegal_opcode if offset == 0 else bad_register
+    cache = PersistentCache(vm_version="v", tool_identity="t", app_path="app")
+    cache.traces.append(dataclasses.replace(trace, code=bytes(code)))
+    with pytest.raises(CacheFileError) as excinfo:
+        PersistentCache.from_bytes(cache.to_bytes())
+    assert excinfo.value.section == "code_pool"
 
 
 @settings(max_examples=20, deadline=None)
