@@ -75,12 +75,10 @@ def assert_healthy_persistence(result, context=""):
     cache-less cycle counts.  Every persisted measurement asserts the
     fault path stayed cold.
     """
-    report = result.persistence_report
-    assert report["fallback_jit_only"] is False, (
-        context, report["degraded_reason"]
-    )
-    assert report["cache_quarantined"] == 0, context
-    assert report["storage_errors"] == 0, context
+    host = result.host
+    assert host.fallback_jit_only is False, (context, host.degraded_reason)
+    assert host.cache_quarantined == 0, (context, host.events)
+    assert host.storage_errors == 0, (context, host.events)
 
 
 def cold_and_warm(workload, input_name, db, tool_factory=None, layout=None):

@@ -71,8 +71,8 @@ def _sweep(gui_suite, tmp_path_factory):
                         1 - primed.stats.total_cycles / base.stats.total_cycles
                     ),
                     "reused": primed.stats.traces_from_persistent,
-                    "invalidated": primed.persistence_report["invalidated"],
-                    "rebased": primed.persistence_report["rebased"],
+                    "invalidated": primed.host.invalidated,
+                    "rebased": primed.host.rebased,
                     "retranslated": primed.stats.traces_translated,
                 }
             )

@@ -102,7 +102,7 @@ def main():
         second = persistent_run()
         print("persistence: run1 wrote %d traces at last-thread exit; "
               "run2 translated %d (reused %d)"
-              % (first.persistence_report["total_traces_after_write"],
+              % (first.host.total_traces_after_write,
                  second.stats.traces_translated,
                  second.stats.traces_from_persistent))
     finally:

@@ -99,7 +99,7 @@ def main():
         second = persistent_run()
         print("VM (persist1): %10.0f cycles  (cache written: %d traces)"
               % (first.stats.total_cycles,
-                 first.persistence_report["total_traces_after_write"]))
+                 first.host.total_traces_after_write))
         print("VM (persist2): %10.0f cycles  (%d translated, %d from cache)"
               % (second.stats.total_cycles,
                  second.stats.traces_translated,

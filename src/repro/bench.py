@@ -324,8 +324,20 @@ def _populated_databases(
     return databases
 
 
-def _report_total(results: list, field: str) -> int:
-    return sum(r.persistence_report[field] for r in results)
+def _host_total(results: list, name: str) -> int:
+    """One :class:`~repro.vm.stats.HostStats` counter summed over runs."""
+    return sum(result.host.to_dict()[name] for result in results)
+
+
+def _host_group(result, group: str) -> Dict[str, object]:
+    """One ``HostStats`` group of a run (``ic``, ``links``, ``cache``),
+    keyed without its prefix."""
+    prefix = group + "."
+    return {
+        key[len(prefix):]: value
+        for key, value in result.host.to_dict().items()
+        if key.startswith(prefix)
+    }
 
 
 @_family(
@@ -401,9 +413,7 @@ def _sidecar_cold_warm(scratch_dir: str) -> Sweep:
         ),
         fresh=True,
         collect=lambda mode, results: {
-            "host_compiles_" + mode: _report_total(
-                results, "sidecar_host_compiles"
-            ),
+            "host_compiles_" + mode: _host_total(results, "host_compiles"),
         },
     )
 
@@ -458,13 +468,11 @@ def _shared_store(scratch_dir: str) -> Sweep:
         )
 
     def collect(mode: str, results: list) -> Dict[str, object]:
-        counts = {"host_compiles_" + mode: _report_total(
-            results, "sidecar_host_compiles"
+        counts = {"host_compiles_" + mode: _host_total(
+            results, "host_compiles"
         )}
         if mode == "shared":
-            counts["shared_hits_shared"] = _report_total(
-                results, "shared_hits"
-            )
+            counts["shared_hits_shared"] = _host_total(results, "shared_hits")
         return counts
 
     return _case_sweep(
@@ -521,13 +529,7 @@ def _indirect_heavy(scratch_dir: str) -> Sweep:
         if mode != "compiled":
             return {}
         per_corpus = {
-            name: {
-                "hits": result.ic_stats.hits,
-                "misses": result.ic_stats.misses,
-                "hit_rate": result.ic_stats.hit_rate,
-                "promotions": result.ic_stats.promotions,
-                "depth_hits": list(result.ic_stats.depth_hits),
-            }
+            name: _host_group(result, "ic")
             for (name, _workload, _input), result in zip(cases, results)
         }
         totals = {"ic_" + key: sum(c[key] for c in per_corpus.values())
@@ -602,7 +604,7 @@ def _trace_linking(scratch_dir: str) -> Sweep:
             return {}
         per_corpus = {}
         for (name, _workload, _input), result in zip(cases, results):
-            per_corpus[name] = result.link_stats.to_dict()
+            per_corpus[name] = _host_group(result, "links")
             if _result_signature(result) != oracle_sigs[name]:
                 diverged.append(name)
         totals = {key: sum(c[key] for c in per_corpus.values())

@@ -236,17 +236,31 @@ def cmd_run(args) -> int:
     print("traces translated:      %d" % stats.traces_translated)
     print("traces from pcache:     %d" % stats.traces_from_persistent)
     print("vm overhead fraction:   %.1f%%" % (100 * stats.overhead_fraction()))
+    host = result.host
     if args.record:
-        report = result.persistence_report or {}
         line = "recording: %s (%d events)" % (
-            report.get("record_state", "?"), report.get("record_events", 0)
+            host.record_state, host.record_events
         )
-        if report.get("record_log"):
-            line += " -> %s" % report["record_log"]
+        if host.record_log:
+            line += " -> %s" % host.record_log
         print(line)
-    elif result.persistence_report:
-        print("persistence: %s" % result.persistence_report)
+    _print_host_stats(host)
     return 0
+
+
+def _print_host_stats(host) -> None:
+    """A run's :class:`~repro.vm.stats.HostStats` as one two-column
+    table, then its storage events, one line each."""
+    counters = host.to_dict()
+    events = counters.pop("events")
+    rows = [
+        {"host counter": name,
+         "value": "%.3f" % value if isinstance(value, float) else value}
+        for name, value in counters.items()
+    ]
+    print(format_table(rows, columns=["host counter", "value"]))
+    for kind, filename, reason in events:
+        print("storage event: %s %s: %s" % (kind, filename, reason))
 
 
 def cmd_replay(args) -> int:

@@ -25,7 +25,6 @@ from repro.persist.keys import (
 )
 from repro.persist.manager import (
     PersistenceConfig,
-    PersistenceReport,
     PersistentCacheSession,
 )
 from repro.persist.pretranslate import (
@@ -47,7 +46,6 @@ __all__ = [
     "PersistedReloc",
     "PersistedTrace",
     "PersistenceConfig",
-    "PersistenceReport",
     "PersistentCache",
     "PersistentCacheSession",
     "PretranslationResult",

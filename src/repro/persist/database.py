@@ -97,8 +97,10 @@ class CacheDatabase:
         self._index_path = os.path.join(directory, INDEX_NAME)
         self._lock_path = os.path.join(directory, LOCK_NAME)
         self._entries: List[CacheEntry] = []
-        #: (kind, filename, reason) records of quarantine/recovery events.
+        #: (kind, filename, reason) records of quarantine/recovery events,
+        #: and how many of them a session has already reported.
         self.events: List[tuple] = []
+        self.events_reported = 0
         #: The per-host shared compiled-body store this database attaches
         #: to (:class:`repro.persist.sharedstore.SharedBodyStore`), or
         #: None.  Sessions opened on this database revive bodies through
@@ -335,8 +337,8 @@ class CacheDatabase:
         * valid but keyed to another VM version or host bytecode format
           → ignored *wholesale* and a fresh store under the current keys
           (state ``"stale-vm"``) — the next write-back replaces it;
-        * unreadable (IO error) → ``(None, "io-error")``; the caller
-          runs without a sidecar this session.
+        * unreadable (IO error) → ``(None, "io-error: <reason>")``; the
+          caller runs without a sidecar this session.
         """
         path = self._sidecar_path()
         if not self.storage.exists(path):
@@ -345,7 +347,7 @@ class CacheDatabase:
             blob = self.storage.read_bytes(path)
         except OSError as exc:
             self.events.append(("io-error", SIDECAR_NAME, str(exc)))
-            return None, "io-error"
+            return None, "io-error: %s" % exc
         try:
             store = CompiledBodyStore.from_bytes(blob)
         except SidecarError as exc:

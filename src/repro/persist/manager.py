@@ -38,6 +38,7 @@ from repro.persist.cachefile import CacheFileError, PersistentCache, PersistedTr
 from repro.persist.convert import persist_trace, revive_trace
 from repro.persist.database import CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
+from repro.vm.stats import HostStats
 
 #: Failures the session downgrades on instead of raising through the
 #: engine: malformed cache files and any storage-level IO error
@@ -51,7 +52,8 @@ class PersistenceConfig:
 
     database: Optional[CacheDatabase] = None
     #: Ignore the application key at lookup; reuse any identically
-    #: instrumented cache (paper §3.2.3 / §4.5).
+    #: instrumented cache (paper §3.2.3 / §4.5) other than the running
+    #: app's own, so reuse is genuinely cross-application.
     inter_application: bool = False
     #: Position-independent translations (the paper's proposed extension):
     #: revive traces across library relocation by re-materializing
@@ -64,9 +66,6 @@ class PersistenceConfig:
     #: Prime directly with this cache instead of a database lookup
     #: (cross-input and inter-application experiments pick their donor).
     prime_with: Optional[PersistentCache] = None
-    #: For inter-application database lookups: skip the running app's own
-    #: caches so reuse is genuinely cross-application.
-    exclude_own_app: bool = True
     #: Use the compiled-body sidecar (repro.persist.sidecar): revive host
     #: code objects for the compiled dispatch tier and record new ones at
     #: write-back.  Purely host-side — disabling it changes nothing
@@ -102,112 +101,17 @@ class PersistenceConfig:
     record_meta: Dict[str, object] = field(default_factory=dict)
 
 
-@dataclass
-class PersistenceReport:
-    """What the session did, for results and experiments."""
-
-    cache_found: bool = False
-    source_app: str = ""
-    preloaded: int = 0
-    invalidated: int = 0
-    rebased: int = 0
-    retained_unloaded: int = 0
-    version_conflict: bool = False
-    new_traces_persisted: int = 0
-    written: bool = False
-    total_traces_after_write: int = 0
-    key_checks: int = 0
-    #: Traces skipped at write-back: unbacked or self-modified code.
-    unbacked_skipped: int = 0
-    #: Damaged cache files moved aside (never deleted) this session.
-    cache_quarantined: int = 0
-    #: True when a storage failure downgraded this session to plain JIT
-    #: execution (no reuse and/or no write-back).
-    fallback_jit_only: bool = False
-    #: Human-readable reason for the downgrade ("" when none happened).
-    degraded_reason: str = ""
-    #: Count of storage-level failures absorbed by the session.
-    storage_errors: int = 0
-    #: Compiled-body sidecar lifecycle this session (host-side only; see
-    #: repro.persist.sidecar): how the open went ("disabled", "fresh",
-    #: "loaded", "stale-vm", "quarantined", "io-error", "write-error").
-    sidecar_state: str = "disabled"
-    #: Entries available after the open (revivable compiled bodies).
-    sidecar_entries: int = 0
-    #: Factory code objects revived from the sidecar (host compile()s
-    #: skipped) and host compile()s actually paid, from the compiler.
-    sidecar_hits: int = 0
-    sidecar_host_compiles: int = 0
-    #: Whether the write-back persisted the sidecar, and how many bodies
-    #: this process contributed that were not on disk before.
-    sidecar_written: bool = False
-    sidecar_new_entries: int = 0
-    #: Per-host shared compiled-body store lifecycle (host-side only;
-    #: see repro.persist.sharedstore): "disabled", "attached",
-    #: "stale-vm" (store keyed for another VM version), or
-    #: "write-error: ..." when a publish failed.
-    shared_store_state: str = "disabled"
-    #: Bodies revived from the shared store and chained lookups the
-    #: store could not serve (answered by the private sidecar or a host
-    #: compile()).
-    shared_hits: int = 0
-    shared_misses: int = 0
-    #: Bodies this session added to the shared store at write-back.
-    shared_publishes: int = 0
-    #: Bodies the store's LRU/size cap evicted during this session's
-    #: publishes.
-    shared_gc_evictions: int = 0
-    #: Already-pooled bodies whose LRU stamp this session refreshed.
-    #: Read-only sessions record *only* these at write-back time (no
-    #: body publish, no trace write) so a consumer that never writes
-    #: still keeps its hot working set off the gc cap's eviction list.
-    shared_touch_refreshes: int = 0
-    #: Polymorphic indirect-branch inline-cache counters from the
-    #: compiled tier (repro.vm.stats.ICStats; host-side only, zeros
-    #: under interpreted dispatch).
-    ic_hits: int = 0
-    ic_misses: int = 0
-    ic_resets: int = 0
-    ic_depth_hits: List[int] = field(default_factory=list)
-    #: Hits served by the megamorphic hash-table tier behind the MRU
-    #: chain (zero until a call site overflows the chain depth).
-    ic_overflow_hits: int = 0
-    #: Cross-trace linking + superblock fusion counters from the
-    #: compiled tier (repro.vm.stats.LinkStats; host-side only, zeros
-    #: under interpreted dispatch or with trace_linking disabled).
-    link_direct_hops: int = 0
-    link_ic_hops: int = 0
-    link_bounces: int = 0
-    regions_fused: int = 0
-    region_entries: int = 0
-    region_hops: int = 0
-    region_invalidations: int = 0
-    fusion_aborts: int = 0
-    #: Record-and-replay lifecycle (repro.replay; the session is
-    #: persistence-neutral in either mode, so these are report-only):
-    #: recording: "" (off), "recording", "written", "unsaved" (no
-    #: database to store into), or "write-error: ...".
-    record_state: str = ""
-    #: Nondeterminism events captured by a recording session.
-    record_events: int = 0
-    #: Filename of the stored log inside the database's replay/ dir.
-    record_log: str = ""
-    #: Replay: "" (off), "replaying", or "replayed" (log fully
-    #: consumed; a divergence raises instead of reporting).
-    replay_state: str = ""
-    #: Recorded events consumed by a completed replay.
-    replay_events: int = 0
-
-    def to_dict(self) -> Dict[str, object]:
-        return dict(self.__dict__)
-
-
 class PersistentCacheSession:
-    """Engine persistence hooks for a single run."""
+    """Engine persistence hooks for a single run.
+
+    What the session does is recorded in the engine's
+    :class:`~repro.vm.stats.HostStats` for the run (``engine.host``,
+    bound at process start).
+    """
 
     def __init__(self, config: PersistenceConfig):
         self.config = config
-        self.report_data = PersistenceReport()
+        self.host: Optional[HostStats] = None
         if config.record and config.replay_log is not None:
             raise ValueError(
                 "a session cannot record and replay at the same time"
@@ -252,6 +156,7 @@ class PersistentCacheSession:
     # -- engine hooks ------------------------------------------------------------
 
     def on_process_start(self, engine, machine, cache, stats) -> None:
+        self.host = engine.host
         if self._rr:
             # Persistence-neutral profile: no lookup/preload (and no
             # sidecar — nothing will be written back), just the
@@ -290,7 +195,7 @@ class PersistentCacheSession:
             return
         self._sync_quarantine_events(quarantined_before)
         if loaded is None:
-            if self.report_data.cache_quarantined:
+            if self.host.cache_quarantined:
                 # The indexed cache existed but was damaged: it has been
                 # moved aside and this run proceeds without persistence.
                 self._degrade(stats, "cache file quarantined at lookup")
@@ -304,17 +209,17 @@ class PersistentCacheSession:
         ):
             # Stale system or different instrumentation semantics: the
             # whole cache is unusable (paper §3.2.1).
-            self.report_data.version_conflict = True
+            self.host.version_conflict = True
             return
         self._cache = loaded
-        self.report_data.cache_found = True
-        self.report_data.source_app = loaded.app_path
+        self.host.cache_found = True
+        self.host.source_app = loaded.app_path
 
         # Key validation per intercepted load event.
         validation: Dict[str, str] = {}
         for event in process.load_events:
             stats.charge_persistence(cost.pcache_key_check)
-            self.report_data.key_checks += 1
+            self.host.key_checks += 1
             path = event.image.path
             persisted_key = loaded.image_keys.get(path)
             if persisted_key is None:
@@ -338,7 +243,7 @@ class PersistentCacheSession:
                 key = loaded.image_keys.get(persisted.image_path)
                 if key is not None:
                     self._retained_keys[persisted.image_path] = key
-                self.report_data.retained_unloaded += 1
+                self.host.retained_unloaded += 1
                 continue
             if mode == "invalid":
                 self._invalidate_one(stats, cost, persisted)
@@ -355,7 +260,7 @@ class PersistentCacheSession:
                 self._invalidate_one(stats, cost, persisted)
                 continue
             if mode == "rebase":
-                self.report_data.rebased += 1
+                self.host.rebased += 1
             preload.append(revived)
 
         # Install the valid translations.  cache.insert links them among
@@ -373,7 +278,7 @@ class PersistentCacheSession:
                 cache.insert(revived)
             except CacheFull:
                 break  # pools smaller than the cache; stop preloading
-            self.report_data.preloaded += 1
+            self.host.preloaded += 1
             stats.traces_from_persistent += 1
 
     def on_module_load(self, engine, machine, cache, stats, mapping) -> None:
@@ -392,7 +297,7 @@ class PersistentCacheSession:
             return
         cost = engine.cost_model
         stats.charge_persistence(cost.pcache_key_check)
-        self.report_data.key_checks += 1
+        self.host.key_checks += 1
         persisted_key = self._cache.image_keys.get(image.path)
         if persisted_key is None:
             return
@@ -430,7 +335,7 @@ class PersistentCacheSession:
             except CacheFull:
                 keep.append(persisted)
                 continue
-            self.report_data.preloaded += 1
+            self.host.preloaded += 1
             stats.traces_from_persistent += 1
         self._retained = keep
 
@@ -449,7 +354,7 @@ class PersistentCacheSession:
                 continue  # already in the loaded cache file
             record = persist_trace(resident, machine.process)
             if record is None:
-                self.report_data.unbacked_skipped += 1
+                self.host.unbacked_skipped += 1
                 continue
             self._module_records[record.identity] = record
 
@@ -460,10 +365,11 @@ class PersistentCacheSession:
         self._write_back(engine, machine, cache, stats)
 
     def on_exit(self, engine, machine, cache, stats) -> None:
-        if self._rr:
-            return
-        self._collect_sidecar_counters(engine)
-        self._write_back(engine, machine, cache, stats)
+        try:
+            if not self._rr:
+                self._write_back(engine, machine, cache, stats)
+        finally:
+            self._collect_events()
 
     def on_result(self, engine, result) -> None:
         """Post-run hook: the ``VMRunResult`` exists (record needs it for
@@ -479,7 +385,7 @@ class PersistentCacheSession:
             from repro.replay.log import ReplayLog, result_snapshot
 
             events = list(self._record_hook.events)
-            self.report_data.record_events = len(events)
+            self.host.record_events = len(events)
             database = self.config.database
             if database is None:
                 # Nowhere to store it: defer the baseline snapshot (the
@@ -487,7 +393,7 @@ class PersistentCacheSession:
                 # ``recorded_log`` access, so an unsaved recording pays
                 # per-event cost only inside the run.
                 self._pending_log = (self._record_meta, events, result)
-                self.report_data.record_state = "unsaved"
+                self.host.record_state = "unsaved"
                 return
             log = ReplayLog(
                 meta=self._record_meta,
@@ -498,17 +404,14 @@ class PersistentCacheSession:
             try:
                 name = database.store_replay_log(log)
             except STORAGE_FAILURES as exc:
-                self.report_data.record_state = "write-error: %s" % exc
+                self.host.record_state = "write-error: %s" % exc
                 return
-            self.report_data.record_state = "written"
-            self.report_data.record_log = name
+            self.host.record_state = "written"
+            self.host.record_log = name
         elif self._replay_hook is not None:
             self._replay_hook.verify_exhausted()
-            self.report_data.replay_state = "replayed"
-            self.report_data.replay_events = self._replay_hook.cursor
-
-    def report(self) -> Dict[str, object]:
-        return self.report_data.to_dict()
+            self.host.replay_state = "replayed"
+            self.host.replay_events = self._replay_hook.cursor
 
     @property
     def recorded_log(self):
@@ -547,7 +450,7 @@ class PersistentCacheSession:
             )
             hook = ReplayHook(log.events, os_state=os_state)
             self._replay_hook = hook
-            self.report_data.replay_state = "replaying"
+            self.host.replay_state = "replaying"
         else:
             meta = {
                 "pid": os_state.pid,
@@ -560,7 +463,7 @@ class PersistentCacheSession:
             self._record_meta = meta
             hook = RecordingHook()
             self._record_hook = hook
-            self.report_data.record_state = "recording"
+            self.host.record_state = "recording"
         os_state.nondet_hook = hook
 
     # -- compiled-body sidecar ----------------------------------------------------
@@ -596,7 +499,7 @@ class PersistentCacheSession:
         if shared is not None and shared.vm_version != self._vm_version:
             # A store built for another VM version addresses a different
             # pool; attaching it would only record useless misses.
-            self.report_data.shared_store_state = "stale-vm"
+            self.host.shared_store_state = "stale-vm"
             shared = None
         try:
             store, state = self.config.database.open_sidecar(
@@ -605,9 +508,9 @@ class PersistentCacheSession:
         except STORAGE_FAILURES as exc:
             state = "io-error: %s" % exc
             store = None
-        self.report_data.sidecar_state = state
+        self.host.sidecar_state = state
         if store is not None:
-            self.report_data.sidecar_entries = len(store)
+            self.host.sidecar_entries = len(store)
         if shared is None:
             if store is None:
                 return
@@ -616,39 +519,13 @@ class PersistentCacheSession:
             return
         from repro.persist.sidecar import ChainedBodyStore
 
-        chained = ChainedBodyStore(shared=shared, private=store)
+        chained = ChainedBodyStore(
+            shared=shared, private=store, host=self.host
+        )
         self._body_store = chained
         self._shared_store = shared
-        self.report_data.shared_store_state = "attached"
+        self.host.shared_store_state = "attached"
         compiler.attach_body_store(chained)
-
-    def _collect_sidecar_counters(self, engine) -> None:
-        compiler = getattr(engine, "_compiler", None)
-        if compiler is None:
-            return
-        self.report_data.sidecar_hits = compiler.sidecar_hits
-        self.report_data.sidecar_host_compiles = compiler.host_compiles
-        ics = getattr(compiler, "ic_stats", None)
-        if ics is not None:
-            self.report_data.ic_hits = ics.hits
-            self.report_data.ic_misses = ics.misses
-            self.report_data.ic_resets = ics.resets
-            self.report_data.ic_depth_hits = list(ics.depth_hits)
-            self.report_data.ic_overflow_hits = ics.overflow_hits
-        links = getattr(compiler, "link_stats", None)
-        if links is not None:
-            self.report_data.link_direct_hops = links.link_direct_hops
-            self.report_data.link_ic_hops = links.link_ic_hops
-            self.report_data.link_bounces = links.link_bounces
-            self.report_data.regions_fused = links.regions_fused
-            self.report_data.region_entries = links.region_entries
-            self.report_data.region_hops = links.region_hops
-            self.report_data.region_invalidations = links.region_invalidations
-            self.report_data.fusion_aborts = links.fusion_aborts
-        store = self._body_store
-        if store is not None and hasattr(store, "shared_hits"):
-            self.report_data.shared_hits = store.shared_hits
-            self.report_data.shared_misses = store.shared_misses
 
     def _save_sidecar(self) -> None:
         """Persist newly recorded compiled bodies (report-only failure).
@@ -674,10 +551,10 @@ class PersistentCacheSession:
         try:
             self.config.database.store_sidecar(private)
         except STORAGE_FAILURES as exc:
-            self.report_data.sidecar_state = "write-error: %s" % exc
+            self.host.sidecar_state = "write-error: %s" % exc
             return
-        self.report_data.sidecar_written = True
-        self.report_data.sidecar_new_entries += new_entries
+        self.host.sidecar_written = True
+        self.host.sidecar_new_entries += new_entries
         private.dirty = False
         private.new_entries = 0
 
@@ -693,15 +570,13 @@ class PersistentCacheSession:
         if not pending and not touched:
             return
         try:
-            result = self._shared_store.publish(
-                pending, touch=touched, costs=chained.pending_costs()
-            )
+            result = self._shared_store.publish(pending, touch=touched)
         except STORAGE_FAILURES as exc:
-            self.report_data.shared_store_state = "write-error: %s" % exc
+            self.host.shared_store_state = "write-error: %s" % exc
             return
-        self.report_data.shared_publishes += result.published
-        self.report_data.shared_gc_evictions += result.evicted
-        self.report_data.shared_touch_refreshes += result.refreshed
+        self.host.shared_publishes += result.published
+        self.host.shared_gc_evictions += result.evicted
+        self.host.shared_touch_refreshes += result.refreshed
         chained.clear_pending()
 
     def _touch_shared(self) -> None:
@@ -724,9 +599,9 @@ class PersistentCacheSession:
         try:
             result = self._shared_store.publish({}, touch=touched)
         except STORAGE_FAILURES as exc:
-            self.report_data.shared_store_state = "write-error: %s" % exc
+            self.host.shared_store_state = "write-error: %s" % exc
             return
-        self.report_data.shared_touch_refreshes += result.refreshed
+        self.host.shared_touch_refreshes += result.refreshed
         store.clear_touched()
 
     # -- internals -----------------------------------------------------------------
@@ -741,20 +616,26 @@ class PersistentCacheSession:
             return database.lookup_inter_application(
                 self._vm_version,
                 self._tool_identity,
-                exclude_app_path=(
-                    self._app_path if self.config.exclude_own_app else None
-                ),
+                exclude_app_path=self._app_path,
             )
         return database.lookup(self._app_key, self._vm_version, self._tool_identity)
 
+    def _collect_events(self) -> None:
+        """Move the database's and the shared store's storage events not
+        yet reported by an earlier run into this run's registry."""
+        for owner in (self.config.database, self._shared_store):
+            if owner is not None:
+                self.host.events += owner.events[owner.events_reported:]
+                owner.events_reported = len(owner.events)
+
     def _sync_quarantine_events(self, quarantined_before: int) -> None:
-        """Fold the database's new quarantine events into the report."""
+        """Count the database's new quarantines in the run's registry."""
         database = self.config.database
         if database is None:
             return
         newly = database.quarantined_count - quarantined_before
         if newly > 0:
-            self.report_data.cache_quarantined += newly
+            self.host.cache_quarantined += newly
 
     def _degrade(self, stats, reason: str) -> None:
         """Downgrade the session to JIT-only execution, keeping the run
@@ -762,16 +643,16 @@ class PersistentCacheSession:
         not crash the VM"."""
         self._degraded = True
         self._cache = None
-        self.report_data.fallback_jit_only = True
-        self.report_data.storage_errors += 1
-        if not self.report_data.degraded_reason:
-            self.report_data.degraded_reason = reason
+        self.host.fallback_jit_only = True
+        self.host.storage_errors += 1
+        if not self.host.degraded_reason:
+            self.host.degraded_reason = reason
         if stats is not None:
             stats.persistence_storage_errors += 1
             stats.persistence_degraded = 1
 
     def _invalidate_one(self, stats, cost, persisted: PersistedTrace) -> None:
-        self.report_data.invalidated += 1
+        self.host.invalidated += 1
         stats.persistent_traces_invalidated += 1
         stats.charge_persistence(cost.pcache_invalidate_trace)
         self._invalid_identities.add(persisted.identity)
@@ -827,7 +708,7 @@ class PersistentCacheSession:
                 # Self-modified code no longer matches the file on disk:
                 # "persistent caches only contain traces backed by a file
                 # on disk" (§3.2.1).
-                self.report_data.unbacked_skipped += 1
+                self.host.unbacked_skipped += 1
                 continue
             if accumulating and resident.from_persistent:
                 # The loaded cache already holds this trace's record;
@@ -835,7 +716,7 @@ class PersistentCacheSession:
                 continue
             record = persist_trace(resident, process)
             if record is None:
-                self.report_data.unbacked_skipped += 1
+                self.host.unbacked_skipped += 1
                 continue  # unbacked code: never persisted
             if resident.from_persistent:
                 reused_records.append(record)
@@ -854,7 +735,7 @@ class PersistentCacheSession:
                 dropped = target.drop_traces(self._invalid_identities)
             if not new_records and not module_records and not dropped:
                 # Nothing changed: skip the disk write entirely.
-                self.report_data.total_traces_after_write = len(target.traces)
+                self.host.total_traces_after_write = len(target.traces)
                 return
             # Refresh/retain: the loaded cache already contains the reused
             # records and the retained-unloaded ones; accumulate the new.
@@ -882,8 +763,8 @@ class PersistentCacheSession:
             # the downgrade and keep the program's run intact.
             self._degrade(stats, "write-back failed: %s" % exc)
             return
-        self.report_data.new_traces_persisted = len(new_records)
-        self.report_data.written = True
-        self.report_data.total_traces_after_write = len(target.traces)
+        self.host.new_traces_persisted = len(new_records)
+        self.host.written = True
+        self.host.total_traces_after_write = len(target.traces)
         # Subsequent flush/exit write-backs accumulate onto this cache.
         self._cache = target

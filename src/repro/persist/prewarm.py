@@ -118,6 +118,17 @@ class PrewarmReport:
         return asdict(self)
 
 
+#: Each per-job counter and the :class:`~repro.vm.stats.HostStats` field
+#: it sums over the job's runs.
+_JOB_COUNTERS = {
+    "traces_persisted": "new_traces_persisted",
+    "host_compiles": "host_compiles",
+    "sidecar_hits": "body_hits",
+    "shared_hits": "shared_hits",
+    "shared_publishes": "shared_publishes",
+}
+
+
 def _session_config(
     db_dir: str, shared_store_dir: Optional[str], readonly: bool = False
 ) -> PersistenceConfig:
@@ -146,13 +157,7 @@ def _run_corpus_apps(
     """
     from repro.workloads.harness import run_vm
 
-    totals = {
-        "traces_persisted": 0,
-        "host_compiles": 0,
-        "sidecar_hits": 0,
-        "shared_hits": 0,
-        "shared_publishes": 0,
-    }
+    totals = dict.fromkeys(_JOB_COUNTERS, 0)
     for name in names:
         workload = _build_app(corpus, name)
         for input_name in sorted(workload.inputs):
@@ -164,14 +169,9 @@ def _run_corpus_apps(
                 ),
                 vm_config=VMConfig(compile_threshold=1),
             )
-            report = result.persistence_report
-            totals["traces_persisted"] += report.get(
-                "new_traces_persisted", 0
-            )
-            totals["host_compiles"] += report.get("sidecar_host_compiles", 0)
-            totals["sidecar_hits"] += report.get("sidecar_hits", 0)
-            totals["shared_hits"] += report.get("shared_hits", 0)
-            totals["shared_publishes"] += report.get("shared_publishes", 0)
+            counts = result.host.to_dict()
+            for key, field_name in _JOB_COUNTERS.items():
+                totals[key] += counts[field_name]
     return totals
 
 
@@ -280,16 +280,7 @@ def run_prewarm(
     ]
     start = time.perf_counter()
     for totals in _run_jobs(work, jobs, pool_factory=pool_factory):
-        job_report = PrewarmJobReport(
-            job=totals["job"],
-            apps=list(totals["apps"]),
-            traces_persisted=totals["traces_persisted"],
-            host_compiles=totals["host_compiles"],
-            sidecar_hits=totals["sidecar_hits"],
-            shared_hits=totals["shared_hits"],
-            shared_publishes=totals["shared_publishes"],
-            wall_s=totals["wall_s"],
-        )
+        job_report = PrewarmJobReport(**totals)
         report.job_reports.append(job_report)
         report.traces_persisted += job_report.traces_persisted
         report.compiled += job_report.host_compiles

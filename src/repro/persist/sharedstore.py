@@ -51,10 +51,11 @@ On-disk layout::
 
 Shard files (PCSS1) use the sidecar's framing
 (:mod:`repro.persist.framing`) with one extension: each directory record
-carries a last-use stamp and the measured host-compile cost
+carries a last-use stamp and a compile cost
 (``[digest, offset, size, stamp, cost_us]``; pre-cost four-element
 records still parse, as cost 0) so the LRU/size cap can evict cold
-bodies first and the pool records what each body cost to compile.
+bodies first.  Publishes record cost 0, and a stamp refresh keeps the
+cost already recorded.
 
 Garbage collection (:meth:`SharedBodyStore.gc`) is mark-and-sweep:
 
@@ -281,8 +282,10 @@ class SharedBodyStore:
         self.max_bytes = max_bytes
         #: Injectable time source so tests can pin LRU ordering.
         self.clock = clock
-        #: (kind, filename, reason) records of quarantine/io events.
+        #: (kind, filename, reason) records of quarantine/io events, and
+        #: how many of them a session has already reported.
         self.events: List[tuple] = []
+        self.events_reported = 0
         #: prefix → (stat signature, parsed entries) revalidated cache.
         self._shard_cache: Dict[str, tuple] = {}
         self.storage.makedirs(directory)
@@ -468,24 +471,20 @@ class SharedBodyStore:
         self,
         blobs: Dict[str, bytes],
         touch: Iterable[str] = (),
-        costs: Optional[Dict[str, int]] = None,
     ) -> PublishResult:
         """Make ``blobs`` visible to every database on this host.
 
         ``touch`` names already-present digests whose last-use stamp
         should be refreshed (the LRU signal from a session that revived
-        them).  ``costs`` carries the measured host-compile wall clock
-        (µs) per offered digest, recorded with a newly stored body (an
-        unmeasured one records 0).  Per shard, the protocol is lock →
-        fresh re-read → merge → atomic write-replace → unlock, so
-        concurrent publishers never lose each other's bodies and readers
-        never observe a torn shard.  Content addressing makes the merge
-        trivial: an already-present digest keeps its existing bytes
-        (equal by construction).
+        them).  A newly stored body records compile cost 0.  Per shard,
+        the protocol is lock → fresh re-read → merge → atomic
+        write-replace → unlock, so concurrent publishers never lose each
+        other's bodies and readers never observe a torn shard.  Content
+        addressing makes the merge trivial: an already-present digest
+        keeps its existing bytes (equal by construction).
         """
         result = PublishResult()
         now = int(self.clock())
-        costs = costs or {}
         groups: Dict[str, Dict[str, Optional[bytes]]] = {}
         for digest, blob in blobs.items():
             groups.setdefault(shard_prefix(digest), {})[digest] = blob
@@ -507,9 +506,7 @@ class SharedBodyStore:
                     if existing is None:
                         if blob is None:
                             continue  # touch of an absent digest: no-op
-                        entries[digest] = (
-                            blob, now, int(costs.get(digest, 0))
-                        )
+                        entries[digest] = (blob, now, 0)
                         result.published += 1
                         changed = True
                     elif existing[1] != now:

@@ -64,6 +64,7 @@ from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
     pack_records,
     parse_records,
 )
+from repro.vm.stats import HostStats
 
 MAGIC = b"PCS1"
 FORMAT_VERSION = 1
@@ -165,15 +166,11 @@ class CompiledBodyStore:
             self.dirty = True
             return None
 
-    def record_code(self, digest: str, code, cost_us: int = 0) -> None:
+    def record_code(self, digest: str, code) -> None:
         """Serialize and store a freshly compiled code object."""
-        self.record_bytes(digest, marshal.dumps(code), cost_us=cost_us)
+        self.record_bytes(digest, marshal.dumps(code))
 
-    def record_bytes(self, digest: str, blob: bytes,
-                     cost_us: int = 0) -> None:
-        # ``cost_us`` (measured host-compile wall clock) is accepted for
-        # interface parity with ChainedBodyStore but not persisted: only
-        # the shared pool's records carry a compile cost.
+    def record_bytes(self, digest: str, blob: bytes) -> None:
         if digest in self.entries:
             return
         self.entries[digest] = blob
@@ -239,29 +236,25 @@ class ChainedBodyStore:
 
     Failures on the shared side (IO errors, a pool swept mid-read) are
     absorbed as misses — the chain exists precisely so the next layer
-    answers.
+    answers.  The shared layer's hits and misses are counted in ``host``,
+    the run's :class:`~repro.vm.stats.HostStats`.
     """
 
-    def __init__(self, shared, private: Optional["CompiledBodyStore"]):
+    def __init__(self, shared, private: Optional["CompiledBodyStore"],
+                 host: Optional[HostStats] = None):
         self.shared = shared
         self.private = private
+        self.host = host if host is not None else HostStats()
         #: Session-local union view, the compiler's ``store.entries``:
         #: seeded from the private sidecar, grown by shared revives and
         #: fresh compiles.
         self.entries: Dict[str, bytes] = (
             dict(private.entries) if private is not None else {}
         )
-        self.shared_hits = 0
-        self.shared_misses = 0
         #: Digests revived from the shared pool (stamp refresh at
         #: publish) and blobs this session must publish to it.
         self._touched: set = set()
         self._pending: Dict[str, bytes] = {}
-        #: Measured host-compile cost (µs) per pending digest, recorded
-        #: in the shared pool.  Bodies pended without a measurement
-        #: (pool healing from the private sidecar) have no entry and
-        #: publish as cost 0.
-        self._pending_costs: Dict[str, int] = {}
 
     # -- compiler interface ---------------------------------------------------
 
@@ -278,13 +271,13 @@ class ChainedBodyStore:
             except (ValueError, EOFError, TypeError):
                 code = None  # damaged despite CRCs: fall through
             if code is not None:
-                self.shared_hits += 1
+                self.host.shared_hits += 1
                 self._touched.add(digest)
                 self.entries[digest] = blob
                 if self.private is not None:
                     self.private.record_bytes(digest, blob)
                 return code
-        self.shared_misses += 1
+        self.host.shared_misses += 1
         if self.private is not None:
             code = self.private.lookup_code(digest)
             if code is not None:
@@ -296,19 +289,13 @@ class ChainedBodyStore:
                 return code
         return None
 
-    def record_code(self, digest: str, code, cost_us: int = 0) -> None:
-        self.record_bytes(digest, marshal.dumps(code), cost_us=cost_us)
-
-    def record_bytes(self, digest: str, blob: bytes,
-                     cost_us: int = 0) -> None:
+    def record_bytes(self, digest: str, blob: bytes) -> None:
         if digest in self.entries:
             return
         self.entries[digest] = blob
         self._pending[digest] = blob
-        if cost_us:
-            self._pending_costs[digest] = cost_us
         if self.private is not None:
-            self.private.record_bytes(digest, blob, cost_us=cost_us)
+            self.private.record_bytes(digest, blob)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -328,19 +315,12 @@ class ChainedBodyStore:
         """Blobs the session owes the shared pool."""
         return dict(self._pending)
 
-    def pending_costs(self) -> Dict[str, int]:
-        """Measured host-compile cost (µs) per pending digest; digests
-        without a measurement are absent (the shared pool records them
-        as cost 0)."""
-        return dict(self._pending_costs)
-
     def touched(self) -> set:
         """Already-pooled digests this session revived (LRU refresh)."""
         return set(self._touched)
 
     def clear_pending(self) -> None:
         self._pending.clear()
-        self._pending_costs.clear()
         self._touched.clear()
 
     def clear_touched(self) -> None:

@@ -143,7 +143,7 @@ class RecordOutcome:
     log: ReplayLog
     #: Stored filename inside the database's replay/ dir ("" when the
     #: recording had no database, or the log write failed — see
-    #: ``result.persistence_report["record_state"]``).
+    #: ``result.host.record_state``).
     log_name: str = ""
 
 
@@ -186,7 +186,7 @@ def record_session(
     return RecordOutcome(
         result=result,
         log=session.recorded_log,
-        log_name=str(result.persistence_report.get("record_log", "")),
+        log_name=result.host.record_log,
     )
 
 

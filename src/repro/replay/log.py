@@ -29,9 +29,9 @@ replay can be diffed against it without rerunning the original build:
 
 * ``baseline`` — the canonical :func:`result_snapshot` of the recorded
   run's ``VMRunResult`` (output, exit status, every ``VMStats`` field,
-  tool accounting, cache occupancy).  Host-side accounting that is
-  allowed to differ between builds and tiers (``persistence_report``,
-  ``ic_stats``, ``link_stats``) is deliberately excluded.
+  tool accounting, cache occupancy).  The run's ``HostStats``
+  (``VMRunResult.host``), host-side accounting that is allowed to
+  differ between builds and tiers, is deliberately excluded.
 
 The file uses the shared sectioned framing of
 :mod:`repro.persist.framing` (the PCC2/PCS1 preamble, per-section CRCs,
@@ -121,9 +121,9 @@ def result_snapshot(result) -> Dict[str, object]:
 
     Includes everything the replay acceptance criterion covers: output,
     exit status, instruction count, the full ``VMStats``, the tool
-    accounting and the code-cache occupancy.  Excludes the host-side-only
-    fields that legitimately vary across builds, tiers and compile
-    thresholds: ``persistence_report``, ``ic_stats`` and ``link_stats``.
+    accounting and the code-cache occupancy.  Excludes ``result.host``,
+    the host-side counters that legitimately vary across builds, tiers
+    and compile thresholds.
     """
     return _canonical(
         {

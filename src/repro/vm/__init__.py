@@ -11,7 +11,6 @@ from repro.vm.client import (
 from repro.vm.codecache import (
     CacheFull,
     CodeCache,
-    CodeCacheStats,
     DEFAULT_CODE_POOL_BYTES,
     DEFAULT_DATA_POOL_BYTES,
 )
@@ -22,7 +21,7 @@ from repro.vm.engine import (
     VMRunResult,
     VM_VERSION,
 )
-from repro.vm.stats import VMStats
+from repro.vm.stats import CodeCacheStats, HostStats, VMStats
 from repro.vm.trace import (
     DEFAULT_MAX_TRACE_INSTS,
     ExitKind,
@@ -50,6 +49,7 @@ __all__ = [
     "Engine",
     "EngineError",
     "ExitKind",
+    "HostStats",
     "InstrumentationPoint",
     "LinkSlot",
     "NullTool",

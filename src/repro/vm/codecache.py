@@ -15,10 +15,10 @@ uses for its reserved 512MB region).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.machine.cpu import CODE_PAGE_SHIFT
+from repro.vm.stats import CodeCacheStats
 from repro.vm.translator import LinkSlot, TranslatedTrace
 
 #: Pool sizes used when none are specified: "512MB of an application's
@@ -37,19 +37,6 @@ class CacheFull(Exception):
     """Raised when inserting a trace would overflow a pool."""
 
 
-@dataclass
-class CodeCacheStats:
-    """Occupancy and activity counters."""
-
-    traces_inserted: int = 0
-    flushes: int = 0
-    link_patches: int = 0
-    lookups: int = 0
-    hits: int = 0
-    regions_registered: int = 0
-    region_invalidations: int = 0
-
-
 class CodeCache:
     """Software-managed cache of translated traces."""
 
@@ -58,6 +45,7 @@ class CodeCache:
         code_capacity: int = DEFAULT_CODE_POOL_BYTES,
         data_capacity: int = DEFAULT_DATA_POOL_BYTES,
         track_pages: Optional[Callable[[int, int], None]] = None,
+        stats: Optional[CodeCacheStats] = None,
     ):
         if code_capacity <= 0 or data_capacity <= 0:
             raise ValueError("pool capacities must be positive")
@@ -72,7 +60,9 @@ class CodeCache:
         self.track_pages = track_pages
         self.code_used = 0
         self.data_used = 0
-        self.stats = CodeCacheStats()
+        #: The run's ``HostStats.cache`` group (a private one when the
+        #: cache stands alone).
+        self.stats = stats if stats is not None else CodeCacheStats()
         #: Monotonic invalidation epoch, bumped whenever any trace leaves
         #: the cache (evict or flush).  The compiled tier's indirect
         #: inline caches validate against it: a cached (target ->

@@ -96,11 +96,12 @@ Two PR-3 extensions complete that story:
   charge and ``indirect_resolutions`` count are identical on every
   path — the IC is host-side memoization of the resolver, not a
   simulated-cost change — and the chain's hit/miss/depth accounting
-  lands in :class:`repro.vm.stats.ICStats`, outside ``VMStats``.
+  lands in the run's :class:`repro.vm.stats.HostStats` (its ``ic``
+  group), outside ``VMStats``.
   A **megamorphic overflow tier** backs the chain: every resident the
   site ever resolved is also remembered in a per-site hash table, so a
   target that cycled out of the bounded chain still dispatches without
-  a translation-map lookup (``ICStats.overflow_hits``).  A body holds
+  a translation-map lookup (``ic.overflow_hits``).  A body holds
   only the front-entry hit under the current generation inline; every
   other path is one call to the run's ``ic_resolve`` helper
   (:func:`inline_cache_helper`), so no body carries its own copy.
@@ -135,7 +136,6 @@ import hashlib
 import marshal
 import struct
 import sys
-import time
 from types import CodeType, SimpleNamespace
 from typing import Dict, List, Optional
 
@@ -152,7 +152,7 @@ from repro.machine.cpu import (
     syscall_uop_step,
 )
 from repro.vm.client import AnalysisContext, PointKind, ToolAccounting
-from repro.vm.stats import IC_CHAIN_DEPTH, ICStats, LinkStats, VMStats
+from repro.vm.stats import IC_CHAIN_DEPTH, HostStats, ICStats, VMStats
 from repro.vm.trace import ExitKind
 from repro.vm.translator import TranslatedTrace
 
@@ -198,16 +198,13 @@ _INT64_MAX = 9223372036854775807
 
 #: Memoized closure factories, keyed by everything the generated source
 #: bakes in (see :func:`_trace_key`).  Each value is a ``(make, digest,
-#: body_bytes, cost_us)`` tuple: the compiled ``_make`` function, the
-#: sidecar digest of its key, the ``marshal`` serialization of its code
+#: body_bytes)`` tuple: the compiled ``_make`` function, the sidecar
+#: digest of its key, and the ``marshal`` serialization of its code
 #: object (so a memo hit can still populate a fresh sidecar without
-#: recompiling), and the measured host ``compile()`` wall clock in
-#: microseconds (0 when the factory was revived from a sidecar rather
-#: than compiled here).  A hit skips source generation, host
-#: compilation *and* the module ``exec`` — the factory is simply
-#: re-bound to the new run's captures.  Bounded: the table is
-#: flushed wholesale when it outgrows the cap (the same reclamation
-#: policy the code cache uses).
+#: recompiling).  A hit skips source generation, host compilation *and*
+#: the module ``exec`` — the factory is simply re-bound to the new run's
+#: captures.  Bounded: the table is flushed wholesale when it outgrows
+#: the cap (the same reclamation policy the code cache uses).
 _FACTORIES: Dict[tuple, tuple] = {}
 _FACTORIES_CAP = 8192
 
@@ -537,8 +534,7 @@ class TraceCompiler:
         cost_model: CostModel,
         analysis_context: AnalysisContext,
         code_cache=None,
-        ic_stats: Optional[ICStats] = None,
-        link_stats: Optional[LinkStats] = None,
+        host: Optional[HostStats] = None,
         max_instructions: Optional[int] = None,
         compile_threshold: int = DEFAULT_COMPILE_THRESHOLD,
     ):
@@ -550,23 +546,9 @@ class TraceCompiler:
         self.cost = cost_model
         self.acx = analysis_context
         cache = code_cache if code_cache is not None else _NullCodeCache()
-        #: Aggregated inline-cache accounting across every closure this
-        #: compiler builds (host-side only, never part of VMStats).
-        self.ic_stats = ic_stats if ic_stats is not None else ICStats()
-        #: Cross-trace linking accounting, shared with the engine's chain
-        #: trampoline (host-side only, never part of VMStats).
-        self.link_stats = link_stats if link_stats is not None else LinkStats()
-        #: Traces specialized by this compiler (introspection/tests).
-        self.compiled_count = 0
-        #: Superblock regions fused by this compiler.
-        self.regions_compiled = 0
-        #: Host code-object memo hits observed by this compiler.
-        self.code_memo_hits = 0
-        #: Host ``compile()`` calls this compiler actually paid (factory
-        #: memo misses that the sidecar could not serve either).
-        self.host_compiles = 0
-        #: Factory code objects revived from the persisted sidecar.
-        self.sidecar_hits = 0
+        #: The run's host counters: compile counts here, inline-cache and
+        #: link counters in the closures this compiler builds.
+        self.host = host if host is not None else HostStats()
         #: The attached compiled-body sidecar store, or None (attached by
         #: the persistence session via :meth:`attach_body_store`).
         self.body_store = None
@@ -588,9 +570,9 @@ class TraceCompiler:
             acx=analysis_context,
             record_call=accounting.record_call,
             cache=cache,
-            ics=self.ic_stats,
-            ic_resolve=inline_cache_helper(cache, self.ic_stats),
-            links=self.link_stats,
+            ics=self.host.ic,
+            ic_resolve=inline_cache_helper(cache, self.host.ic),
+            links=self.host.links,
             # Region junctions re-check the instruction budget inline so a
             # fused chain faults exactly where the dispatcher would have.
             # Run-scoped capture (not baked into source) so region
@@ -660,7 +642,7 @@ class TraceCompiler:
             return UNCOMPILABLE
         body = make(self._context, slots, callbacks)
         translated.compiled_body = body
-        self.compiled_count += 1
+        self.host.compiles += 1
         return body
 
     def compile_region(self, members: List[TranslatedTrace]):
@@ -697,7 +679,7 @@ class TraceCompiler:
             body = make(self._context, slots, callbacks, members)
         except CompileError:
             return None
-        self.regions_compiled += 1
+        self.host.regions_compiled += 1
         return body
 
     def _factory(self, key: tuple, digest: Optional[str], source_fn,
@@ -706,33 +688,29 @@ class TraceCompiler:
         revive or a host compile (:meth:`_build_factory`), memoized."""
         cached = _FACTORIES.get(key)
         if cached is not None:
-            make, digest, body_bytes, cost_us = cached
-            self.code_memo_hits += 1
+            make, digest, body_bytes = cached
+            self.host.memo_hits += 1
             store = self.body_store
             if store is not None and digest not in store.entries:
                 # A fresh (or pruned) sidecar still learns bodies the
                 # in-process memo already knows, at zero compile cost.
-                store.record_bytes(digest, body_bytes, cost_us=cost_us)
+                store.record_bytes(digest, body_bytes)
             return make
         if digest is None:
             digest = _body_digest(key)
-        make, body_bytes, cost_us = self._build_factory(
-            source_fn, filename, digest
-        )
+        make, body_bytes = self._build_factory(source_fn, filename, digest)
         if len(_FACTORIES) >= _FACTORIES_CAP:
             _FACTORIES.clear()
-        _FACTORIES[key] = (make, digest, body_bytes, cost_us)
+        _FACTORIES[key] = (make, digest, body_bytes)
         return make
 
     def _build_factory(self, source_fn, filename: str, digest: str):
-        """Produce ``(make, marshal_bytes, cost_us)`` for a memo miss.
+        """Produce ``(make, marshal_bytes)`` for a memo miss.
 
         Tries the attached sidecar first — a hit ``exec``\\ s the revived
-        code object, skipping source generation and host ``compile()``
-        (reported cost 0: nothing was measured); a miss (or no store)
-        compiles from ``source_fn()``, measures the host ``compile()``
-        wall clock, and records the result into the store for the next
-        process.
+        code object, skipping source generation and host ``compile()``;
+        a miss (or no store) compiles from ``source_fn()`` and records
+        the result into the store for the next process.
         """
         store = self.body_store
         if store is not None:
@@ -748,13 +726,10 @@ class TraceCompiler:
                     # cannot judge): treat as a miss and recompile.
                     pass
                 else:
-                    self.sidecar_hits += 1
-                    return make, store.entries[digest], 0
-        source = source_fn()
-        start = time.perf_counter()
-        code = compile(source, filename, "exec")
-        cost_us = int((time.perf_counter() - start) * 1_000_000)
-        self.host_compiles += 1
+                    self.host.body_hits += 1
+                    return make, store.entries[digest]
+        code = compile(source_fn(), filename, "exec")
+        self.host.host_compiles += 1
         # Exec what is marshaled: a fresh compile and a revive then run
         # the same code object.
         code = _strip_line_tables(code)
@@ -763,8 +738,8 @@ class TraceCompiler:
         make = namespace["_make"]
         body_bytes = marshal.dumps(code)
         if store is not None:
-            store.record_bytes(digest, body_bytes, cost_us=cost_us)
-        return make, body_bytes, cost_us
+            store.record_bytes(digest, body_bytes)
+        return make, body_bytes
 
     # -- code generation -------------------------------------------------------
 
@@ -1170,7 +1145,7 @@ class TraceCompiler:
         the cache code and are identical on every path — all model the
         same resolver work — so the interpreted oracle stays
         bit-identical; only the host-side
-        :class:`~repro.vm.stats.ICStats` counters see the difference.
+        ``HostStats.ic`` counters see the difference.
         """
         final = translated.final_slot
         if final is not None and final.exit.kind == ExitKind.INDIRECT:

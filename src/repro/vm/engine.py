@@ -48,7 +48,7 @@ from repro.vm.compile import (
     TraceCompiler,
     UNCOMPILABLE,
 )
-from repro.vm.stats import ICStats, LinkStats, VMStats
+from repro.vm.stats import HostStats, ICStats, LinkStats, VMStats
 from repro.vm.trace import ExitKind, TraceSelector
 from repro.vm.translator import TranslatedTrace, Translator
 from repro.isa.opcodes import Opcode
@@ -132,19 +132,34 @@ class VMRunResult:
     cache_traces: int
     cache_code_bytes: int
     cache_data_bytes: int
-    persistence_report: Dict[str, object] = field(default_factory=dict)
-    #: Indirect-branch inline-cache accounting from the compiled tier
-    #: (all-zero under interpreted dispatch).  Host-side only — kept
+    #: Every host-side counter and state of the run (inline caches,
+    #: linking, code cache, compiled tier, persistence session).  Kept
     #: outside :class:`VMStats` so the tiers' stats stay bit-identical.
-    ic_stats: ICStats = field(default_factory=ICStats)
-    #: Cross-trace linking / superblock-region accounting from the
-    #: compiled tier (all-zero under interpreted dispatch or with
-    #: ``trace_linking`` off).  Host-side only, like ``ic_stats``.
-    link_stats: LinkStats = field(default_factory=LinkStats)
+    host: HostStats = field(default_factory=HostStats)
 
     @property
     def total_cycles(self) -> float:
         return self.stats.total_cycles
+
+    # Read-only views of ``host`` under their former names, which
+    # bench/run.py reads.
+
+    @property
+    def ic_stats(self) -> ICStats:
+        return self.host.ic
+
+    @property
+    def link_stats(self) -> LinkStats:
+        return self.host.links
+
+    @property
+    def persistence_report(self) -> Dict[str, object]:
+        """``host.to_dict()``, plus the session report's names for the
+        body-revive and host-compile counts."""
+        report = self.host.to_dict()
+        report["sidecar_hits"] = self.host.body_hits
+        report["sidecar_host_compiles"] = self.host.host_compiles
+        return report
 
 
 class Engine:
@@ -164,7 +179,9 @@ class Engine:
         #: Set by the degradation backstop when a storage failure escapes
         #: the session: the rest of the run executes JIT-only.
         self._persistence_disabled = False
-        #: Per-run dispatch state (rebuilt by every run()).
+        #: Per-run state (rebuilt by every run()); persistence hooks
+        #: write their counters into ``host``.
+        self.host = HostStats()
         self._compiler: Optional[TraceCompiler] = None
         self._analysis_context: Optional[AnalysisContext] = None
 
@@ -176,9 +193,8 @@ class Engine:
         The session already downgrades itself on storage failures; this
         wrapper is the engine's last line of defense — any storage error
         that still escapes detaches persistence for the rest of the run
-        (JIT-only) instead of raising through the dispatcher.  The
-        session object stays attached so its report reaches the run
-        result with the degradation recorded.
+        (JIT-only) instead of raising through the dispatcher, and the
+        run's :class:`HostStats` records the degradation.
         """
         session = self.persistence
         if session is None or self._persistence_disabled:
@@ -189,11 +205,9 @@ class Engine:
             self._persistence_disabled = True
             stats.persistence_storage_errors += 1
             stats.persistence_degraded = 1
-            report = getattr(session, "report_data", None)
-            if report is not None:
-                report.fallback_jit_only = True
-                if not getattr(report, "degraded_reason", ""):
-                    report.degraded_reason = "%s: %s" % (hook, exc)
+            self.host.fallback_jit_only = True
+            if not self.host.degraded_reason:
+                self.host.degraded_reason = "%s: %s" % (hook, exc)
 
     def run(
         self,
@@ -216,10 +230,11 @@ class Engine:
         machine = machine or Machine(process)
         machine.set_args(*args)
         stats = VMStats()
+        host = self.host = HostStats()
         machine.os_state.clock = lambda: stats.total_cycles
         cache = CodeCache(
             self.config.code_pool_bytes, self.config.data_pool_bytes,
-            track_pages=machine.track_code_pages,
+            track_pages=machine.track_code_pages, stats=host.cache,
         )
         selector = TraceSelector(machine.fetch, self.config.max_trace_insts)
         translator = Translator(self.cost_model, self.tool)
@@ -230,13 +245,10 @@ class Engine:
         self._analysis_context = AnalysisContext(
             address=0, trace_entry=0, index=0, machine=machine
         )
-        ic_stats = ICStats()
-        link_stats = LinkStats()
         self._compiler = (
             TraceCompiler(
                 machine, stats, accounting, self.cost_model,
-                self._analysis_context, code_cache=cache,
-                ic_stats=ic_stats, link_stats=link_stats,
+                self._analysis_context, code_cache=cache, host=host,
                 max_instructions=self.config.max_instructions,
                 compile_threshold=self.config.compile_threshold,
             )
@@ -350,15 +362,7 @@ class Engine:
                 stats.vm_entries += 1
 
         self.tool.on_exit(machine, exit_status)
-
-        # Mirror cache-level region teardown (evict/SMC/flush) into the
-        # run's link accounting: the cache has no LinkStats reference.
-        link_stats.region_invalidations = cache.stats.region_invalidations
-
-        persistence_report: Dict[str, object] = {}
-        if self.persistence is not None:
-            self._persist_hook("on_exit", stats, machine, cache, stats)
-            persistence_report = self.persistence.report()
+        self._persist_hook("on_exit", stats, machine, cache, stats)
 
         result = VMRunResult(
             exit_status=exit_status,
@@ -369,20 +373,13 @@ class Engine:
             cache_traces=len(cache),
             cache_code_bytes=cache.code_used,
             cache_data_bytes=cache.data_used,
-            persistence_report=persistence_report,
-            ic_stats=ic_stats,
-            link_stats=link_stats,
+            host=host,
         )
-        if self.persistence is not None and hasattr(
-            self.persistence, "on_result"
-        ):
-            # Post-run tap for the record/replay tier: the recording
-            # session snapshots the finished result into its log; replay
-            # verifies the log ran dry.  Runs after the VMRunResult is
-            # built (the baseline needs it) and re-snapshots the report
-            # so record/replay outcomes reach the caller.
-            self._persist_hook("on_result", stats, result)
-            result.persistence_report = self.persistence.report()
+        # Post-run tap for the record/replay tier: the recording session
+        # snapshots the finished result into its log; replay verifies
+        # the log ran dry.  Runs after the VMRunResult is built (the
+        # baseline needs it).
+        self._persist_hook("on_result", stats, result)
         return result
 
     # -- compilation -------------------------------------------------------------
@@ -495,7 +492,7 @@ class Engine:
                 # are untouched: a linked exit was already free, and the
                 # demand-load/execution bookkeeping below mirrors this
                 # method's own preamble exactly.
-                links = compiler.link_stats
+                links = self.host.links
                 budget = self.config.max_instructions
                 cur = translated
                 while True:
@@ -699,7 +696,7 @@ class Engine:
         uncompilable successors.  Failure is cheap and retried: counters
         keep climbing, so the next threshold crossing tries again.
         """
-        links = compiler.link_stats
+        links = self.host.links
         if slot is not cur.final_slot:
             members = cache.region_members(cur.entry)
             if not members:

@@ -13,12 +13,13 @@ The paper's measurements hinge on one decomposition (§2.2, Figure 5(b)):
 
 :class:`VMStats` keeps every component separately and maintains a running
 total so translation events can be timestamped for the Figure 2(a)
-timeline.
+timeline.  Host-side counters, which may differ between tiers, live
+beside it in one :class:`HostStats` per run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Tuple
 
 #: Maximum entries in one polymorphic indirect-branch inline-cache chain
@@ -31,17 +32,12 @@ IC_CHAIN_DEPTH = 4
 
 @dataclass
 class ICStats:
-    """Host-side counters for the compiled tier's polymorphic
-    indirect-branch inline caches (:mod:`repro.vm.compile`).
+    """:class:`HostStats`' ``ic`` group: the compiled tier's polymorphic
+    indirect-branch inline caches (:mod:`repro.vm.compile`), written in
+    place by generated closures as ``ics.*``.
 
-    Deliberately **not** part of :class:`VMStats`: the interpreted
-    oracle has no inline caches, so any counter here would differ
-    between the tiers and break the bit-identical ``VMStats`` contract
-    (docs/performance.md).  Like the factory memo and the compiled-body
-    sidecar, the ICs are host-level memoization of the indirect
-    resolver — they may never influence anything simulated, so their
-    accounting travels beside the run result
-    (:attr:`repro.vm.engine.VMRunResult.ic_stats`), not inside it.
+    The interpreted oracle has no inline caches, so these counters differ
+    between the tiers; they may never influence anything simulated.
     """
 
     #: Chain hits: the dynamic target was found in the site's chain.
@@ -65,6 +61,9 @@ class ICStats:
         default_factory=lambda: [0] * IC_CHAIN_DEPTH
     )
 
+    #: Properties :meth:`HostStats.to_dict` reports beside the fields.
+    DERIVED = ("hit_rate",)
+
     @property
     def lookups(self) -> int:
         """Indirect exits taken through compiled closures."""
@@ -77,33 +76,17 @@ class ICStats:
         total = self.lookups
         return (self.hits + self.overflow_hits) / total if total else 0.0
 
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (bench tables, session reports)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "fills": self.fills,
-            "promotions": self.promotions,
-            "resets": self.resets,
-            "overflow_hits": self.overflow_hits,
-            "depth_hits": list(self.depth_hits),
-            "hit_rate": self.hit_rate,
-        }
-
 
 @dataclass
 class LinkStats:
-    """Host-side counters for the compiled tier's cross-trace linking
-    (the chain trampoline and superblock regions in
-    :mod:`repro.vm.engine` / :mod:`repro.vm.compile`).
+    """:class:`HostStats`' ``links`` group: the compiled tier's
+    cross-trace linking (the chain trampoline in :mod:`repro.vm.engine`
+    and the superblock regions of :mod:`repro.vm.compile`, whose bodies
+    write it in place as ``links.*``).
 
-    Like :class:`ICStats`, deliberately **not** part of
-    :class:`VMStats`: linked exits were already free in simulated
-    cycles under both tiers (the ``linked_resident`` seam), so the
-    trampoline and regions are pure host wall-clock machinery.  Any
-    counter here would differ between the tiers and break the
-    bit-identical ``VMStats`` contract; the accounting travels beside
-    the run result (:attr:`repro.vm.engine.VMRunResult.link_stats`).
+    Linked exits are free in simulated cycles under every tier (the
+    ``linked_resident`` seam), so the trampoline and regions are pure
+    host wall-clock machinery.
     """
 
     #: Trampoline hops through a patched direct-exit slot: control went
@@ -124,30 +107,142 @@ class LinkStats:
     #: Intra-region junction transitions (exits that never produced a
     #: host-level trace-to-trace transfer at all).
     region_hops: int = 0
-    #: Regions dropped because a member left the code cache
-    #: (SMC eviction, module unload, cache flush).
-    region_invalidations: int = 0
     #: Fusion attempts abandoned (chain too short, member uncompilable,
     #: overlap with an existing region, unstable links).
     fusion_aborts: int = 0
+
+    DERIVED = ("chained_exits",)
 
     @property
     def chained_exits(self) -> int:
         """Trace exits that stayed in the code cache host-side."""
         return self.link_direct_hops + self.link_ic_hops + self.region_hops
 
+
+@dataclass
+class CodeCacheStats:
+    """:class:`HostStats`' ``cache`` group: occupancy and activity of the
+    code cache (:class:`repro.vm.codecache.CodeCache`)."""
+
+    traces_inserted: int = 0
+    flushes: int = 0
+    link_patches: int = 0
+    lookups: int = 0
+    hits: int = 0
+    regions_registered: int = 0
+    #: Regions dropped because a member left the code cache (SMC
+    #: eviction, module unload, cache flush).
+    region_invalidations: int = 0
+
+
+@dataclass
+class HostStats:
+    """Every host-side counter and state of one run, in one place.
+
+    :class:`VMStats` holds what every dispatch tier reproduces bit for
+    bit.  Everything here is host machinery -- inline caches, trace
+    linking, the code cache, closure compilation, the compiled-body
+    stores and the persistence session -- and legitimately differs
+    between tiers, builds and compile thresholds, so it stays out of
+    ``VMStats`` and out of replay baselines.
+    :meth:`repro.vm.engine.Engine.run` creates one per run
+    (:attr:`repro.vm.engine.VMRunResult.host`) and each layer writes its
+    own fields in place.  It holds only numbers, strings and lists, so a
+    kept result keeps no run state alive.
+    """
+
+    ic: ICStats = field(default_factory=ICStats)
+    links: LinkStats = field(default_factory=LinkStats)
+    cache: CodeCacheStats = field(default_factory=CodeCacheStats)
+
+    # -- compiled tier (repro.vm.compile) -------------------------------------
+    #: Traces specialized into closures, and superblock regions fused.
+    compiles: int = 0
+    regions_compiled: int = 0
+    #: Closure factories served by the in-process memo.
+    memo_hits: int = 0
+    #: Host ``compile()`` calls paid (memo misses no store could serve).
+    host_compiles: int = 0
+    #: Factory code objects revived from the attached body store, shared
+    #: or private.
+    body_hits: int = 0
+    #: Body-chain lookups the shared store answered, and those it could
+    #: not (answered by the private sidecar or a host ``compile()``).
+    shared_hits: int = 0
+    shared_misses: int = 0
+
+    # -- persistence session (repro.persist.manager) --------------------------
+    cache_found: bool = False
+    source_app: str = ""
+    preloaded: int = 0
+    invalidated: int = 0
+    rebased: int = 0
+    retained_unloaded: int = 0
+    version_conflict: bool = False
+    new_traces_persisted: int = 0
+    written: bool = False
+    total_traces_after_write: int = 0
+    key_checks: int = 0
+    #: Traces skipped at write-back: unbacked or self-modified code.
+    unbacked_skipped: int = 0
+    #: Damaged cache files moved aside (never deleted) this run.
+    cache_quarantined: int = 0
+    #: True when a storage failure downgraded the run to plain JIT
+    #: execution (no reuse and/or no write-back), and the first reason.
+    fallback_jit_only: bool = False
+    degraded_reason: str = ""
+    #: Storage-level failures the session absorbed.
+    storage_errors: int = 0
+    #: Compiled-body sidecar (repro.persist.sidecar): how the open went
+    #: ("disabled", "fresh", "loaded", "stale-vm", "quarantined",
+    #: "io-error: ...", "write-error: ..."), the revivable bodies it
+    #: held, whether the write-back persisted it, and the bodies this
+    #: run added to it.
+    sidecar_state: str = "disabled"
+    sidecar_entries: int = 0
+    sidecar_written: bool = False
+    sidecar_new_entries: int = 0
+    #: Shared compiled-body store (repro.persist.sharedstore):
+    #: "disabled", "attached", "stale-vm" (keyed for another VM version)
+    #: or "write-error: ...".
+    shared_store_state: str = "disabled"
+    #: Bodies this run added to the shared store, bodies its size cap
+    #: evicted meanwhile, and pooled bodies whose LRU stamp this run
+    #: refreshed (all a read-only run writes).
+    shared_publishes: int = 0
+    shared_gc_evictions: int = 0
+    shared_touch_refreshes: int = 0
+    #: Recording (repro.replay): "" (off), "recording", "written",
+    #: "unsaved" (no database) or "write-error: ...", the events
+    #: captured, and the stored log's name in the database's replay/ dir.
+    record_state: str = ""
+    record_events: int = 0
+    record_log: str = ""
+    #: Replay: "" (off), "replaying" or "replayed" (log fully consumed;
+    #: a divergence raises instead), and the events consumed.
+    replay_state: str = ""
+    replay_events: int = 0
+    #: This run's storage events, ``(kind, file, reason)``, from the
+    #: database's and the shared store's ``events``: quarantines, read IO
+    #: errors, missing indexed files, a failed shared-store registration.
+    events: List[Tuple[str, str, str]] = field(default_factory=list)
+
     def to_dict(self) -> Dict[str, object]:
-        """JSON-ready snapshot (bench tables, session reports)."""
+        """Every field as ``name: value``, a group's fields and derived
+        properties as ``group.name: value``; lists are copies."""
+        flat: Dict[str, object] = {}
+        for item in fields(self):
+            value = getattr(self, item.name)
+            if not is_dataclass(value):
+                flat[item.name] = value
+                continue
+            names = [sub.name for sub in fields(value)]
+            names += getattr(value, "DERIVED", ())
+            for name in names:
+                flat[item.name + "." + name] = getattr(value, name)
         return {
-            "link_direct_hops": self.link_direct_hops,
-            "link_ic_hops": self.link_ic_hops,
-            "link_bounces": self.link_bounces,
-            "regions_fused": self.regions_fused,
-            "region_entries": self.region_entries,
-            "region_hops": self.region_hops,
-            "region_invalidations": self.region_invalidations,
-            "fusion_aborts": self.fusion_aborts,
-            "chained_exits": self.chained_exits,
+            key: list(value) if isinstance(value, list) else value
+            for key, value in flat.items()
         }
 
 

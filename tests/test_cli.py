@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -11,6 +13,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def host_value(out: str, name: str) -> str:
+    """The value ``repro run``'s host table printed for one counter."""
+    match = re.search(r"^%s +(.*?) *$" % re.escape(name), out, re.M)
+    assert match is not None, name
+    return match.group(1)
 
 
 class TestList:
@@ -65,7 +74,7 @@ class TestRun:
             "--readonly", "--layout-seed", "5",
         )
         assert code == 0
-        assert "'invalidated': " in out  # relocation caused invalidations
+        assert int(host_value(out, "invalidated")) > 0  # relocation
 
     def test_pic_flag(self, capsys, tmp_path):
         db = str(tmp_path / "db")
@@ -153,4 +162,4 @@ class TestShellSuiteCli:
         code, out = run_cli(capsys, "run", "shell", "cat", "run",
                             "--pcache", db, "--inter-app", "--readonly")
         assert code == 0
-        assert "'cache_found': True" in out
+        assert host_value(out, "cache_found") == "True"

@@ -531,7 +531,7 @@ class TestPolymorphicIC:
         workload = self._suite()["alternating_pair"]
         result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
         ics = result.ic_stats
-        assert ics.hit_rate > 0.8, ics.to_dict()
+        assert ics.hit_rate > 0.8, ics
         assert ics.depth_hits[0] > 0 and ics.depth_hits[1] > 0
         assert ics.promotions > 0
         # MTF keeps the working pair in the first two entries: nothing
@@ -544,7 +544,7 @@ class TestPolymorphicIC:
         workload = self._suite()["rotating_3"]
         result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
         ics = result.ic_stats
-        assert ics.hit_rate > 0.8, ics.to_dict()
+        assert ics.hit_rate > 0.8, ics
         assert ics.depth_hits[2] > 0
         assert ics.promotions > 0
 
@@ -566,15 +566,15 @@ class TestPolymorphicIC:
         # resolving back to the loop) all fill within the first cycles;
         # everything after is a chain hit (ret sites, near-monomorphic)
         # or an overflow hit (the callr cycle).
-        assert ics.overflow_hits > ics.misses * 10, ics.to_dict()
-        assert ics.misses <= 32, ics.to_dict()
-        assert ics.hit_rate > 0.95, ics.to_dict()
+        assert ics.overflow_hits > ics.misses * 10, ics
+        assert ics.misses <= 32, ics
+        assert ics.hit_rate > 0.95, ics
         assert len(ics.depth_hits) == IC_CHAIN_DEPTH
         # The satellite acceptance: the megamorphic corpus resolves
         # without dispatcher bounces — every IC-predicted successor was
         # trampolined, never handed back to the dispatch loop.
         assert result.link_stats.link_bounces == 0, (
-            result.link_stats.to_dict()
+            result.link_stats
         )
         assert result.link_stats.link_ic_hops > 0
 
@@ -593,7 +593,7 @@ class TestPolymorphicIC:
         assert compiled.exit_status == 99
         assert compiled.stats.smc_invalidations > 0
         ics = compiled.ic_stats
-        assert ics.resets >= 1, ics.to_dict()
+        assert ics.resets >= 1, ics
         assert ics.hits > 0  # the chain was warm before the patch
 
     def test_eviction_between_indirect_calls(self):
@@ -616,14 +616,24 @@ class TestPolymorphicIC:
         ics = compiled.ic_stats
         # Post-flush re-fills still land, and the IC path saw every
         # compiled-tier indirect resolution despite the churn.
-        assert ics.hits > 0 and ics.fills > 0, ics.to_dict()
+        assert ics.hits > 0 and ics.fills > 0, ics
         assert (ics.hits + ics.overflow_hits + ics.misses
-                == compiled.stats.indirect_resolutions), ics.to_dict()
+                == compiled.stats.indirect_resolutions), ics
+
+
+def _ic_group(result):
+    """The ``ic.*`` entries of a run's ``HostStats.to_dict()``, keyed
+    without their prefix."""
+    return {
+        key[len("ic."):]: value
+        for key, value in result.host.to_dict().items()
+        if key.startswith("ic.")
+    }
 
 
 def _ic_counts(hits, misses, fills, promotions, resets, overflow_hits,
                depth_hits):
-    """An ``ICStats.to_dict()``, its hit rate derived as ICStats does."""
+    """An :func:`_ic_group`, its hit rate derived as ICStats does."""
     total = hits + overflow_hits + misses
     return {
         "hits": hits, "misses": misses, "fills": fills,
@@ -635,23 +645,23 @@ def _ic_counts(hits, misses, fills, promotions, resets, overflow_hits,
 
 def _indirect_runs(tmp_path):
     """Each inline-cache test program, by name: a function of no
-    arguments returning the ``ICStats.to_dict()`` of its run(s)."""
+    arguments returning the :func:`_ic_group` of its run(s)."""
     from repro.workloads.indirect import build_indirect_suite
 
     def one(config, image_fn=build_indirect_image, **image_args):
-        return Engine(config=config).run(
+        return _ic_group(Engine(config=config).run(
             load_process(image_fn(**image_args))
-        ).ic_stats.to_dict()
+        ))
 
     def persisted():
         db = CacheDatabase(str(tmp_path / "ic-db"))
         return [
-            Engine(
+            _ic_group(Engine(
                 config=_config("compiled"),
                 persistence=PersistentCacheSession(
                     PersistenceConfig(database=db)
                 ),
-            ).run(load_process(build_indirect_image())).ic_stats.to_dict()
+            ).run(load_process(build_indirect_image())))
             for _ in range(2)
         ]
 
@@ -672,9 +682,9 @@ def _indirect_runs(tmp_path):
     }
     for name, workload in build_indirect_suite().items():
         runs["corpus-" + name] = (
-            lambda wl=workload: run_vm(
+            lambda wl=workload: _ic_group(run_vm(
                 wl, "run", vm_config=_eager_config("compiled")
-            ).ic_stats.to_dict()
+            ))
         )
     return runs
 
@@ -928,7 +938,7 @@ class TestTraceLinking:
                 context=("chain-corpus", name),
             )
             links = results["linked"].link_stats
-            assert links.link_bounces == 0, (name, links.to_dict())
+            assert links.link_bounces == 0, (name, links)
             assert links.link_direct_hops > 0, name
             assert links.regions_fused > 0, name
             assert links.region_entries > 0, name
@@ -948,11 +958,11 @@ class TestTraceLinking:
             workload, "run", vm_config=self._link_config("linked")
         )
         links = result.link_stats
-        assert links.link_bounces == 0, links.to_dict()
-        assert links.regions_fused == 1, links.to_dict()
+        assert links.link_bounces == 0, links
+        assert links.regions_fused == 1, links
         # 4000 iterations, 4 transfers each: nearly all stay host-side.
-        assert links.chained_exits > 3 * 4000, links.to_dict()
-        assert links.region_entries > 3500, links.to_dict()
+        assert links.chained_exits > 3 * 4000, links
+        assert links.region_entries > 3500, links
 
     def test_long_relay_splits_at_region_cap(self):
         """relay_12 exceeds ``REGION_MAX_MEMBERS``: the fusion driver
@@ -965,8 +975,8 @@ class TestTraceLinking:
             workload, "run", vm_config=self._link_config("linked")
         )
         links = result.link_stats
-        assert links.regions_fused >= 2, links.to_dict()
-        assert links.link_bounces == 0, links.to_dict()
+        assert links.regions_fused >= 2, links
+        assert links.link_bounces == 0, links
         assert 12 > REGION_MAX_MEMBERS  # the corpus really overflows
 
     def test_smc_on_linked_successor(self):
@@ -983,9 +993,9 @@ class TestTraceLinking:
         assert linked.exit_status == 7
         assert linked.stats.smc_invalidations > 0
         links = linked.link_stats
-        assert links.link_direct_hops > 0, links.to_dict()
-        assert links.regions_fused >= 1, links.to_dict()
-        assert links.region_invalidations >= 1, links.to_dict()
+        assert links.link_direct_hops > 0, links
+        assert links.regions_fused >= 1, links
+        assert linked.host.cache.region_invalidations >= 1, links
 
     def test_cache_flush_mid_chain(self):
         """A code pool small enough to flush mid-run: flushes unlink
@@ -1005,7 +1015,7 @@ class TestTraceLinking:
         linked = results["linked"]
         assert linked.stats.cache_flushes > 0
         links = linked.link_stats
-        assert links.link_direct_hops > 0, links.to_dict()
+        assert links.link_direct_hops > 0, links
 
     def test_budget_faults_identically_mid_chain(self):
         """An instruction budget that runs out mid-trampoline must
@@ -1051,9 +1061,9 @@ class TestTraceLinking:
         warm = runs["linked"][1]
         assert warm.stats.traces_translated == 0
         links = warm.link_stats
-        assert links.link_bounces == 0, links.to_dict()
-        assert links.regions_fused > 0, links.to_dict()
-        assert links.link_direct_hops > 0, links.to_dict()
+        assert links.link_bounces == 0, links
+        assert links.regions_fused > 0, links
+        assert links.link_direct_hops > 0, links
 
 
 def _exiting(code, name="memops-app"):
@@ -1439,7 +1449,7 @@ class TestMemoryOps:
         engine = Engine(config=_eager_config("compiled"))
         with pytest.raises(MachineFault) as excinfo:
             engine.run(load_process(image))
-        assert engine._compiler.link_stats.regions_fused > 0
+        assert engine.host.links.regions_fused > 0
         assert _through_region(traceback.walk_tb(excinfo.tb))
         return pc
 
@@ -1627,7 +1637,7 @@ class TestMemoryOps:
                 faults[mode][0]
             )
         assert faults["interpreted"] == faults["compiled"]
-        assert engine._compiler.link_stats.regions_fused > 0
+        assert engine.host.links.regions_fused > 0
         assert _through_region(traceback.walk_tb(excinfo.tb))
 
     @staticmethod

@@ -15,12 +15,14 @@ import pytest
 from repro.cli import main
 from repro.persist.cachefile import PersistentCache
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
+from repro.persist.framing import PREAMBLE
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sharedstore import SharedBodyStore
 from repro.testing.faultfs import flip_byte, truncate_file
 from repro.vm.engine import VM_VERSION
 from repro.workloads.harness import run_vm
 
+from tests.test_cli import host_value
 from tests.test_persist_manager import mini_workload
 
 pytestmark = pytest.mark.faultinject
@@ -407,8 +409,45 @@ class TestUndecodableCode:
                             "--pcache", directory)
         assert code == 0
         assert "traces from pcache:     0" in out
-        assert "'fallback_jit_only': True" in out
-        assert "'degraded_reason': 'cache file quarantined at lookup'" in out
+        assert host_value(out, "fallback_jit_only") == "True"
+        assert (host_value(out, "degraded_reason")
+                == "cache file quarantined at lookup")
         assert os.path.exists(
             os.path.join(directory, QUARANTINE_DIR, filename)
         )
+
+
+def data_pool_middle(path: str) -> int:
+    """The offset of the middle byte of a cache file's data pool."""
+    with open(path, "rb") as handle:
+        blob = handle.read()
+    header_len = PREAMBLE.unpack_from(blob, 0)[3]
+    header = json.loads(blob[PREAMBLE.size:PREAMBLE.size + header_len])
+    start = PREAMBLE.size + header_len
+    for name in ("directory", "code_pool"):
+        start += header["sections"][name][0]
+    return start + header["sections"]["data_pool"][0] // 2
+
+
+class TestRunNamesTheDamage:
+    """``repro run`` prints why a cache file was quarantined, not only
+    that the run fell back to JIT-only."""
+
+    def test_flipped_data_pool_byte_is_named(self, tmp_path, capsys):
+        directory = str(tmp_path / "db")
+        assert main(["run", "gui", "gvim", "startup",
+                     "--pcache", directory]) == 0
+        capsys.readouterr()
+        [entry] = CacheDatabase(directory).entries()
+        path = os.path.join(directory, entry.filename)
+        flip_byte(path, data_pool_middle(path))
+
+        code, out = run_cli(capsys, "run", "gui", "gvim", "startup",
+                            "--pcache", directory)
+        assert code == 0
+        assert host_value(out, "fallback_jit_only") == "True"
+        assert host_value(out, "cache_quarantined") == "1"
+        [event] = [line for line in out.splitlines()
+                   if line.startswith("storage event:")]
+        assert entry.filename in event
+        assert "damaged data_pool" in event

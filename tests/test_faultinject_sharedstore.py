@@ -96,6 +96,36 @@ def pool_shards(store_dir):
     ]
 
 
+class TestDamageReachesTheRegistry:
+    def test_every_damaged_shard_is_reported(self, workload, tmp_path):
+        """A consumer whose every shard is damaged runs on host
+        compiles, and its ``HostStats`` names each quarantined shard and
+        why -- even though the store stays attached and no storage error
+        degrades the run."""
+        store_dir, reference, _warm = seed_pool(workload, tmp_path)
+        shards = pool_shards(store_dir)
+        for shard in shards:
+            flip_byte(shard, os.path.getsize(shard) // 2)
+        consumer = CacheDatabase(
+            str(tmp_path / "consumer"), shared_store=make_store(store_dir)
+        )
+        clear_code_object_cache()
+        run = compiled_run(workload, "a", consumer)
+
+        assert observable(run) == reference
+        host = run.host
+        assert host.shared_store_state == "attached"
+        assert host.storage_errors == 0 and host.host_compiles > 0
+        quarantined = [
+            (name, reason) for kind, name, reason in host.events
+            if kind == "quarantine"
+        ]
+        assert sorted(name.rsplit("-", 1)[1] for name, _ in quarantined) == [
+            os.path.basename(shard) for shard in shards
+        ]
+        assert all(reason.startswith("damaged ") for _, reason in quarantined)
+
+
 class TestDamagedShardReads:
     @pytest.mark.parametrize("damage", ["flip", "truncate"])
     def test_quarantines_shard_and_degrades_to_host_compile(

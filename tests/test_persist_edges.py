@@ -32,26 +32,34 @@ class TestSessionLifecycle:
         assert second.persistence_report["preloaded"] > 0
 
     def test_report_shape_stable(self, workload, db):
+        """``persistence_report`` is ``HostStats.to_dict()`` plus the
+        session report's two names for the compiler's revive and compile
+        counts."""
         report = persisted_run(workload, "a", db).persistence_report
         expected_keys = {
+            "ic.hits", "ic.misses", "ic.fills", "ic.promotions",
+            "ic.resets", "ic.overflow_hits", "ic.depth_hits", "ic.hit_rate",
+            "links.link_direct_hops", "links.link_ic_hops",
+            "links.link_bounces", "links.regions_fused",
+            "links.region_entries", "links.region_hops",
+            "links.fusion_aborts", "links.chained_exits",
+            "cache.traces_inserted", "cache.flushes", "cache.link_patches",
+            "cache.lookups", "cache.hits", "cache.regions_registered",
+            "cache.region_invalidations",
+            "compiles", "regions_compiled", "memo_hits", "host_compiles",
+            "body_hits", "shared_hits", "shared_misses",
             "cache_found", "source_app", "preloaded", "invalidated",
             "rebased", "retained_unloaded", "version_conflict",
             "new_traces_persisted", "written", "total_traces_after_write",
             "key_checks", "unbacked_skipped", "cache_quarantined",
             "fallback_jit_only", "degraded_reason", "storage_errors",
-            "sidecar_state", "sidecar_entries", "sidecar_hits",
-            "sidecar_host_compiles", "sidecar_written",
+            "sidecar_state", "sidecar_entries", "sidecar_written",
             "sidecar_new_entries",
-            "shared_store_state", "shared_hits", "shared_misses",
-            "shared_publishes", "shared_gc_evictions",
+            "shared_store_state", "shared_publishes", "shared_gc_evictions",
             "shared_touch_refreshes",
-            "ic_hits", "ic_misses", "ic_resets", "ic_depth_hits",
-            "ic_overflow_hits",
-            "link_direct_hops", "link_ic_hops", "link_bounces",
-            "regions_fused", "region_entries", "region_hops",
-            "region_invalidations", "fusion_aborts",
             "record_state", "record_events", "record_log",
-            "replay_state", "replay_events",
+            "replay_state", "replay_events", "events",
+            "sidecar_hits", "sidecar_host_compiles",
         }
         assert set(report) == expected_keys
 

@@ -41,6 +41,7 @@ from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.harness import run_vm
 
+from tests.test_cli import host_value
 from tests.test_persist_manager import mini_workload
 
 
@@ -203,18 +204,26 @@ class TestLookupPublish:
 
 
 class TestCostAwareAdmission:
-    """Every offered body is admitted, and its measured compile cost
-    (``cost_us``) is recorded in the shard."""
+    """Every offered body is admitted with compile cost 0; a cost an
+    older shard recorded (``cost_us``) survives stamp refreshes."""
 
     def test_refresh_preserves_recorded_cost(self, store):
-        """Republishing an already-admitted body refreshes its stamp
-        but keeps the originally measured cost."""
+        """Republishing an already-stored body refreshes its stamp but
+        keeps the cost its shard recorded."""
         digest = digest_for(1)
-        store.publish({digest: b"one"}, costs={digest: 500})
-        store.publish({digest: b"one"}, costs={digest: 0})
         prefix = shard_prefix(digest)
+        store.storage.write_atomic(
+            store.shard_path(prefix),
+            pack_shard(store.vm_version, store.host_tag,
+                       {digest: (b"one", 1, 500)}),
+        )
+        store.publish({digest: b"one"})
         record = store._load_shard(prefix)[digest]
+        assert record[1] > 1
         assert record[2] == 500
+        store.publish({digest_for(2): b"two"})
+        assert store._load_shard(shard_prefix(digest_for(2)))[
+            digest_for(2)][2] == 0
 
 
 class TestWholesaleInvalidation:
@@ -394,8 +403,8 @@ class TestChainedFallbackOrder:
         namespace = {}
         exec(code, namespace)
         assert namespace["_make"]() == "shared"
-        assert chained.shared_hits == 1
-        assert chained.shared_misses == 0
+        assert chained.host.shared_hits == 1
+        assert chained.host.shared_misses == 0
 
     def test_private_answers_a_shared_miss_and_heals_the_pool(self, store):
         digest = digest_for(2)
@@ -403,8 +412,8 @@ class TestChainedFallbackOrder:
         chained = ChainedBodyStore(shared=store, private=private)
         code = chained.lookup_code(digest)
         assert code is not None
-        assert chained.shared_hits == 0
-        assert chained.shared_misses == 1
+        assert chained.host.shared_hits == 0
+        assert chained.host.shared_misses == 1
         # The private hit is scheduled for publication.
         assert digest in chained.pending_publish()
         store.publish(chained.pending_publish())
@@ -413,7 +422,7 @@ class TestChainedFallbackOrder:
     def test_chained_miss_returns_none(self, store):
         chained = ChainedBodyStore(shared=store, private=self.make_private([]))
         assert chained.lookup_code(digest_for(3)) is None
-        assert chained.shared_misses == 1
+        assert chained.host.shared_misses == 1
 
     def test_shared_hit_feeds_the_private_reference_index(self, store):
         digest = digest_for(4)
@@ -447,7 +456,7 @@ class TestChainedFallbackOrder:
         private = self.make_private([digest])
         chained = ChainedBodyStore(shared=store, private=private)
         assert chained.lookup_code(digest) is not None  # private answered
-        assert chained.shared_hits == 0
+        assert chained.host.shared_hits == 0
 
 
 class TestEndToEnd:
@@ -685,7 +694,8 @@ class TestCli:
         clear_code_object_cache()
         assert main(["run", "shell", "ls", "run", "--pcache",
                      str(tmp_path / "db"), "--shared-store", store_dir]) == 0
-        assert "'shared_store_state': 'attached'" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert host_value(out, "shared_store_state") == "attached"
         assert is_shared_store(store_dir)
         store = SharedBodyStore(store_dir, vm_version=VM_VERSION)
         assert store.total_entries() > 0

@@ -402,7 +402,7 @@ class TestLineTables:
             faults[mode] = (str(excinfo.value), excinfo.value.pc)
         assert faults["compiled"] == faults["interpreted"]
         assert "unmapped address 0x100" in faults["compiled"][0]
-        assert warm._compiler.sidecar_hits > 0
-        assert warm._compiler.host_compiles == 0
+        assert warm.host.body_hits > 0
+        assert warm.host.host_compiles == 0
         # The revived frame still formats.
         assert "<trace@" in "".join(traceback.format_exception(excinfo.value))

@@ -244,6 +244,14 @@ class TestResultShape:
         assert vm.cache_code_bytes > 0
         assert vm.cache_data_bytes > vm.cache_code_bytes  # Figure 9
 
-    def test_persistence_report_empty_without_session(self):
+    def test_host_stats_filled_without_session(self):
+        """A run without persistence still fills its registry, and the
+        ``persistence_report`` view reads it."""
         _native, vm = run_both(PROGRAMS["loop"])
-        assert vm.persistence_report == {}
+        host = vm.host
+        assert host.cache.traces_inserted == vm.stats.traces_translated
+        assert host.sidecar_state == "disabled" and not host.cache_found
+        assert host.events == []
+        report = vm.persistence_report
+        assert report["sidecar_host_compiles"] == host.host_compiles
+        assert report["preloaded"] == 0
