@@ -6,10 +6,16 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke transparency-smoke
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke transparency-smoke loc
 
 test:
 	$(PYTHON) -m pytest -x -q
+
+# Code lines of src/: non-blank lines of src/**/*.py that hold a token
+# other than a comment, not counting module, class and function
+# docstrings.  ROADMAP.md and CHANGES.md quote this count.
+loc:
+	@$(PYTHON) tools/loc.py src
 
 # The crash-consistency / fault-injection suite alone.
 faultinject:

@@ -100,11 +100,6 @@ class Image:
             return 0
         return align_up(max(sec.end for sec in self.sections))
 
-    def text_range(self) -> Tuple[int, int]:
-        """(start, end) image-relative range of the executable section."""
-        sec = self.section(".text")
-        return sec.vaddr, sec.end
-
     # -- hashing -----------------------------------------------------------
 
     def program_header(self) -> dict:

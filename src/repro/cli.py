@@ -35,6 +35,7 @@ renders the Figure 2(a)-style translation-request timeline.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Dict, Optional
@@ -123,6 +124,15 @@ def _non_negative_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be at least 0, got %d" % value)
+    return value
+
+
+def _positive_finite_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            "must be positive and finite, got %s" % text
+        )
     return value
 
 
@@ -731,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser(
         "bench", help="wall-clock dispatch-tier benchmark suite"
     )
-    sub.add_argument("--warmup", type=int, default=2,
+    sub.add_argument("--warmup", type=_non_negative_int, default=2,
                      help="untimed repetitions per family/mode (default 2)")
     sub.add_argument("--reps", type=_positive_int, default=5,
                      help="timed repetitions per family/mode (default 5)")
@@ -744,7 +754,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--check", action="store_true",
                      help="exit non-zero when a measured family's gate "
                           "fails")
-    sub.add_argument("--check-threshold", type=float, default=None,
+    sub.add_argument("--check-threshold", type=_positive_finite_float,
+                     default=None,
                      help="override the acceptance gate's speedup "
                           "threshold (default: the recorded 1.5x)")
     sub.set_defaults(func=cmd_bench)

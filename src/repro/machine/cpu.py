@@ -10,6 +10,10 @@ Two layers share the execution core:
   translated execution is bit-identical to native execution (Pin does not
   transform application code) while cycle accounting differs.
 
+Every opcode's semantics is defined once, in :data:`SEMANTICS`: both
+interpreters of :class:`ExecutionContext` are generated from it, and the
+compiled tier emits its closures' ops from it.
+
 Control-flow values (link register, indirect targets) always hold
 *original* program addresses — the transparency property that lets the VM
 map them through the translation map.
@@ -17,12 +21,15 @@ map them through the translation map.
 
 from __future__ import annotations
 
+import linecache
+import textwrap
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.isa.encoding import decode
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa import registers as regs
+from repro.isa.opcodes import Opcode
 from repro.loader.linker import LoadedProcess
 from repro.loader.mapper import to_signed_word
 from repro.machine.costs import CostModel, DEFAULT_COST_MODEL
@@ -47,8 +54,6 @@ _THREAD_STACK_STRIDE = STACK_SIZE + 0x1_0000
 
 #: Self-modification detection granularity: 512-byte code pages.
 CODE_PAGE_SHIFT = 9
-
-_MASK64 = (1 << 64) - 1
 
 
 class MachineFault(Exception):
@@ -184,9 +189,6 @@ class Machine:
         thread = Thread(tid=tid, registers=registers, pc=entry)
         self.threads.append(thread)
         return thread
-
-    def runnable_threads(self) -> List[Thread]:
-        return [thread for thread in self.threads if thread.alive]
 
     def switch_to(self, thread: Thread) -> None:
         self.registers = thread.registers
@@ -347,73 +349,191 @@ class Machine:
             self.registers[regs.A0 + index] = value
 
 
-# Opcode integer constants for the micro-op fast path, ordered below by
-# expected dynamic frequency.
-_NOP = 0x00
-_ADD, _SUB, _MUL, _DIV = 0x01, 0x02, 0x03, 0x04
-_AND, _OR, _XOR, _SHL, _SHR, _SLT = 0x05, 0x06, 0x07, 0x08, 0x09, 0x0A
-_ADDI, _ANDI, _ORI, _XORI, _SHLI, _SHRI = 0x10, 0x11, 0x12, 0x13, 0x14, 0x15
-_LUI, _MOVI = 0x16, 0x17
-_LD, _ST = 0x20, 0x21
-_BEQ, _BNE, _BLT, _BGE = 0x30, 0x31, 0x32, 0x33
-_JMP, _CALL, _JR, _CALLR, _RET = 0x38, 0x39, 0x3A, 0x3B, 0x3C
-_SYSCALL, _HALT = 0x40, 0x41
+class OpSemantics(NamedTuple):
+    """One opcode's row of :data:`SEMANTICS`."""
 
-_LR = regs.LR
-_ZERO = regs.ZERO
+    #: The opcode's arm in both interpreters (:data:`_ARMS`), and what the
+    #: compiled tier emits for it: ``alu``, ``div``, ``load``, ``store``,
+    #: ``branch``, ``jump``, ``call``, ``syscall``, ``halt`` or ``nop``.
+    kind: str
+    #: A Python expression over the register file ``r``: the value of an
+    #: ``alu`` or ``div`` op, the condition of a ``branch``, the target of
+    #: a ``jump`` or ``call``.  ``{rs1}``, ``{rs2}`` and ``{imm}`` stand
+    #: for the uop's fields, ``{sh}`` for the shift amount ``imm & 63``
+    #: and ``{lr}`` for the link register.  A ``div`` value divides by
+    #: ``d``, the divisor its arm has checked.
+    operand: Optional[str] = None
+    #: The result cannot leave int64 for in-range operands (bitwise ops,
+    #: SLT's 0 or 1, MOVI and LUI of a 32-bit immediate), so the compiled
+    #: tier writes it without the wrap check every interpreter write has.
+    overflow_safe: bool = False
 
 
-# -- per-op semantics shared by both dispatch tiers ---------------------------
-#
-# The engine executes translated traces in one of two tiers (see
-# repro.vm.engine): the *interpreted* reference tier (step_uop below) and
-# the *compiled* tier (repro.vm.compile), which specializes each trace
-# into a straight-line Python closure.  Everything the two tiers could
-# disagree on lives here, next to step_uop, so the semantics are
-# maintained in one place:
-#
-# * UOP_VALUE_EXPRESSIONS — the value computation of every ALU/move
-#   micro-op, as a Python expression template the compiler inlines.
-#   Placeholders: ``{rs1}``/``{rs2}`` are source register indexes,
-#   ``{imm}`` the literal immediate, ``{sh}`` the pre-masked shift
-#   amount (``imm & 63``).  ``r`` is the live register file.
-# * OVERFLOW_SAFE_OPS — ops whose result provably stays inside the
-#   signed 64-bit range, letting the compiler skip the wrap check that
-#   step_uop applies on every register write.
-# * syscall_uop_step / halt_step_event — the event-producing terminators,
-#   called (not inlined) by both tiers.
-#
-# The dispatch-equivalence suite (tests/test_dispatch_equivalence.py)
-# asserts the tiers produce bit-identical results over the full corpus.
-
-UOP_VALUE_EXPRESSIONS: Dict[int, str] = {
-    _ADD: "r[{rs1}] + r[{rs2}]",
-    _SUB: "r[{rs1}] - r[{rs2}]",
-    _MUL: "r[{rs1}] * r[{rs2}]",
-    _AND: "r[{rs1}] & r[{rs2}]",
-    _OR: "r[{rs1}] | r[{rs2}]",
-    _XOR: "r[{rs1}] ^ r[{rs2}]",
-    _SHL: "r[{rs1}] << (r[{rs2}] & 63)",
-    _SHR: "(r[{rs1}] & 18446744073709551615) >> (r[{rs2}] & 63)",
-    _SLT: "1 if r[{rs1}] < r[{rs2}] else 0",
-    _ADDI: "r[{rs1}] + {imm}",
-    _ANDI: "r[{rs1}] & {imm}",
-    _ORI: "r[{rs1}] | {imm}",
-    _XORI: "r[{rs1}] ^ {imm}",
-    _SHLI: "r[{rs1}] << {sh}",
-    _SHRI: "(r[{rs1}] & 18446744073709551615) >> {sh}",
-    _LUI: "{imm} << 16",
-    _MOVI: "{imm}",
+#: Every opcode's semantics, defined once.  Both interpreters of
+#: :class:`ExecutionContext` are generated from this table when the module
+#: loads, and the compiled tier (:mod:`repro.vm.compile`) emits every op of
+#: its closures from it.  The closures' memory ops, exits and linking are
+#: their own; the dispatch-equivalence suite checks them against the
+#: interpreted oracle.  The third column is ``overflow_safe``.
+SEMANTICS: Dict[int, OpSemantics] = {
+    Opcode.NOP: OpSemantics("nop"),
+    Opcode.ADD: OpSemantics("alu", "r[{rs1}] + r[{rs2}]"),
+    Opcode.SUB: OpSemantics("alu", "r[{rs1}] - r[{rs2}]"),
+    Opcode.MUL: OpSemantics("alu", "r[{rs1}] * r[{rs2}]"),
+    # int(a / b) truncates toward zero through float division, with its
+    # precision for large operands.
+    Opcode.DIV: OpSemantics("div", "int(r[{rs1}] / d)"),
+    Opcode.AND: OpSemantics("alu", "r[{rs1}] & r[{rs2}]", True),
+    Opcode.OR: OpSemantics("alu", "r[{rs1}] | r[{rs2}]", True),
+    Opcode.XOR: OpSemantics("alu", "r[{rs1}] ^ r[{rs2}]", True),
+    Opcode.SHL: OpSemantics("alu", "r[{rs1}] << (r[{rs2}] & 63)"),
+    Opcode.SHR: OpSemantics(
+        "alu", "(r[{rs1}] & 18446744073709551615) >> (r[{rs2}] & 63)"
+    ),
+    Opcode.SLT: OpSemantics("alu", "1 if r[{rs1}] < r[{rs2}] else 0", True),
+    Opcode.ADDI: OpSemantics("alu", "r[{rs1}] + {imm}"),
+    Opcode.ANDI: OpSemantics("alu", "r[{rs1}] & {imm}", True),
+    Opcode.ORI: OpSemantics("alu", "r[{rs1}] | {imm}", True),
+    Opcode.XORI: OpSemantics("alu", "r[{rs1}] ^ {imm}", True),
+    Opcode.SHLI: OpSemantics("alu", "r[{rs1}] << {sh}"),
+    Opcode.SHRI: OpSemantics(
+        "alu", "(r[{rs1}] & 18446744073709551615) >> {sh}"
+    ),
+    Opcode.LUI: OpSemantics("alu", "{imm} << 16", True),
+    Opcode.MOVI: OpSemantics("alu", "{imm}", True),
+    Opcode.LD: OpSemantics("load"),
+    Opcode.ST: OpSemantics("store"),
+    Opcode.BEQ: OpSemantics("branch", "r[{rs1}] == r[{rs2}]"),
+    Opcode.BNE: OpSemantics("branch", "r[{rs1}] != r[{rs2}]"),
+    Opcode.BLT: OpSemantics("branch", "r[{rs1}] < r[{rs2}]"),
+    Opcode.BGE: OpSemantics("branch", "r[{rs1}] >= r[{rs2}]"),
+    Opcode.JMP: OpSemantics("jump", "{imm}"),
+    Opcode.CALL: OpSemantics("call", "{imm}"),
+    Opcode.JR: OpSemantics("jump", "r[{rs1}]"),
+    Opcode.CALLR: OpSemantics("call", "r[{rs1}]"),
+    Opcode.RET: OpSemantics("jump", "r[{lr}]"),
+    Opcode.SYSCALL: OpSemantics("syscall"),
+    Opcode.HALT: OpSemantics("halt"),
 }
 
-#: Ops that cannot leave the signed 64-bit range: bitwise ops of in-range
-#: operands stay in range, SLT yields 0/1, MOVI/LUI immediates are 32-bit
-#: (so ``imm << 16`` fits in 48 bits).  SHRI is also safe when the masked
-#: shift amount is non-zero (the compiler checks per-site); SHR/SHL and
-#: the arithmetic ops keep the wrap check.
-OVERFLOW_SAFE_OPS = frozenset(
-    {_AND, _OR, _XOR, _ANDI, _ORI, _XORI, _SLT, _MOVI, _LUI}
-)
+#: Each kind's arm, shared by both interpreters.  ``{operand}`` is the
+#: op's operand over the uop's fields, ``{leave}`` the interpreter's exit
+#: up to the target and the event, and ``{next}`` how it goes on to the
+#: next uop.  An arm that does neither leaves ``value`` for the write-back
+#: (:data:`_WRITE_BACK`).  Memory arms reach the address space through
+#: ``machine``: a local bound up front would cost every ``step_uop`` call.
+_ARMS = {
+    "alu": "value = {operand}",
+    "div": """
+        d = r[rs2]
+        if d == 0:
+            raise MachineFault("division by zero", pc)
+        value = {operand}""",
+    "load": """
+        try:
+            value = machine.process.space.read_word(r[rs1] + imm)
+        except Exception as exc:
+            raise MachineFault(str(exc), pc) from exc""",
+    # An 8-byte store may straddle a 512-byte page boundary, so both the
+    # first and last written byte's pages are checked.
+    "store": """
+        addr = r[rs1] + imm
+        try:
+            machine.process.space.write_word(addr, r[rs2])
+        except Exception as exc:
+            raise MachineFault(str(exc), pc) from exc
+        pages = machine.executed_code_pages
+        if (addr >> CODE_PAGE_SHIFT) in pages or (
+            (addr + 7) >> CODE_PAGE_SHIFT
+        ) in pages:
+            machine.on_code_write(addr)
+        {next}""",
+    # A taken branch with a zero offset lands on the fall-through address,
+    # as one not taken does.
+    "branch": """
+        if imm and {operand}:
+            {leave}pc + INSTRUCTION_SIZE + imm, None
+        {next}""",
+    "jump": "{leave}{operand}, None",
+    # The target is read before the link register is written (``callr lr``).
+    "call": """
+        target = {operand}
+        r[{lr}] = pc + INSTRUCTION_SIZE
+        {leave}target, None""",
+    "syscall": """
+        next_pc, event = syscall_uop_step(machine, pc + INSTRUCTION_SIZE)
+        {leave}next_pc, event""",
+    "halt": "{leave}None, halt_step_event()",
+    "nop": "{next}",
+}
+
+#: The end of both interpreters' dispatch: an unknown opcode faults, and
+#: a value is written back wrapped to int64 unless its register is the
+#: zero register.
+_WRITE_BACK = """
+    else:
+        raise MachineFault("illegal opcode 0x%02x" % op, pc)
+    if rd != 0:
+        if -9223372036854775808 <= value <= 9223372036854775807:
+            r[rd] = value
+        else:
+            r[rd] = to_signed_word(value)
+    {next}"""
+
+
+def _interpreter(body: str, order: str, leave: str, goes_on: str):
+    """Replace the decorated stub with a method of :class:`ExecutionContext`
+    generated from :data:`SEMANTICS`.
+
+    The method keeps the stub's name, parameters and docstring.  Its body
+    is ``body``, whose ``{dispatch}`` line becomes the opcode tests in the
+    order ``order`` names them; ``leave`` and ``goes_on`` fill every arm's
+    ``{leave}`` and ``{next}``.  The source is registered with
+    :mod:`linecache`, so a traceback through the method shows its
+    generated lines.
+    """
+    ops = [Opcode[name] for name in order.split()]
+    if sorted(ops) != sorted(SEMANTICS):
+        raise ValueError("order must name every opcode once: %r" % order)
+    lines = []
+    for position, op in enumerate(ops):
+        row = SEMANTICS[op]
+        # The operand reads the uop's fields from the interpreter's locals.
+        operand = row.operand and row.operand.format(
+            rs1="rs1", rs2="rs2", imm="imm", sh="(imm & 63)", lr=regs.LR
+        )
+        arm = textwrap.dedent(_ARMS[row.kind]).strip().format(
+            operand=operand, leave=leave, next=goes_on, lr=regs.LR
+        )
+        lines.append("%s op == %d:  # %s" % (
+            "elif" if position else "if", op, op.name
+        ))
+        lines.append(textwrap.indent(arm, "    "))
+    lines.append(textwrap.dedent(_WRITE_BACK).strip().format(next=goes_on))
+    head, _, tail = textwrap.dedent(body).strip("\n").partition("{dispatch}")
+    indent = head[head.rfind("\n") + 1:]
+    body = head[:len(head) - len(indent)] + textwrap.indent(
+        "\n".join(lines), indent
+    ) + tail
+
+    def generate(stub):
+        args = stub.__code__.co_varnames[:stub.__code__.co_argcount]
+        source = "def %s(%s):\n%s\n" % (
+            stub.__name__, ", ".join(args), textwrap.indent(body, "    ")
+        )
+        filename = "<generated %s>" % stub.__qualname__
+        linecache.cache[filename] = (
+            len(source), None, source.splitlines(True), filename
+        )
+        namespace: Dict[str, object] = {}
+        code = compile(source, filename, "exec")
+        exec(code, globals(), namespace)  # noqa: S102 - generated source
+        (method,) = namespace.values()
+        method.__qualname__ = stub.__qualname__
+        method.__doc__ = stub.__doc__
+        return method
+
+    return generate
 
 
 def syscall_uop_step(machine: "Machine", next_pc: int):
@@ -436,7 +556,7 @@ def syscall_uop_step(machine: "Machine", next_pc: int):
     if result.signal_handler is not None:
         # Deliver the signal: synchronous call of the handler.
         event.is_signal_delivery = True
-        r[_LR] = next_pc
+        r[regs.LR] = next_pc
         return result.signal_handler, event
     return next_pc, event
 
@@ -457,6 +577,8 @@ class ExecutionContext:
     next original PC (or None after exit) plus a :class:`StepEvent` — or
     None in place of the event for ordinary instructions (the overwhelmingly
     common case; avoiding the allocation keeps the simulation fast).
+    :meth:`run_uops` runs a whole trace's uops in one call.  Both are
+    generated from :data:`SEMANTICS`.
 
     :meth:`step` is the :class:`Instruction`-typed convenience wrapper.
     """
@@ -469,118 +591,50 @@ class ExecutionContext:
     ) -> "tuple[Optional[int], Optional[StepEvent]]":
         return self.step_uop(inst.as_tuple(), pc)
 
-    def step_uop(
-        self, uop, pc: int
-    ) -> "tuple[Optional[int], Optional[StepEvent]]":
+    @_interpreter(
+        """
         machine = self.machine
         r = machine.registers
         op, rd, rs1, rs2, imm = uop
-        next_pc = pc + INSTRUCTION_SIZE
+        {dispatch}
+        """,
+        order="""
+            ADDI ADD BNE LD ST MOVI BEQ BLT BGE CALL RET JMP XOR SUB MUL AND
+            OR SLT ANDI ORI XORI SHLI SHRI SHL SHR LUI DIV JR CALLR SYSCALL
+            NOP HALT
+        """,
+        leave="return ",
+        goes_on="return pc + INSTRUCTION_SIZE, None",
+    )
+    def step_uop(
+        self, uop, pc: int
+    ) -> "tuple[Optional[int], Optional[StepEvent]]":
+        """Execute one uop at original address ``pc``.
 
-        # Hot straight-line operations first.
-        if op == _ADDI:
-            value = r[rs1] + imm
-        elif op == _ADD:
-            value = r[rs1] + r[rs2]
-        elif op == _BNE:
-            if r[rs1] != r[rs2]:
-                next_pc += imm
-            return next_pc, None
-        elif op == _LD:
-            try:
-                value = machine.process.space.read_word(r[rs1] + imm)
-            except Exception as exc:
-                raise MachineFault(str(exc), pc) from exc
-        elif op == _ST:
-            addr = r[rs1] + imm
-            try:
-                machine.process.space.write_word(addr, r[rs2])
-            except Exception as exc:
-                raise MachineFault(str(exc), pc) from exc
-            # An 8-byte store may straddle a 512-byte page boundary, so
-            # both the first and last written byte's pages are checked.
-            pages = machine.executed_code_pages
-            if (addr >> CODE_PAGE_SHIFT) in pages or (
-                (addr + 7) >> CODE_PAGE_SHIFT
-            ) in pages:
-                machine.on_code_write(addr)
-            return next_pc, None
-        elif op == _MOVI:
-            value = imm
-        elif op == _BEQ:
-            if r[rs1] == r[rs2]:
-                next_pc += imm
-            return next_pc, None
-        elif op == _BLT:
-            if r[rs1] < r[rs2]:
-                next_pc += imm
-            return next_pc, None
-        elif op == _BGE:
-            if r[rs1] >= r[rs2]:
-                next_pc += imm
-            return next_pc, None
-        elif op == _CALL:
-            r[_LR] = next_pc
-            return imm, None
-        elif op == _RET:
-            return r[_LR], None
-        elif op == _JMP:
-            return imm, None
-        elif op == _XOR:
-            value = r[rs1] ^ r[rs2]
-        elif op == _SUB:
-            value = r[rs1] - r[rs2]
-        elif op == _MUL:
-            value = r[rs1] * r[rs2]
-        elif op == _AND:
-            value = r[rs1] & r[rs2]
-        elif op == _OR:
-            value = r[rs1] | r[rs2]
-        elif op == _SLT:
-            value = 1 if r[rs1] < r[rs2] else 0
-        elif op == _ANDI:
-            value = r[rs1] & imm
-        elif op == _ORI:
-            value = r[rs1] | imm
-        elif op == _XORI:
-            value = r[rs1] ^ imm
-        elif op == _SHLI:
-            value = r[rs1] << (imm & 63)
-        elif op == _SHRI:
-            value = (r[rs1] & _MASK64) >> (imm & 63)
-        elif op == _SHL:
-            value = r[rs1] << (r[rs2] & 63)
-        elif op == _SHR:
-            value = (r[rs1] & _MASK64) >> (r[rs2] & 63)
-        elif op == _LUI:
-            value = imm << 16
-        elif op == _DIV:
-            divisor = r[rs2]
-            if divisor == 0:
-                raise MachineFault("division by zero", pc)
-            value = int(r[rs1] / divisor)  # truncate toward zero
-        elif op == _JR:
-            return r[rs1], None
-        elif op == _CALLR:
-            target = r[rs1]
-            r[_LR] = next_pc
-            return target, None
-        elif op == _SYSCALL:
-            return syscall_uop_step(machine, next_pc)
-        elif op == _NOP:
-            return next_pc, None
-        elif op == _HALT:
-            return None, halt_step_event()
-        else:
-            raise MachineFault("illegal opcode 0x%02x" % op, pc)
+        Returns ``(next_pc, event)``: the next original PC, or None after
+        an exit, and a :class:`StepEvent` for a syscall or a halt, None
+        otherwise.  This is the interpreted oracle and native execution,
+        so the opcode tests are ordered for hot loops.
+        """
 
-        if rd != _ZERO:
-            if -9223372036854775808 <= value <= 9223372036854775807:
-                r[rd] = value
-            else:
-                r[rd] = to_signed_word(value)
-        return next_pc, None
-
+    @_interpreter(
+        """
+        machine = self.machine
+        r = machine.registers
+        pc = entry - INSTRUCTION_SIZE
+        for op, rd, rs1, rs2, imm in uops:
+            pc += INSTRUCTION_SIZE
+            {dispatch}
+        return len(uops) - 1, pc + INSTRUCTION_SIZE, None
+        """,
+        order="""
+            ST ADDI LD SLT ORI SUB ADD XOR SHLI CALL RET MOVI BLT BNE BEQ BGE
+            JMP AND OR MUL ANDI XORI SHRI SHL SHR LUI DIV JR CALLR SYSCALL
+            NOP HALT
+        """,
+        leave="return (pc - entry) // INSTRUCTION_SIZE, ",
+        goes_on="continue",
+    )
     def run_uops(
         self, uops, entry: int
     ) -> "tuple[int, Optional[int], Optional[StepEvent]]":
@@ -610,120 +664,6 @@ class ExecutionContext:
         XOR and SHLI 7-10% each, calls and returns 3-4% each, and every
         conditional branch under 1.2%.
         """
-        machine = self.machine
-        r = machine.registers
-        space = machine.process.space
-        pages = machine.executed_code_pages
-        pc = entry - INSTRUCTION_SIZE
-        for op, rd, rs1, rs2, imm in uops:
-            pc += INSTRUCTION_SIZE
-            if op == _ST:
-                addr = r[rs1] + imm
-                try:
-                    space.write_word(addr, r[rs2])
-                except Exception as exc:
-                    raise MachineFault(str(exc), pc) from exc
-                if (addr >> CODE_PAGE_SHIFT) in pages or (
-                    (addr + 7) >> CODE_PAGE_SHIFT
-                ) in pages:
-                    machine.on_code_write(addr)
-                continue
-            elif op == _ADDI:
-                value = r[rs1] + imm
-            elif op == _LD:
-                try:
-                    value = space.read_word(r[rs1] + imm)
-                except Exception as exc:
-                    raise MachineFault(str(exc), pc) from exc
-            elif op == _SLT:
-                value = 1 if r[rs1] < r[rs2] else 0
-            elif op == _ORI:
-                value = r[rs1] | imm
-            elif op == _SUB:
-                value = r[rs1] - r[rs2]
-            elif op == _ADD:
-                value = r[rs1] + r[rs2]
-            elif op == _XOR:
-                value = r[rs1] ^ r[rs2]
-            elif op == _SHLI:
-                value = r[rs1] << (imm & 63)
-            elif op == _CALL:
-                r[_LR] = pc + INSTRUCTION_SIZE
-                return (pc - entry) // INSTRUCTION_SIZE, imm, None
-            elif op == _RET:
-                return (pc - entry) // INSTRUCTION_SIZE, r[_LR], None
-            elif op == _MOVI:
-                value = imm
-            elif op == _BLT:
-                if imm and r[rs1] < r[rs2]:
-                    return ((pc - entry) // INSTRUCTION_SIZE,
-                            pc + INSTRUCTION_SIZE + imm, None)
-                continue
-            elif op == _BNE:
-                if imm and r[rs1] != r[rs2]:
-                    return ((pc - entry) // INSTRUCTION_SIZE,
-                            pc + INSTRUCTION_SIZE + imm, None)
-                continue
-            elif op == _BEQ:
-                if imm and r[rs1] == r[rs2]:
-                    return ((pc - entry) // INSTRUCTION_SIZE,
-                            pc + INSTRUCTION_SIZE + imm, None)
-                continue
-            elif op == _BGE:
-                if imm and r[rs1] >= r[rs2]:
-                    return ((pc - entry) // INSTRUCTION_SIZE,
-                            pc + INSTRUCTION_SIZE + imm, None)
-                continue
-            elif op == _JMP:
-                return (pc - entry) // INSTRUCTION_SIZE, imm, None
-            elif op == _AND:
-                value = r[rs1] & r[rs2]
-            elif op == _OR:
-                value = r[rs1] | r[rs2]
-            elif op == _MUL:
-                value = r[rs1] * r[rs2]
-            elif op == _ANDI:
-                value = r[rs1] & imm
-            elif op == _XORI:
-                value = r[rs1] ^ imm
-            elif op == _SHRI:
-                value = (r[rs1] & _MASK64) >> (imm & 63)
-            elif op == _SHL:
-                value = r[rs1] << (r[rs2] & 63)
-            elif op == _SHR:
-                value = (r[rs1] & _MASK64) >> (r[rs2] & 63)
-            elif op == _LUI:
-                value = imm << 16
-            elif op == _DIV:
-                divisor = r[rs2]
-                if divisor == 0:
-                    raise MachineFault("division by zero", pc)
-                value = int(r[rs1] / divisor)  # truncate toward zero
-            elif op == _JR:
-                return (pc - entry) // INSTRUCTION_SIZE, r[rs1], None
-            elif op == _CALLR:
-                target = r[rs1]
-                r[_LR] = pc + INSTRUCTION_SIZE
-                return (pc - entry) // INSTRUCTION_SIZE, target, None
-            elif op == _SYSCALL:
-                next_pc, event = syscall_uop_step(
-                    machine, pc + INSTRUCTION_SIZE
-                )
-                return (pc - entry) // INSTRUCTION_SIZE, next_pc, event
-            elif op == _NOP:
-                continue
-            elif op == _HALT:
-                return ((pc - entry) // INSTRUCTION_SIZE, None,
-                        halt_step_event())
-            else:
-                raise MachineFault("illegal opcode 0x%02x" % op, pc)
-
-            if rd != _ZERO:
-                if -9223372036854775808 <= value <= 9223372036854775807:
-                    r[rd] = value
-                else:
-                    r[rd] = to_signed_word(value)
-        return len(uops) - 1, pc + INSTRUCTION_SIZE, None
 
 
 def apply_module_event(machine: Machine, result) -> None:
@@ -773,10 +713,6 @@ class RunResult:
     output: bytes
     syscall_counts: Dict[str, int]
 
-    @property
-    def exited_cleanly(self) -> bool:
-        return True
-
 
 class Interpreter:
     """Native execution: the baseline 'hardware' run of a process."""
@@ -811,6 +747,7 @@ class Interpreter:
         step_uop = context.step_uop
         cost = self.cost_model
         budget = self.max_instructions
+        syscall = int(Opcode.SYSCALL)
         steps = 0
         pc: Optional[int] = (
             entry if entry is not None else self.machine.process.entry_address
@@ -820,7 +757,7 @@ class Interpreter:
             if steps >= budget:
                 raise MachineFault("instruction budget exhausted", pc)
             uop = fetch_uop(pc)
-            if uop[0] == _SYSCALL:
+            if uop[0] == syscall:
                 # Publish the live retired-instruction count so a
                 # SYS_CLOCK dispatched inside step_uop reads a clock
                 # that advances with the instructions executed so far.

@@ -130,19 +130,6 @@ def tool_key(tool_identity: str) -> str:
     return hashlib.sha256(("tool:%s" % tool_identity).encode()).hexdigest()
 
 
-def host_code_key(vm_version: str, host_tag: str) -> str:
-    """Key of the compiled-body sidecar (host code objects).
-
-    Marshaled code objects are one level more fragile than translations:
-    they depend on the VM's closure codegen (``vm_version``) *and* on
-    the host Python's bytecode/marshal formats (``host_tag``, see
-    :func:`repro.persist.sidecar.host_code_tag`).  Any component
-    changing invalidates the sidecar wholesale.
-    """
-    blob = "host:%s|%s" % (vm_key(vm_version), host_tag)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def cache_lookup_digest(
     app_key: Optional[MappingKey], vm_version: str, tool_identity: str
 ) -> str:

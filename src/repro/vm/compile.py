@@ -12,12 +12,13 @@ Python closure** whose body inlines the trace's opcode semantics.
 
 Specializations applied per trace:
 
-* opcode semantics inlined from the shared per-op expression table
-  (:data:`repro.machine.cpu.UOP_VALUE_EXPRESSIONS`) — no ``step_uop``
-  call, no tuple dispatch, register indexes and immediates baked in as
-  literals;
+* opcode semantics inlined from the ISA's one semantics table
+  (:data:`repro.machine.cpu.SEMANTICS`), which both interpreters are
+  generated from — no ``step_uop`` call, no tuple dispatch, register
+  indexes and immediates baked in as literals;
 * the signed-64-bit wrap check is dropped for ops that provably cannot
-  overflow (:data:`repro.machine.cpu.OVERFLOW_SAFE_OPS`);
+  overflow (the table's ``overflow_safe`` column, and SHRI by a non-zero
+  amount);
 * memory ops split on region fusion, the observable hotness signal.
   In a solo trace body every ``LD``/``ST`` is one call to the run's
   ``load``/``store`` helpers (:func:`memory_helpers`), which hold the
@@ -141,13 +142,13 @@ from typing import Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.isa import registers as regs
+from repro.isa.opcodes import Opcode
 from repro.loader.mapper import WORD_SIZE, WORD_STRUCT, to_signed_word
 from repro.machine.costs import CostModel
 from repro.machine.cpu import (
     CODE_PAGE_SHIFT,
+    SEMANTICS,
     MachineFault,
-    OVERFLOW_SAFE_OPS,
-    UOP_VALUE_EXPRESSIONS,
     halt_step_event,
     syscall_uop_step,
 )
@@ -177,24 +178,14 @@ class CompileError(Exception):
     """Raised when a trace cannot be specialized into a closure."""
 
 
-# Opcode integer constants (mirroring repro.machine.cpu's fast path).
-_NOP = 0x00
-_DIV = 0x04
-_SHRI = 0x15
-_LD, _ST = 0x20, 0x21
-_BEQ, _BNE, _BLT, _BGE = 0x30, 0x31, 0x32, 0x33
-_JMP, _CALL, _JR, _CALLR, _RET = 0x38, 0x39, 0x3A, 0x3B, 0x3C
-_SYSCALL, _HALT = 0x40, 0x41
-
-_BRANCH_CONDITIONS = {
-    _BEQ: "==",
-    _BNE: "!=",
-    _BLT: "<",
-    _BGE: ">=",
-}
-
 _INT64_MIN = -9223372036854775808
 _INT64_MAX = 9223372036854775807
+
+#: The opcodes of the ``branch`` kind, as plain ints: every compile tests
+#: each uop of its trace against them (:func:`_capture_lists`).
+_BRANCH_OPS = frozenset(
+    int(op) for op, row in SEMANTICS.items() if row.kind == "branch"
+)
 
 #: Memoized closure factories, keyed by everything the generated source
 #: bakes in (see :func:`_trace_key`).  Each value is a ``(make, digest,
@@ -264,11 +255,6 @@ class _NullCodeCache:
     @staticmethod
     def lookup(original_addr: int):
         return None
-
-
-def code_object_cache_size() -> int:
-    """Number of memoized closure factories (introspection/tests)."""
-    return len(_FACTORIES)
 
 
 def clear_code_object_cache() -> None:
@@ -507,7 +493,7 @@ def _capture_lists(translated: TranslatedTrace):
     for index, uop in enumerate(translated.trace.uops):
         for point in points_by_index.get(index, ()):
             callbacks.append(point.callback)
-        if uop[0] in _BRANCH_CONDITIONS and uop[4] != 0:
+        if uop[0] in _BRANCH_OPS and uop[4] != 0:
             slot = translated.branch_slots.get(index)
             if slot is None:
                 raise CompileError(
@@ -913,6 +899,11 @@ class TraceCompiler:
             uop = uops[index]
             op, rd, rs1, rs2, imm = uop
             pc = entry + index * INSTRUCTION_SIZE
+            row = SEMANTICS.get(op)
+            if row is None:
+                raise CompileError("unknown opcode 0x%02x" % op)
+            kind = row.kind
+            memory = kind in ("load", "store")
 
             for point in points_by_index.get(index, ()):
                 cb = "cb%d" % cb_index
@@ -922,7 +913,7 @@ class TraceCompiler:
                 emit.emit("acx.address = %d" % pc)
                 emit.emit("acx.trace_entry = %d" % entry)
                 emit.emit("acx.index = %d" % index)
-                if point.wants_effective_address and op in (_LD, _ST):
+                if point.wants_effective_address and memory:
                     emit.emit(
                         "acx.effective_address = %s" % _address(rs1, imm)
                     )
@@ -941,20 +932,19 @@ class TraceCompiler:
                     uses.add("window")
                     emit.emit("wb, wl, wd, wc = window")
 
-            if op in UOP_VALUE_EXPRESSIONS:
-                sh = imm & 63
-                expr = UOP_VALUE_EXPRESSIONS[op].format(
-                    rs1=rs1, rs2=rs2, imm=imm, sh=sh
+            operand = row.operand and row.operand.format(
+                rs1=rs1, rs2=rs2, imm=imm, sh=imm & 63, lr=regs.LR
+            )
+            if kind == "alu":
+                # A non-zero unsigned right shift cannot overflow either.
+                may_overflow = not (
+                    row.overflow_safe or op == Opcode.SHRI and imm & 63
                 )
-                may_overflow = op not in OVERFLOW_SAFE_OPS
-                if op == _SHRI and sh != 0:
-                    # A non-zero unsigned right shift cannot overflow.
-                    may_overflow = False
-                _store(emit, uses, rd, expr, may_overflow=may_overflow)
-            elif op in (_LD, _ST):
+                _store(emit, uses, rd, operand, may_overflow=may_overflow)
+            elif memory:
                 if inline_memory:
-                    self._emit_memory_op(emit, uses, uop, pc)
-                elif op == _LD:
+                    self._emit_memory_op(emit, uses, uop, pc, kind)
+                elif kind == "load":
                     # Solo sites are one helper call each (memory_helpers
                     # holds the fault handling and the SMC check).
                     uses.add("load")
@@ -969,23 +959,17 @@ class TraceCompiler:
                         "store(%s, r[%d], %d)"
                         % (_address(rs1, imm), rs2, pc)
                     )
-            elif op == _DIV:
+            elif kind == "div":
                 uses.add("MachineFault")
                 emit.emit("d = r[%d]" % rs2)
                 emit.emit("if d == 0:")
                 emit.emit('raise MachineFault("division by zero", %d)' % pc, 3)
-                # int(a / b) truncates toward zero via float division —
-                # deliberately identical to step_uop, including its
-                # precision behavior for large operands.
-                _store(emit, uses, rd, "int(r[%d] / d)" % rs1, may_overflow=True)
-            elif op in _BRANCH_CONDITIONS:
+                _store(emit, uses, rd, operand, may_overflow=True)
+            elif kind == "branch":
                 if imm != 0:
                     taken = pc + INSTRUCTION_SIZE + imm
                     slot_name = slot_names[id(translated.branch_slots[index])]
-                    emit.emit(
-                        "if r[%d] %s r[%d]:"
-                        % (rs1, _BRANCH_CONDITIONS[op], rs2)
-                    )
+                    emit.emit("if %s:" % operand)
                     exit_accounting(index + 1, 3)
                     emit.emit(
                         "return (%d, %s, None, %s.linked_resident)"
@@ -993,19 +977,22 @@ class TraceCompiler:
                     )
                 # A zero-offset taken branch lands on the fall-through
                 # address: indistinguishable from not-taken, stays inline.
-            elif op == _JMP:
-                final_exit(imm, index + 1, index)
-            elif op == _CALL:
-                emit.emit("r[%d] = %d" % (regs.LR, pc + INSTRUCTION_SIZE))
-                final_exit(imm, index + 1, index)
-            elif op in (_JR, _RET, _CALLR):
-                source_reg = regs.LR if op == _RET else rs1
-                emit.emit("target = r[%d]" % source_reg)
-                if op == _CALLR:
+            elif kind in ("jump", "call"):
+                # An immediate target is a direct exit; a register target
+                # leaves through the indirect-target resolver.
+                direct = row.operand == "{imm}"
+                if not direct:
+                    emit.emit("target = %s" % operand)
+                if kind == "call":
                     emit.emit("r[%d] = %d" % (regs.LR, pc + INSTRUCTION_SIZE))
-                exit_accounting(index + 1)
-                self._emit_indirect_exit(emit, uses, translated, final_name)
-            elif op == _SYSCALL:
+                if direct:
+                    final_exit(imm, index + 1, index)
+                else:
+                    exit_accounting(index + 1)
+                    self._emit_indirect_exit(
+                        emit, uses, translated, final_name
+                    )
+            elif kind == "syscall":
                 uses.add("syscall_step")
                 emit.emit(
                     "target, event = syscall_step(machine, %d)"
@@ -1013,24 +1000,19 @@ class TraceCompiler:
                 )
                 exit_accounting(index + 1)
                 emit.emit("return (target, None, event, None)")
-            elif op == _HALT:
+            elif kind == "halt":
                 uses.add("halt_event")
                 emit.emit("event = halt_event()")
                 exit_accounting(index + 1)
                 emit.emit("return (None, None, event, None)")
-            elif op == _NOP:
-                pass
-            else:
-                raise CompileError("unknown opcode 0x%02x" % op)
 
-        last_op = uops[-1][0]
-        if last_op < _JMP:
-            # Instruction-limit fall-through exit.
+        if kind not in ("jump", "call", "syscall", "halt"):
+            # The last uop does not leave: instruction-limit fall-through.
             final_exit(entry + n * INSTRUCTION_SIZE, n, n - 1)
         return cb_index
 
     @staticmethod
-    def _emit_memory_op(emit, uses, uop, pc: int) -> None:
+    def _emit_memory_op(emit, uses, uop, pc: int, kind: str) -> None:
         """One region-body LD/ST as an inline window hit.
 
         ``wb, wl, wd, wc`` are the window's slots, bound to locals at
@@ -1041,10 +1023,11 @@ class TraceCompiler:
         the lookup, the fault and the SMC check exactly as for a solo
         site, then re-reads the window the helper may have moved.
         """
-        op, rd, rs1, rs2, imm = uop
-        uses.update(("window", "load" if op == _LD else "store"))
+        _op, rd, rs1, rs2, imm = uop
+        # The run's ``load`` or ``store`` helper serves a miss.
+        uses.update(("window", kind))
         emit.emit("o = %s - wb" % _address(rs1, imm))
-        if op == _LD:
+        if kind == "load":
             if rd == regs.ZERO:
                 # Discarded value: only a miss (which may fault) matters.
                 emit.emit("if not 0 <= o <= wl:")

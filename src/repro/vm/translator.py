@@ -145,9 +145,6 @@ class TranslatedTrace:
     def entry(self) -> int:
         return self.trace.entry
 
-    def link_for_exit(self, exit_index: int) -> LinkSlot:
-        return self.links[exit_index]
-
 
 def index_links(translated: TranslatedTrace) -> TranslatedTrace:
     """(Re)build the dispatcher's per-index link lookup structures."""
@@ -262,19 +259,6 @@ def _stub_code_bytes(trace: Trace, n_points: int) -> bytes:
     if n_points:
         parts.append(_POINT_STUB_BYTES * n_points)
     return b"".join(parts)
-
-
-def _emit_stub_code(trace: Trace, n_points: int) -> List[Instruction]:
-    """Instruction-object form of the stubs (tests/introspection only;
-    the translate path uses the batched :func:`_stub_code_bytes`)."""
-    stubs: List[Instruction] = []
-    for trace_exit in trace.exits:
-        target = trace_exit.target or 0
-        # Trampoline: materialize target, jump to dispatcher.
-        stubs.append(ins.movi(regs.AT, target & 0x7FFFFFFF))
-        stubs.append(_JMP_DISPATCH)
-    stubs.extend([_NOP] * (n_points * STUB_INSTS_PER_POINT))
-    return stubs
 
 
 class Translator:

@@ -334,6 +334,25 @@ class TestBenchErrors:
         assert excinfo.value.code == 2
         assert "--reps" in capsys.readouterr().err
 
+    def test_negative_warmup_is_a_usage_error(self, capsys, no_family_runs):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--warmup", "-1"])
+        assert excinfo.value.code == 2
+        assert "--warmup: must be at least 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["-5", "0", "nan", "inf"])
+    def test_gate_threshold_must_be_positive_and_finite(
+        self, capsys, no_family_runs, threshold
+    ):
+        """A threshold of 0 or below passes every speedup, so ``--check``
+        would pass whatever the families measured."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--family", "fig5a_gui", "--check",
+                  "--check-threshold", threshold])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--check-threshold: must be positive and finite" in err
+
     def test_unwritable_out_fails_first(self, tmp_path, capsys,
                                         no_family_runs):
         out = TestDatabaseErrors.unwritable(tmp_path)

@@ -1,5 +1,7 @@
 """Tests for the simulated CPU, syscalls and cost model."""
 
+import traceback
+
 import pytest
 
 from repro.isa import instructions as ins
@@ -42,7 +44,26 @@ def _step_program(machine, *insts):
     return machine, results
 
 
+def _step_uop(machine, inst, pc):
+    return ExecutionContext(machine).step(inst, pc)
+
+
+def _run_uops(machine, inst, pc):
+    """``run_uops`` on a one-uop trace, as ``step_uop``'s ``(next_pc,
+    event)``."""
+    index, next_pc, event = ExecutionContext(machine).run_uops(
+        [inst.as_tuple()], pc
+    )
+    assert index == 0
+    return next_pc, event
+
+
 class TestAluSemantics:
+    #: The interpreter under test: ``execute(machine, inst, pc)`` returns
+    #: ``(next_pc, event)``.  The ``RunUops`` subclasses run every case
+    #: again under ``run_uops``.
+    execute = staticmethod(_step_uop)
+
     @pytest.fixture
     def machine(self, tiny_machine):
         return tiny_machine
@@ -50,8 +71,7 @@ class TestAluSemantics:
     def _run_one(self, machine, inst, setup=()):
         for reg, value in setup:
             machine.registers[reg] = value
-        context = ExecutionContext(machine)
-        next_pc, _event = context.step(inst, 0x100)
+        next_pc, _event = self.execute(machine, inst, 0x100)
         return next_pc
 
     @pytest.mark.parametrize(
@@ -86,74 +106,90 @@ class TestAluSemantics:
     def test_overflow_wraps_to_64_bits(self, machine):
         machine.registers[1] = (1 << 62)
         machine.registers[2] = (1 << 62)
-        ExecutionContext(machine).step(ins.mul(3, 1, 2), 0)
+        self.execute(machine, ins.mul(3, 1, 2), 0)
         value = machine.registers[3]
         assert -(1 << 63) <= value < (1 << 63)
 
     def test_zero_register_never_written(self, machine):
         machine.registers[1] = 5
-        ExecutionContext(machine).step(ins.add(regs.ZERO, 1, 1), 0)
+        self.execute(machine, ins.add(regs.ZERO, 1, 1), 0)
         assert machine.registers[regs.ZERO] == 0
 
     def test_shr_is_logical_on_unsigned_view(self, machine):
         machine.registers[1] = -1
-        ExecutionContext(machine).step(ins.shri(3, 1, 1), 0)
+        self.execute(machine, ins.shri(3, 1, 1), 0)
         assert machine.registers[3] == (1 << 63) - 1
 
     def test_division_by_zero_faults(self, machine):
         machine.registers[2] = 0
         with pytest.raises(MachineFault):
-            ExecutionContext(machine).step(ins.div(3, 1, 2), 0x40)
+            self.execute(machine, ins.div(3, 1, 2), 0x40)
+
+    def test_fault_traceback_shows_the_generated_line(self, machine):
+        machine.registers[2] = 0
+        with pytest.raises(MachineFault) as excinfo:
+            self.execute(machine, ins.div(3, 1, 2), 0x40)
+        shown = "".join(traceback.format_tb(excinfo.tb))
+        assert 'raise MachineFault("division by zero", pc)' in shown
 
 
 class TestControlFlow:
+    execute = staticmethod(_step_uop)
+
     def test_taken_and_not_taken(self, tiny_machine):
-        context = ExecutionContext(tiny_machine)
         tiny_machine.registers[1] = 1
         tiny_machine.registers[2] = 1
-        pc, _ = context.step(ins.beq(1, 2, 0x20), 0x100)
+        pc, _ = self.execute(tiny_machine, ins.beq(1, 2, 0x20), 0x100)
         assert pc == 0x128
-        pc, _ = context.step(ins.bne(1, 2, 0x20), 0x100)
+        pc, _ = self.execute(tiny_machine, ins.bne(1, 2, 0x20), 0x100)
         assert pc == 0x108
 
     def test_call_sets_lr(self, tiny_machine):
-        context = ExecutionContext(tiny_machine)
-        pc, _ = context.step(ins.call(0x4000), 0x100)
+        pc, _ = self.execute(tiny_machine, ins.call(0x4000), 0x100)
         assert pc == 0x4000
         assert tiny_machine.registers[regs.LR] == 0x108
 
     def test_callr_reads_target_before_clobbering_lr(self, tiny_machine):
         # callr lr: the target must be the OLD lr value.
         tiny_machine.registers[regs.LR] = 0x7777
-        context = ExecutionContext(tiny_machine)
-        pc, _ = context.step(ins.callr(regs.LR), 0x100)
+        pc, _ = self.execute(tiny_machine, ins.callr(regs.LR), 0x100)
         assert pc == 0x7777
         assert tiny_machine.registers[regs.LR] == 0x108
 
     def test_ret_and_jr(self, tiny_machine):
-        context = ExecutionContext(tiny_machine)
         tiny_machine.registers[regs.LR] = 0x9000
-        assert context.step(ins.ret(), 0)[0] == 0x9000
+        assert self.execute(tiny_machine, ins.ret(), 0)[0] == 0x9000
         tiny_machine.registers[5] = 0x8000
-        assert context.step(ins.jr(5), 0)[0] == 0x8000
+        assert self.execute(tiny_machine, ins.jr(5), 0)[0] == 0x8000
 
 
 class TestMemory:
+    execute = staticmethod(_step_uop)
+
     def test_load_store_roundtrip(self, tiny_machine):
-        context = ExecutionContext(tiny_machine)
-        sp = tiny_machine.registers[regs.SP]
         tiny_machine.registers[2] = -1234
-        context.step(ins.st(regs.SP, 2, 0), 0)
-        context.step(ins.ld(3, regs.SP, 0), 0)
+        self.execute(tiny_machine, ins.st(regs.SP, 2, 0), 0)
+        self.execute(tiny_machine, ins.ld(3, regs.SP, 0), 0)
         assert tiny_machine.registers[3] == -1234
 
     def test_unmapped_faults(self, tiny_machine):
-        context = ExecutionContext(tiny_machine)
         tiny_machine.registers[1] = 0x12
         with pytest.raises(MachineFault):
-            context.step(ins.ld(3, 1, 0), 0x40)
+            self.execute(tiny_machine, ins.ld(3, 1, 0), 0x40)
         with pytest.raises(MachineFault):
-            context.step(ins.st(1, 3, 0), 0x40)
+            self.execute(tiny_machine, ins.st(1, 3, 0), 0x40)
+
+
+class TestAluSemanticsRunUops(TestAluSemantics):
+    execute = staticmethod(_run_uops)
+
+
+class TestControlFlowRunUops(TestControlFlow):
+    execute = staticmethod(_run_uops)
+
+
+class TestMemoryRunUops(TestMemory):
+    execute = staticmethod(_run_uops)
 
 
 class TestSyscallDispatch:
