@@ -88,7 +88,7 @@ PWSTORE ?= /tmp/pcc-prewarm-store
 # startup corpus across two worker processes into a fresh database +
 # shared store, then re-prewarm with --verify — the second pass must
 # perform zero host compiles or the target fails.  The closing fscks
-# read back the database (PCC2 caches + PCS1 sidecar) and the store
+# read back the database (PCC3 caches + PCS1 sidecar) and the store
 # (PCSS1 shards).
 prewarm-smoke:
 	rm -rf $(PWDB) $(PWSTORE)

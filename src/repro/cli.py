@@ -46,7 +46,7 @@ from repro.analysis.timeline import render_timeline, summarize_timeline
 from repro.binfmt.image import Image
 from repro.isa.disassembler import disassemble
 from repro.loader.layout import FixedLayout, PerturbedLayout
-from repro.persist.cachefile import PersistentCache
+from repro.persist.cachefile import CacheFileError, PersistentCache
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.tools import BBCountTool, CoverageTool, InsCountTool, MemTraceTool
@@ -395,7 +395,15 @@ def cmd_pcache_show(args) -> int:
     if not 0 <= args.index < len(entries):
         raise SystemExit("index out of range (0..%d)" % (len(entries) - 1))
     entry = entries[args.index]
-    cache = PersistentCache.load(os.path.join(args.directory, entry.filename))
+    path = os.path.join(args.directory, entry.filename)
+    # Read-only: a damaged file is named, never quarantined or moved.
+    try:
+        cache = PersistentCache.load(path)
+    except CacheFileError as exc:
+        raise SystemExit("error: cannot read %s: damaged %s: %s"
+                         % (path, exc.section, exc)) from exc
+    except OSError as exc:
+        raise SystemExit("error: cannot read %s: %s" % (path, exc)) from exc
     print("app:          %s" % cache.app_path)
     print("vm version:   %s" % cache.vm_version)
     print("tool:         %s" % cache.tool_identity[:16])

@@ -32,6 +32,11 @@ assert _STRUCT.size == INSTRUCTION_SIZE
 #: about eight times faster than the ``Opcode(byte)`` call it replaces.
 _OPCODES = {int(op): op for op in Opcode}
 _decoded = Instruction._decoded
+#: The opcode bytes and register bytes :func:`decode` accepts:
+#: :func:`decodes` deletes them from a body's opcode and register
+#: columns, and anything left over is a word decode rejects.
+_OPCODE_BYTES = bytes(sorted(_OPCODES))
+_REGISTER_BYTES = bytes(range(NUM_REGISTERS))
 
 #: Content-keyed decode memo: encoded word -> shared Instruction.  Keying
 #: on the *bytes* (not the address) makes the memo immune to
@@ -97,23 +102,32 @@ def decode_all(data: bytes) -> List[Instruction]:
     return [decode(body, off) for off in range(0, len(body), INSTRUCTION_SIZE)]
 
 
+def decodes(body: bytes) -> bool:
+    """Whether every word of ``body`` decodes: what :func:`decode`
+    checks (a known opcode, registers in range), one byte column at a
+    time, so one call covers any number of bodies laid end to end."""
+    return (len(body) % INSTRUCTION_SIZE == 0
+            and not body[0::INSTRUCTION_SIZE].translate(None, _OPCODE_BYTES)
+            and not (body[1::INSTRUCTION_SIZE] + body[2::INSTRUCTION_SIZE]
+                     + body[3::INSTRUCTION_SIZE]).translate(
+                         None, _REGISTER_BYTES))
+
+
+def unpack_uops(body: bytes) -> List[tuple]:
+    """The micro-op tuples of a body :func:`decodes` accepts, without
+    checking it again."""
+    return list(_STRUCT.iter_unpack(body))
+
+
 def decode_uops(body: bytes) -> List[tuple]:
     """The micro-op tuples of an encoded body, without building any
     :class:`Instruction`: what ``[i.as_tuple() for i in decode_all(body)]``
     returns, from one ``struct.iter_unpack`` pass.
 
-    Every word is checked as :func:`decode` checks it (a known opcode,
-    registers in range); on the first bad word the body is handed to
-    :func:`decode_all`, so the :class:`DecodeError` raised is the one
-    decoding would raise.
+    A body :func:`decodes` rejects is handed to :func:`decode_all`, so
+    the :class:`DecodeError` raised is the one decoding would raise.
     """
-    if len(body) % INSTRUCTION_SIZE == 0:
-        uops = list(_STRUCT.iter_unpack(body))
-        for op, rd, rs1, rs2, _imm in uops:
-            if (op not in _OPCODES or rd >= NUM_REGISTERS
-                    or rs1 >= NUM_REGISTERS or rs2 >= NUM_REGISTERS):
-                break
-        else:
-            return uops
+    if decodes(body):
+        return unpack_uops(body)
     decode_all(body)
     raise AssertionError("decode_all accepted a body decode_uops rejects")

@@ -12,14 +12,17 @@ The file holds two pools, mirroring the in-memory separation (§3.2.2):
   same byte sizes the in-memory translator accounts, so Figure 9's
   code-vs-data comparison measures real file bytes.
 
-Format version 2 frames the file in the shared sectioned layout of
+Format version 3 (PCC3) frames the file in the shared sectioned layout of
 :mod:`repro.persist.framing` (see ``docs/cache-format.md``): a preamble,
-a CRC-checked header JSON (keys, metadata, section table), then the
-trace directory, code pool and data pool, each with its own CRC, then a
-whole-file trailer CRC.  Damage is localized and reported precisely: any
-mismatch raises :class:`CacheFileError` whose ``section`` attribute
-names the damaged section — the database layer uses it to quarantine the
-file and report where the damage was.
+a CRC-checked header JSON (keys, metadata, the image-path string table,
+section table), then the trace directory, code pool and data pool, each
+with its own CRC, then a whole-file trailer CRC.  The directory is packed
+``struct`` rows; what the data pool already models (each trace's entry,
+image offset, instruction count, liveness and exit records) is read back
+from there instead of being stored twice.  Damage is localized and
+reported precisely: any mismatch raises :class:`CacheFileError` whose
+``section`` attribute names the damaged section — the database layer uses
+it to quarantine the file and report where the damage was.
 
 Trace identity for accumulation is ``(image_path, image_offset)`` — stable
 across runs even if a library's base changes.
@@ -27,12 +30,11 @@ across runs even if a library's base changes.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
-from repro.isa.encoding import DecodeError, decode_uops
+from repro.isa.encoding import DecodeError, decode_uops, decodes, unpack_uops
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
     PREAMBLE,
@@ -42,13 +44,23 @@ from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
 )
 from repro.persist.keys import MappingKey
 from repro.persist.storage import DEFAULT_STORAGE, FileStorage
+from repro.vm.trace import ExitKind
+from repro.vm.translator import (
+    ADDR_TABLE_BYTES_PER_INST,
+    LINK_RECORD_BYTES,
+    LIVENESS_BYTES_PER_INST,
+    REGISTER_BINDINGS_BYTES,
+    TRACE_OBJECT_BYTES,
+    modeled_data_size,
+)
 
-MAGIC = b"PCC2"
-#: Magic of the retired version-1 framing; recognized only so its files
-#: get the precise "unsupported format version" incompatibility path
-#: (quarantine + JIT-only run) instead of a generic bad-magic error.
-LEGACY_MAGIC = b"PCC1"
-FORMAT_VERSION = 2
+MAGIC = b"PCC3"
+FORMAT_VERSION = 3
+#: Magics of the retired formats, with their versions: recognized only
+#: so their files get the precise "unsupported format version"
+#: incompatibility path (quarantine + JIT-only run) instead of a generic
+#: bad-magic error.
+LEGACY_MAGICS = {b"PCC1": 1, b"PCC2": 2}
 
 #: Feature-flag bits.  A reader must reject a file carrying any flag bit
 #: it does not understand: flags mark format extensions that change how
@@ -60,13 +72,34 @@ SUPPORTED_FEATURES = FEATURE_RELOCATABLE
 #: order.
 SECTIONS = ("header", "directory", "code_pool", "data_pool")
 
-# Fixed record sizes inside the data pool (bytes); these match the
-# translator's accounting in repro.vm.translator.
-TRACE_HEADER_BYTES = 112
-BINDINGS_BYTES = 64
-LIVENESS_BYTES = 8
-ADDR_TABLE_BYTES = 8
-LINK_RECORD_BYTES = 56
+# The directory section: a row count, one row per trace, then every
+# trace's exit targets, then every trace's relocations, all in row
+# order.  A trace's code and data start where the previous row's end.
+DIRECTORY_COUNT = struct.Struct("<I")
+#: Image-path index, row flags, code size, data size, exit count,
+#: relocation count.
+ROW = struct.Struct("<HHIIHH")
+#: Per exit: the target's image-path index and image-relative offset.
+EXIT_TARGET = struct.Struct("<HI")
+#: Per relocation: instruction index, target image-path index and offset.
+RELOC = struct.Struct("<HHI")
+#: Row flag: the trace's liveness masks fill its data-pool liveness
+#: vector (without it the trace has none and the vector is zeros).
+ROW_LIVENESS = 0x0001
+
+# A trace's data-pool bytes are the records the translator accounts
+# for it (repro.vm.translator.modeled_data_size): this fixed prefix (the
+# trace object header — entry, image offset, instruction count, exit
+# count — and the register bindings), the liveness vector and address
+# table (one entry per instruction each), one link record per exit, zero
+# padding up to the trace's data size.
+DATA_PREFIX = struct.Struct(
+    "<qqii%dx" % (TRACE_OBJECT_BYTES - 24 + REGISTER_BINDINGS_BYTES)
+)
+#: Exit kind, instruction index, target (-1: no static target).
+LINK_RECORD = struct.Struct("<iiq%dx" % (LINK_RECORD_BYTES - 16))
+#: The exit kinds a link record may hold.
+EXIT_KINDS = frozenset(map(int, ExitKind))
 
 
 class CacheFileError(FrameError):
@@ -78,16 +111,8 @@ FRAMING = Framing(MAGIC, FORMAT_VERSION, SECTIONS[1:], CacheFileError,
                   features=SUPPORTED_FEATURES)
 
 
-#: Successful-parse memo keyed on the exact file bytes (see
-#: :meth:`PersistentCache.from_bytes`).  Values are private templates;
-#: hits return detached copies.
-_PARSE_MEMO: dict = {}
-_PARSE_MEMO_CAP = 64
-
-
-@dataclass
-class PersistedExit:
-    """Directory record of one trace exit."""
+class PersistedExit(NamedTuple):
+    """Record of one trace exit."""
 
     kind: int
     index: int
@@ -95,16 +120,8 @@ class PersistedExit:
     target_path: str = ""  # owning image of the target, "" if unknown
     target_offset: int = 0  # image-relative target offset
 
-    def to_json(self) -> list:
-        return [self.kind, self.index, self.target, self.target_path, self.target_offset]
 
-    @classmethod
-    def from_json(cls, data: list) -> "PersistedExit":
-        return cls(*data)
-
-
-@dataclass
-class PersistedReloc:
+class PersistedReloc(NamedTuple):
     """An absolute-immediate site inside a persisted trace body.
 
     ``index`` is the instruction index; the target is recorded both as the
@@ -116,13 +133,6 @@ class PersistedReloc:
     index: int
     target_path: str
     target_offset: int
-
-    def to_json(self) -> list:
-        return [self.index, self.target_path, self.target_offset]
-
-    @classmethod
-    def from_json(cls, data: list) -> "PersistedReloc":
-        return cls(*data)
 
 
 @dataclass
@@ -136,12 +146,15 @@ class PersistedTrace:
     code: bytes
     exits: List[PersistedExit] = field(default_factory=list)
     relocs: List[PersistedReloc] = field(default_factory=list)
+    #: Data-pool bytes; 0 means the modeled size, and a smaller size
+    #: cannot hold the records the file reads back.
     data_size: int = 0
+    #: One register mask per instruction, or none.
     liveness: List[int] = field(default_factory=list)
-    #: The body's micro-ops, decoded and checked by
-    #: :meth:`PersistentCache.from_bytes` (:func:`decode_uops`), which
-    #: verbatim revive reads instead of decoding again; None for a record
-    #: built in this process.  Not part of the file.
+    #: The body's micro-ops, unpacked by :meth:`PersistentCache.from_bytes`
+    #: once it checked every body of the file, which verbatim revive
+    #: reads instead of decoding again; None for a record built in this
+    #: process.  Not part of the file.
     uops: Optional[List[tuple]] = field(default=None, repr=False,
                                         compare=False)
 
@@ -154,55 +167,34 @@ class PersistedTrace:
         return len(self.code)
 
     def build_data_blob(self) -> bytes:
-        """Serialize this trace's 'data structures' at their modeled size."""
-        parts = [
-            struct.pack(
-                "<qqii",
-                self.entry,
-                self.image_offset,
-                self.n_insts,
-                len(self.exits),
-            ).ljust(TRACE_HEADER_BYTES, b"\0"),
-            b"\0" * BINDINGS_BYTES,
-        ]
-        for mask in self.liveness:
-            parts.append(struct.pack("<Q", mask & ((1 << 64) - 1)))
-        if len(self.liveness) < self.n_insts:
-            parts.append(b"\0" * (LIVENESS_BYTES * (self.n_insts - len(self.liveness))))
-        parts.append(b"\0" * (ADDR_TABLE_BYTES * self.n_insts))
-        for trace_exit in self.exits:
-            parts.append(
-                struct.pack(
-                    "<iiq",
-                    trace_exit.kind,
-                    trace_exit.index,
-                    trace_exit.target if trace_exit.target is not None else -1,
-                ).ljust(LINK_RECORD_BYTES, b"\0")
+        """Serialize this trace's 'data structures' at its data size."""
+        n_insts = self.n_insts
+        liveness = self.liveness
+        if liveness and len(liveness) != n_insts:
+            raise ValueError(
+                "trace at 0x%x: %d liveness masks for %d instructions"
+                % (self.entry, len(liveness), n_insts)
             )
-        blob = b"".join(parts)
-        if self.data_size and len(blob) != self.data_size:
-            # The translator's accounting is authoritative; pad or trim so
-            # file sizes match the in-memory pools exactly.
-            if len(blob) < self.data_size:
-                blob += b"\0" * (self.data_size - len(blob))
-            else:
-                blob = blob[: self.data_size]
-        return blob
-
-    def to_json(self, code_offset: int, data_offset: int) -> dict:
-        return {
-            "entry": self.entry,
-            "image_path": self.image_path,
-            "image_offset": self.image_offset,
-            "n_insts": self.n_insts,
-            "code_offset": code_offset,
-            "code_size": len(self.code),
-            "data_offset": data_offset,
-            "data_size": self.data_size,
-            "exits": [e.to_json() for e in self.exits],
-            "relocs": [r.to_json() for r in self.relocs],
-            "liveness": self.liveness,
-        }
+        modeled = modeled_data_size(n_insts, len(self.exits))
+        size = self.data_size or modeled
+        if size < modeled:
+            raise ValueError(
+                "trace at 0x%x: data_size %d is below its %d modeled bytes"
+                % (self.entry, size, modeled)
+            )
+        parts = [
+            DATA_PREFIX.pack(self.entry, self.image_offset, n_insts,
+                             len(self.exits)),
+            struct.pack("<%dQ" % n_insts, *liveness) if liveness
+            else bytes(LIVENESS_BYTES_PER_INST * n_insts),
+            bytes(ADDR_TABLE_BYTES_PER_INST * n_insts),
+        ]
+        for kind, index, target, _path, _offset in self.exits:
+            parts.append(LINK_RECORD.pack(
+                kind, index, -1 if target is None else target
+            ))
+        parts.append(bytes(size - modeled))
+        return b"".join(parts)
 
 
 def verify_sections(blob: bytes) -> Dict[str, str]:
@@ -281,15 +273,33 @@ class PersistentCache:
     # -- serialization -----------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        code_pool = bytearray()
-        data_pool = bytearray()
-        directory = []
+        paths: Dict[str, int] = {}
+        rows = [DIRECTORY_COUNT.pack(len(self.traces))]
+        targets = []
+        relocs = []
+        code_pool = []
+        data_pool = []
         for trace in self.traces:
-            code_offset = len(code_pool)
-            data_offset = len(data_pool)
-            code_pool.extend(trace.code)
-            data_pool.extend(trace.build_data_blob())
-            directory.append(trace.to_json(code_offset, data_offset))
+            data = trace.build_data_blob()
+            rows.append(ROW.pack(
+                paths.setdefault(trace.image_path, len(paths)),
+                ROW_LIVENESS if trace.liveness else 0,
+                len(trace.code), len(data),
+                len(trace.exits), len(trace.relocs),
+            ))
+            for trace_exit in trace.exits:
+                targets.append(EXIT_TARGET.pack(
+                    paths.setdefault(trace_exit.target_path, len(paths)),
+                    trace_exit.target_offset,
+                ))
+            for reloc in trace.relocs:
+                relocs.append(RELOC.pack(
+                    reloc.index,
+                    paths.setdefault(reloc.target_path, len(paths)),
+                    reloc.target_offset,
+                ))
+            code_pool.append(trace.code)
+            data_pool.append(data)
         header = {
             "vm_version": self.vm_version,
             "tool_identity": self.tool_identity,
@@ -298,50 +308,25 @@ class PersistentCache:
             "image_keys": {
                 path: key.to_json() for path, key in self.image_keys.items()
             },
+            "paths": list(paths),
         }
-        directory_blob = json.dumps(directory, sort_keys=True).encode()
         return FRAMING.pack(
-            header, [directory_blob, code_pool, data_pool],
+            header,
+            [b"".join(rows + targets + relocs), b"".join(code_pool),
+             b"".join(data_pool)],
             flags=self.feature_flags,
         )
 
-    def _detached_copy(self) -> "PersistentCache":
-        """A container copy sharing the (never-mutated-in-place) records.
-
-        ``accumulate``/``drop_traces`` replace or extend the ``traces``
-        list and rebind ``image_keys`` entries; the ``PersistedTrace``
-        records themselves are immutable by convention, so two copies can
-        share them while each owning its own container state.
-        """
-        dup = PersistentCache(
-            vm_version=self.vm_version,
-            tool_identity=self.tool_identity,
-            app_path=self.app_path,
-            generation=self.generation,
-            feature_flags=self.feature_flags,
-        )
-        dup.traces = list(self.traces)
-        dup.image_keys = dict(self.image_keys)
-        return dup
-
     @classmethod
     def from_bytes(cls, blob: bytes) -> "PersistentCache":
-        # Content-keyed parse memo: warm persistent runs re-read the same
-        # file bytes every execution, and rebuilding thousands of
-        # directory records dominates the (otherwise cheap) cache load.
-        # Keying on the exact blob makes hits correct by construction;
-        # only successful parses are memoized, and every caller gets a
-        # detached container so mutations never leak between sessions.
-        template = _PARSE_MEMO.get(blob)
-        if template is not None:
-            return template._detached_copy()
-        if blob[:len(LEGACY_MAGIC)] == LEGACY_MAGIC:
+        legacy = LEGACY_MAGICS.get(blob[:len(MAGIC)])
+        if legacy is not None:
             raise CacheFileError(
-                "unsupported format version 1 (legacy PCC1 file)",
+                "unsupported format version %d (legacy PCC%d file)"
+                % (legacy, legacy),
                 section="header",
             )
         flags, header, sections = FRAMING.parse(blob)
-        directory = FRAMING.json_section(sections, "directory")
         try:
             cache = cls(
                 vm_version=header["vm_version"],
@@ -354,77 +339,18 @@ class PersistentCache:
                 path: MappingKey.from_json(data)
                 for path, data in header["image_keys"].items()
             }
+            paths = header["paths"]
+            if not (isinstance(paths, list)
+                    and all(isinstance(path, str) for path in paths)):
+                raise ValueError("bad image-path table")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise CacheFileError(
                 "malformed header fields: %s" % exc, section="header"
             ) from exc
-
-        code_pool = sections["code_pool"]
-        data_pool = sections["data_pool"]
-        try:
-            for record in directory:
-                if (
-                    record["code_offset"] < 0
-                    or record["code_size"] < 0
-                    or record["data_size"] < 0
-                    or record["n_insts"] < 1
-                    or record["code_offset"] + record["code_size"]
-                    > len(code_pool)
-                ):
-                    raise CacheFileError(
-                        "trace directory record out of bounds",
-                        section="directory",
-                    )
-                code = code_pool[
-                    record["code_offset"]
-                    : record["code_offset"] + record["code_size"]
-                ]
-                if len(code) != record["code_size"]:
-                    raise CacheFileError(
-                        "truncated code pool", section="code_pool"
-                    )
-                body_size = record["n_insts"] * INSTRUCTION_SIZE
-                if body_size > len(code):
-                    raise CacheFileError(
-                        "trace at 0x%x: code shorter than its %d instructions"
-                        % (record["entry"], record["n_insts"]),
-                        section="code_pool",
-                    )
-                try:
-                    uops = decode_uops(code[:body_size])
-                except DecodeError as exc:
-                    raise CacheFileError(
-                        "trace at 0x%x: undecodable code: %s"
-                        % (record["entry"], exc),
-                        section="code_pool",
-                    ) from exc
-                cache.traces.append(
-                    PersistedTrace(
-                        entry=record["entry"],
-                        image_path=record["image_path"],
-                        image_offset=record["image_offset"],
-                        n_insts=record["n_insts"],
-                        code=code,
-                        exits=[PersistedExit.from_json(e) for e in record["exits"]],
-                        relocs=[PersistedReloc.from_json(r) for r in record["relocs"]],
-                        data_size=record["data_size"],
-                        liveness=list(record["liveness"]),
-                        uops=uops,
-                    )
-                )
-        except (KeyError, TypeError, ValueError, IndexError, struct.error) as exc:
-            # Shield callers from serialization internals: any shape error
-            # in the directory is a typed cache-file error.
-            raise CacheFileError(
-                "malformed trace directory: %s" % exc, section="directory"
-            ) from exc
-        # Sanity: the data pool must be exactly the directory's total.
-        expected_data = sum(t.data_size for t in cache.traces)
-        if expected_data != len(data_pool):
-            raise CacheFileError("data pool size mismatch", section="data_pool")
-        if len(_PARSE_MEMO) >= _PARSE_MEMO_CAP:
-            _PARSE_MEMO.clear()
-        _PARSE_MEMO[bytes(blob)] = cache._detached_copy()
+        cache.traces = _read_traces(
+            paths, sections["directory"], sections["code_pool"],
+            sections["data_pool"],
+        )
         return cache
 
     def save(self, path: str, storage: Optional[FileStorage] = None) -> None:
@@ -440,3 +366,141 @@ class PersistentCache:
     @property
     def file_size(self) -> int:
         return len(self.to_bytes())
+
+
+def _read_directory(directory: bytes, paths: List[str]):
+    """``(rows, exit targets, relocations)`` of a directory section; an
+    exit target is a ``(path index, offset)`` pair."""
+    try:
+        (count,) = DIRECTORY_COUNT.unpack_from(directory)
+        rows_end = DIRECTORY_COUNT.size + count * ROW.size
+        rows = list(ROW.iter_unpack(directory[DIRECTORY_COUNT.size:rows_end]))
+        n_exits = sum(row[4] for row in rows)
+        targets_end = rows_end + n_exits * EXIT_TARGET.size
+        targets = list(
+            EXIT_TARGET.iter_unpack(directory[rows_end:targets_end])
+        )
+        relocs = [
+            PersistedReloc(index, paths[path], offset)
+            for index, path, offset
+            in RELOC.iter_unpack(directory[targets_end:])
+        ]
+    except (struct.error, IndexError) as exc:
+        raise CacheFileError(
+            "malformed trace directory: %s" % exc, section="directory"
+        ) from exc
+    if (len(rows) != count or len(targets) != n_exits
+            or len(relocs) != sum(row[5] for row in rows)):
+        raise CacheFileError(
+            "trace directory size mismatch", section="directory"
+        )
+    return rows, targets, relocs
+
+
+def _read_traces(
+    paths: List[str], directory: bytes, code_pool: bytes, data_pool: bytes
+) -> List[PersistedTrace]:
+    """Every trace record, built from its row and data-pool slice with
+    each field checked where it is read.  What every record has many of
+    — body words and exits — is checked and unpacked in one pass over
+    the whole file, then handed out."""
+    rows, targets, relocs = _read_directory(directory, paths)
+    n_paths, code_bytes, data_bytes = len(paths), len(code_pool), len(data_pool)
+    prefix, unpack_prefix = DATA_PREFIX.size, DATA_PREFIX.unpack_from
+    per_inst = LIVENESS_BYTES_PER_INST + ADDR_TABLE_BYTES_PER_INST
+    traces = []
+    bodies = []
+    links = []
+    code_at = data_at = reloc_at = 0
+    for path, row_flags, code_size, data_size, n_exits, n_relocs in rows:
+        code_end = code_at + code_size
+        if (path >= n_paths or row_flags & ~ROW_LIVENESS
+                or code_end > code_bytes):
+            raise CacheFileError(
+                "trace directory record out of bounds", section="directory"
+            )
+        data_end = data_at + data_size
+        if data_end > data_bytes or data_size < prefix:
+            raise CacheFileError(
+                "data pool size mismatch" if data_end > data_bytes
+                else "trace data shorter than its header",
+                section="data_pool",
+            )
+        entry, image_offset, n_insts, data_exits = unpack_prefix(
+            data_pool, data_at
+        )
+        links_at = data_at + prefix + n_insts * per_inst
+        links_end = links_at + n_exits * LINK_RECORD_BYTES
+        body_end = code_at + n_insts * INSTRUCTION_SIZE
+        if n_insts < 1 or data_exits != n_exits or links_end > data_end:
+            raise CacheFileError(
+                "trace at 0x%x: data records do not match its row" % entry,
+                section="data_pool",
+            )
+        if body_end > code_end:
+            raise CacheFileError(
+                "trace at 0x%x: code shorter than its %d instructions"
+                % (entry, n_insts),
+                section="code_pool",
+            )
+        reloc_end = reloc_at + n_relocs
+        trace_relocs = relocs[reloc_at:reloc_end]
+        if n_relocs and max(reloc.index for reloc in trace_relocs) >= n_insts:
+            raise CacheFileError(
+                "trace at 0x%x: relocation past its %d instructions"
+                % (entry, n_insts),
+                section="directory",
+            )
+        bodies.append(code_pool[code_at:body_end])
+        links.append(data_pool[links_at:links_end])
+        # The exits and uops follow once every body of the file is
+        # checked.
+        traces.append(PersistedTrace(
+            entry, paths[path], image_offset, n_insts,
+            code_pool[code_at:code_end], [], trace_relocs, data_size,
+            list(struct.unpack_from(
+                "<%dQ" % n_insts, data_pool, data_at + prefix
+            )) if row_flags & ROW_LIVENESS else [],
+        ))
+        code_at, data_at, reloc_at = code_end, data_end, reloc_end
+    if code_at != code_bytes:
+        raise CacheFileError("code pool size mismatch", section="code_pool")
+    if data_at != data_bytes:
+        raise CacheFileError("data pool size mismatch", section="data_pool")
+    body_words = b"".join(bodies)
+    if not decodes(body_words):
+        for trace, body in zip(traces, bodies):
+            try:
+                decode_uops(body)
+            except DecodeError as exc:
+                raise CacheFileError(
+                    "trace at 0x%x: undecodable code: %s" % (trace.entry, exc),
+                    section="code_pool",
+                ) from exc
+    uops = unpack_uops(body_words)
+    link_records = list(LINK_RECORD.iter_unpack(b"".join(links)))
+    unknown = {kind for kind, _, _ in link_records} - EXIT_KINDS
+    if unknown:
+        raise CacheFileError(
+            "unknown exit kind %d" % min(unknown), section="data_pool"
+        )
+    try:
+        exits = [
+            PersistedExit(kind, index, None if target == -1 else target,
+                          paths[path], offset)
+            for (kind, index, target), (path, offset)
+            in zip(link_records, targets)
+        ]
+    except IndexError as exc:
+        raise CacheFileError(
+            "malformed trace directory: exit target path out of range",
+            section="directory",
+        ) from exc
+    uop_at = exit_at = 0
+    for record, row in zip(traces, rows):
+        uop_end = uop_at + record.n_insts
+        exit_end = exit_at + row[4]
+        record.uops = uops[uop_at:uop_end]
+        record.exits = exits[exit_at:exit_end]
+        uop_at, exit_at = uop_end, exit_end
+    return traces

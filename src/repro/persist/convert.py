@@ -76,15 +76,9 @@ def persist_trace(
                 # Exit into unbacked memory: the trace itself is fine but
                 # this exit cannot be made position independent.
                 target_path, target_offset = "", 0
-        exits.append(
-            PersistedExit(
-                kind=int(trace_exit.kind),
-                index=trace_exit.index,
-                target=trace_exit.target,
-                target_path=target_path,
-                target_offset=target_offset,
-            )
-        )
+        exits.append(PersistedExit(int(trace_exit.kind), trace_exit.index,
+                                   trace_exit.target, target_path,
+                                   target_offset))
     relocs: List[PersistedReloc] = []
     uops = trace.uops
     for index, uop in enumerate(uops):
@@ -92,13 +86,7 @@ def persist_trace(
             target_path, target_offset = _locate(process, uop[4])
             if target_path is None:
                 return None  # absolute literal into unbacked memory
-            relocs.append(
-                PersistedReloc(
-                    index=index,
-                    target_path=target_path,
-                    target_offset=target_offset,
-                )
-            )
+            relocs.append(PersistedReloc(index, target_path, target_offset))
     return PersistedTrace(
         entry=trace.entry,
         image_path=trace.image_path,
@@ -172,28 +160,22 @@ def revive_trace(
         # relocated library embeds a stale literal (the paper's PUSH/JMP
         # example) and must be invalidated, even though its own image
         # validated.
-        for reloc in persisted.relocs:
-            target_base = base_of(reloc.target_path)
+        for index, target_path, target_offset in persisted.relocs:
+            target_base = base_of(target_path)
             if (target_base is None
-                    or target_base + reloc.target_offset
-                    != uops[reloc.index][4]):
+                    or target_base + target_offset != uops[index][4]):
                 return None
 
     exits: List[TraceExit] = []
-    for stored in persisted.exits:
-        target = stored.target
+    for kind, index, target, target_path, target_offset in persisted.exits:
         if rebase and target is not None:
-            if stored.target_path:
-                target_base = base_of(stored.target_path)
-                if target_base is None:
-                    return None
-                target = target_base + stored.target_offset
-            else:
+            if not target_path:
                 return None  # static exit into unbacked memory
-        exits.append(
-            TraceExit(kind=_EXIT_KINDS[stored.kind], index=stored.index,
-                      target=target)
-        )
+            target_base = base_of(target_path)
+            if target_base is None:
+                return None
+            target = target_base + target_offset
+        exits.append(TraceExit(_EXIT_KINDS[kind], index, target))
 
     if rebase:
         trace = Trace(entry, instructions, exits, persisted.image_path,

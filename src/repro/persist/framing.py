@@ -5,7 +5,7 @@ Four formats sit on the same 16-byte preamble and CRC-32:
 =====  ================================  ===============================
 magic  module                            sections after the header
 =====  ================================  ===============================
-PCC2   :mod:`repro.persist.cachefile`    directory, code_pool, data_pool
+PCC3   :mod:`repro.persist.cachefile`    directory, code_pool, data_pool
 PCS1   :mod:`repro.persist.sidecar`      directory, body_pool
 PCSS   :mod:`repro.persist.sharedstore`  directory, body_pool
 PCRL   :mod:`repro.replay.log`           events, baseline
@@ -16,7 +16,7 @@ All four use one sectioned layout (integers little-endian)::
     offset  size  field
     0       4     magic
     4       2     u16 format_version
-    6       2     u16 feature flags (no bits defined except in PCC2)
+    6       2     u16 feature flags (no bits defined except in PCC3)
     8       4     u32 header_len
     12      4     u32 CRC-32 of the header JSON
     16      n     header JSON: the format's keys, "format_version" and

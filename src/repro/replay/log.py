@@ -34,7 +34,7 @@ replay can be diffed against it without rerunning the original build:
   differ between builds and tiers, is deliberately excluded.
 
 The file uses the shared sectioned framing of
-:mod:`repro.persist.framing` (the PCC2/PCS1 preamble, per-section CRCs,
+:mod:`repro.persist.framing` (the PCC3/PCS1 preamble, per-section CRCs,
 whole-file trailer CRC, atomic write-replace through the storage seam):
 the header JSON carries ``meta`` and the section table, followed by the
 ``events`` and ``baseline`` JSON sections.  Damage is named

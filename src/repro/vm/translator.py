@@ -49,6 +49,18 @@ ADDR_TABLE_BYTES_PER_INST = 8
 LINK_RECORD_BYTES = 56
 
 
+def modeled_data_size(n_insts: int, n_exits: int) -> int:
+    """Bytes of a trace's data structures: the data a translated trace
+    occupies, and the records a cache file's data pool holds for it
+    (repro.persist.cachefile)."""
+    return (
+        TRACE_OBJECT_BYTES
+        + REGISTER_BINDINGS_BYTES
+        + n_insts * (LIVENESS_BYTES_PER_INST + ADDR_TABLE_BYTES_PER_INST)
+        + n_exits * LINK_RECORD_BYTES
+    )
+
+
 @dataclass
 class LinkSlot:
     """The mutable link state of one trace exit.
@@ -283,12 +295,7 @@ class Translator:
         # (the persisted data blob zero-fills them), so pool occupancy
         # and Figure 9 are unchanged.
         liveness = compute_liveness(trace) if points else []
-        data_size = (
-            TRACE_OBJECT_BYTES
-            + REGISTER_BINDINGS_BYTES
-            + n_insts * (LIVENESS_BYTES_PER_INST + ADDR_TABLE_BYTES_PER_INST)
-            + len(trace.exits) * LINK_RECORD_BYTES
-        )
+        data_size = modeled_data_size(n_insts, len(trace.exits))
 
         points_by_index: Dict[int, List[InstrumentationPoint]] = {}
         for point in points:

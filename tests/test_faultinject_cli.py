@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from repro.cli import main
-from repro.persist.cachefile import PersistentCache
+from repro.persist.cachefile import CacheFileError, PersistentCache
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
 from repro.persist.framing import PREAMBLE
 from repro.persist.manager import PersistenceConfig
@@ -23,6 +23,7 @@ from repro.vm.engine import VM_VERSION
 from repro.workloads.harness import run_vm
 
 from tests.test_cli import host_value
+from tests.test_framing import legacy_pcc2
 from tests.test_persist_manager import mini_workload
 
 pytestmark = pytest.mark.faultinject
@@ -389,6 +390,8 @@ def _illegal_opcode(trace):
 
 def _code_shorter_than_its_instructions(trace):
     trace.n_insts = len(trace.code) // 8 + 1
+    # The data pool must still hold the longer body's modeled records.
+    trace.data_size = 0
 
 
 class TestUndecodableCode:
@@ -470,3 +473,93 @@ class TestRunNamesTheDamage:
                    if line.startswith("storage event:")]
         assert entry.filename in event
         assert "damaged data_pool" in event
+
+
+LEGACY_REASON = "damaged header: unsupported format version 2 (legacy PCC2 file)"
+
+
+def install_legacy_pcc2(path: str) -> None:
+    """Replace an indexed cache file with the PCC2 fixture's bytes."""
+    with open(path, "wb") as handle:
+        handle.write(legacy_pcc2())
+
+
+class TestPcacheShowUnreadable:
+    """``repro pcache show`` on an indexed file it cannot read prints one
+    stderr line naming the file and the damaged section (or the OS
+    error) and exits 1; being read-only, it quarantines, moves and
+    creates nothing."""
+
+    @staticmethod
+    def show(directory):
+        before = sorted(os.listdir(directory))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["pcache", "show", directory])
+        message = excinfo.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert sorted(os.listdir(directory)) == before
+        assert not os.path.exists(os.path.join(directory, QUARANTINE_DIR))
+        return message
+
+    def test_damaged_file(self, tmp_path):
+        directory, filename = seeded_directory(tmp_path)
+        path = os.path.join(directory, filename)
+        flip_byte(path, data_pool_middle(path))
+        message = self.show(directory)
+        assert message.startswith("error: cannot read %s" % path)
+        assert "damaged data_pool: data_pool checksum mismatch" in message
+
+    def test_legacy_pcc2_file(self, tmp_path):
+        directory, filename = seeded_directory(tmp_path)
+        path = os.path.join(directory, filename)
+        install_legacy_pcc2(path)
+        message = self.show(directory)
+        assert message == "error: cannot read %s: %s" % (path, LEGACY_REASON)
+
+    def test_missing_file(self, tmp_path):
+        directory, filename = seeded_directory(tmp_path)
+        os.unlink(os.path.join(directory, filename))
+        message = self.show(directory)
+        assert filename in message and "No such file" in message
+
+
+class TestLegacyPcc2Database:
+    """A database holding a PCC2 file: the file is a typed header error,
+    ``cache fsck`` reports it, the next run quarantines it and runs
+    JIT-only, and the run after that writes PCC3."""
+
+    def test_quarantined_then_rewritten_as_pcc3(self, tmp_path, capsys):
+        directory = str(tmp_path / "db")
+        argv = ["run", "shell", "ls", "run", "--pcache", directory]
+        assert main(argv) == 0
+        capsys.readouterr()
+        [entry] = CacheDatabase(directory).entries()
+        path = os.path.join(directory, entry.filename)
+        install_legacy_pcc2(path)
+
+        with pytest.raises(CacheFileError) as excinfo:
+            PersistentCache.load(path)
+        assert excinfo.value.section == "header"
+
+        code, out = run_cli(capsys, "cache", "fsck", directory)
+        assert code == 1
+        [row] = [line for line in out.splitlines() if entry.filename in line]
+        assert "corrupt" in row and "header" in row
+
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert host_value(out, "fallback_jit_only") == "True"
+        [event] = [line for line in out.splitlines()
+                   if line.startswith("storage event:")]
+        assert event == "storage event: quarantine %s: %s" % (
+            entry.filename, LEGACY_REASON)
+        assert os.path.exists(
+            os.path.join(directory, QUARANTINE_DIR, entry.filename)
+        )
+
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert host_value(out, "written") == "True"
+        with open(path, "rb") as handle:
+            assert handle.read(4) == b"PCC3"
+        assert PersistentCache.load(path).traces

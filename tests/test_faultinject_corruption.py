@@ -13,7 +13,6 @@ import pytest
 from repro.persist.cachefile import (
     CacheFileError,
     FORMAT_VERSION,
-    LEGACY_MAGIC,
     MAGIC,
     PREAMBLE,
     SUPPORTED_FEATURES,
@@ -132,10 +131,19 @@ class TestTruncation:
 
 class TestVersionAndFeatureGates:
     def test_legacy_v1_magic_has_defined_incompatibility_path(self, blob):
-        corrupt = LEGACY_MAGIC + blob[len(MAGIC):]
+        corrupt = b"PCC1" + blob[len(MAGIC):]
         with pytest.raises(CacheFileError) as excinfo:
             PersistentCache.from_bytes(corrupt)
         assert "version" in str(excinfo.value)
+        assert excinfo.value.section == "header"
+
+    def test_legacy_v2_magic_has_defined_incompatibility_path(self, blob):
+        corrupt = b"PCC2" + blob[len(MAGIC):]
+        with pytest.raises(CacheFileError) as excinfo:
+            PersistentCache.from_bytes(corrupt)
+        assert str(excinfo.value) == (
+            "unsupported format version 2 (legacy PCC2 file)"
+        )
         assert excinfo.value.section == "header"
 
     def test_future_version_rejected(self, blob):

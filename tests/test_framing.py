@@ -2,14 +2,16 @@
 
 Three contracts:
 
-* **bytes never move** — one fixed object per format (PCC2, PCS1,
+* **bytes never move** — one fixed object per format (PCC3, PCS1,
   PCSS1 and PCRL1) serializes to a pinned sha256, so files written
   before the framing was shared stay valid byte for byte, and each blob
-  round-trips through the shared parser;
+  round-trips through the shared parser; the same cache object as the
+  retired PCC2 wrote it is kept as a legacy fixture, which parses as a
+  typed header error;
 * **crafted headers fail typed** — a section table whose entry is not a
   pair of JSON integers with a non-negative size is header damage in
   every file format, even when the header CRC is valid;
-* **flags are checked per format** — only PCC2 defines feature bits; a
+* **flags are checked per format** — only PCC3 defines feature bits; a
   set reserved bit in any other format is header damage.
 """
 
@@ -67,19 +69,33 @@ def pcrl1_log():
     )
 
 
-#: One fixed object per format, serialized.
+#: ``make_cache(n_traces=2)`` as the retired PCC2 format wrote it.
+LEGACY_PCC2 = os.path.join(os.path.dirname(__file__), "fixtures",
+                           "pcc2_sample.cache")
+
+
+def legacy_pcc2() -> bytes:
+    with open(LEGACY_PCC2, "rb") as handle:
+        return handle.read()
+
+
+#: One fixed object per format, serialized (PCC2: the legacy fixture).
 SAMPLES = {
-    "PCC2": lambda: make_cache(n_traces=2).to_bytes(),
+    "PCC2": legacy_pcc2,
+    "PCC3": lambda: make_cache(n_traces=2).to_bytes(),
     "PCS1": lambda: pcs1_store().to_bytes(),
     "PCSS1": lambda: pack_shard(VM, HOST, SHARD_ENTRIES),
     "PCRL1": lambda: pcrl1_log().to_bytes(),
 }
 
 #: What each format's own serializer wrote for SAMPLES before the
-#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCSS1/PCRL1 1).
+#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCSS1/PCRL1 1), and
+#: what PCC3 (FORMAT_VERSION 3) writes.
 GOLDEN_SHA256 = {
     "PCC2":
         "a351282619d6632e3ac117136c6254b90fc4bb00ef2ce737dca17af2a2c384fb",
+    "PCC3":
+        "f444e2ea7bd27752dc2b07f9986c61ef7527d946b67639fe8df643e5f8e37350",
     "PCS1":
         "058b6875f0a5c352b30d612076db238e5993b0feba15927417b62b099a4d07f3",
     "PCSS1":
@@ -95,11 +111,20 @@ class TestGoldenBytes:
         blob = SAMPLES[name]()
         assert hashlib.sha256(blob).hexdigest() == GOLDEN_SHA256[name]
 
-    def test_pcc2_round_trip(self):
-        blob = SAMPLES["PCC2"]()
+    def test_pcc3_round_trip(self):
+        blob = SAMPLES["PCC3"]()
         cache = PersistentCache.from_bytes(blob)
         assert len(cache.traces) == 2
+        assert cache.traces == make_cache(n_traces=2).traces
         assert cache.to_bytes() == blob
+
+    def test_pcc2_fixture_is_a_typed_legacy_error(self):
+        with pytest.raises(CacheFileError) as excinfo:
+            PersistentCache.from_bytes(legacy_pcc2())
+        assert excinfo.value.section == "header"
+        assert str(excinfo.value) == (
+            "unsupported format version 2 (legacy PCC2 file)"
+        )
 
     def test_pcs1_round_trip(self):
         blob = SAMPLES["PCS1"]()
@@ -161,7 +186,7 @@ def reframe(blob: bytes, edit_header=None, flags=None) -> bytes:
 
 #: format → (a valid blob, its parser, its error type, first section).
 FILE_FORMATS = {
-    "PCC2": (SAMPLES["PCC2"], PersistentCache.from_bytes, CacheFileError,
+    "PCC3": (SAMPLES["PCC3"], PersistentCache.from_bytes, CacheFileError,
              "directory"),
     "PCS1": (SAMPLES["PCS1"], CompiledBodyStore.from_bytes, SidecarError,
              "directory"),
@@ -220,7 +245,7 @@ class TestFeatureFlags:
         assert excinfo.value.section == "header"
         assert "feature flags" in str(excinfo.value)
 
-    def test_pcc2_feature_bit_round_trips(self):
+    def test_pcc3_feature_bit_round_trips(self):
         cache = make_cache(n_traces=1)
         cache.feature_flags = 0x0001
         assert PersistentCache.from_bytes(cache.to_bytes()).feature_flags == 1

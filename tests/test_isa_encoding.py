@@ -8,8 +8,10 @@ from repro.isa.encoding import (
     DecodeError,
     decode,
     decode_all,
+    decodes,
     encode,
     encode_all,
+    unpack_uops,
 )
 from repro.isa.instructions import IMM_MAX, IMM_MIN, INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import Opcode
@@ -90,6 +92,27 @@ class TestEncodingProperties:
     def test_injective(self, a, b):
         if a != b:
             assert encode(a) != encode(b)
+
+    @given(
+        st.lists(instruction_strategy, max_size=12),
+        st.binary(max_size=24),
+        st.integers(0, 1000),
+    )
+    def test_decodes_agrees_with_decode_all(self, program, noise, at):
+        """``decodes`` accepts exactly what ``decode_all`` decodes, and
+        ``unpack_uops`` then returns its instructions' tuples."""
+        blob = bytearray(encode_all(program))
+        # Overwrite a few bytes anywhere, or append a partial word.
+        start = at % (len(blob) + 1)
+        blob[start:start + len(noise)] = noise
+        blob = bytes(blob)
+        try:
+            reference = [inst.as_tuple() for inst in decode_all(blob)]
+        except DecodeError:
+            assert not decodes(blob)
+        else:
+            assert decodes(blob)
+            assert unpack_uops(blob) == reference
 
 
 class TestTableDecode:

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.persist.cachefile import (
+    DATA_PREFIX,
+    EXIT_TARGET,
+    ROW,
     CacheFileError,
     PersistedExit,
     PersistedReloc,
@@ -139,53 +142,109 @@ class TestAccumulation:
 
 
 class TestDirectoryValidation:
+    """A row or a data-pool field that does not fit the file is typed
+    damage of the section holding it, even when every CRC holds."""
+
+    #: field -> (section, byte offset in the first trace's row or data,
+    #: struct format, section an out-of-range value is charged to).  A
+    #: trace's code offset is the code sizes of the rows before it, so a
+    #: wrong offset of the second trace is a wrong size of the first.
+    #: The first trace's exit kind is its first link record's, after its
+    #: four instructions' liveness and address-table entries; its
+    #: relocation index is the first after the rows and exit targets of
+    #: the three traces.
+    FIELDS = {
+        "code_offset": ("directory", 4, "<I", "directory"),
+        "path": ("directory", 0, "<H", "directory"),
+        "flags": ("directory", 2, "<H", "directory"),
+        "code_size": ("directory", 4, "<I", "directory"),
+        "data_size": ("directory", 8, "<I", "data_pool"),
+        "n_exits": ("directory", 12, "<H", "directory"),
+        "n_relocs": ("directory", 14, "<H", "directory"),
+        "n_insts": ("data_pool", 16, "<i", "data_pool"),
+        "data_exits": ("data_pool", 20, "<i", "data_pool"),
+        "exit_kind": ("data_pool", DATA_PREFIX.size + 4 * 16, "<i",
+                      "data_pool"),
+        "reloc_index": ("directory", 3 * (ROW.size + EXIT_TARGET.size),
+                        "<H", "directory"),
+    }
+
     def _tamper(self, field, value):
-        """Serialize a cache, corrupt one directory field, re-frame.
-
-        Re-frames with valid checksums at every level, so the *semantic*
-        validation of the directory records is what gets exercised — not
-        the CRCs.
-        """
-        import json
+        """Serialize a cache, overwrite one field of its first trace, and
+        re-frame with valid checksums at every level, so the *semantic*
+        validation is what gets exercised — not the CRCs."""
         import struct
-        import zlib
 
-        from repro.persist.cachefile import FORMAT_VERSION, MAGIC, PREAMBLE
-
-        def crc(data):
-            return zlib.crc32(data) & 0xFFFFFFFF
-
-        blob = make_cache().to_bytes()
-        _, _, flags, header_len, _ = PREAMBLE.unpack_from(blob, 0)
-        header_start = PREAMBLE.size
-        header = json.loads(blob[header_start:header_start + header_len])
-        dir_size = header["sections"]["directory"][0]
-        dir_start = header_start + header_len
-        directory = json.loads(blob[dir_start:dir_start + dir_size])
-        directory[0][field] = value
-        new_directory = json.dumps(directory, sort_keys=True).encode()
-        header["sections"]["directory"] = [len(new_directory), crc(new_directory)]
-        new_header = json.dumps(header, sort_keys=True).encode()
-        body = (
-            PREAMBLE.pack(
-                MAGIC, FORMAT_VERSION, flags, len(new_header), crc(new_header)
-            )
-            + new_header
-            + new_directory
-            + blob[dir_start + dir_size:-4]
+        from repro.persist.cachefile import (
+            DIRECTORY_COUNT,
+            FRAMING,
+            SECTIONS,
         )
-        return body + struct.pack("<I", crc(body))
+
+        section, offset, fmt, _charged = self.FIELDS[field]
+        flags, header, sections = FRAMING.parse(make_cache().to_bytes())
+        payload = bytearray(sections[section])
+        if section == "directory":
+            offset += DIRECTORY_COUNT.size
+        if field == "code_offset":
+            (code_size,) = struct.unpack_from(fmt, payload, offset)
+            value += code_size
+        # A negative size reads back as its unsigned two's complement.
+        struct.pack_into(fmt, payload, offset,
+                         value & 0xFFFFFFFF if fmt == "<I" else value)
+        sections[section] = bytes(payload)
+        return FRAMING.pack(
+            header, [sections[name] for name in SECTIONS[1:]], flags=flags
+        )
 
     @pytest.mark.parametrize(
         "field,value",
         [
             ("code_offset", -8),
-            ("code_size", -1),
-            ("data_size", -1),
-            ("n_insts", 0),
             ("code_offset", 10**6),
+            ("code_size", -1),
+            ("code_size", 3),
+            ("data_size", -1),
+            ("data_size", 100),
+            ("data_size", 300),
+            ("n_insts", 0),
+            ("n_insts", 5),
+            ("n_insts", 40),
+            ("path", 7),
+            ("flags", 0x8000),
+            ("n_exits", 2),
+            ("n_relocs", 0),
+            ("data_exits", 2),
+            ("exit_kind", 9),
+            ("exit_kind", -1),
+            ("reloc_index", 4),
         ],
     )
     def test_out_of_bounds_records_rejected(self, field, value):
-        with pytest.raises(CacheFileError):
+        with pytest.raises(CacheFileError) as excinfo:
             PersistentCache.from_bytes(self._tamper(field, value))
+        charged = self.FIELDS[field][3]
+        if (field, value) in {("code_offset", -8), ("code_size", 3),
+                              ("n_insts", 5)}:
+            # The code is shorter than the body the data pool declares.
+            charged = "code_pool"
+        assert excinfo.value.section == charged
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n_insts", 4), ("exit_kind", int(ExitKind.DIRECT)),
+         ("reloc_index", 3)],
+    )
+    def test_tamper_without_change_parses(self, field, value):
+        assert PersistentCache.from_bytes(self._tamper(field, value))
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("data_size", 64), ("liveness", [1, 2])],
+        ids=["data_size-below-model", "liveness-not-per-instruction"],
+    )
+    def test_unserializable_record_is_a_value_error(self, name, value):
+        cache = make_cache(n_traces=1)
+        setattr(cache.traces[0], name, value)
+        with pytest.raises(ValueError):
+            cache.to_bytes()

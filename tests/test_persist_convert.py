@@ -74,6 +74,18 @@ class TestPersist:
         assert direct.kind == int(ExitKind.DIRECT)
         assert direct.target_path == "libm.so"
 
+    def test_data_records_fill_the_translated_data_size(self):
+        """A cache file's data pool holds the records the translator
+        accounts for a trace, at its data size exactly."""
+        process = build_process()
+        translated = select_and_translate(
+            process, process.entry_address, BBCountTool()
+        )
+        assert translated.trace.exits and translated.points
+        assert translated.liveness
+        record = persist_trace(translated, process)
+        assert len(record.build_data_blob()) == translated.data_size
+
     def test_unbacked_trace_not_persisted(self):
         process = build_process()
         translated = select_and_translate(process, process.entry_address)

@@ -27,13 +27,14 @@ from repro.machine.syscalls import SYS_EXIT
 from repro.persist.cachefile import (
     CacheFileError,
     PersistedExit,
+    PersistedReloc,
     PersistedTrace,
     PersistentCache,
 )
 from repro.persist.keys import MappingKey
 from repro.vm.engine import Engine
 from repro.vm.trace import ExitKind, Trace, TraceExit
-from repro.vm.translator import compute_liveness
+from repro.vm.translator import compute_liveness, modeled_data_size
 
 
 # --------------------------------------------------------------------------
@@ -146,27 +147,57 @@ def _decodable(trace: PersistedTrace) -> PersistedTrace:
     return dataclasses.replace(trace, n_insts=n_insts, code=bytes(code))
 
 
-_trace_strategy = st.builds(
-    PersistedTrace,
-    entry=st.integers(0x1000, 0xFFFF00).map(lambda a: a & ~7),
-    image_path=st.sampled_from(["app", "libx.so", "liby.so"]),
-    image_offset=st.integers(0, 0xFFFF).map(lambda a: a & ~7),
-    n_insts=st.integers(1, 24),
-    code=st.binary(min_size=8, max_size=256),
-    exits=st.lists(
-        st.builds(
-            PersistedExit,
-            kind=st.integers(0, 5),
-            index=st.integers(0, 23),
-            target=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
-            target_path=st.sampled_from(["", "app", "libx.so"]),
-            target_offset=st.integers(0, 0xFFFF),
-        ),
-        max_size=4,
-    ),
-    data_size=st.integers(64, 2048),
-    liveness=st.lists(st.integers(0, 2**32 - 1), max_size=24),
-).map(_decodable)
+_IMAGE_PATHS = ["app", "libx.so", "liby.so"]
+
+_exit_strategy = st.builds(
+    PersistedExit,
+    kind=st.integers(0, 5),
+    index=st.integers(0, 23),
+    target=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    target_path=st.sampled_from([""] + _IMAGE_PATHS),
+    target_offset=st.integers(0, 0xFFFF),
+)
+
+
+def _relocs(n_insts: int):
+    """Relocations of sites inside an ``n_insts``-instruction body."""
+    return st.lists(st.builds(
+        PersistedReloc,
+        index=st.integers(0, n_insts - 1),
+        target_path=st.sampled_from([""] + _IMAGE_PATHS),
+        target_offset=st.integers(0, 0xFFFF),
+    ), max_size=4)
+
+
+@st.composite
+def _traces(draw) -> PersistedTrace:
+    """A decodable record whose data size covers its modeled records
+    (PCC3 reads entry, offsets, liveness and exits back from them), plus
+    up to 512 bytes of slack; liveness is absent or one mask per
+    instruction, as the translator writes it."""
+    code = draw(st.binary(min_size=8, max_size=256))
+    n_insts = min(draw(st.integers(1, 24)), len(code) // 8)
+    exits = draw(st.lists(_exit_strategy, max_size=4))
+    liveness = draw(st.one_of(
+        st.just([]),
+        st.lists(st.integers(0, 2**32 - 1), min_size=n_insts,
+                 max_size=n_insts),
+    ))
+    return _decodable(PersistedTrace(
+        entry=draw(st.integers(0x1000, 0xFFFF00)) & ~7,
+        image_path=draw(st.sampled_from(_IMAGE_PATHS)),
+        image_offset=draw(st.integers(0, 0xFFFF)) & ~7,
+        n_insts=n_insts,
+        code=code,
+        exits=exits,
+        relocs=draw(_relocs(n_insts)),
+        data_size=(modeled_data_size(n_insts, len(exits))
+                   + draw(st.integers(0, 512))),
+        liveness=liveness,
+    ))
+
+
+_trace_strategy = _traces()
 
 
 @settings(max_examples=40, deadline=None)
@@ -181,13 +212,13 @@ def test_cachefile_roundtrip_property(traces):
             continue
         seen.add(trace.identity)
         cache.traces.append(trace)
-    clone = PersistentCache.from_bytes(cache.to_bytes())
-    assert len(clone.traces) == len(cache.traces)
-    for original, loaded in zip(cache.traces, clone.traces):
-        assert loaded.entry == original.entry
-        assert loaded.code == original.code
-        assert loaded.exits == original.exits
-        assert loaded.data_size == original.data_size
+    blob = cache.to_bytes()
+    clone = PersistentCache.from_bytes(blob)
+    # Every field: entry, paths and offsets, code, exits (targets of
+    # None, empty target paths), relocations, data size and liveness.
+    assert clone.traces == cache.traces
+    assert clone.image_keys == cache.image_keys
+    assert clone.to_bytes() == blob
 
 
 @settings(max_examples=40, deadline=None)
