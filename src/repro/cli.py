@@ -47,7 +47,7 @@ from repro.binfmt.image import Image
 from repro.isa.disassembler import disassemble
 from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.persist.cachefile import CacheFileError, PersistentCache
-from repro.persist.database import CacheDatabase
+from repro.persist.database import INDEX_NAME, CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.tools import BBCountTool, CoverageTool, InsCountTool, MemTraceTool
 from repro.vm.client import NullTool
@@ -153,6 +153,16 @@ def _existing_database(directory: str) -> CacheDatabase:
     if not os.path.isdir(directory):
         raise SystemExit("error: no cache database at %s" % directory)
     return _open_database(directory)
+
+
+def _indexed_database(directory: str) -> CacheDatabase:
+    """An existing database whose index reads; a damaged index ends the
+    command with one stderr line and is left where it is."""
+    db = _existing_database(directory)
+    if db.index_damage is not None:
+        raise SystemExit("error: cannot read %s: %s" % (
+            os.path.join(directory, INDEX_NAME), db.index_damage))
+    return db
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +379,7 @@ def cmd_timeline(args) -> int:
 
 def cmd_pcache_list(args) -> int:
     """``repro pcache list``: print the database index."""
-    db = _existing_database(args.directory)
+    db = _indexed_database(args.directory)
     rows = [
         {
             "app": entry.app_path,
@@ -388,7 +398,7 @@ def cmd_pcache_list(args) -> int:
 
 def cmd_pcache_show(args) -> int:
     """``repro pcache show``: dump one cache file's contents."""
-    db = _existing_database(args.directory)
+    db = _indexed_database(args.directory)
     entries = db.entries()
     if not entries:
         raise SystemExit("empty database")
@@ -437,16 +447,13 @@ def cmd_cache_fsck(args) -> int:
     from repro.vm.engine import VM_VERSION
 
     if is_shared_store(args.directory):
-        kind, events = "shared store", []
+        kind = "shared store"
         owner = SharedBodyStore(args.directory, vm_version=VM_VERSION)
     else:
+        kind = "database"
         owner = _existing_database(args.directory)
-        kind, events = "database", list(owner.events)
-    for event, filename, reason in events:
-        # Damage found while merely opening the database (corrupt index).
-        print("%-12s %s: %s" % (event, filename, reason))
     report = owner.fsck(quarantine=args.quarantine)
-    if not report.items and not report.notes and not events:
+    if not report.items and not report.notes:
         print("(empty %s: nothing to check)" % kind)
         return 0
     rows = [
@@ -468,9 +475,8 @@ def cmd_cache_fsck(args) -> int:
                                    note.detail or ""))
     for filename in report.quarantined:
         print("quarantined: %s" % filename)
-    healthy = report.clean and not events
-    print("fsck: %s" % ("clean" if healthy else "damage found"))
-    return 0 if healthy else 1
+    print("fsck: %s" % ("clean" if report.clean else "damage found"))
+    return 0 if report.clean else 1
 
 
 def cmd_cache_gc(args) -> int:

@@ -74,21 +74,17 @@ class StepEvent:
     allocations that do happen stay cheap.
     """
 
-    __slots__ = ("syscall", "is_indirect", "is_signal_delivery")
+    __slots__ = ("syscall", "is_signal_delivery")
 
     def __init__(
-        self,
-        syscall: Optional[SyscallResult] = None,
-        is_indirect: bool = False,
-        is_signal_delivery: bool = False,
+        self, syscall: SyscallResult, is_signal_delivery: bool = False
     ):
         self.syscall = syscall
-        self.is_indirect = is_indirect
         self.is_signal_delivery = is_signal_delivery
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "StepEvent(syscall=%r, is_indirect=%r, is_signal_delivery=%r)" % (
-            self.syscall, self.is_indirect, self.is_signal_delivery,
+        return "StepEvent(syscall=%r, is_signal_delivery=%r)" % (
+            self.syscall, self.is_signal_delivery,
         )
 
 
@@ -764,7 +760,7 @@ class Interpreter:
                 self._live_steps = steps
             pc, event = step_uop(uop, pc)
             steps += 1
-            if event is not None and event.syscall is not None:
+            if event is not None:
                 self.cycles += cost.native_syscall
                 result = event.syscall
                 if result.dlopen is not None or result.dlclose is not None:

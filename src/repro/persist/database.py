@@ -26,8 +26,11 @@ Crash consistency and damage containment (``docs/cache-format.md``):
   ``quarantine/`` subdirectory (never deleted), dropped from the index,
   and recorded in :attr:`CacheDatabase.events` so the session can report
   it — and the lookup behaves as a clean miss;
-* a corrupt index resets to empty after quarantining the damaged file;
-  orphaned cache files are re-discoverable via :meth:`fsck`.
+* a corrupt index reads as empty and is recorded in
+  :attr:`CacheDatabase.index_damage`, but stays where it is until a
+  write replaces it — the write quarantines it first — or
+  ``fsck(quarantine=True)`` moves it, so read-only commands never move
+  it; orphaned cache files are re-discoverable via :meth:`fsck`.
 """
 
 from __future__ import annotations
@@ -82,7 +85,9 @@ class CacheDatabase:
     The index is re-read at construction and, under an advisory lock,
     on every store; all writes are atomic write-replaces.  Damaged files
     are quarantined, never deleted, and every such event is appended to
-    :attr:`events` as ``(kind, filename, reason)`` tuples.
+    :attr:`events` as ``(kind, filename, reason)`` tuples.  Opening only
+    reads: a damaged index is recorded in :attr:`index_damage` and moved
+    by the first write that replaces it.
     """
 
     def __init__(
@@ -97,6 +102,9 @@ class CacheDatabase:
         self._index_path = os.path.join(directory, INDEX_NAME)
         self._lock_path = os.path.join(directory, LOCK_NAME)
         self._entries: List[CacheEntry] = []
+        #: Why the index on disk could not be read (it then reads as
+        #: empty), or None when it is sound or absent.
+        self.index_damage: Optional[str] = None
         #: (kind, filename, reason) records of quarantine/recovery events,
         #: and how many of them a session has already reported.
         self.events: List[tuple] = []
@@ -120,23 +128,25 @@ class CacheDatabase:
     # -- index maintenance --------------------------------------------------
 
     def _load_index(self) -> None:
+        self._entries = []
+        self.index_damage = None
         if not self.storage.exists(self._index_path):
-            self._entries = []
             return
         try:
             raw = json.loads(self.storage.read_bytes(self._index_path))
-            entries = [CacheEntry(**row) for row in raw]
+            self._entries = [CacheEntry(**row) for row in raw]
         except (ValueError, TypeError, KeyError, OSError) as exc:
-            # A torn or garbage index must not take the database down:
-            # quarantine it and start empty.  Cache files referenced by
-            # the lost index stay on disk; ``fsck`` reports them as
+            # A torn or garbage index must not take the database down: it
+            # reads as empty.  Reading moves nothing; ``_save_index``
+            # quarantines it before replacing it.  Cache files referenced
+            # by the lost index stay on disk; ``fsck`` reports them as
             # orphans.
-            self._quarantine(INDEX_NAME, "corrupt index: %s" % exc)
-            self._entries = []
-            return
-        self._entries = entries
+            self.index_damage = "corrupt index: %s" % exc
 
     def _save_index(self) -> None:
+        if self.index_damage is not None:
+            self._quarantine(INDEX_NAME, self.index_damage)
+            self.index_damage = None
         blob = json.dumps(
             [entry.__dict__ for entry in self._entries], indent=1
         ).encode()
@@ -479,13 +489,21 @@ class CacheDatabase:
         the host bytecode tag), every recorded replay log and every
         indexed cache file, then reports files the index does not know
         about (orphans, e.g. after an index reset) and leftover ``.tmp``
-        files from interrupted atomic writes.  With ``quarantine=True``
-        damaged files are moved aside (and indexed files dropped from
-        the index).
+        files from interrupted atomic writes.  A damaged index is a
+        ``corrupt`` row.  With ``quarantine=True`` damaged files are
+        moved aside (and indexed files dropped from the index).
         """
         from repro.replay.log import REPLAY_LOG_SUFFIX, ReplayLog
 
         report = FsckReport()
+        if self.index_damage is not None:
+            report.items.append(
+                FsckItem(INDEX_NAME, "corrupt", detail=self.index_damage)
+            )
+            if quarantine:
+                self._quarantine(INDEX_NAME, self.index_damage)
+                self.index_damage = None
+                report.quarantined.append(INDEX_NAME)
         # (label relative to the directory, parser, index entry or None)
         files = []
         if self.storage.exists(self._sidecar_path()):

@@ -138,7 +138,6 @@ class CodeCache:
         # resident itself is cached on the slot so following the patched
         # link is a single attribute load, not a translation-map lookup.
         for slot in self._pending_links.pop(entry, ()):  # noqa: B020
-            slot.linked_entry = entry
             slot.linked_resident = translated
             patches += 1
         # Outgoing: link exits whose target is already resident, otherwise
@@ -149,7 +148,6 @@ class CodeCache:
             target = slot.exit.target
             resident = self._by_entry.get(target)
             if resident is not None:
-                slot.linked_entry = target
                 slot.linked_resident = resident
                 patches += 1
             else:
@@ -177,10 +175,10 @@ class CodeCache:
         self.invalidate_region_containing(entry)
         for other in self._by_entry.values():
             for slot in other.links:
-                if slot.linked_entry == entry:
-                    # Unlink (both the entry and the cached resident) and
-                    # re-queue as pending: a future translation at this
-                    # entry must re-link the exit eagerly.
+                if slot.linked_resident is translated:
+                    # Unlink and re-queue as pending: a future
+                    # translation at this entry must re-link the exit
+                    # eagerly.
                     slot.unlink()
                     self._pending_links.setdefault(entry, []).append(slot)
         # LinkSlot is a value-equal dataclass, so membership tests must
@@ -253,10 +251,6 @@ class CodeCache:
     def region_of(self, entry: int) -> Optional[int]:
         """Head entry of the region containing ``entry``, or None."""
         return self._region_of.get(entry)
-
-    def region_members(self, head_entry: int) -> Tuple[int, ...]:
-        """Member entries of the region headed at ``head_entry``."""
-        return self._regions.get(head_entry, ())
 
     def regions(self) -> Dict[int, Tuple[int, ...]]:
         """All live regions, head entry -> member entries."""

@@ -85,27 +85,19 @@ Two PR-3 extensions complete that story:
   first run, skipping source generation *and* host ``compile()``
   entirely.  The sidecar is keyed on ``VM_VERSION`` + the host bytecode
   tag, so any codegen or interpreter change invalidates it wholesale.
-* **Indirect-branch inline caches** — a JR/RET/CALLR exit carries a
-  per-closure **polymorphic chain** of up to :data:`IC_CHAIN_DEPTH`
-  ``(target, resident)`` predictions (Pin's indirect-branch chaining),
-  guarded wholesale by the code-cache generation.  A hit anywhere in
-  the chain hands the resident trace straight back to the dispatcher
-  (deeper hits move their entry to the front, so repeating targets stay
-  cheap); a miss resolves through the translation map and refills the
-  front of the chain; a generation advance (eviction/flush) discards
-  the whole chain before it can dispatch a stale resident.  The cycle
-  charge and ``indirect_resolutions`` count are identical on every
-  path — the IC is host-side memoization of the resolver, not a
-  simulated-cost change — and the chain's hit/miss/depth accounting
-  lands in the run's :class:`repro.vm.stats.HostStats` (its ``ic``
-  group), outside ``VMStats``.
-  A **megamorphic overflow tier** backs the chain: every resident the
-  site ever resolved is also remembered in a per-site hash table, so a
-  target that cycled out of the bounded chain still dispatches without
-  a translation-map lookup (``ic.overflow_hits``).  A body holds
-  only the front-entry hit under the current generation inline; every
-  other path is one call to the run's ``ic_resolve`` helper
-  (:func:`inline_cache_helper`), so no body carries its own copy.
+* **Indirect-branch inline caches** — a JR/RET/CALLR exit carries one
+  ``{target: resident}`` dict per site (Pin's indirect-branch chaining),
+  guarded wholesale by the code-cache generation.  The body probes it
+  inline, and a hit hands the resident trace straight back to the
+  dispatcher.  Everything else is one call to the run's ``ic_resolve``
+  helper (:func:`inline_cache_helper`): a generation advance
+  (eviction/flush) empties the dict before it can dispatch a stale
+  resident, and a miss resolves through the translation map and fills
+  the dict.  The cycle charge and ``indirect_resolutions`` count are
+  identical on every path — the IC is host-side memoization of the
+  resolver, not a simulated-cost change — and the hit/miss/fill/reset
+  counts land in the run's :class:`repro.vm.stats.HostStats` (its
+  ``ic`` group), outside ``VMStats``.
 
 Two PR-7 extensions close the paper's trace-linking story:
 
@@ -153,7 +145,7 @@ from repro.machine.cpu import (
     syscall_uop_step,
 )
 from repro.vm.client import AnalysisContext, PointKind, ToolAccounting
-from repro.vm.stats import IC_CHAIN_DEPTH, HostStats, ICStats, VMStats
+from repro.vm.stats import HostStats, ICStats, VMStats
 from repro.vm.trace import ExitKind
 from repro.vm.translator import TranslatedTrace
 
@@ -425,53 +417,30 @@ def memory_helpers(machine):
 
 def inline_cache_helper(cache, ics: ICStats):
     """Build the run's ``ic_resolve(ic, target)``: every inline-cache
-    path but the front-entry hit.
+    path but the hit.
 
-    A body's indirect exit checks inline only that its cell ``ic``
-    (``[generation, MRU-first chain, overflow table]``, see
-    :meth:`TraceCompiler._emit_indirect_exit`) is current and that the
-    chain's front entry predicts ``target``; everything else is one call
-    to this helper, which returns the resident trace for ``target`` or
-    None.  Under the current generation it tries the deeper chain
-    entries (a hit moves to the front) and then the overflow table.  A
-    stale cell is emptied (``ics.resets`` counts non-empty ones) and
-    takes the current generation.  Otherwise the target is a miss:
-    resolved through ``cache.lookup``, and a resident result refills
-    the chain's front, truncated to :data:`IC_CHAIN_DEPTH`, and the
-    overflow table.
+    A body's indirect exit probes its cell ``ic`` (``[generation,
+    {target: resident}]``, see :meth:`TraceCompiler._emit_indirect_exit`)
+    inline and returns the resident on a hit under the current
+    generation; everything else is one call to this helper, which
+    returns the resident trace for ``target`` or None.  A stale cell is
+    emptied (``ics.resets`` counts non-empty ones) and takes the current
+    generation.  The target is then a miss: resolved through
+    ``cache.lookup``, and a resident result fills the dict.
     """
     lookup = cache.lookup
 
     def ic_resolve(ic, target):
         generation = cache.generation
-        chain = ic[1]
-        if ic[0] == generation:
-            for depth in range(1, len(chain)):
-                pair = chain[depth]
-                if pair[0] == target:
-                    del chain[depth]
-                    chain.insert(0, pair)
-                    ics.hits += 1
-                    ics.promotions += 1
-                    ics.depth_hits[depth] += 1
-                    return pair[1]
-            resident = ic[2].get(target)
-            if resident is not None:
-                ics.overflow_hits += 1
-                return resident
-        else:
-            if chain or ic[2]:
-                del chain[:]
-                ic[2].clear()
+        if ic[0] != generation:
+            if ic[1]:
+                ic[1].clear()
                 ics.resets += 1
             ic[0] = generation
         ics.misses += 1
         resident = lookup(target)
         if resident is not None:
-            chain.insert(0, (target, resident))
-            if len(chain) > IC_CHAIN_DEPTH:
-                del chain[IC_CHAIN_DEPTH:]
-            ic[2][target] = resident
+            ic[1][target] = resident
             ics.fills += 1
         return resident
 
@@ -1065,14 +1034,13 @@ class TraceCompiler:
             if name in uses:
                 out.emit("%s = C.%s" % (name, name), 1)
         if "ic" in uses:
-            # The polymorphic indirect inline cache: [generation seen at
-            # last use, MRU-first chain of (target, resident) pairs,
-            # overflow table of every (target -> resident) the site has
-            # resolved].  One cell per closure (a trace has at most one
+            # The indirect inline cache: [generation seen at last use,
+            # {target: resident} of every target the site has resolved
+            # since].  One cell per closure (a trace has at most one
             # indirect exit, and only a region's last member can own
             # one), fresh per factory binding so a run never inherits
             # another run's residents.
-            out.emit("ic = [-1, [], {}]", 1)
+            out.emit("ic = [-1, {}]", 1)
         for i in range(n_slots):
             out.emit("slot%d = slots[%d]" % (i, i), 1)
         for i in range(n_callbacks):
@@ -1100,29 +1068,19 @@ class TraceCompiler:
         built by the selector, but persisted caches are data) leaves via
         the final slot.
 
-        The INDIRECT path carries a polymorphic inline cache (Pin's
-        indirect-branch chaining): an MRU-first chain of up to
-        :data:`~repro.vm.stats.IC_CHAIN_DEPTH` ``(target, resident)``
-        predictions, validated wholesale against the code-cache
-        generation.  Only the common case is inline: a current cell
-        whose front entry predicts the target returns its resident.
-        Every other path is one call to the run's ``ic_resolve``
-        (:func:`inline_cache_helper`): a deeper hit is promoted to the
-        front (move-to-front keeps an alternating pair at depth 1 and a
-        rotating triple at depth 2); a generation advance discards the
-        whole chain — an evicted trace can never be dispatched; a miss
-        resolves through the translation map and refills the front,
-        truncating the chain to its depth bound.  One helper instead of
-        a copy per body keeps every body with an indirect exit small.
-
-        Behind the chain sits the **megamorphic overflow tier**: a
-        per-site hash table remembering every ``(target -> resident)``
-        the site has resolved, filled at each miss and validated by the
-        same generation word as the chain.  A target that cycled out of
-        the bounded chain (e.g. an 8-way dispatch-table rotation over a
-        depth-4 chain) dispatches from the table without a
-        translation-map lookup and *without reordering the chain* — the
-        MRU entries stay reserved for the truly-hot targets.
+        The INDIRECT path carries an inline cache (Pin's indirect-branch
+        chaining): one ``{target: resident}`` dict per site, validated
+        wholesale against the code-cache generation.  The body probes
+        it inline: a current cell that holds the target returns its
+        resident.  Every other path is one call to the run's
+        ``ic_resolve`` (:func:`inline_cache_helper`): a generation
+        advance empties the dict — an evicted trace can never be
+        dispatched — and a miss resolves through the translation map
+        and fills the dict.  One helper instead of a copy per body
+        keeps every body with an indirect exit small.  A dict answers
+        every target the site has resolved in one probe, so a site with
+        two, three or eight live targets hits as often as a
+        monomorphic one.
 
         Cycle charges and ``indirect_resolutions`` are emitted before
         the cache code and are identical on every path — all model the
@@ -1138,11 +1096,10 @@ class TraceCompiler:
             emit.emit("stats._total += %s" % lit)
             emit.emit("stats.indirect_resolutions += 1")
             emit.emit("if ic[0] == cache.generation:")
-            emit.emit("e = ic[1]", 3)
-            emit.emit("if e and e[0][0] == target:", 3)
+            emit.emit("e = ic[1].get(target)", 3)
+            emit.emit("if e is not None:", 3)
             emit.emit("ics.hits += 1", 4)
-            emit.emit("ics.depth_hits[0] += 1", 4)
-            emit.emit("return (target, None, None, e[0][1])", 4)
+            emit.emit("return (target, None, None, e)", 4)
             emit.emit("return (target, None, None, ic_resolve(ic, target))")
         elif final_name is None:
             emit.emit("return (target, None, None, None)")

@@ -57,7 +57,6 @@ from repro.isa.opcodes import Opcode
 _COND_LO = int(Opcode.BEQ)
 _COND_HI = int(Opcode.BGE)
 _UNCOND_LO = int(Opcode.JMP)
-_HALT_OP = int(Opcode.HALT)
 _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 
 #: Version stamp of the run-time system.  Part of every persistent-cache
@@ -66,7 +65,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.8.0"
+VM_VERSION = "repro-dbi-1.9.0"
 
 
 class EngineError(Exception):
@@ -536,19 +535,12 @@ class Engine:
                         links.link_direct_hops += 1
                         hops = slot.hop_count + 1
                         slot.hop_count = hops
-                        if (
-                            hops % REGION_FUSE_THRESHOLD == 0
-                            # Only a final-exit hop can head or extend a
-                            # chain; branch-taken side exits would walk
-                            # nothing, so skip the call outright unless
-                            # ``cur`` heads a region (the extension
-                            # seam) — the driver re-checks precisely.
-                            and (
-                                slot is cur.final_slot
-                                or cache.region_of(cur.entry) == cur.entry
-                            )
-                        ):
-                            self._maybe_fuse(cur, slot, cache, compiler)
+                        # Only a hop through ``cur``'s own final exit
+                        # heads a chain; a branch-taken side exit, or a
+                        # region's tail, would walk nothing new.
+                        if (hops % REGION_FUSE_THRESHOLD == 0
+                                and slot is cur.final_slot):
+                            self._maybe_fuse(cur, cache, compiler)
                     else:
                         links.link_ic_hops += 1
                     cur = resident
@@ -641,7 +633,7 @@ class Engine:
             steps += 1
             op = uop[0]
 
-            if event is not None and event.syscall is not None:
+            if event is not None:
                 flush_exec()
                 return self._handle_syscall_exit(
                     event, next_pc, machine, stats, exit_status
@@ -659,8 +651,6 @@ class Engine:
                 # Fall through, stays inside the trace.
             elif op >= _UNCOND_LO:
                 flush_exec()
-                if op == _HALT_OP:
-                    return None, 0, None
                 final = translated.final_slot
                 if final is not None and final.exit.kind == ExitKind.INDIRECT:
                     stats.charge_exec(cost.indirect_resolution)
@@ -679,40 +669,32 @@ class Engine:
                     final, next_pc, cache, stats, exit_status
                 )
 
-    def _maybe_fuse(self, cur, slot, cache, compiler) -> None:
-        """Try to fuse the stable hot chain through ``slot`` into a
+    def _maybe_fuse(self, cur, cache, compiler) -> None:
+        """Try to fuse the stable hot chain headed by ``cur`` into a
         superblock region.
 
-        Called by the trampoline whenever a link's hop count crosses a
-        multiple of :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`.
-        ``cur`` is the trace whose closure just exited; the chain head is
-        ``cur`` itself — either the hop went through ``cur``'s own final
-        exit, or ``cur`` heads a region whose last member's final exit
-        took the hop (the extension case: the region re-fuses with the
-        proven-hot tail appended).  The walk follows final-exit links
-        that are patched, consistent (``linked_entry`` == static target
-        == successor entry) and hot, stopping at cycles, other regions'
-        members, not-yet-demand-loaded persistent traces and
+        Called by the trampoline whenever the hop count of ``cur``'s
+        final-exit link crosses a multiple of
+        :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`.  ``cur`` never
+        heads a live region here: a region body leaves through its
+        head's final slot only when that link no longer reaches the
+        second member, whose eviction dropped the region, or when the
+        instruction budget ran out, which the trampoline checks before
+        it counts the hop.  The walk follows final-exit links from
+        ``cur`` that are patched, consistent (the linked resident sits
+        at the static target) and hot, stopping at cycles, members of a
+        region, not-yet-demand-loaded persistent traces and
         uncompilable successors.  Failure is cheap and retried: counters
         keep climbing, so the next threshold crossing tries again.
         """
         links = self.host.links
-        if slot is not cur.final_slot:
-            members = cache.region_members(cur.entry)
-            if not members:
-                return  # a branch-taken side exit never heads a chain
-            last = cache.lookup(members[-1])
-            if last is None or slot is not last.final_slot:
-                return
-        start = cur
-        own_head = cache.region_of(start.entry)
-        if own_head is not None and own_head != start.entry:
-            # ``cur`` is a middle member of another region; fusing from
-            # here would nest regions.
+        if cache.region_of(cur.entry) is not None:
+            # ``cur`` is a middle member of a region; fusing from here
+            # would nest regions.
             return
-        chain = [start]
-        seen = {start.entry}
-        node = start
+        chain = [cur]
+        seen = {cur.entry}
+        node = cur
         while len(chain) < REGION_MAX_MEMBERS:
             link = node.final_slot
             if link is None or not link.is_linkable:
@@ -720,17 +702,14 @@ class Engine:
             nxt = link.linked_resident
             if (
                 nxt is None
-                or link.linked_entry != link.exit.target
                 or nxt.entry != link.exit.target
                 or nxt.entry in seen
             ):
                 break
             if link.hop_count < REGION_FUSE_THRESHOLD - 1:
-                break  # not yet proven hot (region-internal links froze
-                # at threshold, so extension walks pass through them)
-            next_head = cache.region_of(nxt.entry)
-            if next_head is not None and next_head != start.entry:
-                break  # belongs to a different region
+                break  # not yet proven hot
+            if cache.region_of(nxt.entry) is not None:
+                break  # belongs to a region
             if nxt.from_persistent and not nxt.demand_loaded:
                 break  # keep demand-load charges out of fused bodies
             next_body = nxt.compiled_body
@@ -744,20 +723,15 @@ class Engine:
         if len(chain) < 2:
             links.fusion_aborts += 1
             return
-        entries = [member.entry for member in chain]
-        if tuple(entries) == cache.region_members(start.entry):
-            return  # already fused to exactly this chain
         region_body = compiler.compile_region(chain)
         if region_body is None:
             links.fusion_aborts += 1
             return
-        # Supersede any existing region at this head, then install: the
-        # fused closure is the head's body, so every patched link and
-        # translation-map hit into the head enters the region; middle
-        # members keep their solo closures for middle entry.
-        cache.invalidate_region_containing(start.entry)
-        start.compiled_body = region_body
-        cache.register_region(entries)
+        # Install: the fused closure is the head's body, so every patched
+        # link and translation-map hit into the head enters the region;
+        # middle members keep their solo closures for middle entry.
+        cur.compiled_body = region_body
+        cache.register_region([member.entry for member in chain])
         links.regions_fused += 1
 
     def _handle_syscall_exit(
@@ -819,15 +793,6 @@ class Engine:
             # Invariant: a linked_resident of a resident trace is itself
             # resident (eviction unlinks every incoming slot).
             return next_pc, exit_status, target
-        if slot.is_linked:
-            # Link patched by insert() before residents were cached, or
-            # state revived from persistence: resolve and cache it.
-            target = cache.lookup(slot.linked_entry)
-            if target is not None:
-                slot.linked_resident = target
-                return next_pc, exit_status, target
-            # Stale link (target evicted); fall back to the VM.
-            slot.unlink()
         if slot.is_linkable:
             target = cache.lookup(slot.exit.target)
             if target is not None:
@@ -835,7 +800,6 @@ class Engine:
                 stats.charge_dispatch(cost.vm_entry + cost.link_patch)
                 stats.vm_entries += 1
                 stats.link_patches += 1
-                slot.linked_entry = target.entry
                 slot.linked_resident = target
                 return next_pc, exit_status, target
         return next_pc, exit_status, None

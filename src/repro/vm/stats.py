@@ -22,44 +22,26 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Tuple
 
-#: Maximum entries in one polymorphic indirect-branch inline-cache chain
-#: (repro.vm.compile bakes this into generated closures).  Four mirrors
-#: Pin's short indirect-chain predictions: the rotating-3 corpus still
-#: hits (steady state occupies three entries), while a megamorphic table
-#: cycle stays bounded instead of growing a useless long chain.
-IC_CHAIN_DEPTH = 4
-
 
 @dataclass
 class ICStats:
-    """:class:`HostStats`' ``ic`` group: the compiled tier's polymorphic
-    indirect-branch inline caches (:mod:`repro.vm.compile`), written in
-    place by generated closures as ``ics.*``.
+    """:class:`HostStats`' ``ic`` group: the compiled tier's indirect-branch
+    inline caches (:mod:`repro.vm.compile`), written in place by
+    generated closures as ``ics.*``.
 
     The interpreted oracle has no inline caches, so these counters differ
     between the tiers; they may never influence anything simulated.
     """
 
-    #: Chain hits: the dynamic target was found in the site's chain.
+    #: Hits: the site's ``{target: resident}`` dict held the target.
     hits: int = 0
-    #: Chain misses: resolved through the code cache's ``lookup``
-    #: instead.
+    #: Misses: resolved through the code cache's ``lookup`` instead.
     misses: int = 0
-    #: Misses whose resolution was resident and refilled the chain.
+    #: Misses whose resolution was resident and filled the site's dict.
     fills: int = 0
-    #: Hits at depth > 0, moved to the front of their chain.
-    promotions: int = 0
-    #: Non-empty chains discarded because ``cache.generation`` advanced
+    #: Non-empty dicts discarded because ``cache.generation`` advanced
     #: (SMC eviction, module unload, cache flush).
     resets: int = 0
-    #: Hits served by the megamorphic hash-table tier behind the chain
-    #: (targets the bounded MRU chain cycled out; see
-    #: :meth:`repro.vm.compile.TraceCompiler._emit_indirect_exit`).
-    overflow_hits: int = 0
-    #: Hits by chain position (index 0 = the predicted/MRU entry).
-    depth_hits: List[int] = field(
-        default_factory=lambda: [0] * IC_CHAIN_DEPTH
-    )
 
     #: Properties :meth:`HostStats.to_dict` reports beside the fields.
     DERIVED = ("hit_rate",)
@@ -67,14 +49,14 @@ class ICStats:
     @property
     def lookups(self) -> int:
         """Indirect exits taken through compiled closures."""
-        return self.hits + self.overflow_hits + self.misses
+        return self.hits + self.misses
 
     @property
     def hit_rate(self) -> float:
-        """Fraction of indirect exits served from a chain or the
-        overflow table (no translation-map resolution needed)."""
+        """Fraction of indirect exits served from the site's dict (no
+        translation-map resolution needed)."""
         total = self.lookups
-        return (self.hits + self.overflow_hits) / total if total else 0.0
+        return self.hits / total if total else 0.0
 
 
 @dataclass

@@ -65,18 +65,19 @@ def modeled_data_size(n_insts: int, n_exits: int) -> int:
 class LinkSlot:
     """The mutable link state of one trace exit.
 
-    ``linked_entry`` is the original entry address of the trace this exit
-    has been patched to jump to directly, or None while the exit still
-    trampolines into the VM.  ``linked_resident`` caches the resident
-    trace object itself so a patched link is a single attribute load on
-    the dispatch hot path — no translation-map lookup.  Invariant: when
-    the owning trace is resident, ``linked_resident`` is either None or a
-    trace that is itself still resident (eviction clears both fields of
-    every incoming link; re-registration of stashed traces resets them).
+    ``linked_resident`` is the resident trace this exit has been patched
+    to jump to directly, or None while the exit still trampolines into
+    the VM; following a patched link is a single attribute load on the
+    dispatch hot path — no translation-map lookup.  The code cache sets
+    it (:meth:`~repro.vm.codecache.CodeCache.insert`), the engine's lazy
+    linking sets it, and :meth:`unlink` clears it.  Invariant: when the
+    owning trace is resident, ``linked_resident`` is either None or a
+    trace that is itself still resident, at the exit's target (eviction
+    unlinks every incoming link; re-registration of stashed traces
+    resets them).
     """
 
     exit: TraceExit
-    linked_entry: Optional[int] = None
     linked_resident: Optional["TranslatedTrace"] = field(
         default=None, repr=False, compare=False
     )
@@ -90,13 +91,12 @@ class LinkSlot:
 
     def unlink(self) -> None:
         """Drop the patch: the exit trampolines into the VM again."""
-        self.linked_entry = None
         self.linked_resident = None
         self.hop_count = 0
 
     @property
     def is_linked(self) -> bool:
-        return self.linked_entry is not None
+        return self.linked_resident is not None
 
     @property
     def is_linkable(self) -> bool:

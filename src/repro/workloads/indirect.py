@@ -1,25 +1,22 @@
 """Indirect-branch-heavy bench corpora for the ``indirect_heavy`` family.
 
-The compiled tier's polymorphic indirect-branch inline caches
-(:mod:`repro.vm.compile`, docs/performance.md) are a wall-clock
-optimization of exactly one control-flow shape: ``jr``/``callr``/``ret``
-sites whose dynamic target set repeats.  This module builds the three
-corpora the wall-clock suite times, one per chain regime:
+The compiled tier's indirect-branch inline caches (:mod:`repro.vm.compile`,
+docs/performance.md) are a wall-clock optimization of exactly one
+control-flow shape: ``jr``/``callr``/``ret`` sites whose dynamic target
+set repeats.  This module builds the three corpora the wall-clock suite
+times, one ``callr`` site each, cycling a different number of targets:
 
-* ``alternating_pair`` — one ``callr`` site flip-flopping between two
-  helpers.  Monomorphic ICs missed here on *every* call; a depth-2
-  chain converts the whole loop into depth-1 hits (move-to-front keeps
-  the pair in the first two entries).
-* ``rotating_3`` — the site cycles through three helpers, exercising
-  the chain's middle depths (steady state hits at depth 2).
-* ``megamorphic`` — the site cycles through eight helpers, more targets
-  than :data:`repro.vm.stats.IC_CHAIN_DEPTH` holds.  The chain misses
-  by design; the corpus pins down that a bounded chain degrades to the
-  dispatcher path instead of thrashing (the paper's indirect "switch"
-  shape).
+* ``alternating_pair`` — the site flip-flops between two helpers.  A
+  monomorphic cache missed here on *every* call; a site's dict holds
+  both once each has been resolved.
+* ``rotating_3`` — the site cycles through three helpers; the count is
+  deliberately not a power of two.
+* ``megamorphic`` — the site cycles through eight helpers, the
+  indirect "switch" shape: its dict serves eight targets as it serves
+  two.
 
 Every helper returns through ``ret`` — itself an indirect branch with
-its own (mostly monomorphic) chain — so call *and* return prediction
+its own (mostly monomorphic) site — so call *and* return prediction
 are both on the timed path, mirroring Pin's indirect-branch chaining
 workload mix.
 """

@@ -23,8 +23,8 @@ from tests.conftest import image_from_asm
 
 #: sha256 of the corpus's closure sources, one entry per VM version.
 CLOSURE_SOURCE_SHA256 = {
-    "repro-dbi-1.8.0":
-        "ae6597d2d2acbe5e473f77c63b401d30f31ef81b971b5c6100ab2f23fdd9faf6",
+    "repro-dbi-1.9.0":
+        "e93957eebf7929b6dba5e4c5ecc8fa312b4d22c9510e161199783081e9606f44",
 }
 
 #: Every opcode, so every kind of :data:`repro.machine.cpu.SEMANTICS`;

@@ -131,7 +131,9 @@ class CodeCacheMachine(RuleBasedStateMachine):
         for translated in self.resident.values():
             for slot in translated.links:
                 if slot.is_linked:
-                    assert slot.linked_entry in self.resident
+                    assert slot.linked_resident is self.resident.get(
+                        slot.exit.target
+                    )
 
     @invariant()
     def resident_exits_to_resident_targets_are_linked(self):

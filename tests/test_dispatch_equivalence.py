@@ -490,13 +490,14 @@ class TestIndirectHeavy:
 
 
 class TestPolymorphicIC:
-    """The polymorphic IC chain: pure host-side, observably invisible.
+    """The per-site ``{target: resident}`` inline cache: pure host-side,
+    observably invisible.
 
-    Every assertion pairs a chain-engagement check (hits, depths,
-    promotions, resets — host wall-clock machinery) with the tier
-    bit-identity contract: :class:`ICStats` rides on
-    ``VMRunResult.ic_stats``, *outside* the signature, precisely so the
-    chain can never leak into simulated observables.
+    Every assertion pairs a cache-engagement check (hits, misses, fills,
+    resets — host wall-clock machinery) with the tier bit-identity
+    contract: :class:`ICStats` rides on ``VMRunResult.ic_stats``,
+    *outside* the signature, precisely so the cache can never leak into
+    simulated observables.
     """
 
     def _suite(self):
@@ -516,73 +517,58 @@ class TestPolymorphicIC:
             )
             compiled = results["compiled"]
             ics = compiled.ic_stats
-            assert (ics.hits + ics.overflow_hits + ics.misses
+            assert (ics.hits + ics.misses
                     == compiled.stats.indirect_resolutions), name
             # The oracle has no ICs: its counters must stay untouched.
             interp = results["interpreted"].ic_stats
-            assert interp.hits == interp.misses == 0, name
-            assert interp.overflow_hits == 0, name
-            assert interp.depth_hits == [0] * len(interp.depth_hits), name
+            assert (interp.hits, interp.misses, interp.fills,
+                    interp.resets) == (0, 0, 0, 0), name
 
-    def test_alternating_pair_hits_through_move_to_front(self):
-        """The acceptance corpus: >80% hit rate where the monomorphic
-        cell missed every call, with MTF keeping the pair in the top
-        two chain entries."""
-        workload = self._suite()["alternating_pair"]
-        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
-        ics = result.ic_stats
-        assert ics.hit_rate > 0.8, ics
-        assert ics.depth_hits[0] > 0 and ics.depth_hits[1] > 0
-        assert ics.promotions > 0
-        # MTF keeps the working pair in the first two entries: nothing
-        # ever hits deeper.
-        assert sum(ics.depth_hits[2:]) == 0
+    @pytest.mark.parametrize(
+        "name", ["alternating_pair", "rotating_3", "megamorphic"]
+    )
+    def test_filled_target_hits(self, name, monkeypatch):
+        """Once a site has filled a target, every later resolution of it
+        is an inline hit: ``ic_resolve`` never sees that (site, target)
+        pair again while the generation holds, whether the site cycles
+        two, three or eight targets."""
+        from repro.vm import compile as vm_compile
 
-    def test_rotating_three_exercises_chain_depth(self):
-        """Three cycling targets settle at chain depth 3 under MTF (the
-        hit target moves to front, pushing the next one to the back)."""
-        workload = self._suite()["rotating_3"]
-        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
-        ics = result.ic_stats
-        assert ics.hit_rate > 0.8, ics
-        assert ics.depth_hits[2] > 0
-        assert ics.promotions > 0
+        original = vm_compile.inline_cache_helper
+        filled, repeats = {}, []
 
-    def test_megamorphic_chain_stays_bounded(self):
-        """Eight cycling targets overflow the chain: cycling + MTF is
-        the bounded chain's worst case, so the chain itself misses by
-        design — and the overflow hash tier behind it must absorb the
-        whole cycle.  Steady state resolves every callr from the
-        overflow table: misses stay bounded near the target count (the
-        first-cycle fills), the chain never grows past its depth, and
-        no indirect exit bounces through the dispatcher."""
-        from repro.vm.stats import IC_CHAIN_DEPTH
+        def recording(cache, ics):
+            resolve = original(cache, ics)
 
-        suite = self._suite()
-        workload = suite["megamorphic"]
-        result = run_vm(workload, "run", vm_config=_eager_config("compiled"))
-        ics = result.ic_stats
-        # The callr site's eight targets (plus the helpers' ret sites
-        # resolving back to the loop) all fill within the first cycles;
-        # everything after is a chain hit (ret sites, near-monomorphic)
-        # or an overflow hit (the callr cycle).
-        assert ics.overflow_hits > ics.misses * 10, ics
-        assert ics.misses <= 32, ics
-        assert ics.hit_rate > 0.95, ics
-        assert len(ics.depth_hits) == IC_CHAIN_DEPTH
-        # The satellite acceptance: the megamorphic corpus resolves
-        # without dispatcher bounces — every IC-predicted successor was
-        # trampolined, never handed back to the dispatch loop.
-        assert result.link_stats.link_bounces == 0, (
-            result.link_stats
+            def ic_resolve(ic, target):
+                key = (id(ic), cache.generation, target)
+                if key in filled:
+                    repeats.append(key)
+                resident = resolve(ic, target)
+                if resident is not None:
+                    filled[key] = ic  # keeps ``id(ic)`` unique
+                return resident
+
+            return ic_resolve
+
+        monkeypatch.setattr(vm_compile, "inline_cache_helper", recording)
+        result = run_vm(
+            self._suite()[name], "run", vm_config=_eager_config("compiled")
         )
+        ics = result.ic_stats
+        assert filled and repeats == [], (name, repeats[:3])
+        assert ics.fills == len(filled), ics
+        assert ics.hit_rate > 0.99, ics
+        # An IC-predicted successor is trampolined, never handed back to
+        # the dispatch loop.
+        assert result.link_stats.link_bounces == 0, result.link_stats
         assert result.link_stats.link_ic_hops > 0
 
     def test_generation_bump_resets_stale_chain(self):
         """Patching an IC'd target evicts its page but not the calling
-        closure: the survivor's chain is non-empty and stale, so the
-        generation guard must reset it wholesale and re-resolve into
-        the patched code."""
+        closure: the survivor's dict is non-empty and stale, so the
+        generation guard must empty it and re-resolve into the patched
+        code."""
         results = assert_equivalent(
             lambda mode: Engine(config=_eager_config(mode)).run(
                 load_process(build_ic_reset_image())
@@ -594,15 +580,15 @@ class TestPolymorphicIC:
         assert compiled.stats.smc_invalidations > 0
         ics = compiled.ic_stats
         assert ics.resets >= 1, ics
-        assert ics.hits > 0  # the chain was warm before the patch
+        assert ics.hits > 0  # the cell was warm before the patch
 
     def test_eviction_between_indirect_calls(self):
-        """A code pool small enough to flush mid-run churns every chain:
+        """A code pool small enough to flush mid-run churns every cell:
         flushes kill all resident closures, so re-translated traces come
-        back with *fresh* (empty) ICs — no stale ``(target, resident)``
-        pair can survive into the next epoch, and the tiers stay
+        back with *fresh* (empty) ICs — no stale ``target: resident``
+        entry can survive into the next epoch, and the tiers stay
         bit-identical through the churn.  (The surviving-closure case,
-        where the generation guard must reset a warm chain in place, is
+        where the generation guard must reset a warm cell in place, is
         ``test_generation_bump_resets_stale_chain``.)"""
         config_kwargs = dict(code_pool_bytes=768)
         results = assert_equivalent(
@@ -617,7 +603,7 @@ class TestPolymorphicIC:
         # Post-flush re-fills still land, and the IC path saw every
         # compiled-tier indirect resolution despite the churn.
         assert ics.hits > 0 and ics.fills > 0, ics
-        assert (ics.hits + ics.overflow_hits + ics.misses
+        assert (ics.hits + ics.misses
                 == compiled.stats.indirect_resolutions), ics
 
 
@@ -631,15 +617,11 @@ def _ic_group(result):
     }
 
 
-def _ic_counts(hits, misses, fills, promotions, resets, overflow_hits,
-               depth_hits):
+def _ic_counts(hits, misses, fills, resets):
     """An :func:`_ic_group`, its hit rate derived as ICStats does."""
-    total = hits + overflow_hits + misses
     return {
-        "hits": hits, "misses": misses, "fills": fills,
-        "promotions": promotions, "resets": resets,
-        "overflow_hits": overflow_hits, "depth_hits": depth_hits,
-        "hit_rate": (hits + overflow_hits) / total,
+        "hits": hits, "misses": misses, "fills": fills, "resets": resets,
+        "hit_rate": hits / (hits + misses),
     }
 
 
@@ -691,28 +673,22 @@ def _indirect_runs(tmp_path):
 
 #: Exact inline-cache counts of every program in :func:`_indirect_runs`,
 #: each run from an empty factory memo (a memo hit compiles at entry 1,
-#: which changes how many exits run compiled).  A slow path that served
-#: a hit from the wrong tier, promoted differently or reset a cell it
-#: did not need to would change them.
+#: which changes how many exits run compiled).  A slow path that missed
+#: a target its site already held, or reset a cell it did not need to,
+#: would change them.
 _PINNED_IC_COUNTS = {
-    "default": _ic_counts(87, 18, 16, 10, 0, 4, [77, 6, 0, 4]),
-    "eager": _ic_counts(245, 35, 24, 53, 0, 16, [192, 37, 0, 16]),
-    "monomorphic": _ic_counts(335, 5, 3, 0, 0, 0, [335, 0, 0, 0]),
-    "flushing": _ic_counts(235, 46, 29, 48, 0, 15, [187, 36, 0, 12]),
+    "default": _ic_counts(91, 18, 16, 0),
+    "eager": _ic_counts(261, 35, 24, 0),
+    "monomorphic": _ic_counts(335, 5, 3, 0),
+    "flushing": _ic_counts(250, 46, 29, 0),
     "cold-warm": [
-        _ic_counts(87, 18, 16, 10, 0, 4, [77, 6, 0, 4]),
-        _ic_counts(244, 24, 24, 56, 0, 20, [188, 37, 0, 19]),
+        _ic_counts(91, 18, 16, 0),
+        _ic_counts(264, 24, 24, 0),
     ],
-    "ic-reset": _ic_counts(3, 9, 5, 0, 2, 0, [3, 0, 0, 0]),
-    "corpus-alternating_pair": _ic_counts(
-        7993, 7, 4, 3996, 0, 0, [3997, 3996, 0, 0]
-    ),
-    "corpus-megamorphic": _ic_counts(
-        2983, 25, 16, 992, 0, 992, [1991, 0, 0, 992]
-    ),
-    "corpus-rotating_3": _ic_counts(
-        5990, 10, 6, 2994, 0, 0, [2996, 0, 2994, 0]
-    ),
+    "ic-reset": _ic_counts(3, 9, 5, 2),
+    "corpus-alternating_pair": _ic_counts(7993, 7, 4, 0),
+    "corpus-megamorphic": _ic_counts(3975, 25, 16, 0),
+    "corpus-rotating_3": _ic_counts(5990, 10, 6, 0),
 }
 
 
@@ -1064,6 +1040,34 @@ class TestTraceLinking:
         assert links.link_bounces == 0, links
         assert links.regions_fused > 0, links
         assert links.link_direct_hops > 0, links
+
+
+class TestRegionFusionDriver:
+    """Region fusion has one case: a hop through a trace's own final
+    exit heads the chain, so the trampoline calls the fusion driver only
+    for such a hop."""
+
+    def test_relay_ring_calls_the_driver_only_from_a_head(self, monkeypatch):
+        """relay_4 fuses its ring into one region, and the region's
+        back-edge hops, which leave through the last member's final
+        exit, never call the driver again."""
+        from repro.workloads.chains import build_chain_suite
+
+        calls = []
+        driver = Engine._maybe_fuse
+
+        def counting(self, cur, *args):
+            calls.append(cur.entry)
+            return driver(self, cur, *args)
+
+        monkeypatch.setattr(Engine, "_maybe_fuse", counting)
+        result = run_vm(
+            build_chain_suite()["relay_4"], "run",
+            vm_config=_eager_config("compiled"),
+        )
+        assert result.link_stats.regions_fused == 1, result.link_stats
+        assert result.link_stats.region_entries > 3500, result.link_stats
+        assert len(calls) < 10, len(calls)
 
 
 def _exiting(code, name="memops-app"):

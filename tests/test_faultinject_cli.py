@@ -14,7 +14,7 @@ import pytest
 
 from repro.cli import main
 from repro.persist.cachefile import CacheFileError, PersistentCache
-from repro.persist.database import CacheDatabase, QUARANTINE_DIR
+from repro.persist.database import INDEX_NAME, CacheDatabase, QUARANTINE_DIR
 from repro.persist.framing import PREAMBLE
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sharedstore import SharedBodyStore
@@ -563,3 +563,76 @@ class TestLegacyPcc2Database:
         with open(path, "rb") as handle:
             assert handle.read(4) == b"PCC3"
         assert PersistentCache.load(path).traces
+
+
+class TestDamagedIndex:
+    """A damaged ``index.json`` is recorded when the database opens and
+    moved only by a write: ``pcache`` names it in one stderr line (exit
+    1), ``cache fsck`` reports it and moves it only under
+    ``--quarantine``, ``replay`` and ``run --readonly`` leave it, and a
+    writing ``run`` quarantines it."""
+
+    @staticmethod
+    def damaged(tmp_path):
+        directory = str(tmp_path / "db")
+        assert main(["run", "shell", "ls", "run", "--pcache", directory]) == 0
+        with open(os.path.join(directory, INDEX_NAME), "w") as handle:
+            handle.write("garbage{")
+        return directory
+
+    @pytest.mark.parametrize("command", ["list", "show"])
+    def test_pcache_from_the_shell(self, tmp_path, capsys, command):
+        directory = self.damaged(tmp_path)
+        capsys.readouterr()
+        before = tree_bytes(directory)
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "pcache", command, directory],
+            capture_output=True, text=True, env=env,
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot read %s: corrupt index:"
+                                      % os.path.join(directory, INDEX_NAME))
+        assert done.stderr.count("\n") == 1, done.stderr
+        assert tree_bytes(directory) == before
+
+    def test_fsck_moves_it_only_under_quarantine(self, tmp_path, capsys):
+        directory = self.damaged(tmp_path)
+        capsys.readouterr()
+        before = tree_bytes(directory)
+        code, out = run_cli(capsys, "cache", "fsck", directory)
+        assert code == 1
+        [row] = [line for line in out.splitlines() if INDEX_NAME in line]
+        assert "corrupt" in row and "corrupt index:" in row
+        assert "fsck: damage found" in out
+        assert tree_bytes(directory) == before
+
+        code, out = run_cli(capsys, "cache", "fsck", directory, "--quarantine")
+        assert code == 1
+        assert "quarantined: %s" % INDEX_NAME in out
+        assert not os.path.exists(os.path.join(directory, INDEX_NAME))
+        with open(os.path.join(directory, QUARANTINE_DIR, INDEX_NAME)) as fh:
+            assert fh.read() == "garbage{"
+
+    def test_only_a_writing_run_moves_it(self, tmp_path, capsys):
+        directory = self.damaged(tmp_path)
+        capsys.readouterr()
+        before = tree_bytes(directory)
+        argv = ["run", "shell", "ls", "run", "--pcache", directory]
+        assert main(argv + ["--readonly"]) == 0
+        assert main(["replay", directory]) == 0
+        assert tree_bytes(directory) == before
+
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        [event] = [line for line in out.splitlines()
+                   if line.startswith("storage event:")]
+        assert event.startswith(
+            "storage event: quarantine %s: corrupt index:" % INDEX_NAME
+        )
+        with open(os.path.join(directory, QUARANTINE_DIR, INDEX_NAME)) as fh:
+            assert fh.read() == "garbage{"
+        assert CacheDatabase(directory).entries()

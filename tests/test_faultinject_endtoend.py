@@ -260,7 +260,6 @@ class TestIndexAndReadFaults:
 
         reopened = CacheDatabase(db.directory)
         assert reopened.entries() == []
-        assert reopened.quarantined_count == 1
         # The orphaned cache file is still on disk for fsck to find.
         orphans = [
             item for item in reopened.fsck().items if item.status == "orphan"
@@ -270,8 +269,10 @@ class TestIndexAndReadFaults:
             workload, "a", persistence=PersistenceConfig(database=reopened)
         )
         assert arch(result) == reference
-        # The write-back re-created the index row; the database is whole
-        # again (the orphan was re-adopted under its deterministic name).
+        # The write-back quarantined the damaged index before replacing
+        # it, and re-created the index row; the database is whole again
+        # (the orphan was re-adopted under its deterministic name).
+        assert reopened.quarantined_count == 1
         assert reopened.fsck().clean
 
     def test_read_io_error_is_a_clean_miss(

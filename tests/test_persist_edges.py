@@ -37,8 +37,7 @@ class TestSessionLifecycle:
         counts."""
         report = persisted_run(workload, "a", db).persistence_report
         expected_keys = {
-            "ic.hits", "ic.misses", "ic.fills", "ic.promotions",
-            "ic.resets", "ic.overflow_hits", "ic.depth_hits", "ic.hit_rate",
+            "ic.hits", "ic.misses", "ic.fills", "ic.resets", "ic.hit_rate",
             "links.link_direct_hops", "links.link_ic_hops",
             "links.link_bounces", "links.regions_fused",
             "links.region_entries", "links.region_hops",

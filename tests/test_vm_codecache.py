@@ -63,7 +63,7 @@ class TestLinking:
         assert not jumper.final_slot.is_linked
         cache.insert(translated_at(0x2000))
         assert jumper.final_slot.is_linked
-        assert jumper.final_slot.linked_entry == 0x2000
+        assert jumper.final_slot.linked_resident.entry == 0x2000
 
     def test_backward_link_at_insert(self):
         cache = CodeCache()
