@@ -89,7 +89,7 @@ PWSTORE ?= /tmp/pcc-prewarm-store
 # shared store, then re-prewarm with --verify — the second pass must
 # perform zero host compiles or the target fails.  The closing fscks
 # read back the database (PCC3 caches + PCS1 sidecar) and the store
-# (PCSS1 shards).
+# (PCSS2 shards).
 prewarm-smoke:
 	rm -rf $(PWDB) $(PWSTORE)
 	$(PYTHON) -m repro.cli prewarm --pcache $(PWDB) --jobs 2 \
@@ -106,7 +106,8 @@ prewarm-smoke:
 # the transparency bench family's --check gate — every dispatch tier
 # bit-identical to the interpreted oracle on the adversarial corpus,
 # zero stale code-byte reads cold and warm (sidecar and shared
-# store), and the SMC detector engaged on every churner.
+# store), each warm leg reviving bodies from the layer it names, and
+# the SMC detector engaged on every churner.
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \

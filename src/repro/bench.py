@@ -441,11 +441,11 @@ def _shared_store(scratch_dir: str) -> Sweep:
     shared store (:mod:`repro.persist.sharedstore`) runs the app cold,
     publishing its compiled bodies.  The timed sweeps then run each app
     against a *consumer* database that never saw any workload (empty,
-    read-only, so it stays cold across repetitions): ``isolated``
-    detaches the store and pays every host ``compile()``; ``shared``
-    revives the bodies the donors published.  The gate requires zero
-    shared-mode host compiles, a nonzero isolated count (so the zero
-    means something) and at least one shared hit.
+    read-only, so it stays cold across repetitions): ``isolated`` opens
+    it without the store and pays every host ``compile()``; ``shared``
+    opens it attached and revives the bodies the donors published.  The
+    gate requires zero shared-mode host compiles, a nonzero isolated
+    count (so the zero means something) and at least one shared hit.
     """
     from repro.persist.sharedstore import SharedBodyStore
     from repro.vm.engine import VM_VERSION
@@ -463,9 +463,11 @@ def _shared_store(scratch_dir: str) -> Sweep:
         clear_code_object_cache()
         run_vm(app, input_name, persistence=PersistenceConfig(database=donor),
                vm_config=_config("compiled"))
-        consumers[name] = CacheDatabase(
-            os.path.join(scratch_dir, "shared-consumer-" + name)
-        )
+        consumer_dir = os.path.join(scratch_dir, "shared-consumer-" + name)
+        consumers[name] = {
+            "isolated": CacheDatabase(consumer_dir),
+            "shared": CacheDatabase(consumer_dir, shared_store=shared),
+        }
 
     def collect(mode: str, results: list) -> Dict[str, object]:
         counts = {"host_compiles_" + mode: _host_total(
@@ -478,9 +480,7 @@ def _shared_store(scratch_dir: str) -> Sweep:
     return _case_sweep(
         cases, _compiled,
         persistence=lambda mode, name: PersistenceConfig(
-            database=consumers[name],
-            readonly=True,
-            shared_store=(shared if mode == "shared" else None),
+            database=consumers[name][mode], readonly=True
         ),
         fresh=True, collect=collect,
     )
@@ -783,6 +783,11 @@ def _transparency_lines(family: dict) -> List[str]:
                  for failure in family["oracle_failures"])
     lines.extend("  warm divergence: %s" % failure
                  for failure in family["warm_failures"])
+    lines.extend(
+        "  warm %-7s leg: body hits %d, shared hits %d"
+        % (leg, hits["body_hits"], hits["shared_hits"])
+        for leg, hits in sorted(family["warm_sources"].items())
+    )
     return lines
 
 
@@ -794,6 +799,7 @@ def _transparency_lines(family: dict) -> List[str]:
         Check("smc_ok"),
         Check("warm_identical"),
         Check("warm_preloaded", ">", 0),
+        Check("warm_sources_ok"),
     ),
     cells=lambda f: {
         "stale_reads": "%d" % f["stale_reads"],
@@ -826,7 +832,10 @@ def _transparency(scratch_dir: str) -> Sweep:
     * a warm restart of the self-observing corpus from the sidecar and
       from the shared store, each warm output compared byte-for-byte
       against the cold run — a revived trace must not resurrect pre-SMC
-      code.
+      code.  ``warm_sources_ok`` checks that each leg revived its bodies
+      where it says: the sidecar leg opens the database without the
+      store, so all its body hits come from the sidecar, and the shared
+      leg's come from the store.
 
     The clock probe is timed but exempt from the native comparison and
     the warm-restart check by design: its output embeds raw
@@ -884,25 +893,25 @@ def _transparency(scratch_dir: str) -> Sweep:
         shared = SharedBodyStore(store_dir, vm_version=VM_VERSION)
         warm_failures: List[str] = []
         warm_preloaded = 0
+        warm_sources = {
+            leg: {"body_hits": 0, "shared_hits": 0}
+            for leg in ("sidecar", "shared")
+        }
         for name in PERSISTED_WORKLOADS:
             wl = suite[name]
             db_dir = os.path.join(scratch_dir, "transparency-" + name)
             donor = CacheDatabase(db_dir, shared_store=shared)
             clear_code_object_cache()
             cold = run_vm(
-                wl, "run",
-                persistence=PersistenceConfig(database=donor, sidecar=True),
+                wl, "run", persistence=PersistenceConfig(database=donor),
                 vm_config=_config("compiled"),
             )
             cold_sig = _observed(cold)
             warm_configs = {
-                "sidecar": PersistenceConfig(
-                    database=CacheDatabase(db_dir, shared_store=shared),
-                    sidecar=True,
-                ),
+                "sidecar": PersistenceConfig(database=CacheDatabase(db_dir)),
                 "shared": PersistenceConfig(
-                    database=CacheDatabase(db_dir), readonly=True,
-                    shared_store=shared,
+                    database=CacheDatabase(db_dir, shared_store=shared),
+                    readonly=True,
                 ),
             }
             for source, persistence in warm_configs.items():
@@ -912,6 +921,9 @@ def _transparency(scratch_dir: str) -> Sweep:
                     vm_config=_config("compiled"),
                 )
                 warm_preloaded += warm.stats.traces_from_persistent
+                leg = warm_sources[source]
+                leg["body_hits"] += warm.host.body_hits
+                leg["shared_hits"] += warm.host.shared_hits
                 if _observed(warm) != cold_sig:
                     warm_failures.append("%s/%s" % (name, source))
                     stale_reads += 1
@@ -926,6 +938,12 @@ def _transparency(scratch_dir: str) -> Sweep:
             "warm_identical": not warm_failures,
             "warm_failures": warm_failures,
             "warm_preloaded": warm_preloaded,
+            "warm_sources": warm_sources,
+            "warm_sources_ok": (
+                warm_sources["sidecar"]["shared_hits"] == 0
+                and warm_sources["sidecar"]["body_hits"] > 0
+                and warm_sources["shared"]["shared_hits"] > 0
+            ),
         }
 
     cases = [(name, wl, "run") for name, wl in ordered]

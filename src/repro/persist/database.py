@@ -111,10 +111,12 @@ class CacheDatabase:
         self.events_reported = 0
         #: The per-host shared compiled-body store this database attaches
         #: to (:class:`repro.persist.sharedstore.SharedBodyStore`), or
-        #: None.  Sessions opened on this database revive bodies through
-        #: it before the private sidecar; attaching registers the
-        #: database as a gc mark root.  Registration failure is
-        #: best-effort: an unreachable store must not block the database.
+        #: None: the one way a run gets a pool.  Sessions opened on this
+        #: database revive bodies through it before the private sidecar
+        #: (:func:`repro.persist.sidecar.open_body_store`); attaching
+        #: registers the database as a gc mark root.  Registration
+        #: failure is best-effort: an unreachable store must not block
+        #: the database.
         self.shared_store = shared_store
         if shared_store is not None:
             try:
@@ -352,7 +354,7 @@ class CacheDatabase:
         """
         path = self._sidecar_path()
         if not self.storage.exists(path):
-            return CompiledBodyStore.fresh(vm_version), "fresh"
+            return CompiledBodyStore(vm_version), "fresh"
         try:
             blob = self.storage.read_bytes(path)
         except OSError as exc:
@@ -365,9 +367,9 @@ class CacheDatabase:
                 SIDECAR_NAME,
                 "damaged %s: %s" % (exc.section or "unknown", exc),
             )
-            return CompiledBodyStore.fresh(vm_version), "quarantined"
-        if not store.matches_host(vm_version):
-            return CompiledBodyStore.fresh(vm_version), "stale-vm"
+            return CompiledBodyStore(vm_version), "quarantined"
+        if store.staleness(vm_version) is not None:
+            return CompiledBodyStore(vm_version), "stale-vm"
         return store, "loaded"
 
     def store_sidecar(self, store: CompiledBodyStore) -> int:
@@ -388,7 +390,10 @@ class CacheDatabase:
                     )
                 except (SidecarError, OSError):
                     existing = None  # damaged/unreadable: overwrite
-                if existing is not None and existing.compatible_with(store):
+                if (
+                    existing is not None
+                    and existing.staleness(store.vm_version) is None
+                ):
                     for digest, blob in existing.entries.items():
                         store.entries.setdefault(digest, blob)
             self.storage.write_atomic(path, store.to_bytes())

@@ -28,7 +28,7 @@ All four use one sectioned layout (integers little-endian)::
 order and only then the trailer, so a flipped byte is attributed to the
 section holding it: every failure is a :class:`FrameError` whose
 ``section`` is ``"preamble"``, ``"header"``, a section name or
-``"trailer"``.  PCS1 and PCSS1 lay out their bodies with
+``"trailer"``.  PCS1 and PCSS2 lay out their bodies with
 :func:`pack_records` / :func:`parse_records`.  :class:`FsckReport` is
 the one report ``repro cache fsck`` prints for databases and stores.
 """
@@ -184,7 +184,7 @@ class Framing:
         return value
 
 
-# -- body tables (PCS1, PCSS1) ------------------------------------------------
+# -- body tables (PCS1, PCSS2) ------------------------------------------------
 
 
 def pack_records(
@@ -192,9 +192,8 @@ def pack_records(
 ) -> Tuple[List[list], bytes]:
     """Lay ``entries`` out as ``(records, pool)``, sorted by digest.
 
-    Stamped entries map digest → ``(blob, stamp[, cost_us])`` and become
-    ``[digest, offset, size, stamp, cost_us]`` rows (no cost packs as 0:
-    an unmeasured body is free to recompute); unstamped entries map
+    Stamped entries map digest → ``(blob, stamp)`` and become
+    ``[digest, offset, size, stamp]`` rows; unstamped entries map
     digest → blob and become ``[digest, offset, size]`` rows.
     """
     records: List[list] = []
@@ -205,7 +204,7 @@ def pack_records(
         blob = value[0] if stamped else value
         record = [digest, offset, len(blob)]
         if stamped:
-            record += [int(value[1]), int(value[2]) if len(value) > 2 else 0]
+            record.append(int(value[1]))
         records.append(record)
         blobs.append(blob)
         offset += len(blob)
@@ -220,19 +219,16 @@ def parse_records(
     stamped: bool = True,
 ) -> dict:
     """Inverse of :func:`pack_records`: digest → blob, or digest →
-    ``(blob, stamp, cost_us)`` when ``stamped``.
+    ``(blob, stamp)`` when ``stamped``.
 
-    Four-element stamped rows (written before compile costs were
-    tracked) parse with cost 0.  Any other shape or an out-of-pool span
-    raises ``error`` attributed to ``section``.
+    Any other row shape or an out-of-pool span raises ``error``
+    attributed to ``section``.
     """
     entries = {}
     try:
         for record in records:
             if stamped:
-                digest, offset, size, stamp, *cost = record
-                if len(cost) > 1:
-                    raise ValueError("too many values in %r" % (record,))
+                digest, offset, size, stamp = record
             else:
                 digest, offset, size = record
             if (
@@ -243,10 +239,7 @@ def parse_records(
             ):
                 raise error("record out of bounds", section=section)
             blob = pool[offset:offset + size]
-            entries[digest] = (
-                (blob, int(stamp), int(cost[0]) if cost else 0)
-                if stamped else blob
-            )
+            entries[digest] = (blob, int(stamp)) if stamped else blob
     except (TypeError, ValueError) as exc:
         raise error("malformed %s: %s" % (section, exc),
                     section=section) from exc

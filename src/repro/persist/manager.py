@@ -27,6 +27,12 @@ implements the engine's persistence hooks:
     Write-back at program exit ("...or the last thread of execution
     performs the exit system call"), including accumulation of newly
     discovered translations into the loaded cache.
+
+Under compiled dispatch the session also opens the run's compiled-body
+store at process start (:func:`repro.persist.sidecar.open_body_store`:
+the database's sidecar, with the database's shared pool in front) and
+writes it back ahead of the trace cache.  Both are report-only: the
+bodies never degrade the session or touch ``VMStats``.
 """
 
 from __future__ import annotations
@@ -36,8 +42,9 @@ from typing import Callable, Dict, List, Optional
 
 from repro.persist.cachefile import CacheFileError, PersistentCache, PersistedTrace
 from repro.persist.convert import persist_trace, revive_trace
-from repro.persist.database import CacheDatabase
+from repro.persist.database import INDEX_NAME, CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
+from repro.persist.sidecar import open_body_store
 from repro.vm.stats import HostStats
 
 #: Failures the session downgrades on instead of raising through the
@@ -66,20 +73,13 @@ class PersistenceConfig:
     #: Prime directly with this cache instead of a database lookup
     #: (cross-input and inter-application experiments pick their donor).
     prime_with: Optional[PersistentCache] = None
-    #: Use the compiled-body sidecar (repro.persist.sidecar): revive host
-    #: code objects for the compiled dispatch tier and record new ones at
-    #: write-back.  Purely host-side — disabling it changes nothing
-    #: observable (cold-compile benchmarking, diagnosis).  Disabling it
-    #: also disables the shared store below (the sidecar machinery is
-    #: the chain both ride on).
+    #: Use the compiled-body store (repro.persist.sidecar): revive host
+    #: code objects for the compiled dispatch tier from the database's
+    #: shared pool (CacheDatabase(shared_store=...)) and its sidecar, and
+    #: record new ones at write-back.  Purely host-side — disabling it
+    #: changes nothing observable (cold-compile benchmarking,
+    #: diagnosis); it turns off the pool too.
     sidecar: bool = True
-    #: Per-host shared compiled-body store
-    #: (repro.persist.sharedstore.SharedBodyStore) to revive bodies from
-    #: before the private sidecar and publish new ones to at write-back.
-    #: Defaults to the database's attached store
-    #: (CacheDatabase(shared_store=...)) when None.  Host-side only,
-    #: like the sidecar.
-    shared_store: Optional[object] = None
     #: Record this run's nondeterminism into a ``PCRL1`` session log
     #: (repro.replay), stored in the database's ``replay/`` directory at
     #: exit (kept on the session as ``recorded_log`` when there is no
@@ -145,13 +145,11 @@ class PersistentCacheSession:
         #: Set after a storage failure: the session runs JIT-only from
         #: then on (no reuse, no further write-back attempts).
         self._degraded = False
-        #: The compiled-body store attached to this run's compiler —
-        #: a private CompiledBodyStore, a ChainedBodyStore (shared store
-        #: in front), or None (interpreted mode, sidecar disabled, or no
-        #: database).  Host-side only; see repro.persist.sidecar.
+        #: The compiled-body store attached to this run's compiler, or
+        #: None (interpreted mode, sidecar disabled, no database, or
+        #: neither layer readable).  Host-side only; see
+        #: repro.persist.sidecar.
         self._body_store = None
-        #: The shared per-host store behind the chain, when attached.
-        self._shared_store = None
 
     # -- engine hooks ------------------------------------------------------------
 
@@ -164,10 +162,10 @@ class PersistentCacheSession:
             self._attach_replay(engine, machine)
             return
         self._start(engine, machine, cache, stats)
-        # The sidecar attaches last, after the quarantine-event sync, so
+        # The body store opens last, after the quarantine-event sync, so
         # a damaged sidecar is never mistaken for a damaged trace cache:
         # it cannot degrade the session or touch VMStats.
-        self._attach_sidecar(engine)
+        self._open_body_store(engine)
 
     def _start(self, engine, machine, cache, stats) -> None:
         process = machine.process
@@ -466,143 +464,28 @@ class PersistentCacheSession:
             self.host.record_state = "recording"
         os_state.nondet_hook = hook
 
-    # -- compiled-body sidecar ----------------------------------------------------
+    # -- compiled-body store -----------------------------------------------------
 
-    def _attach_sidecar(self, engine) -> None:
-        """Open the compiled-body chain and hand it to this run's compiler.
+    def _open_body_store(self, engine) -> None:
+        """Open the compiled-body store and hand it to this run's compiler.
 
-        Skipped (state stays ``"disabled"``) under interpreted dispatch
+        Skipped (states stay ``"disabled"``) under interpreted dispatch
         (nothing compiles), without a database, when configured off, or
         after this session already degraded.  Every other outcome is
-        report-only: neither the sidecar nor the shared store may ever
-        influence the simulated run.
-
-        When a shared per-host store is configured (on the session or on
-        the database), the compiler sees a
-        :class:`~repro.persist.sidecar.ChainedBodyStore` implementing
-        the fallback order **shared store → private sidecar → host
-        compile()**; a failed private open then still leaves the shared
-        layer serving (and vice versa).
+        report-only (:func:`~repro.persist.sidecar.open_body_store`).
         """
+        compiler = getattr(engine, "_compiler", None)
         if (
             not self.config.sidecar
             or self.config.database is None
             or self._degraded
+            or compiler is None
         ):
             return
-        compiler = getattr(engine, "_compiler", None)
-        if compiler is None:
-            return
-        shared = self.config.shared_store
-        if shared is None:
-            shared = getattr(self.config.database, "shared_store", None)
-        if shared is not None and shared.vm_version != self._vm_version:
-            # A store built for another VM version addresses a different
-            # pool; attaching it would only record useless misses.
-            self.host.shared_store_state = "stale-vm"
-            shared = None
-        try:
-            store, state = self.config.database.open_sidecar(
-                self._vm_version
-            )
-        except STORAGE_FAILURES as exc:
-            state = "io-error: %s" % exc
-            store = None
-        self.host.sidecar_state = state
-        if store is not None:
-            self.host.sidecar_entries = len(store)
-        if shared is None:
-            if store is None:
-                return
-            self._body_store = store
-            compiler.attach_body_store(store)
-            return
-        from repro.persist.sidecar import ChainedBodyStore
-
-        chained = ChainedBodyStore(
-            shared=shared, private=store, host=self.host
+        self._body_store = open_body_store(
+            self.config.database, self._vm_version, self.host
         )
-        self._body_store = chained
-        self._shared_store = shared
-        self.host.shared_store_state = "attached"
-        compiler.attach_body_store(chained)
-
-    def _save_sidecar(self) -> None:
-        """Persist newly recorded compiled bodies (report-only failure).
-
-        A sidecar or shared-store write error must not degrade the
-        session — the trace cache's write-back is independent and may
-        still succeed — and must not touch ``VMStats`` (the compiled-body
-        chain exists only under compiled dispatch; charging anything
-        would split the tiers).  The shared publish and the private
-        store are independent too: either may succeed when the other's
-        storage fails.
-        """
-        store = self._body_store
-        if store is None or not store.dirty:
-            return
-        private = store
-        if hasattr(store, "pending_publish"):
-            self._publish_shared(store)
-            private = store.private
-        if private is None or not private.dirty:
-            return
-        new_entries = private.new_entries
-        try:
-            self.config.database.store_sidecar(private)
-        except STORAGE_FAILURES as exc:
-            self.host.sidecar_state = "write-error: %s" % exc
-            return
-        self.host.sidecar_written = True
-        self.host.sidecar_new_entries += new_entries
-        private.dirty = False
-        private.new_entries = 0
-
-    def _publish_shared(self, chained) -> None:
-        """Publish this session's bodies to the per-host pool.
-
-        Failure is report-only (``shared_store_state`` becomes
-        ``"write-error: ..."``): the private sidecar write-back still
-        runs, and the simulated run is untouched either way.
-        """
-        pending = chained.pending_publish()
-        touched = chained.touched()
-        if not pending and not touched:
-            return
-        try:
-            result = self._shared_store.publish(pending, touch=touched)
-        except STORAGE_FAILURES as exc:
-            self.host.shared_store_state = "write-error: %s" % exc
-            return
-        self.host.shared_publishes += result.published
-        self.host.shared_gc_evictions += result.evicted
-        self.host.shared_touch_refreshes += result.refreshed
-        chained.clear_pending()
-
-    def _touch_shared(self) -> None:
-        """Refresh shared-store LRU stamps for a read-only session.
-
-        A read-only session never writes traces, sidecar or bodies —
-        but the bodies it revived from the per-host pool are its hot
-        working set, and without a stamp refresh they age as if unused
-        and become ``repro cache gc --max-bytes``'s *first* LRU
-        victims.  This is the touch-only write-back: publish no blobs,
-        refresh only the stamps of digests this session revived.
-        Failure is report-only, like every shared-store operation.
-        """
-        store = self._body_store
-        if self._shared_store is None or store is None or self._degraded:
-            return
-        touched = store.touched() if hasattr(store, "touched") else set()
-        if not touched:
-            return
-        try:
-            result = self._shared_store.publish({}, touch=touched)
-        except STORAGE_FAILURES as exc:
-            self.host.shared_store_state = "write-error: %s" % exc
-            return
-        self.host.shared_touch_refreshes += result.refreshed
-        store.clear_touched()
+        compiler.attach_body_store(self._body_store)
 
     # -- internals -----------------------------------------------------------------
 
@@ -621,12 +504,23 @@ class PersistentCacheSession:
         return database.lookup(self._app_key, self._vm_version, self._tool_identity)
 
     def _collect_events(self) -> None:
-        """Move the database's and the shared store's storage events not
-        yet reported by an earlier run into this run's registry."""
-        for owner in (self.config.database, self._shared_store):
+        """Move the database's and the attached pool's storage events not
+        yet reported by an earlier run into this run's registry.
+
+        An index that read as damaged and that no write of this run
+        replaced (a read-only run, say) is one more event: the run saw an
+        empty database, and nothing moved the file.
+        """
+        database = self.config.database
+        store = self._body_store
+        for owner in (database, store.pool if store is not None else None):
             if owner is not None:
                 self.host.events += owner.events[owner.events_reported:]
                 owner.events_reported = len(owner.events)
+        if database is not None and database.index_damage is not None:
+            self.host.events.append(
+                ("damaged", INDEX_NAME, database.index_damage)
+            )
 
     def _sync_quarantine_events(self, quarantined_before: int) -> None:
         """Count the database's new quarantines in the run's registry."""
@@ -677,23 +571,19 @@ class PersistentCacheSession:
         return bases.get
 
     def _write_back(self, engine, machine, cache, stats) -> None:
-        if self.config.readonly:
-            # No trace write-back, no sidecar save, no body publish —
-            # but the shared pool still gets its LRU signal for the
-            # bodies this session revived (see _touch_shared).
-            self._touch_shared()
-            return
-        if self.config.database is None:
-            return
-        if self._degraded:
+        if self.config.database is None or self._degraded:
             # A storage failure already downgraded this session; writing
             # back through the same failing storage would be unsafe noise.
             return
-        # The sidecar saves first and independently: its write never
+        # The body store writes first and independently: its write never
         # degrades the session, and the trace write-back below may take
-        # the "nothing changed" early return while the sidecar still has
+        # the "nothing changed" early return while the store still has
         # fresh bodies to persist (e.g. a warm run after a memo flush).
-        self._save_sidecar()
+        # A read-only run only refreshes its pooled bodies' LRU stamps.
+        if self._body_store is not None:
+            self._body_store.write_back(self.config.readonly)
+        if self.config.readonly:
+            return
         cost = engine.cost_model
         process = machine.process
 

@@ -49,13 +49,13 @@ On-disk layout::
       bodies/<keytag>/<pp>.pcs.lock
       quarantine/              # damaged shards, moved aside (never deleted)
 
-Shard files (PCSS1) use the sidecar's framing
+Shard files (PCSS2) use the sidecar's framing
 (:mod:`repro.persist.framing`) with one extension: each directory record
-carries a last-use stamp and a compile cost
-(``[digest, offset, size, stamp, cost_us]``; pre-cost four-element
-records still parse, as cost 0) so the LRU/size cap can evict cold
-bodies first.  Publishes record cost 0, and a stamp refresh keeps the
-cost already recorded.
+carries a last-use stamp (``[digest, offset, size, stamp]``) so
+``gc``'s size cap can evict cold bodies first.  A format-version-1
+shard, whose rows also carried an always-zero compile cost, is header
+damage: it is quarantined, and its bodies come back from the private
+sidecars or a host ``compile()``.
 
 Garbage collection (:meth:`SharedBodyStore.gc`) is mark-and-sweep:
 
@@ -71,6 +71,8 @@ Like the sidecar, the store is a pure host-side accelerator: every
 failure mode (damage, contention, ENOSPC, a gc racing a revive) must
 degrade to the private sidecar and then to a host ``compile()`` — never
 to a corrupt database or an observable change in the simulated run.
+The run-time side, what a session looks up here and publishes back, is
+:class:`repro.persist.sidecar.CompiledBodyStore`'s.
 """
 
 from __future__ import annotations
@@ -81,15 +83,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
-    PREAMBLE,
+from repro.persist.framing import (
     FrameError,
     Framing,
     FsckItem,
     FsckReport,
-    damage_map,
     pack_records,
     parse_records,
     stale_tmp,
@@ -103,7 +103,7 @@ from repro.persist.sidecar import (
 from repro.persist.storage import FileStorage, TMP_SUFFIX
 
 MAGIC = b"PCSS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Hex characters of the digest that name a shard.  Two characters give
 #: up to 256 lazily created shards per keytag — enough that concurrent
@@ -166,9 +166,7 @@ def pack_shard(
     host_tag: str,
     entries: Dict[str, tuple],
 ) -> bytes:
-    """Serialize one shard: ``{digest: (blob, stamp[, cost_us])}`` →
-    framed bytes.  Two-tuple values (pre-cost callers/tests) pack with
-    cost 0 — an unmeasured body is treated as free to recompute."""
+    """Serialize one shard: ``{digest: (blob, stamp)}`` → framed bytes."""
     records, pool = pack_records(entries)
     return FRAMING.pack(
         {"vm_version": vm_version, "host_tag": host_tag},
@@ -179,10 +177,9 @@ def pack_shard(
 def parse_shard(blob: bytes):
     """Verify and split a shard into ``(vm_version, host_tag, entries)``.
 
-    ``entries`` maps digest → ``(blob, stamp, cost_us)``; four-element
-    directory records (written before compile costs were tracked) parse
-    with cost 0.  Raises :class:`SharedStoreError` naming the damaged
-    section on any CRC, framing or type mismatch.
+    ``entries`` maps digest → ``(blob, stamp)``.  Raises
+    :class:`SharedStoreError` naming the damaged section on any CRC,
+    framing, version or type mismatch.
     """
     _flags, header, sections = FRAMING.parse(blob)
     vm_version = header.get("vm_version")
@@ -199,12 +196,6 @@ def parse_shard(blob: bytes):
     return vm_version, host_tag, entries
 
 
-def verify_shard(blob: bytes) -> Dict[str, str]:
-    """Per-section damage map of a raw shard blob, for fsck: ``{}`` when
-    healthy, else ``{section: reason}``."""
-    return damage_map(parse_shard, blob)
-
-
 # -- reports ------------------------------------------------------------------
 
 
@@ -216,10 +207,6 @@ class PublishResult:
     published: int = 0
     #: Already-present bodies whose last-use stamp was refreshed.
     refreshed: int = 0
-    #: Bodies evicted by cap enforcement after the publish.
-    evicted: int = 0
-    #: Shard files rewritten.
-    shards_written: int = 0
 
 
 @dataclass
@@ -270,16 +257,12 @@ class SharedBodyStore:
         directory: str,
         vm_version: str,
         storage: Optional[FileStorage] = None,
-        max_bytes: Optional[int] = None,
         clock=time.time,
     ):
         self.directory = directory
         self.vm_version = vm_version
         self.host_tag = host_code_tag()
         self.storage = storage or FileStorage()
-        #: Soft size cap (sum of body bytes in the current pool); when
-        #: set, every publish enforces it by LRU eviction.
-        self.max_bytes = max_bytes
         #: Injectable time source so tests can pin LRU ordering.
         self.clock = clock
         #: (kind, filename, reason) records of quarantine/io events, and
@@ -404,22 +387,7 @@ class SharedBodyStore:
         record = self._load_shard(shard_prefix(digest)).get(digest)
         return record[0] if record is not None else None
 
-    def __contains__(self, digest: str) -> bool:
-        return self.lookup(digest) is not None
-
-    def iter_entries(self) -> Iterator[Tuple[str, Tuple[bytes, int, int]]]:
-        """Yield ``(digest, (blob, stamp, cost_us))`` for every body in
-        the current keytag's pool.
-
-        Every shard is read once through the same CRC-verified,
-        damage-quarantining reader as :meth:`lookup`, so a torn or
-        corrupted shard yields nothing.
-        """
-        for prefix in self._shard_prefixes():
-            for digest, record in sorted(self._load_shard(prefix).items()):
-                yield digest, record
-
-    def _load_shard(self, prefix: str) -> Dict[str, Tuple[bytes, int, int]]:
+    def _load_shard(self, prefix: str) -> Dict[str, Tuple[bytes, int]]:
         """Parsed entries of one shard; `{}` when absent or damaged.
 
         Results are cached per stat signature: a shard rewritten by any
@@ -476,12 +444,11 @@ class SharedBodyStore:
 
         ``touch`` names already-present digests whose last-use stamp
         should be refreshed (the LRU signal from a session that revived
-        them).  A newly stored body records compile cost 0.  Per shard,
-        the protocol is lock → fresh re-read → merge → atomic
-        write-replace → unlock, so concurrent publishers never lose each
-        other's bodies and readers never observe a torn shard.  Content
-        addressing makes the merge trivial: an already-present digest
-        keeps its existing bytes (equal by construction).
+        them).  Per shard, the protocol is lock → fresh re-read → merge
+        → atomic write-replace → unlock, so concurrent publishers never
+        lose each other's bodies and readers never observe a torn shard.
+        Content addressing makes the merge trivial: an already-present
+        digest keeps its existing bytes (equal by construction).
         """
         result = PublishResult()
         now = int(self.clock())
@@ -506,21 +473,15 @@ class SharedBodyStore:
                     if existing is None:
                         if blob is None:
                             continue  # touch of an absent digest: no-op
-                        entries[digest] = (blob, now, 0)
+                        entries[digest] = (blob, now)
                         result.published += 1
                         changed = True
                     elif existing[1] != now:
-                        # Keep the recorded compile cost across stamp
-                        # refreshes (the body was not recompiled).
-                        entries[digest] = (existing[0], now, existing[2])
+                        entries[digest] = (existing[0], now)
                         result.refreshed += 1
                         changed = True
                 if changed:
                     self._write_shard(prefix, entries)
-                    result.shards_written += 1
-        if self.max_bytes is not None:
-            evicted, _bytes = self._enforce_cap(self.max_bytes)
-            result.evicted = evicted
         return result
 
     def _write_shard(
@@ -580,10 +541,7 @@ class SharedBodyStore:
             except (SidecarError, OSError):
                 unreadable.append(db_dir)
                 continue
-            if (
-                sidecar.vm_version == self.vm_version
-                and sidecar.host_tag == self.host_tag
-            ):
+            if sidecar.staleness(self.vm_version) is None:
                 referenced.update(sidecar.entries)
         return referenced, unreadable
 
@@ -632,9 +590,8 @@ class SharedBodyStore:
             if kind == "quarantine"
         ]
 
-        cap = max_bytes if max_bytes is not None else self.max_bytes
-        if cap is not None:
-            evicted, evicted_bytes = self._enforce_cap(cap)
+        if max_bytes is not None:
+            evicted, evicted_bytes = self._enforce_cap(max_bytes)
             report.lru_evicted_entries = evicted
             report.lru_evicted_bytes = evicted_bytes
 

@@ -504,8 +504,8 @@ class TraceCompiler:
         #: The run's host counters: compile counts here, inline-cache and
         #: link counters in the closures this compiler builds.
         self.host = host if host is not None else HostStats()
-        #: The attached compiled-body sidecar store, or None (attached by
-        #: the persistence session via :meth:`attach_body_store`).
+        #: The attached compiled-body store, or None (attached by the
+        #: persistence session via :meth:`attach_body_store`).
         self.body_store = None
         load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
@@ -662,10 +662,11 @@ class TraceCompiler:
     def _build_factory(self, source_fn, filename: str, digest: str):
         """Produce ``(make, marshal_bytes)`` for a memo miss.
 
-        Tries the attached sidecar first — a hit ``exec``\\ s the revived
-        code object, skipping source generation and host ``compile()``;
-        a miss (or no store) compiles from ``source_fn()`` and records
-        the result into the store for the next process.
+        Tries the attached body store first (its shared pool, then its
+        sidecar) — a hit ``exec``\\ s the revived code object, skipping
+        source generation and host ``compile()``; a miss (or no store)
+        compiles from ``source_fn()`` and records the result into the
+        store for the next process.
         """
         store = self.body_store
         if store is not None:

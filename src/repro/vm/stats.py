@@ -148,7 +148,7 @@ class HostStats:
     #: Factory code objects revived from the attached body store, shared
     #: or private.
     body_hits: int = 0
-    #: Body-chain lookups the shared store answered, and those it could
+    #: Body-store lookups the shared pool answered, and those it could
     #: not (answered by the private sidecar or a host ``compile()``).
     shared_hits: int = 0
     shared_misses: int = 0
@@ -188,11 +188,9 @@ class HostStats:
     #: "disabled", "attached", "stale-vm" (keyed for another VM version)
     #: or "write-error: ...".
     shared_store_state: str = "disabled"
-    #: Bodies this run added to the shared store, bodies its size cap
-    #: evicted meanwhile, and pooled bodies whose LRU stamp this run
-    #: refreshed (all a read-only run writes).
+    #: Bodies this run added to the shared store, and pooled bodies
+    #: whose LRU stamp this run refreshed (all a read-only run writes).
     shared_publishes: int = 0
-    shared_gc_evictions: int = 0
     shared_touch_refreshes: int = 0
     #: Recording (repro.replay): "" (off), "recording", "written",
     #: "unsaved" (no database) or "write-error: ...", the events

@@ -175,6 +175,7 @@ _FLIPS = [
     ("transparency", "smc_ok", False),
     ("transparency", "warm_identical", False),
     ("transparency", "warm_preloaded", 0),
+    ("transparency", "warm_sources_ok", False),
 ]
 
 

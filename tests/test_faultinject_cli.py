@@ -569,8 +569,9 @@ class TestDamagedIndex:
     """A damaged ``index.json`` is recorded when the database opens and
     moved only by a write: ``pcache`` names it in one stderr line (exit
     1), ``cache fsck`` reports it and moves it only under
-    ``--quarantine``, ``replay`` and ``run --readonly`` leave it, and a
-    writing ``run`` quarantines it."""
+    ``--quarantine``, ``replay`` leaves it, ``run --readonly`` leaves it
+    and names it in one storage event, and a writing ``run``
+    quarantines it."""
 
     @staticmethod
     def damaged(tmp_path):
@@ -580,23 +581,43 @@ class TestDamagedIndex:
             handle.write("garbage{")
         return directory
 
+    @staticmethod
+    def shell(*argv):
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            capture_output=True, text=True, env=env,
+        )
+
     @pytest.mark.parametrize("command", ["list", "show"])
     def test_pcache_from_the_shell(self, tmp_path, capsys, command):
         directory = self.damaged(tmp_path)
         capsys.readouterr()
         before = tree_bytes(directory)
-        env = dict(os.environ)
-        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
-        env["PYTHONPATH"] = os.path.abspath(repo_src)
-        done = subprocess.run(
-            [sys.executable, "-m", "repro.cli", "pcache", command, directory],
-            capture_output=True, text=True, env=env,
-        )
+        done = self.shell("pcache", command, directory)
         assert done.returncode == 1
         assert done.stdout == ""
         assert done.stderr.startswith("error: cannot read %s: corrupt index:"
                                       % os.path.join(directory, INDEX_NAME))
         assert done.stderr.count("\n") == 1, done.stderr
+        assert tree_bytes(directory) == before
+
+    def test_readonly_run_names_it_from_the_shell(self, tmp_path, capsys):
+        """The read-only run saw an empty database: one storage event
+        says why, and nothing moves."""
+        directory = self.damaged(tmp_path)
+        capsys.readouterr()
+        before = tree_bytes(directory)
+        done = self.shell("run", "shell", "ls", "run", "--pcache", directory,
+                          "--readonly")
+        assert done.returncode == 0, done.stderr
+        [event] = [line for line in done.stdout.splitlines()
+                   if line.startswith("storage event:")]
+        assert event.startswith(
+            "storage event: damaged %s: corrupt index:" % INDEX_NAME
+        ), event
         assert tree_bytes(directory) == before
 
     def test_fsck_moves_it_only_under_quarantine(self, tmp_path, capsys):
@@ -625,6 +646,10 @@ class TestDamagedIndex:
         assert main(argv + ["--readonly"]) == 0
         assert main(["replay", directory]) == 0
         assert tree_bytes(directory) == before
+        # The read-only run names the damage it left in place.
+        assert "storage event: damaged %s: corrupt index:" % INDEX_NAME in (
+            capsys.readouterr().out
+        )
 
         code, out = run_cli(capsys, *argv)
         assert code == 0

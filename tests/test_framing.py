@@ -3,11 +3,11 @@
 Three contracts:
 
 * **bytes never move** — one fixed object per format (PCC3, PCS1,
-  PCSS1 and PCRL1) serializes to a pinned sha256, so files written
+  PCSS2 and PCRL1) serializes to a pinned sha256, so files written
   before the framing was shared stay valid byte for byte, and each blob
   round-trips through the shared parser; the same cache object as the
   retired PCC2 wrote it is kept as a legacy fixture, which parses as a
-  typed header error;
+  typed header error, and so does a shard in the retired PCSS1 layout;
 * **crafted headers fail typed** — a section table whose entry is not a
   pair of JSON integers with a non-negative size is header damage in
   every file format, even when the header CRC is valid;
@@ -33,7 +33,13 @@ from repro.persist.framing import (
     pack_records,
     parse_records,
 )
-from repro.persist.sharedstore import SharedStoreError, pack_shard, parse_shard
+from repro.persist.sharedstore import (
+    SharedBodyStore,
+    SharedStoreError,
+    pack_shard,
+    parse_shard,
+    shard_prefix,
+)
 from repro.persist.sidecar import CompiledBodyStore, SidecarError
 from repro.replay.log import ReplayLog, ReplayLogError
 
@@ -53,8 +59,8 @@ def pcs1_store():
 
 
 SHARD_ENTRIES = {
-    D0: (b"body-zero", 1700000000, 1250),
-    D1: (b"body-one\x00\xff", 1700000001),  # no cost: packs as 0
+    D0: (b"body-zero", 1700000000),
+    D1: (b"body-one\x00\xff", 1700000001),
 }
 
 
@@ -80,6 +86,8 @@ def legacy_pcc2() -> bytes:
 
 
 #: One fixed object per format, serialized (PCC2: the legacy fixture).
+#: The shard sample keeps the key "PCSS1", so its test ids stay put,
+#: but it is written in the current shard format, PCSS2.
 SAMPLES = {
     "PCC2": legacy_pcc2,
     "PCC3": lambda: make_cache(n_traces=2).to_bytes(),
@@ -89,8 +97,9 @@ SAMPLES = {
 }
 
 #: What each format's own serializer wrote for SAMPLES before the
-#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCSS1/PCRL1 1), and
-#: what PCC3 (FORMAT_VERSION 3) writes.
+#: framing was shared (PCC2 FORMAT_VERSION 2, PCS1/PCRL1 1), and what
+#: PCC3 (FORMAT_VERSION 3) and PCSS2 (FORMAT_VERSION 2, no cost column)
+#: write.
 GOLDEN_SHA256 = {
     "PCC2":
         "a351282619d6632e3ac117136c6254b90fc4bb00ef2ce737dca17af2a2c384fb",
@@ -99,7 +108,7 @@ GOLDEN_SHA256 = {
     "PCS1":
         "058b6875f0a5c352b30d612076db238e5993b0feba15927417b62b099a4d07f3",
     "PCSS1":
-        "b68317b49e4030d43a1d14a9b4932f4fec9f6e042a336a7ca0057b0db7ffd2e4",
+        "c118e522f469413c1b410f1941268bb98f571caae3982d14f4abd41496c1752f",
     "PCRL1":
         "8e451ab3ec086e79246ee62379f25af87abf593de1929ae0c6e00212999ea16b",
 }
@@ -134,14 +143,12 @@ class TestGoldenBytes:
         assert store.to_bytes() == blob
 
     def test_pcss1_round_trip(self):
-        assert parse_shard(SAMPLES["PCSS1"]()) == (VM, HOST, {
-            D0: (b"body-zero", 1700000000, 1250),
-            D1: (b"body-one\x00\xff", 1700000001, 0),
-        })
+        assert parse_shard(SAMPLES["PCSS1"]()) == (VM, HOST, SHARD_ENTRIES)
 
-    def test_pcss1_legacy_four_element_record(self):
-        """A shard written before compile costs were tracked: its
-        ``[digest, offset, size, stamp]`` rows parse with cost 0."""
+    def test_pcss1_legacy_four_element_record(self, tmp_path):
+        """A sound format-version-1 shard is header damage, and a store
+        quarantines it.  Its four-element rows are valid PCSS2 rows, so
+        the version alone rejects it."""
         directory = json.dumps([[D0, 0, 9, 1234]]).encode()
         pool = b"body-zero"
         header = json.dumps({
@@ -153,7 +160,20 @@ class TestGoldenBytes:
                             crc(header))
                 + header + directory + pool)
         blob = body + struct.pack("<I", crc(body))
-        assert parse_shard(blob) == (VM, HOST, {D0: (b"body-zero", 1234, 0)})
+        with pytest.raises(SharedStoreError) as excinfo:
+            parse_shard(blob)
+        assert excinfo.value.section == "header"
+        assert str(excinfo.value) == "unsupported format version 1"
+        store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM)
+        store.host_tag = HOST
+        path = store.shard_path(shard_prefix(D0))
+        store.storage.write_atomic(path, blob)
+        assert store.lookup(D0) is None
+        [(kind, _name, reason)] = store.events
+        assert (kind, reason) == (
+            "quarantine", "damaged header: unsupported format version 1"
+        )
+        assert not os.path.exists(path)
 
     def test_pcrl1_round_trip(self):
         blob = SAMPLES["PCRL1"]()
@@ -273,12 +293,12 @@ class TestFramingModule:
             ), offset
 
     def test_records_round_trip(self):
-        stamped = {D1: (b"b", 2, 30), D0: (b"a", 1)}
+        stamped = {D1: (b"b", 2), D0: (b"a", 1)}
         records, pool = pack_records(stamped)
-        assert records == [[D0, 0, 1, 1, 0], [D1, 1, 1, 2, 30]]
-        assert parse_records(records, pool, FrameError, "directory") == {
-            D0: (b"a", 1, 0), D1: (b"b", 2, 30),
-        }
+        assert records == [[D0, 0, 1, 1], [D1, 1, 1, 2]]
+        assert parse_records(records, pool, FrameError, "directory") == (
+            stamped
+        )
         records, pool = pack_records({D0: b"xy"}, stamped=False)
         assert records == [[D0, 0, 2]]
         assert parse_records(

@@ -54,7 +54,7 @@ class TestSessionLifecycle:
             "fallback_jit_only", "degraded_reason", "storage_errors",
             "sidecar_state", "sidecar_entries", "sidecar_written",
             "sidecar_new_entries",
-            "shared_store_state", "shared_publishes", "shared_gc_evictions",
+            "shared_store_state", "shared_publishes",
             "shared_touch_refreshes",
             "record_state", "record_events", "record_log",
             "replay_state", "replay_events", "events",

@@ -1,11 +1,11 @@
 """Tests for the per-host shared compiled-body store.
 
-Covers the satellite checklist for the shared store
-(:mod:`repro.persist.sharedstore`): store/retrieve round-trips, the
-fallback-order semantics of the chained store (shared → private → host
-compile), the digest-prefix sharding layout, wholesale VM-version /
-host-tag invalidation, and gc mark-and-sweep correctness (a referenced
-body is never swept; the LRU cap is honored) — plus the end-to-end
+Covers the shared store (:mod:`repro.persist.sharedstore`):
+store/retrieve round-trips, the fallback order of a body store with
+the pool in front of its sidecar (shared → private → host compile), the
+digest-prefix sharding layout, wholesale VM-version / host-tag
+invalidation, and gc mark-and-sweep correctness (a referenced body is
+never swept; the LRU cap is honored) — plus the end-to-end
 cross-database reuse the store exists for: DB-A warms DB-B.
 """
 
@@ -16,9 +16,9 @@ import os
 import pytest
 
 from repro.persist.database import CacheDatabase
+from repro.persist.framing import damage_map
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sidecar import (
-    ChainedBodyStore,
     CompiledBodyStore,
     SIDECAR_NAME,
     host_code_tag,
@@ -35,7 +35,6 @@ from repro.persist.sharedstore import (
     parse_shard,
     shard_prefix,
     store_keytag,
-    verify_shard,
 )
 from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
@@ -81,26 +80,13 @@ def observable(result):
 
 class TestShardFormat:
     def test_roundtrip(self):
-        # Two-tuple values (the pre-cost call shape) pack with cost 0;
-        # the parser always hands back (blob, stamp, cost_us) triples.
         entries = {
             digest_for(i): (blob_for("b%d" % i), 100 + i) for i in range(5)
         }
         blob = pack_shard(VM_VERSION, host_code_tag(), entries)
         vm, host, revived = parse_shard(blob)
         assert vm == VM_VERSION and host == host_code_tag()
-        assert revived == {
-            digest: (body, stamp, 0)
-            for digest, (body, stamp) in entries.items()
-        }
-
-    def test_roundtrip_preserves_compile_cost(self):
-        entries = {
-            digest_for(i): (blob_for("b%d" % i), 100 + i, 1000 * i)
-            for i in range(5)
-        }
-        blob = pack_shard(VM_VERSION, host_code_tag(), entries)
-        assert parse_shard(blob)[2] == entries
+        assert revived == entries
 
     def test_empty_roundtrip(self):
         blob = pack_shard(VM_VERSION, host_code_tag(), {})
@@ -128,8 +114,8 @@ class TestShardFormat:
 
     def test_verify_shard_maps_damage(self):
         blob = pack_shard(VM_VERSION, host_code_tag(), {digest_for(2): (b"y", 1)})
-        assert verify_shard(blob) == {}
-        assert verify_shard(blob[:10])
+        assert damage_map(parse_shard, blob) == {}
+        assert damage_map(parse_shard, blob[:10])
 
 
 class TestLayout:
@@ -163,7 +149,6 @@ class TestLookupPublish:
         blobs = {digest_for(i): b"body-%d" % i for i in range(20)}
         result = store.publish(blobs)
         assert result.published == 20
-        assert result.evicted == 0
         for digest, blob in blobs.items():
             assert store.lookup(digest) == blob
         assert store.lookup(digest_for(999)) is None
@@ -201,29 +186,6 @@ class TestLookupPublish:
         assert other.lookup(digest_for(4)) is None
         store.publish({digest_for(4): b"four"})
         assert other.lookup(digest_for(4)) == b"four"
-
-
-class TestCostAwareAdmission:
-    """Every offered body is admitted with compile cost 0; a cost an
-    older shard recorded (``cost_us``) survives stamp refreshes."""
-
-    def test_refresh_preserves_recorded_cost(self, store):
-        """Republishing an already-stored body refreshes its stamp but
-        keeps the cost its shard recorded."""
-        digest = digest_for(1)
-        prefix = shard_prefix(digest)
-        store.storage.write_atomic(
-            store.shard_path(prefix),
-            pack_shard(store.vm_version, store.host_tag,
-                       {digest: (b"one", 1, 500)}),
-        )
-        store.publish({digest: b"one"})
-        record = store._load_shard(prefix)[digest]
-        assert record[1] > 1
-        assert record[2] == 500
-        store.publish({digest_for(2): b"two"})
-        assert store._load_shard(shard_prefix(digest_for(2)))[
-            digest_for(2)][2] == 0
 
 
 class TestWholesaleInvalidation:
@@ -365,15 +327,6 @@ class TestGC:
         assert store.lookup(digest_for(1)) is not None
         assert store.lookup(digest_for(2)) is None
 
-    def test_publish_enforces_configured_cap(self, tmp_path):
-        store = SharedBodyStore(
-            str(tmp_path / "capped"), vm_version=VM_VERSION, max_bytes=250
-        )
-        store.clock = iter(range(100, 200)).__next__
-        result = store.publish({digest_for(i): bytes(100) for i in range(3)})
-        assert result.evicted == 1
-        assert store.total_bytes() <= 250
-
     def test_gc_report_is_machine_readable(self, store):
         report = store.gc()
         payload = json.loads(json.dumps(report.to_dict()))
@@ -386,77 +339,99 @@ class TestGC:
 
 
 class TestChainedFallbackOrder:
-    def make_private(self, digests):
-        private = CompiledBodyStore(vm_version=VM_VERSION)
+    """A body store with the pool in front of its sidecar: lookups try
+    the pool, then the sidecar; every body flows to both layers."""
+
+    def make_store(self, pool, digests):
+        store = CompiledBodyStore(vm_version=VM_VERSION, pool=pool)
         for digest in digests:
-            private.record_bytes(digest, blob_for("private-" + digest))
-        private.dirty = False
-        private.new_entries = 0
-        return private
+            store.entries[digest] = blob_for("private-" + digest)
+        return store
 
     def test_shared_serves_before_private(self, store):
         digest = digest_for(1)
         store.publish({digest: blob_for("shared")})
-        private = self.make_private([digest])
-        chained = ChainedBodyStore(shared=store, private=private)
-        code = chained.lookup_code(digest)
+        bodies = self.make_store(store, [digest])
+        code = bodies.lookup_code(digest)
         namespace = {}
         exec(code, namespace)
         assert namespace["_make"]() == "shared"
-        assert chained.host.shared_hits == 1
-        assert chained.host.shared_misses == 0
+        assert bodies.host.shared_hits == 1
+        assert bodies.host.shared_misses == 0
 
     def test_private_answers_a_shared_miss_and_heals_the_pool(self, store):
         digest = digest_for(2)
-        private = self.make_private([digest])
-        chained = ChainedBodyStore(shared=store, private=private)
-        code = chained.lookup_code(digest)
+        bodies = self.make_store(store, [digest])
+        code = bodies.lookup_code(digest)
         assert code is not None
-        assert chained.host.shared_hits == 0
-        assert chained.host.shared_misses == 1
-        # The private hit is scheduled for publication.
-        assert digest in chained.pending_publish()
-        store.publish(chained.pending_publish())
-        assert store.lookup(digest) == private.entries[digest]
+        assert bodies.host.shared_hits == 0
+        assert bodies.host.shared_misses == 1
+        # The sidecar hit is owed to the pool, and the write-back
+        # publishes it.
+        assert digest in bodies.pending
+        bodies.write_back()
+        assert store.lookup(digest) == bodies.entries[digest]
+        assert not bodies.pending and bodies.host.shared_publishes == 1
 
     def test_chained_miss_returns_none(self, store):
-        chained = ChainedBodyStore(shared=store, private=self.make_private([]))
-        assert chained.lookup_code(digest_for(3)) is None
-        assert chained.host.shared_misses == 1
+        bodies = self.make_store(store, [])
+        assert bodies.lookup_code(digest_for(3)) is None
+        assert bodies.host.shared_misses == 1
 
     def test_shared_hit_feeds_the_private_reference_index(self, store):
         digest = digest_for(4)
         store.publish({digest: blob_for("pool")})
-        private = self.make_private([])
-        chained = ChainedBodyStore(shared=store, private=private)
-        assert chained.lookup_code(digest) is not None
+        bodies = self.make_store(store, [])
+        assert bodies.lookup_code(digest) is not None
         # The database's own sidecar learned the body: it is now both a
-        # local fallback and a gc mark root for this digest.
-        assert digest in private.entries
-        assert digest in chained.touched()
+        # local fallback and a gc mark root for this digest.  The pool
+        # already holds it: it is touched, not owed.
+        assert digest in bodies.entries and bodies.dirty
+        assert digest in bodies.touched and digest not in bodies.pending
 
     def test_record_bytes_feeds_both_layers(self, store):
-        private = self.make_private([])
-        chained = ChainedBodyStore(shared=store, private=private)
-        chained.record_bytes(digest_for(5), b"fresh")
-        assert digest_for(5) in private.entries
-        assert chained.pending_publish() == {digest_for(5): b"fresh"}
-        assert chained.dirty
+        bodies = self.make_store(store, [])
+        bodies.record_bytes(digest_for(5), b"fresh")
+        assert bodies.entries == {digest_for(5): b"fresh"}
+        assert bodies.pending == {digest_for(5): b"fresh"}
+        assert bodies.dirty and bodies.new_entries == 1
 
     def test_works_without_private_layer(self, store):
+        """A store serving the pool alone (its sidecar could not be
+        read) revives from the pool and publishes, but saves no sidecar."""
         digest = digest_for(6)
         store.publish({digest: blob_for("only-shared")})
-        chained = ChainedBodyStore(shared=store, private=None)
-        assert chained.lookup_code(digest) is not None
-        assert chained.lookup_code(digest_for(7)) is None
+        bodies = self.make_store(store, [])
+        assert bodies.database is None
+        assert bodies.lookup_code(digest) is not None
+        assert bodies.lookup_code(digest_for(7)) is None
+        bodies.record_bytes(digest_for(7), blob_for("fresh"))
+        bodies.write_back()
+        assert store.lookup(digest_for(7)) == blob_for("fresh")
+        assert not bodies.host.sidecar_written and bodies.dirty
 
     def test_unmarshalable_pool_blob_falls_through(self, store):
         digest = digest_for(8)
         store.publish({digest: b"\x00not marshal\xff"})
-        private = self.make_private([digest])
-        chained = ChainedBodyStore(shared=store, private=private)
-        assert chained.lookup_code(digest) is not None  # private answered
-        assert chained.host.shared_hits == 0
+        bodies = self.make_store(store, [digest])
+        assert bodies.lookup_code(digest) is not None  # sidecar answered
+        assert bodies.host.shared_hits == 0
+
+    def test_readonly_write_back_only_refreshes_stamps(self, store, tmp_path):
+        digest = digest_for(9)
+        store.clock = iter([100, 200]).__next__
+        store.publish({digest: blob_for("pool")})  # t=100
+        db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
+        bodies = self.make_store(store, [digest_for(10)])
+        bodies.database = db
+        assert bodies.lookup_code(digest) is not None
+        assert bodies.lookup_code(digest_for(10)) is not None
+        bodies.write_back(readonly=True)  # t=200
+        assert store._load_shard(shard_prefix(digest))[digest][1] == 200
+        assert store.lookup(digest_for(10)) is None
+        assert bodies.pending == {digest_for(10): bodies.entries[digest_for(10)]}
+        assert not os.path.exists(os.path.join(db.directory, SIDECAR_NAME))
+        assert bodies.host.shared_touch_refreshes == 1
 
 
 class TestEndToEnd:
@@ -535,24 +510,6 @@ class TestEndToEnd:
         assert result.persistence_report["shared_store_state"] == "stale-vm"
         assert result.persistence_report["shared_publishes"] == 0
 
-    def test_session_config_overrides_database_store(self, tmp_path):
-        workload = mini_workload()
-        db_store = SharedBodyStore(str(tmp_path / "dbstore"), vm_version=VM_VERSION)
-        session_store = SharedBodyStore(
-            str(tmp_path / "sessionstore"), vm_version=VM_VERSION
-        )
-        db = CacheDatabase(str(tmp_path / "db"), shared_store=db_store)
-        clear_code_object_cache()
-        run_vm(
-            workload, "a",
-            persistence=PersistenceConfig(
-                database=db, shared_store=session_store
-            ),
-            vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
-        )
-        assert session_store.total_entries() > 0
-        assert db_store.total_entries() == 0
-
 
 def shard_snapshot(store):
     """Every digest in the pool -> (blob bytes, LRU stamp)."""
@@ -599,11 +556,9 @@ class TestReadOnlyLruProtection:
         # revives gets a touch-only stamp refresh, nothing else.
         current[0] = 3000
         consumer_dir = str(tmp_path / "db-c")
-        db_c = CacheDatabase(consumer_dir)
+        db_c = CacheDatabase(consumer_dir, shared_store=store)
         clear_code_object_cache()
-        warm = compiled_run(
-            workload, "a", db_c, readonly=True, shared_store=store
-        )
+        warm = compiled_run(workload, "a", db_c, readonly=True)
         report = warm.persistence_report
         assert report["shared_hits"] > 0
         assert report["sidecar_host_compiles"] == 0

@@ -119,16 +119,20 @@ def test_any_interleaving_keeps_referenced_digests_sound(
 def test_cap_enforcement_is_exact_bytes_or_absent(
     tmp_path_factory, publishes, cap
 ):
-    """LRU eviction under any publish order: the cap is honored and the
-    survivors are bit-exact."""
+    """``gc``'s LRU cap after any publish order: the cap is honored and
+    the survivors are bit-exact.  Every digest is referenced, so only
+    the cap evicts."""
     tmp = tmp_path_factory.mktemp("cap")
-    store = SharedBodyStore(
-        str(tmp / "store"), vm_version=VM_VERSION, max_bytes=cap
-    )
+    store = SharedBodyStore(str(tmp / "store"), vm_version=VM_VERSION)
     store.clock = iter(range(1, 10_000)).__next__
+    db_dir = str(tmp / "db")
+    write_reference_index(db_dir, DIGESTS)
+    store.register_database(db_dir)
     for batch in publishes:
         store.publish({DIGESTS[i]: body_of(DIGESTS[i]) for i in batch})
-        assert store.total_bytes() <= cap
+        report = store.gc(max_bytes=cap)
+        assert report.swept_entries == 0
+        assert store.total_bytes() == report.remaining_bytes <= cap
     for digest in DIGESTS:
         blob = store.lookup(digest)
         assert blob is None or blob == body_of(digest), digest

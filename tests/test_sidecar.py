@@ -24,16 +24,14 @@ from repro.loader.linker import load_process
 from repro.machine.cpu import HEAP_BASE, MachineFault
 from repro.machine.syscalls import SYS_EXIT
 from repro.persist.database import CacheDatabase, QUARANTINE_DIR
+from repro.persist.framing import PREAMBLE, damage_map
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.persist.sharedstore import SharedBodyStore
 from repro.persist.sidecar import (
-    PREAMBLE,
     SIDECAR_NAME,
     CompiledBodyStore,
     SidecarError,
     host_code_tag,
-    sidecar_staleness,
-    verify_sidecar,
 )
 from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, Engine, VMConfig
@@ -72,12 +70,11 @@ def observable(result):
 
 
 def make_store(n=3):
-    store = CompiledBodyStore.fresh(VM_VERSION)
+    store = CompiledBodyStore(VM_VERSION)
     for i in range(n):
         code = compile("x_%d = %d" % (i, i), "<sidecar-test>", "exec")
-        store.record_code("digest-%d" % i, code)
+        store.record_bytes("digest-%d" % i, marshal.dumps(code))
     return store
-
 
 class TestFormat:
     def test_roundtrip(self):
@@ -93,10 +90,10 @@ class TestFormat:
             assert namespace["x_%d" % i] == i
 
     def test_empty_roundtrip(self):
-        store = CompiledBodyStore.fresh(VM_VERSION)
+        store = CompiledBodyStore(VM_VERSION)
         revived = CompiledBodyStore.from_bytes(store.to_bytes())
         assert len(revived) == 0
-        assert revived.matches_host(VM_VERSION)
+        assert revived.staleness(VM_VERSION) is None
 
     def test_record_is_idempotent(self):
         store = make_store(1)
@@ -128,25 +125,26 @@ class TestFormat:
         # Body-pool bytes start after preamble + header + directory;
         # flipping one must be attributed to the pool (or the trailer,
         # which covers the whole file) — not to the header.
-        damage = verify_sidecar(
-            blob[:-5] + bytes([blob[-5] ^ 0xFF]) + blob[-4:]
+        damage = damage_map(
+            CompiledBodyStore.from_bytes,
+            blob[:-5] + bytes([blob[-5] ^ 0xFF]) + blob[-4:],
         )
         assert damage
         assert "header" not in damage
-        assert verify_sidecar(blob) == {}
+        assert damage_map(CompiledBodyStore.from_bytes, blob) == {}
 
     def test_staleness_keys(self):
-        blob = make_store(1).to_bytes()
-        assert sidecar_staleness(blob, VM_VERSION) is None
-        reason = sidecar_staleness(blob, "repro-dbi-99.0.0")
+        store = CompiledBodyStore.from_bytes(make_store(1).to_bytes())
+        assert store.staleness(VM_VERSION) is None
+        reason = store.staleness("repro-dbi-99.0.0")
         assert reason is not None and VM_VERSION in reason
 
     def test_host_tag_mismatch_is_stale(self):
         store = make_store(1)
         store.host_tag = "other-python|marshal0"
         blob = store.to_bytes()
-        assert sidecar_staleness(blob, VM_VERSION) is not None
-        assert not CompiledBodyStore.from_bytes(blob).matches_host(VM_VERSION)
+        reason = CompiledBodyStore.from_bytes(blob).staleness(VM_VERSION)
+        assert reason is not None and "other-python|marshal0" in reason
 
     def test_unmarshalable_entry_reads_as_miss(self):
         store = make_store(1)
@@ -170,9 +168,9 @@ class TestDatabaseLifecycle:
         assert len(store) == 2
 
     def test_concurrent_writers_merge(self, db):
-        first = CompiledBodyStore.fresh(VM_VERSION)
+        first = CompiledBodyStore(VM_VERSION)
         first.record_bytes("only-in-first", b"a")
-        second = CompiledBodyStore.fresh(VM_VERSION)
+        second = CompiledBodyStore(VM_VERSION)
         second.record_bytes("only-in-second", b"b")
         db.store_sidecar(first)
         db.store_sidecar(second)
@@ -316,7 +314,7 @@ class TestEndToEnd:
         assert warm.stats.traces_from_persistent > 0
         # The write-back re-stamped the sidecar under current keys.
         healed = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
-        assert healed.matches_host(VM_VERSION)
+        assert healed.staleness(VM_VERSION) is None
 
     def test_interpreted_mode_never_touches_the_sidecar(self, workload, db):
         result = run_vm(
@@ -358,7 +356,11 @@ class TestLineTables:
         assert result.link_stats.regions_fused > 0
         path = os.path.join(db.directory, SIDECAR_NAME)
         private = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
-        shared = [blob for _digest, (blob, *_meta) in store.iter_entries()]
+        shared = [
+            blob
+            for prefix in store._shard_prefixes()
+            for blob, _stamp in store._load_shard(prefix).values()
+        ]
         assert private.entries and shared
         for blob in list(private.entries.values()) + shared:
             for code in _code_objects(marshal.loads(blob)):
