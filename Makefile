@@ -102,7 +102,11 @@ prewarm-smoke:
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite, the compiled tier's
 # memory helpers and inline region sites (faults, window, SMC check,
-# the window's code-free flag) against the oracle, plus
+# the window's code-free flag) against the oracle, trace selection
+# against a word-by-word fetch (same traces and faults over every
+# corpus, and a patched word selected again after its trace's
+# eviction: SMC transparency rests on selection reading the current
+# code bytes), plus
 # the transparency bench family's --check gate — every dispatch tier
 # bit-identical to the interpreted oracle on the adversarial corpus,
 # zero stale code-byte reads cold and warm (sidecar and shared
@@ -111,7 +115,10 @@ prewarm-smoke:
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \
-		tests/test_dispatch_equivalence.py::TestCodeFreeFlag
+		tests/test_dispatch_equivalence.py::TestCodeFreeFlag \
+		tests/test_vm_trace.py::TestAgainstPerPcFetch \
+		tests/test_vm_trace.py::TestFaults \
+		tests/test_vm_trace.py::TestSelfModification
 	$(PYTHON) -m repro.cli bench --family transparency --check \
 		--warmup 1 --reps 2 --out /tmp/pcc-bench-transparency.json
 

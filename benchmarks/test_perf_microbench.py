@@ -68,8 +68,7 @@ def test_perf_vm_dispatcher(benchmark, image):
 def test_perf_translation(benchmark, image):
     """Trace selection + translation rate over the image's code."""
     process = load_process(image)
-    machine = Machine(process)
-    selector = TraceSelector(machine.fetch)
+    selector = TraceSelector(process.space.mapping_at)
     translator = Translator(DEFAULT_COST_MODEL)
     entry = process.entry_address
     text_end = entry + image.section(".text").size

@@ -123,12 +123,12 @@ class LoadedProcess:
         raise KeyError("image %r is not loaded" % path)
 
     def image_at(self, addr: int) -> Optional[Mapping]:
-        """Return the image mapping containing ``addr``, or None."""
-        try:
-            mapping = self.space.find_mapping(addr)
-        except Exception:
+        """Return the image mapping containing ``addr``, or None.  The
+        address space's load/store window does not move."""
+        mapping = self.space.mapping_at(addr)
+        if mapping is None or mapping.image is None:
             return None
-        return mapping if mapping.image is not None else None
+        return mapping
 
     def resolve_symbol(self, name: str) -> int:
         """Absolute address of a global symbol, searched in load order."""

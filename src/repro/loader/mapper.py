@@ -149,18 +149,28 @@ class AddressSpace:
         del self._bases[index]
         self.window[:] = _miss_window()
 
-    def find_mapping(self, addr: int) -> Mapping:
-        """Return the mapping containing ``addr``; it becomes the window."""
+    def mapping_at(self, addr: int) -> Optional[Mapping]:
+        """The mapping containing ``addr``, or None; the window stays
+        where it is, so code reads and image lookups do not evict the
+        stack or heap from it."""
         index = bisect.bisect_right(self._bases, addr) - 1
         if index >= 0:
             mapping = self.mappings[index]
-            if mapping.contains(addr):
-                self.window[:] = (
-                    mapping.base, mapping.size - WORD_SIZE, mapping.data,
-                    mapping.code_free,
-                )
+            # The bisect puts ``addr`` at or above the mapping's base.
+            if addr - mapping.base < len(mapping.data):
                 return mapping
-        raise MemoryError_("unmapped address 0x%x" % addr)
+        return None
+
+    def find_mapping(self, addr: int) -> Mapping:
+        """Return the mapping containing ``addr``; it becomes the window."""
+        mapping = self.mapping_at(addr)
+        if mapping is None:
+            raise MemoryError_("unmapped address 0x%x" % addr)
+        self.window[:] = (
+            mapping.base, mapping.size - WORD_SIZE, mapping.data,
+            mapping.code_free,
+        )
+        return mapping
 
     def mark_code(self, start: int, end: int) -> None:
         """Bytes ``start..end-1`` hold executed code: every mapping that

@@ -234,7 +234,10 @@ class Machine:
         return thread.pc
 
     def fetch(self, pc: int) -> Instruction:
-        """Fetch + decode (memoized; invalidated on self-modification)."""
+        """Fetch + decode (memoized; invalidated on self-modification).
+
+        The native interpreter's fetch.  VM trace selection reads code
+        bytes from their mapping instead (:mod:`repro.vm.trace`)."""
         inst = self.decode_cache.get(pc)
         if inst is None:
             try:
@@ -254,11 +257,13 @@ class Machine:
         A mapping that covers a newly tracked page stops being code-free
         (:meth:`~repro.loader.mapper.AddressSpace.mark_code`), so the
         compiled tier's window-hit stores into it take the SMC check
-        again.  Both callers run off the per-instruction path: a pc's
-        first decode, and trace insertion into the code cache (which
-        covers revived and module-retained traces ``fetch`` never saw).
-        Pages are tracked only while a mapping covers them and dlclose
-        drops a dead mapping's pages, so a new mapping starts code-free.
+        again.  Both callers run off the per-instruction path: the
+        native interpreter's first decode of a pc in :meth:`fetch`, and,
+        under the VM, whose trace selection reads code bytes without
+        ``fetch``, trace insertion into the code cache (which covers
+        selected, revived and module-retained traces alike).  Pages are
+        tracked only while a mapping covers them and dlclose drops a
+        dead mapping's pages, so a new mapping starts code-free.
         """
         pages = self.executed_code_pages
         for page in range(first, last + 1):

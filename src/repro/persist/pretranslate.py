@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.binfmt.image import Image
-from repro.isa.encoding import decode
 from repro.loader.linker import LoadedProcess
 from repro.machine.costs import CostModel, DEFAULT_COST_MODEL
 from repro.vm.client import Tool
@@ -66,11 +65,7 @@ def pretranslate_image(
     """Offline-translate the entire ``.text`` of one image."""
     text = image.section(".text")
     code = bytes(text.data)
-
-    def fetch(pc: int):
-        return decode(code, pc)
-
-    selector = TraceSelector(fetch, max_trace_insts)
+    selector = TraceSelector.over(code, max_trace_insts=max_trace_insts)
     translator = Translator(cost_model, tool)
     result = PretranslationResult(original_code_bytes=len(code))
     cursor = 0

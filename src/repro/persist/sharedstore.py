@@ -271,8 +271,9 @@ class SharedBodyStore:
         self.events_reported = 0
         #: prefix → (stat signature, parsed entries) revalidated cache.
         self._shard_cache: Dict[str, tuple] = {}
-        self.storage.makedirs(directory)
-        self.storage.makedirs(self._pool_dir())
+        # The store and the root its pools live under; the pool keyed
+        # for this VM appears when ``publish`` first writes to it.
+        self.storage.makedirs(os.path.join(directory, BODIES_DIR))
 
     # -- paths ---------------------------------------------------------------
 
@@ -328,9 +329,20 @@ class SharedBodyStore:
         return self._read_registry()
 
     def _read_registry(self) -> List[str]:
+        """The registered databases.  A torn or garbage registry must
+        not take the store down: it is quarantined and reads as empty
+        (databases re-register on their next attach)."""
+        databases, damage = self._load_registry()
+        if damage is not None:
+            self._quarantine(self._registry_path(), damage)
+        return databases
+
+    def _load_registry(self) -> Tuple[List[str], Optional[str]]:
+        """``(databases, damage)``: the registered databases, or none
+        and why the registry is corrupt.  Moves nothing."""
         path = self._registry_path()
         if not self.storage.exists(path):
-            return []
+            return [], None
         try:
             raw = json.loads(self.storage.read_bytes(path))
             databases = raw["databases"]
@@ -339,15 +351,11 @@ class SharedBodyStore:
             ):
                 raise ValueError("malformed registry")
         except (ValueError, TypeError, KeyError) as exc:
-            # A torn or garbage registry must not take the store down:
-            # quarantine it and start empty (databases re-register on
-            # their next attach).
-            self._quarantine(path, "corrupt registry: %s" % exc)
-            return []
+            return [], "corrupt registry: %s" % exc
         except OSError as exc:
             self.events.append(("io-error", REGISTRY_NAME, str(exc)))
-            return []
-        return list(databases)
+            return [], None
+        return list(databases), None
 
     # -- quarantine ----------------------------------------------------------
 
@@ -458,10 +466,10 @@ class SharedBodyStore:
         for digest in touch:
             groups.setdefault(shard_prefix(digest), {}).setdefault(digest, None)
         if groups:
-            # The pool directory may have been wiped (or never created —
-            # another process could have gc'd the store down to nothing)
-            # since __init__: recreate it before taking shard locks, so a
-            # publish always heals an emptied pool instead of erroring.
+            # Opening the store creates no pool, and another process may
+            # have gc'd it down to nothing: make the directory before
+            # taking shard locks, so a publish always heals an emptied
+            # pool instead of erroring.
             self.storage.makedirs(self._pool_dir())
         for prefix in sorted(groups):
             group = groups[prefix]
@@ -678,17 +686,20 @@ class SharedBodyStore:
         key mismatches (``items``); pools keyed for other VM versions or
         host tags are *notes* (``stale-keytag`` — expected after an
         upgrade, removed by ``gc``), as are leftover ``.tmp`` files from
-        interrupted atomic writes.  With ``quarantine=True`` damaged
-        shards are moved aside.
+        interrupted atomic writes.  A corrupt registry is a ``corrupt``
+        row.  With ``quarantine=True`` damaged shards and a corrupt
+        registry are moved aside; without it, nothing moves.
         """
         report = FsckReport()
         bodies = os.path.join(self.directory, BODIES_DIR)
-        self._read_registry()  # surfaces a corrupt registry via events
-        for kind, filename, reason in self.events:
-            if kind == "quarantine" and REGISTRY_NAME in filename:
-                report.items.append(
-                    FsckItem(REGISTRY_NAME, "corrupt", detail=reason)
-                )
+        _databases, damage = self._load_registry()
+        if damage is not None:
+            report.items.append(
+                FsckItem(REGISTRY_NAME, "corrupt", detail=damage)
+            )
+            if quarantine:
+                self._quarantine(self._registry_path(), "fsck: " + damage)
+                report.quarantined.append(REGISTRY_NAME)
         if not os.path.isdir(bodies):
             return report
         current = store_keytag(self.vm_version, self.host_tag)

@@ -53,10 +53,12 @@ class CodeCache:
         self.data_capacity = data_capacity
         #: The machine's ``track_code_pages(first, last)``.  The SMC
         #: detector only watches tracked pages, so *every* page a
-        #: resident trace covers must be tracked — including traces that
-        #: arrive without a fresh translation (module-retention revival,
-        #: persistent-cache preload), whose pages ``Machine.fetch``
-        #: never saw (or saw before a dlclose discarded the tracking).
+        #: resident trace covers must be tracked.  Insertion is where a
+        #: VM run tracks them: trace selection reads code bytes without
+        #: ``Machine.fetch``, and traces that arrive without a fresh
+        #: translation (module-retention revival, persistent-cache
+        #: preload) were never selected in this run, or were selected
+        #: before a dlclose discarded the tracking.
         self.track_pages = track_pages
         self.code_used = 0
         self.data_used = 0

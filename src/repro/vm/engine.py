@@ -235,7 +235,9 @@ class Engine:
             self.config.code_pool_bytes, self.config.data_pool_bytes,
             track_pages=machine.track_code_pages, stats=host.cache,
         )
-        selector = TraceSelector(machine.fetch, self.config.max_trace_insts)
+        selector = TraceSelector(
+            machine.process.space.mapping_at, self.config.max_trace_insts
+        )
         translator = Translator(self.cost_model, self.tool)
         context = ExecutionContext(machine)
         accounting = ToolAccounting()

@@ -7,17 +7,35 @@ branches do not end a trace: the fall-through side stays inside, the taken
 side becomes a side *exit*.  Execution always enters a trace at its first
 instruction; side entrances are not allowed.  The fetched layout is not
 altered and no optimization is applied to application code.
+
+The selector reads a trace's code bytes as one slice of the mapping that
+holds them and classifies each word by its opcode byte, so selection
+builds no :class:`~repro.isa.instructions.Instruction`.
 """
 
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.isa.encoding import decode_all
+from repro.isa.encoding import (
+    decode,
+    decode_all,
+    decodes,
+    encode_all,
+    unpack_uops,
+)
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import (
+    CONDITIONAL_BRANCHES,
+    DIRECT_UNCONDITIONAL,
+    INDIRECT_UNCONDITIONAL,
+    Opcode,
+)
+from repro.loader.mapper import Mapping
+from repro.machine.cpu import MachineFault
 
 #: Default maximum number of instructions fetched into one trace.
 DEFAULT_MAX_TRACE_INSTS = 24
@@ -55,11 +73,12 @@ class Trace:
 
     Attributes:
         entry: Original absolute address of the first instruction.
-        instructions: The fetched instructions, unaltered.  A trace
-            revived from its code bytes (:meth:`from_body`) decodes them
-            only when this is first read.
+        instructions: The selected instructions, unaltered.  A trace
+            built from its code bytes (:meth:`from_body`: every
+            selection and every verbatim revive) decodes them only when
+            this is first read.
         exits: All potential exits, in instruction order.
-        image_path: Path of the image the trace was fetched from.
+        image_path: Path of the image the trace was read from.
         image_base: Load base of that image in this run.
     """
 
@@ -89,10 +108,9 @@ class Trace:
         image_path: str,
         image_base: int,
     ) -> "Trace":
-        """A trace whose micro-ops ``uops`` were read from its encoded
-        ``body`` (:func:`~repro.isa.encoding.decode_uops`); its
-        :class:`Instruction` objects are built only if something reads
-        :attr:`instructions`."""
+        """A trace whose micro-ops ``uops`` were read from its encoded,
+        already checked ``body``; its :class:`Instruction` objects are
+        built only if something reads :attr:`instructions`."""
         trace = cls(entry, None, exits, image_path, image_base)
         trace._instructions = None
         trace._uops = uops
@@ -108,13 +126,17 @@ class Trace:
     @property
     def uops(self) -> List[tuple]:
         """Flattened micro-op tuples for the dispatcher's hot loop."""
-        uops = self._uops
-        instructions = self._instructions
-        if uops is None or (
-            instructions is not None and len(uops) != len(instructions)
-        ):
-            uops = self._uops = [inst.as_tuple() for inst in instructions]
-        return uops
+        if self._uops is None:
+            self._uops = [inst.as_tuple() for inst in self._instructions]
+        return self._uops
+
+    @property
+    def body(self) -> bytes:
+        """The encoded instructions: the code bytes the trace was read
+        from."""
+        if not self._body:
+            self._body = encode_all(self._instructions)
+        return self._body
 
     @property
     def size(self) -> int:
@@ -142,17 +164,37 @@ class Trace:
 
 
 class TraceSelector:
-    """Builds traces by linear fetch from original code."""
+    """Builds traces by a linear read of original code bytes.
+
+    ``mapping_at(pc)`` returns the :class:`~repro.loader.mapper.Mapping`
+    that holds ``pc``, or None where nothing is mapped.  The engine
+    passes its address space's
+    :meth:`~repro.loader.mapper.AddressSpace.mapping_at`, which leaves
+    the load/store window where it is; :meth:`over` reads a byte string.
+    """
 
     def __init__(
         self,
-        fetch: Callable[[int], Instruction],
+        mapping_at: Callable[[int], Optional[Mapping]],
         max_trace_insts: int = DEFAULT_MAX_TRACE_INSTS,
     ):
         if max_trace_insts < 1:
             raise ValueError("max_trace_insts must be >= 1")
-        self._fetch = fetch
+        self._mapping_at = mapping_at
         self.max_trace_insts = max_trace_insts
+
+    @classmethod
+    def over(
+        cls,
+        code: bytes,
+        base: int = 0,
+        max_trace_insts: int = DEFAULT_MAX_TRACE_INSTS,
+    ) -> "TraceSelector":
+        """A selector over ``code`` laid out at ``base``, with nothing
+        mapped around it."""
+        mapping = Mapping(base=base, data=code)
+        return cls(lambda pc: mapping if mapping.contains(pc) else None,
+                   max_trace_insts)
 
     def select(
         self,
@@ -160,41 +202,91 @@ class TraceSelector:
         image_path: str = "",
         image_base: int = 0,
     ) -> Trace:
-        """Fetch the trace starting at ``entry``."""
-        instructions: List[Instruction] = []
-        trace = Trace(entry, instructions, None, image_path, image_base)
-        pc = entry
-        for index in range(self.max_trace_insts):
-            inst = self._fetch(pc)
-            instructions.append(inst)
-            if inst.is_conditional_branch:
-                trace.exits.append(
-                    TraceExit(
-                        ExitKind.BRANCH_TAKEN,
-                        index,
-                        target=inst.branch_target(pc),
-                    )
-                )
-            elif inst.is_unconditional:
-                trace.exits.append(_terminator_exit(inst, index, pc))
-                return trace
-            pc += INSTRUCTION_SIZE
-        # Fell off the instruction-count limit: fall-through exit to the
-        # next sequential address.
-        trace.exits.append(
-            TraceExit(ExitKind.FALLTHROUGH, len(instructions) - 1, target=pc)
-        )
-        return trace
+        """Read the trace starting at ``entry``.
+
+        The read takes whole words from the mapping that holds ``entry``
+        and goes on into a mapping that abuts it, up to the first
+        unconditional transfer or the instruction limit.  It faults as a
+        word-by-word fetch would, at the first word that fails: an
+        undecodable word raises the :class:`~repro.isa.encoding.DecodeError`
+        that :func:`~repro.isa.encoding.decode` raises for it, and a word
+        no one mapping holds whole raises :class:`MachineFault` at its
+        address.  Words past the terminator are never checked.
+        """
+        limit = self.max_trace_insts * INSTRUCTION_SIZE
+        body = b""
+        unmapped = None
+        while True:
+            pc = entry + len(body)
+            mapping = self._mapping_at(pc)
+            if mapping is None:
+                unmapped = pc
+                break
+            offset = pc - mapping.base
+            chunk = bytes(mapping.data[offset : offset + limit - len(body)])
+            whole = len(chunk) - len(chunk) % INSTRUCTION_SIZE
+            found = _TERMINATOR.search(chunk[:whole:INSTRUCTION_SIZE])
+            if found is not None:
+                body += chunk[: (found.start() + 1) * INSTRUCTION_SIZE]
+                break
+            body += chunk[:whole]
+            if len(body) == limit:
+                break
+            if whole < len(chunk):
+                # The word at pc + whole runs past the mapping's end.
+                unmapped = pc + whole
+                break
+        _check_words(body)  # an undecodable word precedes the fault
+        if unmapped is not None:
+            raise MachineFault("fetch from unmapped memory", unmapped)
+        uops = unpack_uops(body)
+        exits = []
+        for branch in _BRANCH.finditer(body[::INSTRUCTION_SIZE]):
+            index = branch.start()
+            exits.append(TraceExit(
+                ExitKind.BRANCH_TAKEN, index,
+                target=entry + (index + 1) * INSTRUCTION_SIZE
+                + uops[index][4],
+            ))
+        last = len(uops) - 1
+        end = entry + len(body)
+        kind = _TERMINATOR_KINDS.get(uops[last][0], ExitKind.FALLTHROUGH)
+        if kind == ExitKind.DIRECT:
+            target = uops[last][4]
+        elif kind in (ExitKind.FALLTHROUGH, ExitKind.SYSCALL):
+            target = end  # the next sequential address
+        else:
+            target = None
+        exits.append(TraceExit(kind, last, target=target))
+        return Trace.from_body(entry, body, uops, exits, image_path,
+                               image_base)
 
 
-def _terminator_exit(inst: Instruction, index: int, pc: int) -> TraceExit:
-    """Classify the trace-ending instruction at ``pc``."""
-    if inst.opcode in (Opcode.JMP, Opcode.CALL):
-        return TraceExit(ExitKind.DIRECT, index, target=inst.branch_target(pc))
-    if inst.opcode in (Opcode.JR, Opcode.CALLR, Opcode.RET):
-        return TraceExit(ExitKind.INDIRECT, index)
-    if inst.opcode == Opcode.SYSCALL:
-        return TraceExit(ExitKind.SYSCALL, index, target=pc + INSTRUCTION_SIZE)
-    if inst.opcode == Opcode.HALT:
-        return TraceExit(ExitKind.HALT, index)
-    raise AssertionError("not a terminator: %r" % (inst.opcode,))
+#: Opcode of each unconditional transfer -> the exit kind it ends a
+#: trace with.
+_TERMINATOR_KINDS = {
+    **dict.fromkeys(DIRECT_UNCONDITIONAL, ExitKind.DIRECT),
+    **dict.fromkeys(INDIRECT_UNCONDITIONAL, ExitKind.INDIRECT),
+    Opcode.SYSCALL: ExitKind.SYSCALL,
+    Opcode.HALT: ExitKind.HALT,
+}
+
+
+def _any_byte_of(opcodes) -> "re.Pattern":
+    """Matches one byte that is any of ``opcodes``: searched over a
+    body's opcode column (every eighth byte), it finds the words that
+    hold them."""
+    return re.compile(b"[%s]" % re.escape(bytes(sorted(opcodes))))
+
+
+_TERMINATOR = _any_byte_of(_TERMINATOR_KINDS)
+_BRANCH = _any_byte_of(CONDITIONAL_BRANCHES)
+
+
+def _check_words(body: bytes) -> None:
+    """Raise the :class:`~repro.isa.encoding.DecodeError` that
+    :func:`~repro.isa.encoding.decode` raises for the first undecodable
+    word of ``body``, if there is one."""
+    if not decodes(body):
+        for offset in range(0, len(body), INSTRUCTION_SIZE):
+            decode(body[offset : offset + INSTRUCTION_SIZE])

@@ -3,7 +3,7 @@
 Translation does *not* transform application instructions (Pin "does not
 attempt original program optimization"); it:
 
-* re-encodes the trace's instructions into the code cache,
+* copies the trace's code bytes into the code cache,
 * materializes an *exit stub* per trace exit (the translated branch that
   either links directly to another trace or trampolines into the VM),
 * injects the tool's instrumentation points as analysis-call stubs,
@@ -283,10 +283,9 @@ class Translator:
     def translate(self, trace: Trace) -> TranslationResult:
         """Compile ``trace`` (with instrumentation, if a tool is present)."""
         points = list(self.tool.instrument_trace(trace)) if self.tool else []
-        n_insts = len(trace.instructions)
+        n_insts = len(trace.uops)
 
-        body = encode_all(trace.instructions)
-        code_bytes = body + _stub_code_bytes(trace, len(points))
+        code_bytes = trace.body + _stub_code_bytes(trace, len(points))
 
         # Liveness exists to place instrumentation without spilling; a
         # trace with no analysis points never consults it, so the

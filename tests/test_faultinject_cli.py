@@ -661,3 +661,61 @@ class TestDamagedIndex:
         with open(os.path.join(directory, QUARANTINE_DIR, INDEX_NAME)) as fh:
             assert fh.read() == "garbage{"
         assert CacheDatabase(directory).entries()
+
+
+def tree_listing(directory: str) -> list:
+    """Every directory and file under ``directory``, as ``find`` lists
+    them: relative paths, sorted."""
+    paths = []
+    for root, dirs, names in os.walk(directory):
+        for name in dirs + names:
+            paths.append(os.path.relpath(os.path.join(root, name), directory))
+    return sorted(paths)
+
+
+class TestReadOnlyStoreFsck:
+    """``cache fsck`` on a shared store moves and creates nothing unless
+    ``--quarantine`` asks it to: a corrupt ``registry.json`` is a row,
+    and opening the store makes no pool for this VM."""
+
+    @staticmethod
+    def store_with_foreign_pool(tmp_path) -> str:
+        """A store that holds only a pool keyed for another VM."""
+        directory = str(tmp_path / "store")
+        SharedBodyStore(directory, vm_version="0.0.1").publish(
+            {"ab" + "0" * 62: b"body"}
+        )
+        return directory
+
+    def test_fsck_creates_no_pool(self, tmp_path):
+        directory = self.store_with_foreign_pool(tmp_path)
+        before = tree_listing(directory)
+        done = TestDamagedIndex.shell("cache", "fsck", directory)
+        assert done.returncode == 0, done.stderr
+        assert "stale-keytag" in done.stdout
+        assert tree_listing(directory) == before
+
+    def test_corrupt_registry_moves_only_under_quarantine(self, tmp_path):
+        directory = self.store_with_foreign_pool(tmp_path)
+        registry = os.path.join(directory, "registry.json")
+        with open(registry, "w") as handle:
+            handle.write("garbage{")
+        before = tree_bytes(directory)
+        listing = tree_listing(directory)
+        done = TestDamagedIndex.shell("cache", "fsck", directory)
+        assert done.returncode == 1, done.stderr
+        [row] = [line for line in done.stdout.splitlines()
+                 if "registry.json" in line]
+        assert "corrupt" in row and "corrupt registry:" in row
+        assert "fsck: damage found" in done.stdout
+        assert tree_bytes(directory) == before
+        assert tree_listing(directory) == listing
+
+        done = TestDamagedIndex.shell("cache", "fsck", directory,
+                                      "--quarantine")
+        assert done.returncode == 1, done.stderr
+        assert "quarantined: registry.json" in done.stdout
+        assert not os.path.exists(registry)
+        with open(os.path.join(directory, "quarantine",
+                               "registry.json")) as handle:
+            assert handle.read() == "garbage{"

@@ -167,6 +167,7 @@ class TestGoldenBytes:
         store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM)
         store.host_tag = HOST
         path = store.shard_path(shard_prefix(D0))
+        os.makedirs(os.path.dirname(path))  # nothing published yet
         store.storage.write_atomic(path, blob)
         assert store.lookup(D0) is None
         [(kind, _name, reason)] = store.events

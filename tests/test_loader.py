@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.binfmt.image import ImageKind
+from repro.isa import registers as regs
 from repro.loader.layout import (
     EXECUTABLE_BASE,
     FixedLayout,
@@ -212,6 +213,30 @@ class TestWindow:
         with pytest.raises(MemoryError_, match="unmapped"):
             space.read_word(0x2000)
         assert int.from_bytes(dead.data[:8], "little") == 7
+
+    def test_mapping_at_leaves_the_window(self):
+        space = AddressSpace()
+        code = space.map_anonymous(0x1000, 64)
+        space.map_anonymous(0x2000, 64)
+        space.read_word(0x2000)
+        window = list(space.window)
+        assert space.mapping_at(0x1008) is code
+        assert space.mapping_at(0x1040) is None
+        assert space.mapping_at(0x0FFF) is None
+        assert space.window == window
+
+    def test_image_at_a_code_pc_leaves_the_stack_in_the_window(self):
+        process = load_process(image_from_asm("main:\n    ret\n"))
+        machine = Machine(process)
+        stack = machine.registers[regs.SP]
+        machine.process.space.write_word(stack, 1)
+        window = list(process.space.window)
+        [stack_mapping] = [m for m in process.space.mappings
+                           if m.name == "[stack]"]
+        assert window[2] is stack_mapping.data
+        assert process.image_at(process.entry_address) is process.mappings[0]
+        assert process.space.window == window
+        assert process.image_at(stack) is None  # anonymous, not an image
 
     def test_mapping_smaller_than_a_word_never_hits(self):
         space = AddressSpace()

@@ -7,7 +7,6 @@ from repro.isa.encoding import encode_all
 from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.loader.linker import ImageStore, load_process
 from repro.machine.costs import DEFAULT_COST_MODEL
-from repro.machine.cpu import Machine
 from repro.persist.convert import persist_trace, revive_trace
 from repro.tools import BBCountTool
 from repro.vm.trace import ExitKind, TraceSelector
@@ -38,8 +37,7 @@ def build_process(layout=None):
 
 
 def select_and_translate(process, address, tool=None):
-    machine = Machine(process)
-    selector = TraceSelector(machine.fetch)
+    selector = TraceSelector(process.space.mapping_at)
     mapping = process.image_at(address)
     trace = selector.select(
         address, image_path=mapping.image.path, image_base=mapping.base

@@ -211,6 +211,7 @@ class TestWholesaleInvalidation:
     def test_foreign_stamps_in_pool_are_quarantined(self, store):
         """A shard hand-moved into the wrong keytag dir is contained."""
         path = store.shard_path("ab")
+        os.makedirs(os.path.dirname(path))  # nothing published yet
         store.storage.write_atomic(
             path, pack_shard("other-vm", host_code_tag(), {"ab" + "0" * 62: (b"x", 1)})
         )

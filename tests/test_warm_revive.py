@@ -1,9 +1,10 @@
-"""Warm revive builds a trace straight from its persisted bytes.
+"""Warm revive and cold selection build a trace straight from bytes.
 
-A verbatim revive reads a trace's micro-ops from its code bytes and
-builds :class:`~repro.isa.instructions.Instruction` objects only when
-something reads ``trace.instructions``; the compiled tier's body digest
-hashes its key's bytes without ``repr``.
+A verbatim revive reads a trace's micro-ops from its code bytes, and so
+does selection from the mapping that holds the trace; either builds
+:class:`~repro.isa.instructions.Instruction` objects only when
+something reads ``trace.instructions``.  The compiled tier's body
+digest hashes its key's bytes without ``repr``.
 """
 
 import struct
@@ -20,7 +21,7 @@ from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.vm.client import NullTool
 from repro.vm.compile import _body_digest
-from repro.vm.trace import TraceSelector
+from repro.vm.trace import Trace, TraceSelector
 from repro.vm.translator import Translator
 from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
@@ -63,8 +64,7 @@ def test_revived_uops_match_a_fresh_translation(
         app = build_suite((app_name,))[app_name]
     traces = persisted_traces(warm_database(app, input_name, tmp_path))
     process = app.load()
-    machine = Machine(process)
-    selector = TraceSelector(machine.fetch)
+    selector = TraceSelector(process.space.mapping_at)
     translator = Translator(DEFAULT_COST_MODEL, NullTool())
     base_of = PersistentCacheSession._base_of(process)
     assert len(traces) > 100
@@ -101,6 +101,26 @@ def test_warm_gui_runs_build_no_instructions(gui_apps, tmp_path,
         assert warm.stats.traces_translated == 0, name
         assert warm.persistence_report["preloaded"] > 100, name
         assert decoded == [], name
+
+
+def test_cold_gui_runs_build_no_instructions(gui_apps, monkeypatch):
+    """A cold NullTool run of each GUI app selects and translates every
+    trace from its code bytes: nothing fetches a pc, decodes a word or
+    reads a trace's instructions."""
+    built = []
+
+    def refuse(*args, **kwargs):
+        built.append(args)
+        raise AssertionError("an Instruction was built")
+
+    monkeypatch.setattr(Machine, "fetch", refuse)
+    monkeypatch.setattr(encoding, "decode", refuse)
+    monkeypatch.setattr(Trace, "instructions", property(refuse))
+    for name, app in sorted(gui_apps.items()):
+        cold = run_vm(app, "startup", tool=NullTool())
+        assert cold.exit_status == app.input("startup").exit_status, name
+        assert cold.stats.traces_translated > 100, name
+    assert built == []
 
 
 def _key(entry=0x401000, code=bytes(range(24)), links=((2, 2), (0, 1)),
