@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke prewarm-smoke transparency-smoke loc
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke transparency-smoke loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,7 +60,8 @@ bench-contract-smoke:
 fsck:
 	$(PYTHON) -m repro.cli cache fsck $(DB)
 
-# Multi-process stress for the shared per-host body store.
+# Multi-process stress for the shared per-host body store, and for one
+# database and store that runs of different apps write back at once.
 stress:
 	$(PYTHON) -m pytest -q tests/test_sharedstore_concurrency.py
 
@@ -79,25 +80,6 @@ replay-smoke:
 	$(PYTHON) -m repro.cli run nondet relay long --record --pcache $(RDB) --layout-seed 7
 	$(PYTHON) -m repro.cli replay $(RDB) --diff
 	$(PYTHON) -m repro.cli cache fsck $(RDB)
-
-# Prewarm database/store directories (override: make prewarm-smoke PWDB=... PWSTORE=...)
-PWDB ?= /tmp/pcc-prewarm-db
-PWSTORE ?= /tmp/pcc-prewarm-store
-
-# Parallel-prewarm smoke (docs/performance.md): mass-compile the tiny
-# startup corpus across two worker processes into a fresh database +
-# shared store, then re-prewarm with --verify — the second pass must
-# perform zero host compiles or the target fails.  The closing fscks
-# read back the database (PCC3 caches + PCS1 sidecar) and the store
-# (PCSS2 shards).
-prewarm-smoke:
-	rm -rf $(PWDB) $(PWSTORE)
-	$(PYTHON) -m repro.cli prewarm --pcache $(PWDB) --jobs 2 \
-		--corpus tiny --shared-store $(PWSTORE)
-	$(PYTHON) -m repro.cli prewarm --pcache $(PWDB) --jobs 2 \
-		--corpus tiny --shared-store $(PWSTORE) --verify
-	$(PYTHON) -m repro.cli cache fsck $(PWDB)
-	$(PYTHON) -m repro.cli cache fsck $(PWSTORE)
 
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite, the compiled tier's

@@ -58,7 +58,6 @@ import json
 import operator
 import os
 import platform
-import shutil
 import time
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -643,47 +642,17 @@ def _record_overhead(scratch_dir: str) -> Sweep:
     )
 
 
-#: ``repro prewarm --jobs`` values the tiered_warmup extras sweep.
-_PREWARM_JOBS_SWEEP = (1, 2, 4)
-
-#: Headroom for the core-aware monotonicity check: when extra jobs
-#: cannot buy real parallelism (job count above the machine's core
-#: count), the sweep only has to stay within this factor of the
-#: previous job count's wall clock — wide enough for scheduler and
-#: fork overhead on an oversubscribed single-core host, tight enough
-#: that pathological cross-process contention (e.g. a store lock
-#: livelock) still fails the gate.
-_PREWARM_NOISE_X = 1.5
-
-
-def _prewarm_lines(family: dict) -> List[str]:
-    lines = ["prewarm cold-sweep wall clock (%d cores):"
-             % family["cpu_count"]]
-    for row in family["prewarm_jobs_sweep"]:
-        lines.append(
-            "  --jobs %d  %.2fs  compiled %d  admitted %d%s"
-            % (row["jobs"], row["wall_s"], row["compiled"], row["admitted"],
-               "" if row.get("monotonic_ok", True) else "  (regressed)")
-        )
-    return lines
-
-
 @_family(
     "tiered_warmup",
     ("eager", "tiered"),
     checks=(
         Check("oracle_identical"),
         Check("ttfo_ratio_x", "<=", 0.6),
-        Check("prewarm_warm_host_compiles", "==", 0),
-        Check("jobs_monotonic_ok"),
     ),
     cells=lambda f: {
         "ttfo_ratio": "%.2f" % f["ttfo_ratio_x"],
-        "warm_compiles": "%d" % f["prewarm_warm_host_compiles"],
-        "jobs_mono": str(f["jobs_monotonic_ok"]),
         "oracle": str(f["oracle_identical"]),
     },
-    details=_prewarm_lines,
 )
 def _tiered_warmup(scratch_dir: str) -> Sweep:
     """Cold startup corpus (:mod:`repro.workloads.warmup`): compile
@@ -695,12 +664,8 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
     cold traces until they prove reuse, so the program reaches its first
     write without paying host ``compile()`` for startup code that runs
     once.  The interpreted oracle pins the tiered mode's observable
-    behavior; the extras carry a ``repro prewarm`` sweep over ``--jobs
-    1/2/4`` (cold-sweep wall clock per job count, core-aware
-    monotonicity flag) and the warm-run host-compile count against the
-    prewarmed stores (must be zero).
+    behavior.
     """
-    from repro.persist.prewarm import run_prewarm, verify_warm
     from repro.workloads.warmup import GATE_APP, warmup_corpus
 
     apps = warmup_corpus()
@@ -723,56 +688,11 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
     )
     oracle_identical = tiered_sig == oracle_sig
 
-    def extras() -> Dict[str, object]:
-        cpu_count = os.cpu_count() or 1
-        sweep_rows: List[Dict[str, object]] = []
-        for jobs in _PREWARM_JOBS_SWEEP:
-            db_dir = os.path.join(scratch_dir, "prewarm-j%d" % jobs)
-            store_dir = os.path.join(scratch_dir, "prewarm-store-j%d" % jobs)
-            shutil.rmtree(db_dir, ignore_errors=True)
-            shutil.rmtree(store_dir, ignore_errors=True)
-            report = run_prewarm(
-                db_dir, jobs=jobs, corpus="warmup",
-                shared_store_dir=store_dir,
-            )
-            row: Dict[str, object] = {
-                "jobs": jobs,
-                "wall_s": report.wall_s,
-                "compiled": report.compiled,
-                "admitted": report.admitted,
-            }
-            if sweep_rows:
-                # Core-aware monotonicity: more jobs must help when they
-                # map to real cores, and must stay within noise headroom
-                # when they cannot (single-core hosts, jobs > cores).
-                previous = sweep_rows[-1]
-                if min(jobs, cpu_count) > min(previous["jobs"], cpu_count):
-                    row["monotonic_ok"] = report.wall_s < previous["wall_s"]
-                else:
-                    row["monotonic_ok"] = (
-                        report.wall_s
-                        <= previous["wall_s"] * _PREWARM_NOISE_X
-                    )
-            sweep_rows.append(row)
-        warm_host_compiles = verify_warm(
-            os.path.join(scratch_dir, "prewarm-j%d" % _PREWARM_JOBS_SWEEP[0]),
-            "warmup",
-            os.path.join(
-                scratch_dir, "prewarm-store-j%d" % _PREWARM_JOBS_SWEEP[0]
-            ),
-        )
-        return {
-            "oracle_identical": oracle_identical,
-            "cpu_count": cpu_count,
-            "prewarm_jobs_sweep": sweep_rows,
-            "jobs_monotonic_ok": all(
-                row.get("monotonic_ok", True) for row in sweep_rows
-            ),
-            "prewarm_warm_host_compiles": warm_host_compiles,
-        }
-
-    return _case_sweep(cases, config, fresh=True, extras=extras,
-                       ttfo=GATE_APP)
+    return _case_sweep(
+        cases, config, fresh=True,
+        extras=lambda: {"oracle_identical": oracle_identical},
+        ttfo=GATE_APP,
+    )
 
 
 def _transparency_lines(family: dict) -> List[str]:

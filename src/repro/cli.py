@@ -137,9 +137,9 @@ def _positive_finite_float(text: str) -> float:
 
 
 def _shared_store_dir(text: str) -> str:
-    """``--shared-store``'s type, shared by ``run`` and ``prewarm``: a
-    store directory.  The retired socket scheme ends the command here,
-    while parsing, so nothing is created."""
+    """``run --shared-store``'s type: a store directory.  The retired
+    socket scheme ends the command here, while parsing, so nothing is
+    created."""
     if text.startswith("daemon://"):
         raise SystemExit(
             "error: --shared-store daemon://DIR was removed with the "
@@ -523,12 +523,9 @@ def cmd_cache_gc(args) -> int:
     return 0
 
 
-def cmd_cache_serve(args) -> int:
-    """``repro cache serve``: removed; any arguments end here."""
-    raise SystemExit(
-        "error: repro cache serve was removed with the cache-server "
-        "daemon; sessions share a store with --shared-store DIR"
-    )
+def cmd_removed(args) -> int:
+    """A removed command: any arguments end here, in one stderr line."""
+    raise SystemExit(args.removed)
 
 
 def _results_path_problem(path: str) -> Optional[str]:
@@ -578,56 +575,6 @@ def cmd_bench(args) -> int:
     return 1 if args.check and not all(v.ok for v in verdicts) else 0
 
 
-def cmd_prewarm(args) -> int:
-    """``repro prewarm``: mass-compile a corpus ahead of first use."""
-    from repro.persist.prewarm import PrewarmError, run_prewarm
-
-    try:
-        report = run_prewarm(
-            args.pcache,
-            jobs=args.jobs,
-            corpus=args.corpus,
-            shared_store_dir=args.shared_store,
-            verify=args.verify,
-        )
-    except PrewarmError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    if args.json:
-        import json
-        print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(
-            "prewarmed %d app(s) with %d job(s) in %.2fs"
-            % (report.apps, report.jobs, report.wall_s)
-        )
-        print(
-            "  traces persisted: %d" % report.traces_persisted
-        )
-        print(
-            "  bodies: compiled %d, skipped (already stored) %d"
-            % (report.compiled, report.skipped)
-        )
-        if args.shared_store:
-            print("  shared store: admitted %d" % report.admitted)
-        for job in report.job_reports:
-            print(
-                "  job %d: %s  %.2fs  compiled %d"
-                % (job.job, ",".join(job.apps), job.wall_s,
-                   job.host_compiles)
-            )
-    if args.verify:
-        verified = report.verify_host_compiles == 0
-        print(
-            "verify: warm run host compiles = %d -> %s"
-            % (report.verify_host_compiles,
-               "PASS" if verified else "FAIL")
-        )
-        if not verified:
-            return 1
-    return 0
-
-
 def cmd_disasm(args) -> int:
     """``repro disasm``: disassemble an SBF image's .text."""
     image = Image.load(args.image)
@@ -640,6 +587,15 @@ def cmd_disasm(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser.
 # ---------------------------------------------------------------------------
+
+def _add_removed(subparsers, name: str, message: str) -> None:
+    """Register the removed command ``name``.  No prefix character can
+    occur in argv, so every old command line, options and ``--help``
+    included, parses as positionals and reaches ``message``."""
+    sub = subparsers.add_parser(name, add_help=False, prefix_chars="\0")
+    sub.add_argument("arguments", nargs="*")
+    sub.set_defaults(func=cmd_removed, removed=message)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -745,12 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--json", action="store_true",
                      help="print the machine-readable report")
     sub.set_defaults(func=cmd_cache_gc)
-    # No prefix character can occur in argv, so every old ``cache serve``
-    # command line, options included, parses as positionals and reaches
-    # the one-line removal error.
-    sub = cache_sub.add_parser("serve", add_help=False, prefix_chars="\0")
-    sub.add_argument("arguments", nargs="*")
-    sub.set_defaults(func=cmd_cache_serve)
+    _add_removed(
+        cache_sub, "serve",
+        "error: repro cache serve was removed with the cache-server "
+        "daemon; sessions share a store with --shared-store DIR",
+    )
 
     sub = subparsers.add_parser(
         "bench", help="wall-clock dispatch-tier benchmark suite"
@@ -774,26 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "threshold (default: the recorded 1.5x)")
     sub.set_defaults(func=cmd_bench)
 
-    sub = subparsers.add_parser(
-        "prewarm",
-        help="mass-compile a workload corpus into caches ahead of use",
+    _add_removed(
+        subparsers, "prewarm",
+        "error: repro prewarm was removed; warm a database and a store "
+        "by running each app with repro run --pcache DIR --shared-store DIR",
     )
-    sub.add_argument("--pcache", required=True, metavar="DIR",
-                     help="cache database directory to warm")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (default 1)")
-    sub.add_argument("--corpus", choices=("tiny", "warmup", "gui"),
-                     default="warmup",
-                     help="workload corpus to compile (default warmup)")
-    sub.add_argument("--shared-store", metavar="DIR", type=_shared_store_dir,
-                     help="also publish compiled bodies to this per-host "
-                          "shared store")
-    sub.add_argument("--verify", action="store_true",
-                     help="re-run the corpus warm afterwards; exit "
-                          "non-zero unless the host compiles nothing")
-    sub.add_argument("--json", action="store_true",
-                     help="print the machine-readable report")
-    sub.set_defaults(func=cmd_prewarm)
 
     sub = subparsers.add_parser("disasm", help="disassemble an SBF image")
     sub.add_argument("image")

@@ -57,6 +57,11 @@ def encode(inst: Instruction) -> bytes:
     return _STRUCT.pack(inst.opcode, inst.rd, inst.rs1, inst.rs2, inst.imm)
 
 
+#: ``pack_word(opcode, rd, rs1, rs2, imm)``: :func:`encode` from the
+#: fields, with no :class:`Instruction` built and none of its checks.
+pack_word = _STRUCT.pack
+
+
 def decode(data: bytes, offset: int = 0) -> Instruction:
     """Decode a single instruction from ``data`` at byte ``offset``."""
     word = bytes(data[offset : offset + INSTRUCTION_SIZE])

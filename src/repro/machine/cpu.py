@@ -26,7 +26,8 @@ import textwrap
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional
 
-from repro.isa.encoding import decode
+from repro.isa.encoding import decode, encode_all
+from repro.isa import instructions as ins
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa import registers as regs
 from repro.isa.opcodes import Opcode
@@ -34,6 +35,7 @@ from repro.loader.linker import LoadedProcess
 from repro.loader.mapper import to_signed_word
 from repro.machine.costs import CostModel, DEFAULT_COST_MODEL
 from repro.machine.syscalls import (
+    SYS_EXIT,
     OSState,
     SyscallResult,
     dispatch_syscall,
@@ -48,6 +50,11 @@ HEAP_SIZE = 4 << 20
 #: mapping (so the VM treats them as unbacked, never-persisted code) that
 #: a spawned thread returns into if its entry function simply ``ret``s.
 THREAD_EXIT_STUB = 0x7FF0_0000
+#: The shim's code, encoded once: ``movi rv, SYS_EXIT; movi a0, 0;
+#: syscall``.
+_THREAD_EXIT_CODE = encode_all(
+    [ins.movi(regs.RV, SYS_EXIT), ins.movi(regs.A0, 0), ins.syscall()]
+)
 
 #: Gap between consecutive per-thread stacks.
 _THREAD_STACK_STRIDE = STACK_SIZE + 0x1_0000
@@ -154,15 +161,8 @@ class Machine:
         self.registers[regs.FP] = self.registers[regs.SP]
         self.threads.append(Thread(tid=1, registers=self.registers))
         self.os_state.current_tid = 1
-        # Thread-exit shim: movi rv, SYS_EXIT; movi a0, 0; syscall.
-        from repro.isa import instructions as _ins
-        from repro.isa.encoding import encode_all as _encode_all
-        from repro.machine.syscalls import SYS_EXIT as _SYS_EXIT
-
         stub = space.map_anonymous(THREAD_EXIT_STUB, 64, name="[thread-exit]")
-        stub.data[:24] = _encode_all(
-            [_ins.movi(regs.RV, _SYS_EXIT), _ins.movi(regs.A0, 0), _ins.syscall()]
-        )
+        stub.data[:len(_THREAD_EXIT_CODE)] = _THREAD_EXIT_CODE
 
     # -- threading ---------------------------------------------------------
 

@@ -271,9 +271,9 @@ class SharedBodyStore:
         self.events_reported = 0
         #: prefix → (stat signature, parsed entries) revalidated cache.
         self._shard_cache: Dict[str, tuple] = {}
-        # The store and the root its pools live under; the pool keyed
-        # for this VM appears when ``publish`` first writes to it.
-        self.storage.makedirs(os.path.join(directory, BODIES_DIR))
+        # Only the store itself: ``bodies/`` and the pool keyed for this
+        # VM appear when ``publish`` first writes to them.
+        self.storage.makedirs(directory)
 
     # -- paths ---------------------------------------------------------------
 

@@ -22,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.isa.encoding import encode_all
+from repro.isa.encoding import encode_all, pack_word
 from repro.isa.instructions import Instruction
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
+from repro.isa.opcodes import Opcode
 from repro.machine.costs import CostModel
 from repro.vm.client import InstrumentationPoint, PointKind, Tool
 from repro.vm.trace import ExitKind, Trace, TraceExit
@@ -230,30 +231,18 @@ _JMP_DISPATCH = ins.jmp(0)
 
 #: Pre-encoded stub fragments.  Stub shape is fixed per exit (movi of the
 #: masked target + the dispatcher jump) and per point (NOP triple), so
-#: stub emission is pure byte concatenation: no Instruction objects are
-#: built and nothing is re-encoded on the translate path.  The bytes are
+#: stub emission packs one word per exit and concatenates fixed bytes:
+#: no Instruction objects are built on the translate path.  The bytes are
 #: identical to encoding the equivalent instruction list (``encode_all``
 #: is itself a concatenation of fixed-width packs).
 _JMP_DISPATCH_BYTES = encode_all([_JMP_DISPATCH])
 _POINT_STUB_BYTES = encode_all([_NOP] * STUB_INSTS_PER_POINT)
 
-#: Per-target exit-stub bytes (movi+jmp), keyed by the masked target.
-#: Targets repeat heavily across traces (shared call/return sites), so
-#: the memo turns the dominant stub cost into one dict probe.  Keyed on
-#: the literal value baked into the bytes — addresses cannot stale.
-_EXIT_STUB_MEMO: Dict[int, bytes] = {}
-_EXIT_STUB_MEMO_CAP = 1 << 15
-
 
 def _exit_stub_bytes(target: int) -> bytes:
-    blob = _EXIT_STUB_MEMO.get(target)
-    if blob is None:
-        if len(_EXIT_STUB_MEMO) >= _EXIT_STUB_MEMO_CAP:
-            _EXIT_STUB_MEMO.clear()
-        blob = _EXIT_STUB_MEMO[target] = (
-            encode_all([ins.movi(regs.AT, target)]) + _JMP_DISPATCH_BYTES
-        )
-    return blob
+    """One exit's stub: ``movi at, target`` packed from its fields, then
+    the dispatcher jump."""
+    return pack_word(Opcode.MOVI, regs.AT, 0, 0, target) + _JMP_DISPATCH_BYTES
 
 
 def _stub_code_bytes(trace: Trace, n_points: int) -> bytes:

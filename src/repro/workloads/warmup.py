@@ -21,9 +21,8 @@ Each app here is built to that profile:
 * a small hot kernel afterwards so steady state exists but stays cheap
   (TTFO, not throughput, is what this family times).
 
-The corpus doubles as the ``repro prewarm`` gate corpus: apps are
-rebuilt *by name* inside worker processes (images are deterministic per
-seed), so only strings ever cross the process boundary.
+Apps are built *by name* and deterministically per seed, so a child
+process can rebuild any of them from its name alone.
 """
 
 from __future__ import annotations
@@ -36,10 +35,7 @@ from repro.machine.syscalls import SYS_WRITE
 from repro.workloads.builder import AppBuilder, FunctionCode, InputSpec
 from repro.workloads.harness import Workload
 
-#: ``name -> (seed, init blocks, block size, hot iterations)``.  Six
-#: apps so a prewarm sweep over ``--jobs 1/2/4`` has work to partition;
-#: seeds differ so the apps share no trace bodies (prewarm must compile
-#: each app, not coast on cross-app digest dedup).
+#: ``name -> (seed, init blocks, block size, hot iterations)``.
 WARMUP_APPS: Dict[str, Tuple[int, int, int, int]] = {
     "startup_a": (0xA11CE, 36, 96, 50),
     "startup_b": (0xB0B52, 36, 96, 50),
@@ -48,9 +44,6 @@ WARMUP_APPS: Dict[str, Tuple[int, int, int, int]] = {
     "startup_e": (0xE66E2, 28, 112, 50),
     "startup_f": (0xF00F3, 28, 112, 50),
 }
-
-#: Small corpus for smoke tests and the ``prewarm-smoke`` make target.
-TINY_APPS: Tuple[str, ...] = ("startup_a", "startup_b")
 
 #: The app the ``tiered_warmup`` bench family gates TTFO on (largest
 #: cold footprint of the six).

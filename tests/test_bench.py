@@ -167,8 +167,6 @@ _FLIPS = [
     ("tiered_warmup", "identical_results", False),
     ("tiered_warmup", "oracle_identical", False),
     ("tiered_warmup", "ttfo_ratio_x", 0.7),
-    ("tiered_warmup", "prewarm_warm_host_compiles", 1),
-    ("tiered_warmup", "jobs_monotonic_ok", False),
     ("transparency", "identical_results", False),
     ("transparency", "oracle_identical", False),
     ("transparency", "stale_reads", 1),

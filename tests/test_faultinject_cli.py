@@ -180,14 +180,6 @@ class TestDatabaseErrors:
         assert isinstance(message, str) and "\n" not in message
         assert "cannot open cache database" in message
 
-    def test_prewarm_unwritable_pcache(self, tmp_path, capsys):
-        path = self.unwritable(tmp_path)
-        code = main(["prewarm", "--pcache", path, "--corpus", "tiny"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1, err
-        assert "cannot open cache database" in err
-
     def test_run_unwritable_shared_store(self, tmp_path):
         db = tmp_path / "db"
         store = self.unwritable(tmp_path)
@@ -197,17 +189,6 @@ class TestDatabaseErrors:
         message = excinfo.value.code
         assert isinstance(message, str) and "\n" not in message
         assert "cannot open shared store %s" % store in message
-        assert not db.exists()
-
-    def test_prewarm_unwritable_shared_store(self, tmp_path, capsys):
-        db = tmp_path / "db"
-        store = self.unwritable(tmp_path)
-        code = main(["prewarm", "--pcache", str(db), "--corpus", "tiny",
-                     "--shared-store", store])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert err.count("\n") == 1, err
-        assert "cannot open shared store %s" % store in err
         assert not db.exists()
 
 
@@ -255,10 +236,11 @@ class TestReplayLogErrors:
 
 
 class TestRemovedDaemonEntryPoints:
-    """The cache-server daemon's two entry points were removed.  Each
-    old command line ends in one stderr line that names the removal and
-    points to ``--shared-store DIR``: exit 1, no traceback, and nothing
-    created, neither the store nor a ``daemon:`` directory."""
+    """Removed entry points: the cache-server daemon's ``cache serve``
+    and ``--shared-store daemon://DIR``, and ``prewarm``.  Each old
+    command line, ``--help`` included, ends in one stderr line that
+    names the removal and points to ``--shared-store DIR``: exit 1, no
+    traceback, and nothing created, neither a database nor a store."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -267,9 +249,14 @@ class TestRemovedDaemonEntryPoints:
          ("prewarm", "--pcache", "D", "--corpus", "tiny",
           "--shared-store", "daemon://S"),
          ("cache", "serve", "S"),
-         ("cache", "serve", "S", "--detach")],
+         ("cache", "serve", "S", "--detach"),
+         ("prewarm",),
+         ("prewarm", "--help"),
+         ("prewarm", "--pcache", "D", "--jobs", "2", "--corpus", "tiny",
+          "--shared-store", "S", "--verify", "--json")],
         ids=["run-daemon-store", "prewarm-daemon-store", "cache-serve",
-             "cache-serve-detach"],
+             "cache-serve-detach", "prewarm", "prewarm-help",
+             "prewarm-all-options"],
     )
     def test_one_line_exit_one_nothing_created(self, tmp_path, argv):
         env = dict(os.environ)
@@ -287,6 +274,8 @@ class TestRemovedDaemonEntryPoints:
         assert "--shared-store DIR" in done.stderr
         assert done.stdout == ""
         assert os.listdir(tmp_path) == []
+        if argv[0] == "prewarm":
+            assert "repro run --pcache DIR --shared-store DIR" in done.stderr
 
 
 def tree_bytes(directory: str) -> dict:
@@ -694,6 +683,20 @@ class TestReadOnlyStoreFsck:
         assert done.returncode == 0, done.stderr
         assert "stale-keytag" in done.stdout
         assert tree_listing(directory) == before
+
+    def test_fsck_of_a_registry_only_store_creates_nothing(self, tmp_path):
+        """A store that no run has published to holds only its
+        registry: opening it to check makes no ``bodies/``."""
+        directory = tmp_path / "store"
+        directory.mkdir()
+        (directory / "registry.json").write_text(
+            json.dumps({"version": 1, "databases": []})
+        )
+        before = tree_listing(str(directory))
+        done = TestDamagedIndex.shell("cache", "fsck", str(directory))
+        assert done.returncode == 0, done.stderr
+        assert "empty shared store" in done.stdout
+        assert tree_listing(str(directory)) == before == ["registry.json"]
 
     def test_corrupt_registry_moves_only_under_quarantine(self, tmp_path):
         directory = self.store_with_foreign_pool(tmp_path)

@@ -139,9 +139,16 @@ class TestLayout:
         assert shard_prefix("abcdef") == "abcdef"[:SHARD_PREFIX_LEN]
 
     def test_is_shared_store_discriminates(self, store, tmp_path):
+        """A store is known by its ``registry.json`` or its ``bodies/``,
+        and opening one writes neither."""
+        assert os.listdir(store.directory) == []
+        db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
         assert is_shared_store(store.directory)
-        db = CacheDatabase(str(tmp_path / "db"))
         assert not is_shared_store(db.directory)
+        pool_only = SharedBodyStore(str(tmp_path / "pool-only"), VM_VERSION)
+        pool_only.publish({digest_for(1): b"one"})
+        assert os.listdir(pool_only.directory) == [BODIES_DIR]
+        assert is_shared_store(pool_only.directory)
 
 
 class TestLookupPublish:

@@ -18,7 +18,11 @@ design promises:
   referenced body;
 * **end-to-end equivalence** — concurrent sessions sharing one store
   produce bit-identical ``VMRunResult`` observables to the
-  single-process private-sidecar path.
+  single-process private-sidecar path;
+* **one database, many writers** — processes running different apps
+  write back one database and one store at once (index, sidecar and
+  shards all lock → re-read → merge), and afterwards every app starts
+  warm from them.
 
 Process counts default to the acceptance floor (>=4 concurrent
 processes) and can be reduced for constrained CI via
@@ -38,6 +42,7 @@ from repro.persist.sharedstore import SharedBodyStore
 from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.harness import run_vm
+from repro.workloads.warmup import WARMUP_APPS, build_warmup_workload
 
 from tests.test_persist_manager import mini_workload
 from tests.test_sharedstore import write_reference_index
@@ -190,6 +195,11 @@ def test_unreferenced_pool_survives_concurrent_gc_without_corruption(tmp_path):
     assert final.fsck().clean
 
 
+def observable(result) -> tuple:
+    return (result.output, result.exit_status, result.instructions,
+            vars(result.stats))
+
+
 def session_worker(store_dir: str, db_dir: str, out_path: str) -> None:
     """One concurrent consumer session: fresh DB, shared store, compiled
     dispatch.  Pickles the run observables for the parent to compare."""
@@ -204,12 +214,7 @@ def session_worker(store_dir: str, db_dir: str, out_path: str) -> None:
         vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
     payload = {
-        "observable": (
-            result.output,
-            result.exit_status,
-            result.instructions,
-            vars(result.stats),
-        ),
+        "observable": observable(result),
         "host_compiles": result.persistence_report["sidecar_host_compiles"],
         "shared_hits": result.persistence_report["shared_hits"],
     }
@@ -229,12 +234,7 @@ def test_concurrent_sessions_match_private_sidecar_path(tmp_path):
         persistence=PersistenceConfig(database=reference_db),
         vm_config=VMConfig(dispatch_mode="compiled", compile_threshold=1),
     )
-    expected = (
-        reference.output,
-        reference.exit_status,
-        reference.instructions,
-        vars(reference.stats),
-    )
+    expected = observable(reference)
 
     store_dir = str(tmp_path / "store")
     SharedBodyStore(store_dir, vm_version=VM_VERSION)
@@ -266,6 +266,82 @@ def test_concurrent_sessions_match_private_sidecar_path(tmp_path):
     assert final["observable"] == expected
     assert final["host_compiles"] == 0
     assert final["shared_hits"] > 0
+
+
+def app_run(name: str, db_dir: str, store_dir=None, readonly=False):
+    """One run of warm-up app ``name`` at compile threshold 1 against
+    ``db_dir`` (and the store at ``store_dir``, if given), with an empty
+    factory memo, so every body comes from disk or a host compile."""
+    store = (SharedBodyStore(store_dir, vm_version=VM_VERSION)
+             if store_dir else None)
+    clear_code_object_cache()
+    return run_vm(
+        build_warmup_workload(name),
+        "default",
+        persistence=PersistenceConfig(
+            database=CacheDatabase(db_dir, shared_store=store),
+            readonly=readonly,
+        ),
+        vm_config=VMConfig(compile_threshold=1),
+    )
+
+
+def app_writer_worker(name, db_dir, store_dir, out_path, start) -> None:
+    """One cold writer: waits at ``start`` so that every writer opens
+    the database before any writes back, then pickles its observables."""
+    start.wait(timeout=60)
+    result = app_run(name, db_dir, store_dir)
+    with open(out_path, "wb") as fh:
+        fh.write(pickle.dumps(observable(result)))
+
+
+def app_warm_worker(name, db_dir, store_dir, out_path) -> None:
+    """Read-only warm runs of ``name`` in a fresh process: with the
+    store attached (the store serves every body), then from the
+    database alone (its index and sidecar serve every trace and body)."""
+    runs = []
+    for store in (store_dir, None):
+        result = app_run(name, db_dir, store, readonly=True)
+        runs.append(dict(result.host.to_dict(), observable=observable(result),
+                         traces_translated=result.stats.traces_translated))
+    with open(out_path, "wb") as fh:
+        fh.write(pickle.dumps(runs))
+
+
+def test_one_database_many_writers(tmp_path):
+    """Different apps write back one database and one store at once.
+    Nothing a writer stored is lost: both fscks are clean, each app's
+    run matches its private-sidecar run, and every app then runs warm
+    in a fresh process without translating, compiling or publishing."""
+    apps = sorted(WARMUP_APPS)[:max(2, WRITERS)]
+    db_dir = str(tmp_path / "db")
+    store_dir = str(tmp_path / "store")
+    start = mp_context().Barrier(len(apps))
+    cold = {name: str(tmp_path / ("cold-%s.pkl" % name)) for name in apps}
+    run_workers([(app_writer_worker, (name, db_dir, store_dir, cold[name],
+                                      start)) for name in apps])
+    assert CacheDatabase(db_dir).fsck().clean
+    assert SharedBodyStore(store_dir, vm_version=VM_VERSION).fsck().clean
+    references = {}
+    for name in apps:
+        reference = app_run(name, str(tmp_path / ("private-" + name)))
+        references[name] = observable(reference)
+        with open(cold[name], "rb") as fh:
+            assert pickle.loads(fh.read()) == references[name], name
+
+    warm = {name: str(tmp_path / ("warm-%s.pkl" % name)) for name in apps}
+    run_workers([(app_warm_worker, (name, db_dir, store_dir, warm[name]))
+                 for name in apps])
+    for name in apps:
+        with open(warm[name], "rb") as fh:
+            with_store, database_alone = pickle.loads(fh.read())
+        for run in (with_store, database_alone):
+            assert run["traces_translated"] == 0, name
+            assert run["host_compiles"] == 0, name
+            assert run["shared_publishes"] == 0, name
+            assert run["observable"][:3] == references[name][:3], name
+        assert with_store["shared_misses"] == 0, name
+        assert with_store["shared_hits"] > 0, name
 
 
 def test_acceptance_floor_is_at_least_four_processes():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
+from repro.isa.encoding import encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.vm.client import InstrumentationPoint, PointKind, Tool
@@ -17,6 +18,7 @@ from repro.vm.translator import (
     TRACE_OBJECT_BYTES,
     TranslatedTrace,
     Translator,
+    _exit_stub_bytes,
     compute_liveness,
     index_links,
 )
@@ -133,6 +135,14 @@ class TestTranslation:
         plain = self._translate(trace).translated
         instrumented = self._translate(trace, _TwoPointTool()).translated
         assert instrumented.code_size > plain.code_size
+
+    @pytest.mark.parametrize("target", [0, 1, 0x1234, 0x7FFFFFFF])
+    def test_exit_stub_is_the_encoded_movi_and_jump(self, target):
+        """The stub packed from its fields is the two instructions it
+        stands for, byte for byte."""
+        assert _exit_stub_bytes(target) == encode_all(
+            [ins.movi(regs.AT, target), ins.jmp(0)]
+        )
 
 
 class TestLinkSlots:

@@ -11,8 +11,9 @@ import struct
 
 import pytest
 
-from repro.isa import encoding
+from repro.isa import encoding, instructions
 from repro.isa.encoding import decode_all
+from repro.isa.instructions import Instruction
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.machine.cpu import Machine
 from repro.persist.cachefile import PersistentCache
@@ -105,8 +106,8 @@ def test_warm_gui_runs_build_no_instructions(gui_apps, tmp_path,
 
 def test_cold_gui_runs_build_no_instructions(gui_apps, monkeypatch):
     """A cold NullTool run of each GUI app selects and translates every
-    trace from its code bytes: nothing fetches a pc, decodes a word or
-    reads a trace's instructions."""
+    trace from its code bytes: nothing fetches a pc, decodes a word,
+    reads a trace's instructions or builds any other Instruction."""
     built = []
 
     def refuse(*args, **kwargs):
@@ -116,6 +117,9 @@ def test_cold_gui_runs_build_no_instructions(gui_apps, monkeypatch):
     monkeypatch.setattr(Machine, "fetch", refuse)
     monkeypatch.setattr(encoding, "decode", refuse)
     monkeypatch.setattr(Trace, "instructions", property(refuse))
+    # The constructor and the decoder's shortcut past its checks.
+    monkeypatch.setattr(Instruction, "__init__", refuse)
+    monkeypatch.setattr(instructions, "_new", refuse)
     for name, app in sorted(gui_apps.items()):
         cold = run_vm(app, "startup", tool=NullTool())
         assert cold.exit_status == app.input("startup").exit_status, name
