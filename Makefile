@@ -89,8 +89,9 @@ replay-smoke:
 # corpus, and a patched word selected again after its trace's
 # eviction: SMC transparency rests on selection reading the current
 # code bytes), plus
-# the transparency bench family's --check gate — every dispatch tier
-# bit-identical to the interpreted oracle on the adversarial corpus,
+# the transparency bench family's --check gate — compiled dispatch at
+# compile threshold 1 and the default tier-up, both bit-identical to
+# the interpreted oracle on the adversarial corpus,
 # zero stale code-byte reads cold and warm (sidecar and shared
 # store), each warm leg reviving bodies from the layer it names, and
 # the SMC detector engaged on every churner.

@@ -538,7 +538,7 @@ def _indirect_heavy(scratch_dir: str) -> Sweep:
 
 
 def _link_lines(family: dict) -> List[str]:
-    lines = ["trace_linking chain corpora (linked compiled tier):"]
+    lines = ["trace_linking chain corpora (compiled tier):"]
     for corpus, link in sorted(family["link_per_corpus"].items()):
         lines.append(
             "  %-10s direct hops %-7d region entries/hops %d/%d  "
@@ -552,9 +552,7 @@ def _link_lines(family: dict) -> List[str]:
 
 @_family(
     "trace_linking",
-    ("nolink", "linked"),
     checks=(
-        Check("oracle_identical"),
         Check("link_bounces", "==", 0),
         Check("regions_fused", ">", 0),
         Check("speedup_trimmed_x", ">=", 1.3, quiet=True),
@@ -562,56 +560,38 @@ def _link_lines(family: dict) -> List[str]:
     cells=lambda f: {
         "bounces": "%d" % f["link_bounces"],
         "regions": "%d" % f["regions_fused"],
-        "oracle": str(f["oracle_identical"]),
     },
     details=_link_lines,
 )
 def _trace_linking(scratch_dir: str) -> Sweep:
-    """Chain-heavy corpora (:mod:`repro.workloads.chains`): linked vs.
-    unlinked compiled dispatch, no persistence.
+    """Chain-heavy corpora (:mod:`repro.workloads.chains`): interpreted
+    vs. compiled dispatch, no persistence.
 
-    Both modes run the compiled tier: ``nolink`` disables the chain
-    trampoline (``trace_linking=False``), ``linked`` enables direct-exit
-    linking plus superblock fusion.  Both execute identical simulated
-    work (the trampoline and the fused regions are host-side only), so
-    ``identical_results`` compares them, and ``oracle_identical``
-    additionally pins every linked sweep against the interpreted oracle.
-    The linked sweep's per-corpus link/region counters
-    (``link_per_corpus``) let the gate require zero dispatcher bounces
-    and engaged fusion rather than read the speedup alone.
+    The compiled mode chains closures through patched direct exits and
+    fuses stable hot chains into superblock regions.  Both are host-side
+    only, so ``identical_results`` pins every compiled sweep against the
+    interpreted oracle.  The compiled sweep's per-corpus link/region
+    counters (``link_per_corpus``) let the gate require zero dispatcher
+    bounces and engaged fusion rather than read the speedup alone.
     """
     from repro.workloads.chains import build_chain_suite
 
     cases = [(name, workload, "run")
              for name, workload in sorted(build_chain_suite().items())]
-    oracle_sigs = {
-        name: _result_signature(
-            run_vm(workload, input_name,
-                   vm_config=VMConfig(dispatch_mode="interpreted"))
-        )
-        for name, workload, input_name in cases
-    }
-    diverged: List[str] = []
-
-    def config(mode: str) -> VMConfig:
-        return VMConfig(dispatch_mode="compiled",
-                        trace_linking=(mode == "linked"))
 
     def collect(mode: str, results: list) -> Dict[str, object]:
-        if mode != "linked":
+        if mode != "compiled":
             return {}
-        per_corpus = {}
-        for (name, _workload, _input), result in zip(cases, results):
-            per_corpus[name] = _host_group(result, "links")
-            if _result_signature(result) != oracle_sigs[name]:
-                diverged.append(name)
+        per_corpus = {
+            name: _host_group(result, "links")
+            for (name, _workload, _input), result in zip(cases, results)
+        }
         totals = {key: sum(c[key] for c in per_corpus.values())
                   for key in ("link_bounces", "regions_fused",
                               "chained_exits")}
-        return dict(totals, oracle_identical=not diverged,
-                    link_per_corpus=per_corpus)
+        return dict(totals, link_per_corpus=per_corpus)
 
-    return _case_sweep(cases, config, collect=collect)
+    return _case_sweep(cases, _config, collect=collect)
 
 
 def _record_overhead_pct(family: dict) -> float:
@@ -739,9 +719,8 @@ def _transparency(scratch_dir: str) -> Sweep:
     The extras carry the actual transparency audit:
 
     * every workload's full signature (output, exit status, every
-      VMStats counter) under compiled and linked dispatch at compile
-      threshold 1 and under the default tier-up, against the
-      interpreted oracle;
+      VMStats counter) under compiled dispatch at compile threshold 1
+      and under the default tier-up, against the interpreted oracle;
     * the self-observing workloads (everything but the clock probe)
       byte-compared against the *native* oracle — their outputs fold
       every code byte they read and every self-write they observe, so
@@ -761,7 +740,7 @@ def _transparency(scratch_dir: str) -> Sweep:
     the warm-restart check by design: its output embeds raw
     ``SYS_CLOCK`` deltas, which legitimately differ native vs. VM (the
     probe *detects* the DBI's cost — transparency here means the deltas
-    are bit-identical across all four VM tiers, which the oracle check
+    are bit-identical across every VM tier, which the oracle check
     enforces) and cold vs. warm (persisted traces change the cost of a
     run; that is the point of the cache).
     """
@@ -778,8 +757,7 @@ def _transparency(scratch_dir: str) -> Sweep:
     ordered = sorted(suite.items())
 
     tier_configs = {
-        "compiled": VMConfig(trace_linking=False, compile_threshold=1),
-        "linked": VMConfig(compile_threshold=1),
+        "compiled": VMConfig(compile_threshold=1),
         "tiered": VMConfig(),
     }
 

@@ -597,6 +597,15 @@ def _add_removed(subparsers, name: str, message: str) -> None:
     sub.set_defaults(func=cmd_removed, removed=message)
 
 
+def _name_live_commands(subparsers) -> None:
+    """Name only live commands in the usage: argparse lists every
+    registered choice there unless the action has a metavar."""
+    subparsers.metavar = "{%s}" % ",".join(
+        name for name, sub in subparsers.choices.items()
+        if sub.get_default("func") is not cmd_removed
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -740,6 +749,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--base", type=lambda v: int(v, 0), default=0)
     sub.set_defaults(func=cmd_disasm)
 
+    _name_live_commands(subparsers)
+    _name_live_commands(cache_sub)
     return parser
 
 

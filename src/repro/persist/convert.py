@@ -205,6 +205,7 @@ def revive_trace(
         liveness=list(persisted.liveness),
         links=[LinkSlot(exit=e) for e in exits],
         from_persistent=True,
+        demand_loaded=False,
         compiled_body=None,
     )
     index_links(translated)

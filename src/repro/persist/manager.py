@@ -552,14 +552,6 @@ class PersistentCacheSession:
         self._invalid_identities.add(persisted.identity)
 
     @staticmethod
-    def _touches_modified_page(resident, modified_pages) -> bool:
-        from repro.machine.cpu import CODE_PAGE_SHIFT
-
-        first = resident.trace.entry >> CODE_PAGE_SHIFT
-        last = (resident.trace.end - 1) >> CODE_PAGE_SHIFT
-        return any(page in modified_pages for page in range(first, last + 1))
-
-    @staticmethod
     def _base_of(process) -> Callable[[str], Optional[int]]:
         """``revive_trace``'s ``base_of`` for the process's mappings as
         they are now: each image path's load base, resolved once."""
@@ -592,9 +584,7 @@ class PersistentCacheSession:
         new_records: List[PersistedTrace] = []
         reused_records: List[PersistedTrace] = []
         for resident in cache.traces():
-            if modified_pages and self._touches_modified_page(
-                resident, modified_pages
-            ):
+            if modified_pages and resident.touches_pages(modified_pages):
                 # Self-modified code no longer matches the file on disk:
                 # "persistent caches only contain traces backed by a file
                 # on disk" (§3.2.1).

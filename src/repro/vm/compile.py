@@ -68,6 +68,10 @@ entry by :meth:`TraceCompiler.compile_entry`:
 * otherwise ``compile_threshold`` (:data:`DEFAULT_COMPILE_THRESHOLD`;
   1 compiles every trace at its first entry).
 
+The engine's dispatch loop counts an entry before it checks it, so the
+compile happens on the compile entry itself, whether the trace was
+reached through the translation map or handed over by a closure.
+
 Generated **closure factories** are memoized in a module-level table
 keyed by everything the source bakes in (uops, entry, links, points,
 cost constants), so retranslating the same code — a warm persistent run,
@@ -103,10 +107,9 @@ Two PR-7 extensions close the paper's trace-linking story:
 
 * **Direct-exit linking** — every direct exit now returns the successor
   *closure's trace* alongside its link slot, probed straight off the
-  slot's ``linked_resident`` seam.  The engine's chain trampoline
-  (:meth:`repro.vm.engine.Engine._execute_trace`) calls the successor's
-  closure immediately — a patched hot exit never re-enters the
-  dispatcher.  Safety is inherited, not re-invented: eviction/SMC/flush
+  slot's ``linked_resident`` seam.  The engine's dispatch loop
+  (:meth:`repro.vm.engine.Engine.run`) runs that successor next — a
+  patched hot exit never probes the translation map.  Safety is inherited, not re-invented: eviction/SMC/flush
   eagerly unlink every incoming slot (the interpreter's invariant), so
   a probe can never produce an evicted trace.
 * **Superblock regions** — a stable hot chain of direct-linked traces
@@ -153,7 +156,7 @@ from repro.vm.translator import TranslatedTrace
 #: cannot be specialized; the engine then runs it on the cold tier.
 UNCOMPILABLE = object()
 
-#: Trampoline hops through one final-exit link before the engine tries
+#: Chained exits through one final-exit link before the engine tries
 #: to fuse the chain downstream into a superblock region.  Low enough
 #: that steady-state loops fuse almost immediately, high enough that a
 #: cold path never pays region compilation.
@@ -847,7 +850,7 @@ class TraceCompiler:
         def final_exit(target_pc: int, steps: int, index: int) -> None:
             # The final direct exit (terminator or fall-through): probe
             # the link seam so a patched exit hands the successor trace
-            # straight to the engine's chain trampoline.
+            # straight to the engine's dispatch loop.
             if junction is not None:
                 if index != n - 1:
                     raise CompileError(

@@ -2,16 +2,18 @@
 
 :class:`Engine` runs a loaded process entirely under VM control, the way
 Pin does: *every* instruction executes from the software code cache, never
-from the original image.  The run loop is the dispatcher:
+from the original image.  The run loop is the one dispatcher for every
+execution tier:
 
-1. look the current original PC up in the translation map;
-2. on a miss, enter the VM (cost), select and translate a trace (cost),
-   insert and link it;
-3. execute the trace out of the code cache (translated-inst costs,
-   analysis-callback costs);
-4. leave the trace through one of its exits — directly to a linked trace
+1. on a translation-map miss, enter the VM (cost), select and translate
+   a trace (cost), insert and link it;
+2. execute the trace out of the code cache (translated-inst costs,
+   analysis-callback costs) on its tier: the interpreted oracle, the
+   cold tier, or its compiled closure;
+3. leave the trace through one of its exits — directly to a linked trace
    (free), through the indirect-target resolver (hash-lookup cost), via
-   syscall emulation, or back to the VM for a missing target.
+   syscall emulation, or back to the VM through one translation-map
+   probe, whose miss is step 1.
 
 A persistence session (see :mod:`repro.persist.manager`) can be attached;
 the engine calls its hooks at process start (cache lookup + preload), at
@@ -101,14 +103,6 @@ class VMConfig:
     #: exit status, and VMStats to the bit (see docs/performance.md);
     #: interpreted is the reference oracle, compiled the fast default.
     dispatch_mode: str = "compiled"
-    #: Chain compiled closures directly: a patched or IC-predicted exit
-    #: hands the successor's closure to the engine's trampoline instead
-    #: of re-entering the dispatcher, and stable hot chains fuse into
-    #: superblock region closures (repro.vm.compile).  Host-side only —
-    #: simulated ``VMStats`` are bit-identical either way; disabling
-    #: reverts to the one-closure-call-per-dispatch behavior (the bench
-    #: baseline for the trace_linking family).
-    trace_linking: bool = True
     #: Compiled-tier tier-up: a fresh trace runs on the cold tier for its
     #: first ``compile_threshold - 1`` entries and compiles on the next.
     #: Traces whose body needs no host ``compile()`` compile at entry 1,
@@ -286,18 +280,10 @@ class Engine:
                 evicted = _cache.evict_range(mapping.base, mapping.end)
                 # Traces of self-modified pages must not survive into the
                 # module's next (pristine) incarnation.
-                from repro.machine.cpu import CODE_PAGE_SHIFT
-
                 modified = machine.modified_code_pages
                 clean = [
                     resident for resident in evicted
-                    if not any(
-                        page in modified
-                        for page in range(
-                            resident.trace.entry >> CODE_PAGE_SHIFT,
-                            ((resident.trace.end - 1) >> CODE_PAGE_SHIFT) + 1,
-                        )
-                    )
+                    if not resident.touches_pages(modified)
                 ] if modified else evicted
                 if self.config.module_retention:
                     module_stash[key] = clean
@@ -326,41 +312,135 @@ class Engine:
         self.tool.on_start(machine)
 
         cost = self.cost_model
+        compiler = self._compiler
+        links = host.links
+        run_uops = context.run_uops
+        budget = self.config.max_instructions
         exit_status = 0
         pc: Optional[int] = process.entry_address
         # Program start: control begins inside the VM.
         stats.charge_dispatch(cost.vm_entry)
         stats.vm_entries += 1
-        arrived_resident: Optional[TranslatedTrace] = None
-
-        budget = self.config.max_instructions
+        resident = cache.lookup(pc)
+        # The trace whose closure handed ``resident`` over, and the slot
+        # it left through (None for an inline-cache prediction).
+        chained_from = chained_via = None
         while pc is not None:
             if stats.instructions_executed >= budget:
                 raise MachineFault("instruction budget exhausted", pc)
-            if arrived_resident is not None:
-                translated = arrived_resident
-                arrived_resident = None
+            translated = resident
+            if translated is None:
+                translated = self._translate_at(
+                    pc, machine, selector, translator, cache, stats
+                )
+            elif not translated.demand_loaded:
+                # Demand-page the persisted trace + its data structures.
+                stats.charge_persistence(
+                    cost.pcache_trace_load + cost.pcache_meta_load
+                )
+                translated.demand_loaded = True
+            translated.executions += 1
+
+            body = None
+            if compiler is not None:
+                body = translated.compiled_body
+                if body is None and translated.executions >= (
+                    translated.compile_at or compiler.compile_entry(translated)
+                ):
+                    body = compiler.compile(translated)
+                if chained_from is not None:
+                    # A closure handed this trace over.  The exit chained
+                    # if the trace runs compiled; an uncompilable trace
+                    # bounced, and one below its compile entry counts
+                    # nothing.
+                    if body is UNCOMPILABLE:
+                        links.link_bounces += 1
+                    elif body is not None:
+                        if chained_via is None:
+                            links.link_ic_hops += 1
+                        else:
+                            links.link_direct_hops += 1
+                            hops = chained_via.hop_count + 1
+                            chained_via.hop_count = hops
+                            # Only a hop through the trace's own final
+                            # exit heads a chain; a branch-taken side
+                            # exit, or a region's tail, walks nothing new.
+                            if (hops % REGION_FUSE_THRESHOLD == 0
+                                    and chained_via is chained_from.final_slot):
+                                self._maybe_fuse(chained_from, cache, compiler)
+                    chained_from = None
+
+            if body is not None and body is not UNCOMPILABLE:
+                pc, slot, event, resident = body()
+                if resident is not None:
+                    chained_from = translated
+                    chained_via = slot
+                    continue
             else:
-                translated = cache.lookup(pc)
-                if translated is None:
-                    translated = self._translate_at(
-                        pc, machine, selector, translator, cache, stats
+                # The cold tier runs a trace without analysis points as
+                # one run_uops call; everything else, and every trace
+                # under interpreted dispatch, runs on the oracle's
+                # per-uop loop.  Both return run_uops' (index, next_pc,
+                # event), and both leave through the same exits.
+                trace = translated.trace
+                uops = trace.uops
+                if compiler is None or translated.points_by_index:
+                    index, pc, event = self._step_uops(
+                        translated, context, stats, accounting
                     )
-            pc, exit_status, arrived_resident = self._execute_trace(
-                translated, context, machine, cache, stats, accounting,
-                exit_status
-            )
-            if (
-                pc is not None
-                and arrived_resident is None
-                and pc in cache
-            ):
-                # The exit found its target resident (indirect hit or
-                # post-emulation resume): no VM round-trip needed.
-                arrived_resident = cache.lookup(pc)
-            elif pc is not None and arrived_resident is None:
+                else:
+                    index, pc, event = run_uops(uops, trace.entry)
+                steps = index + 1
+                stats.instructions_executed += steps
+                stats.charge_exec(steps * cost.translated_inst)
+                slot = None
+                if event is None:
+                    # Opcode ranges: 0x30-0x33 conditional, >= 0x38
+                    # unconditional (see repro.isa.opcodes).
+                    op = uops[index][0]
+                    if (_COND_LO <= op <= _COND_HI
+                            and pc != trace.entry + steps * INSTRUCTION_SIZE):
+                        slot = translated.branch_slots[index]
+                    else:
+                        # The terminator, or the instruction-limit
+                        # fall-through.
+                        slot = translated.final_slot
+                        if (op >= _UNCOND_LO and slot is not None
+                                and slot.exit.kind == ExitKind.INDIRECT):
+                            stats.charge_exec(cost.indirect_resolution)
+                            stats.indirect_resolutions += 1
+                            slot = None
+
+            # Leave the trace: through syscall emulation, a patched link,
+            # or one translation-map probe.
+            link = None
+            if event is not None:
+                pc, exit_status = self._handle_syscall_exit(
+                    event, pc, machine, stats, exit_status
+                )
+                if pc is None:
+                    break
+            elif slot is not None:
+                resident = slot.linked_resident
+                if resident is not None:
+                    # Invariant: a linked_resident of a resident trace is
+                    # itself resident (eviction unlinks every incoming
+                    # slot).
+                    continue
+                if slot.exit.target == pc and slot.is_linkable:
+                    link = slot
+            resident = cache.lookup(pc)
+            if resident is None:
+                # Back to the VM: the next iteration translates.
                 stats.charge_dispatch(cost.vm_entry)
                 stats.vm_entries += 1
+            elif link is not None:
+                # Lazy linking: one VM round trip patches the exit, which
+                # chains for free from then on.
+                stats.charge_dispatch(cost.vm_entry + cost.link_patch)
+                stats.vm_entries += 1
+                stats.link_patches += 1
+                link.linked_resident = resident
 
         self.tool.on_exit(machine, exit_status)
         self._persist_hook("on_exit", stats, machine, cache, stats)
@@ -427,185 +507,30 @@ class Engine:
 
     # -- dispatch / trace execution -----------------------------------------------
 
-    def _execute_trace(
+    def _step_uops(
         self,
         translated: TranslatedTrace,
         context: ExecutionContext,
-        machine: Machine,
-        cache: CodeCache,
         stats: VMStats,
         accounting: ToolAccounting,
-        exit_status: int,
-    ) -> Tuple[Optional[int], int, Optional[TranslatedTrace]]:
-        """Run one trace out of the code cache.
+    ) -> Tuple[int, Optional[int], Optional[object]]:
+        """The interpreted oracle: run ``translated`` one ``step_uop``
+        call per uop, with its analysis callbacks.
 
-        Returns ``(next_pc, exit_status, next_resident)`` where
-        ``next_resident`` is the already-linked next trace when the exit
-        was a patched direct link (control never left the cache).
-
-        Three executors run the trace body (identically — see
-        docs/performance.md).  Compiled dispatch runs the trace's
-        specialized closure.  Tier-up: a trace without a closure runs on
-        the cold tier until its compile entry (decided at its first
-        entry, see
-        :meth:`~repro.vm.compile.TraceCompiler.compile_entry`) and
-        compiles on that entry; an uncompilable trace stays there.  The
-        cold tier runs a trace without analysis points as one
-        :meth:`~repro.machine.cpu.ExecutionContext.run_uops` call.
-        Everything else, and every trace under interpreted dispatch,
-        runs on the per-uop loop at the end, the reference oracle.  The
-        executors are bit-identical per execution, so mixing them
-        changes no simulated cost.
+        Leaves where :meth:`~repro.machine.cpu.ExecutionContext.run_uops`
+        leaves and returns what it returns, ``(index, next_pc, event)``;
+        the caller charges the executed uops.
         """
         cost = self.cost_model
-        if translated.from_persistent and not translated.demand_loaded:
-            # Demand-page the persisted trace + its data structures.
-            stats.charge_persistence(
-                cost.pcache_trace_load + cost.pcache_meta_load
-            )
-            translated.demand_loaded = True
-        translated.executions += 1
-
-        compiler = self._compiler
-        if compiler is not None:
-            body = translated.compiled_body
-            if body is None and translated.executions >= (
-                translated.compile_at or compiler.compile_entry(translated)
-            ):
-                body = compiler.compile(translated)
-            if body is not None and body is not UNCOMPILABLE:
-                if not self.config.trace_linking:
-                    # PR-5 behavior: one closure call per dispatch.
-                    next_pc, slot, event, resident = body()
-                    if event is not None:
-                        return self._handle_syscall_exit(
-                            event, next_pc, machine, stats, exit_status
-                        )
-                    if slot is not None:
-                        return self._leave_via_slot(
-                            slot, next_pc, cache, stats, exit_status
-                        )
-                    return next_pc, exit_status, resident
-                # The chain trampoline: while the exit hands back an
-                # already-resident successor (patched direct link or IC
-                # prediction), call its closure immediately — control
-                # never re-enters the dispatch loop.  Simulated charges
-                # are untouched: a linked exit was already free, and the
-                # demand-load/execution bookkeeping below mirrors this
-                # method's own preamble exactly.
-                links = self.host.links
-                budget = self.config.max_instructions
-                cur = translated
-                while True:
-                    next_pc, slot, event, resident = body()
-                    if event is not None:
-                        return self._handle_syscall_exit(
-                            event, next_pc, machine, stats, exit_status
-                        )
-                    if resident is None:
-                        break
-                    if stats.instructions_executed >= budget:
-                        # Hand the resident back: the dispatch loop's
-                        # budget check raises at exactly the pc the
-                        # interpreted tier would have faulted at.
-                        return next_pc, exit_status, resident
-                    # A successor handed back to the dispatch loop gets
-                    # its demand-load/executions bookkeeping from the
-                    # preamble and runs interpreted there (no vm_entry
-                    # charge on the arrived_resident path — the same
-                    # simulated cost as continuing the chain).
-                    next_body = resident.compiled_body
-                    if next_body is None:
-                        if resident.executions + 1 < (
-                            resident.compile_at
-                            or compiler.compile_entry(resident)
-                        ):
-                            # Not yet at its compile entry: a cold
-                            # successor, not a bounce.
-                            return next_pc, exit_status, resident
-                        next_body = compiler.compile(resident)
-                    if next_body is UNCOMPILABLE:
-                        links.link_bounces += 1
-                        return next_pc, exit_status, resident
-                    if resident.from_persistent and not resident.demand_loaded:
-                        stats.charge_persistence(
-                            cost.pcache_trace_load + cost.pcache_meta_load
-                        )
-                        resident.demand_loaded = True
-                    resident.executions += 1
-                    if slot is not None:
-                        links.link_direct_hops += 1
-                        hops = slot.hop_count + 1
-                        slot.hop_count = hops
-                        # Only a hop through ``cur``'s own final exit
-                        # heads a chain; a branch-taken side exit, or a
-                        # region's tail, would walk nothing new.
-                        if (hops % REGION_FUSE_THRESHOLD == 0
-                                and slot is cur.final_slot):
-                            self._maybe_fuse(cur, cache, compiler)
-                    else:
-                        links.link_ic_hops += 1
-                    cur = resident
-                    body = next_body
-                # Unlinked/unresolved exit: back to the dispatch protocol.
-                if slot is not None:
-                    return self._leave_via_slot(
-                        slot, next_pc, cache, stats, exit_status
-                    )
-                return next_pc, exit_status, None
-            # Uncompilable trace, or one below its compile entry: the
-            # cold tier.  Without analysis points the whole trace is one
-            # run_uops call, and it leaves through the oracle's exits.
-            # With points it runs on the oracle's loop below.
-            if not translated.points_by_index:
-                trace = translated.trace
-                uops = trace.uops
-                index, next_pc, event = context.run_uops(uops, trace.entry)
-                steps = index + 1
-                stats.instructions_executed += steps
-                stats.charge_exec(steps * cost.translated_inst)
-                if event is not None:
-                    return self._handle_syscall_exit(
-                        event, next_pc, machine, stats, exit_status
-                    )
-                op = uops[index][0]
-                if _COND_LO <= op <= _COND_HI:
-                    if next_pc != trace.entry + steps * INSTRUCTION_SIZE:
-                        return self._leave_via_slot(
-                            translated.branch_slots[index], next_pc, cache,
-                            stats, exit_status
-                        )
-                elif op >= _UNCOND_LO:
-                    final = translated.final_slot
-                    if (final is not None
-                            and final.exit.kind == ExitKind.INDIRECT):
-                        stats.charge_exec(cost.indirect_resolution)
-                        stats.indirect_resolutions += 1
-                        return next_pc, exit_status, None
-                    return self._leave_via_slot(
-                        final, next_pc, cache, stats, exit_status
-                    )
-                # Instruction-limit fall-through exit.
-                return self._leave_via_slot(
-                    translated.final_slot, next_pc, cache, stats, exit_status
-                )
-
-        # The interpreted oracle: one step_uop call per uop.
         trace = translated.trace
         uops = trace.uops
         entry = trace.entry
-        n = len(uops)
-        registers = machine.registers
+        last = len(uops) - 1
+        registers = context.machine.registers
         points_by_index = translated.points_by_index
         step_uop = context.step_uop
         acx = self._analysis_context
         index = 0
-        steps = 0  # per-inst charges are batched at every exit point
-
-        def flush_exec() -> None:
-            stats.instructions_executed += steps
-            stats.charge_exec(steps * cost.translated_inst)
-
         while True:
             if points_by_index:
                 points = points_by_index.get(index)
@@ -632,57 +557,29 @@ class Engine:
             uop = uops[index]
             pc_orig = entry + index * INSTRUCTION_SIZE
             next_pc, event = step_uop(uop, pc_orig)
-            steps += 1
             op = uop[0]
-
-            if event is not None:
-                flush_exec()
-                return self._handle_syscall_exit(
-                    event, next_pc, machine, stats, exit_status
-                )
-
-            # Opcode ranges: 0x30-0x33 conditional, >= 0x38 unconditional
-            # (see repro.isa.opcodes); integer compares keep this loop hot.
-            if _COND_LO <= op <= _COND_HI:
-                if next_pc != pc_orig + INSTRUCTION_SIZE:
-                    flush_exec()
-                    slot = translated.branch_slots[index]
-                    return self._leave_via_slot(
-                        slot, next_pc, cache, stats, exit_status
-                    )
-                # Fall through, stays inside the trace.
-            elif op >= _UNCOND_LO:
-                flush_exec()
-                final = translated.final_slot
-                if final is not None and final.exit.kind == ExitKind.INDIRECT:
-                    stats.charge_exec(cost.indirect_resolution)
-                    stats.indirect_resolutions += 1
-                    return next_pc, exit_status, None
-                return self._leave_via_slot(
-                    final, next_pc, cache, stats, exit_status
-                )
-
+            if (
+                event is not None
+                or op >= _UNCOND_LO
+                or index == last
+                or _COND_LO <= op <= _COND_HI
+                and next_pc != pc_orig + INSTRUCTION_SIZE
+            ):
+                return index, next_pc, event
             index += 1
-            if index >= n:
-                # Instruction-limit fall-through exit.
-                flush_exec()
-                final = translated.final_slot
-                return self._leave_via_slot(
-                    final, next_pc, cache, stats, exit_status
-                )
 
     def _maybe_fuse(self, cur, cache, compiler) -> None:
         """Try to fuse the stable hot chain headed by ``cur`` into a
         superblock region.
 
-        Called by the trampoline whenever the hop count of ``cur``'s
-        final-exit link crosses a multiple of
+        Called by the dispatch loop whenever a chained exit through
+        ``cur``'s final-exit link brings its hop count to a multiple of
         :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`.  ``cur`` never
         heads a live region here: a region body leaves through its
         head's final slot only when that link no longer reaches the
         second member, whose eviction dropped the region, or when the
-        instruction budget ran out, which the trampoline checks before
-        it counts the hop.  The walk follows final-exit links from
+        instruction budget ran out, which the loop checks before it
+        counts the hop.  The walk follows final-exit links from
         ``cur`` that are patched, consistent (the linked resident sits
         at the static target) and hot, stopping at cycles, members of a
         region, not-yet-demand-loaded persistent traces and
@@ -712,7 +609,7 @@ class Engine:
                 break  # not yet proven hot
             if cache.region_of(nxt.entry) is not None:
                 break  # belongs to a region
-            if nxt.from_persistent and not nxt.demand_loaded:
+            if not nxt.demand_loaded:
                 break  # keep demand-load charges out of fused bodies
             next_body = nxt.compiled_body
             if next_body is None:
@@ -743,12 +640,14 @@ class Engine:
         machine: Machine,
         stats: VMStats,
         exit_status: int,
-    ) -> Tuple[Optional[int], int, Optional[TranslatedTrace]]:
-        """Leave a trace through its SYSCALL/HALT exit (both tiers).
+    ) -> Tuple[Optional[int], int]:
+        """Leave a trace through its SYSCALL/HALT exit (every tier).
 
-        The caller has already flushed the trace's exec charges; this
+        The caller has already charged the trace's execution; this
         applies the emulation charges and the syscall's machine-level
         effects (module load/unload, thread scheduling, signal delivery).
+        Returns ``(next_pc, exit_status)``; ``next_pc`` is None once the
+        last thread exited.
         """
         cost = self.cost_model
         stats.charge_emulation(cost.syscall_emulation)
@@ -756,7 +655,7 @@ class Engine:
         result = event.syscall
         if result.dlopen is not None or result.dlclose is not None:
             apply_module_event(machine, result)
-            return next_pc, exit_status, None
+            return next_pc, exit_status
         if result.exited or result.spawn is not None or result.yielded:
             # Thread-affecting syscalls: possibly switch threads
             # (deterministic cooperative scheduling) or end the
@@ -764,44 +663,10 @@ class Engine:
             # the persistent-cache write-back point (§3.2.2).
             next_pc, status = apply_thread_event(machine, result, next_pc)
             if next_pc is None:
-                return None, status, None
-            return next_pc, exit_status, None
+                return None, status
+            return next_pc, exit_status
         if event.is_signal_delivery:
             stats.charge_emulation(cost.signal_emulation)
             stats.signals_emulated += 1
         # Trace ends at the syscall; resume through the map.
-        return next_pc, exit_status, None
-
-    def _leave_via_slot(
-        self,
-        slot,
-        next_pc: int,
-        cache: CodeCache,
-        stats: VMStats,
-        exit_status: int,
-    ) -> Tuple[Optional[int], int, Optional[TranslatedTrace]]:
-        """Exit a trace through a (possibly linked) direct slot.
-
-        A patched link chains straight to the next trace: one attribute
-        load (``linked_resident``, maintained by the code cache), no
-        translation-map lookup.  Unlinked exits whose target is already
-        resident take one VM round-trip to patch the link (lazy linking),
-        after which they chain for free.
-        """
-        if slot is None:
-            return next_pc, exit_status, None
-        target = slot.linked_resident
-        if target is not None:
-            # Invariant: a linked_resident of a resident trace is itself
-            # resident (eviction unlinks every incoming slot).
-            return next_pc, exit_status, target
-        if slot.is_linkable:
-            target = cache.lookup(slot.exit.target)
-            if target is not None:
-                cost = self.cost_model
-                stats.charge_dispatch(cost.vm_entry + cost.link_patch)
-                stats.vm_entries += 1
-                stats.link_patches += 1
-                slot.linked_resident = target
-                return next_pc, exit_status, target
-        return next_pc, exit_status, None
+        return next_pc, exit_status

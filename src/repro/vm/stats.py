@@ -62,25 +62,25 @@ class ICStats:
 @dataclass
 class LinkStats:
     """:class:`HostStats`' ``links`` group: the compiled tier's
-    cross-trace linking (the chain trampoline in :mod:`repro.vm.engine`
-    and the superblock regions of :mod:`repro.vm.compile`, whose bodies
-    write it in place as ``links.*``).
+    cross-trace linking (chained exits in :mod:`repro.vm.engine`'s
+    dispatch loop and the superblock regions of :mod:`repro.vm.compile`,
+    whose bodies write it in place as ``links.*``).
 
     Linked exits are free in simulated cycles under every tier (the
-    ``linked_resident`` seam), so the trampoline and regions are pure
-    host wall-clock machinery.
+    ``linked_resident`` seam), so chaining and regions are pure host
+    wall-clock machinery.
     """
 
-    #: Trampoline hops through a patched direct-exit slot: control went
-    #: closure -> closure without returning to the dispatch loop.
+    #: Chained exits through a patched direct-exit slot: a closure
+    #: handed its successor over, and the successor ran compiled, with
+    #: no translation-map probe.
     link_direct_hops: int = 0
-    #: Trampoline hops through an indirect-exit inline-cache prediction.
+    #: Chained exits through an indirect-exit inline-cache prediction.
     link_ic_hops: int = 0
-    #: Linked exits (slot patched or IC-resolved resident) that still
-    #: fell back to the dispatch loop because the successor is
-    #: uncompilable.  A successor below its compile entry also returns
-    #: to the loop, to run interpreted, but is not counted.  Zero on the
-    #: stable-chain corpus.
+    #: Linked exits (slot patched or IC-resolved resident) a closure
+    #: handed over whose successor is uncompilable, so it ran on the
+    #: cold tier.  A successor below its compile entry also runs there,
+    #: but is not counted.  Zero on the stable-chain corpus.
     link_bounces: int = 0
     #: Superblock regions fused from stable hot chains this run.
     regions_fused: int = 0

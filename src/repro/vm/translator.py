@@ -28,6 +28,7 @@ from repro.isa import instructions as ins
 from repro.isa import registers as regs
 from repro.isa.opcodes import Opcode
 from repro.machine.costs import CostModel
+from repro.machine.cpu import CODE_PAGE_SHIFT
 from repro.vm.client import InstrumentationPoint, PointKind, Tool
 from repro.vm.trace import ExitKind, Trace, TraceExit
 
@@ -82,7 +83,7 @@ class LinkSlot:
     linked_resident: Optional["TranslatedTrace"] = field(
         default=None, repr=False, compare=False
     )
-    #: Chain-hotness profile: trampoline hops taken through this slot
+    #: Chain-hotness profile: chained exits taken through this slot
     #: while patched (repro.vm.engine).  Host-side only — feeds the
     #: superblock-fusion threshold, never simulated accounting.  Reset
     #: on unlink (a re-formed link must re-prove stability); abandoned
@@ -126,8 +127,10 @@ class TranslatedTrace:
     links: List[LinkSlot] = field(default_factory=list)
     #: True when the trace came from a persistent cache, not translation.
     from_persistent: bool = False
-    #: Persisted traces are demand-paged: the first execution pays the load.
-    demand_loaded: bool = False
+    #: False until the trace's code and data structures are in memory.
+    #: A fresh translation is; a persisted trace is demand-paged, and its
+    #: first execution pays the load (repro.persist.convert sets False).
+    demand_loaded: bool = True
     executions: int = 0
     #: BRANCH_TAKEN link slots keyed by instruction index (dispatcher use).
     branch_slots: Dict[int, LinkSlot] = field(default_factory=dict)
@@ -153,6 +156,18 @@ class TranslatedTrace:
     def invalidate_compiled(self) -> None:
         """Drop the compiled-tier closure (trace eviction/invalidation)."""
         self.compiled_body = None
+
+    def touches_pages(self, pages) -> bool:
+        """True when a code page this trace's code covers is in
+        ``pages`` (e.g. ``Machine.modified_code_pages``)."""
+        trace = self.trace
+        return any(
+            page in pages
+            for page in range(
+                trace.entry >> CODE_PAGE_SHIFT,
+                ((trace.end - 1) >> CODE_PAGE_SHIFT) + 1,
+            )
+        )
 
     @property
     def entry(self) -> int:

@@ -1,18 +1,19 @@
 """Chain-heavy bench corpora for the ``trace_linking`` family.
 
-The compiled tier's cross-trace linking (:mod:`repro.vm.engine`'s chain
-trampoline) and superblock fusion (:mod:`repro.vm.compile`'s region
-closures) are wall-clock optimizations of exactly one control-flow
-shape: stable chains of traces connected by *direct* exits — ``jmp``
-relays and hot branch back-edges whose successor never changes.  This
-module builds the three corpora the wall-clock suite times, one per
-chain regime:
+The compiled tier's cross-trace linking (closures hand their linked
+successor straight to :mod:`repro.vm.engine`'s dispatch loop) and
+superblock fusion (:mod:`repro.vm.compile`'s region closures) are
+wall-clock optimizations of exactly one control-flow shape: stable
+chains of traces connected by *direct* exits — ``jmp`` relays and hot
+branch back-edges whose successor never changes.  This module builds
+the four corpora the wall-clock suite times, one per chain regime:
 
 * ``relay_4`` — four straight-line blocks in a ring, each ending in a
   ``jmp`` to the next, with a countdown back-branch closing the loop.
   The whole ring fits inside one superblock region
   (:data:`repro.vm.compile.REGION_MAX_MEMBERS`), so steady state is one
   region entry plus one back-edge hop per iteration.
+* ``relay_8`` — eight blocks, exactly one full region.
 * ``relay_12`` — twelve blocks, longer than a region may grow.  The
   fusion driver must cap the first region and fuse the tail into a
   second one; steady state crosses a region boundary every iteration.
@@ -149,7 +150,7 @@ def build_chain_app(
 
 
 def build_chain_suite() -> Dict[str, Workload]:
-    """The three ``trace_linking`` corpora, by name."""
+    """The four ``trace_linking`` corpora, by name."""
     return {
         name: build_chain_app(name, n_blocks, detour, iters)
         for name, n_blocks, detour, iters in CORPORA

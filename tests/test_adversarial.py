@@ -32,12 +32,9 @@ from repro.workloads.harness import run_native as run_workload_native
 from repro.workloads.harness import run_vm
 
 INTERPRETED = VMConfig(dispatch_mode="interpreted")
-# The compiled tiers compile every trace at its first entry, so IC and
+# The compiled tier compiles every trace at its first entry, so IC and
 # region mechanics engage; the default tier-up is audited separately.
-COMPILED = VMConfig(dispatch_mode="compiled", trace_linking=False,
-                    compile_threshold=1)
-LINKED = VMConfig(dispatch_mode="compiled", trace_linking=True,
-                  compile_threshold=1)
+COMPILED = VMConfig(dispatch_mode="compiled", compile_threshold=1)
 
 
 def _words(output: bytes):
@@ -62,7 +59,7 @@ class TestSuiteDifferential:
     def test_matches_native(self, suite, name):
         workload = suite[name]
         native = run_workload_native(workload, "run")
-        for config in (INTERPRETED, COMPILED, LINKED):
+        for config in (INTERPRETED, COMPILED):
             result = run_vm(workload, "run", vm_config=config)
             assert result.output == native.output, name
             assert result.exit_status == native.exit_status, name
@@ -78,11 +75,10 @@ class TestSuiteDifferential:
         dispatch tier that shifted mid-run clocks would hand the
         program a side channel distinguishing the tiers."""
         oracle = run_vm(suite["timer"], "run", vm_config=INTERPRETED)
-        for config in (COMPILED, LINKED):
-            result = run_vm(suite["timer"], "run", vm_config=config)
-            assert result.output == oracle.output
-            assert result.exit_status == oracle.exit_status
-            assert vars(result.stats) == vars(oracle.stats)
+        result = run_vm(suite["timer"], "run", vm_config=COMPILED)
+        assert result.output == oracle.output
+        assert result.exit_status == oracle.exit_status
+        assert vars(result.stats) == vars(oracle.stats)
         deltas = _words(oracle.output)
         assert all(delta > 0 for delta in deltas[:2])
 
@@ -144,7 +140,7 @@ class TestSMCOnICTarget:
         image = build_ic_smc_image()
         native = run_native(Machine(load_process(image)))
         assert _words(native.output) == [self.EXPECTED]
-        for config in (INTERPRETED, COMPILED, LINKED):
+        for config in (INTERPRETED, COMPILED):
             result = Engine(config=config).run(load_process(image))
             assert result.output == native.output
             assert result.exit_status == native.exit_status
@@ -166,14 +162,14 @@ class TestSMCOnRegionMember:
     def test_three_way_with_fusion(self):
         workload = build_adversarial_suite()["churn_region"]
         native = run_workload_native(workload, "run")
-        linked = run_vm(workload, "run", vm_config=LINKED)
-        assert linked.output == native.output
-        assert linked.exit_status == native.exit_status
+        compiled = run_vm(workload, "run", vm_config=COMPILED)
+        assert compiled.output == native.output
+        assert compiled.exit_status == native.exit_status
         # The attack only means something if the chain actually fused
         # before the patch landed on a member.
-        assert linked.link_stats.regions_fused > 0
-        assert linked.host.cache.region_invalidations > 0
-        assert linked.stats.smc_invalidations > 0
+        assert compiled.link_stats.regions_fused > 0
+        assert compiled.host.cache.region_invalidations > 0
+        assert compiled.stats.smc_invalidations > 0
 
 
 class TestChecksumAfterFlush:
@@ -182,10 +178,9 @@ class TestChecksumAfterFlush:
         code cache flushed and every trace was retranslated."""
         workload = build_adversarial_suite()["checksum"]
         native = run_workload_native(workload, "run")
-        for base in (INTERPRETED, COMPILED, LINKED):
+        for base in (INTERPRETED, COMPILED):
             config = VMConfig(
                 dispatch_mode=base.dispatch_mode,
-                trace_linking=base.trace_linking,
                 code_pool_bytes=2048,
                 data_pool_bytes=2048,
             )

@@ -161,7 +161,6 @@ _FLIPS = [
     ("indirect_heavy", "ic_per_corpus.alternating_pair.hit_rate", 0.0),
     ("indirect_heavy", "ic_per_corpus.rotating_3.hit_rate", 0.0),
     ("trace_linking", "identical_results", False),
-    ("trace_linking", "oracle_identical", False),
     ("trace_linking", "link_bounces", 1),
     ("trace_linking", "regions_fused", 0),
     ("tiered_warmup", "identical_results", False),

@@ -101,7 +101,8 @@ class CodeCacheMachine(RuleBasedStateMachine):
     @precondition(lambda self: self.resident)
     @rule(data=st.data(), hops=st.integers(1, 40))
     def take_hops(self, data, hops):
-        """Profile a patched slot, as the chain trampoline would."""
+        """Profile a patched slot, as the dispatch loop's chained exits
+        would."""
         entry = data.draw(st.sampled_from(sorted(self.resident)))
         for slot in self.resident[entry].links:
             if slot.is_linked:

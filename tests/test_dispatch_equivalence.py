@@ -559,8 +559,8 @@ class TestPolymorphicIC:
         assert filled and repeats == [], (name, repeats[:3])
         assert ics.fills == len(filled), ics
         assert ics.hit_rate > 0.99, ics
-        # An IC-predicted successor is trampolined, never handed back to
-        # the dispatch loop.
+        # An IC-predicted successor runs compiled: a chained exit, never
+        # a bounce.
         assert result.link_stats.link_bounces == 0, result.link_stats
         assert result.link_stats.link_ic_hops > 0
 
@@ -807,7 +807,7 @@ def build_chain_smc_image(iters=24):
 
     ``patchme`` sits alone on code page 0 (the filler pads everything
     else onto page 1) and is reached through a direct ``call`` — the
-    exact slot the chain trampoline patches and the fusion driver walks.
+    exact slot a closure chains through and the fusion driver walks.
     The loop runs long enough for the call slot to cross the fusion
     threshold (the two-trace chain call-site -> ``patchme`` fuses into a
     region), then the last iteration patches ``patchme[0]`` before the
@@ -865,64 +865,45 @@ def build_chain_smc_image(iters=24):
 class TestTraceLinking:
     """Cross-trace linking and superblock fusion: pure host-side.
 
-    Three tiers must agree bit-for-bit on every chain corpus:
-    interpreted (the oracle), compiled without linking (the PR-5
-    baseline, ``trace_linking=False``) and compiled with the chain
-    trampoline + region fusion.  :class:`~repro.vm.stats.LinkStats`
-    rides on ``VMRunResult.link_stats``, *outside* the signature,
-    exactly like the IC counters — the trampoline may never leak into
-    simulated observables.
+    The compiled tier, which chains closures through patched exits and
+    fuses regions, must agree bit-for-bit with the interpreted oracle on
+    every chain corpus.  :class:`~repro.vm.stats.LinkStats` rides on
+    ``VMRunResult.link_stats``, *outside* the signature, exactly like the
+    IC counters — chaining may never leak into simulated observables.
+
+    Every test starts from an empty factory memo: a memo hit compiles a
+    trace at its first entry, which moves where chains fuse (relay_4
+    fuses two regions right after a branchy_6 run in the same process,
+    and one from an empty memo).
     """
 
-    LINK_MODES = ("interpreted", "nolink", "linked")
-
-    @staticmethod
-    def _link_config(mode, **kwargs):
-        if mode == "interpreted":
-            return VMConfig(dispatch_mode="interpreted", **kwargs)
-        return VMConfig(
-            dispatch_mode="compiled",
-            trace_linking=(mode == "linked"),
-            **kwargs
-        )
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self):
+        clear_code_object_cache()
 
     def _suite(self):
         from repro.workloads.chains import build_chain_suite
 
         return build_chain_suite()
 
-    def assert_three_way(self, run_one, context=""):
-        """``run_one(mode)`` must produce identical signatures for the
-        oracle, the unlinked compiled tier and the linked one."""
-        results = {mode: run_one(mode) for mode in self.LINK_MODES}
-        base = signature(results["interpreted"])
-        for mode in ("nolink", "linked"):
-            sig = signature(results[mode])
-            for key in base:
-                assert base[key] == sig[key], (context, mode, key)
-        return results
-
     def test_chain_corpora_three_way(self):
-        """Every bench corpus: three-way bit-identity, the stable
+        """Every bench corpus: bit-identity with the oracle, the stable
         chains never bounce through the dispatcher, and fusion engages
         (the ``trace_linking`` family's correctness gate)."""
         for name, workload in sorted(self._suite().items()):
-            results = self.assert_three_way(
+            results = assert_equivalent(
                 lambda mode, wl=workload: run_vm(
-                    wl, "run", vm_config=self._link_config(mode)
+                    wl, "run", vm_config=_config(mode)
                 ),
                 context=("chain-corpus", name),
             )
-            links = results["linked"].link_stats
+            links = results["compiled"].link_stats
             assert links.link_bounces == 0, (name, links)
             assert links.link_direct_hops > 0, name
             assert links.regions_fused > 0, name
             assert links.region_entries > 0, name
             assert links.region_hops > 0, name
-            # Linking machinery must stay cold when disabled, and the
-            # oracle has none at all.
-            assert results["nolink"].link_stats.chained_exits == 0, name
-            assert results["nolink"].link_stats.regions_fused == 0, name
+            # The oracle has no linking machinery at all.
             assert results["interpreted"].link_stats.chained_exits == 0
 
     def test_relay_ring_fuses_into_one_region(self):
@@ -930,9 +911,7 @@ class TestTraceLinking:
         plus one back-edge hop per iteration, with zero per-exit
         dispatcher re-entries (the acceptance criterion)."""
         workload = self._suite()["relay_4"]
-        result = run_vm(
-            workload, "run", vm_config=self._link_config("linked")
-        )
+        result = run_vm(workload, "run", vm_config=_config("compiled"))
         links = result.link_stats
         assert links.link_bounces == 0, links
         assert links.regions_fused == 1, links
@@ -947,9 +926,7 @@ class TestTraceLinking:
         from repro.vm.compile import REGION_MAX_MEMBERS
 
         workload = self._suite()["relay_12"]
-        result = run_vm(
-            workload, "run", vm_config=self._link_config("linked")
-        )
+        result = run_vm(workload, "run", vm_config=_config("compiled"))
         links = result.link_stats
         assert links.regions_fused >= 2, links
         assert links.link_bounces == 0, links
@@ -958,14 +935,14 @@ class TestTraceLinking:
     def test_smc_on_linked_successor(self):
         """Patching a direct-linked, region-fused successor: eviction
         must unlink the incoming slot and kill the region, and the next
-        call reaches the new code under all three tiers."""
-        results = self.assert_three_way(
-            lambda mode: Engine(
-                config=self._link_config(mode, compile_threshold=1)
-            ).run(load_process(build_chain_smc_image())),
+        call reaches the new code under both tiers."""
+        results = assert_equivalent(
+            lambda mode: Engine(config=_eager_config(mode)).run(
+                load_process(build_chain_smc_image())
+            ),
             context="chain-smc",
         )
-        linked = results["linked"]
+        linked = results["compiled"]
         assert linked.exit_status == 7
         assert linked.stats.smc_invalidations > 0
         links = linked.link_stats
@@ -979,39 +956,37 @@ class TestTraceLinking:
         chains re-fuse without diverging from the oracle."""
         # Sized to hold most — not all — of relay_4's five traces, so
         # links form and take hops between the recurring flushes.
-        config_kwargs = dict(code_pool_bytes=320)
         workload = self._suite()["relay_4"]
-        results = self.assert_three_way(
+        results = assert_equivalent(
             lambda mode: run_vm(
                 workload, "run",
-                vm_config=self._link_config(mode, **config_kwargs),
+                vm_config=VMConfig(dispatch_mode=mode, code_pool_bytes=320),
             ),
             context="chain-flush",
         )
-        linked = results["linked"]
+        linked = results["compiled"]
         assert linked.stats.cache_flushes > 0
         links = linked.link_stats
         assert links.link_direct_hops > 0, links
 
     def test_budget_faults_identically_mid_chain(self):
-        """An instruction budget that runs out mid-trampoline must
-        fault at exactly the pc the oracle faults at: the trampoline
-        checks the budget before every hop and hands the successor back
-        to the dispatch loop's own check."""
+        """An instruction budget that runs out mid-chain must fault at
+        exactly the pc the oracle faults at: the dispatch loop checks
+        the budget before every trace it runs, a successor a closure
+        handed over included."""
         from repro.machine.cpu import MachineFault
 
         workload = self._suite()["relay_4"]
         faults = {}
-        for mode in self.LINK_MODES:
+        for mode in MODES:
             with pytest.raises(MachineFault) as excinfo:
                 run_vm(
                     workload, "run",
-                    vm_config=self._link_config(
-                        mode, max_instructions=50_000
-                    ),
+                    vm_config=VMConfig(dispatch_mode=mode,
+                                       max_instructions=50_000),
                 )
             faults[mode] = str(excinfo.value)
-        assert faults["interpreted"] == faults["nolink"] == faults["linked"]
+        assert faults["interpreted"] == faults["compiled"]
 
     def test_persistence_round_trip_three_way(self, tmp_path):
         """Link state must never persist: warm runs revive traces with
@@ -1025,27 +1000,67 @@ class TestTraceLinking:
             return [
                 run_vm(workload, "run",
                        persistence=PersistenceConfig(database=db),
-                       vm_config=self._link_config(mode))
+                       vm_config=_config(mode))
                 for _ in range(2)
             ]
 
-        runs = {mode: cold_warm(mode) for mode in self.LINK_MODES}
+        runs = {mode: cold_warm(mode) for mode in MODES}
         for index in (0, 1):
-            base = signature(runs["interpreted"][index])
-            for mode in ("nolink", "linked"):
-                assert base == signature(runs[mode][index]), (mode, index)
-        warm = runs["linked"][1]
+            assert signature(runs["interpreted"][index]) == signature(
+                runs["compiled"][index]
+            ), index
+        warm = runs["compiled"][1]
         assert warm.stats.traces_translated == 0
         links = warm.link_stats
         assert links.link_bounces == 0, links
         assert links.regions_fused > 0, links
         assert links.link_direct_hops > 0, links
 
+    def test_one_map_probe_per_indirect_exit(self, monkeypatch):
+        """An indirect exit resolves its target with one translation-map
+        probe: a hit continues at that trace, and a miss goes back to
+        the VM, which translates without probing again."""
+        from repro.isa.opcodes import INDIRECT_UNCONDITIONAL
+        from repro.vm.codecache import CodeCache
+        from repro.workloads.indirect import build_indirect_suite
+
+        events = []
+        lookup, contains = CodeCache.lookup, CodeCache.__contains__
+        step_uop = ExecutionContext.step_uop
+
+        def probing(original):
+            def probe(cache, pc):
+                events.append(None)
+                return original(cache, pc)
+            return probe
+
+        def stepping(context, uop, pc):
+            events.append(uop[0])
+            return step_uop(context, uop, pc)
+
+        monkeypatch.setattr(CodeCache, "lookup", probing(lookup))
+        monkeypatch.setattr(CodeCache, "__contains__", probing(contains))
+        monkeypatch.setattr(ExecutionContext, "step_uop", stepping)
+        result = run_vm(build_indirect_suite()["alternating_pair"], "run",
+                        vm_config=_config("interpreted"))
+        indirect = {int(op) for op in INDIRECT_UNCONDITIONAL}
+        probes_after = []
+        for position, event in enumerate(events):
+            if event in indirect:
+                probes = 0
+                for later in events[position + 1:]:
+                    if later is not None:
+                        break
+                    probes += 1
+                probes_after.append(probes)
+        assert len(probes_after) == result.stats.indirect_resolutions > 1000
+        assert set(probes_after) == {1}
+
 
 class TestRegionFusionDriver:
     """Region fusion has one case: a hop through a trace's own final
-    exit heads the chain, so the trampoline calls the fusion driver only
-    for such a hop."""
+    exit heads the chain, so the dispatch loop calls the fusion driver
+    only for such a hop."""
 
     def test_relay_ring_calls_the_driver_only_from_a_head(self, monkeypatch):
         """relay_4 fuses its ring into one region, and the region's

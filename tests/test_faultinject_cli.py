@@ -7,6 +7,7 @@ verbatim, not just the in-process entry point.
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -276,6 +277,22 @@ class TestRemovedDaemonEntryPoints:
         assert os.listdir(tmp_path) == []
         if argv[0] == "prewarm":
             assert "repro run --pcache DIR --shared-store DIR" in done.stderr
+
+    @pytest.mark.parametrize("argv", [("--help",), ("cache", "--help")],
+                             ids=["repro-help", "cache-help"])
+    def test_help_names_only_live_commands(self, tmp_path, argv):
+        env = dict(os.environ)
+        repo_src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(repo_src)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro"] + list(argv),
+            capture_output=True, text=True, env=env, cwd=str(tmp_path),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        words = set(re.findall(r"\w+", done.stdout))
+        assert not words & {"prewarm", "serve"}, done.stdout
+        assert ("fsck" if argv[0] == "cache" else "bench") in words
 
 
 def tree_bytes(directory: str) -> dict:

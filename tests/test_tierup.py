@@ -175,28 +175,28 @@ class TestCompileEntryRule:
     @pytest.mark.parametrize("threshold", [2, DEFAULT_COMPILE_THRESHOLD])
     def test_fresh_trace_compiles_on_its_nth_entry(self, compile_log,
                                                    threshold):
-        """Without linking every compile happens in the dispatch
-        preamble, after that entry was counted."""
+        """Every compile happens on the trace's compile entry, after
+        that entry was counted."""
         clear_code_object_cache()
         result = run_vm(
             build_warmup_workload("startup_a"), "default",
-            vm_config=VMConfig(compile_threshold=threshold,
-                               trace_linking=False),
+            vm_config=VMConfig(compile_threshold=threshold),
         )
         assert compile_log
         assert {entry for _trace, entry in compile_log} == {threshold}
         assert result.stats.traces_translated > len(compile_log)
 
     def test_linked_successor_compiles_on_its_nth_entry(self, compile_log):
-        """The chain trampoline compiles a successor just before
-        counting the entry it is about to run."""
+        """A successor a closure hands over compiles on its compile
+        entry too, after that entry was counted: the dispatch loop
+        counts every entry before it decides."""
         clear_code_object_cache()
         run_vm(build_chain_suite()["relay_4"], "run",
                vm_config=VMConfig(compile_threshold=5))
         assert compile_log
         for translated, executions in compile_log:
             assert translated.compile_at == 5
-            assert executions in (4, 5)
+            assert executions == 5
             assert translated.executions >= 5
 
     def test_memo_hit_compiles_at_entry_one(self, compile_log):
@@ -204,8 +204,7 @@ class TestCompileEntryRule:
         clear_code_object_cache()
         run_vm(workload, "default", vm_config=VMConfig(compile_threshold=1))
         del compile_log[:]
-        run_vm(workload, "default",
-               vm_config=VMConfig(trace_linking=False))
+        run_vm(workload, "default", vm_config=VMConfig())
         assert compile_log
         assert all(entry == 1 for _trace, entry in compile_log)
         assert all(trace.compile_at == 1 for trace, _entry in compile_log)
@@ -224,7 +223,6 @@ class TestCompileEntryRule:
         warm = run_vm(
             workload, "default",
             persistence=PersistenceConfig(database=CacheDatabase(db)),
-            vm_config=VMConfig(trace_linking=False),
         )
         report = warm.persistence_report
         assert report["sidecar_host_compiles"] == 0
