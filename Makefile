@@ -84,7 +84,9 @@ replay-smoke:
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
 # the anti-instrumentation differential suite, the compiled tier's
 # memory helpers and inline region sites (faults, window, SMC check,
-# the window's code-free flag) against the oracle, trace selection
+# the window's code-free flag) against the oracle, the cold tier's
+# run_uops (faults, its inline window hits, SMC check and code-free
+# flag, the tiers' agreement on in-trace SMC), trace selection
 # against a word-by-word fetch (same traces and faults over every
 # corpus, and a patched word selected again after its trace's
 # eviction: SMC transparency rests on selection reading the current
@@ -99,6 +101,8 @@ transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \
 		tests/test_dispatch_equivalence.py::TestCodeFreeFlag \
+		tests/test_dispatch_equivalence.py::TestCodeFreeFlagCold \
+		tests/test_dispatch_equivalence.py::TestColdTier \
 		tests/test_vm_trace.py::TestAgainstPerPcFetch \
 		tests/test_vm_trace.py::TestFaults \
 		tests/test_vm_trace.py::TestSelfModification

@@ -53,9 +53,11 @@ class Mapping:
             the address space and the compiled tier do with them.
         image: The image mapped here, or None for anonymous regions.
         name: Diagnostic label.
-        code_free: No page the mapping covers holds executed code.
-            Cleared by :meth:`AddressSpace.mark_code`, never set again:
-            a mapping that ran code stays watched for self-modification.
+        code_free: No page the mapping covers holds executed code, so
+            a window-hit store into it skips the SMC check on the cold
+            and the compiled tier.  Cleared by
+            :meth:`AddressSpace.mark_code`, never set again: a mapping
+            that ran code stays watched for self-modification.
     """
 
     base: int
@@ -94,13 +96,15 @@ class AddressSpace:
     last`` hits without a bisect.  Loads and stores cluster heavily on
     the stack/heap, so that is the common case.  ``code_free`` copies
     :attr:`Mapping.code_free`: a window-hit store into a code-free
-    mapping cannot modify executed code, so the compiled tier skips its
-    SMC check.  The list is updated in place, never replaced: the
-    compiled tier's memory helpers and region bodies
-    (:mod:`repro.vm.compile`) hold it for a whole run.  Unmapping resets
-    it to a window no address hits, and :meth:`mark_code` clears its
-    ``code_free`` slot; insertion cannot make it stale (mappings never
-    overlap).
+    mapping cannot modify executed code, so the cold tier
+    (:meth:`~repro.machine.cpu.ExecutionContext.run_uops`) and the
+    compiled tier skip its SMC check.  The list is updated in place,
+    never replaced: the engine's execution context and the compiled
+    tier's memory helpers and region bodies (:mod:`repro.vm.compile`)
+    hold it for a whole run, and each ``run_uops`` call and region
+    entry reads its slots.  Unmapping resets it to a window no address
+    hits, and :meth:`mark_code` clears its ``code_free`` slot; insertion
+    cannot make it stale (mappings never overlap).
     """
 
     mappings: List[Mapping] = field(default_factory=list)

@@ -32,7 +32,7 @@ from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa import registers as regs
 from repro.isa.opcodes import Opcode
 from repro.loader.linker import LoadedProcess
-from repro.loader.mapper import to_signed_word
+from repro.loader.mapper import WORD_STRUCT, to_signed_word
 from repro.machine.costs import CostModel, DEFAULT_COST_MODEL
 from repro.machine.syscalls import (
     SYS_EXIT,
@@ -256,8 +256,8 @@ class Machine:
 
         A mapping that covers a newly tracked page stops being code-free
         (:meth:`~repro.loader.mapper.AddressSpace.mark_code`), so the
-        compiled tier's window-hit stores into it take the SMC check
-        again.  Both callers run off the per-instruction path: the
+        cold and the compiled tier's window-hit stores into it take the
+        SMC check again.  Both callers run off the per-instruction path: the
         native interpreter's first decode of a pc in :meth:`fetch`, and,
         under the VM, whose trace selection reads code bytes without
         ``fetch``, trace insertion into the code cache (which covers
@@ -468,6 +468,38 @@ _ARMS = {
     "nop": "{next}",
 }
 
+#: :meth:`ExecutionContext.run_uops`' memory arms: the load/store window
+#: hit inline, over the window's slots ``wb, wl, wd, wc`` bound once per
+#: call.  A load inside the window unpacks the word in place (it is in
+#: int64, so it needs no wrap); a store inside a code-free window of a
+#: value within int64 packs it in place and skips the SMC check (no
+#: executed code can lie in its mapping).  Everything else runs the uop
+#: through the oracle, :meth:`ExecutionContext.step_uop`, then re-reads
+#: the window, which the accessor or an SMC listener may have moved.
+_WINDOW_ARMS = {
+    "load": """
+        o = r[rs1] + imm - wb
+        if 0 <= o <= wl:
+            if rd:
+                r[rd] = _unpack_word(wd, o)[0]
+            {next}
+        self.step_uop((op, rd, rs1, rs2, imm), pc)
+        wb, wl, wd, wc = window
+        {next}""",
+    "store": """
+        o = r[rs1] + imm - wb
+        value = r[rs2]
+        if (wc and 0 <= o <= wl
+                and -9223372036854775808 <= value <= 9223372036854775807):
+            _pack_word(wd, o, value)
+            {next}
+        self.step_uop((op, rd, rs1, rs2, imm), pc)
+        wb, wl, wd, wc = window
+        {next}""",
+}
+_unpack_word = WORD_STRUCT.unpack_from
+_pack_word = WORD_STRUCT.pack_into
+
 #: The end of both interpreters' dispatch: an unknown opcode faults, and
 #: a value is written back wrapped to int64 unless its register is the
 #: zero register.
@@ -482,20 +514,22 @@ _WRITE_BACK = """
     {next}"""
 
 
-def _interpreter(body: str, order: str, leave: str, goes_on: str):
+def _interpreter(body: str, order: str, leave: str, goes_on: str,
+                 arms: Optional[Dict[str, str]] = None):
     """Replace the decorated stub with a method of :class:`ExecutionContext`
     generated from :data:`SEMANTICS`.
 
     The method keeps the stub's name, parameters and docstring.  Its body
     is ``body``, whose ``{dispatch}`` line becomes the opcode tests in the
     order ``order`` names them; ``leave`` and ``goes_on`` fill every arm's
-    ``{leave}`` and ``{next}``.  The source is registered with
-    :mod:`linecache`, so a traceback through the method shows its
-    generated lines.
+    ``{leave}`` and ``{next}``.  ``arms`` replaces some kinds' arms of
+    :data:`_ARMS`.  The source is registered with :mod:`linecache`, so a
+    traceback through the method shows its generated lines.
     """
     ops = [Opcode[name] for name in order.split()]
     if sorted(ops) != sorted(SEMANTICS):
         raise ValueError("order must name every opcode once: %r" % order)
+    arms = {**_ARMS, **(arms or {})}
     lines = []
     for position, op in enumerate(ops):
         row = SEMANTICS[op]
@@ -503,7 +537,7 @@ def _interpreter(body: str, order: str, leave: str, goes_on: str):
         operand = row.operand and row.operand.format(
             rs1="rs1", rs2="rs2", imm="imm", sh="(imm & 63)", lr=regs.LR
         )
-        arm = textwrap.dedent(_ARMS[row.kind]).strip().format(
+        arm = textwrap.dedent(arms[row.kind]).strip().format(
             operand=operand, leave=leave, next=goes_on, lr=regs.LR
         )
         lines.append("%s op == %d:  # %s" % (
@@ -586,6 +620,9 @@ class ExecutionContext:
 
     def __init__(self, machine: Machine):
         self.machine = machine
+        #: The address space's load/store window, which :meth:`run_uops`
+        #: hits inline: updated in place, never replaced.
+        self.window = machine.process.space.window
 
     def step(
         self, inst: Instruction, pc: int
@@ -622,6 +659,8 @@ class ExecutionContext:
         """
         machine = self.machine
         r = machine.registers
+        window = self.window
+        wb, wl, wd, wc = window
         pc = entry - INSTRUCTION_SIZE
         for op, rd, rs1, rs2, imm in uops:
             pc += INSTRUCTION_SIZE
@@ -635,6 +674,7 @@ class ExecutionContext:
         """,
         leave="return (pc - entry) // INSTRUCTION_SIZE, ",
         goes_on="continue",
+        arms=_WINDOW_ARMS,
     )
     def run_uops(
         self, uops, entry: int
@@ -655,6 +695,15 @@ class ExecutionContext:
         a syscall, which always ends a trace, can switch threads.  The
         uops are the caller's, so a store that patches a later
         instruction of this trace does not change what runs here.
+
+        Loads and stores hit the address space's window
+        (:attr:`~repro.loader.mapper.AddressSpace.window`) inline, as the
+        compiled tier's region bodies do: its slots are read once per
+        call, a hit unpacks or packs the word in place, and a hit store
+        into a code-free mapping skips the SMC check, which cannot fire
+        there.  A miss, a store into a mapping that holds code, or one
+        of a value outside int64 runs through :meth:`step_uop` itself,
+        then reads the window's slots again.
 
         The engine calls this for traces below their compile entry, so
         the opcode tests are ordered by dynamic frequency in that code:

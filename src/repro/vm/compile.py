@@ -61,7 +61,7 @@ per execution — until its *compile entry*, decided once at its first
 entry by :meth:`TraceCompiler.compile_entry`:
 
 * **1** when the body needs no host ``compile()``: a factory-memo hit,
-  or a digest the attached body store already holds in memory;
+  or a body the attached body store opened with;
 * **2** for a trace revived from the persistent cache: its one host
   compile is stored and reused by every later process, yet a revived
   trace entered only once never pays it;
@@ -253,7 +253,12 @@ class _NullCodeCache:
 
 
 def clear_code_object_cache() -> None:
-    """Drop every memoized factory (tests/benchmark hygiene)."""
+    """Drop every memoized factory (tests/benchmark hygiene).
+
+    Call it between runs: a running compiler takes the bodies it
+    recorded to stay in the memo until the memo flushes itself
+    (:meth:`TraceCompiler.compile_entry`).
+    """
     _FACTORIES.clear()
 
 
@@ -510,6 +515,10 @@ class TraceCompiler:
         #: The attached compiled-body store, or None (attached by the
         #: persistence session via :meth:`attach_body_store`).
         self.body_store = None
+        #: The attached store's ``entries`` when it holds bodies the memo
+        #: may not (it opened with some, or the memo was flushed since),
+        #: else None: the bodies :meth:`compile_entry` looks for.
+        self._stored_bodies = None
         load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
         #: compiler builds (per-trace state travels separately).
@@ -541,7 +550,8 @@ class TraceCompiler:
         )
 
     def attach_body_store(self, store) -> None:
-        """Attach a :class:`~repro.persist.sidecar.CompiledBodyStore`.
+        """Attach a :class:`~repro.persist.sidecar.CompiledBodyStore`, or
+        None for no store.
 
         Subsequent factory-memo misses first try the store (reviving the
         marshaled code object skips source generation and host
@@ -549,6 +559,9 @@ class TraceCompiler:
         recorded into it so the write-back persists a complete set.
         """
         self.body_store = store
+        self._stored_bodies = (
+            store.entries if store is not None and store.entries else None
+        )
 
     # -- public API -----------------------------------------------------------
 
@@ -556,25 +569,34 @@ class TraceCompiler:
         """Decide, at its first entry, the entry ``translated`` compiles on.
 
         1 when the body needs no host ``compile()`` (a factory-memo hit,
-        or the attached store's in-memory ``entries`` holds its digest),
-        2 when the trace was revived from the persistent cache, otherwise
-        :attr:`compile_threshold`.  The memo key, and the digest when the
-        store was consulted, are kept on the trace for :meth:`compile`.
+        or a body the attached store opened with), 2 when the trace was
+        revived from the persistent cache, otherwise
+        :attr:`compile_threshold`.
+
+        Only what can answer 1 is asked.  A body this run recorded into
+        the store is in the memo too, so the store is asked only when it
+        opened with bodies or the memo was flushed since it was attached
+        (:meth:`_factory`): that is the one case that takes the trace's
+        digest.  While the memo is empty as well, not even the memo key
+        is built; in a cold GUI start-up that holds for most first
+        entries (dia, gftp: all but one).  The key and digest built here
+        are kept on the trace for :meth:`compile`, which builds them
+        itself otherwise.
         """
-        key = _trace_key(translated, self.cost)
-        digest = None
+        stored = self._stored_bodies
         entry = self.compile_threshold
-        if key in _FACTORIES:
-            entry = 1
-        else:
-            store = self.body_store
-            if store is not None and store.entries:
+        if _FACTORIES or stored is not None:
+            key = _trace_key(translated, self.cost)
+            digest = None
+            if key in _FACTORIES:
+                entry = 1
+            elif stored is not None:
                 digest = _body_digest(key)
-                if digest in store.entries:
+                if digest in stored:
                     entry = 1
-            if translated.from_persistent:
-                entry = min(entry, 2)
-        translated.compile_key = (key, digest)
+            translated.compile_key = (key, digest)
+        if translated.from_persistent:
+            entry = min(entry, 2)
         translated.compile_at = entry
         return entry
 
@@ -659,6 +681,10 @@ class TraceCompiler:
         make, body_bytes = self._build_factory(source_fn, filename, digest)
         if len(_FACTORIES) >= _FACTORIES_CAP:
             _FACTORIES.clear()
+            if self.body_store is not None:
+                # Bodies this run recorded left the memo: from now on
+                # :meth:`compile_entry` asks the store for them too.
+                self._stored_bodies = self.body_store.entries
         _FACTORIES[key] = (make, digest, body_bytes)
         return make
 

@@ -312,6 +312,8 @@ class Engine:
         self.tool.on_start(machine)
 
         cost = self.cost_model
+        # An enum member lookup costs more than the compare it feeds.
+        indirect = ExitKind.INDIRECT
         compiler = self._compiler
         links = host.links
         run_uops = context.run_uops
@@ -364,9 +366,13 @@ class Engine:
                             chained_via.hop_count = hops
                             # Only a hop through the trace's own final
                             # exit heads a chain; a branch-taken side
-                            # exit, or a region's tail, walks nothing new.
+                            # exit, or a region's tail, walks nothing new,
+                            # and fusing from a member of a live region
+                            # would nest regions.
                             if (hops % REGION_FUSE_THRESHOLD == 0
-                                    and chained_via is chained_from.final_slot):
+                                    and chained_via is chained_from.final_slot
+                                    and cache.region_of(
+                                        chained_from.entry) is None):
                                 self._maybe_fuse(chained_from, cache, compiler)
                     chained_from = None
 
@@ -406,7 +412,7 @@ class Engine:
                         # fall-through.
                         slot = translated.final_slot
                         if (op >= _UNCOND_LO and slot is not None
-                                and slot.exit.kind == ExitKind.INDIRECT):
+                                and slot.exit.kind == indirect):
                             stats.charge_exec(cost.indirect_resolution)
                             stats.indirect_resolutions += 1
                             slot = None
@@ -574,23 +580,20 @@ class Engine:
 
         Called by the dispatch loop whenever a chained exit through
         ``cur``'s final-exit link brings its hop count to a multiple of
-        :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`.  ``cur`` never
-        heads a live region here: a region body leaves through its
-        head's final slot only when that link no longer reaches the
-        second member, whose eviction dropped the region, or when the
-        instruction budget ran out, which the loop checks before it
-        counts the hop.  The walk follows final-exit links from
-        ``cur`` that are patched, consistent (the linked resident sits
-        at the static target) and hot, stopping at cycles, members of a
-        region, not-yet-demand-loaded persistent traces and
-        uncompilable successors.  Failure is cheap and retried: counters
-        keep climbing, so the next threshold crossing tries again.
+        :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`, unless ``cur``
+        is a member of a live region.  ``cur`` never heads a live region
+        here either: a region body leaves through its head's final slot
+        only when that link no longer reaches the second member, whose
+        eviction dropped the region, or when the instruction budget ran
+        out, which the loop checks before it counts the hop.  The walk
+        follows final-exit links from ``cur`` that are patched,
+        consistent (the linked resident sits at the static target) and
+        hot, stopping at cycles, members of a region,
+        not-yet-demand-loaded persistent traces and uncompilable
+        successors.  Failure is cheap and retried: counters keep
+        climbing, so the next threshold crossing tries again.
         """
         links = self.host.links
-        if cache.region_of(cur.entry) is not None:
-            # ``cur`` is a middle member of a region; fusing from here
-            # would nest regions.
-            return
         chain = [cur]
         seen = {cur.entry}
         node = cur

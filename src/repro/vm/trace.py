@@ -77,6 +77,9 @@ class Trace:
             built from its code bytes (:meth:`from_body`: every
             selection and every verbatim revive) decodes them only when
             this is first read.
+        uops: The instructions as flattened micro-op tuples, for the
+            dispatcher's hot loop: read from the code bytes, or built
+            from ``instructions`` at construction.
         exits: All potential exits, in instruction order.
         image_path: Path of the image the trace was read from.
         image_base: Load base of that image in this run.
@@ -95,7 +98,7 @@ class Trace:
         self.exits = [] if exits is None else exits
         self.image_path = image_path
         self.image_base = image_base
-        self._uops: Optional[List[tuple]] = None
+        self.uops = [inst.as_tuple() for inst in self._instructions]
         self._body = b""
 
     @classmethod
@@ -113,7 +116,7 @@ class Trace:
         built only if something reads :attr:`instructions`."""
         trace = cls(entry, None, exits, image_path, image_base)
         trace._instructions = None
-        trace._uops = uops
+        trace.uops = uops
         trace._body = body
         return trace
 
@@ -122,13 +125,6 @@ class Trace:
         if self._instructions is None:
             self._instructions = decode_all(self._body)
         return self._instructions
-
-    @property
-    def uops(self) -> List[tuple]:
-        """Flattened micro-op tuples for the dispatcher's hot loop."""
-        if self._uops is None:
-            self._uops = [inst.as_tuple() for inst in self._instructions]
-        return self._uops
 
     @property
     def body(self) -> bytes:

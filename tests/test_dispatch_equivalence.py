@@ -24,6 +24,7 @@ from repro.isa import registers as regs
 from repro.loader.linker import load_process
 from repro.loader.mapper import AddressSpace
 from repro.machine.cpu import (
+    CODE_PAGE_SHIFT,
     HEAP_BASE,
     HEAP_SIZE,
     ExecutionContext,
@@ -1084,6 +1085,28 @@ class TestRegionFusionDriver:
         assert result.link_stats.region_entries > 3500, result.link_stats
         assert len(calls) < 10, len(calls)
 
+    def test_driver_is_never_called_for_a_region_member(self, monkeypatch):
+        """relay_12 fuses regions while its ring keeps chaining through
+        their members' final exits; the dispatch loop skips the driver
+        for a member of a live region, which it could only leave."""
+        from repro.workloads.chains import build_chain_suite
+
+        members = []
+        driver = Engine._maybe_fuse
+
+        def spy(self, cur, cache, *args):
+            members.append(cache.region_of(cur.entry) is not None)
+            return driver(self, cur, cache, *args)
+
+        monkeypatch.setattr(Engine, "_maybe_fuse", spy)
+        clear_code_object_cache()
+        result = run_vm(
+            build_chain_suite()["relay_12"], "run",
+            vm_config=_eager_config("compiled"),
+        )
+        assert result.link_stats.regions_fused > 0, result.link_stats
+        assert members and not any(members), members
+
 
 def _exiting(code, name="memops-app"):
     """``code`` followed by ``exit(a0)`` as ``main`` of a fresh image."""
@@ -1328,8 +1351,12 @@ class TestMemoryOps:
         code.append(ins.blt(regs.S0, t2, (head - (len(code) + 1)) * 8))
         return _exiting(code, name="dlclose-window-app"), module, slot
 
-    def test_dlclose_resets_the_window(self):
-        image, module, slot = self.build_dlclose_image()
+    @classmethod
+    def assert_dlclose_faults(cls, config):
+        """Run :meth:`build_dlclose_image` under ``config(mode)`` per
+        mode: the store into the dead slot must fault alike, leaving the
+        unmapped data alone.  Returns the compiled run's fault."""
+        image, module, slot = cls.build_dlclose_image()
         faults = {}
         for mode in MODES:
             machine = Machine(load_process(image, optional_modules=[module]))
@@ -1339,7 +1366,7 @@ class TestMemoryOps:
                 kind == "unload" and seen.append(mapping)
             )
             with pytest.raises(MachineFault) as excinfo:
-                Engine(config=_eager_config(mode)).run(
+                Engine(config=config(mode)).run(
                     machine.process, machine=machine
                 )
             faults[mode] = (str(excinfo.value), excinfo.value.pc)
@@ -1351,6 +1378,10 @@ class TestMemoryOps:
                 faults[mode][0]
             )
         assert faults["interpreted"] == faults["compiled"]
+        return excinfo
+
+    def test_dlclose_resets_the_window(self):
+        self.assert_dlclose_faults(_eager_config)
 
     @staticmethod
     def build_heap_code_image():
@@ -1832,6 +1863,8 @@ class TestCodeFreeFlag:
     ``TestMemoryOps::test_region_store_into_executed_heap_page_evicts``.)
     """
 
+    config = staticmethod(_eager_config)
+
     @staticmethod
     def build_revived_patch_image():
         """``patchme`` (``movi a0, 1; ret``) runs, then main loads from
@@ -1879,7 +1912,7 @@ class TestCodeFreeFlag:
                     PersistenceConfig(database=db)
                 )
                 result = Engine(
-                    config=_eager_config(mode), persistence=session
+                    config=self.config(mode), persistence=session
                 ).run(load_process(image), args=(arg,))
             return result
 
@@ -1944,7 +1977,7 @@ class TestCodeFreeFlag:
             Machine(load_process(image, optional_modules=[module]))
         )
         results = assert_equivalent(
-            lambda mode: Engine(config=_eager_config(mode)).run(
+            lambda mode: Engine(config=self.config(mode)).run(
                 load_process(image, optional_modules=[module])
             ),
             context="reload-patch",
@@ -1953,6 +1986,21 @@ class TestCodeFreeFlag:
         assert native.exit_status == compiled.exit_status == 71
         assert compiled.stats.module_traces_retained > 0
         assert compiled.stats.smc_invalidations > 0
+
+
+class TestCodeFreeFlagCold(TestCodeFreeFlag):
+    """The same programs with every fresh trace on the cold tier: the
+    patching store runs in ``run_uops``, whose window-hit stores skip
+    the SMC check in a code-free mapping just as the compiled tier's
+    do."""
+
+    config = staticmethod(_cold_config)
+
+    @pytest.fixture(autouse=True)
+    def _empty_memo(self, run_uops_calls):
+        """A factory-memo hit would compile at entry 1."""
+        yield
+        assert run_uops_calls[0] > 0
 
 
 def _in_run_uops(walk):
@@ -2149,6 +2197,161 @@ class TestColdTier:
         assert signatures["compiled"] == signatures["oracle"]
         assert signatures["oracle"]["stats"]["vm_entries"] == 1
         assert signatures["oracle"]["stats"]["link_patches"] == 0
+
+    def test_window_moves_within_one_run_uops_call(self, monkeypatch,
+                                                   run_uops_calls):
+        """A loop body that alternates stack and heap words, each trace
+        entry one ``run_uops`` call.  The oracle reads and writes every
+        word through the accessors; the cold tier calls them exactly for
+        the accesses that leave the window's mapping, so it re-reads the
+        window's slots after each move and hits with them."""
+        t0, t1, t2, t3, t4 = (regs.T0 + i for i in range(5))
+        loop = [
+            ins.ld(t1, regs.SP, -8),    # stack
+            ins.ld(t2, t0, 0),          # heap
+            ins.ld(t4, t0, 8),          # heap
+            ins.add(t1, t1, t3),
+            ins.st(regs.SP, t1, -8),    # stack
+            ins.add(t2, t2, t1),
+            ins.st(t0, t2, 0),          # heap
+            ins.add(t4, t4, t2),
+            ins.st(t0, t4, 8),          # heap
+            ins.addi(t3, t3, -1),
+        ]
+        head = 2
+        code = [ins.movi(t0, HEAP_BASE), ins.movi(t3, 40)] + loop
+        code.append(ins.bne(t3, regs.ZERO, (head - (len(code) + 1)) * 8))
+        code += [
+            ins.movi(regs.A0, 16),
+            ins.or_(regs.A1, t0, regs.ZERO),
+            ins.movi(regs.RV, SYS_WRITE),
+            ins.syscall(),
+            ins.andi(regs.A0, t4, 127),
+        ]
+        image = _exiting(code)
+        calls = []
+        for name in ("read_word", "write_word"):
+            original = getattr(AddressSpace, name)
+
+            def spy(space, addr, *value, _original=original):
+                calls.append(addr)
+                return _original(space, addr, *value)
+
+            monkeypatch.setattr(AddressSpace, name, spy)
+        accessed = {}
+
+        def run_one(mode):
+            del calls[:]
+            result = Engine(config=_cold_config(mode)).run(load_process(image))
+            accessed[mode] = list(calls)
+            return result
+
+        results = assert_equivalent(run_one, context="stack-heap-cold")
+        stack = heap = third = 0
+        for counter in range(40, 0, -1):
+            stack += counter
+            heap += stack
+            third += heap
+        expected = heap.to_bytes(8, "little") + third.to_bytes(8, "little")
+        assert results["compiled"].output == expected
+        assert run_uops_calls[0] > 0
+
+        def on_heap(addr):
+            return HEAP_BASE <= addr < _HEAP_END
+
+        every = accessed["interpreted"]
+        assert len(every) == 6 * 40
+        moves = [addr for index, addr in enumerate(every)
+                 if index == 0 or on_heap(addr) != on_heap(every[index - 1])]
+        assert accessed["compiled"] == moves
+        assert len(moves) == 4 * 40
+
+    def test_dlclose_resets_the_window(self, run_uops_calls):
+        """``TestMemoryOps.build_dlclose_image`` on the cold tier: the
+        trace after the dlclose starts a ``run_uops`` call, which binds
+        the reset window, so the store into the dead slot faults and
+        leaves the unmapped data alone."""
+        excinfo = TestMemoryOps.assert_dlclose_faults(_cold_config)
+        assert _in_run_uops(traceback.walk_tb(excinfo.tb))
+        assert run_uops_calls[0] > 0
+
+    def test_store_into_a_data_page_of_a_code_mapping(self, monkeypatch,
+                                                      run_uops_calls):
+        """A store into ``.data``, which starts a page of its own in the
+        image mapping that holds the code, hits the window but not a
+        code-free one: it goes through ``write_word`` and probes the
+        written page for executed code, and nothing is evicted."""
+        t0, t1, t2 = regs.T0, regs.T0 + 1, regs.T0 + 2
+        builder = ImageBuilder("data-page-store-app")
+        builder.add_data("slot", (5).to_bytes(8, "little"))
+        builder.add_function("main", [
+            ins.movi(t0, 0),                    # t0 = &slot      [reloc]
+            ins.ld(t1, t0, 0),                  # window: the image
+            ins.addi(t2, t1, 72),
+            ins.st(t0, t2, 0),                  # a window hit
+            ins.ld(regs.A0, t0, 0),
+            ins.movi(regs.RV, SYS_EXIT),
+            ins.syscall(),
+        ], symbol_refs=[(0, "slot")])
+        builder.set_entry("main")
+        image = builder.build()
+        slot = load_process(image).resolve_symbol("slot")
+        writes, probes = [], []
+
+        class Pages(set):
+            def __contains__(self, page):
+                if _in_run_uops(traceback.walk_stack(None)):
+                    probes.append(page)
+                return set.__contains__(self, page)
+
+        original = AddressSpace.write_word
+
+        def spy(space, addr, value):
+            writes.append((addr, _in_run_uops(traceback.walk_stack(None))))
+            return original(space, addr, value)
+
+        monkeypatch.setattr(AddressSpace, "write_word", spy)
+
+        def run_one(mode):
+            del writes[:], probes[:]
+            machine = Machine(load_process(image))
+            machine.executed_code_pages = Pages()
+            result = Engine(config=_cold_config(mode)).run(
+                machine.process, machine=machine
+            )
+            mapping = machine.process.space.mapping_at(slot)
+            assert mapping.image is not None and not mapping.code_free
+            return result
+
+        results = assert_equivalent(run_one, context="data-page-store")
+        compiled = results["compiled"]
+        assert compiled.exit_status == 77
+        assert compiled.stats.smc_invalidations == 0
+        assert writes == [(slot, True)]
+        # The pages of the word's first and last byte: one page here.
+        page = slot >> CODE_PAGE_SHIFT
+        assert probes == [page, page]
+        assert run_uops_calls[0] > 0
+
+    def test_cold_gui_startup_reads_memory_through_the_window(
+        self, monkeypatch, gui_suite, run_uops_calls
+    ):
+        """A cold gvim start-up runs almost all of its code on the cold
+        tier, and its loads and stores stay in the stack or the heap:
+        ``read_word`` and ``write_word`` serve only window misses."""
+        calls = []
+        for name in ("read_word", "write_word"):
+            original = getattr(AddressSpace, name)
+
+            def spy(space, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(space, *args)
+
+            monkeypatch.setattr(AddressSpace, name, spy)
+        result = run_vm(gui_suite["gvim"], "startup")
+        assert result.instructions > 100_000
+        assert run_uops_calls[0] > 5_000
+        assert len(calls) <= 4, calls
 
     def _in_trace_smc_runs(self):
         image = build_in_trace_smc_image()

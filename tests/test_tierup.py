@@ -3,7 +3,7 @@
 The contract (:meth:`repro.vm.compile.TraceCompiler.compile_entry`): a
 trace runs on the interpreted tier until its compile entry, decided
 once at its first entry — 1 when its body needs no host ``compile()``
-(factory-memo hit, or a digest the attached store holds), 2 when it was
+(factory-memo hit, or a body the attached store opened with), 2 when it was
 revived from the persistent cache, otherwise ``compile_threshold``.
 Because the interpreted oracle and the compiled tier are bit-identical
 *per execution*, every observable of a run (output, exit status, every
@@ -18,6 +18,7 @@ import pytest
 from repro.loader.linker import load_process
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
+from repro.vm import compile as vm_compile
 from repro.vm.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     TraceCompiler,
@@ -229,6 +230,102 @@ class TestCompileEntryRule:
         assert report["sidecar_hits"] > 0
         assert compile_log
         assert all(entry == 1 for _trace, entry in compile_log)
+
+    def test_cold_run_digests_only_what_it_compiles(self, tmp_path,
+                                                    monkeypatch):
+        """With an empty memo and a database that opened with no bodies,
+        no first entry can compile at entry 1: the run takes a body
+        digest only to record each host compile."""
+        digests = []
+        original = vm_compile._body_digest
+
+        def counting(key):
+            digests.append(key)
+            return original(key)
+
+        monkeypatch.setattr(vm_compile, "_body_digest", counting)
+        apps, _store = build_gui_suite()
+        clear_code_object_cache()
+        result = run_vm(
+            apps["gvim"], "startup",
+            persistence=PersistenceConfig(
+                database=CacheDatabase(str(tmp_path / "db"))
+            ),
+        )
+        assert result.stats.traces_translated > 500
+        assert result.host.host_compiles > 0
+        assert len(digests) == result.host.host_compiles
+
+    def test_empty_memo_builds_no_key_at_first_entry(self, tmp_path,
+                                                     monkeypatch):
+        """While the memo is empty and the store opened with no bodies,
+        a first entry cannot compile at entry 1, so it builds no memo
+        key.  A cold dia start-up compiles its first body only near its
+        end: nearly all of its first entries find the memo empty."""
+        memo_was_empty = []
+        keys_built = []
+        inside_empty = [False]
+        original_entry = TraceCompiler.compile_entry
+        original_key = vm_compile._trace_key
+
+        def entry(self, translated):
+            inside_empty[0] = not vm_compile._FACTORIES
+            memo_was_empty.append(inside_empty[0])
+            try:
+                return original_entry(self, translated)
+            finally:
+                inside_empty[0] = False
+
+        def key(translated, cost):
+            if inside_empty[0]:
+                keys_built.append(translated.entry)
+            return original_key(translated, cost)
+
+        monkeypatch.setattr(TraceCompiler, "compile_entry", entry)
+        monkeypatch.setattr(vm_compile, "_trace_key", key)
+        apps, _store = build_gui_suite()
+        clear_code_object_cache()
+        run_vm(
+            apps["dia"], "startup",
+            persistence=PersistenceConfig(
+                database=CacheDatabase(str(tmp_path / "db"))
+            ),
+        )
+        assert sum(memo_was_empty) > 500
+        assert keys_built == []
+
+    def test_flushed_memo_still_finds_this_runs_bodies(self, tmp_path,
+                                                       monkeypatch):
+        """Once the memo flushes mid-run, a body this run recorded is in
+        the store but no longer in the memo: a trace translated again
+        after a code-cache flush still binds it at its first entry."""
+        monkeypatch.setattr(vm_compile, "_FACTORIES_CAP", 4)
+        decisions = []
+        original = TraceCompiler.compile_entry
+
+        def entry(self, translated):
+            digest = vm_compile._body_digest(
+                vm_compile._trace_key(translated, self.cost)
+            )
+            held = digest in self.body_store.entries
+            decided = original(self, translated)
+            decisions.append((held, decided))
+            return decided
+
+        monkeypatch.setattr(TraceCompiler, "compile_entry", entry)
+        apps, _store = build_gui_suite()
+        clear_code_object_cache()
+        result = run_vm(
+            apps["dia"], "startup",
+            persistence=PersistenceConfig(
+                database=CacheDatabase(str(tmp_path / "db"))
+            ),
+            vm_config=VMConfig(compile_threshold=2, code_pool_bytes=768),
+        )
+        assert result.stats.cache_flushes > 0
+        held = [decided for was_held, decided in decisions if was_held]
+        assert len(held) > 10
+        assert set(held) == {1}
 
     def test_revived_trace_entered_once_never_compiles(self, tmp_path,
                                                        monkeypatch):
