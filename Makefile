@@ -86,11 +86,13 @@ replay-smoke:
 # memory helpers and inline region sites (faults, window, SMC check,
 # the window's code-free flag) against the oracle, the cold tier's
 # run_uops (faults, its inline window hits, SMC check and code-free
-# flag, the tiers' agreement on in-trace SMC), trace selection
-# against a word-by-word fetch (same traces and faults over every
-# corpus, and a patched word selected again after its trace's
-# eviction: SMC transparency rests on selection reading the current
-# code bytes), plus
+# flag, the tiers' agreement on in-trace SMC), the tier-up's
+# differential suite (tests/test_tierup.py::TestDifferential: compile
+# thresholds 1, 2 and 32 against the interpreted oracle, through SMC,
+# cache churn and a persistence round trip), trace selection against a word-by-word fetch (same traces and
+# faults over every corpus, and a patched word selected again after
+# its trace's eviction: SMC transparency rests on selection reading
+# the current code bytes), plus
 # the transparency bench family's --check gate — compiled dispatch at
 # compile threshold 1 and the default tier-up, both bit-identical to
 # the interpreted oracle on the adversarial corpus,
@@ -103,6 +105,7 @@ transparency-smoke:
 		tests/test_dispatch_equivalence.py::TestCodeFreeFlag \
 		tests/test_dispatch_equivalence.py::TestCodeFreeFlagCold \
 		tests/test_dispatch_equivalence.py::TestColdTier \
+		tests/test_tierup.py::TestDifferential \
 		tests/test_vm_trace.py::TestAgainstPerPcFetch \
 		tests/test_vm_trace.py::TestFaults \
 		tests/test_vm_trace.py::TestSelfModification

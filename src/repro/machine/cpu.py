@@ -705,7 +705,7 @@ class ExecutionContext:
         of a value outside int64 runs through :meth:`step_uop` itself,
         then reads the window's slots again.
 
-        The engine calls this for traces below their compile entry, so
+        The engine calls this for traces below the compile threshold, so
         the opcode tests are ordered by dynamic frequency in that code:
         run-once straight-line code where stores, loads and ALU ops
         dominate and conditional branches are rare (hot loops compile).

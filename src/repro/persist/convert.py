@@ -192,8 +192,8 @@ def revive_trace(
     # A revived trace never carries a compiled-tier closure: closures
     # capture run-scoped objects (machine, stats, analysis context) and
     # are host-level artifacts, so they are not persisted.  The compiled
-    # dispatcher specializes the trace lazily once it reaches its compile
-    # entry (repro.vm.compile's tier-up), which charges nothing simulated,
+    # dispatcher specializes the trace lazily once it reaches the compile
+    # threshold (repro.vm.compile's tier-up), which charges nothing simulated,
     # so persistence and trace compilation compose with no extra cost.
     translated = TranslatedTrace(
         trace=trace,

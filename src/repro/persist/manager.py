@@ -266,7 +266,7 @@ class PersistentCacheSession:
         # already covers this (the file stores the links).  Preloaded
         # residents are demand-paged: the first execution charges the
         # trace+metadata load; compiled dispatch specializes the trace
-        # into its closure once it reaches its compile entry.
+        # into its closure once it reaches the compile threshold.
         from repro.vm.codecache import CacheFull
 
         for revived in preload:

@@ -57,19 +57,17 @@ so compiling every trace at its first entry spends most of a cold run in
 host ``compile()``.  Instead a trace runs on the engine's cold tier —
 one :meth:`repro.machine.cpu.ExecutionContext.run_uops` call per entry,
 or the oracle's per-uop loop when it has analysis points, bit-identical
-per execution — until its *compile entry*, decided once at its first
-entry by :meth:`TraceCompiler.compile_entry`:
-
-* **1** when the body needs no host ``compile()``: a factory-memo hit,
-  or a body the attached body store opened with;
-* **2** for a trace revived from the persistent cache: its one host
-  compile is stored and reused by every later process, yet a revived
-  trace entered only once never pays it;
-* otherwise ``compile_threshold`` (:data:`DEFAULT_COMPILE_THRESHOLD`;
-  1 compiles every trace at its first entry).
+per execution — until its ``compile_threshold``-th entry
+(:data:`DEFAULT_COMPILE_THRESHOLD`; 1 compiles every trace at its first
+entry), fresh or revived from the persistent cache alike.  The source
+of the body sets only what that compile costs:
+:meth:`TraceCompiler.compile` takes it from the factory memo, else from
+the attached body store, else from a host ``compile()``.  So a body is
+persisted only once its trace reached the threshold in some run, and a
+revived trace entered fewer times never binds one.
 
 The engine's dispatch loop counts an entry before it checks it, so the
-compile happens on the compile entry itself, whether the trace was
+compile happens on the threshold entry itself, whether the trace was
 reached through the translation map or handed over by a closure.
 
 Generated **closure factories** are memoized in a module-level table
@@ -164,8 +162,9 @@ REGION_FUSE_THRESHOLD = 16
 #: Maximum member traces in one fused region (keeps generated bodies,
 #: and the blast radius of one member's invalidation, bounded).
 REGION_MAX_MEMBERS = 8
-#: Entries a fresh trace runs on the cold tier before it compiles.  At
-#: startup, 98% of the traces the GUI apps select run 32 times or fewer.
+#: The entry on which every trace, fresh or revived, compiles; it runs
+#: on the cold tier before.  At startup, 98% of the traces the GUI apps
+#: select run 32 times or fewer.
 DEFAULT_COMPILE_THRESHOLD = 32
 
 
@@ -255,9 +254,10 @@ class _NullCodeCache:
 def clear_code_object_cache() -> None:
     """Drop every memoized factory (tests/benchmark hygiene).
 
-    Call it between runs: a running compiler takes the bodies it
-    recorded to stay in the memo until the memo flushes itself
-    (:meth:`TraceCompiler.compile_entry`).
+    Call it between runs to fake a fresh process.  A clear in the middle
+    of a run changes no tier-up decision: a body this run recorded into
+    the attached store is then looked up there at its next compile,
+    which costs a store lookup instead of a memo hit.
     """
     _FACTORIES.clear()
 
@@ -499,11 +499,8 @@ class TraceCompiler:
         code_cache=None,
         host: Optional[HostStats] = None,
         max_instructions: Optional[int] = None,
-        compile_threshold: int = DEFAULT_COMPILE_THRESHOLD,
     ):
         self.machine = machine
-        #: Compile entry of a fresh trace (see :meth:`compile_entry`).
-        self.compile_threshold = compile_threshold
         self.stats = stats
         self.accounting = accounting
         self.cost = cost_model
@@ -515,10 +512,6 @@ class TraceCompiler:
         #: The attached compiled-body store, or None (attached by the
         #: persistence session via :meth:`attach_body_store`).
         self.body_store = None
-        #: The attached store's ``entries`` when it holds bodies the memo
-        #: may not (it opened with some, or the memo was flushed since),
-        #: else None: the bodies :meth:`compile_entry` looks for.
-        self._stored_bodies = None
         load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
         #: compiler builds (per-trace state travels separately).
@@ -559,46 +552,8 @@ class TraceCompiler:
         recorded into it so the write-back persists a complete set.
         """
         self.body_store = store
-        self._stored_bodies = (
-            store.entries if store is not None and store.entries else None
-        )
 
     # -- public API -----------------------------------------------------------
-
-    def compile_entry(self, translated: TranslatedTrace) -> int:
-        """Decide, at its first entry, the entry ``translated`` compiles on.
-
-        1 when the body needs no host ``compile()`` (a factory-memo hit,
-        or a body the attached store opened with), 2 when the trace was
-        revived from the persistent cache, otherwise
-        :attr:`compile_threshold`.
-
-        Only what can answer 1 is asked.  A body this run recorded into
-        the store is in the memo too, so the store is asked only when it
-        opened with bodies or the memo was flushed since it was attached
-        (:meth:`_factory`): that is the one case that takes the trace's
-        digest.  While the memo is empty as well, not even the memo key
-        is built; in a cold GUI start-up that holds for most first
-        entries (dia, gftp: all but one).  The key and digest built here
-        are kept on the trace for :meth:`compile`, which builds them
-        itself otherwise.
-        """
-        stored = self._stored_bodies
-        entry = self.compile_threshold
-        if _FACTORIES or stored is not None:
-            key = _trace_key(translated, self.cost)
-            digest = None
-            if key in _FACTORIES:
-                entry = 1
-            elif stored is not None:
-                digest = _body_digest(key)
-                if digest in stored:
-                    entry = 1
-            translated.compile_key = (key, digest)
-        if translated.from_persistent:
-            entry = min(entry, 2)
-        translated.compile_at = entry
-        return entry
 
     def compile(self, translated: TranslatedTrace):
         """Specialize ``translated``; attach and return the closure.
@@ -608,12 +563,9 @@ class TraceCompiler:
         tiers are observably identical, so falling back is always safe.
         """
         try:
-            key, digest = translated.compile_key or (
-                _trace_key(translated, self.cost), None
-            )
             slots, callbacks = _capture_lists(translated)
             make = self._factory(
-                key, digest,
+                _trace_key(translated, self.cost),
                 lambda: self._generate(translated, slots, callbacks),
                 "<trace@0x%x>" % translated.entry,
             )
@@ -652,7 +604,7 @@ class TraceCompiler:
                 slots.extend(member_slots)
                 callbacks.extend(member_callbacks)
             make = self._factory(
-                key, None,
+                key,
                 lambda: self._generate_region(members, slots, callbacks),
                 "<region@0x%x>" % members[0].entry,
             )
@@ -662,8 +614,7 @@ class TraceCompiler:
         self.host.regions_compiled += 1
         return body
 
-    def _factory(self, key: tuple, digest: Optional[str], source_fn,
-                 filename: str):
+    def _factory(self, key: tuple, source_fn, filename: str):
         """The ``_make`` factory for ``key``: a memo hit, else a sidecar
         revive or a host compile (:meth:`_build_factory`), memoized."""
         cached = _FACTORIES.get(key)
@@ -676,15 +627,10 @@ class TraceCompiler:
                 # in-process memo already knows, at zero compile cost.
                 store.record_bytes(digest, body_bytes)
             return make
-        if digest is None:
-            digest = _body_digest(key)
+        digest = _body_digest(key)
         make, body_bytes = self._build_factory(source_fn, filename, digest)
         if len(_FACTORIES) >= _FACTORIES_CAP:
             _FACTORIES.clear()
-            if self.body_store is not None:
-                # Bodies this run recorded left the memo: from now on
-                # :meth:`compile_entry` asks the store for them too.
-                self._stored_bodies = self.body_store.entries
         _FACTORIES[key] = (make, digest, body_bytes)
         return make
 

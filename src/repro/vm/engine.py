@@ -95,21 +95,21 @@ class VMConfig:
     #: after Li et al.'s IA32EL work the paper discusses in §5).
     module_retention: bool = True
     #: How translated traces execute: ``"compiled"`` specializes each
-    #: trace into a Python closure (repro.vm.compile) once it reaches its
-    #: compile entry (see ``compile_threshold``) and runs it on the cold
+    #: trace into a Python closure (repro.vm.compile) once it reaches
+    #: ``compile_threshold`` entries and runs it on the cold
     #: tier before that, one ``ExecutionContext.run_uops`` call per
     #: trace entry; ``"interpreted"`` walks uops through step_uop, one
     #: call per uop.  The tiers are observably identical — same output,
     #: exit status, and VMStats to the bit (see docs/performance.md);
     #: interpreted is the reference oracle, compiled the fast default.
     dispatch_mode: str = "compiled"
-    #: Compiled-tier tier-up: a fresh trace runs on the cold tier for its
-    #: first ``compile_threshold - 1`` entries and compiles on the next.
-    #: Traces whose body needs no host ``compile()`` compile at entry 1,
-    #: revived persistent traces at entry 2 (repro.vm.compile
-    #: ``TraceCompiler.compile_entry``); 1 compiles every trace at its
-    #: first entry.  Host-side only — the tiers are observably identical
-    #: per execution, so ``VMStats`` is bit-identical at any threshold.
+    #: Compiled-tier tier-up: every trace, fresh or revived, runs on the
+    #: cold tier for its first ``compile_threshold - 1`` entries and
+    #: compiles on the next.  A body in the factory memo or the attached
+    #: store is bound then instead of host-compiled; 1 compiles every
+    #: trace at its first entry.  Host-side only — the tiers are
+    #: observably identical per execution, so ``VMStats`` is
+    #: bit-identical at any threshold.
     compile_threshold: int = DEFAULT_COMPILE_THRESHOLD
 
 
@@ -245,7 +245,6 @@ class Engine:
                 machine, stats, accounting, self.cost_model,
                 self._analysis_context, code_cache=cache, host=host,
                 max_instructions=self.config.max_instructions,
-                compile_threshold=self.config.compile_threshold,
             )
             if dispatch_mode == "compiled"
             else None
@@ -318,6 +317,7 @@ class Engine:
         links = host.links
         run_uops = context.run_uops
         budget = self.config.max_instructions
+        threshold = self.config.compile_threshold
         exit_status = 0
         pc: Optional[int] = process.entry_address
         # Program start: control begins inside the VM.
@@ -346,14 +346,12 @@ class Engine:
             body = None
             if compiler is not None:
                 body = translated.compiled_body
-                if body is None and translated.executions >= (
-                    translated.compile_at or compiler.compile_entry(translated)
-                ):
+                if body is None and translated.executions >= threshold:
                     body = compiler.compile(translated)
                 if chained_from is not None:
                     # A closure handed this trace over.  The exit chained
                     # if the trace runs compiled; an uncompilable trace
-                    # bounced, and one below its compile entry counts
+                    # bounced, and one below the threshold counts
                     # nothing.
                     if body is UNCOMPILABLE:
                         links.link_bounces += 1

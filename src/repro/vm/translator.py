@@ -144,14 +144,6 @@ class TranslatedTrace:
     compiled_body: Optional[object] = field(
         default=None, repr=False, compare=False
     )
-    #: The entry (``executions`` count) on which the compiled tier builds
-    #: ``compiled_body``, decided at first entry, with the factory-memo
-    #: key and digest computed for that decision (repro.vm.compile
-    #: ``TraceCompiler.compile_entry``).  0 / None until then.
-    compile_at: int = field(default=0, repr=False, compare=False)
-    compile_key: Optional[tuple] = field(
-        default=None, repr=False, compare=False
-    )
 
     def invalidate_compiled(self) -> None:
         """Drop the compiled-tier closure (trace eviction/invalidation)."""

@@ -1,16 +1,18 @@
 """Hotness tier-up: interpreting cold traces must change nothing.
 
-The contract (:meth:`repro.vm.compile.TraceCompiler.compile_entry`): a
-trace runs on the interpreted tier until its compile entry, decided
-once at its first entry — 1 when its body needs no host ``compile()``
-(factory-memo hit, or a body the attached store opened with), 2 when it was
-revived from the persistent cache, otherwise ``compile_threshold``.
+The contract (:mod:`repro.vm.compile`'s tier-up): every trace, fresh
+or revived from the persistent cache, runs on the cold tier until its
+``compile_threshold``-th entry and compiles on that entry.  A body in
+the factory memo or the attached store is bound then, at no host
+``compile()``, but never earlier.
 Because the interpreted oracle and the compiled tier are bit-identical
 *per execution*, every observable of a run (output, exit status, every
 ``VMStats`` field, code-cache occupancy) must be the same at every
 threshold, through SMC, cache churn and a persistence round trip.
 """
 
+import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -19,6 +21,7 @@ from repro.loader.linker import load_process
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.vm import compile as vm_compile
+from repro.vm.codecache import CodeCache
 from repro.vm.compile import (
     DEFAULT_COMPILE_THRESHOLD,
     TraceCompiler,
@@ -127,7 +130,7 @@ class TestDifferential:
 
     def test_persistence_round_trip(self, tmp_path):
         """Cold then warm over one database per threshold: revived
-        traces tier up by their own rule and the pair still matches the
+        traces tier up by the same rule and the pair still matches the
         interpreted oracle's pair."""
         workload = build_warmup_workload("startup_b")
 
@@ -170,13 +173,26 @@ class TestDifferential:
         assert compile_log == []
 
 
-class TestCompileEntryRule:
-    """Pins each branch of the compile-entry decision."""
+def _warm_db(tmp_path, workload, input_name, config):
+    """A database that one cold ``config`` run of ``workload`` filled,
+    with the factory memo cleared after it, as a new process finds it."""
+    db = str(tmp_path / "db")
+    clear_code_object_cache()
+    run_vm(workload, input_name,
+           persistence=PersistenceConfig(database=CacheDatabase(db)),
+           vm_config=config)
+    clear_code_object_cache()
+    return db
+
+
+class TestTierUpRule:
+    """Pins the one tier-up rule: every compile lands on the threshold
+    entry, whatever the source of the body."""
 
     @pytest.mark.parametrize("threshold", [2, DEFAULT_COMPILE_THRESHOLD])
     def test_fresh_trace_compiles_on_its_nth_entry(self, compile_log,
                                                    threshold):
-        """Every compile happens on the trace's compile entry, after
+        """Every compile happens on the trace's threshold entry, after
         that entry was counted."""
         clear_code_object_cache()
         result = run_vm(
@@ -188,7 +204,7 @@ class TestCompileEntryRule:
         assert result.stats.traces_translated > len(compile_log)
 
     def test_linked_successor_compiles_on_its_nth_entry(self, compile_log):
-        """A successor a closure hands over compiles on its compile
+        """A successor a closure hands over compiles on its threshold
         entry too, after that entry was counted: the dispatch loop
         counts every entry before it decides."""
         clear_code_object_cache()
@@ -196,46 +212,80 @@ class TestCompileEntryRule:
                vm_config=VMConfig(compile_threshold=5))
         assert compile_log
         for translated, executions in compile_log:
-            assert translated.compile_at == 5
             assert executions == 5
             assert translated.executions >= 5
 
-    def test_memo_hit_compiles_at_entry_one(self, compile_log):
+    def test_memo_hit_compiles_at_threshold(self, compile_log):
+        """A repeat run in one process finds every body in the factory
+        memo: it saves the host compile() but still waits for the
+        threshold entry."""
         workload = build_warmup_workload("startup_a")
         clear_code_object_cache()
         run_vm(workload, "default", vm_config=VMConfig(compile_threshold=1))
         del compile_log[:]
-        run_vm(workload, "default", vm_config=VMConfig())
+        result = run_vm(workload, "default", vm_config=VMConfig())
+        assert result.host.memo_hits > 0
+        assert result.host.host_compiles == 0
         assert compile_log
-        assert all(entry == 1 for _trace, entry in compile_log)
-        assert all(trace.compile_at == 1 for trace, _entry in compile_log)
+        assert {entry for _trace, entry in compile_log} == {
+            DEFAULT_COMPILE_THRESHOLD
+        }
 
-    def test_stored_body_binds_at_first_entry(self, tmp_path, compile_log):
-        """A body the sidecar holds needs no host compile(): it binds
-        at the trace's first entry and the run compiles nothing."""
+    def test_stored_body_binds_at_threshold(self, tmp_path, compile_log):
+        """A body the sidecar holds needs no host compile(), but it is
+        bound on the trace's threshold entry, not its first."""
         workload = build_warmup_workload("startup_a")
-        db = str(tmp_path / "db")
-        clear_code_object_cache()
-        run_vm(workload, "default",
-               persistence=PersistenceConfig(database=CacheDatabase(db)),
-               vm_config=VMConfig(compile_threshold=1))
-        clear_code_object_cache()
+        db = _warm_db(tmp_path, workload, "default",
+                      VMConfig(compile_threshold=1))
         del compile_log[:]
         warm = run_vm(
             workload, "default",
             persistence=PersistenceConfig(database=CacheDatabase(db)),
         )
-        report = warm.persistence_report
-        assert report["sidecar_host_compiles"] == 0
-        assert report["sidecar_hits"] > 0
+        assert warm.host.host_compiles == 0
+        assert warm.host.body_hits > 0
         assert compile_log
-        assert all(entry == 1 for _trace, entry in compile_log)
+        assert {entry for _trace, entry in compile_log} == {
+            DEFAULT_COMPILE_THRESHOLD
+        }
+
+    def test_revived_trace_below_threshold_never_compiles(self, tmp_path,
+                                                          monkeypatch):
+        """A revived trace compiles by the same rule as a fresh one: the
+        startup code a warm gvim run enters fewer than
+        ``compile_threshold`` times stays on the cold tier, and a warm
+        run of the input that filled the database records no new body."""
+        inserted = []
+        original = CodeCache.insert
+
+        def recording(cache, translated):
+            inserted.append(translated)
+            return original(cache, translated)
+
+        monkeypatch.setattr(CodeCache, "insert", recording)
+        apps, _store = build_gui_suite()
+        db = _warm_db(tmp_path, apps["gvim"], "startup", VMConfig())
+        del inserted[:]
+        warm = run_vm(
+            apps["gvim"], "startup",
+            persistence=PersistenceConfig(database=CacheDatabase(db)),
+        )
+        revived = [t for t in inserted if t.from_persistent]
+        cold = [t for t in revived
+                if 1 < t.executions < DEFAULT_COMPILE_THRESHOLD]
+        assert len(cold) > 100
+        assert all(t.compiled_body is None for t in cold)
+        hot = [t for t in revived
+               if t.executions >= DEFAULT_COMPILE_THRESHOLD]
+        assert hot
+        assert all(t.compiled_body is not None for t in hot)
+        assert warm.host.sidecar_new_entries == 0
+        assert warm.host.host_compiles == 0
 
     def test_cold_run_digests_only_what_it_compiles(self, tmp_path,
                                                     monkeypatch):
-        """With an empty memo and a database that opened with no bodies,
-        no first entry can compile at entry 1: the run takes a body
-        digest only to record each host compile."""
+        """With an empty memo and an empty database, the run takes a
+        body digest only to look up and record each host compile."""
         digests = []
         original = vm_compile._body_digest
 
@@ -256,63 +306,62 @@ class TestCompileEntryRule:
         assert result.host.host_compiles > 0
         assert len(digests) == result.host.host_compiles
 
-    def test_empty_memo_builds_no_key_at_first_entry(self, tmp_path,
-                                                     monkeypatch):
-        """While the memo is empty and the store opened with no bodies,
-        a first entry cannot compile at entry 1, so it builds no memo
-        key.  A cold dia start-up compiles its first body only near its
-        end: nearly all of its first entries find the memo empty."""
-        memo_was_empty = []
-        keys_built = []
-        inside_empty = [False]
-        original_entry = TraceCompiler.compile_entry
-        original_key = vm_compile._trace_key
-
-        def entry(self, translated):
-            inside_empty[0] = not vm_compile._FACTORIES
-            memo_was_empty.append(inside_empty[0])
-            try:
-                return original_entry(self, translated)
-            finally:
-                inside_empty[0] = False
+    def test_keys_are_built_only_to_compile(self, tmp_path, monkeypatch,
+                                            compile_log):
+        """No first entry builds a factory-memo key: a cold gvim start-up
+        builds one per trace compile and per region member, nowhere
+        else."""
+        callers = []
+        original = vm_compile._trace_key
 
         def key(translated, cost):
-            if inside_empty[0]:
-                keys_built.append(translated.entry)
-            return original_key(translated, cost)
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):  # a genexpr
+                frame = frame.f_back
+            callers.append(frame.f_code.co_name)
+            return original(translated, cost)
 
-        monkeypatch.setattr(TraceCompiler, "compile_entry", entry)
         monkeypatch.setattr(vm_compile, "_trace_key", key)
         apps, _store = build_gui_suite()
         clear_code_object_cache()
-        run_vm(
-            apps["dia"], "startup",
+        result = run_vm(
+            apps["gvim"], "startup",
             persistence=PersistenceConfig(
                 database=CacheDatabase(str(tmp_path / "db"))
             ),
         )
-        assert sum(memo_was_empty) > 500
-        assert keys_built == []
+        assert result.stats.traces_translated > 500
+        assert compile_log
+        assert set(callers) <= {"compile", "compile_region"}
+        assert callers.count("compile") == len(compile_log)
 
     def test_flushed_memo_still_finds_this_runs_bodies(self, tmp_path,
                                                        monkeypatch):
         """Once the memo flushes mid-run, a body this run recorded is in
         the store but no longer in the memo: a trace translated again
-        after a code-cache flush still binds it at its first entry."""
+        after a code-cache flush binds it from the store on its
+        threshold entry, and no digest is host-compiled twice."""
         monkeypatch.setattr(vm_compile, "_FACTORIES_CAP", 4)
-        decisions = []
-        original = TraceCompiler.compile_entry
+        from_store = []
+        compiled = Counter()
+        original = TraceCompiler.compile
 
-        def entry(self, translated):
-            digest = vm_compile._body_digest(
-                vm_compile._trace_key(translated, self.cost)
-            )
-            held = digest in self.body_store.entries
-            decided = original(self, translated)
-            decisions.append((held, decided))
-            return decided
+        def recording(self, translated):
+            key = vm_compile._trace_key(translated, self.cost)
+            digest = vm_compile._body_digest(key)
+            held = (digest in self.body_store.entries
+                    and key not in vm_compile._FACTORIES)
+            host = self.host
+            before = host.body_hits, host.host_compiles
+            body = original(self, translated)
+            if host.host_compiles > before[1]:
+                compiled[digest] += 1
+            if held:
+                from_store.append((translated.executions,
+                                   host.body_hits - before[0]))
+            return body
 
-        monkeypatch.setattr(TraceCompiler, "compile_entry", entry)
+        monkeypatch.setattr(TraceCompiler, "compile", recording)
         apps, _store = build_gui_suite()
         clear_code_object_cache()
         result = run_vm(
@@ -323,41 +372,9 @@ class TestCompileEntryRule:
             vm_config=VMConfig(compile_threshold=2, code_pool_bytes=768),
         )
         assert result.stats.cache_flushes > 0
-        held = [decided for was_held, decided in decisions if was_held]
-        assert len(held) > 10
-        assert set(held) == {1}
-
-    def test_revived_trace_entered_once_never_compiles(self, tmp_path,
-                                                       monkeypatch):
-        """Bodies the cold run never compiled are not in the store: the
-        warm run's revived traces compile on entry 2, so the startup
-        blocks that run once stay interpreted."""
-        decided = []
-        original = TraceCompiler.compile_entry
-
-        def recording(self, translated):
-            decided.append(translated)
-            return original(self, translated)
-
-        monkeypatch.setattr(TraceCompiler, "compile_entry", recording)
-        workload = build_warmup_workload("startup_a")
-        db = str(tmp_path / "db")
-        clear_code_object_cache()
-        run_vm(workload, "default",
-               persistence=PersistenceConfig(database=CacheDatabase(db)))
-        clear_code_object_cache()
-        del decided[:]
-        warm = run_vm(
-            workload, "default",
-            persistence=PersistenceConfig(database=CacheDatabase(db)),
-        )
-        revived = [t for t in decided if t.from_persistent]
-        once = [t for t in revived if t.compile_at == 2 and t.executions == 1]
-        assert once
-        assert all(t.compiled_body is None for t in once)
-        hot = [t for t in revived if t.compile_at == 2 and t.executions >= 2]
-        assert all(t.compiled_body is not None for t in hot)
-        assert warm.persistence_report["sidecar_host_compiles"] == len(hot)
+        assert from_store
+        assert set(from_store) == {(2, 1)}
+        assert compiled and set(compiled.values()) == {1}
 
 
 class TestLinkBounces:
@@ -366,21 +383,22 @@ class TestLinkBounces:
         entry hands the successor back to the dispatch loop to run
         interpreted; ``link_bounces`` keeps counting only uncompilable
         successors."""
-        original = TraceCompiler.compile_entry
-        decided = []
+        original = TraceCompiler.compile
+        order = {}
 
         def alternating(self, translated):
-            original(self, translated)
-            # Every other trace in the ring stays cold for a long time.
-            decided.append(translated)
-            translated.compile_at = 64 if len(decided) % 2 else 2
-            return translated.compile_at
+            # Every other trace in the ring stays cold until entry 64.
+            rank = order.setdefault(id(translated), len(order))
+            if rank % 2 == 0 and translated.executions < 64:
+                return None
+            return original(self, translated)
 
-        monkeypatch.setattr(TraceCompiler, "compile_entry", alternating)
+        monkeypatch.setattr(TraceCompiler, "compile", alternating)
         workload = build_chain_suite()["relay_4"]
         oracle = run_vm(workload, "run", vm_config=ORACLE)
         clear_code_object_cache()
-        result = run_vm(workload, "run", vm_config=VMConfig())
+        result = run_vm(workload, "run",
+                        vm_config=VMConfig(compile_threshold=2))
         assert signature(result) == signature(oracle)
         assert result.link_stats.link_direct_hops > 0
         assert result.link_stats.link_bounces == 0
