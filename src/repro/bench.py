@@ -21,16 +21,16 @@ family, sequentially) under each mode.  Before timing, one sweep per
 mode is compared field-for-field (output, exit status, every
 :class:`VMStats` counter) into ``identical_results``, and every family's
 gate requires it, so a reported speedup can never come from divergent
-behavior.  Sweeps then run ``warmup`` untimed repetitions — standard
-JIT-benchmark practice, here amortizing the host ``compile()`` of trace
-closures, which the factory memo (:mod:`repro.vm.compile`) shares across
-runs exactly like the paper's persistent code cache shares translations
-across executions — then ``reps`` timed repetitions, interleaved across
-the two modes with the cycle collector paused.  The headline score is
-the trimmed mean (the highest rep dropped, since timing noise only
-inflates); per-mode minima and the max-over-min spread are reported
-alongside so a surprising headline can be checked against run-to-run
-noise without rerunning, and the report warns when a spread exceeds
+behavior.  Sweeps then run ``warmup`` untimed repetitions, which warm
+the host process (imports, the allocator) but no compiled code: every
+run starts with an empty factory memo, as a new process does, and a
+body outlives its run only through a persistence session's body store.
+Then ``reps`` timed repetitions run, interleaved across the two modes
+with the cycle collector paused.  The headline score is the trimmed
+mean (the highest rep dropped, since timing noise only inflates);
+per-mode minima and the max-over-min spread are reported alongside so
+a surprising headline can be checked against run-to-run noise without
+rerunning, and the report warns when a spread exceeds
 :data:`SPREAD_WARN_PCT`.
 
 Every family with a probe also reports per-mode time-to-first-output
@@ -65,7 +65,6 @@ from repro.analysis.report import format_table
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.persist.storage import FileStorage
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VMConfig
 from repro.workloads.harness import FirstOutputTimer, run_vm
 from repro.workloads.gui import build_gui_suite
@@ -252,7 +251,6 @@ def _case_sweep(
     cases: Sequence[tuple],
     config: Callable[[str], VMConfig],
     persistence: Optional[Callable[[str, str], object]] = None,
-    fresh: bool = False,
     collect: Optional[Callable[[str, list], Dict[str, object]]] = None,
     extras: Callable[[], Dict[str, object]] = dict,
     ttfo: Optional[str] = None,
@@ -260,8 +258,6 @@ def _case_sweep(
     """A sweep over ``(name, workload, input_name)`` cases, in order.
 
     ``config(mode)`` and ``persistence(mode, name)`` configure each run.
-    ``fresh`` clears the in-process factory memo before every sweep and
-    every probe, so each pays a fresh process's host ``compile()`` cost.
     ``collect(mode, results)`` reads JSON keys off every full sweep (a
     probe is not one); the latest value of each joins ``extras()``.  The
     time-to-first-output probe runs case ``ttfo`` (default: the first)
@@ -280,8 +276,6 @@ def _case_sweep(
         )
 
     def run(mode: str) -> list:
-        if fresh:
-            clear_code_object_cache()
         results = [run_case(mode, case) for case in cases]
         if collect is not None:
             collected.update(collect(mode, results))
@@ -291,8 +285,6 @@ def _case_sweep(
                   else next(case for case in cases if case[0] == ttfo))
 
     def first_output_s(mode: str) -> float:
-        if fresh:
-            clear_code_object_cache()
         timer = FirstOutputTimer()
         start = time.perf_counter()
         run_case(mode, probe_case, timer)
@@ -341,7 +333,10 @@ def _host_group(result, group: str) -> Dict[str, object]:
 
 @_family(
     "fig5a_gui",
-    checks=(Check("speedup_trimmed_x", ">=", GATE_THRESHOLD_X),),
+    checks=(
+        Check("speedup_trimmed_x", ">=", GATE_THRESHOLD_X),
+        Check("host_compiles_compiled", "==", 0),
+    ),
 )
 def _fig5a_gui(scratch_dir: str) -> Sweep:
     """GUI startup with a warm same-input persistent cache (Figure 5(a)).
@@ -350,6 +345,10 @@ def _fig5a_gui(scratch_dir: str) -> Sweep:
     their time executing, which is exactly what trace-compiled dispatch
     accelerates; this is the acceptance gate's family
     (:data:`GATE_THRESHOLD_X`, which ``--check-threshold`` overrides).
+    Each compiled run starts with an empty factory memo, as a new
+    process does, and binds the bodies its hot traces need from the
+    database's sidecar: ``host_compiles_compiled == 0`` checks that a
+    warm run of the input that filled its database compiles nothing.
     """
     cases = _gui_cases()
     databases = _populated_databases(scratch_dir, "fig5a-", cases)
@@ -358,6 +357,9 @@ def _fig5a_gui(scratch_dir: str) -> Sweep:
         persistence=lambda mode, name: PersistenceConfig(
             database=databases[name]
         ),
+        collect=lambda mode, results: {
+            "host_compiles_" + mode: _host_total(results, "host_compiles"),
+        },
     )
 
 
@@ -376,45 +378,6 @@ def _headline_spec(scratch_dir: str) -> Sweep:
     oracle = build_oracle()
     cases.extend(("oracle-" + phase, oracle, phase) for phase in PHASES)
     return _case_sweep(cases, _config)
-
-
-@_family(
-    "sidecar_cold_warm",
-    ("cold", "warm"),
-    checks=(
-        Check("host_compiles_warm", "==", 0),
-        Check("host_compiles_cold", ">", 0),
-    ),
-    cells=lambda f: {
-        "host_compiles": "%d/%d"
-        % (f["host_compiles_cold"], f["host_compiles_warm"]),
-    },
-)
-def _sidecar_cold_warm(scratch_dir: str) -> Sweep:
-    """Cold vs. warm host-compile cost of the compiled-body sidecar.
-
-    Both modes run the compiled tier against a warm per-app trace
-    database, so no translation happens and the modes' simulated work is
-    identical.  ``cold`` clears the in-process factory memo and disables
-    the sidecar before each sweep — every hot trace pays a fresh host
-    ``compile()``, the first-run-of-a-new-process cost.  ``warm`` also
-    clears the memo but revives every factory from the on-disk sidecar.
-    The wall-clock gap is exactly the host-compile work the sidecar
-    removes, and the per-mode host-compile counts show the warm path
-    compiles nothing while the cold one pays.
-    """
-    cases = _gui_cases()
-    databases = _populated_databases(scratch_dir, "sidecar-", cases)
-    return _case_sweep(
-        cases, _compiled,
-        persistence=lambda mode, name: PersistenceConfig(
-            database=databases[name], sidecar=(mode == "warm")
-        ),
-        fresh=True,
-        collect=lambda mode, results: {
-            "host_compiles_" + mode: _host_total(results, "host_compiles"),
-        },
-    )
 
 
 @_family(
@@ -459,7 +422,6 @@ def _shared_store(scratch_dir: str) -> Sweep:
             os.path.join(scratch_dir, "shared-donor-" + name),
             shared_store=shared,
         )
-        clear_code_object_cache()
         run_vm(app, input_name, persistence=PersistenceConfig(database=donor),
                vm_config=_config("compiled"))
         consumer_dir = os.path.join(scratch_dir, "shared-consumer-" + name)
@@ -481,7 +443,7 @@ def _shared_store(scratch_dir: str) -> Sweep:
         persistence=lambda mode, name: PersistenceConfig(
             database=consumers[name][mode], readonly=True
         ),
-        fresh=True, collect=collect,
+        collect=collect,
     )
 
 
@@ -638,8 +600,8 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
     """Cold startup corpus (:mod:`repro.workloads.warmup`): compile
     threshold 1 (``eager``) vs. the default tier-up (``tiered``).
 
-    Each sweep and probe clears the in-process factory memo, so both
-    modes pay the full cold-start cost.  The headline is
+    Every run starts with an empty factory memo and no persistence, so
+    both modes pay the full cold-start cost.  The headline is
     time-to-first-output on ``GATE_APP``: the tiered mode interprets
     cold traces until they prove reuse, so the program reaches its first
     write without paying host ``compile()`` for startup code that runs
@@ -662,14 +624,13 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
         run_vm(gate_app, "default",
                vm_config=VMConfig(dispatch_mode="interpreted"))
     )
-    clear_code_object_cache()
     tiered_sig = _result_signature(
         run_vm(gate_app, "default", vm_config=config("tiered"))
     )
     oracle_identical = tiered_sig == oracle_sig
 
     return _case_sweep(
-        cases, config, fresh=True,
+        cases, config,
         extras=lambda: {"oracle_identical": oracle_identical},
         ttfo=GATE_APP,
     )
@@ -715,7 +676,7 @@ def _transparency(scratch_dir: str) -> Sweep:
     (:mod:`repro.workloads.adversarial`) under attack-grade scrutiny.
 
     The timed sweep is plain interpreted vs. compiled dispatch over the
-    whole adversarial suite, each sweep from a cleared factory memo.
+    whole adversarial suite, every run compiling its own closures.
     The extras carry the actual transparency audit:
 
     * every workload's full signature (output, exit status, every
@@ -768,7 +729,6 @@ def _transparency(scratch_dir: str) -> Sweep:
         for name, wl in ordered:
             native = _observed(run_native(wl, "run"))
             self_observing = name != "timer"
-            clear_code_object_cache()
             oracle = run_vm(
                 wl, "run", vm_config=VMConfig(dispatch_mode="interpreted")
             )
@@ -776,7 +736,6 @@ def _transparency(scratch_dir: str) -> Sweep:
             if self_observing and _observed(oracle) != native:
                 stale_reads += 1
             for tier, config in tier_configs.items():
-                clear_code_object_cache()
                 result = run_vm(wl, "run", vm_config=config)
                 if _result_signature(result) != oracle_sig:
                     oracle_failures.append("%s/%s" % (name, tier))
@@ -799,7 +758,6 @@ def _transparency(scratch_dir: str) -> Sweep:
             wl = suite[name]
             db_dir = os.path.join(scratch_dir, "transparency-" + name)
             donor = CacheDatabase(db_dir, shared_store=shared)
-            clear_code_object_cache()
             cold = run_vm(
                 wl, "run", persistence=PersistenceConfig(database=donor),
                 vm_config=_config("compiled"),
@@ -813,7 +771,6 @@ def _transparency(scratch_dir: str) -> Sweep:
                 ),
             }
             for source, persistence in warm_configs.items():
-                clear_code_object_cache()
                 warm = run_vm(
                     wl, "run", persistence=persistence,
                     vm_config=_config("compiled"),
@@ -845,8 +802,7 @@ def _transparency(scratch_dir: str) -> Sweep:
         }
 
     cases = [(name, wl, "run") for name, wl in ordered]
-    return _case_sweep(cases, _config, fresh=True, extras=extras,
-                       ttfo="checksum")
+    return _case_sweep(cases, _config, extras=extras, ttfo="checksum")
 
 
 def _field(family: dict, path: str):

@@ -73,13 +73,6 @@ class PersistenceConfig:
     #: Prime directly with this cache instead of a database lookup
     #: (cross-input and inter-application experiments pick their donor).
     prime_with: Optional[PersistentCache] = None
-    #: Use the compiled-body store (repro.persist.sidecar): revive host
-    #: code objects for the compiled dispatch tier from the database's
-    #: shared pool (CacheDatabase(shared_store=...)) and its sidecar, and
-    #: record new ones at write-back.  Purely host-side — disabling it
-    #: changes nothing observable (cold-compile benchmarking,
-    #: diagnosis); it turns off the pool too.
-    sidecar: bool = True
     #: Record this run's nondeterminism into a ``PCRL1`` session log
     #: (repro.replay), stored in the database's ``replay/`` directory at
     #: exit (kept on the session as ``recorded_log`` when there is no
@@ -146,7 +139,7 @@ class PersistentCacheSession:
         #: then on (no reuse, no further write-back attempts).
         self._degraded = False
         #: The compiled-body store attached to this run's compiler, or
-        #: None (interpreted mode, sidecar disabled, no database, or
+        #: None (interpreted mode, no database, a degraded session, or
         #: neither layer readable).  Host-side only; see
         #: repro.persist.sidecar.
         self._body_store = None
@@ -470,17 +463,12 @@ class PersistentCacheSession:
         """Open the compiled-body store and hand it to this run's compiler.
 
         Skipped (states stay ``"disabled"``) under interpreted dispatch
-        (nothing compiles), without a database, when configured off, or
-        after this session already degraded.  Every other outcome is
+        (nothing compiles), without a database, or after this session
+        already degraded.  Every other outcome is
         report-only (:func:`~repro.persist.sidecar.open_body_store`).
         """
         compiler = getattr(engine, "_compiler", None)
-        if (
-            not self.config.sidecar
-            or self.config.database is None
-            or self._degraded
-            or compiler is None
-        ):
+        if self.config.database is None or self._degraded or compiler is None:
             return
         self._body_store = open_body_store(
             self.config.database, self._vm_version, self.host

@@ -61,32 +61,34 @@ per execution — until its ``compile_threshold``-th entry
 (:data:`DEFAULT_COMPILE_THRESHOLD`; 1 compiles every trace at its first
 entry), fresh or revived from the persistent cache alike.  The source
 of the body sets only what that compile costs:
-:meth:`TraceCompiler.compile` takes it from the factory memo, else from
-the attached body store, else from a host ``compile()``.  So a body is
-persisted only once its trace reached the threshold in some run, and a
-revived trace entered fewer times never binds one.
+:meth:`TraceCompiler.compile` takes it from the run's factory memo,
+else from the attached body store, else from a host ``compile()``.  So
+a body is persisted only once its trace reached the threshold in some
+run, and a revived trace entered fewer times never binds one.
 
 The engine's dispatch loop counts an entry before it checks it, so the
 compile happens on the threshold entry itself, whether the trace was
 reached through the translation map or handed over by a closure.
 
-Generated **closure factories** are memoized in a module-level table
-keyed by everything the source bakes in (uops, entry, links, points,
-cost constants), so retranslating the same code — a warm persistent run,
-a second application sharing a library at the same base, a module reload
-— skips source generation and host compilation entirely and just
-re-binds the factory to the new run's captures.  The memo is this
-reproduction's own little persistent code cache, one meta-level up.
+Generated **closure factories** are memoized per run, on the
+:class:`TraceCompiler`, keyed by everything the source bakes in (uops,
+entry, links, points, cost constants), so a trace the same run
+translates again — after self-modifying code, a module reload or a
+code-cache flush evicted it — skips source generation and host
+compilation and just re-binds the factory to new captures.  The memo
+dies with its run: what outlives a run is only what the body store
+persists.
 
 Two PR-3 extensions complete that story:
 
 * **Persisted bodies** — when a persistence session attaches a
-  :class:`repro.persist.sidecar.CompiledBodyStore`, every factory's
-  compiled code object is recorded (as ``marshal`` bytes keyed by a
-  digest of the factory-memo key) and revived on the next process's
-  first run, skipping source generation *and* host ``compile()``
-  entirely.  The sidecar is keyed on ``VM_VERSION`` + the host bytecode
-  tag, so any codegen or interpreter change invalidates it wholesale.
+  :class:`repro.persist.sidecar.CompiledBodyStore` (at process start,
+  before anything compiles), every host-compiled factory's code object
+  is recorded (as ``marshal`` bytes keyed by a digest of the memo key)
+  and revived in the next process, skipping source generation *and*
+  host ``compile()``.  The sidecar is keyed on ``VM_VERSION`` + the host
+  bytecode tag, so any codegen or interpreter change invalidates it
+  wholesale.
 * **Indirect-branch inline caches** — a JR/RET/CALLR exit carries one
   ``{target: resident}`` dict per site (Pin's indirect-branch chaining),
   guarded wholesale by the code-cache generation.  The body probes it
@@ -181,16 +183,8 @@ _BRANCH_OPS = frozenset(
     int(op) for op, row in SEMANTICS.items() if row.kind == "branch"
 )
 
-#: Memoized closure factories, keyed by everything the generated source
-#: bakes in (see :func:`_trace_key`).  Each value is a ``(make, digest,
-#: body_bytes)`` tuple: the compiled ``_make`` function, the sidecar
-#: digest of its key, and the ``marshal`` serialization of its code
-#: object (so a memo hit can still populate a fresh sidecar without
-#: recompiling).  A hit skips source generation, host compilation *and*
-#: the module ``exec`` — the factory is simply re-bound to the new run's
-#: captures.  Bounded: the table is flushed wholesale when it outgrows
-#: the cap (the same reclamation policy the code cache uses).
-_FACTORIES: Dict[tuple, tuple] = {}
+#: Factories one run's memo (:attr:`TraceCompiler._factories`) holds
+#: before it is flushed wholesale.
 _FACTORIES_CAP = 8192
 
 
@@ -249,17 +243,6 @@ class _NullCodeCache:
     @staticmethod
     def lookup(original_addr: int):
         return None
-
-
-def clear_code_object_cache() -> None:
-    """Drop every memoized factory (tests/benchmark hygiene).
-
-    Call it between runs to fake a fresh process.  A clear in the middle
-    of a run changes no tier-up decision: a body this run recorded into
-    the attached store is then looked up there at its next compile,
-    which costs a store lookup instead of a memo hit.
-    """
-    _FACTORIES.clear()
 
 
 def _trace_key(translated: TranslatedTrace, cost: CostModel) -> tuple:
@@ -512,6 +495,13 @@ class TraceCompiler:
         #: The attached compiled-body store, or None (attached by the
         #: persistence session via :meth:`attach_body_store`).
         self.body_store = None
+        #: This run's closure factories, keyed by everything the generated
+        #: source bakes in (:func:`_trace_key`): a trace translated again
+        #: (after an eviction or a flush) re-binds its factory to new
+        #: captures with no source generation and no host compile.
+        #: Flushed wholesale at :data:`_FACTORIES_CAP`, as the code cache
+        #: is at its pool size.
+        self._factories: Dict[tuple, object] = {}
         load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
         #: compiler builds (per-trace state travels separately).
@@ -548,7 +538,7 @@ class TraceCompiler:
 
         Subsequent factory-memo misses first try the store (reviving the
         marshaled code object skips source generation and host
-        ``compile()``), and every factory this compiler touches is
+        ``compile()``), and every factory this compiler host-compiles is
         recorded into it so the write-back persists a complete set.
         """
         self.body_store = store
@@ -615,36 +605,22 @@ class TraceCompiler:
         return body
 
     def _factory(self, key: tuple, source_fn, filename: str):
-        """The ``_make`` factory for ``key``: a memo hit, else a sidecar
-        revive or a host compile (:meth:`_build_factory`), memoized."""
-        cached = _FACTORIES.get(key)
-        if cached is not None:
-            make, digest, body_bytes = cached
-            self.host.memo_hits += 1
-            store = self.body_store
-            if store is not None and digest not in store.entries:
-                # A fresh (or pruned) sidecar still learns bodies the
-                # in-process memo already knows, at zero compile cost.
-                store.record_bytes(digest, body_bytes)
-            return make
-        digest = _body_digest(key)
-        make, body_bytes = self._build_factory(source_fn, filename, digest)
-        if len(_FACTORIES) >= _FACTORIES_CAP:
-            _FACTORIES.clear()
-        _FACTORIES[key] = (make, digest, body_bytes)
-        return make
+        """The ``_make`` factory for ``key``: this run's memo, else the
+        attached store's body, else a host ``compile()`` of
+        ``source_fn()`` recorded into the store for the next process.
 
-    def _build_factory(self, source_fn, filename: str, digest: str):
-        """Produce ``(make, marshal_bytes)`` for a memo miss.
-
-        Tries the attached body store first (its shared pool, then its
-        sidecar) — a hit ``exec``\\ s the revived code object, skipping
-        source generation and host ``compile()``; a miss (or no store)
-        compiles from ``source_fn()`` and records the result into the
-        store for the next process.
+        A stored body ``exec``\\ s the revived code object, skipping
+        source generation and host ``compile()``.  The store is attached
+        before the run compiles anything, so every body the memo holds
+        is in the store already.
         """
+        make = self._factories.get(key)
+        if make is not None:
+            self.host.memo_hits += 1
+            return make
         store = self.body_store
         if store is not None:
+            digest = _body_digest(key)
             code = store.lookup_code(digest)
             if code is not None:
                 namespace: Dict[str, object] = {}
@@ -652,25 +628,27 @@ class TraceCompiler:
                     exec(code, namespace)  # noqa: S102 - keyed on VM version
                     make = namespace["_make"]
                 except Exception:
-                    # A structurally valid blob that does not define the
+                    # A blob that unmarshals but does not define the
                     # factory (foreign or hand-damaged content the CRCs
-                    # cannot judge): treat as a miss and recompile.
-                    pass
+                    # cannot judge) is a miss: drop it, so the body
+                    # compiled below replaces it.
+                    store.entries.pop(digest, None)
                 else:
                     self.host.body_hits += 1
-                    return make, store.entries[digest]
-        code = compile(source_fn(), filename, "exec")
-        self.host.host_compiles += 1
-        # Exec what is marshaled: a fresh compile and a revive then run
-        # the same code object.
-        code = _strip_line_tables(code)
-        namespace = {}
-        exec(code, namespace)  # noqa: S102 - self-generated source
-        make = namespace["_make"]
-        body_bytes = marshal.dumps(code)
-        if store is not None:
-            store.record_bytes(digest, body_bytes)
-        return make, body_bytes
+        if make is None:
+            # Exec what is marshaled: a fresh compile and a revive then
+            # run the same code object.
+            code = _strip_line_tables(compile(source_fn(), filename, "exec"))
+            self.host.host_compiles += 1
+            namespace = {}
+            exec(code, namespace)  # noqa: S102 - self-generated source
+            make = namespace["_make"]
+            if store is not None:
+                store.record_bytes(digest, marshal.dumps(code))
+        if len(self._factories) >= _FACTORIES_CAP:
+            self._factories.clear()
+        self._factories[key] = make
+        return make
 
     # -- code generation -------------------------------------------------------
 

@@ -105,9 +105,9 @@ class VMConfig:
     dispatch_mode: str = "compiled"
     #: Compiled-tier tier-up: every trace, fresh or revived, runs on the
     #: cold tier for its first ``compile_threshold - 1`` entries and
-    #: compiles on the next.  A body in the factory memo or the attached
-    #: store is bound then instead of host-compiled; 1 compiles every
-    #: trace at its first entry.  Host-side only — the tiers are
+    #: compiles on the next.  A body in the run's factory memo or the
+    #: attached store is bound then instead of host-compiled; 1 compiles
+    #: every trace at its first entry.  Host-side only — the tiers are
     #: observably identical per execution, so ``VMStats`` is
     #: bit-identical at any threshold.
     compile_threshold: int = DEFAULT_COMPILE_THRESHOLD

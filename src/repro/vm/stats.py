@@ -141,7 +141,8 @@ class HostStats:
     #: Traces specialized into closures, and superblock regions fused.
     compiles: int = 0
     regions_compiled: int = 0
-    #: Closure factories served by the in-process memo.
+    #: Closure factories served by the run's factory memo (a trace the
+    #: run translated again after an eviction or a flush).
     memo_hits: int = 0
     #: Host ``compile()`` calls paid (memo misses no store could serve).
     host_compiles: int = 0

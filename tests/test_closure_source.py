@@ -85,7 +85,7 @@ helper:
 
 def emitted_sources(monkeypatch, tool=None):
     """Every closure source one compile-at-first-entry run of the corpus
-    emits, from an empty factory memo, with the compiled traces' uops."""
+    emits, with the compiled traces' uops."""
     sources, uops = [], []
 
     def recording(original, members_of):
@@ -102,7 +102,6 @@ def emitted_sources(monkeypatch, tool=None):
         compiler._generate, lambda translated: [translated]))
     monkeypatch.setattr(compiler, "_generate_region", recording(
         compiler._generate_region, lambda members: members))
-    vm_compile.clear_code_object_cache()
     engine = Engine(tool=tool, config=VMConfig(compile_threshold=1))
     result = engine.run(load_process(image_from_asm(CORPUS)))
     monkeypatch.undo()

@@ -36,7 +36,6 @@ from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import (
     CODE_PAGE,
@@ -69,17 +68,13 @@ def _eager_config(mode, **kwargs):
 
 def _cold_config(mode, **kwargs):
     """A compile threshold no trace reaches: compiled dispatch runs every
-    fresh trace on its cold tier (``ExecutionContext.run_uops``).  A
-    factory-memo hit still compiles at entry 1, so tests using this
-    start from an empty memo (the ``run_uops_calls`` fixture)."""
+    trace on its cold tier (``ExecutionContext.run_uops``)."""
     return VMConfig(dispatch_mode=mode, compile_threshold=1 << 30, **kwargs)
 
 
 @pytest.fixture
 def run_uops_calls(monkeypatch):
-    """A one-item list counting ``ExecutionContext.run_uops`` calls,
-    starting from an empty factory memo."""
-    clear_code_object_cache()
+    """A one-item list counting ``ExecutionContext.run_uops`` calls."""
     calls = [0]
     original = ExecutionContext.run_uops
 
@@ -672,10 +667,9 @@ def _indirect_runs(tmp_path):
     return runs
 
 
-#: Exact inline-cache counts of every program in :func:`_indirect_runs`,
-#: the same from an empty factory memo and from a full one.  A slow path
-#: that missed a target its site already held, or reset a cell it did
-#: not need to, would change them.
+#: Exact inline-cache counts of every program in :func:`_indirect_runs`.
+#: A slow path that missed a target its site already held, or reset a
+#: cell it did not need to, would change them.
 _PINNED_IC_COUNTS = {
     "default": _ic_counts(91, 18, 16, 0),
     "eager": _ic_counts(261, 35, 24, 0),
@@ -698,12 +692,7 @@ class TestPinnedICCounts:
 
     @pytest.mark.parametrize("name", sorted(_PINNED_IC_COUNTS))
     def test_counts_are_exact(self, name, tmp_path):
-        """Once from an empty memo, then again with the memo the first
-        pass left: a memo hit saves a host compile, nothing else."""
-        clear_code_object_cache()
-        for memo in ("empty", "full"):
-            run = _indirect_runs(tmp_path / memo)[name]
-            assert run() == _PINNED_IC_COUNTS[name], memo
+        assert _indirect_runs(tmp_path)[name]() == _PINNED_IC_COUNTS[name]
 
 
 class TestHardCases:
@@ -873,16 +862,7 @@ class TestTraceLinking:
     every chain corpus.  :class:`~repro.vm.stats.LinkStats` rides on
     ``VMRunResult.link_stats``, *outside* the signature, exactly like the
     IC counters — chaining may never leak into simulated observables.
-
-    Every test starts from an empty factory memo: a memo hit compiles a
-    trace at its first entry, which moves where chains fuse (relay_4
-    fuses two regions right after a branchy_6 run in the same process,
-    and one from an empty memo).
     """
-
-    @pytest.fixture(autouse=True)
-    def _empty_memo(self):
-        clear_code_object_cache()
 
     def _suite(self):
         from repro.workloads.chains import build_chain_suite
@@ -1101,7 +1081,6 @@ class TestRegionFusionDriver:
             return driver(self, cur, cache, *args)
 
         monkeypatch.setattr(Engine, "_maybe_fuse", spy)
-        clear_code_object_cache()
         result = run_vm(
             build_chain_suite()["relay_12"], "run",
             vm_config=_eager_config("compiled"),
@@ -1832,7 +1811,7 @@ class TestMemoryOps:
         assert any(writes["compiled"])
 
     def test_generated_sites_are_single_helper_calls(self, monkeypatch):
-        from repro.vm.compile import TraceCompiler, clear_code_object_cache
+        from repro.vm.compile import TraceCompiler
 
         sources = []
         original = TraceCompiler._generate
@@ -1843,7 +1822,6 @@ class TestMemoryOps:
             return source
 
         monkeypatch.setattr(TraceCompiler, "_generate", capture)
-        clear_code_object_cache()
         Engine(config=_eager_config("compiled")).run(
             load_process(self.build_heap_code_image())
         )
@@ -1999,8 +1977,7 @@ class TestCodeFreeFlagCold(TestCodeFreeFlag):
     config = staticmethod(_cold_config)
 
     @pytest.fixture(autouse=True)
-    def _empty_memo(self, run_uops_calls):
-        """A factory-memo hit would compile at entry 1."""
+    def _runs_on_the_cold_tier(self, run_uops_calls):
         yield
         assert run_uops_calls[0] > 0
 

@@ -30,7 +30,6 @@ from repro.testing.faultfs import (
     flip_byte,
     truncate_file,
 )
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.harness import run_vm
 
@@ -77,10 +76,8 @@ def seed_pool(workload, tmp_path):
     """
     store = make_store(tmp_path / "store")
     donor = CacheDatabase(str(tmp_path / "donor"), shared_store=store)
-    clear_code_object_cache()
     cold = compiled_run(workload, "a", donor)
     assert cold.persistence_report["shared_publishes"] > 0
-    clear_code_object_cache()
     warm = compiled_run(workload, "a", donor)
     assert warm.persistence_report["sidecar_host_compiles"] == 0
     return str(tmp_path / "store"), observable(cold), observable(warm)
@@ -109,7 +106,6 @@ class TestDamageReachesTheRegistry:
         consumer = CacheDatabase(
             str(tmp_path / "consumer"), shared_store=make_store(store_dir)
         )
-        clear_code_object_cache()
         run = compiled_run(workload, "a", consumer)
 
         assert observable(run) == reference
@@ -141,7 +137,6 @@ class TestDamagedShardReads:
 
         store = make_store(store_dir)
         consumer = CacheDatabase(str(tmp_path / "consumer"), shared_store=store)
-        clear_code_object_cache()
         run = compiled_run(workload, "a", consumer)
 
         report = run.persistence_report
@@ -169,7 +164,6 @@ class TestDamagedShardReads:
         assert report["degraded_reason"] == ""
         # ...and the session's write-back healed the pool: the next
         # cold consumer revives everything with zero host compiles.
-        clear_code_object_cache()
         healed = compiled_run(
             workload, "a",
             CacheDatabase(str(tmp_path / "consumer2"), shared_store=make_store(store_dir)),
@@ -191,7 +185,6 @@ class TestDamagedShardReads:
             flip_byte(victim, offset)
             store = make_store(store_dir)
             consumer_dir = str(tmp_path / ("consumer-%d" % offset))
-            clear_code_object_cache()
             run = compiled_run(
                 workload, "a",
                 CacheDatabase(consumer_dir, shared_store=store),
@@ -210,7 +203,6 @@ class TestDamagedShardReads:
         store_dir, _cold, reference = seed_pool(workload, tmp_path)
         # Warm a consumer so its private sidecar references everything.
         warm_db_dir = str(tmp_path / "consumer")
-        clear_code_object_cache()
         compiled_run(
             workload, "a",
             CacheDatabase(warm_db_dir, shared_store=make_store(store_dir)),
@@ -219,7 +211,6 @@ class TestDamagedShardReads:
             store_dir,
             storage=FaultyStorage(FaultPlan(fail_reads=True, match=BODIES_DIR)),
         )
-        clear_code_object_cache()
         run = compiled_run(
             workload, "a", CacheDatabase(warm_db_dir, shared_store=faulted)
         )
@@ -240,7 +231,6 @@ class TestDamagedShardReads:
         bottoms out at host compile with identical observables."""
         store_dir, _cold, reference = seed_pool(workload, tmp_path)
         warm_db_dir = str(tmp_path / "consumer")
-        clear_code_object_cache()
         compiled_run(
             workload, "a",
             CacheDatabase(warm_db_dir, shared_store=make_store(store_dir)),
@@ -248,7 +238,6 @@ class TestDamagedShardReads:
         for shard in pool_shards(store_dir):
             truncate_file(shard, os.path.getsize(shard) // 3)
         os.remove(os.path.join(warm_db_dir, SIDECAR_NAME))
-        clear_code_object_cache()
         run = compiled_run(
             workload, "a",
             CacheDatabase(warm_db_dir, shared_store=make_store(store_dir)),
@@ -293,7 +282,6 @@ class TestFaultedWrites:
         counting = FaultyStorage(FaultPlan())
         count_dir = str(tmp_path / "store-count")
         shutil.copytree(store_dir, count_dir)
-        clear_code_object_cache()
         baseline = compiled_run(
             workload, "b",  # new input: fresh bodies force a publish
             CacheDatabase(
@@ -318,7 +306,6 @@ class TestFaultedWrites:
             )
             store = make_store(clone_dir, storage=storage)
             consumer_dir = str(tmp_path / ("consumer-%d" % call))
-            clear_code_object_cache()
             run = compiled_run(
                 workload, "b",
                 CacheDatabase(consumer_dir, shared_store=store),
@@ -347,7 +334,6 @@ class TestFaultedWrites:
             FaultPlan(crash_before_rename=True, match=BODIES_DIR)
         )
         store = make_store(store_dir, storage=storage)
-        clear_code_object_cache()
         with pytest.raises(SimulatedCrash):
             compiled_run(
                 workload, "b",
@@ -358,7 +344,6 @@ class TestFaultedWrites:
         for path, blob in pristine.items():
             assert open(path, "rb").read() == blob
         # The next process runs completely normally from the old pool.
-        clear_code_object_cache()
         recovered = compiled_run(
             workload, "a",
             CacheDatabase(str(tmp_path / "consumer2"), shared_store=make_store(store_dir)),
@@ -382,7 +367,6 @@ class TestFaultedWrites:
         store = make_store(tmp_path / "store", storage=storage)
         db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
         assert any(kind == "io-error" for kind, _, _ in db.events)
-        clear_code_object_cache()
         run = compiled_run(workload, "a", db)
         assert run.exit_status == 0
         assert run.persistence_report["shared_store_state"] == "attached"

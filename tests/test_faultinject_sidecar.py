@@ -23,7 +23,6 @@ from repro.testing.faultfs import (
     flip_byte,
     truncate_file,
 )
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VMConfig
 from repro.workloads.harness import run_vm
 
@@ -59,7 +58,6 @@ def compiled_run(workload, input_name, db):
 def seed(workload, directory):
     """Cold-populate a database (traces + sidecar); return its path."""
     db = CacheDatabase(directory)
-    clear_code_object_cache()
     compiled_run(workload, "a", db)
     return os.path.join(directory, SIDECAR_NAME)
 
@@ -71,7 +69,6 @@ class TestDamagedSidecarReads:
     ):
         # Reference: a healthy warm run.
         seed(workload, str(tmp_path / "ref"))
-        clear_code_object_cache()
         reference = compiled_run(
             workload, "a", CacheDatabase(str(tmp_path / "ref"))
         )
@@ -82,7 +79,6 @@ class TestDamagedSidecarReads:
             flip_byte(path, os.path.getsize(path) // 2)
         else:
             truncate_file(path, os.path.getsize(path) // 2)
-        clear_code_object_cache()
         db = CacheDatabase(str(tmp_path / "db"))
         warm = compiled_run(workload, "a", db)
 
@@ -110,7 +106,6 @@ class TestDamagedSidecarReads:
         # ...and the write-back healed the sidecar for the next process.
         assert report["sidecar_written"]
         assert os.path.exists(path)
-        clear_code_object_cache()
         healed = compiled_run(
             workload, "a", CacheDatabase(str(tmp_path / "db"))
         )
@@ -124,13 +119,11 @@ class TestDamagedSidecarReads:
         size = os.path.getsize(path)
         pristine = open(path, "rb").read()
         db = CacheDatabase(str(tmp_path / "db"))
-        clear_code_object_cache()
         reference = observable(compiled_run(workload, "a", db))
         for offset in range(0, size, max(1, size // 23)):
             with open(path, "wb") as handle:
                 handle.write(pristine)
             flip_byte(path, offset)
-            clear_code_object_cache()
             run = compiled_run(
                 workload, "a", CacheDatabase(str(tmp_path / "db"))
             )
@@ -143,7 +136,6 @@ class TestDamagedSidecarReads:
             FaultPlan(fail_reads=True, match=SIDECAR_NAME)
         )
         db = CacheDatabase(str(tmp_path / "db"), storage=storage)
-        clear_code_object_cache()
         warm = compiled_run(workload, "a", db)
         report = warm.persistence_report
         assert report["sidecar_state"].startswith("io-error: ")
@@ -165,7 +157,6 @@ class TestFaultedSidecarWrites:
             )
         )
         db = CacheDatabase(str(tmp_path / "db"), storage=storage)
-        clear_code_object_cache()
         # Input "b" compiles new bodies, forcing a sidecar write-back.
         result = run_vm(
             workload, "b",
@@ -190,7 +181,6 @@ class TestFaultedSidecarWrites:
             FaultPlan(crash_before_rename=True, match=SIDECAR_NAME)
         )
         db = CacheDatabase(str(tmp_path / "db"), storage=storage)
-        clear_code_object_cache()
         with pytest.raises(SimulatedCrash):
             run_vm(
                 workload, "b",
@@ -201,7 +191,6 @@ class TestFaultedSidecarWrites:
         # The previous sidecar is untouched (rename never happened) and
         # the next process runs normally from it.
         assert open(path, "rb").read() == before
-        clear_code_object_cache()
         recovered = compiled_run(
             workload, "a", CacheDatabase(str(tmp_path / "db"))
         )

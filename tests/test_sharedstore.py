@@ -36,7 +36,6 @@ from repro.persist.sharedstore import (
     shard_prefix,
     store_keytag,
 )
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.harness import run_vm
 
@@ -450,14 +449,12 @@ class TestEndToEnd:
         workload = mini_workload()
         store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
         db_a = CacheDatabase(str(tmp_path / "db-a"), shared_store=store)
-        clear_code_object_cache()
         cold = compiled_run(workload, "a", db_a)
         assert cold.persistence_report["shared_store_state"] == "attached"
         assert cold.persistence_report["shared_publishes"] > 0
         assert cold.persistence_report["sidecar_host_compiles"] > 0
 
         db_b = CacheDatabase(str(tmp_path / "db-b"), shared_store=store)
-        clear_code_object_cache()
         warm = compiled_run(workload, "a", db_b)
         assert warm.persistence_report["shared_hits"] > 0
         assert warm.persistence_report["sidecar_host_compiles"] == 0
@@ -481,7 +478,6 @@ class TestEndToEnd:
             db = CacheDatabase(
                 str(tmp_path / ("db-%s" % flag)), shared_store=store
             )
-            clear_code_object_cache()
             signatures[flag] = [
                 observable(compiled_run(workload, "a", db)) for _ in range(2)
             ]
@@ -493,13 +489,11 @@ class TestEndToEnd:
         workload = mini_workload()
         store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
         db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
-        clear_code_object_cache()
         compiled_run(workload, "a", db)
         # Unregister-by-wipe: nuke the pool entirely.
         import shutil
 
         shutil.rmtree(os.path.join(store.directory, BODIES_DIR))
-        clear_code_object_cache()
         warm = compiled_run(workload, "a", db)
         assert warm.persistence_report["shared_hits"] == 0
         assert warm.persistence_report["sidecar_hits"] > 0
@@ -513,7 +507,6 @@ class TestEndToEnd:
             str(tmp_path / "store"), vm_version="repro-dbi-99.0.0"
         )
         db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
-        clear_code_object_cache()
         result = compiled_run(workload, "a", db)
         assert result.persistence_report["shared_store_state"] == "stale-vm"
         assert result.persistence_report["shared_publishes"] == 0
@@ -548,14 +541,12 @@ class TestReadOnlyLruProtection:
 
         # Donor X publishes working set A (input "a") at t=1000.
         db_x = CacheDatabase(str(tmp_path / "db-x"), shared_store=store)
-        clear_code_object_cache()
         compiled_run(workload, "a", db_x)
         set_a = set(shard_snapshot(store))
 
         # Donor Y publishes working set B (input "b") at t=2000.
         current[0] = 2000
         db_y = CacheDatabase(str(tmp_path / "db-y"), shared_store=store)
-        clear_code_object_cache()
         compiled_run(workload, "b", db_y)
         set_b_only = set(shard_snapshot(store)) - set_a
         assert set_b_only  # the two working sets genuinely differ
@@ -565,7 +556,6 @@ class TestReadOnlyLruProtection:
         current[0] = 3000
         consumer_dir = str(tmp_path / "db-c")
         db_c = CacheDatabase(consumer_dir, shared_store=store)
-        clear_code_object_cache()
         warm = compiled_run(workload, "a", db_c, readonly=True)
         report = warm.persistence_report
         assert report["shared_hits"] > 0
@@ -654,7 +644,6 @@ class TestCli:
         from repro.cli import main
 
         store_dir = str(tmp_path / "store")
-        clear_code_object_cache()
         assert main(["run", "shell", "ls", "run", "--pcache",
                      str(tmp_path / "db"), "--shared-store", store_dir]) == 0
         out = capsys.readouterr().out

@@ -39,7 +39,6 @@ import pytest
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.persist.sharedstore import SharedBodyStore
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.harness import run_vm
 from repro.workloads.warmup import WARMUP_APPS, build_warmup_workload
@@ -206,7 +205,6 @@ def session_worker(store_dir: str, db_dir: str, out_path: str) -> None:
     workload = mini_workload()
     store = SharedBodyStore(store_dir, vm_version=VM_VERSION)
     db = CacheDatabase(db_dir, shared_store=store)
-    clear_code_object_cache()
     result = run_vm(
         workload,
         "a",
@@ -227,7 +225,6 @@ def test_concurrent_sessions_match_private_sidecar_path(tmp_path):
     result must be bit-identical to the plain private-sidecar run."""
     workload = mini_workload()
     reference_db = CacheDatabase(str(tmp_path / "reference-db"))
-    clear_code_object_cache()
     reference = run_vm(
         workload,
         "a",
@@ -270,11 +267,10 @@ def test_concurrent_sessions_match_private_sidecar_path(tmp_path):
 
 def app_run(name: str, db_dir: str, store_dir=None, readonly=False):
     """One run of warm-up app ``name`` at compile threshold 1 against
-    ``db_dir`` (and the store at ``store_dir``, if given), with an empty
-    factory memo, so every body comes from disk or a host compile."""
+    ``db_dir`` (and the store at ``store_dir``, if given): every body
+    comes from disk or a host compile."""
     store = (SharedBodyStore(store_dir, vm_version=VM_VERSION)
              if store_dir else None)
-    clear_code_object_cache()
     return run_vm(
         build_warmup_workload(name),
         "default",

@@ -33,7 +33,6 @@ from repro.persist.sidecar import (
     SidecarError,
     host_code_tag,
 )
-from repro.vm.compile import clear_code_object_cache
 from repro.vm.engine import VM_VERSION, Engine, VMConfig
 from repro.workloads.harness import run_vm
 
@@ -260,13 +259,11 @@ class TestFsck:
 
 class TestEndToEnd:
     def test_warm_process_skips_host_compile(self, workload, db):
-        clear_code_object_cache()  # other tests share the factory memo
         cold = compiled_run(workload, "a", db)
         assert cold.persistence_report["sidecar_written"]
         assert cold.persistence_report["sidecar_host_compiles"] > 0
-        # A new process has no in-memory factory memo; the sidecar is
-        # the only thing standing between it and a full recompile.
-        clear_code_object_cache()
+        # A run compiles its own closures; the sidecar is the only
+        # thing standing between the next run and a full recompile.
         warm = compiled_run(workload, "a", db)
         assert warm.persistence_report["sidecar_state"] == "loaded"
         assert warm.persistence_report["sidecar_hits"] > 0
@@ -279,15 +276,18 @@ class TestEndToEnd:
         )
 
     def test_sidecar_on_off_is_observably_identical(self, workload, tmp_path):
+        """A database that keeps its sidecar and one whose sidecar is
+        deleted before every run observe the same two runs."""
         signatures = {}
-        for flag in (True, False):
-            db = CacheDatabase(str(tmp_path / ("db-%s" % flag)))
-            clear_code_object_cache()
-            runs = [
-                observable(compiled_run(workload, "a", db, sidecar=flag))
-                for _ in range(2)
-            ]
-            signatures[flag] = runs
+        for keep in (True, False):
+            db = CacheDatabase(str(tmp_path / ("db-%s" % keep)))
+            sidecar = os.path.join(db.directory, SIDECAR_NAME)
+            runs = []
+            for _ in range(2):
+                if not keep and os.path.exists(sidecar):
+                    os.remove(sidecar)
+                runs.append(observable(compiled_run(workload, "a", db)))
+            signatures[keep] = runs
         assert signatures[True] == signatures[False]
 
     def test_vm_version_bump_degrades_to_jit_only_compile(self, workload, db):
@@ -304,7 +304,6 @@ class TestEndToEnd:
             entries=dict(old.entries),
         )
         db.storage.write_atomic(path, forged.to_bytes())
-        clear_code_object_cache()
         warm = compiled_run(workload, "a", db)
         assert warm.persistence_report["sidecar_state"] == "stale-vm"
         assert warm.persistence_report["sidecar_hits"] == 0
@@ -316,17 +315,31 @@ class TestEndToEnd:
         healed = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
         assert healed.staleness(VM_VERSION) is None
 
+    def test_foreign_body_is_replaced(self, workload, db):
+        """A stored blob that unmarshals but defines no factory (content
+        the CRCs cannot judge) is a miss, and the body compiled in its
+        place replaces it: the first warm run host-compiles that one
+        body, the next compiles nothing."""
+        cold = compiled_run(workload, "a", db)
+        assert cold.host.host_compiles > 1
+        path = os.path.join(db.directory, SIDECAR_NAME)
+        store = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
+        digest = min(store.entries)
+        foreign = marshal.dumps(compile("x = 1", "<foreign>", "exec"))
+        store.entries[digest] = foreign
+        db.storage.write_atomic(path, store.to_bytes())
+        warm = [compiled_run(workload, "a", db).host.host_compiles
+                for _ in range(3)]
+        assert warm == [1, 0, 0]
+        store = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))
+        assert store.entries[digest] != foreign
+
     def test_interpreted_mode_never_touches_the_sidecar(self, workload, db):
         result = run_vm(
             workload, "a",
             persistence=PersistenceConfig(database=db),
             vm_config=VMConfig(dispatch_mode="interpreted"),
         )
-        assert result.persistence_report["sidecar_state"] == "disabled"
-        assert not os.path.exists(os.path.join(db.directory, SIDECAR_NAME))
-
-    def test_disabled_config_never_touches_the_sidecar(self, workload, db):
-        result = compiled_run(workload, "a", db, sidecar=False)
         assert result.persistence_report["sidecar_state"] == "disabled"
         assert not os.path.exists(os.path.join(db.directory, SIDECAR_NAME))
 
@@ -351,7 +364,6 @@ class TestLineTables:
     ):
         store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
         db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
-        clear_code_object_cache()
         result = compiled_run(workload, "a", db)
         assert result.link_stats.regions_fused > 0
         path = os.path.join(db.directory, SIDECAR_NAME)
@@ -388,7 +400,6 @@ class TestLineTables:
             db = CacheDatabase(str(tmp_path / mode))
 
             def engine():
-                clear_code_object_cache()  # a new process: no factory memo
                 return Engine(
                     config=VMConfig(dispatch_mode=mode, compile_threshold=1),
                     persistence=PersistentCacheSession(

@@ -3,7 +3,7 @@
 The contract (:mod:`repro.vm.compile`'s tier-up): every trace, fresh
 or revived from the persistent cache, runs on the cold tier until its
 ``compile_threshold``-th entry and compiles on that entry.  A body in
-the factory memo or the attached store is bound then, at no host
+the run's factory memo or the attached store is bound then, at no host
 ``compile()``, but never earlier.
 Because the interpreted oracle and the compiled tier are bit-identical
 *per execution*, every observable of a run (output, exit status, every
@@ -22,11 +22,7 @@ from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.vm import compile as vm_compile
 from repro.vm.codecache import CodeCache
-from repro.vm.compile import (
-    DEFAULT_COMPILE_THRESHOLD,
-    TraceCompiler,
-    clear_code_object_cache,
-)
+from repro.vm.compile import DEFAULT_COMPILE_THRESHOLD, TraceCompiler
 from repro.vm.engine import Engine, EngineError, VMConfig
 from repro.workloads.chains import build_chain_suite
 from repro.workloads.gui import build_gui_suite
@@ -56,7 +52,6 @@ def assert_thresholds_match_oracle(run_one, context):
     oracle = signature(run_one(ORACLE))
     results = {}
     for threshold in THRESHOLDS:
-        clear_code_object_cache()
         results[threshold] = run_one(VMConfig(compile_threshold=threshold))
         assert signature(results[threshold]) == oracle, (
             "%s diverged at compile_threshold=%d" % (context, threshold)
@@ -137,7 +132,6 @@ class TestDifferential:
         def round_trip(config, tag):
             results = []
             for _run in ("cold", "warm"):
-                clear_code_object_cache()
                 results.append(run_vm(
                     workload, "default",
                     persistence=PersistenceConfig(
@@ -162,11 +156,10 @@ class TestDifferential:
                    vm_config=VMConfig(compile_threshold=0))
 
     def test_unreachable_threshold_runs_fully_interpreted(self, compile_log):
-        """With an empty memo and a threshold no trace reaches, nothing
-        compiles and the run is the oracle run."""
+        """With a threshold no trace reaches, nothing compiles and the
+        run is the oracle run."""
         workload = build_chain_suite()["relay_4"]
         oracle = run_vm(workload, "run", vm_config=ORACLE)
-        clear_code_object_cache()
         result = run_vm(workload, "run",
                         vm_config=VMConfig(compile_threshold=10 ** 9))
         assert signature(result) == signature(oracle)
@@ -174,14 +167,11 @@ class TestDifferential:
 
 
 def _warm_db(tmp_path, workload, input_name, config):
-    """A database that one cold ``config`` run of ``workload`` filled,
-    with the factory memo cleared after it, as a new process finds it."""
+    """A database that one cold ``config`` run of ``workload`` filled."""
     db = str(tmp_path / "db")
-    clear_code_object_cache()
     run_vm(workload, input_name,
            persistence=PersistenceConfig(database=CacheDatabase(db)),
            vm_config=config)
-    clear_code_object_cache()
     return db
 
 
@@ -194,7 +184,6 @@ class TestTierUpRule:
                                                    threshold):
         """Every compile happens on the trace's threshold entry, after
         that entry was counted."""
-        clear_code_object_cache()
         result = run_vm(
             build_warmup_workload("startup_a"), "default",
             vm_config=VMConfig(compile_threshold=threshold),
@@ -207,7 +196,6 @@ class TestTierUpRule:
         """A successor a closure hands over compiles on its threshold
         entry too, after that entry was counted: the dispatch loop
         counts every entry before it decides."""
-        clear_code_object_cache()
         run_vm(build_chain_suite()["relay_4"], "run",
                vm_config=VMConfig(compile_threshold=5))
         assert compile_log
@@ -216,20 +204,33 @@ class TestTierUpRule:
             assert translated.executions >= 5
 
     def test_memo_hit_compiles_at_threshold(self, compile_log):
-        """A repeat run in one process finds every body in the factory
-        memo: it saves the host compile() but still waits for the
-        threshold entry."""
-        workload = build_warmup_workload("startup_a")
-        clear_code_object_cache()
-        run_vm(workload, "default", vm_config=VMConfig(compile_threshold=1))
-        del compile_log[:]
-        result = run_vm(workload, "default", vm_config=VMConfig())
-        assert result.host.memo_hits > 0
-        assert result.host.host_compiles == 0
+        """A trace the run translates again after a code-cache flush
+        finds its factory in the run's memo: the hit saves the host
+        compile() but still waits for the threshold entry, and every
+        factory is either a memo hit or a host compile."""
+        apps, _store = build_gui_suite()
+        result = run_vm(
+            apps["dia"], "startup",
+            vm_config=VMConfig(compile_threshold=2, code_pool_bytes=768),
+        )
+        host = result.host
+        assert result.stats.cache_flushes > 0
+        assert host.memo_hits > 0
         assert compile_log
-        assert {entry for _trace, entry in compile_log} == {
-            DEFAULT_COMPILE_THRESHOLD
-        }
+        assert {entry for _trace, entry in compile_log} == {2}
+        assert host.memo_hits + host.host_compiles == (
+            host.compiles + host.regions_compiled
+        )
+
+    def test_runs_share_no_factories(self):
+        """The memo dies with its run: a second gvim start-up in the same
+        process, without persistence, host-compiles every body the
+        first one did."""
+        apps, _store = build_gui_suite()
+        first, second = [run_vm(apps["gvim"], "startup") for _ in range(2)]
+        assert first.host.host_compiles == 45
+        assert second.host.memo_hits == 0
+        assert second.host.host_compiles == first.host.host_compiles
 
     def test_stored_body_binds_at_threshold(self, tmp_path, compile_log):
         """A body the sidecar holds needs no host compile(), but it is
@@ -284,8 +285,8 @@ class TestTierUpRule:
 
     def test_cold_run_digests_only_what_it_compiles(self, tmp_path,
                                                     monkeypatch):
-        """With an empty memo and an empty database, the run takes a
-        body digest only to look up and record each host compile."""
+        """Against an empty database, the run takes a body digest only
+        to look up and record each host compile."""
         digests = []
         original = vm_compile._body_digest
 
@@ -295,7 +296,6 @@ class TestTierUpRule:
 
         monkeypatch.setattr(vm_compile, "_body_digest", counting)
         apps, _store = build_gui_suite()
-        clear_code_object_cache()
         result = run_vm(
             apps["gvim"], "startup",
             persistence=PersistenceConfig(
@@ -323,7 +323,6 @@ class TestTierUpRule:
 
         monkeypatch.setattr(vm_compile, "_trace_key", key)
         apps, _store = build_gui_suite()
-        clear_code_object_cache()
         result = run_vm(
             apps["gvim"], "startup",
             persistence=PersistenceConfig(
@@ -350,7 +349,7 @@ class TestTierUpRule:
             key = vm_compile._trace_key(translated, self.cost)
             digest = vm_compile._body_digest(key)
             held = (digest in self.body_store.entries
-                    and key not in vm_compile._FACTORIES)
+                    and key not in self._factories)
             host = self.host
             before = host.body_hits, host.host_compiles
             body = original(self, translated)
@@ -363,7 +362,6 @@ class TestTierUpRule:
 
         monkeypatch.setattr(TraceCompiler, "compile", recording)
         apps, _store = build_gui_suite()
-        clear_code_object_cache()
         result = run_vm(
             apps["dia"], "startup",
             persistence=PersistenceConfig(
@@ -396,7 +394,6 @@ class TestLinkBounces:
         monkeypatch.setattr(TraceCompiler, "compile", alternating)
         workload = build_chain_suite()["relay_4"]
         oracle = run_vm(workload, "run", vm_config=ORACLE)
-        clear_code_object_cache()
         result = run_vm(workload, "run",
                         vm_config=VMConfig(compile_threshold=2))
         assert signature(result) == signature(oracle)
