@@ -82,23 +82,23 @@ replay-smoke:
 	$(PYTHON) -m repro.cli cache fsck $(RDB)
 
 # Transparency smoke (docs/architecture.md "Transparency guarantees"):
-# the anti-instrumentation differential suite, the compiled tier's
-# memory helpers and inline region sites (faults, window, SMC check,
-# the window's code-free flag) against the oracle, the cold tier's
-# run_uops (faults, its inline window hits, SMC check and code-free
-# flag, the tiers' agreement on in-trace SMC), the tier-up's
-# differential suite (tests/test_tierup.py::TestDifferential: compile
-# thresholds 1, 2 and 32 against the interpreted oracle, through SMC,
-# cache churn and a persistence round trip), trace selection against a word-by-word fetch (same traces and
-# faults over every corpus, and a patched word selected again after
-# its trace's eviction: SMC transparency rests on selection reading
-# the current code bytes), plus
-# the transparency bench family's --check gate — compiled dispatch at
-# compile threshold 1 and the default tier-up, both bit-identical to
-# the interpreted oracle on the adversarial corpus,
-# zero stale code-byte reads cold and warm (sidecar and shared
-# store), each warm leg reviving bodies from the layer it names, and
-# the SMC detector engaged on every churner.
+# the anti-instrumentation differential suite, whose transparency
+# audit (TestTransparencyAudit) holds every member at compile threshold
+# 1 and under the default tier-up bit-identical to the interpreted
+# oracle, every self-observing member byte-identical to its native run,
+# and warm restarts from the sidecar and from the shared store equal to
+# the cold run, each leg reviving bodies from the layer it names; the
+# compiled tier's memory helpers and inline region sites (faults,
+# window, SMC check, the window's code-free flag) against the oracle;
+# the cold tier's run_uops (faults, its inline window hits, SMC check
+# and code-free flag, the tiers' agreement on in-trace SMC); the
+# tier-up's differential suite (tests/test_tierup.py::TestDifferential:
+# compile thresholds 1, 2 and 32 against the interpreted oracle,
+# through SMC, cache churn and a persistence round trip); and trace
+# selection against a word-by-word fetch (same traces and faults over
+# every corpus, and a patched word selected again after its trace's
+# eviction: SMC transparency rests on selection reading the current
+# code bytes).
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \
@@ -109,8 +109,6 @@ transparency-smoke:
 		tests/test_vm_trace.py::TestAgainstPerPcFetch \
 		tests/test_vm_trace.py::TestFaults \
 		tests/test_vm_trace.py::TestSelfModification
-	$(PYTHON) -m repro.cli bench --family transparency --check \
-		--warmup 1 --reps 2 --out /tmp/pcc-bench-transparency.json
 
 # Shared per-host body store directory for `make gc` (override: make gc STORE=...)
 STORE ?= /tmp/pcc-shared-store

@@ -33,7 +33,7 @@ a surprising headline can be checked against run-to-run noise without
 rerunning, and the report warns when a spread exceeds
 :data:`SPREAD_WARN_PCT`.
 
-Every family with a probe also reports per-mode time-to-first-output
+Every family also reports per-mode time-to-first-output
 (``<mode>_ttfo_s``, minimum over ``max(2, reps)`` probes) and the
 contender/baseline ratio (``ttfo_ratio_x``).  A probe is one run of the
 family's TTFO case through its own sweep path, against the databases
@@ -87,11 +87,10 @@ class Check(NamedTuple):
     """One named ``--check`` predicate: ``<name> <op> <bound>``.
 
     ``name`` is the family field judged (a dotted name reaches into
-    nested dicts) unless ``value`` derives it from the family; a string
-    ``bound`` names another field of the same family.  An absent field
-    fails.  A ``quiet`` predicate is a timing floor too noise-sensitive
-    for ``--check``: only ``judge(..., quiet=True)``, which the
-    benchmark suite runs on a quiet host, applies it.
+    nested dicts) unless ``value`` derives it from the family.  An
+    absent field fails.  A ``quiet`` predicate is a timing floor too
+    noise-sensitive for ``--check``: only ``judge(..., quiet=True)``,
+    which the benchmark suite runs on a quiet host, applies it.
     """
 
     name: str
@@ -118,13 +117,12 @@ class Sweep(NamedTuple):
 
     ``run(mode)`` runs every case once under ``mode`` and returns the
     results; ``extras()`` returns the family's own JSON keys once timing
-    is done; ``first_output_s(mode)`` is the time-to-first-output probe,
-    or None for a family without one.
+    is done; ``first_output_s(mode)`` is the time-to-first-output probe.
     """
 
     run: Callable[[str], list]
     extras: Callable[[], Dict[str, object]]
-    first_output_s: Optional[Callable[[str], float]] = None
+    first_output_s: Callable[[str], float]
 
 
 class Family(NamedTuple):
@@ -163,11 +161,6 @@ def _family(name: str, modes: Tuple[str, str] = _MODES, **declaration):
 def _result_signature(result) -> tuple:
     """Everything observable about a run, for cross-tier comparison."""
     return (result.output, result.exit_status, vars(result.stats))
-
-
-def _observed(result) -> tuple:
-    """What the program itself printed and returned (native runs too)."""
-    return (result.output, result.exit_status)
 
 
 def _sweep_stats(samples: List[float]) -> Dict[str, float]:
@@ -252,16 +245,15 @@ def _case_sweep(
     config: Callable[[str], VMConfig],
     persistence: Optional[Callable[[str, str], object]] = None,
     collect: Optional[Callable[[str, list], Dict[str, object]]] = None,
-    extras: Callable[[], Dict[str, object]] = dict,
     ttfo: Optional[str] = None,
 ) -> Sweep:
     """A sweep over ``(name, workload, input_name)`` cases, in order.
 
     ``config(mode)`` and ``persistence(mode, name)`` configure each run.
     ``collect(mode, results)`` reads JSON keys off every full sweep (a
-    probe is not one); the latest value of each joins ``extras()``.  The
-    time-to-first-output probe runs case ``ttfo`` (default: the first)
-    through the same path.
+    probe is not one); the latest value of each is the sweep's
+    ``extras()``.  The time-to-first-output probe runs case ``ttfo``
+    (default: the first) through the same path.
     """
     collected: Dict[str, object] = {}
 
@@ -293,7 +285,7 @@ def _case_sweep(
             stamp = time.perf_counter()
         return stamp - start
 
-    return Sweep(run, lambda: dict(collected, **extras()), first_output_s)
+    return Sweep(run, collected.copy, first_output_s)
 
 
 def _gui_cases() -> List[tuple]:
@@ -378,73 +370,6 @@ def _headline_spec(scratch_dir: str) -> Sweep:
     oracle = build_oracle()
     cases.extend(("oracle-" + phase, oracle, phase) for phase in PHASES)
     return _case_sweep(cases, _config)
-
-
-@_family(
-    "shared_store",
-    ("isolated", "shared"),
-    checks=(
-        Check("host_compiles_shared", "==", 0),
-        Check("host_compiles_isolated", ">", 0),
-        Check("shared_hits_shared", ">", 0),
-    ),
-    cells=lambda f: {
-        "host_compiles": "%d/%d"
-        % (f["host_compiles_isolated"], f["host_compiles_shared"]),
-        "shared_hits": "%d" % f["shared_hits_shared"],
-    },
-)
-def _shared_store(scratch_dir: str) -> Sweep:
-    """Cross-database body reuse through the per-host shared store: the
-    cross-application configuration of the paper's Figures 9/10, one
-    level up.
-
-    Setup (untimed): for each GUI app, a donor database attached to one
-    shared store (:mod:`repro.persist.sharedstore`) runs the app cold,
-    publishing its compiled bodies.  The timed sweeps then run each app
-    against a *consumer* database that never saw any workload (empty,
-    read-only, so it stays cold across repetitions): ``isolated`` opens
-    it without the store and pays every host ``compile()``; ``shared``
-    opens it attached and revives the bodies the donors published.  The
-    gate requires zero shared-mode host compiles, a nonzero isolated
-    count (so the zero means something) and at least one shared hit.
-    """
-    from repro.persist.sharedstore import SharedBodyStore
-    from repro.vm.engine import VM_VERSION
-
-    cases = _gui_cases()
-    shared = SharedBodyStore(
-        os.path.join(scratch_dir, "shared-store"), vm_version=VM_VERSION
-    )
-    consumers = {}
-    for name, app, input_name in cases:
-        donor = CacheDatabase(
-            os.path.join(scratch_dir, "shared-donor-" + name),
-            shared_store=shared,
-        )
-        run_vm(app, input_name, persistence=PersistenceConfig(database=donor),
-               vm_config=_config("compiled"))
-        consumer_dir = os.path.join(scratch_dir, "shared-consumer-" + name)
-        consumers[name] = {
-            "isolated": CacheDatabase(consumer_dir),
-            "shared": CacheDatabase(consumer_dir, shared_store=shared),
-        }
-
-    def collect(mode: str, results: list) -> Dict[str, object]:
-        counts = {"host_compiles_" + mode: _host_total(
-            results, "host_compiles"
-        )}
-        if mode == "shared":
-            counts["shared_hits_shared"] = _host_total(results, "shared_hits")
-        return counts
-
-    return _case_sweep(
-        cases, _compiled,
-        persistence=lambda mode, name: PersistenceConfig(
-            database=consumers[name][mode], readonly=True
-        ),
-        collect=collect,
-    )
 
 
 def _ic_lines(family: dict) -> List[str]:
@@ -587,14 +512,8 @@ def _record_overhead(scratch_dir: str) -> Sweep:
 @_family(
     "tiered_warmup",
     ("eager", "tiered"),
-    checks=(
-        Check("oracle_identical"),
-        Check("ttfo_ratio_x", "<=", 0.6),
-    ),
-    cells=lambda f: {
-        "ttfo_ratio": "%.2f" % f["ttfo_ratio_x"],
-        "oracle": str(f["oracle_identical"]),
-    },
+    checks=(Check("ttfo_ratio_x", "<=", 0.6),),
+    cells=lambda f: {"ttfo_ratio": "%.2f" % f["ttfo_ratio_x"]},
 )
 def _tiered_warmup(scratch_dir: str) -> Sweep:
     """Cold startup corpus (:mod:`repro.workloads.warmup`): compile
@@ -605,8 +524,9 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
     time-to-first-output on ``GATE_APP``: the tiered mode interprets
     cold traces until they prove reuse, so the program reaches its first
     write without paying host ``compile()`` for startup code that runs
-    once.  The interpreted oracle pins the tiered mode's observable
-    behavior.
+    once.  ``identical_results`` pins the tiered mode against the eager
+    one, and ``tests/test_tierup.py`` pins both against the interpreted
+    oracle.
     """
     from repro.workloads.warmup import GATE_APP, warmup_corpus
 
@@ -616,193 +536,7 @@ def _tiered_warmup(scratch_dir: str) -> Sweep:
     def config(mode: str) -> VMConfig:
         return VMConfig(compile_threshold=1) if mode == "eager" else VMConfig()
 
-    # Tiered vs. the interpreted oracle: a TTFO win can never come from
-    # divergent simulation (identical_results already pins tiered
-    # against eager; this pins both against the reference tier).
-    gate_app = apps[GATE_APP]
-    oracle_sig = _result_signature(
-        run_vm(gate_app, "default",
-               vm_config=VMConfig(dispatch_mode="interpreted"))
-    )
-    tiered_sig = _result_signature(
-        run_vm(gate_app, "default", vm_config=config("tiered"))
-    )
-    oracle_identical = tiered_sig == oracle_sig
-
-    return _case_sweep(
-        cases, config,
-        extras=lambda: {"oracle_identical": oracle_identical},
-        ttfo=GATE_APP,
-    )
-
-
-def _transparency_lines(family: dict) -> List[str]:
-    lines = ["transparency SMC churners (interpreted oracle):"]
-    for corpus, count in sorted(family["churn_smc"].items()):
-        lines.append("  %-15s invalidations %d" % (corpus, count))
-    lines.extend("  oracle divergence: %s" % failure
-                 for failure in family["oracle_failures"])
-    lines.extend("  warm divergence: %s" % failure
-                 for failure in family["warm_failures"])
-    lines.extend(
-        "  warm %-7s leg: body hits %d, shared hits %d"
-        % (leg, hits["body_hits"], hits["shared_hits"])
-        for leg, hits in sorted(family["warm_sources"].items())
-    )
-    return lines
-
-
-@_family(
-    "transparency",
-    checks=(
-        Check("oracle_identical"),
-        Check("stale_reads", "==", 0),
-        Check("smc_ok"),
-        Check("warm_identical"),
-        Check("warm_preloaded", ">", 0),
-        Check("warm_sources_ok"),
-    ),
-    cells=lambda f: {
-        "stale_reads": "%d" % f["stale_reads"],
-        "smc_inval": "%d" % sum(f["churn_smc"].values()),
-        "warm": str(f["warm_identical"]),
-        "preloaded": "%d" % f["warm_preloaded"],
-        "oracle": str(f["oracle_identical"]),
-    },
-    details=_transparency_lines,
-)
-def _transparency(scratch_dir: str) -> Sweep:
-    """The anti-instrumentation corpus
-    (:mod:`repro.workloads.adversarial`) under attack-grade scrutiny.
-
-    The timed sweep is plain interpreted vs. compiled dispatch over the
-    whole adversarial suite, every run compiling its own closures.
-    The extras carry the actual transparency audit:
-
-    * every workload's full signature (output, exit status, every
-      VMStats counter) under compiled dispatch at compile threshold 1
-      and under the default tier-up, against the interpreted oracle;
-    * the self-observing workloads (everything but the clock probe)
-      byte-compared against the *native* oracle — their outputs fold
-      every code byte they read and every self-write they observe, so
-      ``stale_reads`` counts runs where the VM let a stale byte
-      through;
-    * per-churner ``smc_invalidations`` (a churner that triggers zero
-      invalidations means the SMC detector never saw its stores);
-    * a warm restart of the self-observing corpus from the sidecar and
-      from the shared store, each warm output compared byte-for-byte
-      against the cold run — a revived trace must not resurrect pre-SMC
-      code.  ``warm_sources_ok`` checks that each leg revived its bodies
-      where it says: the sidecar leg opens the database without the
-      store, so all its body hits come from the sidecar, and the shared
-      leg's come from the store.
-
-    The clock probe is timed but exempt from the native comparison and
-    the warm-restart check by design: its output embeds raw
-    ``SYS_CLOCK`` deltas, which legitimately differ native vs. VM (the
-    probe *detects* the DBI's cost — transparency here means the deltas
-    are bit-identical across every VM tier, which the oracle check
-    enforces) and cold vs. warm (persisted traces change the cost of a
-    run; that is the point of the cache).
-    """
-    from repro.persist.sharedstore import SharedBodyStore
-    from repro.vm.engine import VM_VERSION
-    from repro.workloads.adversarial import (
-        CHURN_WORKLOADS,
-        PERSISTED_WORKLOADS,
-        build_adversarial_suite,
-    )
-    from repro.workloads.harness import run_native
-
-    suite = build_adversarial_suite()
-    ordered = sorted(suite.items())
-
-    tier_configs = {
-        "compiled": VMConfig(compile_threshold=1),
-        "tiered": VMConfig(),
-    }
-
-    def extras() -> Dict[str, object]:
-        oracle_failures: List[str] = []
-        stale_reads = 0
-        churn_smc: Dict[str, int] = {}
-        for name, wl in ordered:
-            native = _observed(run_native(wl, "run"))
-            self_observing = name != "timer"
-            oracle = run_vm(
-                wl, "run", vm_config=VMConfig(dispatch_mode="interpreted")
-            )
-            oracle_sig = _result_signature(oracle)
-            if self_observing and _observed(oracle) != native:
-                stale_reads += 1
-            for tier, config in tier_configs.items():
-                result = run_vm(wl, "run", vm_config=config)
-                if _result_signature(result) != oracle_sig:
-                    oracle_failures.append("%s/%s" % (name, tier))
-                elif self_observing and _observed(result) != native:
-                    stale_reads += 1
-            if name in CHURN_WORKLOADS:
-                churn_smc[name] = oracle.stats.smc_invalidations
-
-        # Warm restart from the sidecar and from the shared store: the
-        # adversarial corpus's code observations must survive persistence.
-        store_dir = os.path.join(scratch_dir, "transparency-store")
-        shared = SharedBodyStore(store_dir, vm_version=VM_VERSION)
-        warm_failures: List[str] = []
-        warm_preloaded = 0
-        warm_sources = {
-            leg: {"body_hits": 0, "shared_hits": 0}
-            for leg in ("sidecar", "shared")
-        }
-        for name in PERSISTED_WORKLOADS:
-            wl = suite[name]
-            db_dir = os.path.join(scratch_dir, "transparency-" + name)
-            donor = CacheDatabase(db_dir, shared_store=shared)
-            cold = run_vm(
-                wl, "run", persistence=PersistenceConfig(database=donor),
-                vm_config=_config("compiled"),
-            )
-            cold_sig = _observed(cold)
-            warm_configs = {
-                "sidecar": PersistenceConfig(database=CacheDatabase(db_dir)),
-                "shared": PersistenceConfig(
-                    database=CacheDatabase(db_dir, shared_store=shared),
-                    readonly=True,
-                ),
-            }
-            for source, persistence in warm_configs.items():
-                warm = run_vm(
-                    wl, "run", persistence=persistence,
-                    vm_config=_config("compiled"),
-                )
-                warm_preloaded += warm.stats.traces_from_persistent
-                leg = warm_sources[source]
-                leg["body_hits"] += warm.host.body_hits
-                leg["shared_hits"] += warm.host.shared_hits
-                if _observed(warm) != cold_sig:
-                    warm_failures.append("%s/%s" % (name, source))
-                    stale_reads += 1
-
-        return {
-            "oracle_identical": not oracle_failures,
-            "oracle_failures": oracle_failures,
-            "stale_reads": stale_reads,
-            "churn_smc": churn_smc,
-            "smc_ok": all(count > 0 for count in churn_smc.values())
-            and set(churn_smc) == set(CHURN_WORKLOADS),
-            "warm_identical": not warm_failures,
-            "warm_failures": warm_failures,
-            "warm_preloaded": warm_preloaded,
-            "warm_sources": warm_sources,
-            "warm_sources_ok": (
-                warm_sources["sidecar"]["shared_hits"] == 0
-                and warm_sources["sidecar"]["body_hits"] > 0
-                and warm_sources["shared"]["shared_hits"] > 0
-            ),
-        }
-
-    cases = [(name, wl, "run") for name, wl in ordered]
-    return _case_sweep(cases, _config, extras=extras, ttfo="checksum")
+    return _case_sweep(cases, config, ttfo=GATE_APP)
 
 
 def _field(family: dict, path: str):
@@ -855,20 +589,13 @@ def judge(
                 bound = threshold
             value = (check.value(family) if check.value
                      else _field(family, check.name))
-            if isinstance(bound, str):
-                limit = _field(family, bound)
-                bound_text = "%s %s" % (bound, _shown(limit))
-            else:
-                limit, bound_text = bound, _shown(bound)
-            if value is None or limit is None or not _OPS[check.op](
-                value, limit
-            ):
+            if value is None or not _OPS[check.op](value, bound):
                 failed.append(check.name)
             if bound is True:
                 shown.append("%s=%s" % (check.name, _shown(value)))
             else:
                 shown.append("%s=%s (%s %s)" % (
-                    check.name, _shown(value), check.op, bound_text
+                    check.name, _shown(value), check.op, _shown(bound)
                 ))
         line = "check %s: %s -> %s" % (
             decl.name, "  ".join(shown),
@@ -882,8 +609,8 @@ def render(results: Dict[str, object], names: Sequence[str]) -> str:
     """The report for each family in ``names``.
 
     One table row per family — both modes' best rep, the best-rep and
-    trimmed-mean speedups, both spreads, both TTFOs (``-`` without a
-    probe), identity, then the family's own cells — followed by each
+    trimmed-mean speedups, both spreads, both TTFOs, identity, then the
+    family's own cells — followed by each
     family's detail lines and a warning for every mode whose spread
     exceeds :data:`SPREAD_WARN_PCT`.  Pairs read baseline/contender.
     """
@@ -893,7 +620,6 @@ def render(results: Dict[str, object], names: Sequence[str]) -> str:
             continue
         family = results["workloads"][decl.name]
         baseline, contender = decl.modes
-        ttfo = [family.get("%s_ttfo_s" % mode) for mode in decl.modes]
         rows.append({
             "family": decl.name,
             "modes": "%s/%s" % decl.modes,
@@ -904,7 +630,9 @@ def render(results: Dict[str, object], names: Sequence[str]) -> str:
             "spread": "%.0f%%/%.0f%%" % tuple(
                 family["%s_spread_pct" % mode] for mode in decl.modes
             ),
-            "ttfo_s": "-" if None in ttfo else "%.3f/%.3f" % tuple(ttfo),
+            "ttfo_s": "%.3f/%.3f" % tuple(
+                family["%s_ttfo_s" % mode] for mode in decl.modes
+            ),
             "identical": str(family["identical_results"]),
             "notes": "  ".join(
                 "%s %s" % cell for cell in decl.cells(family).items()
@@ -984,17 +712,16 @@ def run_wallclock(
         sweep = decl.prepare(scratch_dir)
         family = _measure_family(sweep.run, warmup, reps, decl.modes)
         family.update(sweep.extras())
-        if sweep.first_output_s is not None:
-            for mode in decl.modes:
-                family["%s_ttfo_s" % mode] = min(
-                    sweep.first_output_s(mode) for _ in range(max(2, reps))
-                )
-            baseline, contender = decl.modes
-            baseline_ttfo = family["%s_ttfo_s" % baseline]
-            if baseline_ttfo > 0:
-                family["ttfo_ratio_x"] = (
-                    family["%s_ttfo_s" % contender] / baseline_ttfo
-                )
+        for mode in decl.modes:
+            family["%s_ttfo_s" % mode] = min(
+                sweep.first_output_s(mode) for _ in range(max(2, reps))
+            )
+        baseline, contender = decl.modes
+        baseline_ttfo = family["%s_ttfo_s" % baseline]
+        if baseline_ttfo > 0:
+            family["ttfo_ratio_x"] = (
+                family["%s_ttfo_s" % contender] / baseline_ttfo
+            )
         workloads[name] = family
 
     results: Dict[str, object] = {

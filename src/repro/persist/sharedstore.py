@@ -83,7 +83,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import AbstractSet, Dict, Iterable, List, Optional, Tuple
 
 from repro.persist.framing import (
     FrameError,
@@ -203,9 +203,11 @@ def parse_shard(blob: bytes):
 class PublishResult:
     """What one :meth:`SharedBodyStore.publish` call did."""
 
-    #: Bodies that were not in the store before this publish.
+    #: Bodies that were not in the store before this publish, or that
+    #: replaced rejected bytes.
     published: int = 0
-    #: Already-present bodies whose last-use stamp was refreshed.
+    #: Already-present bodies touched or sent again, whose last-use
+    #: stamp is now this publish's, whether or not its value moved.
     refreshed: int = 0
 
 
@@ -447,6 +449,7 @@ class SharedBodyStore:
         self,
         blobs: Dict[str, bytes],
         touch: Iterable[str] = (),
+        replace: AbstractSet[str] = frozenset(),
     ) -> PublishResult:
         """Make ``blobs`` visible to every database on this host.
 
@@ -456,7 +459,10 @@ class SharedBodyStore:
         → atomic write-replace → unlock, so concurrent publishers never
         lose each other's bodies and readers never observe a torn shard.
         Content addressing makes the merge trivial: an already-present
-        digest keeps its existing bytes (equal by construction).
+        digest keeps its existing bytes (equal by construction), unless
+        ``replace`` names it: the session could not revive those bytes,
+        and its blob in ``blobs`` takes their place.  A shard is
+        rewritten only when an entry or a stamp changes.
         """
         result = PublishResult()
         now = int(self.clock())
@@ -478,16 +484,19 @@ class SharedBodyStore:
                 changed = False
                 for digest, blob in sorted(group.items()):
                     existing = entries.get(digest)
-                    if existing is None:
-                        if blob is None:
-                            continue  # touch of an absent digest: no-op
+                    if blob is not None and (
+                        existing is None or digest in replace
+                    ):
                         entries[digest] = (blob, now)
                         result.published += 1
                         changed = True
-                    elif existing[1] != now:
-                        entries[digest] = (existing[0], now)
+                    elif existing is not None:
+                        # Counted whether or not the stamp moves (a touch
+                        # of an absent digest is a no-op).
                         result.refreshed += 1
-                        changed = True
+                        if existing[1] != now:
+                            entries[digest] = (existing[0], now)
+                            changed = True
                 if changed:
                     self._write_shard(prefix, entries)
         return result

@@ -628,11 +628,8 @@ class TraceCompiler:
                     exec(code, namespace)  # noqa: S102 - keyed on VM version
                     make = namespace["_make"]
                 except Exception:
-                    # A blob that unmarshals but does not define the
-                    # factory (foreign or hand-damaged content the CRCs
-                    # cannot judge) is a miss: drop it, so the body
-                    # compiled below replaces it.
-                    store.entries.pop(digest, None)
+                    # A miss: the body compiled below replaces it.
+                    store.reject(digest)
                 else:
                     self.host.body_hits += 1
         if make is None:

@@ -190,12 +190,9 @@ class HostStats:
     #: or "write-error: ...".
     shared_store_state: str = "disabled"
     #: Bodies this run added to the shared store, and pooled bodies
-    #: whose LRU stamp this run refreshed (all a read-only run writes).
-    #: Stamps are whole seconds of the wall clock and a touch refreshes
-    #: only a stamp it changes, so ``shared_touch_refreshes`` depends on
-    #: whether a second boundary passed since the body was last stamped:
-    #: two runs of one program can differ in it, and a comparison of
-    #: host counters between runs or builds must leave it out.
+    #: whose LRU stamp this run refreshed (all a read-only run writes):
+    #: every present body it touched or sent again, whether or not the
+    #: whole-second stamp moved.
     shared_publishes: int = 0
     shared_touch_refreshes: int = 0
     #: Recording (repro.replay): "" (off), "recording", "written",

@@ -41,11 +41,11 @@ the result:
   with retired work, and agree across dispatch tiers.
 
 All programs read their iteration count from ``a2`` (the standard
-``InputSpec.hot_iterations`` slot) and run at least once.  The
-``transparency`` bench family (:mod:`repro.bench`) runs this suite
-under interpreted, compiled, linked and tiered dispatch against the
-interpreted oracle and across warm restarts over the sidecar and the
-shared per-host store.
+``InputSpec.hot_iterations`` slot) and run at least once.
+``tests/test_adversarial.py`` runs this suite natively, under the
+interpreted oracle, at compile threshold 1 and under the default
+tier-up, and across warm restarts from the sidecar and from the shared
+per-host store.
 """
 
 from __future__ import annotations
@@ -71,15 +71,16 @@ from repro.workloads.harness import Workload
 #: Code-page size of the machine's SMC detector (see repro.machine.cpu).
 CODE_PAGE = 512
 
-#: Suite members whose loops rewrite executed code; the bench family's
-#: ``--check`` gate requires ``smc_invalidations > 0`` on each of them.
+#: Suite members whose loops rewrite executed code; each must trigger
+#: ``smc_invalidations > 0`` (``tests/test_adversarial.py``).
 CHURN_WORKLOADS = (
     "churn_hot", "churn_region", "churn_boundary", "dlopen_smc",
 )
 
 #: Suite members whose output depends only on code bytes and register
 #: state — never on the clock — so warm persisted runs (sidecar, shared
-#: store) must reproduce the cold output byte for byte.  The
+#: store) must reproduce the cold output byte for byte
+#: (``tests/test_adversarial.py``'s warm restarts).  The
 #: ``timer`` program is excluded by design: persisted traces legitimately
 #: change the *cost* of a run (that is the whole point of the cache), so
 #: its raw clock deltas differ warm vs. cold while staying bit-identical

@@ -8,6 +8,11 @@ member of a fused superblock region, self-checksumming across a
 code-cache flush, and SMC against module traces revived by
 module-aware retention.  Also home to the lagging-native-clock
 regression (satellite bugfix, PR 10).
+
+:class:`TestTransparencyAudit` holds the whole suite to the interpreted
+oracle at compile threshold 1 and under the default tier-up, and to its
+cold output across warm restarts from the sidecar and from the shared
+store.
 """
 
 import struct
@@ -20,9 +25,13 @@ from repro.isa import registers as regs
 from repro.loader.linker import load_process
 from repro.machine.cpu import DEFAULT_COST_MODEL, Machine, run_native
 from repro.machine.syscalls import SYS_CLOCK, SYS_EXIT, SYS_WRITE
-from repro.vm.engine import Engine, VMConfig
+from repro.persist.database import CacheDatabase
+from repro.persist.manager import PersistenceConfig
+from repro.persist.sharedstore import SharedBodyStore
+from repro.vm.engine import VM_VERSION, Engine, VMConfig
 from repro.workloads.adversarial import (
     CHURN_WORKLOADS,
+    PERSISTED_WORKLOADS,
     _materialize,
     _word_of,
     build_adversarial_suite,
@@ -44,12 +53,13 @@ def _words(output: bytes):
     ]
 
 
+@pytest.fixture(scope="module")
+def suite():
+    return build_adversarial_suite()
+
+
 class TestSuiteDifferential:
     """Every suite member: native vs. interpreted vs. compiled tiers."""
-
-    @pytest.fixture(scope="class")
-    def suite(self):
-        return build_adversarial_suite()
 
     @pytest.mark.parametrize(
         "name",
@@ -81,6 +91,96 @@ class TestSuiteDifferential:
         assert vars(result.stats) == vars(oracle.stats)
         deltas = _words(oracle.output)
         assert all(delta > 0 for delta in deltas[:2])
+
+
+def _observed(result):
+    """What the program itself printed and returned (native runs too)."""
+    return (result.output, result.exit_status)
+
+
+class TestTransparencyAudit:
+    """The anti-instrumentation suite under every tier and every warm
+    restart.
+
+    Every member, the clock probe included, gives the interpreted
+    oracle's output, exit status and every ``VMStats`` counter at
+    compile threshold 1 and under the default tier-up.  Every member
+    but the clock probe also matches its native run under all three:
+    its output folds every code byte it reads and every self-write it
+    observes, so one stale byte shows.  The clock probe's output embeds
+    raw ``SYS_CLOCK`` deltas, which detect the VM's cost by design.
+    Every SMC churner's oracle run invalidates code.
+    """
+
+    @pytest.mark.parametrize("name", sorted(build_adversarial_suite()))
+    def test_tiers_match_oracle_and_native(self, suite, name):
+        workload = suite[name]
+        oracle = run_vm(workload, "run", vm_config=INTERPRETED)
+        native = _observed(run_workload_native(workload, "run"))
+        for config in (COMPILED, VMConfig()):
+            result = run_vm(workload, "run", vm_config=config)
+            assert (_observed(result), vars(result.stats)) == (
+                _observed(oracle), vars(oracle.stats)
+            ), (name, config.compile_threshold)
+            if name != "timer":
+                assert _observed(result) == native, name
+        if name != "timer":
+            assert _observed(oracle) == native, name
+        if name in CHURN_WORKLOADS:
+            assert oracle.stats.smc_invalidations > 0, name
+
+    @pytest.fixture(scope="class")
+    def warm_legs(self, suite, tmp_path_factory):
+        """Each of ``PERSISTED_WORKLOADS`` runs cold into a database
+        attached to a store, then warm from the sidecar alone (the
+        database opened without the store) and warm read-only through
+        the store: ``{leg: [(name, result), ...]}``."""
+        root = tmp_path_factory.mktemp("transparency-warm")
+        store = SharedBodyStore(str(root / "store"), vm_version=VM_VERSION)
+        legs = {"cold": [], "sidecar": [], "shared": []}
+        for name in PERSISTED_WORKLOADS:
+            directory = str(root / name)
+            for leg, pool, readonly in (("cold", store, False),
+                                        ("sidecar", None, False),
+                                        ("shared", store, True)):
+                persistence = PersistenceConfig(
+                    database=CacheDatabase(directory, shared_store=pool),
+                    readonly=readonly,
+                )
+                legs[leg].append((name, run_vm(
+                    suite[name], "run", persistence=persistence
+                )))
+        return legs
+
+    def test_warm_restarts_match_cold(self, suite, warm_legs):
+        """A revived trace must not resurrect pre-SMC code: each warm
+        output and exit status equal the cold run's, and the cold run's
+        equal the native run's."""
+        cold = [(name, _observed(r)) for name, r in warm_legs["cold"]]
+        assert cold == [
+            (name, _observed(run_workload_native(suite[name], "run")))
+            for name in PERSISTED_WORKLOADS
+        ]
+        for leg in ("sidecar", "shared"):
+            assert [(name, _observed(r))
+                    for name, r in warm_legs[leg]] == cold, leg
+
+    def test_warm_restarts_revive_traces(self, warm_legs):
+        for leg in ("sidecar", "shared"):
+            assert sum(result.stats.traces_from_persistent
+                       for _name, result in warm_legs[leg]) > 0, leg
+
+    def test_each_warm_leg_revives_bodies_from_its_layer(self, warm_legs):
+        """The sidecar leg has no pool, so its body hits come from the
+        sidecar; the shared leg's come from the pool, which it reads
+        first."""
+        def total(leg, counter):
+            return sum(getattr(result.host, counter)
+                       for _name, result in warm_legs[leg])
+
+        assert total("sidecar", "shared_hits") == 0
+        assert total("sidecar", "body_hits") > 0
+        assert total("shared", "shared_hits") > 0
 
 
 def build_ic_smc_image():

@@ -150,10 +150,6 @@ _FLIPS = [
     ("fig5a_gui", "identical_results", False),
     ("fig5a_gui", "speedup_trimmed_x", 1.2),
     ("fig5a_gui", "host_compiles_compiled", 1),
-    ("shared_store", "identical_results", False),
-    ("shared_store", "host_compiles_shared", 1),
-    ("shared_store", "host_compiles_isolated", 0),
-    ("shared_store", "shared_hits_shared", 0),
     ("record_overhead", "identical_results", False),
     ("record_overhead", "record_s", lambda f: f["plain_s"] * 1.10),
     ("indirect_heavy", "identical_results", False),
@@ -163,15 +159,7 @@ _FLIPS = [
     ("trace_linking", "link_bounces", 1),
     ("trace_linking", "regions_fused", 0),
     ("tiered_warmup", "identical_results", False),
-    ("tiered_warmup", "oracle_identical", False),
     ("tiered_warmup", "ttfo_ratio_x", 0.7),
-    ("transparency", "identical_results", False),
-    ("transparency", "oracle_identical", False),
-    ("transparency", "stale_reads", 1),
-    ("transparency", "smc_ok", False),
-    ("transparency", "warm_identical", False),
-    ("transparency", "warm_preloaded", 0),
-    ("transparency", "warm_sources_ok", False),
 ]
 
 

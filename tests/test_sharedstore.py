@@ -6,9 +6,11 @@ the pool in front of its sidecar (shared → private → host compile), the
 digest-prefix sharding layout, wholesale VM-version / host-tag
 invalidation, and gc mark-and-sweep correctness (a referenced body is
 never swept; the LRU cap is honored) — plus the end-to-end
-cross-database reuse the store exists for: DB-A warms DB-B.
+cross-database reuse the store exists for: DB-A warms DB-B, and the GUI
+corpus's donors warm never-warmed consumers of every app.
 """
 
+import itertools
 import json
 import marshal
 import os
@@ -37,6 +39,7 @@ from repro.persist.sharedstore import (
     store_keytag,
 )
 from repro.vm.engine import VM_VERSION, VMConfig
+from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
 
 from tests.test_cli import host_value
@@ -511,6 +514,47 @@ class TestEndToEnd:
         assert result.persistence_report["shared_store_state"] == "stale-vm"
         assert result.persistence_report["shared_publishes"] == 0
 
+    @pytest.mark.parametrize(
+        "foreign",
+        [marshal.dumps(compile("x = 1", "<foreign>", "exec")),
+         b"\x00not marshal\xff"],
+        ids=["no-factory", "unmarshalable"],
+    )
+    def test_rejected_pool_body_is_replaced(self, tmp_path, foreign):
+        """A pooled blob the run cannot revive (it defines no factory, or
+        does not unmarshal) is a shared miss and is not touched.  A
+        read-only run leaves it; a writing run publishes the body bound
+        in its place over it, so only that database's first run
+        host-compiles it."""
+        workload = mini_workload()
+        store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
+        store.clock = itertools.count(1000).__next__
+        compiled_run(workload, "a", CacheDatabase(
+            str(tmp_path / "donor"), shared_store=store
+        ))
+        pooled = shard_snapshot(store)
+        digest = min(pooled)
+        prefix = shard_prefix(digest)
+        entries = dict(store._load_shard(prefix))
+        entries[digest] = (foreign, entries[digest][1])
+        store._write_shard(prefix, entries)
+
+        db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
+        reader = compiled_run(workload, "a", db, readonly=True).host
+        assert (reader.host_compiles, reader.shared_hits) == (
+            1, len(pooled) - 1
+        )
+        assert store._load_shard(prefix)[digest] == entries[digest]
+
+        runs = [compiled_run(workload, "a", db).host for _ in range(3)]
+        assert [host.host_compiles for host in runs] == [1, 0, 0]
+        assert [host.shared_hits for host in runs] == [
+            len(pooled) - 1, len(pooled), len(pooled)
+        ]
+        namespace = {}
+        exec(marshal.loads(store.lookup(digest)), namespace)
+        assert "_make" in namespace
+
 
 def shard_snapshot(store):
     """Every digest in the pool -> (blob bytes, LRU stamp)."""
@@ -576,6 +620,83 @@ class TestReadOnlyLruProtection:
         remaining = set(shard_snapshot(store))
         assert set_a <= remaining
         assert not (set_b_only & remaining)
+
+    @pytest.mark.parametrize("step", [0, 1],
+                             ids=["same-second", "a-second-apart"])
+    def test_touch_count_does_not_read_the_clock(self, tmp_path, step):
+        """A read-only run counts every pooled body it revived as
+        refreshed, whether or not the whole-second stamp moved, so a
+        donor and two consumers read 0, n, n at any clock; a shard is
+        rewritten only when a stamp changes."""
+        workload = mini_workload()
+        store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
+        store.clock = itertools.count(1000, step).__next__
+        runs = [compiled_run(workload, "a", CacheDatabase(
+            str(tmp_path / "donor"), shared_store=store
+        ))]
+        writes = []
+        write_shard = store._write_shard
+        store._write_shard = lambda prefix, entries: (
+            writes.append(prefix), write_shard(prefix, entries)
+        )
+        for name in ("y", "z"):
+            db = CacheDatabase(str(tmp_path / name), shared_store=store)
+            runs.append(compiled_run(workload, "a", db, readonly=True))
+        touched = runs[1].host.shared_hits
+        assert touched > 0
+        assert [run.host.shared_touch_refreshes for run in runs] == [
+            0, touched, touched
+        ]
+        assert bool(writes) == bool(step)
+
+
+class TestGuiConsumers:
+    """Cross-application reuse on the GUI corpus, at the default
+    tier-up.  The five ``startup`` donors fill one pool; each app then
+    runs against a never-warmed read-only consumer database, without
+    the pool (``isolated``) and with it (``shared``).  Counts are summed
+    over the five apps."""
+
+    @pytest.fixture(scope="class")
+    def legs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("gui-consumers")
+        store = SharedBodyStore(str(root / "store"), vm_version=VM_VERSION)
+        apps, _libraries = build_gui_suite()
+        for name, app in sorted(apps.items()):
+            donor = CacheDatabase(str(root / ("donor-" + name)),
+                                  shared_store=store)
+            run_vm(app, "startup",
+                   persistence=PersistenceConfig(database=donor))
+        legs = {"isolated": [], "shared": []}
+        for name, app in sorted(apps.items()):
+            for leg, pool in (("isolated", None), ("shared", store)):
+                consumer = CacheDatabase(str(root / ("consumer-" + name)),
+                                         shared_store=pool)
+                legs[leg].append(run_vm(
+                    app, "startup", persistence=PersistenceConfig(
+                        database=consumer, readonly=True
+                    ),
+                ))
+        return legs
+
+    def test_pool_is_observably_inert(self, legs):
+        assert ([observable(result) for result in legs["shared"]]
+                == [observable(result) for result in legs["isolated"]])
+
+    @staticmethod
+    def total(legs, leg, counter):
+        return sum(getattr(result.host, counter) for result in legs[leg])
+
+    def test_isolated_consumers_pay_host_compiles(self, legs):
+        assert self.total(legs, "isolated", "host_compiles") > 0
+
+    def test_pooled_consumers_pay_no_host_compiles(self, legs):
+        """Attached to the pool, the same runs compile nothing: the
+        pool serves every body they tier up."""
+        assert self.total(legs, "shared", "host_compiles") == 0
+
+    def test_pooled_consumers_revive_from_the_pool(self, legs):
+        assert self.total(legs, "shared", "shared_hits") > 0
 
 
 class TestCli:
