@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke fsck stress gc replay-smoke transparency-smoke loc
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke layers fsck stress gc replay-smoke transparency-smoke loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -55,6 +55,14 @@ bench-contract-smoke:
 			| $(PYTHON) -c '$(BENCH_RESULT_OK)' \
 			|| { printf '%s\n' "$$out"; exit 1; }; \
 	done
+
+# Every layer of one bench/run.py workload (override: make layers
+# W=gui_cold LAYERS_S=5): each layer's self time per run and the
+# counters, from untraced and traced rounds, ending in one JSON line.
+W ?= gui_warm
+LAYERS_S ?= 15
+layers:
+	python3 tools/layers.py --workload $(W) --seconds $(LAYERS_S)
 
 # Check a persistent-cache database's integrity section by section.
 fsck:

@@ -77,21 +77,29 @@ class Image:
         return any(sec.name == name for sec in self.sections)
 
     def find_symbol(self, name: str) -> Optional[Symbol]:
-        for sym in self.symbols:
-            if sym.name == name:
-                return sym
-        return None
+        return self.symbol_table().get(name)
+
+    def symbol_table(self) -> Dict[str, Symbol]:
+        """Every symbol by name; the first definition of a name wins."""
+        return self._symbol_tables()[0]
 
     def global_symbols(self) -> Dict[str, Symbol]:
-        # Memoized per symbol-table length: symbol resolution hits this
-        # once per undefined reference per load, and the table only ever
-        # grows while an image is being *built* (never once loaded).
-        cached = getattr(self, "_global_cache", None)
+        return self._symbol_tables()[1]
+
+    def _symbol_tables(self) -> Tuple[Dict[str, Symbol], Dict[str, Symbol]]:
+        # Memoized per symbol-table length: symbol resolution reads them
+        # once per reference per load, and the table only ever grows
+        # while an image is being *built* (never once loaded).
+        cached = getattr(self, "_symbol_cache", None)
         if cached is not None and cached[0] == len(self.symbols):
             return cached[1]
-        table = {sym.name: sym for sym in self.symbols if sym.is_global}
-        self._global_cache = (len(self.symbols), table)
-        return table
+        tables = (
+            # Built last to first, so the first definition of a name wins.
+            {sym.name: sym for sym in reversed(self.symbols)},
+            {sym.name: sym for sym in self.symbols if sym.is_global},
+        )
+        self._symbol_cache = (len(self.symbols), tables)
+        return tables
 
     @property
     def size(self) -> int:

@@ -82,38 +82,49 @@ def write_imm(data: bytearray, inst_offset: int, value: int) -> None:
 
 def apply_relocation(
     reloc: Relocation,
-    section_data: bytearray,
+    data: bytearray,
     image_base: int,
     resolve_symbol: Callable[[str], int],
+    section_vaddr: int = 0,
 ) -> None:
-    """Apply one relocation to (already image-relative) ``section_data``.
+    """Apply one relocation, in place, to the bytes that hold its section.
 
     Args:
         reloc: The relocation record.
-        section_data: Bytes of the section named by the record.
+        data: Bytes of the section named by the record, or of the whole
+            image laid out contiguously, when ``section_vaddr`` gives
+            where the section starts in them.
         image_base: Absolute base the image is mapped at.
         resolve_symbol: Callback mapping a global symbol name to its
             absolute address; consulted for SYMBOL relocations.
+        section_vaddr: Offset of the section in ``data``.
 
     Raises:
         RelocationError: If the site is out of bounds or the symbol is
             undefined.
+        ValueError: If the site, shifted by ``section_vaddr``, is not
+            instruction-aligned.
     """
-    if reloc.offset + INSTRUCTION_SIZE > len(section_data):
+    offset = section_vaddr + reloc.offset
+    if offset % INSTRUCTION_SIZE != 0:
+        raise ValueError(
+            "relocation offset %d is not instruction-aligned" % offset
+        )
+    if offset + INSTRUCTION_SIZE > len(data):
         raise RelocationError(
             "relocation at %s+%d is outside the section"
-            % (reloc.section, reloc.offset)
+            % (reloc.section, offset)
         )
     if reloc.kind == RelocationKind.RELATIVE:
-        value = read_imm(section_data, reloc.offset) + image_base + reloc.addend
+        value = read_imm(data, offset) + image_base + reloc.addend
     elif reloc.kind == RelocationKind.SYMBOL:
         try:
             value = resolve_symbol(reloc.symbol) + reloc.addend
         except KeyError as exc:
             raise RelocationError(
                 "undefined symbol %r referenced from %s+%d"
-                % (reloc.symbol, reloc.section, reloc.offset)
+                % (reloc.symbol, reloc.section, offset)
             ) from exc
     else:  # pragma: no cover - enum is closed
         raise RelocationError("unknown relocation kind %r" % (reloc.kind,))
-    write_imm(section_data, reloc.offset, value)
+    write_imm(data, offset, value)

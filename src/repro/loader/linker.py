@@ -8,7 +8,8 @@ Loading follows the classic ``ld.so`` shape the paper depends on:
    :class:`~repro.loader.layout.LoadLayout` policy,
 3. global symbols are resolved in load order (first definition wins, with
    the defining image preferred for its own references),
-4. relocations are applied in place in each mapping's private copy.
+4. relocations are applied in place in each mapping's private copy, in
+   one pass per image (:func:`_relocate`, shared with ``dlopen``).
 
 The resulting :class:`LoadedProcess` also records the ordered *load events*
 (image, base, size) that the VM's persistent-cache manager intercepts to
@@ -89,23 +90,14 @@ class LoadedProcess:
             self._dynamic_cursor = align_up(base + image.size, LIBRARY_ALIGN)
         mapping = self.space.map_image(image, base)
         self.loaded_modules[index] = mapping
-
-        def resolve(name: str) -> int:
-            own = image.find_symbol(name)
-            if own is not None:
-                return base + own.vaddr
-            return self.resolve_symbol(name)
-
-        for reloc in image.relocations:
-            section = image.section(reloc.section)
-            try:
-                _apply_on_mapping(reloc, mapping, section.vaddr, resolve)
-            except RelocationError as exc:
-                self.space.remove_mapping(mapping)
-                del self.loaded_modules[index]
-                raise LinkError(
-                    "relocating module %s: %s" % (image.path, exc)
-                ) from exc
+        try:
+            _relocate(mapping, self.resolve_symbol)
+        except RelocationError as exc:
+            self.space.remove_mapping(mapping)
+            del self.loaded_modules[index]
+            raise LinkError(
+                "relocating module %s: %s" % (image.path, exc)
+            ) from exc
         return mapping
 
     def unload_module(self, index: int) -> Mapping:
@@ -245,41 +237,44 @@ def load_process(
 
     # Relocate every mapping.  Symbol search prefers the defining image,
     # then falls back to load order.
+    global_addresses: Dict[str, int] = {}
     for mapping in process.mappings:
-        image = mapping.image
-
-        def resolve(name: str, _image: Image = image, _base: int = mapping.base) -> int:
-            own = _image.find_symbol(name)
-            if own is not None:
-                return _base + own.vaddr
-            return process.resolve_symbol(name)
-
-        for reloc in image.relocations:
-            section = image.section(reloc.section)
-            try:
-                _apply_on_mapping(reloc, mapping, section.vaddr, resolve)
-            except RelocationError as exc:
-                raise LinkError(
-                    "relocating %s: %s" % (image.path, exc)
-                ) from exc
+        for name, sym in mapping.image.global_symbols().items():
+            global_addresses.setdefault(name, mapping.base + sym.vaddr)
+    for mapping in process.mappings:
+        try:
+            _relocate(mapping, global_addresses.__getitem__)
+        except RelocationError as exc:
+            raise LinkError(
+                "relocating %s: %s" % (mapping.image.path, exc)
+            ) from exc
 
     process.entry_address = process.mappings[0].base + executable.entry
     return process
 
 
-def _apply_on_mapping(reloc, mapping, section_vaddr, resolve):
-    """Apply a relocation against the mapping's contiguous image copy.
+def _relocate(mapping: Mapping, resolve_global: Callable[[str], int]) -> None:
+    """Apply every relocation of ``mapping``'s image, in place, to the
+    mapping's contiguous private copy of the image.
 
-    Relocation offsets are section-relative; the mapping stores the whole
-    image contiguously, so shift the offset by the section's vaddr.
+    Relocation offsets are section-relative, so each site is shifted by
+    its section's vaddr.  A SYMBOL site resolves against the image's own
+    symbols first, then through ``resolve_global``, which raises
+    ``KeyError`` for an undefined name.
     """
-    from repro.binfmt.relocations import Relocation
+    image = mapping.image
+    base = mapping.base
+    own = image.symbol_table()
 
-    shifted = Relocation(
-        section=reloc.section,
-        offset=section_vaddr + reloc.offset,
-        kind=reloc.kind,
-        symbol=reloc.symbol,
-        addend=reloc.addend,
-    )
-    apply_relocation(shifted, mapping.data, mapping.base, resolve)
+    def resolve(name: str) -> int:
+        symbol = own.get(name)
+        return resolve_global(name) if symbol is None else base + symbol.vaddr
+
+    # Built last to first, so the first section of a name wins, as
+    # Image.section finds it.
+    vaddrs = {section.name: section.vaddr
+              for section in reversed(image.sections)}
+    for reloc in image.relocations:
+        name = reloc.section
+        vaddr = vaddrs[name] if name in vaddrs else image.section(name).vaddr
+        apply_relocation(reloc, mapping.data, base, resolve, vaddr)

@@ -9,11 +9,7 @@ from repro.persist.cachefile import (
     verify_sections,
 )
 from repro.persist.storage import FileStorage, StorageError
-from repro.persist.convert import (
-    ConversionError,
-    persist_trace,
-    revive_trace,
-)
+from repro.persist.convert import persist_trace, revive_trace
 from repro.persist.database import CacheDatabase, CacheEntry
 from repro.persist.framing import FsckItem, FsckReport
 from repro.persist.keys import (
@@ -37,7 +33,6 @@ __all__ = [
     "CacheDatabase",
     "CacheEntry",
     "CacheFileError",
-    "ConversionError",
     "FileStorage",
     "FsckItem",
     "FsckReport",

@@ -44,7 +44,7 @@ from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
 )
 from repro.persist.keys import MappingKey
 from repro.persist.storage import DEFAULT_STORAGE, FileStorage
-from repro.vm.trace import ExitKind
+from repro.vm.trace import ExitKind, TraceExit
 from repro.vm.translator import (
     ADDR_TABLE_BYTES_PER_INST,
     LINK_RECORD_BYTES,
@@ -98,8 +98,8 @@ DATA_PREFIX = struct.Struct(
 )
 #: Exit kind, instruction index, target (-1: no static target).
 LINK_RECORD = struct.Struct("<iiq%dx" % (LINK_RECORD_BYTES - 16))
-#: The exit kinds a link record may hold.
-EXIT_KINDS = frozenset(map(int, ExitKind))
+#: The exit kinds a link record may hold, by their stored value.
+EXIT_KINDS = {int(kind): kind for kind in ExitKind}
 
 
 class CacheFileError(FrameError):
@@ -151,12 +151,6 @@ class PersistedTrace:
     data_size: int = 0
     #: One register mask per instruction, or none.
     liveness: List[int] = field(default_factory=list)
-    #: The body's micro-ops, unpacked by :meth:`PersistentCache.from_bytes`
-    #: once it checked every body of the file, which verbatim revive
-    #: reads instead of decoding again; None for a record built in this
-    #: process.  Not part of the file.
-    uops: Optional[List[tuple]] = field(default=None, repr=False,
-                                        compare=False)
 
     @property
     def identity(self) -> Tuple[str, int]:
@@ -165,6 +159,20 @@ class PersistedTrace:
     @property
     def code_size(self) -> int:
         return len(self.code)
+
+    def row(self) -> "TraceRow":
+        """This record as a parsed file's row, which revive reads."""
+        body = self.code[: self.n_insts * INSTRUCTION_SIZE]
+        return TraceRow(
+            self.image_path, self.entry, self.image_offset, self.code, body,
+            decode_uops(body),
+            [TraceExit(EXIT_KINDS[kind], index, target)
+             for kind, index, target, _path, _offset in self.exits],
+            [(at, trace_exit.target_offset)
+             for at, trace_exit in enumerate(self.exits)],
+            self.relocs, self.data_size, list(self.liveness),
+            [trace_exit.target_path for trace_exit in self.exits],
+        )
 
     def build_data_blob(self) -> bytes:
         """Serialize this trace's 'data structures' at its data size."""
@@ -197,6 +205,39 @@ class PersistedTrace:
         return b"".join(parts)
 
 
+class TraceRow(NamedTuple):
+    """One checked row of a parsed file, with its body's micro-ops and its
+    exits as a resident keeps them: what revive reads, and what
+    :meth:`record` turns into a :class:`PersistedTrace` for whatever
+    needs one."""
+
+    image_path: str
+    entry: int  # absolute entry address at creation time
+    image_offset: int
+    code: bytes
+    body: bytes  # the code's first n_insts words
+    uops: List[tuple]
+    exits: List[TraceExit]  # targets as stored
+    #: Per exit, the target's index in ``paths`` and image-relative
+    #: offset.
+    exit_places: List[Tuple[int, int]]
+    relocs: List[PersistedReloc]
+    data_size: int
+    liveness: List[int]
+    paths: List[str]  # the file's image-path table ("": unbacked)
+
+    def record(self) -> PersistedTrace:
+        return PersistedTrace(
+            self.entry, self.image_path, self.image_offset, len(self.uops),
+            self.code,
+            [PersistedExit(int(trace_exit.kind), trace_exit.index,
+                           trace_exit.target, self.paths[path], offset)
+             for trace_exit, (path, offset)
+             in zip(self.exits, self.exit_places)],
+            self.relocs, self.data_size, self.liveness,
+        )
+
+
 def verify_sections(blob: bytes) -> Dict[str, str]:
     """Per-section damage map of a raw cache blob, for fsck: ``{}`` when
     healthy, else ``{section: reason}``."""
@@ -211,12 +252,34 @@ class PersistentCache:
     tool_identity: str
     app_path: str
     image_keys: Dict[str, MappingKey] = field(default_factory=dict)
-    traces: List[PersistedTrace] = field(default_factory=list)
     #: Creation generation: bumped on every accumulation write-back.
     generation: int = 0
     #: Format feature bits this cache was written with (see
     #: :data:`SUPPORTED_FEATURES`).
     feature_flags: int = 0
+    #: The checked rows of the file this cache was read from, in file
+    #: order, until its records are built (:attr:`traces`); empty for a
+    #: cache built in memory.
+    rows: List[TraceRow] = field(default_factory=list, repr=False)
+    _records: Optional[List[PersistedTrace]] = field(
+        default=None, init=False, repr=False)
+
+    @property
+    def traces(self) -> List[PersistedTrace]:
+        """Every trace record, in file order.  A parsed file builds its
+        records from its rows on first read, so a run that only revives
+        verbatim builds none; from then on the records are the cache,
+        and ``rows`` is empty."""
+        if self._records is None:
+            self._records = [row.record() for row in self.rows]
+            self.rows = []
+        return self._records
+
+    @property
+    def trace_count(self) -> int:
+        """``len(self.traces)``, without building a parsed file's
+        records."""
+        return len(self.rows or self.traces)
 
     # -- inventory ---------------------------------------------------------
 
@@ -266,9 +329,9 @@ class PersistentCache:
 
     def drop_traces(self, identities: set) -> int:
         """Remove traces by identity; returns how many were dropped."""
-        before = len(self.traces)
-        self.traces = [t for t in self.traces if t.identity not in identities]
-        return before - len(self.traces)
+        records = self.traces
+        self._records = [t for t in records if t.identity not in identities]
+        return len(records) - len(self._records)
 
     # -- serialization -----------------------------------------------------
 
@@ -347,7 +410,7 @@ class PersistentCache:
             raise CacheFileError(
                 "malformed header fields: %s" % exc, section="header"
             ) from exc
-        cache.traces = _read_traces(
+        cache.rows = _read_rows(
             paths, sections["directory"], sections["code_pool"],
             sections["data_pool"],
         )
@@ -397,21 +460,20 @@ def _read_directory(directory: bytes, paths: List[str]):
     return rows, targets, relocs
 
 
-def _read_traces(
+def _read_rows(
     paths: List[str], directory: bytes, code_pool: bytes, data_pool: bytes
-) -> List[PersistedTrace]:
-    """Every trace record, built from its row and data-pool slice with
-    each field checked where it is read.  What every record has many of
-    — body words and exits — is checked and unpacked in one pass over
-    the whole file, then handed out."""
+) -> List[TraceRow]:
+    """Every trace row, built in one pass with each field checked where it
+    is read.  The checks that cover every row at once -- body words,
+    exit kinds, exit target paths -- run after the pass, in that order,
+    so the first damage a reader meets is the one reported."""
     rows, targets, relocs = _read_directory(directory, paths)
     n_paths, code_bytes, data_bytes = len(paths), len(code_pool), len(data_pool)
     prefix, unpack_prefix = DATA_PREFIX.size, DATA_PREFIX.unpack_from
     per_inst = LIVENESS_BYTES_PER_INST + ADDR_TABLE_BYTES_PER_INST
+    links_of, kinds = LINK_RECORD.iter_unpack, EXIT_KINDS
     traces = []
-    bodies = []
-    links = []
-    code_at = data_at = reloc_at = 0
+    code_at = data_at = reloc_at = exit_at = 0
     for path, row_flags, code_size, data_size, n_exits, n_relocs in rows:
         code_end = code_at + code_size
         if (path >= n_paths or row_flags & ~ROW_LIVENESS
@@ -445,62 +507,54 @@ def _read_traces(
             )
         reloc_end = reloc_at + n_relocs
         trace_relocs = relocs[reloc_at:reloc_end]
-        if n_relocs and max(reloc.index for reloc in trace_relocs) >= n_insts:
+        if n_relocs and max(trace_relocs)[0] >= n_insts:
             raise CacheFileError(
                 "trace at 0x%x: relocation past its %d instructions"
                 % (entry, n_insts),
                 section="directory",
             )
-        bodies.append(code_pool[code_at:body_end])
-        links.append(data_pool[links_at:links_end])
-        # The exits and uops follow once every body of the file is
-        # checked.
-        traces.append(PersistedTrace(
-            entry, paths[path], image_offset, n_insts,
-            code_pool[code_at:code_end], [], trace_relocs, data_size,
+        # Body words and exit kinds are checked for the whole file after
+        # the pass; unpacking them checks nothing, and an unknown kind
+        # stays a plain int until then.
+        body = code_pool[code_at:body_end]
+        exit_end = exit_at + n_exits
+        traces.append(TraceRow(
+            paths[path], entry, image_offset, code_pool[code_at:code_end],
+            body, unpack_uops(body),
+            [TraceExit(kinds.get(kind, kind), index,
+                       None if target == -1 else target)
+             for kind, index, target
+             in links_of(data_pool[links_at:links_end])],
+            targets[exit_at:exit_end], trace_relocs, data_size,
             list(struct.unpack_from(
                 "<%dQ" % n_insts, data_pool, data_at + prefix
             )) if row_flags & ROW_LIVENESS else [],
+            paths,
         ))
-        code_at, data_at, reloc_at = code_end, data_end, reloc_end
+        code_at, data_at = code_end, data_end
+        reloc_at, exit_at = reloc_end, exit_end
     if code_at != code_bytes:
         raise CacheFileError("code pool size mismatch", section="code_pool")
     if data_at != data_bytes:
         raise CacheFileError("data pool size mismatch", section="data_pool")
-    body_words = b"".join(bodies)
-    if not decodes(body_words):
-        for trace, body in zip(traces, bodies):
+    if not decodes(b"".join(trace.body for trace in traces)):
+        for trace in traces:
             try:
-                decode_uops(body)
+                decode_uops(trace.body)
             except DecodeError as exc:
                 raise CacheFileError(
                     "trace at 0x%x: undecodable code: %s" % (trace.entry, exc),
                     section="code_pool",
                 ) from exc
-    uops = unpack_uops(body_words)
-    link_records = list(LINK_RECORD.iter_unpack(b"".join(links)))
-    unknown = {kind for kind, _, _ in link_records} - EXIT_KINDS
+    unknown = {trace_exit.kind for trace in traces
+               for trace_exit in trace.exits}.difference(kinds)
     if unknown:
         raise CacheFileError(
             "unknown exit kind %d" % min(unknown), section="data_pool"
         )
-    try:
-        exits = [
-            PersistedExit(kind, index, None if target == -1 else target,
-                          paths[path], offset)
-            for (kind, index, target), (path, offset)
-            in zip(link_records, targets)
-        ]
-    except IndexError as exc:
+    if targets and max(targets)[0] >= n_paths:
         raise CacheFileError(
             "malformed trace directory: exit target path out of range",
             section="directory",
-        ) from exc
-    uop_at = exit_at = 0
-    for record, row in zip(traces, rows):
-        uop_end = uop_at + record.n_insts
-        exit_end = exit_at + row[4]
-        record.uops = uops[uop_at:uop_end]
-        record.exits = exits[exit_at:exit_end]
-        uop_at, exit_at = uop_end, exit_end
+        )
     return traces

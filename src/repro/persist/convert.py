@@ -20,9 +20,9 @@ against the current run's bases, so translations survive relocation.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from repro.isa.encoding import decode_all, decode_uops, encode_all
+from repro.isa.encoding import decode_all, encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import ABSOLUTE_TARGET
 from repro.loader.linker import LoadedProcess
@@ -30,22 +30,16 @@ from repro.persist.cachefile import (
     PersistedExit,
     PersistedReloc,
     PersistedTrace,
+    TraceRow,
 )
-from repro.vm.client import PointKind, Tool
-from repro.vm.trace import ExitKind, Trace, TraceExit
+from repro.vm.client import Tool
+from repro.vm.trace import Trace, TraceExit
 from repro.vm.translator import (
-    LinkSlot,
+    STUB_INSTS_PER_EXIT,
     TranslatedTrace,
-    index_links,
+    build_resident,
+    translated_code,
 )
-
-
-class ConversionError(Exception):
-    """Raised when a trace cannot be persisted or revived."""
-
-
-#: Persisted exit-kind integer -> :class:`ExitKind`.
-_EXIT_KINDS = {int(kind): kind for kind in ExitKind}
 
 
 def _locate(process: LoadedProcess, addr: int):
@@ -101,37 +95,37 @@ def persist_trace(
 
 
 def revive_trace(
-    persisted: PersistedTrace,
+    row: TraceRow,
     tool: Optional[Tool],
     base_of: Callable[[str], Optional[int]],
     rebase: bool = False,
 ) -> Optional[TranslatedTrace]:
-    """Reconstruct a code-cache resident from a persisted record.
+    """Reconstruct a code-cache resident from a stored trace.
 
     Args:
-        persisted: The stored trace.
+        row: The stored trace: a parsed file's row, or
+            :meth:`PersistedTrace.row` of a record.
         tool: Current instrumentation client; its points are re-bound (the
             tool key guarantees identical semantics).
         base_of: Current load base of an image path, or None if unloaded.
         rebase: Apply position-independent re-materialization.  When False
-            the persisted absolute addresses are trusted verbatim (callers
-            must have validated identical bases).
+            the stored absolute addresses are trusted verbatim (callers
+            must have validated identical bases), and the resident keeps
+            the row's micro-ops and exits as they were read.
 
     Returns:
         The revived trace, or None when required images are not loaded at
         usable addresses (the caller counts an invalidation).
     """
-    image_base = base_of(persisted.image_path)
+    image_base = base_of(row.image_path)
     if image_base is None:
         return None
-
-    code = persisted.code
-    body = code[: persisted.n_insts * INSTRUCTION_SIZE]
+    body, uops, exits = row.body, row.uops, row.exits
     if rebase:
-        entry = image_base + persisted.image_offset
+        entry = image_base + row.image_offset
         instructions = decode_all(body)
         relocated = False
-        for reloc in persisted.relocs:
+        for reloc in row.relocs:
             target_base = base_of(reloc.target_path)
             if target_base is None:
                 return None
@@ -142,71 +136,53 @@ def revive_trace(
                 inst.opcode, rd=inst.rd, rs1=inst.rs1, rs2=inst.rs2, imm=imm,
             )
         if relocated:
-            # The code bytes must encode what executes: they key the
-            # compiled tier's factory memo and body stores
-            # (repro.vm.compile), so stale literals would hand this trace
-            # the closure of a same-entry trace that jumps elsewhere.
-            code = encode_all(instructions) + code[len(body):]
+            body = encode_all(instructions)
+        uops = [inst.as_tuple() for inst in instructions]
+        exits = []
+        for trace_exit, (path, offset) in zip(row.exits, row.exit_places):
+            target = trace_exit.target
+            if target is not None:
+                target_path = row.paths[path]
+                if not target_path:
+                    return None  # static exit into unbacked memory
+                target_base = base_of(target_path)
+                if target_base is None:
+                    return None
+                target = target_base + offset
+            exits.append(TraceExit(trace_exit.kind, trace_exit.index, target))
     else:
-        entry = persisted.entry
-        if image_base + persisted.image_offset != entry:
+        entry = row.entry
+        if image_base + row.image_offset != entry:
             return None  # base moved; verbatim reuse would misexecute
-        # The body executes as stored, so its micro-ops come straight
-        # from the bytes; Instruction objects are built only if a tool
-        # or the translator reads them (Trace.from_body).
-        uops = persisted.uops or decode_uops(body)
         # Absolute literals baked into the body must still point where
         # they pointed at creation time: a trace that calls into a since-
         # relocated library embeds a stale literal (the paper's PUSH/JMP
         # example) and must be invalidated, even though its own image
         # validated.
-        for index, target_path, target_offset in persisted.relocs:
+        for index, target_path, target_offset in row.relocs:
             target_base = base_of(target_path)
             if (target_base is None
                     or target_base + target_offset != uops[index][4]):
                 return None
 
-    exits: List[TraceExit] = []
-    for kind, index, target, target_path, target_offset in persisted.exits:
-        if rebase and target is not None:
-            if not target_path:
-                return None  # static exit into unbacked memory
-            target_base = base_of(target_path)
-            if target_base is None:
-                return None
-            target = target_base + target_offset
-        exits.append(TraceExit(_EXIT_KINDS[kind], index, target))
-
+    trace = Trace(entry, body, uops, exits, row.image_path, image_base)
+    code = row.code
     if rebase:
-        trace = Trace(entry, instructions, exits, persisted.image_path,
-                      image_base)
-    else:
-        trace = Trace.from_body(entry, body, uops, exits,
-                                persisted.image_path, image_base)
-    points = list(tool.instrument_trace(trace)) if tool else []
-    points_by_index: Dict[int, list] = {}
-    for point in points:
-        index = 0 if point.kind == PointKind.TRACE_ENTRY else point.index
-        points_by_index.setdefault(index, []).append(point)
-
+        # The code bytes must encode what executes, exit stubs included:
+        # they key the compiled tier's factory memo and body stores
+        # (repro.vm.compile), so a stale literal would hand this trace
+        # the closure of a same-entry trace that jumps elsewhere, and a
+        # stale stub would miss the body a fresh translation stored.
+        stubs_end = (len(body)
+                     + len(exits) * STUB_INSTS_PER_EXIT * INSTRUCTION_SIZE)
+        code = translated_code(trace, 0) + code[stubs_end:]
     # A revived trace never carries a compiled-tier closure: closures
     # capture run-scoped objects (machine, stats, analysis context) and
     # are host-level artifacts, so they are not persisted.  The compiled
     # dispatcher specializes the trace lazily once it reaches the compile
-    # threshold (repro.vm.compile's tier-up), which charges nothing simulated,
-    # so persistence and trace compilation compose with no extra cost.
-    translated = TranslatedTrace(
-        trace=trace,
-        code_bytes=code,
-        code_size=len(code),
-        data_size=persisted.data_size,
-        points=points,
-        points_by_index=points_by_index,
-        liveness=list(persisted.liveness),
-        links=[LinkSlot(exit=e) for e in exits],
-        from_persistent=True,
-        demand_loaded=False,
-        compiled_body=None,
-    )
-    index_links(translated)
-    return translated
+    # threshold (repro.vm.compile's tier-up), which charges nothing
+    # simulated, so persistence and trace compilation compose with no
+    # extra cost.
+    points = list(tool.instrument_trace(trace)) if tool else []
+    return build_resident(trace, code, row.data_size, points, row.liveness,
+                          True)

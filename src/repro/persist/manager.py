@@ -40,12 +40,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.persist.cachefile import CacheFileError, PersistentCache, PersistedTrace
+from repro.persist.cachefile import (
+    CacheFileError,
+    PersistedTrace,
+    PersistentCache,
+    TraceRow,
+)
 from repro.persist.convert import persist_trace, revive_trace
 from repro.persist.database import INDEX_NAME, CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
 from repro.persist.sidecar import open_body_store
+from repro.vm.codecache import CacheFull
 from repro.vm.stats import HostStats
+from repro.vm.translator import TranslatedTrace
 
 #: Failures the session downgrades on instead of raising through the
 #: engine: malformed cache files and any storage-level IO error
@@ -125,7 +132,7 @@ class PersistentCacheSession:
         self._tool_identity: str = ""
         #: Persisted traces whose images were not loaded this run: kept
         #: verbatim through write-back so accumulation never loses code.
-        self._retained: List[PersistedTrace] = []
+        self._retained: List[TraceRow] = []
         self._retained_keys: Dict[str, MappingKey] = {}
         #: Identities of traces invalidated this run (stale content or
         #: unusable base): they must not survive an accumulation write-back
@@ -223,54 +230,49 @@ class PersistentCacheSession:
             else:
                 validation[path] = "invalid"
 
-        preload: List = []
+        # A file read from disk revives straight from its rows; a cache
+        # built in memory, from its records.
+        rebase = self.config.relocatable
         base_of = self._base_of(process)
-        for persisted in loaded.traces:
-            mode = validation.get(persisted.image_path)
+        preload: Dict[int, TranslatedTrace] = {}
+        for row in loaded.rows or [record.row() for record in loaded.traces]:
+            mode = validation.get(row.image_path)
             if mode is None:
                 # Image not loaded in this run: unusable now, retained for
                 # write-back so accumulated caches keep their code.
-                self._retained.append(persisted)
-                key = loaded.image_keys.get(persisted.image_path)
+                self._retained.append(row)
+                key = loaded.image_keys.get(row.image_path)
                 if key is not None:
-                    self._retained_keys[persisted.image_path] = key
+                    self._retained_keys[row.image_path] = key
                 self.host.retained_unloaded += 1
-                continue
-            if mode == "invalid":
-                self._invalidate_one(stats, cost, persisted)
                 continue
             # Position-independent mode re-materializes every absolute
             # address (a trace whose *own* image stayed put may still embed
             # literals into a relocated library); otherwise reuse is
             # verbatim and revive_trace validates every embedded literal.
-            revived = revive_trace(
-                persisted, engine.tool, base_of,
-                rebase=self.config.relocatable,
-            )
+            revived = None
+            if mode != "invalid":
+                revived = revive_trace(row, engine.tool, base_of, rebase)
             if revived is None:
-                self._invalidate_one(stats, cost, persisted)
+                self._invalidate_one(stats, cost, row)
                 continue
             if mode == "rebase":
                 self.host.rebased += 1
-            preload.append(revived)
+            preload.setdefault(revived.trace.entry, revived)
 
-        # Install the valid translations.  cache.insert links them among
-        # themselves, recreating the persisted link web; the open cost
-        # already covers this (the file stores the links).  Preloaded
-        # residents are demand-paged: the first execution charges the
-        # trace+metadata load; compiled dispatch specializes the trace
-        # into its closure once it reaches the compile threshold.
-        from repro.vm.codecache import CacheFull
-
-        for revived in preload:
-            if revived.entry in cache:
-                continue
-            try:
-                cache.insert(revived)
-            except CacheFull:
-                break  # pools smaller than the cache; stop preloading
-            self.host.preloaded += 1
-            stats.traces_from_persistent += 1
+        # Install the valid translations into the run's empty code cache.
+        # One cache.insert links them among themselves, recreating the
+        # persisted link web; the open cost already covers this (the
+        # file stores the links).  Preloaded residents are demand-paged:
+        # the first execution charges the trace+metadata load; compiled
+        # dispatch specializes the trace into its closure once it
+        # reaches the compile threshold.
+        try:
+            cache.insert(*preload.values())
+        except CacheFull:
+            pass  # pools smaller than the cache: the traces that fit stay
+        self.host.preloaded += len(cache)
+        stats.traces_from_persistent += len(cache)
 
     def on_module_load(self, engine, machine, cache, stats, mapping) -> None:
         """Load interception for a dynamically loaded (dlopen'd) module.
@@ -297,34 +299,29 @@ class PersistentCacheSession:
         elif self.config.relocatable and persisted_key.matches_content(key):
             rebase = True
         else:
-            for persisted in [
-                trace for trace in self._retained
-                if trace.image_path == image.path
+            for row in [
+                row for row in self._retained if row.image_path == image.path
             ]:
-                self._retained.remove(persisted)
-                self._invalidate_one(stats, cost, persisted)
+                self._retained.remove(row)
+                self._invalidate_one(stats, cost, row)
             return
 
-        from repro.vm.codecache import CacheFull
-
-        keep: List[PersistedTrace] = []
+        keep: List[TraceRow] = []
         base_of = self._base_of(machine.process)
-        for persisted in self._retained:
-            if persisted.image_path != image.path:
-                keep.append(persisted)
+        for row in self._retained:
+            if row.image_path != image.path:
+                keep.append(row)
                 continue
-            revived = revive_trace(
-                persisted, engine.tool, base_of, rebase=rebase,
-            )
+            revived = revive_trace(row, engine.tool, base_of, rebase)
             if revived is None:
-                self._invalidate_one(stats, cost, persisted)
+                self._invalidate_one(stats, cost, row)
                 continue
             if revived.entry in cache:
                 continue
             try:
                 cache.insert(revived)
             except CacheFull:
-                keep.append(persisted)
+                keep.append(row)
                 continue
             self.host.preloaded += 1
             stats.traces_from_persistent += 1
@@ -533,11 +530,11 @@ class PersistentCacheSession:
             stats.persistence_storage_errors += 1
             stats.persistence_degraded = 1
 
-    def _invalidate_one(self, stats, cost, persisted: PersistedTrace) -> None:
+    def _invalidate_one(self, stats, cost, row: TraceRow) -> None:
         self.host.invalidated += 1
         stats.persistent_traces_invalidated += 1
         stats.charge_persistence(cost.pcache_invalidate_trace)
-        self._invalid_identities.add(persisted.identity)
+        self._invalid_identities.add((row.image_path, row.image_offset))
 
     @staticmethod
     def _base_of(process) -> Callable[[str], Optional[int]]:
@@ -603,7 +600,7 @@ class PersistentCacheSession:
                 dropped = target.drop_traces(self._invalid_identities)
             if not new_records and not module_records and not dropped:
                 # Nothing changed: skip the disk write entirely.
-                self.host.total_traces_after_write = len(target.traces)
+                self.host.total_traces_after_write = target.trace_count
                 return
             # Refresh/retain: the loaded cache already contains the reused
             # records and the retained-unloaded ones; accumulate the new.
@@ -617,11 +614,13 @@ class PersistentCacheSession:
             target.image_keys = dict(self._current_keys)
             target.image_keys.update(self._retained_keys)
             target.accumulate(
-                reused_records + new_records + module_records + self._retained,
+                reused_records + new_records + module_records
+                + [row.record() for row in self._retained],
                 {},
             )
         stats.charge_persistence(
-            cost.pcache_write_fixed + cost.pcache_write_per_trace * len(target.traces)
+            cost.pcache_write_fixed
+            + cost.pcache_write_per_trace * target.trace_count
         )
         try:
             self.config.database.store(target, self._app_key)
@@ -633,6 +632,6 @@ class PersistentCacheSession:
             return
         self.host.new_traces_persisted = len(new_records)
         self.host.written = True
-        self.host.total_traces_after_write = len(target.traces)
+        self.host.total_traces_after_write = target.trace_count
         # Subsequent flush/exit write-backs accumulate onto this cache.
         self._cache = target

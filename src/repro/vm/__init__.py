@@ -34,8 +34,8 @@ from repro.vm.translator import (
     TranslatedTrace,
     TranslationResult,
     Translator,
+    build_resident,
     compute_liveness,
-    index_links,
 )
 
 __all__ = [
@@ -66,6 +66,6 @@ __all__ = [
     "VMRunResult",
     "VMStats",
     "VM_VERSION",
+    "build_resident",
     "compute_liveness",
-    "index_links",
 ]

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.machine.cpu import CODE_PAGE_SHIFT
 from repro.vm.stats import CodeCacheStats
-from repro.vm.translator import LinkSlot, TranslatedTrace
+from repro.vm.translator import UNLINKABLE_KINDS, LinkSlot, TranslatedTrace
 
 #: Pool sizes used when none are specified: "512MB of an application's
 #: address space (a tunable parameter) is reserved for Pin's use.  The
@@ -108,53 +108,69 @@ class CodeCache:
 
     # -- insertion & linking --------------------------------------------------
 
-    def insert(self, translated: TranslatedTrace) -> int:
-        """Add a trace; link it both ways; return the number of patches.
+    def insert(self, *residents: TranslatedTrace) -> int:
+        """Add traces in order, link them both ways, and return the number
+        of patches.
+
+        The result is what inserting them one at a time gives, but every
+        trace that fits enters the translation map before any exit is
+        linked: each linkable exit then probes the map once, and an exit
+        into a later trace of the same call is patched at once instead of
+        waiting in the pending-link map.
 
         Raises:
-            CacheFull: if either pool would overflow.  The caller decides
+            CacheFull: if a trace would overflow either pool.  The traces
+                before it stay resident and linked; the caller decides
                 whether to flush and retry.
+            ValueError: if a trace at the same entry is already resident
+                (the traces before it stay, as for ``CacheFull``).
         """
-        entry = translated.entry
-        if entry in self._by_entry:
-            raise ValueError("trace at 0x%x is already resident" % entry)
-        if self.code_used + translated.code_size > self.code_capacity:
-            raise CacheFull("code pool exhausted")
-        if self.data_used + translated.data_size > self.data_capacity:
-            raise CacheFull("data pool exhausted")
-
-        translated.cache_offset = self.code_used
-        self.code_used += translated.code_size
-        self.data_used += translated.data_size
-        self._by_entry[entry] = translated
-        self.stats.traces_inserted += 1
-        if self.track_pages is not None:
-            trace = translated.trace
-            self.track_pages(
-                trace.entry >> CODE_PAGE_SHIFT,
-                (trace.end - 1) >> CODE_PAGE_SHIFT,
-            )
-
-        patches = 0
-        # Incoming: every pending exit that targets this entry.  The
-        # resident itself is cached on the slot so following the patched
-        # link is a single attribute load, not a translation-map lookup.
-        for slot in self._pending_links.pop(entry, ()):  # noqa: B020
-            slot.linked_resident = translated
-            patches += 1
-        # Outgoing: link exits whose target is already resident, otherwise
-        # queue them for when the target arrives.
-        for slot in translated.links:
-            if not slot.is_linkable:
-                continue
-            target = slot.exit.target
-            resident = self._by_entry.get(target)
-            if resident is not None:
-                slot.linked_resident = resident
-                patches += 1
-            else:
-                self._pending_links.setdefault(target, []).append(slot)
-        self.stats.link_patches += patches
+        by_entry = self._by_entry
+        admitted = []
+        try:
+            for resident in residents:
+                trace = resident.trace
+                if trace.entry in by_entry:
+                    raise ValueError(
+                        "trace at 0x%x is already resident" % trace.entry)
+                if self.code_used + resident.code_size > self.code_capacity:
+                    raise CacheFull("code pool exhausted")
+                if self.data_used + resident.data_size > self.data_capacity:
+                    raise CacheFull("data pool exhausted")
+                resident.cache_offset = self.code_used
+                self.code_used += resident.code_size
+                self.data_used += resident.data_size
+                by_entry[trace.entry] = resident
+                admitted.append(resident)
+                if self.track_pages is not None:
+                    self.track_pages(trace.entry >> CODE_PAGE_SHIFT,
+                                     (trace.end - 1) >> CODE_PAGE_SHIFT)
+        finally:
+            # Link what was admitted, also when a trace was refused.
+            # Incoming: every exit queued before this insertion that
+            # targets an admitted entry.  The resident itself is cached
+            # on the slot so following the patched link is a single
+            # attribute load, not a translation-map lookup.  Outgoing:
+            # link exits whose target is resident now, and queue the rest
+            # for when their target arrives.
+            pending = self._pending_links
+            patches = 0
+            for resident in admitted:
+                for slot in pending.pop(resident.trace.entry, ()):
+                    slot.linked_resident = resident
+                    patches += 1
+                for slot in resident.links:
+                    target = slot.exit.target
+                    if target is None or slot.exit.kind in UNLINKABLE_KINDS:
+                        continue
+                    linked = by_entry.get(target)
+                    if linked is not None:
+                        slot.linked_resident = linked
+                        patches += 1
+                    else:
+                        pending.setdefault(target, []).append(slot)
+            self.stats.traces_inserted += len(admitted)
+            self.stats.link_patches += patches
         return patches
 
     def evict(self, entry: int) -> TranslatedTrace:

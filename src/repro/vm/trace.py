@@ -20,13 +20,7 @@ import re
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
-from repro.isa.encoding import (
-    decode,
-    decode_all,
-    decodes,
-    encode_all,
-    unpack_uops,
-)
+from repro.isa.encoding import decode, decode_all, decodes, unpack_uops
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import (
     CONDITIONAL_BRANCHES,
@@ -52,7 +46,7 @@ class ExitKind(enum.IntEnum):
     HALT = 5  # machine stop
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceExit:
     """One potential exit from a trace.
 
@@ -73,13 +67,11 @@ class Trace:
 
     Attributes:
         entry: Original absolute address of the first instruction.
-        instructions: The selected instructions, unaltered.  A trace
-            built from its code bytes (:meth:`from_body`: every
-            selection and every verbatim revive) decodes them only when
-            this is first read.
+        instructions: The selected instructions, unaltered, decoded
+            from ``body`` only when this is first read: selection and
+            revive build none.
         uops: The instructions as flattened micro-op tuples, for the
-            dispatcher's hot loop: read from the code bytes, or built
-            from ``instructions`` at construction.
+            dispatcher's hot loop.
         exits: All potential exits, in instruction order.
         image_path: Path of the image the trace was read from.
         image_base: Load base of that image in this run.
@@ -88,51 +80,27 @@ class Trace:
     def __init__(
         self,
         entry: int,
-        instructions: Optional[List[Instruction]] = None,
-        exits: Optional[List[TraceExit]] = None,
-        image_path: str = "",
-        image_base: int = 0,
-    ):
-        self.entry = entry
-        self._instructions = [] if instructions is None else instructions
-        self.exits = [] if exits is None else exits
-        self.image_path = image_path
-        self.image_base = image_base
-        self.uops = [inst.as_tuple() for inst in self._instructions]
-        self._body = b""
-
-    @classmethod
-    def from_body(
-        cls,
-        entry: int,
         body: bytes,
         uops: List[tuple],
         exits: List[TraceExit],
-        image_path: str,
-        image_base: int,
-    ) -> "Trace":
-        """A trace whose micro-ops ``uops`` were read from its encoded,
-        already checked ``body``; its :class:`Instruction` objects are
-        built only if something reads :attr:`instructions`."""
-        trace = cls(entry, None, exits, image_path, image_base)
-        trace._instructions = None
-        trace.uops = uops
-        trace._body = body
-        return trace
+        image_path: str = "",
+        image_base: int = 0,
+    ):
+        #: The encoded instructions: the code bytes the trace was read
+        #: from, already checked; ``uops`` are read from them.
+        self.body = body
+        self.entry = entry
+        self.uops = uops
+        self.exits = exits
+        self.image_path = image_path
+        self.image_base = image_base
+        self._instructions: Optional[List[Instruction]] = None
 
     @property
     def instructions(self) -> List[Instruction]:
         if self._instructions is None:
-            self._instructions = decode_all(self._body)
+            self._instructions = decode_all(self.body)
         return self._instructions
-
-    @property
-    def body(self) -> bytes:
-        """The encoded instructions: the code bytes the trace was read
-        from."""
-        if not self._body:
-            self._body = encode_all(self._instructions)
-        return self._body
 
     @property
     def size(self) -> int:
@@ -254,8 +222,7 @@ class TraceSelector:
         else:
             target = None
         exits.append(TraceExit(kind, last, target=target))
-        return Trace.from_body(entry, body, uops, exits, image_path,
-                               image_base)
+        return Trace(entry, body, uops, exits, image_path, image_base)
 
 
 #: Opcode of each unconditional transfer -> the exit kind it ends a

@@ -63,7 +63,11 @@ def modeled_data_size(n_insts: int, n_exits: int) -> int:
     )
 
 
-@dataclass
+#: Exit kinds that leave for the VM even with a static target.
+UNLINKABLE_KINDS = (ExitKind.SYSCALL, ExitKind.HALT)
+
+
+@dataclass(slots=True)
 class LinkSlot:
     """The mutable link state of one trace exit.
 
@@ -103,13 +107,11 @@ class LinkSlot:
     @property
     def is_linkable(self) -> bool:
         """Static-target exits can be patched; indirect ones never are."""
-        return self.exit.target is not None and self.exit.kind not in (
-            ExitKind.SYSCALL,
-            ExitKind.HALT,
-        )
+        return (self.exit.target is not None
+                and self.exit.kind not in UNLINKABLE_KINDS)
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslatedTrace:
     """A trace resident in the code cache."""
 
@@ -129,7 +131,7 @@ class TranslatedTrace:
     from_persistent: bool = False
     #: False until the trace's code and data structures are in memory.
     #: A fresh translation is; a persisted trace is demand-paged, and its
-    #: first execution pays the load (repro.persist.convert sets False).
+    #: first execution pays the load (see :func:`build_resident`).
     demand_loaded: bool = True
     executions: int = 0
     #: BRANCH_TAKEN link slots keyed by instruction index (dispatcher use).
@@ -166,15 +168,38 @@ class TranslatedTrace:
         return self.trace.entry
 
 
-def index_links(translated: TranslatedTrace) -> TranslatedTrace:
-    """(Re)build the dispatcher's per-index link lookup structures."""
-    translated.branch_slots = {
-        slot.exit.index: slot
-        for slot in translated.links
-        if slot.exit.kind == ExitKind.BRANCH_TAKEN
-    }
-    translated.final_slot = translated.links[-1] if translated.links else None
-    return translated
+_BRANCH_TAKEN = ExitKind.BRANCH_TAKEN
+
+
+def build_resident(
+    trace: Trace,
+    code_bytes: bytes,
+    data_size: int,
+    points: List[InstrumentationPoint],
+    liveness: List[int],
+    from_persistent: bool,
+) -> TranslatedTrace:
+    """The code-cache resident of ``trace``: one link slot per exit, and
+    the dispatcher's ``branch_slots`` and ``final_slot``, built in one
+    loop.  A fresh translation is in memory at once; a persisted one is
+    demand-paged, so its first execution pays the load."""
+    points_by_index: Dict[int, List[InstrumentationPoint]] = {}
+    for point in points:
+        index = 0 if point.kind == PointKind.TRACE_ENTRY else point.index
+        points_by_index.setdefault(index, []).append(point)
+    links = []
+    branch_slots = {}
+    slot = None
+    for trace_exit in trace.exits:
+        slot = LinkSlot(trace_exit)
+        links.append(slot)
+        if trace_exit.kind == _BRANCH_TAKEN:
+            branch_slots[trace_exit.index] = slot
+    return TranslatedTrace(
+        trace, 0, code_bytes, len(code_bytes), data_size, points,
+        points_by_index, liveness, links, from_persistent,
+        not from_persistent, 0, branch_slots, slot, None,
+    )
 
 
 @dataclass
@@ -252,15 +277,19 @@ def _exit_stub_bytes(target: int) -> bytes:
     return pack_word(Opcode.MOVI, regs.AT, 0, 0, target) + _JMP_DISPATCH_BYTES
 
 
-def _stub_code_bytes(trace: Trace, n_points: int) -> bytes:
-    """Materialize the translated-code bytes for stubs, batched.
+def translated_code(trace: Trace, n_points: int) -> bytes:
+    """The translated code of ``trace``: its body, then one stub per exit
+    and one per instrumentation point.
 
     The stubs are structural (the dispatcher interprets trace objects, not
     these bytes) but they are *real* encoded instructions whose size is
     what the code pool and the persistent cache store, so code-expansion
-    numbers are honest.
+    numbers are honest.  An exit stub encodes the exit's target, so the
+    bytes, which key the compiled tier's bodies, follow the trace's
+    exits wherever it is laid out.
     """
-    parts = [
+    parts = [trace.body]
+    parts += [
         _exit_stub_bytes((trace_exit.target or 0) & 0x7FFFFFFF)
         for trace_exit in trace.exits
     ]
@@ -281,7 +310,7 @@ class Translator:
         points = list(self.tool.instrument_trace(trace)) if self.tool else []
         n_insts = len(trace.uops)
 
-        code_bytes = trace.body + _stub_code_bytes(trace, len(points))
+        code_bytes = translated_code(trace, len(points))
 
         # Liveness exists to place instrumentation without spilling; a
         # trace with no analysis points never consults it, so the
@@ -290,24 +319,10 @@ class Translator:
         # (the persisted data blob zero-fills them), so pool occupancy
         # and Figure 9 are unchanged.
         liveness = compute_liveness(trace) if points else []
-        data_size = modeled_data_size(n_insts, len(trace.exits))
-
-        points_by_index: Dict[int, List[InstrumentationPoint]] = {}
-        for point in points:
-            index = 0 if point.kind == PointKind.TRACE_ENTRY else point.index
-            points_by_index.setdefault(index, []).append(point)
-
-        translated = TranslatedTrace(
-            trace=trace,
-            code_bytes=code_bytes,
-            code_size=len(code_bytes),
-            data_size=data_size,
-            points=points,
-            points_by_index=points_by_index,
-            liveness=liveness,
-            links=[LinkSlot(exit=e) for e in trace.exits],
+        translated = build_resident(
+            trace, code_bytes, modeled_data_size(n_insts, len(trace.exits)),
+            points, liveness, False,
         )
-        index_links(translated)
 
         cost = self.cost_model
         instrumentation_weight = sum(point.compile_weight for point in points)

@@ -6,9 +6,11 @@ import pytest
 
 from repro.binfmt.image import Image, ImageBuilder, ImageKind
 from repro.isa.assembler import assemble
+from repro.isa.encoding import encode_all
 from repro.loader.linker import ImageStore, load_process
 from repro.machine.cpu import Machine
 from repro.persist.database import CacheDatabase
+from repro.vm.trace import Trace
 
 
 def image_from_asm(
@@ -59,6 +61,13 @@ def tiny_machine(tiny_image) -> Machine:
 @pytest.fixture
 def cache_db(tmp_path) -> CacheDatabase:
     return CacheDatabase(str(tmp_path / "pcc-db"))
+
+
+def trace_of(entry: int, instructions, exits=None) -> Trace:
+    """A trace of ``instructions`` at ``entry``, as if selected there."""
+    return Trace(entry, encode_all(instructions),
+                 [inst.as_tuple() for inst in instructions],
+                 [] if exits is None else exits)
 
 
 def make_machine(source: str, store: ImageStore = None, **kwargs) -> Machine:

@@ -102,7 +102,8 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        return record, revive_trace(record, None, base_of, rebase=rebase), process_in
+        revived = revive_trace(record.row(), None, base_of, rebase=rebase)
+        return record, revived, process_in
 
     def test_verbatim_same_layout(self):
         record, revived, _process = self._roundtrip(rebase=False)
@@ -129,7 +130,7 @@ class TestRevive:
         moved = process_in.space.mapping_for_image("libm.so").base
         original = process_out.space.mapping_for_image("libm.so").base
         assert moved != original  # the perturbation actually moved it
-        assert revive_trace(record, None, base_of, rebase=False) is None
+        assert revive_trace(record.row(), None, base_of, rebase=False) is None
 
     def test_rebase_follows_relocation(self):
         process_out = build_process()
@@ -141,7 +142,7 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        revived = revive_trace(record, None, base_of, rebase=True)
+        revived = revive_trace(record.row(), None, base_of, rebase=True)
         assert revived is not None
         # The call immediate must now point at the *new* libm_fn address.
         new_target = process_in.resolve_symbol("libm_fn")
@@ -151,9 +152,10 @@ class TestRevive:
 
     def test_rebase_reencodes_code_bytes(self):
         """A relocated trace's code bytes encode the instructions it
-        executes: they key the compiled tier's factory memo and body
-        stores, where stale literals would alias a same-entry trace that
-        jumps elsewhere."""
+        executes and the exits it takes: they key the compiled tier's
+        factory memo and body stores, where stale literals would alias a
+        same-entry trace that jumps elsewhere, and stale exit stubs would
+        miss the body a fresh translation at the new layout stored."""
         process_out = build_process()
         translated = select_and_translate(process_out, process_out.entry_address)
         record = persist_trace(translated, process_out)
@@ -163,16 +165,18 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        revived = revive_trace(record, None, base_of, rebase=True)
+        revived = revive_trace(record.row(), None, base_of, rebase=True)
         body = encode_all(revived.trace.instructions)
         assert revived.code_bytes[:len(body)] == body
-        assert revived.code_bytes[len(body):] == record.code[len(body):]
+        fresh = select_and_translate(process_in, process_in.entry_address)
+        assert revived.code_bytes == fresh.code_bytes
+        assert revived.code_bytes[len(body):] != record.code[len(body):]
         assert revived.code_bytes != record.code
         assert revived.code_size == len(record.code)
 
     def test_revive_missing_image(self):
         record, _revived, _process = self._roundtrip(rebase=False)
-        assert revive_trace(record, None, lambda path: None) is None
+        assert revive_trace(record.row(), None, lambda path: None) is None
 
     def test_rebase_missing_target_image(self):
         process_out = build_process()
@@ -182,7 +186,7 @@ class TestRevive:
         def base_of(path):
             return 0x40_0000 if path == "app" else None  # libm.so unloaded
 
-        assert revive_trace(record, None, base_of, rebase=True) is None
+        assert revive_trace(record.row(), None, base_of, rebase=True) is None
 
     def test_tool_points_rebound(self):
         process_out = build_process()
@@ -197,7 +201,7 @@ class TestRevive:
             return mapping.base if mapping else None
 
         fresh_tool = BBCountTool()
-        revived = revive_trace(record, fresh_tool, base_of)
+        revived = revive_trace(record.row(), fresh_tool, base_of)
         assert len(revived.points) == len(translated.points)
         assert revived.points_by_index.keys() == translated.points_by_index.keys()
 

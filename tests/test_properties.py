@@ -33,8 +33,10 @@ from repro.persist.cachefile import (
 )
 from repro.persist.keys import MappingKey
 from repro.vm.engine import Engine
-from repro.vm.trace import ExitKind, Trace, TraceExit
+from repro.vm.trace import ExitKind, TraceExit
 from repro.vm.translator import compute_liveness, modeled_data_size
+
+from tests.conftest import trace_of
 
 
 # --------------------------------------------------------------------------
@@ -117,7 +119,7 @@ def test_vm_native_equivalence_property(seed, length, loops):
 def test_liveness_soundness_property(seed, length):
     """Any register actually read before being written must be live-in."""
     code = _random_program(seed, length, 0)
-    trace = Trace(entry=0, instructions=code[:24])
+    trace = trace_of(0, code[:24])
     trace.exits = [TraceExit(ExitKind.FALLTHROUGH, len(trace.instructions) - 1,
                              target=len(trace.instructions) * 8)]
     liveness = compute_liveness(trace)

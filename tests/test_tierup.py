@@ -259,9 +259,9 @@ class TestTierUpRule:
         inserted = []
         original = CodeCache.insert
 
-        def recording(cache, translated):
-            inserted.append(translated)
-            return original(cache, translated)
+        def recording(cache, *residents):
+            inserted.extend(residents)
+            return original(cache, *residents)
 
         monkeypatch.setattr(CodeCache, "insert", recording)
         apps, _store = build_gui_suite()

@@ -5,8 +5,10 @@ import pytest
 from repro.isa import instructions as ins
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.vm.codecache import CacheFull, CodeCache
-from repro.vm.trace import ExitKind, Trace, TraceExit
+from repro.vm.trace import ExitKind, TraceExit
 from repro.vm.translator import Translator
+
+from tests.conftest import trace_of
 
 
 def translated_at(entry, target=None, n=3):
@@ -17,7 +19,7 @@ def translated_at(entry, target=None, n=3):
     else:
         body = [ins.nop()] * (n - 1) + [ins.ret()]
         exits = [TraceExit(ExitKind.INDIRECT, n - 1)]
-    trace = Trace(entry=entry, instructions=body, exits=exits)
+    trace = trace_of(entry, body, exits)
     return Translator(DEFAULT_COST_MODEL).translate(trace).translated
 
 

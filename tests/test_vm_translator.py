@@ -8,7 +8,7 @@ from repro.isa.encoding import encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.vm.client import InstrumentationPoint, PointKind, Tool
-from repro.vm.trace import ExitKind, Trace, TraceExit
+from repro.vm.trace import ExitKind, TraceExit
 from repro.vm.translator import (
     LINK_RECORD_BYTES,
     LIVENESS_BYTES_PER_INST,
@@ -20,12 +20,13 @@ from repro.vm.translator import (
     Translator,
     _exit_stub_bytes,
     compute_liveness,
-    index_links,
 )
+
+from tests.conftest import trace_of
 
 
 def make_trace(instructions, exits=None, entry=0x1000):
-    trace = Trace(entry=entry, instructions=list(instructions))
+    trace = trace_of(entry, list(instructions))
     if exits is None:
         exits = [TraceExit(ExitKind.INDIRECT, len(instructions) - 1)]
     trace.exits = exits
@@ -165,18 +166,3 @@ class TestLinkSlots:
         )
         translated = Translator(DEFAULT_COST_MODEL).translate(trace).translated
         assert not translated.final_slot.is_linkable  # syscalls exit to VM
-
-    def test_index_links_rebuild(self):
-        trace = make_trace(
-            [ins.bne(1, 2, 8), ins.ret()],
-            exits=[
-                TraceExit(ExitKind.BRANCH_TAKEN, 0, target=0x2000),
-                TraceExit(ExitKind.INDIRECT, 1),
-            ],
-        )
-        translated = Translator(DEFAULT_COST_MODEL).translate(trace).translated
-        translated.branch_slots = {}
-        translated.final_slot = None
-        index_links(translated)
-        assert 0 in translated.branch_slots
-        assert translated.final_slot is translated.links[-1]

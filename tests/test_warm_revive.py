@@ -14,6 +14,7 @@ import pytest
 from repro.isa import encoding, instructions
 from repro.isa.encoding import decode_all
 from repro.isa.instructions import Instruction
+from repro.loader.layout import PerturbedLayout
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.machine.cpu import Machine
 from repro.persist.cachefile import PersistentCache
@@ -21,7 +22,10 @@ from repro.persist.convert import revive_trace
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.vm.client import NullTool
+from repro.vm.codecache import CodeCache
 from repro.vm.compile import _body_digest
+from repro.vm.engine import Engine
+from repro.vm.stats import VMStats
 from repro.vm.trace import Trace, TraceSelector
 from repro.vm.translator import Translator
 from repro.workloads.gui import build_gui_suite
@@ -49,37 +53,168 @@ def persisted_traces(database):
         return PersistentCache.from_bytes(handle.read()).traces
 
 
+def program(gui_apps, name):
+    if name in gui_apps:
+        return gui_apps[name]
+    return build_suite((name,))[name]
+
+
+def fresh_translation(process, persisted):
+    """``persisted``'s trace selected and translated fresh in
+    ``process``, at its image's base there."""
+    base = PersistentCacheSession._base_of(process)(persisted.image_path)
+    selector = TraceSelector(process.space.mapping_at)
+    return Translator(DEFAULT_COST_MODEL, NullTool()).translate(
+        selector.select(base + persisted.image_offset, persisted.image_path,
+                        base)
+    ).translated
+
+
 @pytest.mark.parametrize(
-    "app_name, input_name",
-    [("gvim", "startup"), ("dia", "startup"), ("176.gcc", "train")],
+    "app_name, input_name, layout",
+    [("gvim", "startup", None), ("dia", "startup", None),
+     ("176.gcc", "train", None), ("gvim", "startup", PerturbedLayout(7))],
+    ids=["gvim-startup", "dia-startup", "176.gcc-train",
+         "gvim-startup-rebased"],
 )
 def test_revived_uops_match_a_fresh_translation(
-    gui_apps, tmp_path, app_name, input_name
+    gui_apps, tmp_path, app_name, input_name, layout
 ):
-    """Every persisted trace revives to the uops that selecting and
-    translating it fresh gives, and its on-demand instructions are the
-    decoded body."""
-    if app_name in gui_apps:
-        app = gui_apps[app_name]
-    else:
-        app = build_suite((app_name,))[app_name]
+    """Every persisted trace revives to the uops, exits and code bytes
+    (body and exit stubs) that selecting and translating it fresh gives,
+    and its on-demand instructions are the decoded body.  A trace
+    rebased into a moved layout included: its stubs encode the rebased
+    exit targets, so it keys its compiled body as a fresh translation
+    there would."""
+    app = program(gui_apps, app_name)
+    rebase = layout is not None
     traces = persisted_traces(warm_database(app, input_name, tmp_path))
-    process = app.load()
-    selector = TraceSelector(process.space.mapping_at)
-    translator = Translator(DEFAULT_COST_MODEL, NullTool())
+    process = app.load(layout)
     base_of = PersistentCacheSession._base_of(process)
     assert len(traces) > 100
     for persisted in traces:
-        revived = revive_trace(persisted, NullTool(), base_of)
-        fresh = translator.translate(selector.select(
-            persisted.entry, persisted.image_path,
-            base_of(persisted.image_path),
-        )).translated
+        revived = revive_trace(persisted.row(), NullTool(), base_of, rebase)
+        fresh = fresh_translation(process, persisted)
         assert revived.trace.uops == fresh.trace.uops, hex(persisted.entry)
         assert revived.trace.exits == fresh.trace.exits
-        assert revived.code_bytes == fresh.code_bytes
-        body = persisted.code[: persisted.n_insts * 8]
+        assert revived.code_bytes == fresh.code_bytes, hex(persisted.entry)
+        body = revived.code_bytes[: persisted.n_insts * 8]
         assert revived.trace.instructions == decode_all(body)
+    if rebase:
+        assert any(base_of(persisted.image_path) + persisted.image_offset
+                   != persisted.entry for persisted in traces)
+
+
+def _cache_state(cache, machine):
+    """What a preload leaves behind, as comparable data: each resident
+    in insertion order with its code-cache fields and the entry each
+    slot links to, the pending-link map as ``(owner entry, slot
+    position)`` lists, the ``HostStats.cache`` counters and the tracked
+    code pages."""
+    residents = cache.traces()
+    owner = {id(slot): (resident.entry, position)
+             for resident in residents
+             for position, slot in enumerate(resident.links)}
+    state = []
+    for resident in residents:
+        links = resident.links
+        for slot in links:
+            assert (slot.linked_resident is None
+                    or cache.lookup(slot.exit.target) is slot.linked_resident)
+        state.append((
+            resident.entry, resident.trace.uops, resident.trace.exits,
+            resident.trace.image_path, resident.trace.image_base,
+            resident.code_bytes, resident.code_size, resident.data_size,
+            resident.liveness, resident.points, resident.points_by_index,
+            resident.cache_offset, resident.executions,
+            resident.compiled_body,
+            [slot.exit for slot in links],
+            [(index, owner[id(slot)])
+             for index, slot in sorted(resident.branch_slots.items())],
+            owner[id(resident.final_slot)] if links else None,
+            [None if slot.linked_resident is None
+             else slot.linked_resident.entry for slot in links],
+        ))
+    pending = {target: [owner[id(slot)] for slot in slots]
+               for target, slots in cache._pending_links.items()}
+    return (state, pending, cache.occupancy(),
+            sorted(machine.executed_code_pages),
+            [mapping.code_free for mapping in machine.process.space.mappings])
+
+
+@pytest.mark.parametrize(
+    "app_name, input_name, layout",
+    [("gvim", "startup", None), ("dia", "startup", None),
+     ("file-roller", "startup", None), ("gqview", "startup", None),
+     ("gftp", "startup", None), ("176.gcc", "ref-1", None),
+     ("gvim", "startup", PerturbedLayout(7))],
+    ids=["gvim", "dia", "file-roller", "gqview", "gftp", "176.gcc",
+         "gvim-rebased"],
+)
+def test_preload_builds_the_cache_fresh_translations_build(
+    gui_apps, tmp_path, app_name, input_name, layout
+):
+    """After ``on_process_start`` the code cache equals the one that
+    selecting and translating every persisted trace fresh and inserting
+    them in file order builds: residents, offsets, slots and their
+    links, pending links, cache counters and tracked code pages, page
+    ranges tracked in the same order.  Only ``from_persistent`` and
+    ``demand_loaded`` tell them apart."""
+    app = program(gui_apps, app_name)
+    rebase = layout is not None
+    database = CacheDatabase(str(tmp_path))
+    run_vm(app, input_name, persistence=PersistenceConfig(
+        database=database, relocatable=rebase))
+    traces = persisted_traces(database)
+
+    machine = Machine(app.load(layout))
+    session = PersistentCacheSession(PersistenceConfig(
+        database=database, relocatable=rebase, readonly=True))
+    engine = Engine(persistence=session)
+    tracked = []
+    cache = CodeCache(track_pages=_recording(machine, tracked),
+                      stats=engine.host.cache)
+    session.on_process_start(engine, machine, cache, VMStats())
+    assert engine.host.preloaded == len(traces) > 100
+    assert (engine.host.rebased > 0) == rebase
+    assert all(resident.from_persistent and not resident.demand_loaded
+               for resident in cache.traces())
+
+    oracle_machine = Machine(app.load(layout))
+    oracle_tracked = []
+    oracle = CodeCache(
+        track_pages=_recording(oracle_machine, oracle_tracked))
+    for persisted in traces:
+        oracle.insert(fresh_translation(oracle_machine.process, persisted))
+    assert engine.host.cache == oracle.stats
+    assert tracked == oracle_tracked
+    assert _cache_state(cache, machine) == _cache_state(oracle,
+                                                        oracle_machine)
+
+
+def test_a_cache_whose_records_moved_revives_its_records(gui_apps, tmp_path):
+    """Rows stand for a parsed file only until its records are built: a
+    cache whose records a run dropped from (or added to) revives its
+    records, not the file's rows."""
+    app = gui_apps["gftp"]
+    database = warm_database(app, "startup", tmp_path)
+    [entry] = database.entries()
+    cache = PersistentCache.load(
+        "%s/%s" % (database.directory, entry.filename))
+    count = cache.trace_count
+    assert cache.drop_traces({cache.traces[0].identity}) == 1
+    assert cache.trace_count == count - 1
+    warm = run_vm(app, "startup", persistence=PersistenceConfig(
+        prime_with=cache, readonly=True))
+    assert warm.host.preloaded == count - 1
+
+
+def _recording(machine, calls):
+    """``machine.track_code_pages``, logging each ``(first, last)``."""
+    def track(first, last):
+        calls.append((first, last))
+        machine.track_code_pages(first, last)
+    return track
 
 
 def test_warm_gui_runs_build_no_instructions(gui_apps, tmp_path,
