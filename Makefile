@@ -96,17 +96,19 @@ replay-smoke:
 # oracle, every self-observing member byte-identical to its native run,
 # and warm restarts from the sidecar and from the shared store equal to
 # the cold run, each leg reviving bodies from the layer it names; the
-# compiled tier's memory helpers and inline region sites (faults,
-# window, SMC check, the window's code-free flag) against the oracle;
-# the cold tier's run_uops (faults, its inline window hits, SMC check
-# and code-free flag, the tiers' agreement on in-trace SMC); the
-# tier-up's differential suite (tests/test_tierup.py::TestDifferential:
-# compile thresholds 1, 2 and 32 against the interpreted oracle,
-# through SMC, cache churn and a persistence round trip); and trace
-# selection against a word-by-word fetch (same traces and faults over
-# every corpus, and a patched word selected again after its trace's
-# eviction: SMC transparency rests on selection reading the current
-# code bytes).
+# one guest word access (the machine's load/store pair and the inline
+# window hit that the cold tier's arms and the region sites are
+# rendered from: faults, window, SMC probe, the window's code-free
+# flag, the tiers' agreement on in-trace SMC) on native, oracle, cold
+# and compiled execution; the tier-up's differential suite
+# (tests/test_tierup.py::TestDifferential: compile thresholds 1, 2 and
+# 32 against the interpreted oracle, through SMC, cache churn and a
+# persistence round trip); and trace selection against a word-by-word
+# fetch (same traces and faults over every corpus, and a patched word
+# selected again after its trace's eviction: SMC transparency rests on
+# selection reading the current code bytes).  The differential classes
+# compare each run's final state too: a digest of every thread's
+# registers and of every mapping's bytes (tests/conftest.py).
 transparency-smoke:
 	$(PYTHON) -m pytest -q tests/test_adversarial.py tests/test_smc.py \
 		tests/test_dispatch_equivalence.py::TestMemoryOps \

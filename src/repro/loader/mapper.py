@@ -54,8 +54,8 @@ class Mapping:
         image: The image mapped here, or None for anonymous regions.
         name: Diagnostic label.
         code_free: No page the mapping covers holds executed code, so
-            a window-hit store into it skips the SMC check on the cold
-            and the compiled tier.  Cleared by
+            a window-hit store into it skips the SMC probe on every
+            tier.  Cleared by
             :meth:`AddressSpace.mark_code`, never set again: a mapping
             that ran code stays watched for self-modification.
     """
@@ -96,14 +96,13 @@ class AddressSpace:
     last`` hits without a bisect.  Loads and stores cluster heavily on
     the stack/heap, so that is the common case.  ``code_free`` copies
     :attr:`Mapping.code_free`: a window-hit store into a code-free
-    mapping cannot modify executed code, so the cold tier
-    (:meth:`~repro.machine.cpu.ExecutionContext.run_uops`) and the
-    compiled tier skip its SMC check.  The list is updated in place,
-    never replaced: the engine's execution context and the compiled
-    tier's memory helpers and region bodies (:mod:`repro.vm.compile`)
-    hold it for a whole run, and each ``run_uops`` call and region
-    entry reads its slots.  Unmapping resets it to a window no address
-    hits, and :meth:`mark_code` clears its ``code_free`` slot; insertion
+    mapping cannot modify executed code, so the guest word access
+    (:func:`repro.machine.cpu.word_access`) skips its SMC probe.  The
+    list is updated in place, never replaced: the machine's word access,
+    the engine's execution context and the compiled tier's region bodies
+    hold it for a whole run, and each ``run_uops`` call and region entry
+    reads its slots.  Unmapping resets it to a window no address hits,
+    and :meth:`mark_code` clears its ``code_free`` slot; insertion
     cannot make it stale (mappings never overlap).
     """
 
@@ -225,36 +224,24 @@ class AddressSpace:
         offset = addr - mapping.base
         mapping.data[offset : offset + len(payload)] = payload
 
-    # The window probe is inlined in both word accessors: they run once
-    # per interpreted LD/ST.
+    # The guest word access (repro.machine.cpu.word_access) hits the
+    # window itself and calls the two word accessors only on a miss, so
+    # they always look the mapping up, which moves the window to it.
 
     def read_word(self, addr: int) -> int:
         """Read one signed 64-bit little-endian word."""
-        base, last, data, _code_free = self.window
-        offset = addr - base
-        if not 0 <= offset <= last:
-            mapping = self.find_mapping(addr)
-            offset = addr - mapping.base
-            data = mapping.data
-            if offset + WORD_SIZE > len(data):
-                raise MemoryError_(
-                    "word read at 0x%x crosses mapping end" % addr
-                )
-        return WORD_STRUCT.unpack_from(data, offset)[0]
+        mapping = self.find_mapping(addr)
+        offset = addr - mapping.base
+        if offset + WORD_SIZE > len(mapping.data):
+            raise MemoryError_("word read at 0x%x crosses mapping end" % addr)
+        return WORD_STRUCT.unpack_from(mapping.data, offset)[0]
 
     def write_word(self, addr: int, value: int) -> None:
         """Write one word, wrapping to the signed 64-bit range."""
-        base, last, data, _code_free = self.window
-        offset = addr - base
-        if not 0 <= offset <= last:
-            mapping = self.find_mapping(addr)
-            offset = addr - mapping.base
-            data = mapping.data
-            if offset + WORD_SIZE > len(data):
-                raise MemoryError_(
-                    "word write at 0x%x crosses mapping end" % addr
-                )
-        if -9223372036854775808 <= value <= 9223372036854775807:
-            WORD_STRUCT.pack_into(data, offset, value)
-        else:
-            WORD_STRUCT.pack_into(data, offset, to_signed_word(value))
+        mapping = self.find_mapping(addr)
+        offset = addr - mapping.base
+        if offset + WORD_SIZE > len(mapping.data):
+            raise MemoryError_(
+                "word write at 0x%x crosses mapping end" % addr
+            )
+        WORD_STRUCT.pack_into(mapping.data, offset, to_signed_word(value))

@@ -12,7 +12,11 @@ Two layers share the execution core:
 
 Every opcode's semantics is defined once, in :data:`SEMANTICS`: both
 interpreters of :class:`ExecutionContext` are generated from it, and the
-compiled tier emits its closures' ops from it.
+compiled tier emits its closures' ops from it.  A guest word access is
+defined once beside it: each :class:`Machine`'s ``load``/``store`` pair
+(:func:`word_access`) and the inline window hit
+(:data:`WINDOW_ACCESS`) that the cold tier's and the region bodies'
+sites are rendered from.
 
 Control-flow values (link register, indirect targets) always hold
 *original* program addresses — the transparency property that lets the VM
@@ -24,7 +28,7 @@ from __future__ import annotations
 import linecache
 import textwrap
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional
 
 from repro.isa.encoding import decode, encode_all
 from repro.isa import instructions as ins
@@ -32,7 +36,7 @@ from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa import registers as regs
 from repro.isa.opcodes import Opcode
 from repro.loader.linker import LoadedProcess
-from repro.loader.mapper import WORD_STRUCT, to_signed_word
+from repro.loader.mapper import WORD_SIZE, WORD_STRUCT, to_signed_word
 from repro.machine.costs import CostModel, DEFAULT_COST_MODEL
 from repro.machine.syscalls import (
     SYS_EXIT,
@@ -135,12 +139,12 @@ class Machine:
     process: LoadedProcess
     os_state: OSState = field(default_factory=OSState)
     registers: List[int] = field(default_factory=lambda: [0] * regs.NUM_REGISTERS)
-    decode_cache: Dict[int, Instruction] = field(default_factory=dict)
+    #: The native interpreter's decoded uops by pc (:meth:`fetch_uop`).
     uop_cache: Dict[int, tuple] = field(default_factory=dict)
     threads: List[Thread] = field(default_factory=list)
     current_thread: int = 0
     #: 512-byte page numbers that held code we executed; stores into these
-    #: pages are self-modifying-code events (decode caches are purged and
+    #: pages are self-modifying-code events (the uop cache is purged and
     #: registered listeners — e.g. the VM's trace invalidator — fire).
     executed_code_pages: set = field(default_factory=set)
     #: Callbacks invoked with the written address on a code write.
@@ -150,8 +154,14 @@ class Machine:
     modified_code_pages: set = field(default_factory=set)
     #: Callbacks invoked with ("load"|"unload", mapping) on dlopen/dlclose.
     module_listeners: List = field(default_factory=list)
+    #: The guest word access every tier uses, ``load(addr, pc)`` and
+    #: ``store(addr, value, pc)`` (:func:`word_access`), built once: it
+    #: holds :attr:`executed_code_pages`, so that set is never replaced.
+    load: Callable = field(init=False, repr=False, compare=False)
+    store: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        self.load, self.store = word_access(self)
         space = self.process.space
         space.map_anonymous(STACK_BASE, STACK_SIZE, name="[stack]")
         space.map_anonymous(HEAP_BASE, HEAP_SIZE, name="[heap]")
@@ -233,34 +243,35 @@ class Machine:
         self.switch_to(thread)
         return thread.pc
 
-    def fetch(self, pc: int) -> Instruction:
-        """Fetch + decode (memoized; invalidated on self-modification).
+    def fetch_uop(self, pc: int) -> tuple:
+        """Fetch and decode the uop at ``pc`` (memoized; purged on
+        self-modification and dlclose).
 
-        The native interpreter's fetch.  VM trace selection reads code
-        bytes from their mapping instead (:mod:`repro.vm.trace`)."""
-        inst = self.decode_cache.get(pc)
-        if inst is None:
+        The native interpreter's fetch: a pc's first decode tracks its
+        code page.  VM trace selection reads code bytes from their
+        mapping instead (:mod:`repro.vm.trace`)."""
+        uop = self.uop_cache.get(pc)
+        if uop is None:
             try:
                 raw = self.process.space.read_bytes(pc, INSTRUCTION_SIZE)
             except Exception as exc:
                 raise MachineFault("fetch from unmapped memory", pc) from exc
-            inst = decode(raw)
-            self.decode_cache[pc] = inst
+            uop = self.uop_cache[pc] = decode(raw).as_tuple()
             page = pc >> CODE_PAGE_SHIFT
             if page not in self.executed_code_pages:
                 self.track_code_pages(page, page)
-        return inst
+        return uop
 
     def track_code_pages(self, first: int, last: int) -> None:
         """Add code pages ``first..last`` to :attr:`executed_code_pages`.
 
         A mapping that covers a newly tracked page stops being code-free
-        (:meth:`~repro.loader.mapper.AddressSpace.mark_code`), so the
-        cold and the compiled tier's window-hit stores into it take the
-        SMC check again.  Both callers run off the per-instruction path: the
-        native interpreter's first decode of a pc in :meth:`fetch`, and,
+        (:meth:`~repro.loader.mapper.AddressSpace.mark_code`), so every
+        tier's window-hit stores into it take the SMC probe again.  Both
+        callers run off the per-instruction path: the native
+        interpreter's first decode of a pc in :meth:`fetch_uop`, and,
         under the VM, whose trace selection reads code bytes without
-        ``fetch``, trace insertion into the code cache (which covers
+        ``fetch_uop``, trace insertion into the code cache (which covers
         selected, revived and module-retained traces alike).  Pages are
         tracked only while a mapping covers them and dlclose drops a
         dead mapping's pages, so a new mapping starts code-free.
@@ -281,7 +292,7 @@ class Machine:
         return mapping.base
 
     def dlclose(self, index: int) -> None:
-        """Unload optional module ``index``, purging decode state.
+        """Unload optional module ``index``, purging its decoded uops.
 
         Listeners fire *before* the unmap so they can still resolve
         addresses inside the dying mapping (the persistence manager
@@ -296,11 +307,9 @@ class Machine:
             listener("unload", mapping)
         self.process.unload_module(index)
         for cached_pc in [
-            pc for pc in self.decode_cache
-            if mapping.base <= pc < mapping.end
+            pc for pc in self.uop_cache if mapping.base <= pc < mapping.end
         ]:
-            del self.decode_cache[cached_pc]
-            self.uop_cache.pop(cached_pc, None)
+            del self.uop_cache[cached_pc]
         # A reload maps a pristine copy: page tracking for the dead range
         # must not leak into the next incarnation.
         first = mapping.base >> CODE_PAGE_SHIFT
@@ -310,9 +319,9 @@ class Machine:
             self.modified_code_pages.discard(page)
 
     def on_code_write(self, addr: int) -> None:
-        """A store hit a page we executed code from: purge the decode
-        caches for every page the 8-byte write touches and notify
-        listeners once per page (the VM evicts traces).
+        """A store hit a page we executed code from: purge the uop cache
+        for every page the 8-byte write touches and notify listeners
+        once per page (the VM evicts traces).
 
         A word store at ``page_end - 4`` modifies the following page
         too; treating the write as single-page left stale decodes and
@@ -325,24 +334,15 @@ class Machine:
             start = page << CODE_PAGE_SHIFT
             end = start + (1 << CODE_PAGE_SHIFT)
             for cached_pc in [
-                pc for pc in self.decode_cache if start <= pc < end
+                pc for pc in self.uop_cache if start <= pc < end
             ]:
-                del self.decode_cache[cached_pc]
-                self.uop_cache.pop(cached_pc, None)
+                del self.uop_cache[cached_pc]
             # Listeners key their eviction off the page containing the
             # address they receive, so each touched page gets its own
             # notification with an address inside that page.
             page_addr = addr if page == first else start
             for listener in self.code_write_listeners:
                 listener(page_addr)
-
-    def fetch_uop(self, pc: int):
-        """Fetch + decode to a micro-op tuple (memoized)."""
-        uop = self.uop_cache.get(pc)
-        if uop is None:
-            uop = self.fetch(pc).as_tuple()
-            self.uop_cache[pc] = uop
-        return uop
 
     def set_args(self, *values: int) -> None:
         """Place program arguments in a0, a1, ... before starting."""
@@ -373,9 +373,11 @@ class OpSemantics(NamedTuple):
 #: Every opcode's semantics, defined once.  Both interpreters of
 #: :class:`ExecutionContext` are generated from this table when the module
 #: loads, and the compiled tier (:mod:`repro.vm.compile`) emits every op of
-#: its closures from it.  The closures' memory ops, exits and linking are
-#: their own; the dispatch-equivalence suite checks them against the
-#: interpreted oracle.  The third column is ``overflow_safe``.
+#: its closures from it.  A ``load`` or ``store`` is the machine's word
+#: access (:func:`word_access`), inline as :data:`WINDOW_ACCESS`.  The
+#: closures' exits and linking are their own; the dispatch-equivalence
+#: suite checks them against the interpreted oracle.  The third column
+#: is ``overflow_safe``.
 SEMANTICS: Dict[int, OpSemantics] = {
     Opcode.NOP: OpSemantics("nop"),
     Opcode.ADD: OpSemantics("alu", "r[{rs1}] + r[{rs2}]"),
@@ -417,12 +419,106 @@ SEMANTICS: Dict[int, OpSemantics] = {
     Opcode.HALT: OpSemantics("halt"),
 }
 
+#: One word's unpack and pack in place: the pair's and
+#: :data:`WINDOW_ACCESS`'s, globals of the generated interpreters.
+unpack_from = WORD_STRUCT.unpack_from
+pack_into = WORD_STRUCT.pack_into
+
+
+def word_access(machine: Machine):
+    """Build ``machine``'s guest word access: ``load(addr, pc)`` and
+    ``store(addr, value, pc)``, for every tier.
+
+    A word inside the address space's window
+    (:attr:`repro.loader.mapper.AddressSpace.window`) is unpacked or
+    packed in place; ``store`` takes that path only for a value within
+    int64.  Every other access looks its mapping up through
+    ``read_word`` / ``write_word`` (which move the window), and their
+    exception becomes ``MachineFault(str(exc), pc)``.  After the write,
+    ``store`` probes for self-modification: the written word's first
+    code page, the next page only when the word straddles into it, then
+    ``machine.on_code_write``.  A window hit into a code-free mapping
+    skips the probe, since no page it covers holds executed code.
+    """
+    space = machine.process.space
+    window = space.window
+    read_word = space.read_word
+    write_word = space.write_word
+    pages = machine.executed_code_pages
+    code_write = machine.on_code_write
+    page_mask = (1 << CODE_PAGE_SHIFT) - 1
+    # A word starting past this page offset ends on the next page.
+    last_unstraddled = (1 << CODE_PAGE_SHIFT) - WORD_SIZE
+
+    def load(addr, pc):
+        base, last, data, _code_free = window
+        offset = addr - base
+        if 0 <= offset <= last:
+            return unpack_from(data, offset)[0]
+        try:
+            return read_word(addr)
+        except Exception as exc:
+            raise MachineFault(str(exc), pc) from exc
+
+    def store(addr, value, pc):
+        base, last, data, code_free = window
+        offset = addr - base
+        if (0 <= offset <= last
+                and -9223372036854775808 <= value <= 9223372036854775807):
+            pack_into(data, offset, value)
+            if code_free:
+                return
+        else:
+            try:
+                write_word(addr, value)
+            except Exception as exc:
+                raise MachineFault(str(exc), pc) from exc
+        page = addr >> CODE_PAGE_SHIFT
+        if page in pages or (
+            addr & page_mask > last_unstraddled and page + 1 in pages
+        ):
+            code_write(addr)
+
+    return load, store
+
+
+#: A guest word access with its window hit inline: the cold tier's
+#: load and store arms (:meth:`ExecutionContext.run_uops`) and every
+#: region-body site (:meth:`repro.vm.compile.TraceCompiler._emit_memory_op`)
+#: are rendered from it.  ``{address}`` is the effective address,
+#: ``{pc}`` the op's, ``{dest}`` where a load's word goes and
+#: ``{source}`` a store's value.  The window's slots are the locals
+#: ``wb, wl, wd, wc``; ``window``, ``load``, ``store``, ``unpack_from``
+#: and ``pack_into`` are bound where the site runs.  A load hits when
+#: the word lies inside the window's mapping; a store also needs a
+#: code-free mapping and a value within int64.  Anything else calls the
+#: machine's pair, which handles the lookup, the fault and the SMC
+#: probe, then re-reads the window it may have moved.
+WINDOW_ACCESS = {
+    "load": textwrap.dedent("""\
+        o = {address} - wb
+        if 0 <= o <= wl:
+            {dest} = unpack_from(wd, o)[0]
+        else:
+            {dest} = load(o + wb, {pc})
+            wb, wl, wd, wc = window"""),
+    "store": textwrap.dedent("""\
+        o = {address} - wb
+        v = {source}
+        if wc and 0 <= o <= wl and %d <= v <= %d:
+            pack_into(wd, o, v)
+        else:
+            store(o + wb, v, {pc})
+            wb, wl, wd, wc = window""" % (-(1 << 63), (1 << 63) - 1)),
+}
+
 #: Each kind's arm, shared by both interpreters.  ``{operand}`` is the
 #: op's operand over the uop's fields, ``{leave}`` the interpreter's exit
 #: up to the target and the event, and ``{next}`` how it goes on to the
 #: next uop.  An arm that does neither leaves ``value`` for the write-back
-#: (:data:`_WRITE_BACK`).  Memory arms reach the address space through
-#: ``machine``: a local bound up front would cost every ``step_uop`` call.
+#: (:data:`_WRITE_BACK`).  A memory arm is one call of the machine's
+#: word access; :meth:`ExecutionContext.run_uops` inlines its window hit
+#: instead (:data:`WINDOW_ACCESS`).
 _ARMS = {
     "alu": "value = {operand}",
     "div": """
@@ -430,24 +526,9 @@ _ARMS = {
         if d == 0:
             raise MachineFault("division by zero", pc)
         value = {operand}""",
-    "load": """
-        try:
-            value = machine.process.space.read_word(r[rs1] + imm)
-        except Exception as exc:
-            raise MachineFault(str(exc), pc) from exc""",
-    # An 8-byte store may straddle a 512-byte page boundary, so both the
-    # first and last written byte's pages are checked.
+    "load": "value = machine.load(r[rs1] + imm, pc)",
     "store": """
-        addr = r[rs1] + imm
-        try:
-            machine.process.space.write_word(addr, r[rs2])
-        except Exception as exc:
-            raise MachineFault(str(exc), pc) from exc
-        pages = machine.executed_code_pages
-        if (addr >> CODE_PAGE_SHIFT) in pages or (
-            (addr + 7) >> CODE_PAGE_SHIFT
-        ) in pages:
-            machine.on_code_write(addr)
+        machine.store(r[rs1] + imm, r[rs2], pc)
         {next}""",
     # A taken branch with a zero offset lands on the fall-through address,
     # as one not taken does.
@@ -467,38 +548,6 @@ _ARMS = {
     "halt": "{leave}None, halt_step_event()",
     "nop": "{next}",
 }
-
-#: :meth:`ExecutionContext.run_uops`' memory arms: the load/store window
-#: hit inline, over the window's slots ``wb, wl, wd, wc`` bound once per
-#: call.  A load inside the window unpacks the word in place (it is in
-#: int64, so it needs no wrap); a store inside a code-free window of a
-#: value within int64 packs it in place and skips the SMC check (no
-#: executed code can lie in its mapping).  Everything else runs the uop
-#: through the oracle, :meth:`ExecutionContext.step_uop`, then re-reads
-#: the window, which the accessor or an SMC listener may have moved.
-_WINDOW_ARMS = {
-    "load": """
-        o = r[rs1] + imm - wb
-        if 0 <= o <= wl:
-            if rd:
-                r[rd] = _unpack_word(wd, o)[0]
-            {next}
-        self.step_uop((op, rd, rs1, rs2, imm), pc)
-        wb, wl, wd, wc = window
-        {next}""",
-    "store": """
-        o = r[rs1] + imm - wb
-        value = r[rs2]
-        if (wc and 0 <= o <= wl
-                and -9223372036854775808 <= value <= 9223372036854775807):
-            _pack_word(wd, o, value)
-            {next}
-        self.step_uop((op, rd, rs1, rs2, imm), pc)
-        wb, wl, wd, wc = window
-        {next}""",
-}
-_unpack_word = WORD_STRUCT.unpack_from
-_pack_word = WORD_STRUCT.pack_into
 
 #: The end of both interpreters' dispatch: an unknown opcode faults, and
 #: a value is written back wrapped to int64 unless its register is the
@@ -523,8 +572,10 @@ def _interpreter(body: str, order: str, leave: str, goes_on: str,
     is ``body``, whose ``{dispatch}`` line becomes the opcode tests in the
     order ``order`` names them; ``leave`` and ``goes_on`` fill every arm's
     ``{leave}`` and ``{next}``.  ``arms`` replaces some kinds' arms of
-    :data:`_ARMS`.  The source is registered with :mod:`linecache`, so a
-    traceback through the method shows its generated lines.
+    :data:`_ARMS`; a :data:`WINDOW_ACCESS` arm is rendered over the uop's
+    fields, with a load's word in ``value``.  The source is registered
+    with :mod:`linecache`, so a traceback through the method shows its
+    generated lines.
     """
     ops = [Opcode[name] for name in order.split()]
     if sorted(ops) != sorted(SEMANTICS):
@@ -538,7 +589,8 @@ def _interpreter(body: str, order: str, leave: str, goes_on: str,
             rs1="rs1", rs2="rs2", imm="imm", sh="(imm & 63)", lr=regs.LR
         )
         arm = textwrap.dedent(arms[row.kind]).strip().format(
-            operand=operand, leave=leave, next=goes_on, lr=regs.LR
+            operand=operand, leave=leave, next=goes_on, lr=regs.LR,
+            address="r[rs1] + imm", pc="pc", dest="value", source="r[rs2]",
         )
         lines.append("%s op == %d:  # %s" % (
             "elif" if position else "if", op, op.name
@@ -613,7 +665,8 @@ class ExecutionContext:
     None in place of the event for ordinary instructions (the overwhelmingly
     common case; avoiding the allocation keeps the simulation fast).
     :meth:`run_uops` runs a whole trace's uops in one call.  Both are
-    generated from :data:`SEMANTICS`.
+    generated from :data:`SEMANTICS`, and both load and store through
+    the machine's word access (:func:`word_access`).
 
     :meth:`step` is the :class:`Instruction`-typed convenience wrapper.
     """
@@ -652,13 +705,16 @@ class ExecutionContext:
         Returns ``(next_pc, event)``: the next original PC, or None after
         an exit, and a :class:`StepEvent` for a syscall or a halt, None
         otherwise.  This is the interpreted oracle and native execution,
-        so the opcode tests are ordered for hot loops.
+        so the opcode tests are ordered for hot loops.  A load or store
+        is one call of ``machine.load`` or ``machine.store``.
         """
 
     @_interpreter(
         """
         machine = self.machine
         r = machine.registers
+        load = machine.load
+        store = machine.store
         window = self.window
         wb, wl, wd, wc = window
         pc = entry - INSTRUCTION_SIZE
@@ -674,7 +730,10 @@ class ExecutionContext:
         """,
         leave="return (pc - entry) // INSTRUCTION_SIZE, ",
         goes_on="continue",
-        arms=_WINDOW_ARMS,
+        # A loaded word is int64 already: it skips the write-back's wrap.
+        arms={"load": WINDOW_ACCESS["load"] + (
+                  "\nif rd:\n    r[rd] = value\n{next}"),
+              "store": WINDOW_ACCESS["store"] + "\n{next}"},
     )
     def run_uops(
         self, uops, entry: int
@@ -690,20 +749,18 @@ class ExecutionContext:
         unconditional op, or after the last uop.
 
         Each uop has exactly :meth:`step_uop`'s semantics, faults and
-        SMC check; only the per-uop call and the caller's per-uop
+        SMC probe; only the per-uop call and the caller's per-uop
         bookkeeping are gone.  ``machine.registers`` is read once: only
         a syscall, which always ends a trace, can switch threads.  The
         uops are the caller's, so a store that patches a later
         instruction of this trace does not change what runs here.
 
-        Loads and stores hit the address space's window
-        (:attr:`~repro.loader.mapper.AddressSpace.window`) inline, as the
-        compiled tier's region bodies do: its slots are read once per
-        call, a hit unpacks or packs the word in place, and a hit store
-        into a code-free mapping skips the SMC check, which cannot fire
-        there.  A miss, a store into a mapping that holds code, or one
-        of a value outside int64 runs through :meth:`step_uop` itself,
-        then reads the window's slots again.
+        Loads and stores are :data:`WINDOW_ACCESS` sites, as the
+        compiled tier's region bodies' are: the window's slots are read
+        once per call, a hit unpacks or packs the word in place, and a
+        miss, a store into a mapping that holds code, or one of a value
+        outside int64 calls the machine's ``load`` or ``store``, then
+        reads the window's slots again.
 
         The engine calls this for traces below the compile threshold, so
         the opcode tests are ordered by dynamic frequency in that code:

@@ -73,12 +73,12 @@ class PersistenceConfig:
     #: revive traces across library relocation by re-materializing
     #: absolute addresses.
     relocatable: bool = False
-    #: Add this run's new translations to the cache at write-back (§4.4).
-    accumulate: bool = True
     #: Never write back (measurement runs that must not mutate the DB).
     readonly: bool = False
     #: Prime directly with this cache instead of a database lookup
     #: (cross-input and inter-application experiments pick their donor).
+    #: Needs ``readonly``: a write-back accumulates onto the loaded
+    #: cache, which here is the caller's object.
     prime_with: Optional[PersistentCache] = None
     #: Record this run's nondeterminism into a ``PCRL1`` session log
     #: (repro.replay), stored in the database's ``replay/`` directory at
@@ -116,6 +116,11 @@ class PersistentCacheSession:
             raise ValueError(
                 "a session cannot record and replay at the same time"
             )
+        if config.prime_with is not None and not config.readonly:
+            raise ValueError(
+                "a session primed with a cache must be readonly: its"
+                " write-back would add to the caller's cache"
+            )
         #: Record/replay sessions run the persistence-neutral profile:
         #: every trace-cache hook below is a no-op for them.
         self._rr = config.record or config.replay_log is not None
@@ -133,7 +138,6 @@ class PersistentCacheSession:
         #: Persisted traces whose images were not loaded this run: kept
         #: verbatim through write-back so accumulation never loses code.
         self._retained: List[TraceRow] = []
-        self._retained_keys: Dict[str, MappingKey] = {}
         #: Identities of traces invalidated this run (stale content or
         #: unusable base): they must not survive an accumulation write-back
         #: under the refreshed image keys.
@@ -241,9 +245,6 @@ class PersistentCacheSession:
                 # Image not loaded in this run: unusable now, retained for
                 # write-back so accumulated caches keep their code.
                 self._retained.append(row)
-                key = loaded.image_keys.get(row.image_path)
-                if key is not None:
-                    self._retained_keys[row.image_path] = key
                 self.host.retained_unloaded += 1
                 continue
             # Position-independent mode re-materializes every absolute
@@ -565,9 +566,7 @@ class PersistentCacheSession:
         process = machine.process
 
         modified_pages = machine.modified_code_pages
-        accumulating = self._cache is not None and self.config.accumulate
         new_records: List[PersistedTrace] = []
-        reused_records: List[PersistedTrace] = []
         for resident in cache.traces():
             if modified_pages and resident.touches_pages(modified_pages):
                 # Self-modified code no longer matches the file on disk:
@@ -575,24 +574,24 @@ class PersistentCacheSession:
                 # on disk" (§3.2.1).
                 self.host.unbacked_skipped += 1
                 continue
-            if accumulating and resident.from_persistent:
-                # The loaded cache already holds this trace's record;
-                # re-converting it would only be thrown away below.
+            if resident.from_persistent:
+                # Revived from the loaded cache, which already holds its
+                # record.
                 continue
             record = persist_trace(resident, process)
             if record is None:
                 self.host.unbacked_skipped += 1
                 continue  # unbacked code: never persisted
-            if resident.from_persistent:
-                reused_records.append(record)
-            else:
-                new_records.append(record)
+            new_records.append(record)
 
         module_records = [
             record for identity, record in self._module_records.items()
             if identity not in self._invalid_identities
         ]
-        if self._cache is not None and self.config.accumulate:
+        # A write-back onto a loaded cache accumulates (§4.4).  Without
+        # one nothing was revived or retained, so the new records are
+        # the whole cache.
+        if self._cache is not None:
             target = self._cache
             # Invalid translations must not survive under refreshed keys.
             dropped = 0
@@ -612,12 +611,7 @@ class PersistentCacheSession:
                 app_path=self._app_path,
             )
             target.image_keys = dict(self._current_keys)
-            target.image_keys.update(self._retained_keys)
-            target.accumulate(
-                reused_records + new_records + module_records
-                + [row.record() for row in self._retained],
-                {},
-            )
+            target.accumulate(new_records + module_records, {})
         stats.charge_persistence(
             cost.pcache_write_fixed
             + cost.pcache_write_per_trace * target.trace_count

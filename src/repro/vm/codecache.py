@@ -55,7 +55,7 @@ class CodeCache:
         #: detector only watches tracked pages, so *every* page a
         #: resident trace covers must be tracked.  Insertion is where a
         #: VM run tracks them: trace selection reads code bytes without
-        #: ``Machine.fetch``, and traces that arrive without a fresh
+        #: ``Machine.fetch_uop``, and traces that arrive without a fresh
         #: translation (module-retention revival, persistent-cache
         #: preload) were never selected in this run, or were selected
         #: before a dlclose discarded the tracking.

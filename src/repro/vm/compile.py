@@ -19,15 +19,17 @@ Specializations applied per trace:
 * the signed-64-bit wrap check is dropped for ops that provably cannot
   overflow (the table's ``overflow_safe`` column, and SHRI by a non-zero
   amount);
-* memory ops split on region fusion, the observable hotness signal.
-  In a solo trace body every ``LD``/``ST`` is one call to the run's
-  ``load``/``store`` helpers (:func:`memory_helpers`), which hold the
-  hot-mapping fast path, the fault rewrapping and the SMC check out of
-  line, so the hundreds of bodies a warm-up compiles stay small.  A
-  fused region body carries the hot loops, so each of its sites is an
-  inline window hit over locals bound once per entry, and calls the
-  helper only on a miss, a store into a mapping that holds executed
-  code, or a store value outside int64;
+* memory ops are the machine's one guest word access
+  (:func:`repro.machine.cpu.word_access`), split on region fusion, the
+  observable hotness signal.  In a solo trace body every ``LD``/``ST``
+  is one call of the machine's ``load``/``store``, which hold the
+  window hit, the lookup, the fault and the SMC probe out of line, so
+  the hundreds of bodies a warm-up compiles stay small.  A fused region
+  body carries the hot loops, so each of its sites is the window hit
+  inline (:data:`repro.machine.cpu.WINDOW_ACCESS`, the cold tier's
+  template too) over locals bound once per entry, and calls the pair
+  only on a miss, a store into a mapping that holds executed code, or a
+  store value outside int64;
 * analysis-point checks are hoisted out entirely for traces with no
   instrumentation; instrumented sites inline the callback invocation
   against the run's single mutable :class:`AnalysisContext`;
@@ -138,14 +140,16 @@ from typing import Dict, List, Optional
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.isa import registers as regs
 from repro.isa.opcodes import Opcode
-from repro.loader.mapper import WORD_SIZE, WORD_STRUCT, to_signed_word
+from repro.loader.mapper import to_signed_word
 from repro.machine.costs import CostModel
 from repro.machine.cpu import (
-    CODE_PAGE_SHIFT,
     SEMANTICS,
+    WINDOW_ACCESS,
     MachineFault,
     halt_step_event,
+    pack_into,
     syscall_uop_step,
+    unpack_from,
 )
 from repro.vm.client import AnalysisContext, PointKind, ToolAccounting
 from repro.vm.stats import HostStats, ICStats, VMStats
@@ -344,68 +348,6 @@ def _address(rs1: int, imm: int) -> str:
     return "r[%d] + %d" % (rs1, imm) if imm else "r[%d]" % rs1
 
 
-def memory_helpers(machine):
-    """Build the run's ``load(addr, pc)`` and ``store(addr, value, pc)``.
-
-    Every LD/ST site of a solo trace body is one call to these, which
-    keeps the bodies a warm-up compiles by the hundred small.  A region
-    body inlines the window hit and calls them only on its fallbacks
-    (see :meth:`TraceCompiler._emit_memory_op`).  An access inside the
-    address space's window
-    (:attr:`repro.loader.mapper.AddressSpace.window`) unpacks or packs
-    the word in place; ``store`` takes that path only for a value within
-    int64.  Every other access goes through ``read_word`` /
-    ``write_word``, and their exception becomes ``MachineFault(str(exc),
-    pc)``, as in ``step_uop``.  After the write ``store`` runs
-    ``step_uop``'s SMC check, unless it was a window hit into a code-free
-    mapping: the written word's first code page, the next page only when
-    the word straddles into it, then ``machine.on_code_write``.
-    """
-    space = machine.process.space
-    window = space.window
-    read_word = space.read_word
-    write_word = space.write_word
-    unpack_from = WORD_STRUCT.unpack_from
-    pack_into = WORD_STRUCT.pack_into
-    pages = machine.executed_code_pages
-    code_write = machine.on_code_write
-    shift = CODE_PAGE_SHIFT
-    page_mask = (1 << CODE_PAGE_SHIFT) - 1
-    # A word starting past this page offset ends on the next page.
-    last_unstraddled = (1 << CODE_PAGE_SHIFT) - WORD_SIZE
-
-    def load(addr, pc):
-        base, last, data, _code_free = window
-        offset = addr - base
-        if 0 <= offset <= last:
-            return unpack_from(data, offset)[0]
-        try:
-            return read_word(addr)
-        except Exception as exc:
-            raise MachineFault(str(exc), pc) from exc
-
-    def store(addr, value, pc):
-        base, last, data, code_free = window
-        offset = addr - base
-        if (0 <= offset <= last
-                and -9223372036854775808 <= value <= 9223372036854775807):
-            pack_into(data, offset, value)
-            if code_free:
-                return
-        else:
-            try:
-                write_word(addr, value)
-            except Exception as exc:
-                raise MachineFault(str(exc), pc) from exc
-        page = addr >> shift
-        if page in pages or (
-            addr & page_mask > last_unstraddled and page + 1 in pages
-        ):
-            code_write(addr)
-
-    return load, store
-
-
 def inline_cache_helper(cache, ics: ICStats):
     """Build the run's ``ic_resolve(ic, target)``: every inline-cache
     path but the hit.
@@ -502,7 +444,6 @@ class TraceCompiler:
         #: Flushed wholesale at :data:`_FACTORIES_CAP`, as the code cache
         #: is at its pool size.
         self._factories: Dict[tuple, object] = {}
-        load, store = memory_helpers(machine)
         #: The run-scoped capture namespace, shared by every closure this
         #: compiler builds (per-trace state travels separately).
         self._context = SimpleNamespace(
@@ -510,11 +451,11 @@ class TraceCompiler:
             stats=stats,
             to_signed=to_signed_word,
             MachineFault=MachineFault,
-            load=load,
-            store=store,
+            load=machine.load,
+            store=machine.store,
             window=machine.process.space.window,
-            unpack_from=WORD_STRUCT.unpack_from,
-            pack_into=WORD_STRUCT.pack_into,
+            unpack_from=unpack_from,
+            pack_into=pack_into,
             syscall_step=syscall_uop_step,
             halt_event=halt_step_event,
             acx=analysis_context,
@@ -769,8 +710,9 @@ class TraceCompiler:
         non-last members only) replaces the final linkable exit's return
         with an inline guard + fall-through into the next member's body.
         ``inline_memory`` (region members) emits each memory op as an
-        inline window hit (:meth:`_emit_memory_op`) instead of one helper
-        call.  Returns the callback index after this trace.
+        inline window hit (:meth:`_emit_memory_op`) instead of one call
+        of the machine's word access.  Returns the callback index after
+        this trace.
         """
         trace = translated.trace
         uops = trace.uops
@@ -865,8 +807,8 @@ class TraceCompiler:
                 if inline_memory:
                     self._emit_memory_op(emit, uses, uop, pc, kind)
                 elif kind == "load":
-                    # Solo sites are one helper call each (memory_helpers
-                    # holds the fault handling and the SMC check).
+                    # Solo sites are one call each of the machine's word
+                    # access, which holds the fault and the SMC probe.
                     uses.add("load")
                     call = "load(%s, %d)" % (_address(rs1, imm), pc)
                     # load yields an in-range signed word: no wrap check.
@@ -933,42 +875,25 @@ class TraceCompiler:
 
     @staticmethod
     def _emit_memory_op(emit, uses, uop, pc: int, kind: str) -> None:
-        """One region-body LD/ST as an inline window hit.
-
-        ``wb, wl, wd, wc`` are the window's slots, bound to locals at
-        region entry.  A load hits when the word lies inside the
-        window's mapping; a store also needs a code-free mapping and a
-        value within int64 (``write_word`` wraps, ``pack_into`` would
-        raise).  Anything else calls the run's helper, which handles
-        the lookup, the fault and the SMC check exactly as for a solo
-        site, then re-reads the window the helper may have moved.
-        """
+        """One region-body LD/ST, rendered from
+        :data:`repro.machine.cpu.WINDOW_ACCESS` over ``wb, wl, wd, wc``,
+        the window's slots bound at region entry.  A load into the zero
+        register keeps only the miss, which may fault."""
         _op, rd, rs1, rs2, imm = uop
-        # The run's ``load`` or ``store`` helper serves a miss.
         uses.update(("window", kind))
-        emit.emit("o = %s - wb" % _address(rs1, imm))
-        if kind == "load":
-            if rd == regs.ZERO:
-                # Discarded value: only a miss (which may fault) matters.
-                emit.emit("if not 0 <= o <= wl:")
-                emit.emit("load(o + wb, %d)" % pc, 3)
-            else:
-                uses.add("unpack_from")
-                emit.emit("if 0 <= o <= wl:")
-                emit.emit("r[%d] = unpack_from(wd, o)[0]" % rd, 3)
-                emit.emit("else:")
-                emit.emit("r[%d] = load(o + wb, %d)" % (rd, pc), 3)
-        else:
-            uses.add("pack_into")
-            emit.emit("v = r[%d]" % rs2)
-            emit.emit(
-                "if wc and 0 <= o <= wl and %d <= v <= %d:"
-                % (_INT64_MIN, _INT64_MAX)
-            )
-            emit.emit("pack_into(wd, o, v)", 3)
-            emit.emit("else:")
-            emit.emit("store(o + wb, v, %d)" % pc, 3)
-        emit.emit("wb, wl, wd, wc = window", 3)
+        address = _address(rs1, imm)
+        if kind == "load" and rd == regs.ZERO:
+            emit.emit("o = %s - wb" % address)
+            emit.emit("if not 0 <= o <= wl:")
+            emit.emit("load(o + wb, %d)" % pc, 3)
+            emit.emit("wb, wl, wd, wc = window", 3)
+            return
+        uses.add("unpack_from" if kind == "load" else "pack_into")
+        site = WINDOW_ACCESS[kind].format(
+            address=address, pc=pc, dest="r[%d]" % rd, source="r[%d]" % rs2
+        )
+        for line in site.splitlines():
+            emit.emit(line)
 
     def _factory_source(
         self, emit, uses, n_slots: int, n_callbacks: int, region_members: int

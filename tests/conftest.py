@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+
 import pytest
 
 from repro.binfmt.image import Image, ImageBuilder, ImageKind
@@ -10,6 +13,7 @@ from repro.isa.encoding import encode_all
 from repro.loader.linker import ImageStore, load_process
 from repro.machine.cpu import Machine
 from repro.persist.database import CacheDatabase
+from repro.vm.engine import Engine
 from repro.vm.trace import Trace
 
 
@@ -74,3 +78,66 @@ def make_machine(source: str, store: ImageStore = None, **kwargs) -> Machine:
     """Assemble, link and wrap a program for execution."""
     image = image_from_asm(source, **kwargs)
     return Machine(load_process(image, store))
+
+
+def final_state(machine: Machine) -> dict:
+    """Digests of what a run leaves in ``machine``: ``registers`` over
+    every thread's register file, ``memory`` over the bytes of every
+    mapping."""
+    registers = [(thread.tid, thread.alive, thread.registers)
+                 for thread in machine.threads]
+    memory = hashlib.sha256()
+    for mapping in machine.process.space.mappings:
+        memory.update(b"%s@%d:%d;" % (mapping.name.encode(), mapping.base,
+                                      mapping.size))
+        memory.update(mapping.data)
+    return {
+        "registers": hashlib.sha256(repr(registers).encode()).hexdigest(),
+        "memory": memory.hexdigest(),
+    }
+
+
+@contextlib.contextmanager
+def recording_final_state():
+    """Within the block, every :meth:`Engine.run` result carries its
+    machine's :func:`final_state` as ``result.final_state``.  The digest
+    is taken outside ``src/``, so no run pays for it unless a test
+    asks."""
+    original = Engine.run
+
+    def run(engine, process, args=(), machine=None):
+        machine = machine or Machine(process)
+        result = original(engine, process, args, machine)
+        result.final_state = final_state(machine)
+        return result
+
+    Engine.run = run
+    try:
+        yield
+    finally:
+        Engine.run = original
+
+
+@pytest.fixture
+def final_states():
+    """:func:`recording_final_state` for one test."""
+    with recording_final_state():
+        yield
+
+
+def signature(result) -> dict:
+    """Everything observable from one engine run, for exact comparison
+    across tiers: output, exit status, every counter, the code cache's
+    occupancy and the run's :func:`final_state` (which needs the
+    :func:`final_states` fixture)."""
+    return {
+        "output": result.output,
+        "exit_status": result.exit_status,
+        "instructions": result.instructions,
+        "stats": vars(result.stats),
+        "accounting": vars(result.tool_accounting),
+        "cache_traces": result.cache_traces,
+        "cache_code_bytes": result.cache_code_bytes,
+        "cache_data_bytes": result.cache_data_bytes,
+        "final_state": result.final_state,
+    }

@@ -103,8 +103,9 @@ class TestTransparencyAudit:
     restart.
 
     Every member, the clock probe included, gives the interpreted
-    oracle's output, exit status and every ``VMStats`` counter at
-    compile threshold 1 and under the default tier-up.  Every member
+    oracle's output, exit status, every ``VMStats`` counter and final
+    registers and memory at compile threshold 1 and under the default
+    tier-up.  Every member
     but the clock probe also matches its native run under all three:
     its output folds every code byte it reads and every self-write it
     observes, so one stale byte shows.  The clock probe's output embeds
@@ -113,14 +114,15 @@ class TestTransparencyAudit:
     """
 
     @pytest.mark.parametrize("name", sorted(build_adversarial_suite()))
-    def test_tiers_match_oracle_and_native(self, suite, name):
+    def test_tiers_match_oracle_and_native(self, suite, name, final_states):
         workload = suite[name]
         oracle = run_vm(workload, "run", vm_config=INTERPRETED)
         native = _observed(run_workload_native(workload, "run"))
         for config in (COMPILED, VMConfig()):
             result = run_vm(workload, "run", vm_config=config)
-            assert (_observed(result), vars(result.stats)) == (
-                _observed(oracle), vars(oracle.stats)
+            assert (_observed(result), vars(result.stats),
+                    result.final_state) == (
+                _observed(oracle), vars(oracle.stats), oracle.final_state
             ), (name, config.compile_threshold)
             if name != "timer":
                 assert _observed(result) == native, name

@@ -5,7 +5,8 @@ reference oracle) or through per-trace compiled closures
 (:mod:`repro.vm.compile`).  The tiers are an implementation detail of
 the *simulator*, so every observable of a run — output bytes, exit
 status, retired instruction count, every :class:`VMStats` counter and
-float cycle total, and the tool accounting — must match exactly, across
+float cycle total, the tool accounting, and the registers and memory
+the run leaves — must match exactly, across
 every workload corpus, with and without persistence, and through the
 hard cases (self-modifying code, module unload/reload, instrumentation
 callbacks).
@@ -50,8 +51,13 @@ from repro.workloads.oracle import PHASES, build_oracle
 from repro.workloads.regression import round_robin_cases
 from repro.workloads.spec2k import build_suite
 
+from tests.conftest import signature
 from tests.test_modules import make_workload as make_module_workload
 from tests.test_smc import _word_of, build_smc_image
+
+#: Every engine run's result carries its machine's final state, which
+#: :func:`~tests.conftest.signature` compares.
+pytestmark = pytest.mark.usefixtures("final_states")
 
 MODES = ("interpreted", "compiled")
 
@@ -84,20 +90,6 @@ def run_uops_calls(monkeypatch):
 
     monkeypatch.setattr(ExecutionContext, "run_uops", spy)
     return calls
-
-
-def signature(result):
-    """Everything observable from a run, ready for exact comparison."""
-    return {
-        "output": result.output,
-        "exit_status": result.exit_status,
-        "instructions": result.instructions,
-        "stats": vars(result.stats),
-        "accounting": vars(result.tool_accounting),
-        "cache_traces": result.cache_traces,
-        "cache_code_bytes": result.cache_code_bytes,
-        "cache_data_bytes": result.cache_data_bytes,
-    }
 
 
 def assert_equivalent(run_one, context=""):
@@ -1391,6 +1383,12 @@ class TestMemoryOps:
     def test_fast_path_store_into_executed_anonymous_page_evicts(
         self, monkeypatch
     ):
+        """The heap code's three stores are window hits on both VM
+        tiers: none looks its mapping up through ``write_word``.  The
+        patch, a hit into the executed page, still reaches the machine's
+        SMC probe, once, on every tier, native included, and evicts.
+        (Native execution's first decode of each pc moves the window to
+        the code, so its stores miss.)"""
         image = self.build_heap_code_image()
         slow_writes = []
         original = AddressSpace.write_word
@@ -1401,23 +1399,31 @@ class TestMemoryOps:
             return original(space, addr, value)
 
         monkeypatch.setattr(AddressSpace, "write_word", spy)
-        counts = {}
+        counts, code_writes = {}, {}
 
         def run_one(mode):
             del slow_writes[:]
-            result = Engine(config=_eager_config(mode)).run(
-                load_process(image)
+            machine = Machine(load_process(image))
+            machine.code_write_listeners.append(
+                code_writes.setdefault(mode, []).append
             )
+            if mode == "native":
+                result = run_native(machine)
+            else:
+                result = Engine(config=_eager_config(mode)).run(
+                    machine.process, machine=machine
+                )
             counts[mode] = len(slow_writes)
             return result
 
+        native = run_one("native")
         results = assert_equivalent(run_one, context="heap-smc")
         compiled = results["compiled"]
-        assert compiled.exit_status == 99
+        assert native.exit_status == compiled.exit_status == 99
         assert compiled.stats.smc_invalidations > 0
-        # The oracle writes every word through write_word; the compiled
-        # tier wrote all three, the patch included, on the fast path.
-        assert counts == {"interpreted": 3, "compiled": 0}
+        assert counts["interpreted"] == counts["compiled"] == 0
+        assert code_writes == {mode: [HEAP_BASE]
+                               for mode in ("native",) + MODES}
 
     @staticmethod
     def build_second_page_image():
@@ -2180,10 +2186,10 @@ class TestColdTier:
     def test_window_moves_within_one_run_uops_call(self, monkeypatch,
                                                    run_uops_calls):
         """A loop body that alternates stack and heap words, each trace
-        entry one ``run_uops`` call.  The oracle reads and writes every
-        word through the accessors; the cold tier calls them exactly for
-        the accesses that leave the window's mapping, so it re-reads the
-        window's slots after each move and hits with them."""
+        entry one ``run_uops`` call.  The oracle and the cold tier call
+        the accessors, and so the lookup, exactly for the accesses that
+        leave the window's mapping: the cold tier re-reads the window's
+        slots after each move and hits with them."""
         t0, t1, t2, t3, t4 = (regs.T0 + i for i in range(5))
         loop = [
             ins.ld(t1, regs.SP, -8),    # stack
@@ -2234,16 +2240,12 @@ class TestColdTier:
         expected = heap.to_bytes(8, "little") + third.to_bytes(8, "little")
         assert results["compiled"].output == expected
         assert run_uops_calls[0] > 0
-
-        def on_heap(addr):
-            return HEAP_BASE <= addr < _HEAP_END
-
-        every = accessed["interpreted"]
-        assert len(every) == 6 * 40
-        moves = [addr for index, addr in enumerate(every)
-                 if index == 0 or on_heap(addr) != on_heap(every[index - 1])]
-        assert accessed["compiled"] == moves
-        assert len(moves) == 4 * 40
+        # Each iteration's loads, then its stores, go stack, heap, heap:
+        # the stack word and the first heap word move the window and the
+        # second heap word hits, four moves in six accesses.
+        word = Machine(load_process(image)).registers[regs.SP] - 8
+        moves = [word, HEAP_BASE, word, HEAP_BASE] * 40
+        assert accessed == {mode: moves for mode in MODES}
 
     def test_dlclose_resets_the_window(self, run_uops_calls):
         """``TestMemoryOps.build_dlclose_image`` on the cold tier: the
@@ -2254,12 +2256,13 @@ class TestColdTier:
         assert _in_run_uops(traceback.walk_tb(excinfo.tb))
         assert run_uops_calls[0] > 0
 
-    def test_store_into_a_data_page_of_a_code_mapping(self, monkeypatch,
+    def test_store_into_a_data_page_of_a_code_mapping(self,
                                                       run_uops_calls):
         """A store into ``.data``, which starts a page of its own in the
         image mapping that holds the code, hits the window but not a
-        code-free one: it goes through ``write_word`` and probes the
-        written page for executed code, and nothing is evicted."""
+        code-free one.  On every tier, native included, the machine's
+        store then probes the written page once, the cold tier's from
+        inside ``run_uops``, and nothing is evicted."""
         t0, t1, t2 = regs.T0, regs.T0 + 1, regs.T0 + 2
         builder = ImageBuilder("data-page-store-app")
         builder.add_data("slot", (5).to_bytes(8, "little"))
@@ -2275,41 +2278,39 @@ class TestColdTier:
         builder.set_entry("main")
         image = builder.build()
         slot = load_process(image).resolve_symbol("slot")
-        writes, probes = [], []
-
-        class Pages(set):
-            def __contains__(self, page):
-                if _in_run_uops(traceback.walk_stack(None)):
-                    probes.append(page)
-                return set.__contains__(self, page)
-
-        original = AddressSpace.write_word
-
-        def spy(space, addr, value):
-            writes.append((addr, _in_run_uops(traceback.walk_stack(None))))
-            return original(space, addr, value)
-
-        monkeypatch.setattr(AddressSpace, "write_word", spy)
+        page = slot >> CODE_PAGE_SHIFT
+        probes = {}
 
         def run_one(mode):
-            del writes[:], probes[:]
-            machine = Machine(load_process(image))
-            machine.executed_code_pages = Pages()
-            result = Engine(config=_cold_config(mode)).run(
-                machine.process, machine=machine
-            )
+            seen = probes[mode] = []
+
+            class Pages(set):
+                def __contains__(self, probed):
+                    if probed == page:
+                        seen.append(
+                            _in_run_uops(traceback.walk_stack(None))
+                        )
+                    return set.__contains__(self, probed)
+
+            machine = Machine(load_process(image),
+                              executed_code_pages=Pages())
+            if mode == "native":
+                result = run_native(machine)
+            else:
+                result = Engine(config=_cold_config(mode)).run(
+                    machine.process, machine=machine
+                )
             mapping = machine.process.space.mapping_at(slot)
             assert mapping.image is not None and not mapping.code_free
             return result
 
+        native = run_one("native")
         results = assert_equivalent(run_one, context="data-page-store")
         compiled = results["compiled"]
-        assert compiled.exit_status == 77
+        assert native.exit_status == compiled.exit_status == 77
         assert compiled.stats.smc_invalidations == 0
-        assert writes == [(slot, True)]
-        # The pages of the word's first and last byte: one page here.
-        page = slot >> CODE_PAGE_SHIFT
-        assert probes == [page, page]
+        assert probes == {"native": [False], "interpreted": [False],
+                          "compiled": [True]}
         assert run_uops_calls[0] > 0
 
     def test_cold_gui_startup_reads_memory_through_the_window(

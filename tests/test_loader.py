@@ -156,19 +156,25 @@ class TestWindow:
         assert window[2] is mapping.data
 
     def test_hits_skip_the_lookup(self, monkeypatch):
-        space = AddressSpace()
-        space.map_anonymous(0x1000, 256)
-        space.write_word(0x1000, 5)
+        """Inside the window, the machine's word access and a byte read
+        skip the lookup.  The word accessors serve the word access's
+        misses only, so each of their calls is one lookup."""
+        machine = Machine(load_process(image_from_asm("main:\n    ret\n")))
+        space = machine.process.space
+        stack = machine.registers[regs.SP]
+        space.write_word(stack, 5)
         lookups = []
         original = space.find_mapping
         monkeypatch.setattr(
             space, "find_mapping",
             lambda addr: lookups.append(addr) or original(addr),
         )
-        space.write_word(0x10F8, -1)
-        assert space.read_word(0x1000) == 5
-        assert space.read_bytes(0x10F8, 8) == b"\xff" * 8
+        machine.store(stack - 8, -1, 0)
+        assert machine.load(stack, 0) == 5
+        assert space.read_bytes(stack - 8, 8) == b"\xff" * 8
         assert lookups == []
+        assert space.read_word(stack) == 5
+        assert lookups == [stack]
 
     def test_switches_between_mappings(self):
         space = AddressSpace()

@@ -12,7 +12,7 @@ from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.loader.linker import ImageStore
 from repro.machine.costs import DEFAULT_COST_MODEL
 from repro.persist.database import CacheDatabase
-from repro.persist.manager import PersistenceConfig
+from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool
 from repro.vm.engine import VMConfig
 from repro.workloads.builder import AppBuilder, FeatureBlock, InputSpec
@@ -110,22 +110,6 @@ class TestCrossInputAccumulation:
         second = persisted_run(workload, "b", db).persistence_report
         assert second["total_traces_after_write"] > first["total_traces_after_write"]
 
-    def test_no_accumulate_rewrites_from_cache_contents(self, workload, db):
-        """accumulate=False persists exactly the intra-execution cache.
-
-        Preloaded-and-valid traces are resident, so they survive; the
-        rewrite is from the code cache, not a merge with the old file.
-        """
-        first = persisted_run(workload, "a", db).persistence_report
-        second = persisted_run(workload, "b", db, accumulate=False)
-        report = second.persistence_report
-        assert report["written"]
-        expected = (
-            second.stats.traces_from_persistent + second.stats.traces_translated
-        )
-        assert report["total_traces_after_write"] == expected
-        assert report["total_traces_after_write"] >= first["total_traces_after_write"]
-
 
 class TestInvalidation:
     def test_rebuilt_binary_invalidates(self, db):
@@ -212,6 +196,18 @@ class TestVersioning:
         )
         assert primed.persistence_report["version_conflict"]
         assert primed.stats.traces_from_persistent == 0
+
+    def test_prime_with_needs_readonly(self, workload, db):
+        """A primed session's write-back would accumulate into the
+        caller's cache object, so the session refuses to start."""
+        persisted_run(workload, "a", db)
+        from repro.persist.cachefile import PersistentCache
+        import os
+        cache = PersistentCache.load(
+            os.path.join(db.directory, db.entries()[0].filename))
+        with pytest.raises(ValueError, match="readonly"):
+            PersistentCacheSession(PersistenceConfig(prime_with=cache,
+                                                     database=db))
 
 
 class TestReadonlyAndFlush:

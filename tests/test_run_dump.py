@@ -5,8 +5,10 @@ runs cold, warm and warm again against a database of its own; 176.gcc
 and 253.perlbmk also run ``ref-1``, ``ref-2`` and ``ref-3`` in turn
 against one database each, which accumulates the new traces of every
 input.  Every leg records its exit status, a digest of its output, its
-``VMStats`` (sets sorted), its ``HostStats`` with no field left out and
-the sha256 of every ``.cache`` file in the database after it.  A long
+``VMStats`` (sets sorted), its ``HostStats`` with no field left out,
+the sha256 of every ``.cache`` file in the database after it, and the
+digests of the registers and memory the run leaves
+(:func:`tests.conftest.final_state`).  A long
 ``VMStats`` list is recorded as its length and digest.  The
 compiled-body sidecar (``.pcs``) and ``index.json`` are left out: a
 marshal blob need not repeat byte for byte.
@@ -18,7 +20,8 @@ run and reads the same numbers.
 
 A change that moves a recorded field must say which field moved and
 why, and record the fixture again with
-``PYTHONPATH=src python tests/test_run_dump.py``.
+``PYTHONPATH=src python -m tests.test_run_dump`` from the repository
+root.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ from repro.persist.manager import PersistenceConfig
 from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
 from repro.workloads.spec2k import build_suite
+
+from tests.conftest import recording_final_state
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "fixtures", "run_dump.json")
@@ -96,6 +101,7 @@ def _leg(program, input_name, directory: str) -> dict:
         "vmstats": _vmstats(result.stats),
         "host": _canonical(result.host.to_dict()),
         "cache_files": _cache_files(directory),
+        "final_state": result.final_state,
     }
 
 
@@ -107,16 +113,17 @@ def dump(root: str) -> dict:
     cases = [(name, apps[name], "startup") for name in sorted(apps)]
     cases += [(name, spec[name], "ref-1") for name in sorted(spec)]
     legs = {}
-    for name, program, input_name in cases:
-        directory = os.path.join(root, name)
-        for leg in ("cold", "warm", "warm2"):
-            legs["%s/%s/%s" % (name, input_name, leg)] = _leg(
-                program, input_name, directory)
-    for label, name, inputs in ACCUMULATING:
-        directory = os.path.join(root, label)
-        for input_name in inputs:
-            legs["%s/%s/accumulate" % (label, input_name)] = _leg(
-                spec[name], input_name, directory)
+    with recording_final_state():
+        for name, program, input_name in cases:
+            directory = os.path.join(root, name)
+            for leg in ("cold", "warm", "warm2"):
+                legs["%s/%s/%s" % (name, input_name, leg)] = _leg(
+                    program, input_name, directory)
+        for label, name, inputs in ACCUMULATING:
+            directory = os.path.join(root, label)
+            for input_name in inputs:
+                legs["%s/%s/accumulate" % (label, input_name)] = _leg(
+                    spec[name], input_name, directory)
     return legs
 
 
@@ -137,6 +144,7 @@ def test_every_leg_is_recorded(recorded, current):
 
 @pytest.mark.parametrize("part", [
     "exit_status", "output_sha256", "vmstats", "host", "cache_files",
+    "final_state",
 ])
 def test_legs_match_the_recording(recorded, current, part):
     moved = {}

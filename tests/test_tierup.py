@@ -7,8 +7,9 @@ the run's factory memo or the attached store is bound then, at no host
 ``compile()``, but never earlier.
 Because the interpreted oracle and the compiled tier are bit-identical
 *per execution*, every observable of a run (output, exit status, every
-``VMStats`` field, code-cache occupancy) must be the same at every
-threshold, through SMC, cache churn and a persistence round trip.
+``VMStats`` field, code-cache occupancy, the registers and memory it
+leaves) must be the same at every threshold, through SMC, cache churn
+and a persistence round trip.
 """
 
 import sys
@@ -29,22 +30,15 @@ from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
 from repro.workloads.warmup import build_warmup_workload
 
+from tests.conftest import signature
 from tests.test_smc import build_smc_image
+
+#: Every engine run's result carries its machine's final state, which
+#: :func:`~tests.conftest.signature` compares.
+pytestmark = pytest.mark.usefixtures("final_states")
 
 THRESHOLDS = (1, 2, DEFAULT_COMPILE_THRESHOLD)
 ORACLE = VMConfig(dispatch_mode="interpreted")
-
-
-def signature(result):
-    return {
-        "output": result.output,
-        "exit_status": result.exit_status,
-        "instructions": result.instructions,
-        "stats": vars(result.stats),
-        "cache_traces": result.cache_traces,
-        "cache_code_bytes": result.cache_code_bytes,
-        "cache_data_bytes": result.cache_data_bytes,
-    }
 
 
 def assert_thresholds_match_oracle(run_one, context):

@@ -12,7 +12,7 @@ import pytest
 from repro.isa import instructions as ins
 from repro.isa import registers as regs
 from repro.isa.encoding import DecodeError, decode, encode_all
-from repro.isa.instructions import INSTRUCTION_SIZE
+from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import Opcode
 from repro.loader.linker import load_process
 from repro.loader.mapper import AddressSpace, Mapping, MemoryError_
@@ -42,7 +42,8 @@ def selector_for(code, base=0x1000, max_insts=DEFAULT_MAX_TRACE_INSTS):
 
 
 def fetch_from(space):
-    """Per-pc fetch as :meth:`Machine.fetch` does it, without its memo."""
+    """Per-pc fetch as :meth:`Machine.fetch_uop` does it, without its
+    memo, as :class:`Instruction` objects."""
 
     def fetch(pc):
         try:
@@ -50,6 +51,22 @@ def fetch_from(space):
         except MemoryError_ as exc:
             raise MachineFault("fetch from unmapped memory", pc) from exc
         return decode(raw)
+
+    return fetch
+
+
+def machine_fetch(machine):
+    """The native interpreter's fetch, :meth:`Machine.fetch_uop`, as
+    :class:`Instruction` objects, one built per distinct uop."""
+    built = {}
+
+    def fetch(pc):
+        uop = machine.fetch_uop(pc)
+        inst = built.get(uop)
+        if inst is None:
+            op, rd, rs1, rs2, imm = uop
+            inst = built[uop] = Instruction(Opcode(op), rd, rs1, rs2, imm)
+        return inst
 
     return fetch
 
@@ -274,7 +291,7 @@ class TestAgainstPerPcFetch:
             process = workload.load()
             for index in sorted(process.optional_modules):
                 process.load_module(index)
-            machine = Machine(process)
+            fetch = machine_fetch(Machine(process))
             space = process.space
             for mapping in list(space.mappings):
                 key = mapping.image.path if mapping.image else mapping.name
@@ -290,7 +307,7 @@ class TestAgainstPerPcFetch:
                 for entry in entries:
                     for max_insts in (DEFAULT_MAX_TRACE_INSTS, 3):
                         result = assert_same_outcome(
-                            space, machine.fetch, entry, max_insts
+                            space, fetch, entry, max_insts
                         )
                         faults += result[0] == "fault"
                         traces += result[0] == "trace"

@@ -249,7 +249,7 @@ def test_cold_gui_runs_build_no_instructions(gui_apps, monkeypatch):
         built.append(args)
         raise AssertionError("an Instruction was built")
 
-    monkeypatch.setattr(Machine, "fetch", refuse)
+    monkeypatch.setattr(Machine, "fetch_uop", refuse)
     monkeypatch.setattr(encoding, "decode", refuse)
     monkeypatch.setattr(Trace, "instructions", property(refuse))
     # The constructor and the decoder's shortcut past its checks.
