@@ -6,7 +6,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 # Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
-.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke layers fsck stress gc replay-smoke transparency-smoke loc
+.PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke layers pairs fsck stress gc replay-smoke transparency-smoke loc
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -63,6 +63,18 @@ W ?= gui_warm
 LAYERS_S ?= 15
 layers:
 	python3 tools/layers.py --workload $(W) --seconds $(LAYERS_S)
+
+# Interleaved bench/run.py pairs of one workload between a checkout of
+# the parent commit and this tree (make pairs PARENT=../parent
+# W=spec_ref SEED=S, PAIRS=N for other than 10): both medians, the
+# parent's quartiles and the change's wins per end-to-end metric, then
+# one JSON line.  SEED has no default: use seeds no earlier
+# measurement of the change ran.
+PARENT ?= ../parent
+pairs:
+	$(if $(SEED),,$(error make pairs needs SEED=S, seeds not used before))
+	python3 tools/pairs.py --parent $(PARENT) --change . --workload $(W) \
+		--seed $(SEED) $(if $(PAIRS),--pairs $(PAIRS))
 
 # Check a persistent-cache database's integrity section by section.
 fsck:

@@ -248,14 +248,16 @@ class Machine:
         self-modification and dlclose).
 
         The native interpreter's fetch: a pc's first decode tracks its
-        code page.  VM trace selection reads code bytes from their
-        mapping instead (:mod:`repro.vm.trace`)."""
+        code page.  It reads the mapping that holds ``pc`` as trace
+        selection does (:mod:`repro.vm.trace`), so the load/store window
+        stays on the data."""
         uop = self.uop_cache.get(pc)
         if uop is None:
-            try:
-                raw = self.process.space.read_bytes(pc, INSTRUCTION_SIZE)
-            except Exception as exc:
-                raise MachineFault("fetch from unmapped memory", pc) from exc
+            mapping = self.process.space.mapping_at(pc)
+            if mapping is None or pc + INSTRUCTION_SIZE > mapping.end:
+                raise MachineFault("fetch from unmapped memory", pc)
+            offset = pc - mapping.base
+            raw = bytes(mapping.data[offset : offset + INSTRUCTION_SIZE])
             uop = self.uop_cache[pc] = decode(raw).as_tuple()
             page = pc >> CODE_PAGE_SHIFT
             if page not in self.executed_code_pages:

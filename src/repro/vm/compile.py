@@ -93,9 +93,11 @@ Two PR-3 extensions complete that story:
   wholesale.
 * **Indirect-branch inline caches** — a JR/RET/CALLR exit carries one
   ``{target: resident}`` dict per site (Pin's indirect-branch chaining),
-  guarded wholesale by the code-cache generation.  The body probes it
-  inline, and a hit hands the resident trace straight back to the
-  dispatcher.  Everything else is one call to the run's ``ic_resolve``
+  guarded wholesale by the code-cache generation and held by the exit's
+  link slot, so the trace's solo body and any region share it.  The
+  body probes it inline, and a hit hands the resident trace straight
+  back to the dispatcher.  Everything else is one call to the run's
+  ``ic_resolve``
   helper (:func:`inline_cache_helper`): a generation advance
   (eviction/flush) empties the dict before it can dispatch a stale
   resident, and a miss resolves through the translation map and fills
@@ -114,18 +116,25 @@ Two PR-7 extensions close the paper's trace-linking story:
   patched hot exit never probes the translation map.  Safety is inherited, not re-invented: eviction/SMC/flush
   eagerly unlink every incoming slot (the interpreter's invariant), so
   a probe can never produce an evicted trace.
-* **Superblock regions** — a stable hot chain of direct-linked traces
-  (final-exit links only, so regions are straight-line) is fused by
+* **Superblock regions** — a stable hot chain of traces, each handing
+  over to the next through its final exit (a patched direct link, or an
+  indirect exit whose inline cache names one successor), is fused by
   :meth:`TraceCompiler.compile_region` into one closure concatenating
   the member bodies.  Each junction re-emits the member's exact exit
   accounting (same float literals, same order — batching never sums
   across members, which would break IEEE bit-identity), then guards on
-  link identity (``slot.linked_resident is next_member``) and the
-  instruction budget before falling through into the next member's
-  inlined body; a failed guard side-exits through the member's own
-  slot, exactly like the solo closure.  Region factories flow through
-  the same memo and sidecar as trace factories (link state and member
-  objects are runtime captures, never marshaled).
+  the successor's identity (``slot.linked_resident`` or the inline
+  cache's resident ``is`` the next member) and the instruction budget
+  before falling through into the next member's inlined body; a failed
+  guard side-exits through the member's own slot, exactly like the solo
+  closure.  A chain that closes on its head is a **loop region**: its
+  body is a ``while True:`` loop, and the exit back into the head (a
+  branch-taken or final exit of the last member) is a junction that
+  ends in ``continue``, so a hot loop runs its calls and returns inside
+  one closure call.  Region factories flow through the same memo and
+  sidecar as trace factories, keyed by their members and back edge
+  (link state, inline caches and member objects are runtime captures,
+  never marshaled).
 """
 
 from __future__ import annotations
@@ -160,11 +169,16 @@ from repro.vm.translator import TranslatedTrace
 #: cannot be specialized; the engine then runs it on the cold tier.
 UNCOMPILABLE = object()
 
-#: Chained exits through one final-exit link before the engine tries
-#: to fuse the chain downstream into a superblock region.  Low enough
-#: that steady-state loops fuse almost immediately, high enough that a
-#: cold path never pays region compilation.
+#: Chained exits through one final exit before the engine walks the
+#: chain downstream of it for a region: every multiple of this count
+#: tries again, and a link the walk follows must have been taken this
+#: many times less one.  A straight chain fuses on its first try.
 REGION_FUSE_THRESHOLD = 16
+#: Times a loop's back edge must have been taken before the loop fuses
+#: into one closure; until then a chain that closes a cycle is not
+#: fused at all.  A GUI start-up's short loops stay below it, and a
+#: loop that reached it tends to run on (docs/performance.md).
+LOOP_FUSE_THRESHOLD = 64
 #: Maximum member traces in one fused region (keeps generated bodies,
 #: and the blast radius of one member's invalidation, bounded).
 REGION_MAX_MEMBERS = 8
@@ -229,11 +243,13 @@ def _body_digest(key: tuple) -> str:
     so equal digests imply byte-identical factory code; the VM version
     and host bytecode tag are keyed at the store level
     (:mod:`repro.persist.sidecar`), not per entry.  A region's digest
-    covers its members' keys in order.
+    covers its members' keys in order, and a loop's also its back edge.
     """
     if key[0] == "region":
+        back = key[1]
+        head = b"region" if back is None else b"loop" + struct.pack("<i", back)
         return hashlib.sha256(
-            b"region" + b"".join([_key_bytes(member) for member in key[1:]])
+            head + b"".join([_key_bytes(member) for member in key[2:]])
         ).hexdigest()
     return hashlib.sha256(b"trace" + _key_bytes(key)).hexdigest()
 
@@ -314,13 +330,15 @@ def _flt(value: float) -> str:
 
 
 class _Emitter:
-    """Tiny indented-source builder."""
+    """Tiny indented-source builder.  ``indent`` levels are added to
+    every line's depth (a loop region's body sits in its loop)."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
+        self.indent = 0
 
     def emit(self, line: str, depth: int = 2) -> None:
-        self.lines.append("    " * depth + line)
+        self.lines.append("    " * (depth + self.indent) + line)
 
     def source(self) -> str:
         return "\n".join(self.lines) + "\n"
@@ -383,14 +401,17 @@ def inline_cache_helper(cache, ics: ICStats):
 def _capture_lists(translated: TranslatedTrace):
     """The run-varying objects a trace's closure captures, in the
     canonical order both :meth:`TraceCompiler._generate` (naming) and
-    :meth:`TraceCompiler._captures` (binding on factory-memo hits) use:
+    :meth:`TraceCompiler.compile` (binding, memo hits included) use:
     the final slot first, then per instruction its analysis callbacks
-    followed by its branch slot."""
+    followed by its branch slot.  An indirect final slot gets its inline
+    cache here, the first time a body captures it."""
     slots: List[object] = []
     callbacks: List[object] = []
     final = translated.final_slot
     if final is not None:
         slots.append(final)
+        if final.ic is None and final.exit.kind == ExitKind.INDIRECT:
+            final.ic = [-1, {}]
     points_by_index = translated.points_by_index
     for index, uop in enumerate(translated.trace.uops):
         for point in points_by_index.get(index, ()):
@@ -508,24 +529,37 @@ class TraceCompiler:
         self.host.compiles += 1
         return body
 
-    def compile_region(self, members: List[TranslatedTrace]):
+    def compile_region(self, members: List[TranslatedTrace], back_edge=None):
         """Fuse a stable hot chain into one superblock closure.
 
-        ``members`` is the chain in execution order (head first); every
-        member must be resident and every junction link patched — the
-        engine's fusion driver (:meth:`repro.vm.engine.Engine._maybe_fuse`)
-        validates both.  Returns the region closure (the caller installs
-        it as the *head* trace's ``compiled_body``; middle members keep
-        their solo closures for middle entry), or None when any member
-        cannot be specialized.
+        ``members`` is the chain in execution order (head first): each
+        member hands over to the next through its final exit, a patched
+        direct link or an indirect exit whose inline cache names the next
+        member.  ``back_edge``, when given, is the slot of the last member
+        (a branch-taken or final exit) that hands back to the head: the
+        region is then a loop, and the slot's exit is a guarded
+        ``continue``.  The engine's fusion driver
+        (:meth:`repro.vm.engine.Engine._maybe_fuse`) checks that every
+        member is resident and every hand-over is current.  Returns the
+        region closure (the caller installs it as the *head* trace's
+        ``compiled_body``; the other members keep their solo closures for
+        entry from outside), or None when a member cannot be specialized.
 
         Region factories ride the same memo and sidecar as trace
-        factories under a composite key: link slots, member trace
-        objects and analysis callbacks are runtime captures re-bound per
-        run, so no link state ever enters the marshaled code object.
+        factories under a composite key that names the back edge: link
+        slots, inline caches, member trace objects and analysis callbacks
+        are runtime captures re-bound per run, so no link state ever
+        enters the marshaled code object.
         """
         try:
-            key = ("region",) + tuple(
+            back = None
+            if back_edge is not None:
+                back = next((index for index, slot
+                             in enumerate(members[-1].links)
+                             if slot is back_edge), None)
+                if back is None:
+                    raise CompileError("the back edge is not the tail's")
+            key = ("region", back) + tuple(
                 _trace_key(member, self.cost) for member in members
             )
             slots: List[object] = []
@@ -536,7 +570,8 @@ class TraceCompiler:
                 callbacks.extend(member_callbacks)
             make = self._factory(
                 key,
-                lambda: self._generate_region(members, slots, callbacks),
+                lambda: self._generate_region(
+                    members, slots, callbacks, back_edge),
                 "<region@0x%x>" % members[0].entry,
             )
             body = make(self._context, slots, callbacks, members)
@@ -621,7 +656,7 @@ class TraceCompiler:
         )
 
     def _generate_region(
-        self, members: List[TranslatedTrace], slots, callbacks
+        self, members: List[TranslatedTrace], slots, callbacks, back_edge
     ) -> str:
         """Produce the factory source for one superblock region.
 
@@ -629,25 +664,30 @@ class TraceCompiler:
         ``slots``/``callbacks`` concatenate the members' capture lists in
         chain order, ``members`` are the member trace objects the
         junction guards compare by identity.  The body is the members'
-        solo bodies concatenated; every junction emits the departing
-        member's exact exit accounting, then a link-identity + budget
-        guard that either falls through into the next member's body or
-        side-exits through the member's own final slot.
+        solo bodies concatenated; the exit each member hands over through
+        is a junction (:meth:`_emit_junction`) into the next member's
+        body.  With a ``back_edge`` the body is a ``while True:`` loop,
+        and the last member's junction through it goes back to the head.
         """
         slot_names = {id(slot): "slot%d" % i for i, slot in enumerate(slots)}
         uses: set = {"links"}
         emit = _Emitter()
         emit.emit("links.region_entries += 1")
+        if back_edge is not None:
+            emit.emit("while True:")
+            emit.indent = 1
         cb_base = 0
+        last = len(members) - 1
         for position, member in enumerate(members):
-            junction = None
-            if position + 1 < len(members):
-                junction = self._make_junction(
-                    emit, uses, member, members[position + 1],
-                    position + 1, slot_names,
-                )
+            if position < last:
+                hand_over = (member.final_slot, position + 1,
+                             members[position + 1].entry)
+            elif back_edge is not None:
+                hand_over = (back_edge, 0, members[0].entry)
+            else:
+                hand_over = None
             cb_base = self._emit_trace_body(
-                emit, uses, member, slot_names, cb_base, junction=junction,
+                emit, uses, member, slot_names, cb_base, hand_over,
                 inline_memory=True,
             )
         return self._factory_source(
@@ -655,60 +695,69 @@ class TraceCompiler:
             region_members=len(members),
         )
 
-    def _make_junction(self, emit, uses, member, nxt, nxt_pos, slot_names):
-        """Build the emit-callback for one intra-region junction.
+    @staticmethod
+    def _emit_junction(emit, uses, successor: str, leave: str,
+                       position: int, depth: int) -> None:
+        """One region junction, where the exit ``leave`` would return
+        ``successor``: it falls through into member ``position``'s body
+        only while ``successor`` is that member and the instruction
+        budget holds, and otherwise leaves exactly as the solo body does.
 
         The guard is self-healing by construction: eviction/SMC/flush
-        eagerly unlink every incoming slot, so ``linked_resident is not
-        <next member>`` catches a dead or replaced successor the moment
-        control reaches the junction — even for regions already on the
-        call stack — and the side exit re-enters the normal (slot,
-        resident) protocol.  The budget re-check makes a fused chain
-        fault at exactly the boundary the dispatcher would have.
+        eagerly unlink every incoming slot and bump the code-cache
+        generation an inline cache is read under, so a dead or replaced
+        member fails the identity test the moment control reaches the
+        junction, even in a region already on the call stack.  The
+        budget test makes a region fault at exactly the boundary the
+        dispatcher would have.  Member 0 is the head, so a junction into
+        it is a loop's back edge and ends in ``continue``.
         """
-        final = member.final_slot
-        if final is None or not final.is_linkable:
+        member = "m%d" % position
+        uses.update(("links", "budget", member))
+        emit.emit(
+            "if %s is not %s or stats.instructions_executed >= budget:"
+            % (successor, member), depth
+        )
+        emit.emit(leave, depth + 1)
+        emit.emit("%s.executions += 1" % member, depth)
+        emit.emit("links.region_hops += 1", depth)
+        if position == 0:
+            emit.emit("continue", depth)
+
+    def _emit_direct_exit(self, emit, uses, slot, target_pc: int,
+                          slot_names, hand_over, depth: int = 2) -> bool:
+        """Leave through direct-exit ``slot`` to ``target_pc``: return
+        the slot's patched successor to the engine, or, when ``slot`` is
+        the one the region member hands over through, a junction.
+        Returns whether it was."""
+        name = slot_names[id(slot)]
+        leave = ("return (%d, %s, None, %s.linked_resident)"
+                 % (target_pc, name, name))
+        if hand_over is None or hand_over[0] is not slot:
+            emit.emit(leave, depth)
+            return False
+        _slot, position, entry = hand_over
+        if not slot.is_linkable or target_pc != entry:
             raise CompileError(
-                "region member 0x%x has no linkable final exit"
-                % member.entry
+                "junction at 0x%x does not reach member 0x%x"
+                % (target_pc, entry)
             )
-        final_name = slot_names[id(final)]
-        next_name = "m%d" % nxt_pos
-        next_entry = nxt.entry
-
-        def junction(target_pc: int, emit_accounting) -> None:
-            if target_pc != next_entry:
-                raise CompileError(
-                    "junction target 0x%x does not reach member 0x%x"
-                    % (target_pc, next_entry)
-                )
-            emit_accounting()
-            uses.update(("links", "budget"))
-            emit.emit(
-                "if %s.linked_resident is not %s"
-                " or stats.instructions_executed >= budget:"
-                % (final_name, next_name)
-            )
-            emit.emit(
-                "return (%d, %s, None, %s.linked_resident)"
-                % (target_pc, final_name, final_name), 3
-            )
-            emit.emit("%s.executions += 1" % next_name)
-            emit.emit("links.region_hops += 1")
-
-        return junction
+        self._emit_junction(emit, uses, "%s.linked_resident" % name,
+                            leave, position, depth)
+        return True
 
     def _emit_trace_body(
-        self, emit, uses, translated, slot_names, cb_base, junction=None,
+        self, emit, uses, translated, slot_names, cb_base, hand_over=None,
         inline_memory=False,
     ) -> int:
         """Emit one trace's inlined instruction semantics at depth 2.
 
         Shared by solo-trace and region generation: ``slot_names`` maps
         link-slot identity to bound local names, analysis callbacks are
-        named ``cb<k>`` counting from ``cb_base``.  ``junction`` (region
-        non-last members only) replaces the final linkable exit's return
-        with an inline guard + fall-through into the next member's body.
+        named ``cb<k>`` counting from ``cb_base``.  ``hand_over`` (region
+        members) is ``(slot, position, entry)``: the exit through
+        ``slot`` continues into the region's member ``position``, at
+        ``entry``, through a junction instead of returning.
         ``inline_memory`` (region members) emits each memory op as an
         inline window hit (:meth:`_emit_memory_op`) instead of one call
         of the machine's word access.  Returns the callback index after
@@ -723,6 +772,7 @@ class TraceCompiler:
         cost = self.cost
         ti = cost.translated_inst
         points_by_index = translated.points_by_index
+        handed_over = False
 
         def exit_accounting(steps: int, depth: int = 2) -> None:
             # Inlined stats.charge_exec — same fields, same order, same
@@ -734,27 +784,17 @@ class TraceCompiler:
             emit.emit("stats._total += %s" % lit, depth)
 
         final = translated.final_slot
-        final_name = slot_names[id(final)] if final is not None else None
 
-        def final_exit(target_pc: int, steps: int, index: int) -> None:
+        def final_exit(target_pc: int, steps: int) -> bool:
             # The final direct exit (terminator or fall-through): probe
             # the link seam so a patched exit hands the successor trace
             # straight to the engine's dispatch loop.
-            if junction is not None:
-                if index != n - 1:
-                    raise CompileError(
-                        "junction exit is not the trace terminator"
-                    )
-                junction(target_pc, lambda: exit_accounting(steps))
-            elif final_name is None:
-                exit_accounting(steps)
+            exit_accounting(steps)
+            if final is None:
                 emit.emit("return (%d, None, None, None)" % target_pc)
-            else:
-                exit_accounting(steps)
-                emit.emit(
-                    "return (%d, %s, None, %s.linked_resident)"
-                    % (target_pc, final_name, final_name)
-                )
+                return False
+            return self._emit_direct_exit(
+                emit, uses, final, target_pc, slot_names, hand_over)
 
         cb_index = cb_base
         for index in range(n):
@@ -829,13 +869,11 @@ class TraceCompiler:
                 _store(emit, uses, rd, operand, may_overflow=True)
             elif kind == "branch":
                 if imm != 0:
-                    taken = pc + INSTRUCTION_SIZE + imm
-                    slot_name = slot_names[id(translated.branch_slots[index])]
                     emit.emit("if %s:" % operand)
                     exit_accounting(index + 1, 3)
-                    emit.emit(
-                        "return (%d, %s, None, %s.linked_resident)"
-                        % (taken, slot_name, slot_name), 3
+                    handed_over |= self._emit_direct_exit(
+                        emit, uses, translated.branch_slots[index],
+                        pc + INSTRUCTION_SIZE + imm, slot_names, hand_over, 3,
                     )
                 # A zero-offset taken branch lands on the fall-through
                 # address: indistinguishable from not-taken, stays inline.
@@ -848,11 +886,11 @@ class TraceCompiler:
                 if kind == "call":
                     emit.emit("r[%d] = %d" % (regs.LR, pc + INSTRUCTION_SIZE))
                 if direct:
-                    final_exit(imm, index + 1, index)
+                    handed_over |= final_exit(imm, index + 1)
                 else:
                     exit_accounting(index + 1)
-                    self._emit_indirect_exit(
-                        emit, uses, translated, final_name
+                    handed_over |= self._emit_indirect_exit(
+                        emit, uses, final, slot_names, hand_over
                     )
             elif kind == "syscall":
                 uses.add("syscall_step")
@@ -870,7 +908,12 @@ class TraceCompiler:
 
         if kind not in ("jump", "call", "syscall", "halt"):
             # The last uop does not leave: instruction-limit fall-through.
-            final_exit(entry + n * INSTRUCTION_SIZE, n, n - 1)
+            handed_over |= final_exit(entry + n * INSTRUCTION_SIZE, n)
+        if hand_over is not None and not handed_over:
+            raise CompileError(
+                "region member 0x%x cannot hand over through its exit"
+                % entry
+            )
         return cb_index
 
     @staticmethod
@@ -909,22 +952,19 @@ class TraceCompiler:
         for name in self._CAPTURE_NAMES:
             if name in uses:
                 out.emit("%s = C.%s" % (name, name), 1)
-        if "ic" in uses:
-            # The indirect inline cache: [generation seen at last use,
-            # {target: resident} of every target the site has resolved
-            # since].  One cell per closure (a trace has at most one
-            # indirect exit, and only a region's last member can own
-            # one), fresh per factory binding so a run never inherits
-            # another run's residents.
-            out.emit("ic = [-1, {}]", 1)
         for i in range(n_slots):
             out.emit("slot%d = slots[%d]" % (i, i), 1)
+            if "ic%d" % i in uses:
+                # The slot's inline cache, shared with every body that
+                # captures the slot (see _emit_indirect_exit).
+                out.emit("ic%d = slot%d.ic" % (i, i), 1)
         for i in range(n_callbacks):
             out.emit("cb%d = callbacks[%d]" % (i, i), 1)
-        # Junction guards compare successors by identity; the head
-        # (members[0]) is entered by the caller and never referenced.
-        for i in range(1, region_members):
-            out.emit("m%d = members[%d]" % (i, i), 1)
+        # Junction guards compare members by identity; the head
+        # (members[0]) is referenced only by a loop's back edge.
+        for i in range(region_members):
+            if "m%d" % i in uses:
+                out.emit("m%d = members[%d]" % (i, i), 1)
         out.emit("def run():", 1)
         out.emit("r = machine.registers")
         if "window" in uses:
@@ -934,29 +974,34 @@ class TraceCompiler:
         return out.source()
 
     def _emit_indirect_exit(
-        self, emit: _Emitter, uses: set, translated, final_name
-    ) -> None:
-        """Terminator through the indirect-target resolver.
+        self, emit: _Emitter, uses: set, final, slot_names, hand_over
+    ) -> bool:
+        """Terminator through the indirect-target resolver; returns
+        whether it is the junction ``hand_over`` names.
 
         Mirrors the interpreted dispatcher: an INDIRECT final exit pays
-        the hash-lookup charge and returns to the dispatcher slot-less;
-        any other final-exit kind (not reachable for JR/RET/CALLR traces
-        built by the selector, but persisted caches are data) leaves via
-        the final slot.
+        the hash-lookup charge and returns to the dispatcher with its
+        slot; any other final-exit kind (not reachable for JR/RET/CALLR
+        traces built by the selector, but persisted caches are data)
+        leaves via the final slot's link.
 
         The INDIRECT path carries an inline cache (Pin's indirect-branch
-        chaining): one ``{target: resident}`` dict per site, validated
-        wholesale against the code-cache generation.  The body probes
-        it inline: a current cell that holds the target returns its
-        resident.  Every other path is one call to the run's
-        ``ic_resolve`` (:func:`inline_cache_helper`): a generation
-        advance empties the dict — an evicted trace can never be
-        dispatched — and a miss resolves through the translation map
-        and fills the dict.  One helper instead of a copy per body
-        keeps every body with an indirect exit small.  A dict answers
-        every target the site has resolved in one probe, so a site with
-        two, three or eight live targets hits as often as a
-        monomorphic one.
+        chaining): the slot's ``ic`` cell, ``[generation, {target:
+        resident}]``, validated wholesale against the code-cache
+        generation.  The cell belongs to the slot, so the trace's solo
+        body and every region holding it share one cell, and the
+        engine's fusion walk reads its prediction there.  The body
+        probes it inline: a current cell that holds the target returns
+        its resident, or, at a region junction, falls through into the
+        next member when the resident is that member.  Every other path
+        is one call to the run's ``ic_resolve``
+        (:func:`inline_cache_helper`): a generation advance empties the
+        dict — an evicted trace can never be dispatched — and a miss
+        resolves through the translation map and fills the dict.  One
+        helper instead of a copy per body keeps every body with an
+        indirect exit small.  A dict answers every target the site has
+        resolved in one probe, so a site with two, three or eight live
+        targets hits as often as a monomorphic one.
 
         Cycle charges and ``indirect_resolutions`` are emitted before
         the cache code and are identical on every path — all model the
@@ -964,23 +1009,32 @@ class TraceCompiler:
         bit-identical; only the host-side
         ``HostStats.ic`` counters see the difference.
         """
-        final = translated.final_slot
-        if final is not None and final.exit.kind == ExitKind.INDIRECT:
-            uses.update(("ic", "ics", "cache", "ic_resolve"))
-            lit = _flt(self.cost.indirect_resolution)
-            emit.emit("stats.translated_exec_cycles += %s" % lit)
-            emit.emit("stats._total += %s" % lit)
-            emit.emit("stats.indirect_resolutions += 1")
-            emit.emit("if ic[0] == cache.generation:")
-            emit.emit("e = ic[1].get(target)", 3)
-            emit.emit("if e is not None:", 3)
-            emit.emit("ics.hits += 1", 4)
-            emit.emit("return (target, None, None, e)", 4)
-            emit.emit("return (target, None, None, ic_resolve(ic, target))")
-        elif final_name is None:
+        if final is None:
             emit.emit("return (target, None, None, None)")
-        else:
+            return False
+        name = slot_names[id(final)]
+        junction = hand_over is not None and hand_over[0] is final
+        if final.exit.kind != ExitKind.INDIRECT:
+            if junction:
+                raise CompileError("a static exit of an indirect jump")
             emit.emit(
-                "return (target, %s, None, %s.linked_resident)"
-                % (final_name, final_name)
+                "return (target, %s, None, %s.linked_resident)" % (name, name)
             )
+            return False
+        ic = "ic" + name[len("slot"):]
+        uses.update(("ics", "cache", "ic_resolve", ic))
+        lit = _flt(self.cost.indirect_resolution)
+        emit.emit("stats.translated_exec_cycles += %s" % lit)
+        emit.emit("stats._total += %s" % lit)
+        emit.emit("stats.indirect_resolutions += 1")
+        emit.emit("if %s[0] != cache.generation or (e := %s[1].get(target))"
+                  " is None:" % (ic, ic))
+        emit.emit("return (target, %s, None, ic_resolve(%s, target))"
+                  % (name, ic), 3)
+        emit.emit("ics.hits += 1")
+        leave = "return (target, %s, None, e)" % name
+        if junction:
+            self._emit_junction(emit, uses, "e", leave, hand_over[1], 2)
+        else:
+            emit.emit(leave)
+        return junction

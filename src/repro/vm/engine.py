@@ -45,6 +45,7 @@ from repro.vm.codecache import (
 )
 from repro.vm.compile import (
     DEFAULT_COMPILE_THRESHOLD,
+    LOOP_FUSE_THRESHOLD,
     REGION_FUSE_THRESHOLD,
     REGION_MAX_MEMBERS,
     TraceCompiler,
@@ -67,7 +68,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.9.0"
+VM_VERSION = "repro-dbi-1.10.0"
 
 
 class EngineError(Exception):
@@ -325,7 +326,8 @@ class Engine:
         stats.vm_entries += 1
         resident = cache.lookup(pc)
         # The trace whose closure handed ``resident`` over, and the slot
-        # it left through (None for an inline-cache prediction).
+        # it left through (an indirect one for an inline-cache
+        # prediction).
         chained_from = chained_via = None
         while pc is not None:
             if stats.instructions_executed >= budget:
@@ -356,22 +358,24 @@ class Engine:
                     if body is UNCOMPILABLE:
                         links.link_bounces += 1
                     elif body is not None:
-                        if chained_via is None:
+                        if chained_via.exit.kind == indirect:
                             links.link_ic_hops += 1
                         else:
                             links.link_direct_hops += 1
-                            hops = chained_via.hop_count + 1
-                            chained_via.hop_count = hops
-                            # Only a hop through the trace's own final
-                            # exit heads a chain; a branch-taken side
-                            # exit, or a region's tail, walks nothing new,
-                            # and fusing from a member of a live region
-                            # would nest regions.
-                            if (hops % REGION_FUSE_THRESHOLD == 0
-                                    and chained_via is chained_from.final_slot
-                                    and cache.region_of(
-                                        chained_from.entry) is None):
-                                self._maybe_fuse(chained_from, cache, compiler)
+                        hops = chained_via.hop_count + 1
+                        chained_via.hop_count = hops
+                        # Every REGION_FUSE_THRESHOLD-th hop through a
+                        # trace's own final exit heads a walk from that
+                        # trace, which finds any loop the trace is in:
+                        # a loop of two or more members has a final-exit
+                        # edge.  A region member's final exit walks
+                        # nothing new, and fusing from a member of a
+                        # live region would nest regions.
+                        if (hops % REGION_FUSE_THRESHOLD == 0
+                                and chained_via is chained_from.final_slot
+                                and cache.region_of(
+                                    chained_from.entry) is None):
+                            self._maybe_fuse(chained_from, cache, compiler)
                     chained_from = None
 
             if body is not None and body is not UNCOMPILABLE:
@@ -573,64 +577,92 @@ class Engine:
             index += 1
 
     def _maybe_fuse(self, cur, cache, compiler) -> None:
-        """Try to fuse the stable hot chain headed by ``cur`` into a
-        superblock region.
+        """Try to fuse the hot chain headed by ``cur``, or the hot loop it
+        runs into, into a superblock region.
 
         Called by the dispatch loop whenever a chained exit through
-        ``cur``'s final-exit link brings its hop count to a multiple of
+        ``cur``'s final exit brings its hop count to a multiple of
         :data:`~repro.vm.compile.REGION_FUSE_THRESHOLD`, unless ``cur``
-        is a member of a live region.  ``cur`` never heads a live region
-        here either: a region body leaves through its head's final slot
-        only when that link no longer reaches the second member, whose
-        eviction dropped the region, or when the instruction budget ran
-        out, which the loop checks before it counts the hop.  The walk
-        follows final-exit links from ``cur`` that are patched,
-        consistent (the linked resident sits at the static target) and
-        hot, stopping at cycles, members of a region,
-        not-yet-demand-loaded persistent traces and uncompilable
-        successors.  Failure is cheap and retried: counters keep
-        climbing, so the next threshold crossing tries again.
+        is a member of a live region.
+
+        The walk goes from each trace to its hot successor
+        (:func:`_hot_successor`) and stops at
+        :data:`~repro.vm.compile.REGION_MAX_MEMBERS` traces, at a member
+        of a region, at a persisted trace not yet demand-loaded and at
+        an uncompilable one.  When it comes back to a trace it passed
+        other than the last, the chain closes a cycle: a loop, whose
+        head is the target of its one branch-taken edge, or the trace
+        the walk came back to when every edge is a final exit.  The edge
+        into the head is the back edge.  A loop fuses into one closure
+        (:meth:`~repro.vm.compile.TraceCompiler.compile_region` with the
+        back edge) once its back edge has been taken
+        :data:`~repro.vm.compile.LOOP_FUSE_THRESHOLD` times, and not at
+        all before: a straight piece of it would still leave through the
+        dispatcher on every iteration.  A chain with no cycle, one whose
+        last trace loops on itself, or one whose cycle has two
+        branch-taken edges, fuses straight up to its first branch-taken
+        edge.  Failure is cheap and retried: counters keep climbing, so
+        the next threshold crossing tries again.
         """
         links = self.host.links
         chain = [cur]
-        seen = {cur.entry}
+        # via[i] is the slot chain[i] hands over to chain[i + 1] through,
+        # and the last one, when the walk came back, the closing edge.
+        via = []
+        position = {cur.entry: 0}
+        closes = None
         node = cur
-        while len(chain) < REGION_MAX_MEMBERS:
-            link = node.final_slot
-            if link is None or not link.is_linkable:
+        while True:
+            slot, nxt = _hot_successor(node, cache)
+            if nxt is None:
                 break
-            nxt = link.linked_resident
-            if (
-                nxt is None
-                or nxt.entry != link.exit.target
-                or nxt.entry in seen
-            ):
+            if nxt.entry in position:
+                closes = position[nxt.entry]
+                via.append(slot)
                 break
-            if link.hop_count < REGION_FUSE_THRESHOLD - 1:
-                break  # not yet proven hot
-            if cache.region_of(nxt.entry) is not None:
-                break  # belongs to a region
-            if not nxt.demand_loaded:
-                break  # keep demand-load charges out of fused bodies
-            next_body = nxt.compiled_body
-            if next_body is None:
-                next_body = compiler.compile(nxt)
-            if next_body is UNCOMPILABLE:
+            if (len(chain) == REGION_MAX_MEMBERS
+                    or cache.region_of(nxt.entry) is not None
+                    or not nxt.demand_loaded
+                    or nxt.compiled_body is UNCOMPILABLE):
                 break
+            position[nxt.entry] = len(chain)
             chain.append(nxt)
-            seen.add(nxt.entry)
+            via.append(slot)
             node = nxt
-        if len(chain) < 2:
-            links.fusion_aborts += 1
-            return
-        region_body = compiler.compile_region(chain)
+        back_edge = None
+        if closes is not None and closes < len(chain) - 1:
+            loop, edges = chain[closes:], via[closes:]
+            branches = [index for index, slot in enumerate(edges)
+                        if slot.exit.kind == _BRANCH_TAKEN]
+            if len(branches) < 2:
+                if branches:
+                    turn = branches[0] + 1
+                    loop = loop[turn:] + loop[:turn]
+                    edges = edges[turn:] + edges[:turn]
+                if edges[-1].hop_count < LOOP_FUSE_THRESHOLD:
+                    links.fusion_aborts += 1
+                    return
+                chain, back_edge = loop, edges[-1]
+        if back_edge is None:
+            for index, slot in enumerate(via[:len(chain) - 1]):
+                if slot.exit.kind == _BRANCH_TAKEN:
+                    chain = chain[:index + 1]
+                    break
+        for member in chain:
+            if member.compiled_body is None:
+                compiler.compile(member)
+        region_body = None
+        if len(chain) > 1 and all(
+                member.compiled_body is not UNCOMPILABLE for member in chain):
+            region_body = compiler.compile_region(chain, back_edge)
         if region_body is None:
             links.fusion_aborts += 1
             return
         # Install: the fused closure is the head's body, so every patched
         # link and translation-map hit into the head enters the region;
-        # middle members keep their solo closures for middle entry.
-        cur.compiled_body = region_body
+        # the other members keep their solo closures for entry from
+        # outside.
+        chain[0].compiled_body = region_body
         cache.register_region([member.entry for member in chain])
         links.regions_fused += 1
 
@@ -671,3 +703,42 @@ class Engine:
             stats.signals_emulated += 1
         # Trace ends at the syscall; resume through the map.
         return next_pc, exit_status
+
+
+_BRANCH_TAKEN = ExitKind.BRANCH_TAKEN
+
+
+def _hot_successor(node, cache):
+    """``(slot, resident)``: the trace a fusion walk goes on to from
+    ``node`` and the slot ``node`` hands over through, or ``(None,
+    None)``.
+
+    The final exit comes first, once it has been taken
+    ``REGION_FUSE_THRESHOLD - 1`` times: its patched link to the resident
+    at its target, or, for an indirect exit, the one resident its inline
+    cache predicts under the current code-cache generation.  Failing
+    that, the hottest patched branch-taken exit taken as often, which may
+    close a loop.
+    """
+    hot = REGION_FUSE_THRESHOLD - 1
+    final = node.final_slot
+    if final is not None and final.hop_count >= hot:
+        nxt = final.linked_resident
+        if nxt is not None:
+            if nxt.entry == final.exit.target:
+                return final, nxt
+        elif final.ic is not None:
+            generation, targets = final.ic
+            if generation == cache.generation and len(targets) == 1:
+                (nxt,) = targets.values()
+                return final, nxt
+    best = None
+    for slot in node.branch_slots.values():
+        nxt = slot.linked_resident
+        if (slot.hop_count >= hot and nxt is not None
+                and nxt.entry == slot.exit.target
+                and (best is None or slot.hop_count > best.hop_count)):
+            best = slot
+    if best is None:
+        return None, None
+    return best, best.linked_resident

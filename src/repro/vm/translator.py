@@ -87,18 +87,25 @@ class LinkSlot:
     linked_resident: Optional["TranslatedTrace"] = field(
         default=None, repr=False, compare=False
     )
-    #: Chain-hotness profile: chained exits taken through this slot
-    #: while patched (repro.vm.engine).  Host-side only — feeds the
-    #: superblock-fusion threshold, never simulated accounting.  Reset
-    #: on unlink (a re-formed link must re-prove stability); abandoned
-    #: fusion attempts keep the count, so the next threshold multiple
-    #: retries for free.
+    #: Chain-hotness profile: chained exits taken through this slot,
+    #: patched or predicted by its inline cache (repro.vm.engine).
+    #: Host-side only — feeds the superblock-fusion thresholds, never
+    #: simulated accounting.  Reset on unlink (a re-formed link must
+    #: re-prove stability); abandoned fusion attempts keep the count, so
+    #: the next threshold multiple retries for free.
     hop_count: int = field(default=0, compare=False)
+    #: An indirect exit's inline cache, ``[generation, {target:
+    #: resident}]`` (repro.vm.compile): made when a compiled body first
+    #: captures the slot, then shared by every body that holds it, and
+    #: read by the engine's fusion walk as the exit's prediction.
+    ic: Optional[list] = field(default=None, repr=False, compare=False)
 
     def unlink(self) -> None:
-        """Drop the patch: the exit trampolines into the VM again."""
+        """Drop the patch and the predictions: the exit trampolines into
+        the VM again."""
         self.linked_resident = None
         self.hop_count = 0
+        self.ic = None
 
     @property
     def is_linked(self) -> bool:

@@ -229,9 +229,12 @@ def _build_churn_hot():
 
 # -- churn_region: SMC on a fused superblock member --------------------------
 
-#: Hot-loop trips per phase; must exceed the region-fusion hop threshold
-#: (REGION_FUSE_THRESHOLD = 16 in repro.vm.compile) so the relay chain
-#: actually fuses before the patch lands.
+#: Hot-loop trips per phase.  Each patch evicts the relay's page, so
+#: every phase starts the relay's hop counts over; 24 trips exceed the
+#: region-fusion hop threshold (REGION_FUSE_THRESHOLD = 16 in
+#: repro.vm.compile), so a straight piece of the relay fuses before the
+#: patch lands.  The phase's loop, which would need its back edge taken
+#: LOOP_FUSE_THRESHOLD (64) times on one set of traces, never fuses.
 _REGION_PHASE_TRIPS = 24
 
 #: Straight-line filler per relay stage, keeping each stage its own

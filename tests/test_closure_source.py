@@ -25,15 +25,19 @@ from tests.conftest import image_from_asm
 CLOSURE_SOURCE_SHA256 = {
     "repro-dbi-1.9.0":
         "e93957eebf7929b6dba5e4c5ecc8fa312b4d22c9510e161199783081e9606f44",
+    "repro-dbi-1.10.0":
+        "ab43d29b073ba3415f078eb8b8d7da7bf188d6d9efa824863224b67767250aaa",
 }
 
 #: Every opcode, so every kind of :data:`repro.machine.cpu.SEMANTICS`;
 #: ``ret`` and ``jr`` exits through the indirect inline cache; the hot
-#: ``loop`` -> ``second`` -> ``third`` chain of jmp-linked traces, whose
-#: first two hold loads and stores, fuses into a region.
+#: ``loop`` -> ``second`` -> ``helper`` -> ``third`` cycle, whose first
+#: two traces hold loads and stores, runs past the loop threshold and
+#: fuses into a loop region: ``helper``'s ``ret`` is an indirect
+#: junction, and ``third``'s ``bge`` the back edge.
 CORPUS = """
 main:
-    movi t0, 40
+    movi t0, 100
     movi t1, 3
 loop:
     st   t1, 0(sp)
@@ -56,6 +60,7 @@ second:
     shri t7, t7, 1
     st   t7, 8(sp)
     ld   t7, 8(sp)
+    call helper
     jmp  third
 third:
     lui  t8, 2
@@ -115,7 +120,9 @@ def test_closure_source_is_pinned_per_vm_version(monkeypatch):
     # What the corpus must cover for the digest to pin every code path.
     kinds = {SEMANTICS[uop[0]].kind for uop in plain_uops + tooled_uops}
     assert kinds == {row.kind for row in SEMANTICS.values()}
-    assert any("ic_resolve(ic, target)" in source for source in plain)
+    assert any("ic_resolve(ic0, target)" in source for source in plain)
+    assert any("while True:" in source and "if e is not m" in source
+               for source in plain)
     assert any("cb0(acx)" in source for source in tooled)
     assert any("pack_into(wd, o, v)" in source
                and "unpack_from(wd, o)" in source for source in plain)

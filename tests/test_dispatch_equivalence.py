@@ -37,6 +37,7 @@ from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
+from repro.vm.compile import LOOP_FUSE_THRESHOLD, REGION_FUSE_THRESHOLD
 from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import (
     CODE_PAGE,
@@ -786,18 +787,21 @@ class TestInstrumentation:
         assert runs["interpreted"] == runs["compiled"]
 
 
-def build_chain_smc_image(iters=24):
+def build_chain_smc_image(
+    iters=LOOP_FUSE_THRESHOLD + 2 * REGION_FUSE_THRESHOLD,
+):
     """SMC on a *direct-linked* (and by then region-fused) successor.
 
     ``patchme`` sits alone on code page 0 (the filler pads everything
     else onto page 1) and is reached through a direct ``call`` — the
     exact slot a closure chains through and the fusion driver walks.
-    The loop runs long enough for the call slot to cross the fusion
-    threshold (the two-trace chain call-site -> ``patchme`` fuses into a
-    region), then the last iteration patches ``patchme[0]`` before the
-    call: the eviction must unlink the incoming slot, kill the region,
-    and the very next call must reach the *new* code (exit 99).  A stale
-    link or a surviving fused body would execute the old instruction.
+    The loop runs long enough for its back edge to cross the loop
+    threshold and for the next walk to find it (the loop, ``patchme``
+    and its call site among its members, fuses into one region), then the last iteration patches
+    ``patchme[0]`` before the call: the eviction must unlink the
+    incoming slot, kill the region, and the very next call must reach
+    the *new* code (exit 7).  A stale link or a surviving fused body
+    would execute the old instruction.
     """
     from tests.test_smc import _word_of
 
@@ -882,17 +886,19 @@ class TestTraceLinking:
             assert results["interpreted"].link_stats.chained_exits == 0
 
     def test_relay_ring_fuses_into_one_region(self):
-        """relay_4 fits one region: steady state is one region entry
-        plus one back-edge hop per iteration, with zero per-exit
-        dispatcher re-entries (the acceptance criterion)."""
+        """relay_4's ring fits one region, a loop: it is entered once,
+        and every later transfer, its back edge included, is a hop
+        inside it, with zero per-exit dispatcher re-entries."""
         workload = self._suite()["relay_4"]
         result = run_vm(workload, "run", vm_config=_config("compiled"))
         links = result.link_stats
         assert links.link_bounces == 0, links
         assert links.regions_fused == 1, links
-        # 4000 iterations, 4 transfers each: nearly all stay host-side.
-        assert links.chained_exits > 3 * 4000, links
-        assert links.region_entries > 3500, links
+        assert links.region_entries == 1, links
+        # 4000 iterations, 4 transfers each: all but those before the
+        # back edge reached the loop threshold stay in the loop.
+        assert links.region_hops > 3.5 * 4000, links
+        assert links.link_direct_hops <= 4 * (LOOP_FUSE_THRESHOLD + 1), links
 
     def test_long_relay_splits_at_region_cap(self):
         """relay_12 exceeds ``REGION_MAX_MEMBERS``: the fusion driver
@@ -1038,9 +1044,10 @@ class TestRegionFusionDriver:
     only for such a hop."""
 
     def test_relay_ring_calls_the_driver_only_from_a_head(self, monkeypatch):
-        """relay_4 fuses its ring into one region, and the region's
-        back-edge hops, which leave through the last member's final
-        exit, never call the driver again."""
+        """relay_4 fuses its ring into one loop region, which it never
+        leaves, so the driver is called only while the back edge is
+        below the loop threshold: at every ``REGION_FUSE_THRESHOLD``-th
+        hop through each of the three jmp-linked blocks' final exits."""
         from repro.workloads.chains import build_chain_suite
 
         calls = []
@@ -1056,8 +1063,9 @@ class TestRegionFusionDriver:
             vm_config=_eager_config("compiled"),
         )
         assert result.link_stats.regions_fused == 1, result.link_stats
-        assert result.link_stats.region_entries > 3500, result.link_stats
-        assert len(calls) < 10, len(calls)
+        assert result.link_stats.region_entries == 1, result.link_stats
+        tries = LOOP_FUSE_THRESHOLD // REGION_FUSE_THRESHOLD + 1
+        assert len(calls) <= 3 * tries, len(calls)
 
     def test_driver_is_never_called_for_a_region_member(self, monkeypatch):
         """relay_12 fuses regions while its ring keeps chaining through
@@ -1096,9 +1104,11 @@ _UNMAPPED = 0x100
 _HEAP_END = HEAP_BASE + HEAP_SIZE
 
 #: Calls through one direct call site in :func:`_region_loop`.  The
-#: site's trace and the callee fuse into a region at the 16th call
-#: (``REGION_FUSE_THRESHOLD``), so the last calls run in the region body.
-_REGION_CALLS = 24
+#: loop, the site's trace and the callee among its members, fuses into
+#: a region at the first walk after its back edge crossed
+#: ``LOOP_FUSE_THRESHOLD``, which comes within ``REGION_FUSE_THRESHOLD``
+#: rounds, so the last calls run in the region body.
+_REGION_CALLS = LOOP_FUSE_THRESHOLD + 2 * REGION_FUSE_THRESHOLD
 #: :func:`_region_loop`'s call counter, and its last-call flag (1 on the
 #: last call, 0 before).
 _COUNTER, _LAST = regs.S1, regs.T15
@@ -1383,12 +1393,11 @@ class TestMemoryOps:
     def test_fast_path_store_into_executed_anonymous_page_evicts(
         self, monkeypatch
     ):
-        """The heap code's three stores are window hits on both VM
-        tiers: none looks its mapping up through ``write_word``.  The
-        patch, a hit into the executed page, still reaches the machine's
-        SMC probe, once, on every tier, native included, and evicts.
-        (Native execution's first decode of each pc moves the window to
-        the code, so its stores miss.)"""
+        """The heap code's three stores are window hits on every tier,
+        native included: none looks its mapping up through
+        ``write_word``, since a native fetch leaves the window on the
+        data.  The patch, a hit into the executed page, still reaches
+        the machine's SMC probe, once, on every tier, and evicts."""
         image = self.build_heap_code_image()
         slow_writes = []
         original = AddressSpace.write_word
@@ -1421,7 +1430,7 @@ class TestMemoryOps:
         compiled = results["compiled"]
         assert native.exit_status == compiled.exit_status == 99
         assert compiled.stats.smc_invalidations > 0
-        assert counts["interpreted"] == counts["compiled"] == 0
+        assert counts == {mode: 0 for mode in ("native",) + MODES}
         assert code_writes == {mode: [HEAP_BASE]
                                for mode in ("native",) + MODES}
 
@@ -1763,8 +1772,8 @@ class TestMemoryOps:
         """build_second_page_image's straddling store as the region-fused
         ``op``, called each round after ``patchme``.  ``patchme`` sets t8
         before the first patch and t9 after it; main sums ``t8 + 2 *
-        t9``: exit ``(500 + 23 * 1000) & 127`` = 76, or 96 if the patch
-        was missed."""
+        t9``: exit ``(500 + (_REGION_CALLS - 1) * 1000) & 127``, and
+        another status if the patch was missed."""
         t1, t6, t8, t9 = (regs.T0 + i for i in (1, 6, 8, 9))
         builder = ImageBuilder("second-page-region-app")
         main = FunctionCode()
@@ -1811,7 +1820,8 @@ class TestMemoryOps:
 
         results = assert_equivalent(run_one, context="second-page-region")
         compiled = results["compiled"]
-        assert native.exit_status == compiled.exit_status == 76
+        exit_status = (500 + (_REGION_CALLS - 1) * 1000) & 127
+        assert native.exit_status == compiled.exit_status == exit_status
         assert compiled.stats.smc_invalidations > 0
         assert compiled.link_stats.regions_fused > 0
         assert any(writes["compiled"])
@@ -2331,6 +2341,28 @@ class TestColdTier:
         result = run_vm(gui_suite["gvim"], "startup")
         assert result.instructions > 100_000
         assert run_uops_calls[0] > 5_000
+        assert len(calls) <= 4, calls
+
+    def test_native_gvim_startup_reads_memory_through_the_window(
+        self, monkeypatch, gui_suite
+    ):
+        """A native fetch reads the mapping that holds the pc and leaves
+        the window where it is, so a native gvim start-up's loads and
+        stores miss the window as seldom as the VM's do."""
+        calls = []
+        for name in ("read_word", "write_word"):
+            original = getattr(AddressSpace, name)
+
+            def spy(space, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(space, *args)
+
+            monkeypatch.setattr(AddressSpace, name, spy)
+        gvim = gui_suite["gvim"]
+        machine = Machine(gvim.load())
+        machine.set_args(*gvim.input("startup").to_args())
+        result = run_native(machine)
+        assert result.instructions > 100_000
         assert len(calls) <= 4, calls
 
     def _in_trace_smc_runs(self):

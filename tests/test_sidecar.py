@@ -33,7 +33,9 @@ from repro.persist.sidecar import (
     SidecarError,
     host_code_tag,
 )
+from repro.vm.compile import LOOP_FUSE_THRESHOLD, REGION_FUSE_THRESHOLD
 from repro.vm.engine import VM_VERSION, Engine, VMConfig
+from repro.workloads.builder import InputSpec
 from repro.workloads.harness import run_vm
 
 from tests.test_persist_manager import mini_workload, persisted_run
@@ -362,9 +364,15 @@ class TestLineTables:
     def test_persisted_bodies_map_every_instruction_to_one_line(
         self, workload, tmp_path
     ):
+        # Enough hot iterations for the kernel's loop to fuse, so a
+        # region body is among the persisted ones.
+        workload.inputs["loop"] = InputSpec(
+            "loop", features=frozenset({0}),
+            hot_iterations=LOOP_FUSE_THRESHOLD + 2 * REGION_FUSE_THRESHOLD,
+        )
         store = SharedBodyStore(str(tmp_path / "store"), vm_version=VM_VERSION)
         db = CacheDatabase(str(tmp_path / "db"), shared_store=store)
-        result = compiled_run(workload, "a", db)
+        result = compiled_run(workload, "loop", db)
         assert result.link_stats.regions_fused > 0
         path = os.path.join(db.directory, SIDECAR_NAME)
         private = CompiledBodyStore.from_bytes(db.storage.read_bytes(path))

@@ -280,9 +280,15 @@ class TestBodyDigest:
         )
 
     def test_region_key_golden(self):
-        key = ("region", _key(), _key(entry=0x401018, links=((1, 0),)))
+        key = ("region", None, _key(), _key(entry=0x401018, links=((1, 0),)))
         assert _body_digest(key) == (
             "7dd24534767b55dbd7fa5b1ea46dff3f46cd8ccf594971bdad88e1f404826c51"
+        )
+
+    def test_loop_key_golden(self):
+        key = ("region", 0, _key(), _key(entry=0x401018, links=((0, 0),)))
+        assert _body_digest(key) == (
+            "9698c6286b8712d97c4e9bf3b8ad48bc4756b853b36ba94a61b41a38fb2c7c9c"
         )
 
     def test_digest_is_64_hex_characters(self):
@@ -301,7 +307,17 @@ class TestBodyDigest:
 
     def test_region_differs_from_its_member(self):
         member = _key()
-        assert _body_digest(("region", member)) != _body_digest(member)
-        assert _body_digest(("region", member, _key(entry=0x401018))) != (
-            _body_digest(("region", _key(entry=0x401018), member))
-        )
+        assert _body_digest(("region", None, member)) != _body_digest(member)
+        assert _body_digest(
+            ("region", None, member, _key(entry=0x401018))
+        ) != _body_digest(("region", None, _key(entry=0x401018), member))
+
+    def test_loop_differs_from_its_straight_chain(self):
+        """A loop's digest names its back edge: the same members as a
+        straight region, or closed through another exit, differ."""
+        tail = _key(entry=0x401018, links=((0, 0), (2, 1)))
+        digests = {
+            _body_digest(("region", back, _key(), tail))
+            for back in (None, 0, 1)
+        }
+        assert len(digests) == 3
