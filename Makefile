@@ -112,7 +112,11 @@ replay-smoke:
 # window hit that the cold tier's arms and the region sites are
 # rendered from: faults, window, SMC probe, the window's code-free
 # flag, the tiers' agreement on in-trace SMC) on native, oracle, cold
-# and compiled execution; the tier-up's differential suite
+# and compiled execution; the int64-edge corpus of the trace-body pass
+# (tests/test_body_pass.py: every op with an interval rule at and next
+# to the int64 edges, in solo traces and fused loops, and the
+# dead-write boundaries, on native, oracle, cold and compiled execution
+# at thresholds 1 and 32); the tier-up's differential suite
 # (tests/test_tierup.py::TestDifferential: compile thresholds 1, 2 and
 # 32 against the interpreted oracle, through SMC, cache churn and a
 # persistence round trip); and trace selection against a word-by-word
@@ -127,6 +131,7 @@ transparency-smoke:
 		tests/test_dispatch_equivalence.py::TestCodeFreeFlag \
 		tests/test_dispatch_equivalence.py::TestCodeFreeFlagCold \
 		tests/test_dispatch_equivalence.py::TestColdTier \
+		tests/test_body_pass.py \
 		tests/test_tierup.py::TestDifferential \
 		tests/test_vm_trace.py::TestAgainstPerPcFetch \
 		tests/test_vm_trace.py::TestFaults \

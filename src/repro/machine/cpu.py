@@ -347,9 +347,10 @@ class Machine:
                 listener(page_addr)
 
     def set_args(self, *values: int) -> None:
-        """Place program arguments in a0, a1, ... before starting."""
+        """Place program arguments in a0, a1, ... before starting,
+        wrapped to int64 as every register write is."""
         for index, value in enumerate(values):
-            self.registers[regs.A0 + index] = value
+            self.registers[regs.A0 + index] = to_signed_word(value)
 
 
 class OpSemantics(NamedTuple):
@@ -366,10 +367,74 @@ class OpSemantics(NamedTuple):
     #: and ``{lr}`` for the link register.  A ``div`` value divides by
     #: ``d``, the divisor its arm has checked.
     operand: Optional[str] = None
-    #: The result cannot leave int64 for in-range operands (bitwise ops,
-    #: SLT's 0 or 1, MOVI and LUI of a 32-bit immediate), so the compiled
-    #: tier writes it without the wrap check every interpreter write has.
-    overflow_safe: bool = False
+    #: The interval ``(lo, hi)`` an ``alu`` value lies in, before the
+    #: wrap: ``bounds(a, b, same)`` of ``a``, the interval of rs1, ``b``,
+    #: that of rs2, or ``(imm, imm)`` for an op that reads no rs2, and
+    #: ``same``, whether rs2 is rs1.  None for a value with no bound
+    #: (``div``).  The compiled tier's trace-body pass
+    #: (:mod:`repro.vm.bodypass`) writes a value without the wrap check
+    #: every interpreter write has when its interval lies within int64.
+    bounds: Optional[Callable] = None
+
+
+#: Every register holds an int64 (:meth:`Machine.set_args` wraps too).
+INT64 = (-(1 << 63), (1 << 63) - 1)
+
+
+def _bits(value: int) -> int:
+    """All ones up to the highest set bit of ``value`` >= 0."""
+    return (1 << value.bit_length()) - 1
+
+
+def _shifts(b):
+    """The interval of the shift amount ``x & 63`` for ``x`` in ``b``."""
+    if b[0] == b[1]:
+        return b[0] & 63, b[0] & 63
+    return b if 0 <= b[0] and b[1] <= 63 else (0, 63)
+
+
+def _and(a, b, same):
+    # x & y lies in 0..y for y >= 0, whatever x is.
+    if a[0] >= 0 or b[0] >= 0:
+        return 0, min(hi for lo, hi in (a, b) if lo >= 0)
+    return INT64
+
+
+def _or(a, b, same):
+    # Of non-negative x and y, x | y sets no bit above the larger's top
+    # bit, and x ^ y likewise.
+    if a[0] >= 0 and b[0] >= 0:
+        return max(a[0], b[0]), _bits(max(a[1], b[1]))
+    return INT64
+
+
+def _xor(a, b, same):
+    if same:
+        return 0, 0
+    if a[0] >= 0 and b[0] >= 0:
+        return 0, _bits(max(a[1], b[1]))
+    return INT64
+
+
+def _shl(a, b, same):
+    low, high = _shifts(b)
+    return min(a[0] << low, a[0] << high), max(a[1] << low, a[1] << high)
+
+
+def _shr(a, b, same):
+    low, high = _shifts(b)
+    if a[0] >= 0:
+        return a[0] >> high, a[1] >> low
+    return 0, ((1 << 64) - 1) >> low
+
+
+def _add(a, b, same):
+    return a[0] + b[0], a[1] + b[1]
+
+
+def _mul(a, b, same):
+    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(corners), max(corners)
 
 
 #: Every opcode's semantics, defined once.  Both interpreters of
@@ -379,33 +444,41 @@ class OpSemantics(NamedTuple):
 #: access (:func:`word_access`), inline as :data:`WINDOW_ACCESS`.  The
 #: closures' exits and linking are their own; the dispatch-equivalence
 #: suite checks them against the interpreted oracle.  The third column
-#: is ``overflow_safe``.
+#: is ``bounds``.
 SEMANTICS: Dict[int, OpSemantics] = {
     Opcode.NOP: OpSemantics("nop"),
-    Opcode.ADD: OpSemantics("alu", "r[{rs1}] + r[{rs2}]"),
-    Opcode.SUB: OpSemantics("alu", "r[{rs1}] - r[{rs2}]"),
-    Opcode.MUL: OpSemantics("alu", "r[{rs1}] * r[{rs2}]"),
+    Opcode.ADD: OpSemantics("alu", "r[{rs1}] + r[{rs2}]", _add),
+    Opcode.SUB: OpSemantics(
+        "alu", "r[{rs1}] - r[{rs2}]",
+        lambda a, b, same: (0, 0) if same else (a[0] - b[1], a[1] - b[0]),
+    ),
+    Opcode.MUL: OpSemantics("alu", "r[{rs1}] * r[{rs2}]", _mul),
     # int(a / b) truncates toward zero through float division, with its
     # precision for large operands.
     Opcode.DIV: OpSemantics("div", "int(r[{rs1}] / d)"),
-    Opcode.AND: OpSemantics("alu", "r[{rs1}] & r[{rs2}]", True),
-    Opcode.OR: OpSemantics("alu", "r[{rs1}] | r[{rs2}]", True),
-    Opcode.XOR: OpSemantics("alu", "r[{rs1}] ^ r[{rs2}]", True),
-    Opcode.SHL: OpSemantics("alu", "r[{rs1}] << (r[{rs2}] & 63)"),
+    Opcode.AND: OpSemantics("alu", "r[{rs1}] & r[{rs2}]", _and),
+    Opcode.OR: OpSemantics("alu", "r[{rs1}] | r[{rs2}]", _or),
+    Opcode.XOR: OpSemantics("alu", "r[{rs1}] ^ r[{rs2}]", _xor),
+    Opcode.SHL: OpSemantics("alu", "r[{rs1}] << (r[{rs2}] & 63)", _shl),
     Opcode.SHR: OpSemantics(
-        "alu", "(r[{rs1}] & 18446744073709551615) >> (r[{rs2}] & 63)"
+        "alu", "(r[{rs1}] & 18446744073709551615) >> (r[{rs2}] & 63)", _shr
     ),
-    Opcode.SLT: OpSemantics("alu", "1 if r[{rs1}] < r[{rs2}] else 0", True),
-    Opcode.ADDI: OpSemantics("alu", "r[{rs1}] + {imm}"),
-    Opcode.ANDI: OpSemantics("alu", "r[{rs1}] & {imm}", True),
-    Opcode.ORI: OpSemantics("alu", "r[{rs1}] | {imm}", True),
-    Opcode.XORI: OpSemantics("alu", "r[{rs1}] ^ {imm}", True),
-    Opcode.SHLI: OpSemantics("alu", "r[{rs1}] << {sh}"),
+    Opcode.SLT: OpSemantics(
+        "alu", "1 if r[{rs1}] < r[{rs2}] else 0",
+        lambda a, b, same: (0, 0 if same else 1),
+    ),
+    Opcode.ADDI: OpSemantics("alu", "r[{rs1}] + {imm}", _add),
+    Opcode.ANDI: OpSemantics("alu", "r[{rs1}] & {imm}", _and),
+    Opcode.ORI: OpSemantics("alu", "r[{rs1}] | {imm}", _or),
+    Opcode.XORI: OpSemantics("alu", "r[{rs1}] ^ {imm}", _xor),
+    Opcode.SHLI: OpSemantics("alu", "r[{rs1}] << {sh}", _shl),
     Opcode.SHRI: OpSemantics(
-        "alu", "(r[{rs1}] & 18446744073709551615) >> {sh}"
+        "alu", "(r[{rs1}] & 18446744073709551615) >> {sh}", _shr
     ),
-    Opcode.LUI: OpSemantics("alu", "{imm} << 16", True),
-    Opcode.MOVI: OpSemantics("alu", "{imm}", True),
+    Opcode.LUI: OpSemantics(
+        "alu", "{imm} << 16", lambda a, b, same: (b[0] << 16, b[1] << 16)
+    ),
+    Opcode.MOVI: OpSemantics("alu", "{imm}", lambda a, b, same: b),
     Opcode.LD: OpSemantics("load"),
     Opcode.ST: OpSemantics("store"),
     Opcode.BEQ: OpSemantics("branch", "r[{rs1}] == r[{rs2}]"),
@@ -433,8 +506,8 @@ def word_access(machine: Machine):
 
     A word inside the address space's window
     (:attr:`repro.loader.mapper.AddressSpace.window`) is unpacked or
-    packed in place; ``store`` takes that path only for a value within
-    int64.  Every other access looks its mapping up through
+    packed in place: every register holds an int64, so a stored value
+    needs no wrap there.  Every other access looks its mapping up through
     ``read_word`` / ``write_word`` (which move the window), and their
     exception becomes ``MachineFault(str(exc), pc)``.  After the write,
     ``store`` probes for self-modification: the written word's first
@@ -465,8 +538,7 @@ def word_access(machine: Machine):
     def store(addr, value, pc):
         base, last, data, code_free = window
         offset = addr - base
-        if (0 <= offset <= last
-                and -9223372036854775808 <= value <= 9223372036854775807):
+        if 0 <= offset <= last:
             pack_into(data, offset, value)
             if code_free:
                 return
@@ -493,9 +565,10 @@ def word_access(machine: Machine):
 #: ``wb, wl, wd, wc``; ``window``, ``load``, ``store``, ``unpack_from``
 #: and ``pack_into`` are bound where the site runs.  A load hits when
 #: the word lies inside the window's mapping; a store also needs a
-#: code-free mapping and a value within int64.  Anything else calls the
-#: machine's pair, which handles the lookup, the fault and the SMC
-#: probe, then re-reads the window it may have moved.
+#: code-free mapping.  Anything else calls the machine's pair, which
+#: handles the lookup, the fault and the SMC probe, then re-reads the
+#: window it may have moved.  A store packs its register as it is,
+#: since every register holds an int64.
 WINDOW_ACCESS = {
     "load": textwrap.dedent("""\
         o = {address} - wb
@@ -506,12 +579,11 @@ WINDOW_ACCESS = {
             wb, wl, wd, wc = window"""),
     "store": textwrap.dedent("""\
         o = {address} - wb
-        v = {source}
-        if wc and 0 <= o <= wl and %d <= v <= %d:
-            pack_into(wd, o, v)
+        if wc and 0 <= o <= wl:
+            pack_into(wd, o, {source})
         else:
-            store(o + wb, v, {pc})
-            wb, wl, wd, wc = window""" % (-(1 << 63), (1 << 63) - 1)),
+            store(o + wb, {source}, {pc})
+            wb, wl, wd, wc = window"""),
 }
 
 #: Each kind's arm, shared by both interpreters.  ``{operand}`` is the
@@ -760,9 +832,9 @@ class ExecutionContext:
         Loads and stores are :data:`WINDOW_ACCESS` sites, as the
         compiled tier's region bodies' are: the window's slots are read
         once per call, a hit unpacks or packs the word in place, and a
-        miss, a store into a mapping that holds code, or one of a value
-        outside int64 calls the machine's ``load`` or ``store``, then
-        reads the window's slots again.
+        miss or a store into a mapping that holds code calls the
+        machine's ``load`` or ``store``, then reads the window's slots
+        again.
 
         The engine calls this for traces below the compile threshold, so
         the opcode tests are ordered by dynamic frequency in that code:

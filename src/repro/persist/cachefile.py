@@ -30,6 +30,7 @@ across runs even if a library's base changes.
 
 from __future__ import annotations
 
+import gc
 import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
@@ -410,10 +411,19 @@ class PersistentCache:
             raise CacheFileError(
                 "malformed header fields: %s" % exc, section="header"
             ) from exc
-        cache.rows = _read_rows(
-            paths, sections["directory"], sections["code_pool"],
-            sections["data_pool"],
-        )
+        # Parsing allocates one tuple per instruction and one row per
+        # trace, none of them cyclic, so no collector pass runs while
+        # they are built; the caller's collector state is restored.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            cache.rows = _read_rows(
+                paths, sections["directory"], sections["code_pool"],
+                sections["data_pool"],
+            )
+        finally:
+            if collecting:
+                gc.enable()
         return cache
 
     def save(self, path: str, storage: Optional[FileStorage] = None) -> None:

@@ -177,7 +177,11 @@ class CodeCache:
         """Remove one trace (persistent-cache invalidation path).
 
         Incoming links to it are unlinked (they fall back to the VM
-        trampoline); its own pending outgoing links are discarded.
+        trampoline); its own pending outgoing links are discarded, and
+        its own slots are unlinked too: a trace evicted by its own store
+        still runs to its exit, which must then leave through the
+        translation map, not through a link to a trace that an
+        ``evict_range`` evicts after it.
         """
         translated = self._by_entry.pop(entry, None)
         if translated is None:
@@ -206,6 +210,8 @@ class CodeCache:
         own_slots = {id(slot) for slot in translated.links}
         for slots in self._pending_links.values():
             slots[:] = [slot for slot in slots if id(slot) not in own_slots]
+        for slot in translated.links:
+            slot.unlink()
         return translated
 
     def evict_range(self, start: int, end: int) -> List[TranslatedTrace]:

@@ -1,140 +1,94 @@
-"""The trace-compilation tier: specialize traces into Python closures.
+"""The compiled tier: a hot trace, or a fused chain of them, becomes one
+Python closure.
 
-The interpreted dispatcher (:meth:`repro.vm.engine.Engine` with
-``dispatch_mode="interpreted"``) re-pays Python-level interpretation cost
-on every micro-op: a ``step_uop`` call, a tuple unpack, and a long
-opcode-compare chain per instruction, plus per-callback context handling
-and per-step accounting.  That is exactly the overhead the source paper's
-engine avoids by *emitting* specialized code once and executing it many
-times — so this module does the same one level up: it compiles each
-:class:`~repro.vm.translator.TranslatedTrace` into **one straight-line
-Python closure** whose body inlines the trace's opcode semantics.
+The interpreted dispatcher (``dispatch_mode="interpreted"``) pays, per
+micro-op, a ``step_uop`` call, a tuple unpack and an opcode-compare
+chain.  As the paper's engine emits specialized code once and runs it
+many times, this module emits each
+:class:`~repro.vm.translator.TranslatedTrace` as **one straight-line
+closure** whose body inlines the trace's semantics.
 
 Specializations applied per trace:
 
-* opcode semantics inlined from the ISA's one semantics table
-  (:data:`repro.machine.cpu.SEMANTICS`), which both interpreters are
-  generated from — no ``step_uop`` call, no tuple dispatch, register
-  indexes and immediates baked in as literals;
-* the signed-64-bit wrap check is dropped for ops that provably cannot
-  overflow (the table's ``overflow_safe`` column, and SHRI by a non-zero
-  amount);
+* opcode semantics inlined from :data:`repro.machine.cpu.SEMANTICS`,
+  which both interpreters are generated from, with register indexes and
+  immediates baked in as literals;
+* register writes as the trace-body pass (:mod:`repro.vm.bodypass`)
+  plans them: every register holds an int64, so a write carries the
+  wrap check only where its value's interval (the table's ``bounds``
+  column, over facts that flow through the body) can leave int64, and a
+  write that a later ALU write overwrites before anything can observe
+  it is left out;
 * memory ops are the machine's one guest word access
-  (:func:`repro.machine.cpu.word_access`), split on region fusion, the
-  observable hotness signal.  In a solo trace body every ``LD``/``ST``
-  is one call of the machine's ``load``/``store``, which hold the
-  window hit, the lookup, the fault and the SMC probe out of line, so
-  the hundreds of bodies a warm-up compiles stay small.  A fused region
-  body carries the hot loops, so each of its sites is the window hit
-  inline (:data:`repro.machine.cpu.WINDOW_ACCESS`, the cold tier's
+  (:func:`repro.machine.cpu.word_access`).  In a solo body every
+  ``LD``/``ST`` is one call of the machine's ``load``/``store``, which
+  hold the window hit, the lookup, the fault and the SMC probe out of
+  line, so the hundreds of bodies a warm-up compiles stay small.  A
+  fused region carries the hot loops, so each of its sites is the window
+  hit inline (:data:`repro.machine.cpu.WINDOW_ACCESS`, the cold tier's
   template too) over locals bound once per entry, and calls the pair
-  only on a miss, a store into a mapping that holds executed code, or a
-  store value outside int64;
+  only on a miss or a store into a mapping that holds executed code;
 * analysis-point checks are hoisted out entirely for traces with no
   instrumentation; instrumented sites inline the callback invocation
   against the run's single mutable :class:`AnalysisContext`;
-* instruction/cycle accounting is batched per exit: the step count to
-  every exit is a compile-time constant, so each exit performs one
-  counter add and one pre-multiplied ``charge_exec`` call;
+* instruction/cycle accounting is batched per exit: one counter add and
+  one pre-multiplied charge per exit;
 * branch exits resolve through link-slot locals captured at
   specialization time.
 
-The closure's observable behavior is **bit-identical** to the interpreted
-tier: same registers/memory effects, same exception types and messages,
-same ``VMStats`` counters and the same cycle floats charged in the same
-order (cost-model products are folded at compile time, which produces the
-identical IEEE result to the runtime multiply).  The interpreted tier
-stays the reference oracle; ``tests/test_dispatch_equivalence.py``
-enforces the equivalence over the workloads corpus.
+A closure is **bit-identical** to the interpreted tier: same register
+and memory effects, exceptions, ``VMStats`` counters, and cycle floats
+charged in the same order (cost products are folded at compile time,
+which gives the identical IEEE result).  The interpreted tier stays the
+oracle; ``tests/test_dispatch_equivalence.py`` enforces the equivalence.
+Bodies live on their resident trace
+(:attr:`TranslatedTrace.compiled_body`) and die with it on eviction or
+flush.
 
-Compiled bodies are plain Python objects attached to the resident trace
-(:attr:`TranslatedTrace.compiled_body`).  They are invalidated with the
-trace on code-cache eviction (self-modifying code, module unload) and
-flush; the closures themselves are never persisted (simulated cycles are
-identical across tiers by construction — host-level compilation time is
-the price the simulator pays once to run many times faster).
+**Tier-up.**  A trace, fresh or revived, runs on the engine's cold tier
+(one :meth:`repro.machine.cpu.ExecutionContext.run_uops` call per
+entry, or the oracle's per-uop loop when it has analysis points) until
+its ``compile_threshold``-th entry (:data:`DEFAULT_COMPILE_THRESHOLD`;
+1 compiles at the first entry), and compiles on that entry: the
+dispatch loop counts an entry before it checks it.  The body's source
+only sets the cost: :meth:`TraceCompiler.compile` takes it from the
+run's factory memo, else from the attached body store, else from a host
+``compile()``, so a body is persisted only once its trace reached the
+threshold in some run.
 
-**Tier-up.**  Most traces a program selects run only a handful of times,
-so compiling every trace at its first entry spends most of a cold run in
-host ``compile()``.  Instead a trace runs on the engine's cold tier —
-one :meth:`repro.machine.cpu.ExecutionContext.run_uops` call per entry,
-or the oracle's per-uop loop when it has analysis points, bit-identical
-per execution — until its ``compile_threshold``-th entry
-(:data:`DEFAULT_COMPILE_THRESHOLD`; 1 compiles every trace at its first
-entry), fresh or revived from the persistent cache alike.  The source
-of the body sets only what that compile costs:
-:meth:`TraceCompiler.compile` takes it from the run's factory memo,
-else from the attached body store, else from a host ``compile()``.  So
-a body is persisted only once its trace reached the threshold in some
-run, and a revived trace entered fewer times never binds one.
+**Factories.**  The closure factory is keyed by everything its source
+bakes in (uops, entry, links, points, cost constants) and memoized per
+run on the :class:`TraceCompiler`: a trace translated again after an
+eviction or a flush re-binds it to new captures.  With a
+:class:`repro.persist.sidecar.CompiledBodyStore` attached (at process
+start, before anything compiles), every host-compiled factory's code
+object is recorded as ``marshal`` bytes under a digest of its key and
+revived by the next process.  The store is keyed on ``VM_VERSION`` and
+the host bytecode tag, so a codegen change misses wholesale.
 
-The engine's dispatch loop counts an entry before it checks it, so the
-compile happens on the threshold entry itself, whether the trace was
-reached through the translation map or handed over by a closure.
+**Indirect exits.**  A JR/RET/CALLR exit probes its slot's inline cache,
+``[generation, {target: resident}]``, shared by the trace's solo body
+and any region, and validated against the code-cache generation; a hit
+hands the resident straight to the dispatcher.  Everything else is one
+call of the run's ``ic_resolve`` (:func:`inline_cache_helper`).  The
+charges and ``indirect_resolutions`` are the same on every path; the
+cache's counters are host-side (``HostStats.ic``).
 
-Generated **closure factories** are memoized per run, on the
-:class:`TraceCompiler`, keyed by everything the source bakes in (uops,
-entry, links, points, cost constants), so a trace the same run
-translates again — after self-modifying code, a module reload or a
-code-cache flush evicted it — skips source generation and host
-compilation and just re-binds the factory to new captures.  The memo
-dies with its run: what outlives a run is only what the body store
-persists.
-
-Two PR-3 extensions complete that story:
-
-* **Persisted bodies** — when a persistence session attaches a
-  :class:`repro.persist.sidecar.CompiledBodyStore` (at process start,
-  before anything compiles), every host-compiled factory's code object
-  is recorded (as ``marshal`` bytes keyed by a digest of the memo key)
-  and revived in the next process, skipping source generation *and*
-  host ``compile()``.  The sidecar is keyed on ``VM_VERSION`` + the host
-  bytecode tag, so any codegen or interpreter change invalidates it
-  wholesale.
-* **Indirect-branch inline caches** — a JR/RET/CALLR exit carries one
-  ``{target: resident}`` dict per site (Pin's indirect-branch chaining),
-  guarded wholesale by the code-cache generation and held by the exit's
-  link slot, so the trace's solo body and any region share it.  The
-  body probes it inline, and a hit hands the resident trace straight
-  back to the dispatcher.  Everything else is one call to the run's
-  ``ic_resolve``
-  helper (:func:`inline_cache_helper`): a generation advance
-  (eviction/flush) empties the dict before it can dispatch a stale
-  resident, and a miss resolves through the translation map and fills
-  the dict.  The cycle charge and ``indirect_resolutions`` count are
-  identical on every path — the IC is host-side memoization of the
-  resolver, not a simulated-cost change — and the hit/miss/fill/reset
-  counts land in the run's :class:`repro.vm.stats.HostStats` (its
-  ``ic`` group), outside ``VMStats``.
-
-Two PR-7 extensions close the paper's trace-linking story:
-
-* **Direct-exit linking** — every direct exit now returns the successor
-  *closure's trace* alongside its link slot, probed straight off the
-  slot's ``linked_resident`` seam.  The engine's dispatch loop
-  (:meth:`repro.vm.engine.Engine.run`) runs that successor next — a
-  patched hot exit never probes the translation map.  Safety is inherited, not re-invented: eviction/SMC/flush
-  eagerly unlink every incoming slot (the interpreter's invariant), so
-  a probe can never produce an evicted trace.
-* **Superblock regions** — a stable hot chain of traces, each handing
-  over to the next through its final exit (a patched direct link, or an
-  indirect exit whose inline cache names one successor), is fused by
-  :meth:`TraceCompiler.compile_region` into one closure concatenating
-  the member bodies.  Each junction re-emits the member's exact exit
-  accounting (same float literals, same order — batching never sums
-  across members, which would break IEEE bit-identity), then guards on
-  the successor's identity (``slot.linked_resident`` or the inline
-  cache's resident ``is`` the next member) and the instruction budget
-  before falling through into the next member's inlined body; a failed
-  guard side-exits through the member's own slot, exactly like the solo
-  closure.  A chain that closes on its head is a **loop region**: its
-  body is a ``while True:`` loop, and the exit back into the head (a
-  branch-taken or final exit of the last member) is a junction that
-  ends in ``continue``, so a hot loop runs its calls and returns inside
-  one closure call.  Region factories flow through the same memo and
-  sidecar as trace factories, keyed by their members and back edge
-  (link state, inline caches and member objects are runtime captures,
-  never marshaled).
+**Links and regions.**  A direct exit returns its slot's patched
+successor (``linked_resident``), which the engine's dispatch loop
+(:meth:`repro.vm.engine.Engine.run`) runs next.  Eviction, SMC and
+flush unlink every incoming slot and the evicted trace's own, so a
+probe never yields an evicted trace.  A stable hot chain, each trace
+handing over to the next through its final exit (a patched direct link,
+or an indirect exit whose inline cache names one successor), fuses
+into one region closure (:meth:`TraceCompiler.compile_region`).  Each
+junction re-emits the member's exact exit accounting, then falls
+through into the next member's body only while the successor is that
+member and the instruction budget holds; otherwise it leaves as the
+solo body does.  A chain that closes on its head is a **loop region**:
+a ``while True:`` whose back edge is a junction ending in ``continue``.
+Region factories use the same memo and store, keyed by their members
+and back edge.
 """
 
 from __future__ import annotations
@@ -148,10 +102,10 @@ from typing import Dict, List, Optional
 
 from repro.isa.instructions import INSTRUCTION_SIZE
 from repro.isa import registers as regs
-from repro.isa.opcodes import Opcode
 from repro.loader.mapper import to_signed_word
 from repro.machine.costs import CostModel
 from repro.machine.cpu import (
+    INT64,
     SEMANTICS,
     WINDOW_ACCESS,
     MachineFault,
@@ -160,6 +114,7 @@ from repro.machine.cpu import (
     syscall_uop_step,
     unpack_from,
 )
+from repro.vm.bodypass import DEAD, WRAP, plan
 from repro.vm.client import AnalysisContext, PointKind, ToolAccounting
 from repro.vm.stats import HostStats, ICStats, VMStats
 from repro.vm.trace import ExitKind
@@ -191,9 +146,6 @@ DEFAULT_COMPILE_THRESHOLD = 32
 class CompileError(Exception):
     """Raised when a trace cannot be specialized into a closure."""
 
-
-_INT64_MIN = -9223372036854775808
-_INT64_MAX = 9223372036854775807
 
 #: The opcodes of the ``branch`` kind, as plain ints: every compile tests
 #: each uop of its trace against them (:func:`_capture_lists`).
@@ -344,21 +296,18 @@ class _Emitter:
         return "\n".join(self.lines) + "\n"
 
 
-def _store(
-    out: _Emitter, uses: set, rd: int, expr: str, *, may_overflow: bool
-) -> None:
-    """Emit a register write with the wrap check only when needed."""
-    if rd == regs.ZERO:
-        return  # writes to the zero register are discarded
-    if not may_overflow:
+def _store(out: _Emitter, uses: set, rd: int, expr: str, flag: int) -> None:
+    """Emit a register write as the trace-body pass planned it
+    (:func:`repro.vm.bodypass.plan`): plain, wrapped or left out."""
+    if flag == DEAD:
+        return
+    if flag != WRAP:
         out.emit("r[%d] = %s" % (rd, expr))
         return
     uses.add("to_signed")
     out.emit("v = %s" % expr)
-    out.emit(
-        "r[%d] = v if %d <= v <= %d else to_signed(v)"
-        % (rd, _INT64_MIN, _INT64_MAX)
-    )
+    out.emit("r[%d] = v if %d <= v <= %d else to_signed(v)"
+             % ((rd,) + INT64))
 
 
 def _address(rs1: int, imm: int) -> str:
@@ -650,7 +599,8 @@ class TraceCompiler:
         # traces touch a small subset of the capture namespace.
         uses: set = set()
         emit = _Emitter()
-        self._emit_trace_body(emit, uses, translated, slot_names, 0)
+        (writes,) = plan([translated])
+        self._emit_trace_body(emit, uses, translated, writes, slot_names, 0)
         return self._factory_source(
             emit, uses, len(slots), len(callbacks), region_members=0
         )
@@ -678,7 +628,8 @@ class TraceCompiler:
             emit.indent = 1
         cb_base = 0
         last = len(members) - 1
-        for position, member in enumerate(members):
+        for position, (member, writes) in enumerate(
+                zip(members, plan(members))):
             if position < last:
                 hand_over = (member.final_slot, position + 1,
                              members[position + 1].entry)
@@ -687,7 +638,7 @@ class TraceCompiler:
             else:
                 hand_over = None
             cb_base = self._emit_trace_body(
-                emit, uses, member, slot_names, cb_base, hand_over,
+                emit, uses, member, writes, slot_names, cb_base, hand_over,
                 inline_memory=True,
             )
         return self._factory_source(
@@ -710,7 +661,9 @@ class TraceCompiler:
         junction, even in a region already on the call stack.  The
         budget test makes a region fault at exactly the boundary the
         dispatcher would have.  Member 0 is the head, so a junction into
-        it is a loop's back edge and ends in ``continue``.
+        it is a loop's back edge and ends in ``continue``.  A member's
+        ``executions`` is not counted here: only the tier-up reads it,
+        and every member is compiled.
         """
         member = "m%d" % position
         uses.update(("links", "budget", member))
@@ -719,7 +672,6 @@ class TraceCompiler:
             % (successor, member), depth
         )
         emit.emit(leave, depth + 1)
-        emit.emit("%s.executions += 1" % member, depth)
         emit.emit("links.region_hops += 1", depth)
         if position == 0:
             emit.emit("continue", depth)
@@ -747,12 +699,13 @@ class TraceCompiler:
         return True
 
     def _emit_trace_body(
-        self, emit, uses, translated, slot_names, cb_base, hand_over=None,
-        inline_memory=False,
+        self, emit, uses, translated, writes, slot_names, cb_base,
+        hand_over=None, inline_memory=False,
     ) -> int:
         """Emit one trace's inlined instruction semantics at depth 2.
 
-        Shared by solo-trace and region generation: ``slot_names`` maps
+        Shared by solo-trace and region generation: ``writes`` is the
+        trace's plan from the trace-body pass, ``slot_names`` maps
         link-slot identity to bound local names, analysis callbacks are
         named ``cb<k>`` counting from ``cb_base``.  ``hand_over`` (region
         members) is ``(slot, position, entry)``: the exit through
@@ -838,21 +791,17 @@ class TraceCompiler:
                 rs1=rs1, rs2=rs2, imm=imm, sh=imm & 63, lr=regs.LR
             )
             if kind == "alu":
-                # A non-zero unsigned right shift cannot overflow either.
-                may_overflow = not (
-                    row.overflow_safe or op == Opcode.SHRI and imm & 63
-                )
-                _store(emit, uses, rd, operand, may_overflow=may_overflow)
+                _store(emit, uses, rd, operand, writes[index])
             elif memory:
                 if inline_memory:
-                    self._emit_memory_op(emit, uses, uop, pc, kind)
+                    self._emit_memory_op(emit, uses, uop, pc, kind,
+                                         writes[index] == DEAD)
                 elif kind == "load":
                     # Solo sites are one call each of the machine's word
                     # access, which holds the fault and the SMC probe.
                     uses.add("load")
                     call = "load(%s, %d)" % (_address(rs1, imm), pc)
-                    # load yields an in-range signed word: no wrap check.
-                    if rd != regs.ZERO:
+                    if writes[index] != DEAD:
                         call = "r[%d] = %s" % (rd, call)
                     emit.emit(call)
                 else:
@@ -866,7 +815,7 @@ class TraceCompiler:
                 emit.emit("d = r[%d]" % rs2)
                 emit.emit("if d == 0:")
                 emit.emit('raise MachineFault("division by zero", %d)' % pc, 3)
-                _store(emit, uses, rd, operand, may_overflow=True)
+                _store(emit, uses, rd, operand, writes[index])
             elif kind == "branch":
                 if imm != 0:
                     emit.emit("if %s:" % operand)
@@ -917,15 +866,16 @@ class TraceCompiler:
         return cb_index
 
     @staticmethod
-    def _emit_memory_op(emit, uses, uop, pc: int, kind: str) -> None:
+    def _emit_memory_op(emit, uses, uop, pc: int, kind: str,
+                        dead: bool) -> None:
         """One region-body LD/ST, rendered from
         :data:`repro.machine.cpu.WINDOW_ACCESS` over ``wb, wl, wd, wc``,
-        the window's slots bound at region entry.  A load into the zero
-        register keeps only the miss, which may fault."""
+        the window's slots bound at region entry.  A ``dead`` load keeps
+        only the miss, which may fault."""
         _op, rd, rs1, rs2, imm = uop
         uses.update(("window", kind))
         address = _address(rs1, imm)
-        if kind == "load" and rd == regs.ZERO:
+        if dead:
             emit.emit("o = %s - wb" % address)
             emit.emit("if not 0 <= o <= wl:")
             emit.emit("load(o + wb, %d)" % pc, 3)

@@ -68,7 +68,7 @@ _MEMORY_OPS = (int(Opcode.LD), int(Opcode.ST))
 #: to translation *or* to the compiled tier's closure codegen — the
 #: compiled-body sidecar (repro.persist.sidecar) revives host code
 #: objects keyed on this stamp, so stale codegen must miss wholesale.
-VM_VERSION = "repro-dbi-1.10.0"
+VM_VERSION = "repro-dbi-1.11.0"
 
 
 class EngineError(Exception):
@@ -298,8 +298,8 @@ class Engine:
             for stashed in module_stash.pop(key, ()):
                 if stashed.entry in _cache:
                     continue
-                for slot in stashed.links:
-                    slot.unlink()  # re-link against current residents
+                # Eviction unlinked its slots: insert links them against
+                # the current residents.
                 try:
                     _cache.insert(stashed)
                 except CacheFull:
@@ -431,9 +431,9 @@ class Engine:
             elif slot is not None:
                 resident = slot.linked_resident
                 if resident is not None:
-                    # Invariant: a linked_resident of a resident trace is
-                    # itself resident (eviction unlinks every incoming
-                    # slot).
+                    # Invariant: a linked_resident is resident (eviction
+                    # unlinks every incoming slot, and the evicted
+                    # trace's own, which its exit may still take).
                     continue
                 if slot.exit.target == pc and slot.is_linkable:
                     link = slot

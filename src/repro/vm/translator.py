@@ -79,8 +79,7 @@ class LinkSlot:
     linking sets it, and :meth:`unlink` clears it.  Invariant: when the
     owning trace is resident, ``linked_resident`` is either None or a
     trace that is itself still resident, at the exit's target (eviction
-    unlinks every incoming link; re-registration of stashed traces
-    resets them).
+    unlinks every incoming link and the evicted trace's own).
     """
 
     exit: TraceExit

@@ -27,6 +27,8 @@ CLOSURE_SOURCE_SHA256 = {
         "e93957eebf7929b6dba5e4c5ecc8fa312b4d22c9510e161199783081e9606f44",
     "repro-dbi-1.10.0":
         "ab43d29b073ba3415f078eb8b8d7da7bf188d6d9efa824863224b67767250aaa",
+    "repro-dbi-1.11.0":
+        "9aff5b6cf4beee6d881e5fa376327d90fe19003a1e568da59e5afc8cca0747c1",
 }
 
 #: Every opcode, so every kind of :data:`repro.machine.cpu.SEMANTICS`;
@@ -124,7 +126,7 @@ def test_closure_source_is_pinned_per_vm_version(monkeypatch):
     assert any("while True:" in source and "if e is not m" in source
                for source in plain)
     assert any("cb0(acx)" in source for source in tooled)
-    assert any("pack_into(wd, o, v)" in source
+    assert any("pack_into(wd, o, r[" in source
                and "unpack_from(wd, o)" in source for source in plain)
     digest = hashlib.sha256("\0".join(plain + tooled).encode()).hexdigest()
     assert CLOSURE_SOURCE_SHA256.get(VM_VERSION) == digest, (

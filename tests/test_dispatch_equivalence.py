@@ -1262,9 +1262,10 @@ class TestMemoryOps:
             heap += stack
         assert compiled.output == heap.to_bytes(8, "little")
 
-    def test_out_of_int64_argument_wraps_on_store(self):
-        """``set_args`` does not wrap; a store of such a value leaves
-        the window fast path and wraps exactly like ``write_word``."""
+    def test_out_of_int64_argument_stored_wrapped(self):
+        """``set_args`` wraps an argument to int64, as every register
+        write does, so the window hit stores the word ``write_word``
+        would."""
         args = ((1 << 64) + 5, -(1 << 63) - 3)
         image = _exiting([
             ins.ld(regs.T0, regs.SP, 0),    # the window is the stack
@@ -1599,7 +1600,7 @@ class TestMemoryOps:
         assert compiled.output == native.output == heap.to_bytes(8, "little")
         assert compiled.exit_status == native.exit_status
 
-    def test_out_of_int64_argument_wraps_on_store_in_a_region_body(self):
+    def test_out_of_int64_argument_stored_wrapped_in_region(self):
         args = ((1 << 64) + 5, -(1 << 63) - 3)
         t0, t1 = regs.T0, regs.T0 + 1
         image = _region_loop(
@@ -2112,7 +2113,7 @@ class TestColdTier:
         assert _in_run_uops(traceback.walk_tb(tracebacks["compiled"]))
         assert run_uops_calls[0] > 0
 
-    def test_out_of_int64_argument_wraps_on_store(self, run_uops_calls):
+    def test_out_of_int64_argument_stored_wrapped(self, run_uops_calls):
         args = ((1 << 64) + 5, -(1 << 63) - 3)
         image = _exiting([
             ins.st(regs.SP, regs.A0, -16),

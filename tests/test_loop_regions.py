@@ -27,8 +27,12 @@ from repro.machine.cpu import HEAP_BASE, Machine, MachineFault, run_native
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
-from repro.vm.compile import LOOP_FUSE_THRESHOLD, REGION_FUSE_THRESHOLD
-from repro.vm.engine import Engine
+from repro.vm.compile import (
+    DEFAULT_COMPILE_THRESHOLD,
+    LOOP_FUSE_THRESHOLD,
+    REGION_FUSE_THRESHOLD,
+)
+from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import CODE_PAGE
 
 from tests.conftest import final_state, image_from_asm, signature
@@ -154,6 +158,54 @@ def test_store_into_loop_code_leaves_the_region(store_into_head):
     assert native.exit_status == compiled.exit_status == expected
     assert compiled.stats.smc_invalidations >= 1
     assert compiled.host.cache.region_invalidations >= 1
+
+
+def own_page_image(rounds: int):
+    """``near`` and ``far`` on one code page, ``far`` translated after
+    ``near``, for ``rounds`` rounds: each round ``near`` stores a word
+    to the heap and jumps to ``far``, which sets a0 to 7 and loops back.
+    The last round's store puts ``movi a0, 99`` over far's first
+    instruction: it evicts both traces, and ``near``, still running,
+    must leave through the translation map to the patched code, not
+    through its link to the dead ``far``."""
+    return program(
+        "main:",
+        "    movi s0, %d" % rounds,
+        "    movi t5, far",
+        "    movi t6, %d" % HEAP_BASE,
+        *materialize("t2", ins.movi(regs.A0, 99)),
+        "    jmp near",
+        "near:",
+        "    movi t7, 2",
+        "    slt t7, s0, t7",                  # 1 in the last round
+        *select("t1", "t7", "t6", "t5"),  # the heap, or far
+        "    st t2, 0(t1)",
+        "    jmp far",
+        "far:",
+        "    movi a0, 7",
+        "    addi s0, s0, -1",
+        "    bne s0, zero, near",
+        "    movi rv, 1",
+        "    syscall",
+    )
+
+
+@pytest.mark.parametrize(
+    "rounds", [3, TRIPS + DEFAULT_COMPILE_THRESHOLD],
+    ids=["solo", "fused-loop"])
+def test_trace_evicted_by_its_own_store_leaves_through_the_map(rounds):
+    """Natively the last round runs the patched ``far`` and exits 99;
+    so must every tier, whether ``near`` runs cold, as a solo body or as
+    the head of the fused loop, whose junction into ``far`` must leave."""
+    image = own_page_image(rounds)
+    assert run_native(Machine(load_process(image))).exit_status == 99
+    oracle = run(image, "interpreted")
+    assert oracle.exit_status == 99
+    for threshold in (1, DEFAULT_COMPILE_THRESHOLD):
+        compiled = Engine(config=VMConfig(compile_threshold=threshold)).run(
+            load_process(image))
+        assert signature(compiled) == signature(oracle), threshold
+        assert compiled.host.links.regions_fused == (rounds > 3), threshold
 
 
 #: ``loop`` -> ``f`` -> ``back`` -> ``loop``: f's ``ret`` is an indirect

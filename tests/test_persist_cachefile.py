@@ -1,7 +1,10 @@
 """Tests for the on-disk persistent cache format."""
 
+import gc
+
 import pytest
 
+from repro.persist import cachefile
 from repro.persist.cachefile import (
     DATA_PREFIX,
     EXIT_TARGET,
@@ -237,6 +240,39 @@ class TestDirectoryValidation:
     )
     def test_tamper_without_change_parses(self, field, value):
         assert PersistentCache.from_bytes(self._tamper(field, value))
+
+    @pytest.mark.parametrize("enabled", [True, False],
+                             ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("damaged", [False, True],
+                             ids=["good", "damaged"])
+    def test_rows_are_read_with_the_collector_paused(
+        self, monkeypatch, enabled, damaged
+    ):
+        """The cyclic collector is off while the rows are read, and as
+        the caller had it afterwards, after a parse and after a
+        ``CacheFileError`` alike."""
+        blob = self._tamper("n_insts", 40 if damaged else 4)
+        during = []
+        read_rows = cachefile._read_rows
+
+        def spy(*args):
+            during.append(gc.isenabled())
+            return read_rows(*args)
+
+        monkeypatch.setattr(cachefile, "_read_rows", spy)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                PersistentCache.from_bytes(blob)
+            except CacheFileError:
+                assert damaged
+            else:
+                assert not damaged
+            assert gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False]
 
     @pytest.mark.parametrize(
         "name,value",
