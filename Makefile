@@ -57,12 +57,15 @@ bench-contract-smoke:
 	done
 
 # Every layer of one bench/run.py workload (override: make layers
-# W=gui_cold LAYERS_S=5): each layer's self time per run and the
-# counters, from untraced and traced rounds, ending in one JSON line.
+# W=gui_cold LAYERS_S=5, SEED=S for other than tools/layers.py's
+# default seed, so two checkouts can be compared at one seed): each
+# layer's self time per run and the counters, from untraced and traced
+# rounds, ending in one JSON line.
 W ?= gui_warm
 LAYERS_S ?= 15
 layers:
-	python3 tools/layers.py --workload $(W) --seconds $(LAYERS_S)
+	python3 tools/layers.py --workload $(W) --seconds $(LAYERS_S) \
+		$(if $(SEED),--seed $(SEED))
 
 # Interleaved bench/run.py pairs of one workload between a checkout of
 # the parent commit and this tree (make pairs PARENT=../parent

@@ -2,11 +2,9 @@
 
 from repro.persist.cachefile import (
     CacheFileError,
-    PersistedExit,
     PersistedReloc,
-    PersistedTrace,
     PersistentCache,
-    verify_sections,
+    TraceRow,
 )
 from repro.persist.storage import FileStorage, StorageError
 from repro.persist.convert import persist_trace, revive_trace
@@ -37,14 +35,13 @@ __all__ = [
     "FsckItem",
     "FsckReport",
     "MappingKey",
-    "PersistedExit",
     "PersistedReloc",
-    "PersistedTrace",
     "PersistenceConfig",
     "PersistentCache",
     "PersistentCacheSession",
     "PretranslationResult",
     "StorageError",
+    "TraceRow",
     "cache_lookup_digest",
     "mapping_key",
     "persist_trace",
@@ -52,6 +49,5 @@ __all__ = [
     "pretranslate_process",
     "revive_trace",
     "tool_key",
-    "verify_sections",
     "vm_key",
 ]

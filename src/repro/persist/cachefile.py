@@ -41,7 +41,6 @@ from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
     PREAMBLE,
     FrameError,
     Framing,
-    damage_map,
 )
 from repro.persist.keys import MappingKey
 from repro.persist.storage import DEFAULT_STORAGE, FileStorage
@@ -112,16 +111,6 @@ FRAMING = Framing(MAGIC, FORMAT_VERSION, SECTIONS[1:], CacheFileError,
                   features=SUPPORTED_FEATURES)
 
 
-class PersistedExit(NamedTuple):
-    """Record of one trace exit."""
-
-    kind: int
-    index: int
-    target: Optional[int]  # absolute address at creation, None if dynamic
-    target_path: str = ""  # owning image of the target, "" if unknown
-    target_offset: int = 0  # image-relative target offset
-
-
 class PersistedReloc(NamedTuple):
     """An absolute-immediate site inside a persisted trace body.
 
@@ -136,48 +125,39 @@ class PersistedReloc(NamedTuple):
     target_offset: int
 
 
-@dataclass
-class PersistedTrace:
-    """One trace in the cache file."""
+class TraceRow(NamedTuple):
+    """One stored trace, with its body's micro-ops and its exits as a
+    resident keeps them: a checked row of a parsed file, which revive
+    reads, or a row :func:`repro.persist.convert.persist_trace` built
+    from a resident, which write-back writes."""
 
-    entry: int  # absolute entry address at creation time
     image_path: str
-    image_offset: int  # entry - image base at creation time
-    n_insts: int
+    entry: int  # absolute entry address at creation time
+    image_offset: int
     code: bytes
-    exits: List[PersistedExit] = field(default_factory=list)
-    relocs: List[PersistedReloc] = field(default_factory=list)
+    body: bytes  # the code before its exit stubs, one word per uop
+    uops: List[tuple]
+    exits: List[TraceExit]  # targets as stored
+    #: Per exit, the target's index in ``paths`` and image-relative
+    #: offset.
+    exit_places: List[Tuple[int, int]]
+    relocs: List[PersistedReloc]
     #: Data-pool bytes; 0 means the modeled size, and a smaller size
     #: cannot hold the records the file reads back.
-    data_size: int = 0
+    data_size: int
     #: One register mask per instruction, or none.
-    liveness: List[int] = field(default_factory=list)
+    liveness: List[int]
+    #: Exit target image paths ("": unbacked): a parsed file's path
+    #: table, or one per exit for a row built from a resident.
+    paths: List[str]
 
     @property
     def identity(self) -> Tuple[str, int]:
         return (self.image_path, self.image_offset)
 
-    @property
-    def code_size(self) -> int:
-        return len(self.code)
-
-    def row(self) -> "TraceRow":
-        """This record as a parsed file's row, which revive reads."""
-        body = self.code[: self.n_insts * INSTRUCTION_SIZE]
-        return TraceRow(
-            self.image_path, self.entry, self.image_offset, self.code, body,
-            decode_uops(body),
-            [TraceExit(EXIT_KINDS[kind], index, target)
-             for kind, index, target, _path, _offset in self.exits],
-            [(at, trace_exit.target_offset)
-             for at, trace_exit in enumerate(self.exits)],
-            self.relocs, self.data_size, list(self.liveness),
-            [trace_exit.target_path for trace_exit in self.exits],
-        )
-
-    def build_data_blob(self) -> bytes:
+    def data_blob(self) -> bytes:
         """Serialize this trace's 'data structures' at its data size."""
-        n_insts = self.n_insts
+        n_insts = len(self.uops)
         liveness = self.liveness
         if liveness and len(liveness) != n_insts:
             raise ValueError(
@@ -198,51 +178,14 @@ class PersistedTrace:
             else bytes(LIVENESS_BYTES_PER_INST * n_insts),
             bytes(ADDR_TABLE_BYTES_PER_INST * n_insts),
         ]
-        for kind, index, target, _path, _offset in self.exits:
+        for trace_exit in self.exits:
+            target = trace_exit.target
             parts.append(LINK_RECORD.pack(
-                kind, index, -1 if target is None else target
+                trace_exit.kind, trace_exit.index,
+                -1 if target is None else target
             ))
         parts.append(bytes(size - modeled))
         return b"".join(parts)
-
-
-class TraceRow(NamedTuple):
-    """One checked row of a parsed file, with its body's micro-ops and its
-    exits as a resident keeps them: what revive reads, and what
-    :meth:`record` turns into a :class:`PersistedTrace` for whatever
-    needs one."""
-
-    image_path: str
-    entry: int  # absolute entry address at creation time
-    image_offset: int
-    code: bytes
-    body: bytes  # the code's first n_insts words
-    uops: List[tuple]
-    exits: List[TraceExit]  # targets as stored
-    #: Per exit, the target's index in ``paths`` and image-relative
-    #: offset.
-    exit_places: List[Tuple[int, int]]
-    relocs: List[PersistedReloc]
-    data_size: int
-    liveness: List[int]
-    paths: List[str]  # the file's image-path table ("": unbacked)
-
-    def record(self) -> PersistedTrace:
-        return PersistedTrace(
-            self.entry, self.image_path, self.image_offset, len(self.uops),
-            self.code,
-            [PersistedExit(int(trace_exit.kind), trace_exit.index,
-                           trace_exit.target, self.paths[path], offset)
-             for trace_exit, (path, offset)
-             in zip(self.exits, self.exit_places)],
-            self.relocs, self.data_size, self.liveness,
-        )
-
-
-def verify_sections(blob: bytes) -> Dict[str, str]:
-    """Per-section damage map of a raw cache blob, for fsck: ``{}`` when
-    healthy, else ``{section: reason}``."""
-    return damage_map(PersistentCache.from_bytes, blob)
 
 
 @dataclass
@@ -258,41 +201,18 @@ class PersistentCache:
     #: Format feature bits this cache was written with (see
     #: :data:`SUPPORTED_FEATURES`).
     feature_flags: int = 0
-    #: The checked rows of the file this cache was read from, in file
-    #: order, until its records are built (:attr:`traces`); empty for a
-    #: cache built in memory.
-    rows: List[TraceRow] = field(default_factory=list, repr=False)
-    _records: Optional[List[PersistedTrace]] = field(
-        default=None, init=False, repr=False)
-
-    @property
-    def traces(self) -> List[PersistedTrace]:
-        """Every trace record, in file order.  A parsed file builds its
-        records from its rows on first read, so a run that only revives
-        verbatim builds none; from then on the records are the cache,
-        and ``rows`` is empty."""
-        if self._records is None:
-            self._records = [row.record() for row in self.rows]
-            self.rows = []
-        return self._records
-
-    @property
-    def trace_count(self) -> int:
-        """``len(self.traces)``, without building a parsed file's
-        records."""
-        return len(self.rows or self.traces)
+    #: Every stored trace, in file order: the checked rows of the file
+    #: this cache was read from, then the rows accumulated since.
+    traces: List[TraceRow] = field(default_factory=list, repr=False)
 
     # -- inventory ---------------------------------------------------------
 
     def trace_identities(self) -> set:
         return {trace.identity for trace in self.traces}
 
-    def traces_for_image(self, path: str) -> List[PersistedTrace]:
-        return [t for t in self.traces if t.image_path == path]
-
     @property
     def total_code_bytes(self) -> int:
-        return sum(t.code_size for t in self.traces)
+        return sum(len(t.code) for t in self.traces)
 
     @property
     def total_data_bytes(self) -> int:
@@ -302,7 +222,7 @@ class PersistentCache:
 
     def accumulate(
         self,
-        new_traces: Iterable[PersistedTrace],
+        new_traces: Iterable[TraceRow],
         new_keys: Dict[str, MappingKey],
     ) -> int:
         """Add newly discovered translations; return how many were new.
@@ -330,9 +250,9 @@ class PersistentCache:
 
     def drop_traces(self, identities: set) -> int:
         """Remove traces by identity; returns how many were dropped."""
-        records = self.traces
-        self._records = [t for t in records if t.identity not in identities]
-        return len(records) - len(self._records)
+        count = len(self.traces)
+        self.traces = [t for t in self.traces if t.identity not in identities]
+        return count - len(self.traces)
 
     # -- serialization -----------------------------------------------------
 
@@ -344,17 +264,17 @@ class PersistentCache:
         code_pool = []
         data_pool = []
         for trace in self.traces:
-            data = trace.build_data_blob()
+            data = trace.data_blob()
             rows.append(ROW.pack(
                 paths.setdefault(trace.image_path, len(paths)),
                 ROW_LIVENESS if trace.liveness else 0,
                 len(trace.code), len(data),
                 len(trace.exits), len(trace.relocs),
             ))
-            for trace_exit in trace.exits:
+            trace_paths = trace.paths
+            for path, offset in trace.exit_places:
                 targets.append(EXIT_TARGET.pack(
-                    paths.setdefault(trace_exit.target_path, len(paths)),
-                    trace_exit.target_offset,
+                    paths.setdefault(trace_paths[path], len(paths)), offset
                 ))
             for reloc in trace.relocs:
                 relocs.append(RELOC.pack(
@@ -417,7 +337,7 @@ class PersistentCache:
         collecting = gc.isenabled()
         gc.disable()
         try:
-            cache.rows = _read_rows(
+            cache.traces = _read_rows(
                 paths, sections["directory"], sections["code_pool"],
                 sections["data_pool"],
             )

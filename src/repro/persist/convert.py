@@ -1,4 +1,4 @@
-"""Conversion between in-memory translated traces and persisted records.
+"""Conversion between in-memory translated traces and stored trace rows.
 
 Persisting walks the live trace and records, besides its code bytes and
 metadata sizes, where every *absolute address* inside it points in terms of
@@ -20,18 +20,13 @@ against the current run's bases, so translations survive relocation.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.isa.encoding import decode_all, encode_all
 from repro.isa.instructions import INSTRUCTION_SIZE, Instruction
 from repro.isa.opcodes import ABSOLUTE_TARGET
 from repro.loader.linker import LoadedProcess
-from repro.persist.cachefile import (
-    PersistedExit,
-    PersistedReloc,
-    PersistedTrace,
-    TraceRow,
-)
+from repro.persist.cachefile import PersistedReloc, TraceRow
 from repro.vm.client import Tool
 from repro.vm.trace import Trace, TraceExit
 from repro.vm.translator import (
@@ -43,54 +38,49 @@ from repro.vm.translator import (
 
 
 def _locate(process: LoadedProcess, addr: int):
-    """(path, offset) of an absolute address, or (None, 0) if unbacked."""
+    """(path, offset) of an absolute address, or ("", 0) if unbacked."""
     mapping = process.image_at(addr)
     if mapping is None:
-        return None, 0
+        return "", 0
     return mapping.image.path, addr - mapping.base
 
 
 def persist_trace(
     translated: TranslatedTrace, process: LoadedProcess
-) -> Optional[PersistedTrace]:
-    """Convert a live trace for storage; None if it is not persistable.
+) -> Optional[TraceRow]:
+    """The stored row of a live trace; None if it is not persistable.
 
     Traces not backed by an image on disk (dynamically generated code)
-    cannot be keyed and are never persisted (paper §3.2.1).
+    cannot be keyed and are never persisted (paper §3.2.1).  The row
+    shares the resident's body, micro-ops, exits and liveness, which
+    nothing writes after trace selection; its ``paths`` hold one target
+    path per exit.
     """
     trace = translated.trace
     if not trace.image_path:
         return None
-    exits: List[PersistedExit] = []
-    for trace_exit in trace.exits:
-        target_path, target_offset = "", 0
-        if trace_exit.target is not None:
-            target_path, target_offset = _locate(process, trace_exit.target)
-            if target_path is None:
-                # Exit into unbacked memory: the trace itself is fine but
-                # this exit cannot be made position independent.
-                target_path, target_offset = "", 0
-        exits.append(PersistedExit(int(trace_exit.kind), trace_exit.index,
-                                   trace_exit.target, target_path,
-                                   target_offset))
-    relocs: List[PersistedReloc] = []
     uops = trace.uops
+    relocs: List[PersistedReloc] = []
     for index, uop in enumerate(uops):
         if uop[0] in ABSOLUTE_TARGET:
             target_path, target_offset = _locate(process, uop[4])
-            if target_path is None:
+            if not target_path:
                 return None  # absolute literal into unbacked memory
             relocs.append(PersistedReloc(index, target_path, target_offset))
-    return PersistedTrace(
-        entry=trace.entry,
-        image_path=trace.image_path,
-        image_offset=trace.entry - trace.image_base,
-        n_insts=len(uops),
-        code=translated.code_bytes,
-        exits=exits,
-        relocs=relocs,
-        data_size=translated.data_size,
-        liveness=list(translated.liveness),
+    # An exit into unbacked memory keeps the trace persistable; only
+    # that exit cannot be made position independent.
+    paths: List[str] = []
+    places: List[Tuple[int, int]] = []
+    for at, trace_exit in enumerate(trace.exits):
+        target_path, target_offset = "", 0
+        if trace_exit.target is not None:
+            target_path, target_offset = _locate(process, trace_exit.target)
+        paths.append(target_path)
+        places.append((at, target_offset))
+    return TraceRow(
+        trace.image_path, trace.entry, trace.entry - trace.image_base,
+        translated.code_bytes, trace.body, uops, trace.exits, places, relocs,
+        translated.data_size, translated.liveness, paths,
     )
 
 
@@ -103,8 +93,8 @@ def revive_trace(
     """Reconstruct a code-cache resident from a stored trace.
 
     Args:
-        row: The stored trace: a parsed file's row, or
-            :meth:`PersistedTrace.row` of a record.
+        row: The stored trace: a parsed file's row, or one
+            :func:`persist_trace` built.
         tool: Current instrumentation client; its points are re-bound (the
             tool key guarantees identical semantics).
         base_of: Current load base of an image path, or None if unloaded.

@@ -226,7 +226,7 @@ class CacheDatabase:
             tool_digest=tool_digest,
             app_path=cache.app_path,
             filename=filename,
-            trace_count=cache.trace_count,
+            trace_count=len(cache.traces),
             file_size=len(blob),
         )
         with self.storage.lock(self._lock_path):

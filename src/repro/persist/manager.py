@@ -40,12 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from repro.persist.cachefile import (
-    CacheFileError,
-    PersistedTrace,
-    PersistentCache,
-    TraceRow,
-)
+from repro.persist.cachefile import CacheFileError, PersistentCache, TraceRow
 from repro.persist.convert import persist_trace, revive_trace
 from repro.persist.database import INDEX_NAME, CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
@@ -142,9 +137,9 @@ class PersistentCacheSession:
         #: unusable base): they must not survive an accumulation write-back
         #: under the refreshed image keys.
         self._invalid_identities: set = set()
-        #: Records converted at module-unload time (the mapping is gone by
+        #: Rows converted at module-unload time (the mapping is gone by
         #: write-back, so conversion must happen in the unload hook).
-        self._module_records: Dict[tuple, PersistedTrace] = {}
+        self._module_rows: Dict[tuple, TraceRow] = {}
         self._started = False
         #: Set after a storage failure: the session runs JIT-only from
         #: then on (no reuse, no further write-back attempts).
@@ -234,12 +229,10 @@ class PersistentCacheSession:
             else:
                 validation[path] = "invalid"
 
-        # A file read from disk revives straight from its rows; a cache
-        # built in memory, from its records.
         rebase = self.config.relocatable
         base_of = self._base_of(process)
         preload: Dict[int, TranslatedTrace] = {}
-        for row in loaded.rows or [record.row() for record in loaded.traces]:
+        for row in loaded.traces:
             mode = validation.get(row.image_path)
             if mode is None:
                 # Image not loaded in this run: unusable now, retained for
@@ -341,11 +334,11 @@ class PersistentCacheSession:
         for resident in evicted:
             if resident.from_persistent:
                 continue  # already in the loaded cache file
-            record = persist_trace(resident, machine.process)
-            if record is None:
+            row = persist_trace(resident, machine.process)
+            if row is None:
                 self.host.unbacked_skipped += 1
                 continue
-            self._module_records[record.identity] = record
+            self._module_rows[row.identity] = row
 
     def on_cache_flush(self, engine, machine, cache, stats) -> None:
         """Write-back triggered by intra-execution cache exhaustion."""
@@ -566,7 +559,7 @@ class PersistentCacheSession:
         process = machine.process
 
         modified_pages = machine.modified_code_pages
-        new_records: List[PersistedTrace] = []
+        new_rows: List[TraceRow] = []
         for resident in cache.traces():
             if modified_pages and resident.touches_pages(modified_pages):
                 # Self-modified code no longer matches the file on disk:
@@ -576,45 +569,42 @@ class PersistentCacheSession:
                 continue
             if resident.from_persistent:
                 # Revived from the loaded cache, which already holds its
-                # record.
+                # row.
                 continue
-            record = persist_trace(resident, process)
-            if record is None:
+            row = persist_trace(resident, process)
+            if row is None:
                 self.host.unbacked_skipped += 1
                 continue  # unbacked code: never persisted
-            new_records.append(record)
-
-        module_records = [
-            record for identity, record in self._module_records.items()
+            new_rows.append(row)
+        persisted = len(new_rows)
+        new_rows += [
+            row for identity, row in self._module_rows.items()
             if identity not in self._invalid_identities
         ]
-        # A write-back onto a loaded cache accumulates (§4.4).  Without
-        # one nothing was revived or retained, so the new records are
-        # the whole cache.
-        if self._cache is not None:
-            target = self._cache
-            # Invalid translations must not survive under refreshed keys.
-            dropped = 0
-            if self._invalid_identities:
-                dropped = target.drop_traces(self._invalid_identities)
-            if not new_records and not module_records and not dropped:
-                # Nothing changed: skip the disk write entirely.
-                self.host.total_traces_after_write = target.trace_count
-                return
-            # Refresh/retain: the loaded cache already contains the reused
-            # records and the retained-unloaded ones; accumulate the new.
-            target.accumulate(new_records + module_records, self._current_keys)
-        else:
+
+        target = self._cache
+        if target is None:
+            # Nothing was revived or retained: the new rows are the whole
+            # cache.
             target = PersistentCache(
                 vm_version=self._vm_version,
                 tool_identity=self._tool_identity,
                 app_path=self._app_path,
             )
-            target.image_keys = dict(self._current_keys)
-            target.accumulate(new_records + module_records, {})
+        else:
+            # Invalid translations must not survive under refreshed keys.
+            dropped = (target.drop_traces(self._invalid_identities)
+                       if self._invalid_identities else 0)
+            if not new_rows and not dropped:
+                # Nothing changed: skip the disk write entirely.
+                self.host.total_traces_after_write = len(target.traces)
+                return
+        # A write-back accumulates onto the loaded cache (§4.4), which
+        # already holds the reused and the retained-unloaded rows.
+        target.accumulate(new_rows, self._current_keys)
         stats.charge_persistence(
             cost.pcache_write_fixed
-            + cost.pcache_write_per_trace * target.trace_count
+            + cost.pcache_write_per_trace * len(target.traces)
         )
         try:
             self.config.database.store(target, self._app_key)
@@ -624,8 +614,8 @@ class PersistentCacheSession:
             # the downgrade and keep the program's run intact.
             self._degrade(stats, "write-back failed: %s" % exc)
             return
-        self.host.new_traces_persisted = len(new_records)
+        self.host.new_traces_persisted = persisted
         self.host.written = True
-        self.host.total_traces_after_write = target.trace_count
+        self.host.total_traces_after_write = len(target.traces)
         # Subsequent flush/exit write-backs accumulate onto this cache.
         self._cache = target

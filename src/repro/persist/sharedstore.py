@@ -695,7 +695,8 @@ class SharedBodyStore:
         key mismatches (``items``); pools keyed for other VM versions or
         host tags are *notes* (``stale-keytag`` — expected after an
         upgrade, removed by ``gc``), as are leftover ``.tmp`` files from
-        interrupted atomic writes.  A corrupt registry is a ``corrupt``
+        interrupted atomic writes, a shard's or the registry's.  A
+        corrupt registry is a ``corrupt``
         row.  With ``quarantine=True`` damaged shards and a corrupt
         registry are moved aside; without it, nothing moves.
         """
@@ -709,6 +710,8 @@ class SharedBodyStore:
             if quarantine:
                 self._quarantine(self._registry_path(), "fsck: " + damage)
                 report.quarantined.append(REGISTRY_NAME)
+        if os.path.exists(self._registry_path() + TMP_SUFFIX):
+            report.notes.append(stale_tmp(REGISTRY_NAME + TMP_SUFFIX))
         if not os.path.isdir(bodies):
             return report
         current = store_keytag(self.vm_version, self.host_tag)

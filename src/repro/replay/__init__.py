@@ -22,7 +22,6 @@ from repro.replay.log import (  # noqa: F401
     ReplayLogError,
     result_snapshot,
     snapshot_diff,
-    verify_replay_log,
 )
 from repro.replay.session import (  # noqa: F401
     RecordingHook,

@@ -52,7 +52,6 @@ from repro.persist.framing import (  # noqa: F401  (PREAMBLE re-exported)
     PREAMBLE,
     FrameError,
     Framing,
-    damage_map,
 )
 
 MAGIC = b"PCRL"
@@ -196,8 +195,3 @@ class ReplayLog:
             )
         baseline = FRAMING.json_section(sections, "baseline", object)
         return cls(meta=meta, events=events, baseline=baseline)
-
-
-def verify_replay_log(blob: bytes) -> Dict[str, str]:
-    """Section-attributed damage map for fsck: empty when healthy."""
-    return damage_map(ReplayLog.from_bytes, blob)

@@ -391,13 +391,13 @@ class TestBenchErrors:
 
 
 def _illegal_opcode(trace):
-    trace.code = b"\xee" + trace.code[1:]
+    return trace._replace(code=b"\xee" + trace.code[1:])
 
 
 def _code_shorter_than_its_instructions(trace):
-    trace.n_insts = len(trace.code) // 8 + 1
     # The data pool must still hold the longer body's modeled records.
-    trace.data_size = 0
+    return trace._replace(uops=[trace.uops[0]] * (len(trace.code) // 8 + 1),
+                          data_size=0)
 
 
 class TestUndecodableCode:
@@ -416,7 +416,7 @@ class TestUndecodableCode:
         path = os.path.join(directory, entry.filename)
         with open(path, "rb") as handle:
             cache = PersistentCache.from_bytes(handle.read())
-        damage(cache.traces[0])
+        cache.traces[0] = damage(cache.traces[0])
         with open(path, "wb") as handle:
             handle.write(cache.to_bytes())
         return directory, entry.filename

@@ -17,8 +17,8 @@ from repro.persist.cachefile import (
     PREAMBLE,
     SUPPORTED_FEATURES,
     PersistentCache,
-    verify_sections,
 )
+from repro.persist.framing import damage_map
 from repro.testing.faultfs import flip_byte, truncate_file
 
 from tests.test_persist_cachefile import make_cache
@@ -103,9 +103,9 @@ class TestSectionAttribution:
         start, end = spans["code_pool"]
         corrupt = bytearray(blob)
         corrupt[(start + end) // 2] ^= 0xFF
-        damage = verify_sections(bytes(corrupt))
+        damage = damage_map(PersistentCache.from_bytes, bytes(corrupt))
         assert list(damage) == ["code_pool"]
-        assert verify_sections(blob) == {}
+        assert damage_map(PersistentCache.from_bytes, blob) == {}
 
 
 class TestTruncation:

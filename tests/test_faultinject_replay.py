@@ -12,12 +12,13 @@ import os
 import pytest
 
 from repro.persist.database import CacheDatabase
+from repro.persist.framing import damage_map
 from repro.replay.harness import (
     DifferentialReplayHarness,
     record_session,
     replay_session,
 )
-from repro.replay.log import ReplayLogError, result_snapshot
+from repro.replay.log import ReplayLog, ReplayLogError, result_snapshot
 from repro.testing.faultfs import (
     FaultPlan,
     FaultyStorage,
@@ -128,10 +129,8 @@ class TestReadFaults:
         blob = open(path, "rb").read()
         for offset in range(0, len(blob), max(1, len(blob) // 40)):
             flip_byte(path, offset)
-            from repro.replay.log import verify_replay_log
-
             damaged = open(path, "rb").read()
-            assert verify_replay_log(damaged), offset
+            assert damage_map(ReplayLog.from_bytes, damaged), offset
             flip_byte(path, offset)  # restore
 
     def test_truncation_fails_loudly(self, suite, tmp_path):

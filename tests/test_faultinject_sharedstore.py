@@ -21,6 +21,7 @@ from repro.persist.sidecar import SIDECAR_NAME
 from repro.persist.sharedstore import (
     BODIES_DIR,
     QUARANTINE_DIR,
+    REGISTRY_NAME,
     SharedBodyStore,
 )
 from repro.testing.faultfs import (
@@ -371,6 +372,29 @@ class TestFaultedWrites:
         assert run.exit_status == 0
         assert run.persistence_report["shared_store_state"] == "attached"
         assert store.registered_databases() == []
+
+    def test_interrupted_registration_leaves_a_noted_tmp(
+        self, tmp_path, capsys
+    ):
+        """A registration that crashes before its rename leaves
+        ``registry.json.tmp`` at the store's root: ``cache fsck`` notes
+        it as it notes a shard's leftover ``.tmp``, and moves nothing."""
+        from repro.cli import main
+
+        store_dir = tmp_path / "store"
+        make_store(store_dir).register_database(str(tmp_path / "db1"))
+        crashing = make_store(store_dir, storage=FaultyStorage(
+            FaultPlan(crash_before_rename=True, match=REGISTRY_NAME)
+        ))
+        with pytest.raises(SimulatedCrash):
+            crashing.register_database(str(tmp_path / "db2"))
+        before = sorted(os.listdir(store_dir))
+        assert REGISTRY_NAME + ".tmp" in before
+        assert main(["cache", "fsck", str(store_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "note: registry.json.tmp stale-tmp: " in out
+        assert "fsck: clean" in out
+        assert sorted(os.listdir(store_dir)) == before
 
 
 class TestGcUnderFaults:

@@ -4,35 +4,42 @@ import gc
 
 import pytest
 
+from repro.isa.encoding import decode_uops
 from repro.persist import cachefile
 from repro.persist.cachefile import (
     DATA_PREFIX,
     EXIT_TARGET,
     ROW,
     CacheFileError,
-    PersistedExit,
     PersistedReloc,
-    PersistedTrace,
     PersistentCache,
+    TraceRow,
 )
 from repro.persist.keys import MappingKey
-from repro.vm.trace import ExitKind
+from repro.vm.trace import ExitKind, TraceExit
 
 
 def make_trace(offset=0, path="app", n=4, data_size=400):
-    return PersistedTrace(
-        entry=0x40_0000 + offset,
+    code = bytes(range(n)) * 8  # n*8 bytes of fake encoded code
+    return TraceRow(
         image_path=path,
+        entry=0x40_0000 + offset,
         image_offset=offset,
-        n_insts=n,
-        code=bytes(range(n)) * 8,  # n*8 bytes of fake encoded code
-        exits=[
-            PersistedExit(int(ExitKind.DIRECT), n - 1, 0x41_0000, path, 0x100)
-        ],
+        code=code,
+        body=code,
+        uops=decode_uops(code),
+        exits=[TraceExit(ExitKind.DIRECT, n - 1, 0x41_0000)],
+        exit_places=[(0, 0x100)],
         relocs=[PersistedReloc(n - 1, path, 0x100)],
         data_size=data_size,
         liveness=[0xFF] * n,
+        paths=[path],
     )
+
+
+def exit_targets(row):
+    """``row``'s exit targets as (image path, offset) pairs."""
+    return [(row.paths[path], offset) for path, offset in row.exit_places]
 
 
 def make_cache(n_traces=3):
@@ -58,6 +65,7 @@ class TestRoundTrip:
             assert loaded.entry == original.entry
             assert loaded.code == original.code
             assert loaded.exits == original.exits
+            assert exit_targets(loaded) == exit_targets(original)
             assert loaded.relocs == original.relocs
             assert loaded.liveness == original.liveness
             assert loaded.data_size == original.data_size
@@ -87,7 +95,7 @@ class TestRoundTrip:
 class TestPools:
     def test_data_blob_exact_size(self):
         trace = make_trace(data_size=512)
-        assert len(trace.build_data_blob()) == 512
+        assert len(trace.data_blob()) == 512
 
     def test_data_pool_matches_directory(self):
         cache = make_cache()
@@ -97,7 +105,7 @@ class TestPools:
 
     def test_pool_totals(self):
         cache = make_cache(n_traces=4)
-        assert cache.total_code_bytes == sum(t.code_size for t in cache.traces)
+        assert cache.total_code_bytes == sum(len(t.code) for t in cache.traces)
         assert cache.total_data_bytes == 4 * 400
 
     def test_file_size_includes_both_pools(self):
@@ -136,12 +144,6 @@ class TestAccumulation:
     def test_identity(self):
         trace = make_trace(offset=8, path="libq.so")
         assert trace.identity == ("libq.so", 8)
-
-    def test_traces_for_image(self):
-        cache = make_cache()
-        cache.traces.append(make_trace(offset=0, path="libw.so"))
-        assert len(cache.traces_for_image("libw.so")) == 1
-        assert len(cache.traces_for_image("app")) == 3
 
 
 class TestDirectoryValidation:
@@ -281,6 +283,6 @@ class TestDirectoryValidation:
     )
     def test_unserializable_record_is_a_value_error(self, name, value):
         cache = make_cache(n_traces=1)
-        setattr(cache.traces[0], name, value)
+        cache.traces[0] = cache.traces[0]._replace(**{name: value})
         with pytest.raises(ValueError):
             cache.to_bytes()

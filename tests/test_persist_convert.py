@@ -52,7 +52,7 @@ class TestPersist:
         record = persist_trace(translated, process)
         assert record.image_path == "app"
         assert record.image_offset == process.entry_address - process.mappings[0].base
-        assert record.n_insts == 1  # call terminates the trace
+        assert len(record.uops) == 1  # call terminates the trace
         assert record.code == translated.code_bytes
 
     def test_records_cross_image_call_reloc(self):
@@ -68,9 +68,9 @@ class TestPersist:
         process = build_process()
         translated = select_and_translate(process, process.entry_address)
         record = persist_trace(translated, process)
-        direct = record.exits[-1]
-        assert direct.kind == int(ExitKind.DIRECT)
-        assert direct.target_path == "libm.so"
+        assert record.exits[-1].kind == ExitKind.DIRECT
+        path, _offset = record.exit_places[-1]
+        assert record.paths[path] == "libm.so"
 
     def test_data_records_fill_the_translated_data_size(self):
         """A cache file's data pool holds the records the translator
@@ -82,7 +82,7 @@ class TestPersist:
         assert translated.trace.exits and translated.points
         assert translated.liveness
         record = persist_trace(translated, process)
-        assert len(record.build_data_blob()) == translated.data_size
+        assert len(record.data_blob()) == translated.data_size
 
     def test_unbacked_trace_not_persisted(self):
         process = build_process()
@@ -102,7 +102,7 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        revived = revive_trace(record.row(), None, base_of, rebase=rebase)
+        revived = revive_trace(record, None, base_of, rebase=rebase)
         return record, revived, process_in
 
     def test_verbatim_same_layout(self):
@@ -130,7 +130,7 @@ class TestRevive:
         moved = process_in.space.mapping_for_image("libm.so").base
         original = process_out.space.mapping_for_image("libm.so").base
         assert moved != original  # the perturbation actually moved it
-        assert revive_trace(record.row(), None, base_of, rebase=False) is None
+        assert revive_trace(record, None, base_of, rebase=False) is None
 
     def test_rebase_follows_relocation(self):
         process_out = build_process()
@@ -142,7 +142,7 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        revived = revive_trace(record.row(), None, base_of, rebase=True)
+        revived = revive_trace(record, None, base_of, rebase=True)
         assert revived is not None
         # The call immediate must now point at the *new* libm_fn address.
         new_target = process_in.resolve_symbol("libm_fn")
@@ -165,7 +165,7 @@ class TestRevive:
             mapping = process_in.space.mapping_for_image(path)
             return mapping.base if mapping else None
 
-        revived = revive_trace(record.row(), None, base_of, rebase=True)
+        revived = revive_trace(record, None, base_of, rebase=True)
         body = encode_all(revived.trace.instructions)
         assert revived.code_bytes[:len(body)] == body
         fresh = select_and_translate(process_in, process_in.entry_address)
@@ -176,7 +176,7 @@ class TestRevive:
 
     def test_revive_missing_image(self):
         record, _revived, _process = self._roundtrip(rebase=False)
-        assert revive_trace(record.row(), None, lambda path: None) is None
+        assert revive_trace(record, None, lambda path: None) is None
 
     def test_rebase_missing_target_image(self):
         process_out = build_process()
@@ -186,7 +186,7 @@ class TestRevive:
         def base_of(path):
             return 0x40_0000 if path == "app" else None  # libm.so unloaded
 
-        assert revive_trace(record.row(), None, base_of, rebase=True) is None
+        assert revive_trace(record, None, base_of, rebase=True) is None
 
     def test_tool_points_rebound(self):
         process_out = build_process()
@@ -201,7 +201,7 @@ class TestRevive:
             return mapping.base if mapping else None
 
         fresh_tool = BBCountTool()
-        revived = revive_trace(record.row(), fresh_tool, base_of)
+        revived = revive_trace(record, fresh_tool, base_of)
         assert len(revived.points) == len(translated.points)
         assert revived.points_by_index.keys() == translated.points_by_index.keys()
 

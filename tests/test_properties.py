@@ -11,7 +11,6 @@ properties every experiment silently depends on:
 * liveness analysis is a sound over-approximation.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -24,12 +23,12 @@ from repro.isa.opcodes import Opcode
 from repro.loader.linker import load_process
 from repro.machine.cpu import Machine, run_native
 from repro.machine.syscalls import SYS_EXIT
+from repro.isa.encoding import decode_uops
 from repro.persist.cachefile import (
     CacheFileError,
-    PersistedExit,
     PersistedReloc,
-    PersistedTrace,
     PersistentCache,
+    TraceRow,
 )
 from repro.persist.keys import MappingKey
 from repro.vm.engine import Engine
@@ -135,29 +134,31 @@ def test_liveness_soundness_property(seed, length):
 _OPCODE_BYTES = sorted(int(op) for op in Opcode)
 
 
-def _decodable(trace: PersistedTrace) -> PersistedTrace:
-    """``trace`` with its first ``n_insts`` code words folded into
-    decodable ones (opcode and register bytes mapped into range), as
-    every record of a cache file must be; immediates and the stub bytes
-    after the body stay as drawn."""
-    n_insts = min(trace.n_insts, len(trace.code) // 8)
-    code = bytearray(trace.code)
+def _decodable(code: bytes, n_insts: int) -> bytes:
+    """``code`` with its first ``n_insts`` words folded into decodable
+    ones (opcode and register bytes mapped into range), as every row of
+    a cache file must be; immediates and the stub bytes after the body
+    stay as drawn."""
+    code = bytearray(code)
     for word in range(0, n_insts * 8, 8):
         code[word] = _OPCODE_BYTES[code[word] % len(_OPCODE_BYTES)]
         for offset in range(word + 1, word + 4):
             code[offset] %= regs.NUM_REGISTERS
-    return dataclasses.replace(trace, n_insts=n_insts, code=bytes(code))
+    return bytes(code)
 
 
 _IMAGE_PATHS = ["app", "libx.so", "liby.so"]
 
-_exit_strategy = st.builds(
-    PersistedExit,
-    kind=st.integers(0, 5),
-    index=st.integers(0, 23),
-    target=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
-    target_path=st.sampled_from([""] + _IMAGE_PATHS),
-    target_offset=st.integers(0, 0xFFFF),
+#: An exit and its target's image path and offset.
+_exit_strategy = st.tuples(
+    st.builds(
+        TraceExit,
+        kind=st.sampled_from(ExitKind),
+        index=st.integers(0, 23),
+        target=st.one_of(st.none(), st.integers(0, 2**31 - 1)),
+    ),
+    st.sampled_from([""] + _IMAGE_PATHS),
+    st.integers(0, 0xFFFF),
 )
 
 
@@ -172,31 +173,48 @@ def _relocs(n_insts: int):
 
 
 @st.composite
-def _traces(draw) -> PersistedTrace:
-    """A decodable record whose data size covers its modeled records
-    (PCC3 reads entry, offsets, liveness and exits back from them), plus
-    up to 512 bytes of slack; liveness is absent or one mask per
-    instruction, as the translator writes it."""
+def _traces(draw) -> TraceRow:
+    """A decodable row whose data size covers its modeled records (PCC3
+    reads entry, offsets, liveness and exits back from them), plus up to
+    512 bytes of slack; liveness is absent or one mask per instruction,
+    as the translator writes it."""
     code = draw(st.binary(min_size=8, max_size=256))
     n_insts = min(draw(st.integers(1, 24)), len(code) // 8)
+    code = _decodable(code, n_insts)
     exits = draw(st.lists(_exit_strategy, max_size=4))
     liveness = draw(st.one_of(
         st.just([]),
         st.lists(st.integers(0, 2**32 - 1), min_size=n_insts,
                  max_size=n_insts),
     ))
-    return _decodable(PersistedTrace(
-        entry=draw(st.integers(0x1000, 0xFFFF00)) & ~7,
+    body = code[: n_insts * 8]
+    return TraceRow(
         image_path=draw(st.sampled_from(_IMAGE_PATHS)),
+        entry=draw(st.integers(0x1000, 0xFFFF00)) & ~7,
         image_offset=draw(st.integers(0, 0xFFFF)) & ~7,
-        n_insts=n_insts,
         code=code,
-        exits=exits,
+        body=body,
+        uops=decode_uops(body),
+        exits=[trace_exit for trace_exit, _path, _offset in exits],
+        exit_places=[(at, offset)
+                     for at, (_exit, _path, offset) in enumerate(exits)],
         relocs=draw(_relocs(n_insts)),
         data_size=(modeled_data_size(n_insts, len(exits))
                    + draw(st.integers(0, 512))),
         liveness=liveness,
-    ))
+        paths=[path for _exit, path, _offset in exits],
+    )
+
+
+def _resolved(row: TraceRow) -> TraceRow:
+    """``row`` with each exit place as its target's (image path,
+    offset): a parsed row indexes the file's path table, a row built in
+    memory its own list."""
+    return row._replace(
+        exit_places=[(row.paths[path], offset)
+                     for path, offset in row.exit_places],
+        paths=None,
+    )
 
 
 _trace_strategy = _traces()
@@ -218,7 +236,8 @@ def test_cachefile_roundtrip_property(traces):
     clone = PersistentCache.from_bytes(blob)
     # Every field: entry, paths and offsets, code, exits (targets of
     # None, empty target paths), relocations, data size and liveness.
-    assert clone.traces == cache.traces
+    assert ([_resolved(row) for row in clone.traces]
+            == [_resolved(row) for row in cache.traces])
     assert clone.image_keys == cache.image_keys
     assert clone.to_bytes() == blob
 
@@ -238,11 +257,11 @@ def test_cachefile_rejects_undecodable_code_property(
 ):
     """A record whose body has a word ``decode`` rejects is code-pool
     damage, even though every CRC of the file holds."""
-    position = word % trace.n_insts * 8 + offset
+    position = word % len(trace.uops) * 8 + offset
     code = bytearray(trace.code)
     code[position] = illegal_opcode if offset == 0 else bad_register
     cache = PersistentCache(vm_version="v", tool_identity="t", app_path="app")
-    cache.traces.append(dataclasses.replace(trace, code=bytes(code)))
+    cache.traces.append(trace._replace(code=bytes(code)))
     with pytest.raises(CacheFileError) as excinfo:
         PersistentCache.from_bytes(cache.to_bytes())
     assert excinfo.value.section == "code_pool"

@@ -11,6 +11,7 @@ import pytest
 
 from repro.machine.syscalls import SYS_RAND
 from repro.persist.database import CacheDatabase
+from repro.persist.framing import damage_map
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.replay.harness import (
     DifferentialReplayHarness,
@@ -23,7 +24,6 @@ from repro.replay.log import (
     ReplayLogError,
     result_snapshot,
     snapshot_diff,
-    verify_replay_log,
 )
 from repro.replay.session import RecordingHook, ReplayDivergence, ReplayHook
 from repro.workloads.harness import run_vm
@@ -83,12 +83,12 @@ class TestLogFormat:
         assert excinfo.value.section == "preamble"
 
     def test_verify_healthy_is_empty(self):
-        assert verify_replay_log(_sample_log().to_bytes()) == {}
+        assert damage_map(ReplayLog.from_bytes, _sample_log().to_bytes()) == {}
 
     def test_verify_maps_damage(self):
         blob = bytearray(_sample_log().to_bytes())
         blob[-2] ^= 0x01
-        damage = verify_replay_log(bytes(blob))
+        damage = damage_map(ReplayLog.from_bytes, bytes(blob))
         assert damage and "trailer" in damage
 
     def test_events_must_be_records(self):

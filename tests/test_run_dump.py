@@ -4,7 +4,13 @@ Each of the 5 GUI ``startup`` runs and the 11 SPEC ``ref-1`` programs
 runs cold, warm and warm again against a database of its own; 176.gcc
 and 253.perlbmk also run ``ref-1``, ``ref-2`` and ``ref-3`` in turn
 against one database each, which accumulates the new traces of every
-input.  Every leg records its exit status, a digest of its output, its
+input.  Four more databases reach the other write-backs: gvim started
+cold, then at a ``PerturbedLayout`` without position independence (the
+invalid traces are dropped and the new ones join the parsed ones in
+one file) and with it (the rebased revive); ``dlopen_smc``, whose
+module is closed before exit, so its traces are converted at unload
+and written at exit; and 164.gzip in a code pool small enough to flush,
+so a flush write-back comes before the exit one.  Every leg records its exit status, a digest of its output, its
 ``VMStats`` (sets sorted), its ``HostStats`` with no field left out,
 the sha256 of every ``.cache`` file in the database after it, and the
 digests of the registers and memory the run leaves
@@ -35,8 +41,11 @@ import tempfile
 
 import pytest
 
+from repro.loader.layout import PerturbedLayout
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
+from repro.vm.engine import VMConfig
+from repro.workloads.adversarial import build_adversarial_suite
 from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
 from repro.workloads.spec2k import build_suite
@@ -50,6 +59,24 @@ FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 ACCUMULATING = (
     ("176.gcc-acc", "176.gcc", ("ref-1", "ref-2", "ref-3")),
     ("253.perlbmk-acc", "253.perlbmk", ("ref-1", "ref-2", "ref-3")),
+)
+
+#: Legs of one database each that reach the other write paths:
+#: ``(label, program, input, ((leg, run options), ...))``.
+WRITE_PATHS = (
+    ("gvim-moved", "gvim", "startup", (
+        ("cold", {}),
+        ("moved", {"layout": PerturbedLayout(7)}),
+    )),
+    ("gvim-rebased", "gvim", "startup", (
+        ("cold", {"relocatable": True}),
+        ("moved", {"layout": PerturbedLayout(7), "relocatable": True}),
+    )),
+    ("dlopen_smc", "dlopen_smc", "run", (("cold", {}), ("warm", {}))),
+    ("164.gzip-flush", "164.gzip", "ref-1", (
+        ("flush", {"vm_config": VMConfig(code_pool_bytes=2000)}),
+        ("warm", {}),
+    )),
 )
 
 
@@ -92,9 +119,12 @@ def _cache_files(directory: str) -> dict:
     return digests
 
 
-def _leg(program, input_name, directory: str) -> dict:
-    result = run_vm(program, input_name, persistence=PersistenceConfig(
-        database=CacheDatabase(directory)))
+def _leg(program, input_name, directory: str, layout=None,
+         relocatable=False, vm_config=None) -> dict:
+    result = run_vm(
+        program, input_name, layout=layout, vm_config=vm_config,
+        persistence=PersistenceConfig(database=CacheDatabase(directory),
+                                      relocatable=relocatable))
     return {
         "exit_status": result.exit_status,
         "output_sha256": _sha(result.output),
@@ -110,6 +140,7 @@ def dump(root: str) -> dict:
     ``root``."""
     apps, _store = build_gui_suite()
     spec = build_suite()
+    programs = {**apps, **spec, **build_adversarial_suite()}
     cases = [(name, apps[name], "startup") for name in sorted(apps)]
     cases += [(name, spec[name], "ref-1") for name in sorted(spec)]
     legs = {}
@@ -124,6 +155,11 @@ def dump(root: str) -> dict:
             for input_name in inputs:
                 legs["%s/%s/accumulate" % (label, input_name)] = _leg(
                     spec[name], input_name, directory)
+        for label, name, input_name, runs in WRITE_PATHS:
+            directory = os.path.join(root, label)
+            for leg, options in runs:
+                legs["%s/%s/%s" % (label, input_name, leg)] = _leg(
+                    programs[name], input_name, directory, **options)
     return legs
 
 

@@ -93,12 +93,12 @@ def test_revived_uops_match_a_fresh_translation(
     base_of = PersistentCacheSession._base_of(process)
     assert len(traces) > 100
     for persisted in traces:
-        revived = revive_trace(persisted.row(), NullTool(), base_of, rebase)
+        revived = revive_trace(persisted, NullTool(), base_of, rebase)
         fresh = fresh_translation(process, persisted)
         assert revived.trace.uops == fresh.trace.uops, hex(persisted.entry)
         assert revived.trace.exits == fresh.trace.exits
         assert revived.code_bytes == fresh.code_bytes, hex(persisted.entry)
-        body = revived.code_bytes[: persisted.n_insts * 8]
+        body = revived.code_bytes[: len(persisted.uops) * 8]
         assert revived.trace.instructions == decode_all(body)
     if rebase:
         assert any(base_of(persisted.image_path) + persisted.image_offset
@@ -193,17 +193,16 @@ def test_preload_builds_the_cache_fresh_translations_build(
 
 
 def test_a_cache_whose_records_moved_revives_its_records(gui_apps, tmp_path):
-    """Rows stand for a parsed file only until its records are built: a
-    cache whose records a run dropped from (or added to) revives its
-    records, not the file's rows."""
+    """A cache revives the rows it holds now: a row dropped from a
+    parsed file is not preloaded."""
     app = gui_apps["gftp"]
     database = warm_database(app, "startup", tmp_path)
     [entry] = database.entries()
     cache = PersistentCache.load(
         "%s/%s" % (database.directory, entry.filename))
-    count = cache.trace_count
+    count = len(cache.traces)
     assert cache.drop_traces({cache.traces[0].identity}) == 1
-    assert cache.trace_count == count - 1
+    assert len(cache.traces) == count - 1
     warm = run_vm(app, "startup", persistence=PersistenceConfig(
         prime_with=cache, readonly=True))
     assert warm.host.preloaded == count - 1
