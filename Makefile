@@ -119,10 +119,12 @@ replay-smoke:
 # (tests/test_body_pass.py: every op with an interval rule at and next
 # to the int64 edges, in solo traces and fused loops, and the
 # dead-write boundaries, on native, oracle, cold and compiled execution
-# at thresholds 1 and 32); the tier-up's differential suite
-# (tests/test_tierup.py::TestDifferential: compile thresholds 1, 2 and
-# 32 against the interpreted oracle, through SMC, cache churn and a
-# persistence round trip); and trace selection against a word-by-word
+# at threshold 1 and the default); the tier-up's differential suite
+# (tests/test_tierup.py::TestDifferential: compile thresholds 1, 2, 32
+# and 128 against the interpreted oracle, through SMC, cache churn and
+# a persistence round trip) and its rule (TestTierUpRule: a held body
+# binds on the bind entry, a host compile lands on the threshold entry,
+# one store probe per trace); and trace selection against a word-by-word
 # fetch (same traces and faults over every corpus, and a patched word
 # selected again after its trace's eviction: SMC transparency rests on
 # selection reading the current code bytes).  The differential classes
@@ -136,6 +138,7 @@ transparency-smoke:
 		tests/test_dispatch_equivalence.py::TestColdTier \
 		tests/test_body_pass.py \
 		tests/test_tierup.py::TestDifferential \
+		tests/test_tierup.py::TestTierUpRule \
 		tests/test_vm_trace.py::TestAgainstPerPcFetch \
 		tests/test_vm_trace.py::TestFaults \
 		tests/test_vm_trace.py::TestSelfModification

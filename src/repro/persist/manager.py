@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro.persist.cachefile import CacheFileError, PersistentCache, TraceRow
-from repro.persist.convert import persist_trace, revive_trace
+from repro.persist.convert import locator, persist_trace, revive_trace
 from repro.persist.database import INDEX_NAME, CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
 from repro.persist.sidecar import open_body_store
@@ -259,8 +259,8 @@ class PersistentCacheSession:
         # persisted link web; the open cost already covers this (the
         # file stores the links).  Preloaded residents are demand-paged:
         # the first execution charges the trace+metadata load; compiled
-        # dispatch specializes the trace into its closure once it
-        # reaches the compile threshold.
+        # dispatch binds the trace's stored body on its bind entry, or
+        # specializes it once it reaches the compile threshold.
         try:
             cache.insert(*preload.values())
         except CacheFull:
@@ -331,10 +331,12 @@ class PersistentCacheSession:
         """
         if self._rr:
             return
+        process = machine.process
+        locate = locator(process)
         for resident in evicted:
             if resident.from_persistent:
                 continue  # already in the loaded cache file
-            row = persist_trace(resident, machine.process)
+            row = persist_trace(resident, process, locate)
             if row is None:
                 self.host.unbacked_skipped += 1
                 continue
@@ -559,6 +561,7 @@ class PersistentCacheSession:
         process = machine.process
 
         modified_pages = machine.modified_code_pages
+        locate = locator(process)
         new_rows: List[TraceRow] = []
         for resident in cache.traces():
             if modified_pages and resident.touches_pages(modified_pages):
@@ -571,7 +574,7 @@ class PersistentCacheSession:
                 # Revived from the loaded cache, which already holds its
                 # row.
                 continue
-            row = persist_trace(resident, process)
+            row = persist_trace(resident, process, locate)
             if row is None:
                 self.host.unbacked_skipped += 1
                 continue  # unbacked code: never persisted

@@ -48,13 +48,16 @@ flush.
 **Tier-up.**  A trace, fresh or revived, runs on the engine's cold tier
 (one :meth:`repro.machine.cpu.ExecutionContext.run_uops` call per
 entry, or the oracle's per-uop loop when it has analysis points) until
-its ``compile_threshold``-th entry (:data:`DEFAULT_COMPILE_THRESHOLD`;
-1 compiles at the first entry), and compiles on that entry: the
-dispatch loop counts an entry before it checks it.  The body's source
-only sets the cost: :meth:`TraceCompiler.compile` takes it from the
-run's factory memo, else from the attached body store, else from a host
-``compile()``, so a body is persisted only once its trace reached the
-threshold in some run.
+a body is attached, and each source of a body has its own entry, set by
+what it costs: the dispatch loop counts an entry before it checks it.
+On entry ``min(compile_threshold, BIND_THRESHOLD)`` (32 by default)
+:meth:`TraceCompiler.compile` binds a body that the run's factory memo
+or the attached body store holds, and compiles nothing.  On entry
+``compile_threshold`` (:data:`DEFAULT_COMPILE_THRESHOLD`, 128) it
+host-compiles a body neither held, without probing the store again.
+At a threshold of 32 or below both happen on one entry (1 binds or
+compiles at the first).  A body is persisted only once its trace
+reached the host entry in some run.
 
 **Factories.**  The closure factory is keyed by everything its source
 bakes in (uops, entry, links, points, cost constants) and memoized per
@@ -137,10 +140,19 @@ LOOP_FUSE_THRESHOLD = 64
 #: Maximum member traces in one fused region (keeps generated bodies,
 #: and the blast radius of one member's invalidation, bounded).
 REGION_MAX_MEMBERS = 8
-#: The entry on which every trace, fresh or revived, compiles; it runs
-#: on the cold tier before.  At startup, 98% of the traces the GUI apps
-#: select run 32 times or fewer.
-DEFAULT_COMPILE_THRESHOLD = 32
+#: The entry on which a trace, fresh or revived, binds a body that the
+#: run's factory memo or the attached store holds, when the compile
+#: threshold is not lower.  A bind costs about as much as 9 cold-tier
+#: entries of an 11-uop trace, so a trace that ran 32 times is likely to
+#: repay it, and a warm hot loop leaves the cold tier early.
+BIND_THRESHOLD = 32
+#: The entry on which a trace host-compiles a body that neither the memo
+#: nor the store held; it runs on the cold tier before.  Generating and
+#: host-compiling one body costs about as much as 165 cold-tier entries
+#: of an 11-uop trace, which a GUI start-up's traces, run a few dozen
+#: times each, never repay; a trace that ran 128 times is a loop that
+#: tends to run on.
+DEFAULT_COMPILE_THRESHOLD = 128
 
 
 class CompileError(Exception):
@@ -456,9 +468,15 @@ class TraceCompiler:
 
     # -- public API -----------------------------------------------------------
 
-    def compile(self, translated: TranslatedTrace):
+    def compile(self, translated: TranslatedTrace, stored: bool = True,
+                host: bool = True):
         """Specialize ``translated``; attach and return the closure.
 
+        The factory comes from the run's memo, else (``stored``) from
+        the attached store, else (``host``) from a host ``compile()``.
+        The bind entry passes ``host=False`` and gets None, with nothing
+        attached, when neither held it; the host entry after it passes
+        ``stored=False``, since that entry probed the store already.
         On failure the :data:`UNCOMPILABLE` sentinel is attached and
         returned, and the engine executes the trace interpreted — the
         tiers are observably identical, so falling back is always safe.
@@ -469,10 +487,13 @@ class TraceCompiler:
                 _trace_key(translated, self.cost),
                 lambda: self._generate(translated, slots, callbacks),
                 "<trace@0x%x>" % translated.entry,
+                stored, host,
             )
         except CompileError:
             translated.compiled_body = UNCOMPILABLE
             return UNCOMPILABLE
+        if make is None:
+            return None
         body = make(self._context, slots, callbacks)
         translated.compiled_body = body
         self.host.compiles += 1
@@ -529,10 +550,12 @@ class TraceCompiler:
         self.host.regions_compiled += 1
         return body
 
-    def _factory(self, key: tuple, source_fn, filename: str):
-        """The ``_make`` factory for ``key``: this run's memo, else the
-        attached store's body, else a host ``compile()`` of
-        ``source_fn()`` recorded into the store for the next process.
+    def _factory(self, key: tuple, source_fn, filename: str,
+                 stored: bool = True, host: bool = True):
+        """The ``_make`` factory for ``key``: this run's memo, else
+        (``stored``) the attached store's body, else (``host``) a host
+        ``compile()`` of ``source_fn()`` recorded into the store for the
+        next process; None when every source allowed missed.
 
         A stored body ``exec``\\ s the revived code object, skipping
         source generation and host ``compile()``.  The store is attached
@@ -546,7 +569,7 @@ class TraceCompiler:
         store = self.body_store
         if store is not None:
             digest = _body_digest(key)
-            code = store.lookup_code(digest)
+            code = store.lookup_code(digest) if stored else None
             if code is not None:
                 namespace: Dict[str, object] = {}
                 try:
@@ -558,6 +581,8 @@ class TraceCompiler:
                 else:
                     self.host.body_hits += 1
         if make is None:
+            if not host:
+                return None
             # Exec what is marshaled: a fresh compile and a revive then
             # run the same code object.
             code = _strip_line_tables(compile(source_fn(), filename, "exec"))

@@ -44,6 +44,7 @@ from repro.vm.codecache import (
     DEFAULT_DATA_POOL_BYTES,
 )
 from repro.vm.compile import (
+    BIND_THRESHOLD,
     DEFAULT_COMPILE_THRESHOLD,
     LOOP_FUSE_THRESHOLD,
     REGION_FUSE_THRESHOLD,
@@ -97,17 +98,21 @@ class VMConfig:
     module_retention: bool = True
     #: How translated traces execute: ``"compiled"`` specializes each
     #: trace into a Python closure (repro.vm.compile) once it reaches
-    #: ``compile_threshold`` entries and runs it on the cold
+    #: its tier-up entry (``compile_threshold``) and runs it on the cold
     #: tier before that, one ``ExecutionContext.run_uops`` call per
     #: trace entry; ``"interpreted"`` walks uops through step_uop, one
     #: call per uop.  The tiers are observably identical — same output,
     #: exit status, and VMStats to the bit (see docs/performance.md);
     #: interpreted is the reference oracle, compiled the fast default.
     dispatch_mode: str = "compiled"
-    #: Compiled-tier tier-up: every trace, fresh or revived, runs on the
-    #: cold tier for its first ``compile_threshold - 1`` entries and
-    #: compiles on the next.  A body in the run's factory memo or the
-    #: attached store is bound then instead of host-compiled; 1 compiles
+    #: Compiled-tier tier-up: the entry on which a trace, fresh or
+    #: revived, host-compiles its body; it runs on the cold tier before.
+    #: A body that the run's factory memo or the attached store holds is
+    #: bound earlier, on entry ``min(compile_threshold, BIND_THRESHOLD)``.
+    #: The two entries follow the two costs: a host compile costs about
+    #: as much as 165 cold-tier entries of an 11-uop trace and a bind
+    #: about 9, so a GUI start-up's traces, which run a few dozen
+    #: times, bind what a store holds and compile nothing.  1 compiles
     #: every trace at its first entry.  Host-side only — the tiers are
     #: observably identical per execution, so ``VMStats`` is
     #: bit-identical at any threshold.
@@ -319,6 +324,10 @@ class Engine:
         run_uops = context.run_uops
         budget = self.config.max_instructions
         threshold = self.config.compile_threshold
+        bind_at = min(threshold, BIND_THRESHOLD)
+        # Past a bind entry of its own, the threshold entry does not probe
+        # the store again.
+        host_probes = bind_at == threshold
         exit_status = 0
         pc: Optional[int] = process.entry_address
         # Program start: control begins inside the VM.
@@ -348,12 +357,18 @@ class Engine:
             body = None
             if compiler is not None:
                 body = translated.compiled_body
-                if body is None and translated.executions >= threshold:
-                    body = compiler.compile(translated)
+                if body is None:
+                    # Bind a body the memo or the store holds on the bind
+                    # entry; host-compile on the threshold entry.
+                    executions = translated.executions
+                    if executions >= threshold:
+                        body = compiler.compile(translated, host_probes)
+                    elif executions == bind_at:
+                        body = compiler.compile(translated, host=False)
                 if chained_from is not None:
                     # A closure handed this trace over.  The exit chained
                     # if the trace runs compiled; an uncompilable trace
-                    # bounced, and one below the threshold counts
+                    # bounced, and one without a body yet counts
                     # nothing.
                     if body is UNCOMPILABLE:
                         links.link_bounces += 1

@@ -79,8 +79,8 @@ class LinkStats:
     link_ic_hops: int = 0
     #: Linked exits (slot patched or IC-resolved resident) a closure
     #: handed over whose successor is uncompilable, so it ran on the
-    #: cold tier.  A successor below the compile threshold also runs there,
-    #: but is not counted.  Zero on the stable-chain corpus.
+    #: cold tier.  A successor that has no body yet also runs there, but
+    #: is not counted.  Zero on the stable-chain corpus.
     link_bounces: int = 0
     #: Superblock regions fused from stable hot chains this run.
     regions_fused: int = 0

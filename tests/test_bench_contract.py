@@ -5,7 +5,8 @@ anything its ``timed_run`` reads -- a result attribute, a report key, or
 a layer entry point that ``spans.installed`` wraps (each must stay
 defined on its own class) -- would otherwise surface only in ``make
 bench-contract-smoke``.  These tests call ``timed_run`` in-process for
-one GUI app, untraced and traced: cold, warm once the database stops
+one SPEC ``ref-1`` program, whose hot loop host-compiles at the default
+tier-up, untraced and traced: cold, warm once the database stops
 changing, and against a shared body store.
 """
 
@@ -15,8 +16,8 @@ import sys
 
 import pytest
 
-from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_native
+from repro.workloads.spec2k import build_suite
 
 BENCH_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"
@@ -48,20 +49,19 @@ def bench_run():
 
 
 @pytest.fixture(scope="module")
-def gftp(bench_run):
-    apps, _store = build_gui_suite()
-    app = apps["gftp"]
-    return app, bench_run.observable(run_native(app, "startup"))
+def gzip(bench_run):
+    program = build_suite()["164.gzip"]
+    return program, bench_run.observable(run_native(program, "ref-1"))
 
 
 @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
-def test_timed_run_reads_every_counter(bench_run, gftp, tmp_path, traced):
-    app, reference = gftp
+def test_timed_run_reads_every_counter(bench_run, gzip, tmp_path, traced):
+    program, reference = gzip
     db_dir = str(tmp_path / "db")
 
     def timed(warm, db=db_dir, shared=None):
         run = bench_run.timed_run(
-            app, "startup", db, shared, reference, warm, traced
+            program, "ref-1", db, shared, reference, warm, traced
         )
         assert run["fail"] is None
         counters = run["counters"]

@@ -8,7 +8,7 @@ outside int64 in a register; a wrong dead-write scan leaves the old
 value where a later read, a fault or an exit sees it.
 
 Every case runs natively, under the interpreted oracle, on the cold
-tier, and compiled at thresholds 1 and 32.  The engine runs must agree
+tier, and compiled at threshold 1 and the default.  The engine runs must agree
 on the whole :func:`~tests.conftest.signature`, final registers and
 memory included, and native execution on the exit status, the output
 and the final state.  Each op with an interval rule takes operands at
@@ -58,7 +58,7 @@ TIERS = {
     "oracle": VMConfig(dispatch_mode="interpreted"),
     "cold": VMConfig(compile_threshold=1 << 30),
     "compiled-1": VMConfig(compile_threshold=1),
-    "compiled-32": VMConfig(compile_threshold=DEFAULT_COMPILE_THRESHOLD),
+    "compiled-default": VMConfig(compile_threshold=DEFAULT_COMPILE_THRESHOLD),
 }
 
 #: Iterations of every loop: every trace compiles by the default
@@ -214,7 +214,7 @@ class TestIntervalRules:
         "op", REGISTER_OPS + IMMEDIATE_OPS + CONSTANT_OPS)
     def test_fused_loops(self, op):
         results = run_everywhere(loops(op))
-        for tier in ("compiled-1", "compiled-32"):
+        for tier in ("compiled-1", "compiled-default"):
             assert results[tier].host.links.regions_fused >= len(
                 range(0, len(cases(op)), LOOP_CASES)), tier
 
@@ -253,7 +253,7 @@ class TestDeadWrites:
     def test_read_through_rs2_only_in_a_fused_loop(self):
         results = run_everywhere(looped(self.READ_THROUGH_RS2, "t2"))
         assert results["compiled-1"].exit_status == 123
-        assert results["compiled-32"].host.links.regions_fused == 1
+        assert results["compiled-default"].host.links.regions_fused == 1
 
     def test_faulting_load_between_the_writes(self):
         """The load faults with ``t0`` at 5, not at its old 0."""
@@ -289,4 +289,4 @@ class TestDeadWrites:
             "syscall",
         ], "t0"))
         assert results["compiled-1"].exit_status == 1
-        assert results["compiled-32"].host.links.regions_fused == 1
+        assert results["compiled-default"].host.links.regions_fused == 1

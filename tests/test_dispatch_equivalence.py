@@ -37,7 +37,11 @@ from repro.machine.syscalls import SYS_DLCLOSE, SYS_DLOPEN, SYS_EXIT, SYS_WRITE
 from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig, PersistentCacheSession
 from repro.tools import BBCountTool, InsCountTool, MemTraceTool
-from repro.vm.compile import LOOP_FUSE_THRESHOLD, REGION_FUSE_THRESHOLD
+from repro.vm.compile import (
+    BIND_THRESHOLD,
+    LOOP_FUSE_THRESHOLD,
+    REGION_FUSE_THRESHOLD,
+)
 from repro.vm.engine import Engine, VMConfig
 from repro.workloads.adversarial import (
     CODE_PAGE,
@@ -616,8 +620,13 @@ def _ic_counts(hits, misses, fills, resets):
 
 def _indirect_runs(tmp_path):
     """Each inline-cache test program, by name: a function of no
-    arguments returning the :func:`_ic_group` of its run(s)."""
+    arguments returning the :func:`_ic_group` of its run(s).  The
+    tiered ones run at compile threshold 32: the indirect program's
+    sites run fewer than 128 times, so at the default they would stay
+    on the cold tier and count nothing."""
     from repro.workloads.indirect import build_indirect_suite
+
+    tiered = VMConfig(compile_threshold=BIND_THRESHOLD)
 
     def one(config, image_fn=build_indirect_image, **image_args):
         return _ic_group(Engine(config=config).run(
@@ -628,7 +637,7 @@ def _indirect_runs(tmp_path):
         db = CacheDatabase(str(tmp_path / "ic-db"))
         return [
             _ic_group(Engine(
-                config=_config("compiled"),
+                config=tiered,
                 persistence=PersistentCacheSession(
                     PersistenceConfig(database=db)
                 ),
@@ -637,10 +646,10 @@ def _indirect_runs(tmp_path):
         ]
 
     runs = {
-        "default": lambda: one(_config("compiled")),
+        "default": lambda: one(tiered),
         "eager": lambda: one(_eager_config("compiled")),
         "monomorphic": lambda: one(
-            _config("compiled"),
+            tiered,
             n_helpers=2, mono_iters=200, poly_iters=1, mega_iters=1,
         ),
         "flushing": lambda: one(

@@ -7,7 +7,7 @@ from repro.isa.encoding import encode_all
 from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.loader.linker import ImageStore, load_process
 from repro.machine.costs import DEFAULT_COST_MODEL
-from repro.persist.convert import persist_trace, revive_trace
+from repro.persist.convert import locator, persist_trace, revive_trace
 from repro.tools import BBCountTool
 from repro.vm.trace import ExitKind, TraceSelector
 from repro.vm.translator import Translator
@@ -43,6 +43,26 @@ def select_and_translate(process, address, tool=None):
         address, image_path=mapping.image.path, image_base=mapping.base
     )
     return Translator(DEFAULT_COST_MODEL, tool).translate(trace).translated
+
+
+class TestLocator:
+    def test_matches_a_lookup_of_every_address(self):
+        """The last-hit mapping answers only for addresses inside it:
+        alternating between images, past a mapping's end and into
+        unmapped memory, every answer equals a fresh ``image_at``."""
+        process = build_process()
+        app, lib = process.mappings[0], process.mappings[1]
+        addresses = [
+            app.base, lib.base + 8, app.base + 16, app.base + app.size - 1,
+            app.base + app.size, lib.base + lib.size - 1, lib.base, 0, 8,
+            app.base + 8,
+        ]
+        locate = locator(process)
+        for addr in addresses:
+            mapping = process.image_at(addr)
+            expected = (("", 0) if mapping is None
+                        else (mapping.image.path, addr - mapping.base))
+            assert locate(addr) == expected, hex(addr)
 
 
 class TestPersist:

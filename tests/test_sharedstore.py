@@ -38,6 +38,7 @@ from repro.persist.sharedstore import (
     shard_prefix,
     store_keytag,
 )
+from repro.vm.compile import BIND_THRESHOLD
 from repro.vm.engine import VM_VERSION, VMConfig
 from repro.workloads.gui import build_gui_suite
 from repro.workloads.harness import run_vm
@@ -651,11 +652,14 @@ class TestReadOnlyLruProtection:
 
 
 class TestGuiConsumers:
-    """Cross-application reuse on the GUI corpus, at the default
-    tier-up.  The five ``startup`` donors fill one pool; each app then
-    runs against a never-warmed read-only consumer database, without
-    the pool (``isolated``) and with it (``shared``).  Counts are summed
-    over the five apps."""
+    """Cross-application reuse on the GUI corpus, at compile threshold
+    32: at the default a start-up's traces run too few times to
+    host-compile, so no app would pool a body.  The five ``startup``
+    donors fill one pool; each app then runs against a never-warmed
+    read-only consumer database, without the pool (``isolated``) and
+    with it (``shared``).  Counts are summed over the five apps."""
+
+    CONFIG = VMConfig(compile_threshold=BIND_THRESHOLD)
 
     @pytest.fixture(scope="class")
     def legs(self, tmp_path_factory):
@@ -666,7 +670,8 @@ class TestGuiConsumers:
             donor = CacheDatabase(str(root / ("donor-" + name)),
                                   shared_store=store)
             run_vm(app, "startup",
-                   persistence=PersistenceConfig(database=donor))
+                   persistence=PersistenceConfig(database=donor),
+                   vm_config=self.CONFIG)
         legs = {"isolated": [], "shared": []}
         for name, app in sorted(apps.items()):
             for leg, pool in (("isolated", None), ("shared", store)):
@@ -676,6 +681,7 @@ class TestGuiConsumers:
                     app, "startup", persistence=PersistenceConfig(
                         database=consumer, readonly=True
                     ),
+                    vm_config=self.CONFIG,
                 ))
         return legs
 
@@ -765,7 +771,7 @@ class TestCli:
         from repro.cli import main
 
         store_dir = str(tmp_path / "store")
-        assert main(["run", "shell", "ls", "run", "--pcache",
+        assert main(["run", "spec", "164.gzip", "ref-1", "--pcache",
                      str(tmp_path / "db"), "--shared-store", store_dir]) == 0
         out = capsys.readouterr().out
         assert host_value(out, "shared_store_state") == "attached"
