@@ -3,7 +3,8 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-# Persistent-cache database directory for `make fsck` (override: make fsck DB=...)
+# Directory `make fsck` checks: a cache database or a shared store, since
+# `cache fsck` handles both (override: make fsck DB=...)
 DB ?= /tmp/pcc-db
 
 .PHONY: test faultinject benchmarks bench-wallclock bench-contract-smoke layers pairs fsck stress gc replay-smoke transparency-smoke loc

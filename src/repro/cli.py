@@ -47,7 +47,7 @@ from repro.binfmt.image import Image
 from repro.isa.disassembler import disassemble
 from repro.loader.layout import FixedLayout, PerturbedLayout
 from repro.persist.cachefile import CacheFileError, PersistentCache
-from repro.persist.database import INDEX_NAME, CacheDatabase
+from repro.persist.database import CacheDatabase
 from repro.persist.manager import PersistenceConfig
 from repro.tools import BBCountTool, CoverageTool, InsCountTool, MemTraceTool
 from repro.vm.client import NullTool
@@ -159,9 +159,9 @@ def _indexed_database(directory: str) -> CacheDatabase:
     """An existing database whose index reads; a damaged index ends the
     command with one stderr line and is left where it is."""
     db = _existing_database(directory)
-    if db.index_damage is not None:
+    if db.manifest_damage is not None:
         raise SystemExit("error: cannot read %s: %s" % (
-            os.path.join(directory, INDEX_NAME), db.index_damage))
+            os.path.join(directory, db.manifest), db.manifest_damage))
     return db
 
 
@@ -468,9 +468,9 @@ def cmd_cache_fsck(args) -> int:
     if rows:
         print(format_table(rows, columns=["file", "status", "section", "detail"]))
     for note in report.notes:
-        # Informational findings (stale or orphaned sidecar, stale pool,
-        # leftover store tmp): worth surfacing, but not damage — they
-        # never flip the exit code.
+        # Informational findings (stale or orphaned sidecar, stale pool):
+        # worth surfacing, but not damage — they never flip the exit
+        # code.  A leftover tmp is a stale-tmp row, in either kind.
         print("note: %s %s: %s" % (note.filename, note.status,
                                    note.detail or ""))
     for filename in report.quarantined:
@@ -489,7 +489,9 @@ def cmd_cache_gc(args) -> int:
     extra databases before marking.  Always exits 0 on a completed run
     (an unreadable reference index is reported, not fatal: eviction can
     only cost a recompile); ``--json`` prints the machine-readable
-    report.  A missing directory is an error (exit 1), never created.
+    report.  A damaged ``registry.json`` is a warning: gc marks nothing
+    from it and leaves it where it is.  A missing directory is an error
+    (exit 1), never created.
     """
     import json as json_module
 
@@ -518,6 +520,9 @@ def cmd_cache_gc(args) -> int:
           % (report.remaining_entries, report.remaining_bytes))
     for shard in report.quarantined_shards:
         print("quarantined: %s" % shard)
+    if report.registry_damage is not None:
+        print("warning: damaged %s: %s" % (store.manifest,
+                                           report.registry_damage))
     for db_dir in report.unreadable_indexes:
         print("warning: unreadable reference index: %s" % db_dir)
     return 0

@@ -22,38 +22,40 @@ Crash consistency and damage containment (``docs/cache-format.md``):
 * ``store`` holds an advisory lock and re-reads the index inside it, so
   concurrent sessions accumulating into one database serialize their
   read-modify-write and never lose each other's entries;
-* a cache file that fails validation is **quarantined** — moved into the
-  ``quarantine/`` subdirectory (never deleted), dropped from the index,
-  and recorded in :attr:`CacheDatabase.events` so the session can report
-  it — and the lookup behaves as a clean miss;
-* a corrupt index reads as empty and is recorded in
-  :attr:`CacheDatabase.index_damage`, but stays where it is until a
-  write replaces it — the write quarantines it first — or
-  ``fsck(quarantine=True)`` moves it, so read-only commands never move
-  it; orphaned cache files are re-discoverable via :meth:`fsck`.
+* damage is contained by the rules of
+  :class:`~repro.persist.storage.DurableDirectory`, which the database
+  is: a cache file that fails validation is quarantined (moved into
+  ``quarantine/``, never deleted), dropped from the index and logged in
+  :attr:`CacheDatabase.events`, and the lookup behaves as a clean miss;
+  a corrupt index reads as empty and stays where it is until a write
+  replaces it or ``fsck(quarantine=True)`` moves it, so read-only
+  commands never move it; orphaned cache files are re-discoverable via
+  :meth:`fsck`.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, List, Optional
 
 from repro.persist.cachefile import CacheFileError, PersistentCache
-from repro.persist.framing import FsckItem, FsckReport, stale_tmp
+from repro.persist.framing import FsckItem, FsckReport
 from repro.persist.keys import MappingKey, tool_key, vm_key
 from repro.persist.sidecar import (
     CompiledBodyStore,
     SIDECAR_NAME,
     SidecarError,
 )
-from repro.persist.storage import FileStorage, TMP_SUFFIX
+from repro.persist.storage import (  # the names re-exported for callers
+    INDEX_NAME,
+    QUARANTINE_DIR,
+    DurableDirectory,
+    FileStorage,
+)
 
-INDEX_NAME = "index.json"
 LOCK_NAME = "index.lock"
-QUARANTINE_DIR = "quarantine"
 #: Subdirectory holding recorded replay-session logs (PCRL1 files).
 REPLAY_DIR = "replay"
 
@@ -79,15 +81,14 @@ class CacheEntry:
     file_size: int
 
 
-class CacheDatabase:
+class CacheDatabase(DurableDirectory):
     """Filesystem-backed store of persistent caches.
 
-    The index is re-read at construction and, under an advisory lock,
-    on every store; all writes are atomic write-replaces.  Damaged files
-    are quarantined, never deleted, and every such event is appended to
-    :attr:`events` as ``(kind, filename, reason)`` tuples.  Opening only
-    reads: a damaged index is recorded in :attr:`index_damage` and moved
-    by the first write that replaces it.
+    The index (the directory's manifest) is re-read at construction
+    and, under an advisory lock, on every store; all writes are atomic
+    write-replaces.  Opening only reads: a damaged index is recorded in
+    :attr:`manifest_damage` and moved by the first write that replaces
+    it.
     """
 
     def __init__(
@@ -96,19 +97,9 @@ class CacheDatabase:
         storage: Optional[FileStorage] = None,
         shared_store=None,
     ):
-        self.directory = directory
-        self.storage = storage or FileStorage()
-        self.storage.makedirs(directory)
-        self._index_path = os.path.join(directory, INDEX_NAME)
+        super().__init__(directory, INDEX_NAME, storage)
         self._lock_path = os.path.join(directory, LOCK_NAME)
         self._entries: List[CacheEntry] = []
-        #: Why the index on disk could not be read (it then reads as
-        #: empty), or None when it is sound or absent.
-        self.index_damage: Optional[str] = None
-        #: (kind, filename, reason) records of quarantine/recovery events,
-        #: and how many of them a session has already reported.
-        self.events: List[tuple] = []
-        self.events_reported = 0
         #: The per-host shared compiled-body store this database attaches
         #: to (:class:`repro.persist.sharedstore.SharedBodyStore`), or
         #: None: the one way a run gets a pool.  Sessions opened on this
@@ -130,57 +121,17 @@ class CacheDatabase:
     # -- index maintenance --------------------------------------------------
 
     def _load_index(self) -> None:
-        self._entries = []
-        self.index_damage = None
-        if not self.storage.exists(self._index_path):
-            return
-        try:
-            raw = json.loads(self.storage.read_bytes(self._index_path))
-            self._entries = [CacheEntry(**row) for row in raw]
-        except (ValueError, TypeError, KeyError, OSError) as exc:
-            # A torn or garbage index must not take the database down: it
-            # reads as empty.  Reading moves nothing; ``_save_index``
-            # quarantines it before replacing it.  Cache files referenced
-            # by the lost index stay on disk; ``fsck`` reports them as
-            # orphans.
-            self.index_damage = "corrupt index: %s" % exc
+        # A torn or garbage index reads as empty; the cache files it
+        # referenced stay on disk, and ``fsck`` reports them as orphans.
+        self._entries, _damage = self.read_manifest(
+            lambda rows: [CacheEntry(**row) for row in rows], []
+        )
 
     def _save_index(self) -> None:
-        if self.index_damage is not None:
-            self._quarantine(INDEX_NAME, self.index_damage)
-            self.index_damage = None
-        blob = json.dumps(
-            [entry.__dict__ for entry in self._entries], indent=1
-        ).encode()
-        self.storage.write_atomic(self._index_path, blob)
+        self.write_manifest([entry.__dict__ for entry in self._entries])
 
     def entries(self) -> List[CacheEntry]:
         return list(self._entries)
-
-    # -- quarantine ---------------------------------------------------------
-
-    def _quarantine(self, filename: str, reason: str) -> None:
-        """Move a damaged file aside — never delete possible evidence."""
-        source = os.path.join(self.directory, filename)
-        quarantine_dir = os.path.join(self.directory, QUARANTINE_DIR)
-        try:
-            destination = os.path.join(quarantine_dir, filename)
-            # ``filename`` may live in a subdirectory (replay logs):
-            # mirror it under quarantine/ so the move always has a home.
-            self.storage.makedirs(os.path.dirname(destination))
-            serial = 0
-            while self.storage.exists(destination):
-                serial += 1
-                destination = os.path.join(
-                    quarantine_dir, "%s.%d" % (filename, serial)
-                )
-            if self.storage.exists(source):
-                self.storage.rename(source, destination)
-        except OSError as exc:
-            # Quarantine is best-effort: a failing move must not turn a
-            # contained corruption into a crash.
-            reason = "%s (quarantine move failed: %s)" % (reason, exc)
-        self.events.append(("quarantine", filename, reason))
 
     def _drop_entry(self, entry: CacheEntry) -> None:
         self._entries = [row for row in self._entries if row is not entry]
@@ -190,10 +141,6 @@ class CacheDatabase:
             # The in-memory view is already consistent; a failed index
             # write only delays the cleanup to the next successful store.
             pass
-
-    @property
-    def quarantined_count(self) -> int:
-        return sum(1 for kind, _, _ in self.events if kind == "quarantine")
 
     # -- store ----------------------------------------------------------------
 
@@ -315,7 +262,7 @@ class CacheDatabase:
             return PersistentCache.load(path, storage=self.storage)
         except CacheFileError as exc:
             section = exc.section or "unknown"
-            self._quarantine(
+            self.quarantine(
                 entry.filename, "damaged %s: %s" % (section, exc)
             )
             self._drop_entry(entry)
@@ -363,7 +310,7 @@ class CacheDatabase:
         try:
             store = CompiledBodyStore.from_bytes(blob)
         except SidecarError as exc:
-            self._quarantine(
+            self.quarantine(
                 SIDECAR_NAME,
                 "damaged %s: %s" % (exc.section or "unknown", exc),
             )
@@ -454,7 +401,7 @@ class CacheDatabase:
         try:
             return ReplayLog.from_bytes(blob)
         except ReplayLogError as exc:
-            self._quarantine(
+            self.quarantine(
                 "%s/%s" % (REPLAY_DIR, name),
                 "damaged %s: %s" % (exc.section or "unknown", exc),
             )
@@ -493,32 +440,22 @@ class CacheDatabase:
         against ``vm_version`` — defaulting to the running VM's — and
         the host bytecode tag), every recorded replay log and every
         indexed cache file, then reports files the index does not know
-        about (orphans, e.g. after an index reset) and leftover ``.tmp``
-        files from interrupted atomic writes.  A damaged index is a
-        ``corrupt`` row.  With ``quarantine=True`` damaged files are
-        moved aside (and indexed files dropped from the index).
+        about (orphans, e.g. after an index reset), on top of the rows
+        :meth:`~repro.persist.storage.DurableDirectory.fsck_report` gives
+        every durable directory.  With ``quarantine=True`` damaged files
+        are moved aside (and indexed files dropped from the index).
         """
         from repro.replay.log import REPLAY_LOG_SUFFIX, ReplayLog
 
-        report = FsckReport()
-        if self.index_damage is not None:
-            report.items.append(
-                FsckItem(INDEX_NAME, "corrupt", detail=self.index_damage)
-            )
-            if quarantine:
-                self._quarantine(INDEX_NAME, self.index_damage)
-                self.index_damage = None
-                report.quarantined.append(INDEX_NAME)
+        report = self.fsck_report(quarantine)
         # (label relative to the directory, parser, index entry or None)
         files = []
         if self.storage.exists(self._sidecar_path()):
             files.append((SIDECAR_NAME, CompiledBodyStore.from_bytes, None))
         if self.storage.exists(self.replay_directory()):
             for name in self.storage.listdir(self.replay_directory()):
-                label = "%s/%s" % (REPLAY_DIR, name)
-                if name.endswith(TMP_SUFFIX):
-                    report.items.append(stale_tmp(label))
-                elif name.endswith(REPLAY_LOG_SUFFIX):
+                if name.endswith(REPLAY_LOG_SUFFIX):
+                    label = "%s/%s" % (REPLAY_DIR, name)
                     files.append((label, ReplayLog.from_bytes, None))
         indexed = set()
         for entry in self._entries:
@@ -550,9 +487,7 @@ class CacheDatabase:
             path = os.path.join(self.directory, filename)
             if filename in indexed or os.path.isdir(path):
                 continue
-            if filename.endswith(TMP_SUFFIX):
-                report.items.append(stale_tmp(filename))
-            elif filename.endswith(".cache"):
+            if filename.endswith(".cache"):
                 report.items.append(
                     FsckItem(filename, "orphan", detail="not in the index")
                 )
@@ -561,7 +496,7 @@ class CacheDatabase:
     def _fsck_quarantine(
         self, label: str, entry: Optional[CacheEntry], reason: str
     ) -> None:
-        self._quarantine(label, reason)
+        self.quarantine(label, reason)
         if entry is not None:
             self._drop_entry(entry)
 

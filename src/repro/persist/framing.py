@@ -272,12 +272,6 @@ class FsckItem:
     detail: str = ""
 
 
-def stale_tmp(label: str) -> FsckItem:
-    """The row for a leftover ``.tmp`` of an interrupted atomic write."""
-    return FsckItem(label, "stale-tmp",
-                    detail="leftover from an interrupted atomic write")
-
-
 @dataclass
 class FsckReport:
     """Result of a database or shared-store consistency check."""
@@ -285,8 +279,8 @@ class FsckReport:
     items: List[FsckItem] = field(default_factory=list)
     quarantined: List[str] = field(default_factory=list)
     #: Informational findings (a stale or orphaned sidecar, a stale
-    #: keytag pool, a leftover store ``.tmp``): expected states, not
-    #: damage — they never make the report unclean.
+    #: keytag pool): expected states, not damage — they never make the
+    #: report unclean.  A leftover ``.tmp`` is a ``stale-tmp`` item.
     notes: List[FsckItem] = field(default_factory=list)
 
     @property

@@ -42,7 +42,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.persist.cachefile import CacheFileError, PersistentCache, TraceRow
 from repro.persist.convert import locator, persist_trace, revive_trace
-from repro.persist.database import INDEX_NAME, CacheDatabase
+from repro.persist.database import CacheDatabase
 from repro.persist.keys import MappingKey, mapping_key
 from repro.persist.sidecar import open_body_store
 from repro.vm.codecache import CacheFull
@@ -179,18 +179,16 @@ class PersistentCacheSession:
         self._app_key = self._current_keys[self._app_path]
 
         database = self.config.database
-        quarantined_before = (
-            database.quarantined_count if database is not None else 0
-        )
+        mark = len(database.events) if database is not None else 0
         try:
             loaded = self._lookup()
         except STORAGE_FAILURES as exc:
             # Paper §3.2: verification failure must degrade to plain JIT
             # execution, never take the VM down.
-            self._sync_quarantine_events(quarantined_before)
+            self._sync_quarantine_events(mark)
             self._degrade(stats, "cache lookup failed: %s" % exc)
             return
-        self._sync_quarantine_events(quarantined_before)
+        self._sync_quarantine_events(mark)
         if loaded is None:
             if self.host.cache_quarantined:
                 # The indexed cache existed but was damaged: it has been
@@ -496,21 +494,20 @@ class PersistentCacheSession:
         store = self._body_store
         for owner in (database, store.pool if store is not None else None):
             if owner is not None:
-                self.host.events += owner.events[owner.events_reported:]
-                owner.events_reported = len(owner.events)
-        if database is not None and database.index_damage is not None:
+                self.host.events += owner.unreported_events()
+        if database is not None and database.manifest_damage is not None:
             self.host.events.append(
-                ("damaged", INDEX_NAME, database.index_damage)
+                ("damaged", database.manifest, database.manifest_damage)
             )
 
-    def _sync_quarantine_events(self, quarantined_before: int) -> None:
-        """Count the database's new quarantines in the run's registry."""
+    def _sync_quarantine_events(self, mark: int) -> None:
+        """Count the database's quarantines logged from event ``mark``
+        on in the run's registry."""
         database = self.config.database
-        if database is None:
-            return
-        newly = database.quarantined_count - quarantined_before
-        if newly > 0:
-            self.host.cache_quarantined += newly
+        if database is not None:
+            self.host.cache_quarantined += len(
+                database.quarantined_since(mark)
+            )
 
     def _degrade(self, stats, reason: str) -> None:
         """Downgrade the session to JIT-only execution, keeping the run

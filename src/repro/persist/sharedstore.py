@@ -47,7 +47,7 @@ On-disk layout::
       registry.lock
       bodies/<keytag>/<pp>.pcs      # shard: bodies with digest[:2] == pp
       bodies/<keytag>/<pp>.pcs.lock
-      quarantine/              # damaged shards, moved aside (never deleted)
+      quarantine/              # damaged files at their own paths (never deleted)
 
 Shard files (PCSS2) use the sidecar's framing
 (:mod:`repro.persist.framing`) with one extension: each directory record
@@ -72,7 +72,9 @@ failure mode (damage, contention, ENOSPC, a gc racing a revive) must
 degrade to the private sidecar and then to a host ``compile()`` — never
 to a corrupt database or an observable change in the simulated run.
 The run-time side, what a session looks up here and publishes back, is
-:class:`repro.persist.sidecar.CompiledBodyStore`'s.
+:class:`repro.persist.sidecar.CompiledBodyStore`'s.  Damage (a shard,
+the registry, a leftover ``.tmp``) follows the cache database's rules,
+which both share through :class:`repro.persist.storage.DurableDirectory`.
 """
 
 from __future__ import annotations
@@ -92,7 +94,6 @@ from repro.persist.framing import (
     FsckReport,
     pack_records,
     parse_records,
-    stale_tmp,
 )
 from repro.persist.sidecar import (
     CompiledBodyStore,
@@ -100,7 +101,13 @@ from repro.persist.sidecar import (
     SidecarError,
     host_code_tag,
 )
-from repro.persist.storage import FileStorage, TMP_SUFFIX
+from repro.persist.storage import (  # the names re-exported for callers
+    INDEX_NAME,
+    QUARANTINE_DIR,
+    REGISTRY_NAME,
+    DurableDirectory,
+    FileStorage,
+)
 
 MAGIC = b"PCSS"
 FORMAT_VERSION = 2
@@ -111,9 +118,7 @@ FORMAT_VERSION = 2
 SHARD_PREFIX_LEN = 2
 
 BODIES_DIR = "bodies"
-REGISTRY_NAME = "registry.json"
 REGISTRY_LOCK = "registry.lock"
-QUARANTINE_DIR = "quarantine"
 SHARD_SUFFIX = ".pcs"
 LOCK_SUFFIX = ".lock"
 
@@ -151,11 +156,20 @@ def shard_prefix(digest: str) -> str:
 def is_shared_store(directory: str) -> bool:
     """Heuristic for CLI dispatch: does ``directory`` hold a shared
     store (vs. a cache database)?  A store always has a ``bodies/``
-    subdirectory or a registry; a database has ``index.json``."""
+    subdirectory or a registry; a database has an index."""
     return os.path.isdir(os.path.join(directory, BODIES_DIR)) or (
         os.path.exists(os.path.join(directory, REGISTRY_NAME))
-        and not os.path.exists(os.path.join(directory, "index.json"))
+        and not os.path.exists(os.path.join(directory, INDEX_NAME))
     )
+
+
+def _parse_registry(raw) -> List[str]:
+    databases = raw["databases"]
+    if not isinstance(databases, list) or not all(
+        isinstance(entry, str) for entry in databases
+    ):
+        raise ValueError("malformed registry")
+    return list(databases)
 
 
 # -- shard serialization ------------------------------------------------------
@@ -227,6 +241,9 @@ class GcReport:
     #: Unreferenced bodies removed by the sweep.
     swept_entries: int = 0
     swept_bytes: int = 0
+    #: Why ``registry.json`` could not be read, or None: gc then marks
+    #: nothing and leaves the file for the next registration to move.
+    registry_damage: Optional[str] = None
     #: Bodies evicted by the LRU/size cap (oldest stamp first).
     lru_evicted_entries: int = 0
     lru_evicted_bytes: int = 0
@@ -244,14 +261,15 @@ class GcReport:
 # -- the store ----------------------------------------------------------------
 
 
-class SharedBodyStore:
+class SharedBodyStore(DurableDirectory):
     """One per-host pool of compiled bodies, shared by many databases.
 
     Thread/process safety: every mutation (publish, sweep, cap
     enforcement, registration) happens under an advisory lock scoped to
     the file it rewrites, with a fresh re-read inside the lock; every
     write is an atomic write-replace.  Reads are lock-free and verify
-    CRCs, quarantining a damaged shard and reading it as empty.
+    CRCs, quarantining a damaged shard and reading it as empty.  The
+    registry is the directory's manifest.
     """
 
     def __init__(
@@ -261,21 +279,15 @@ class SharedBodyStore:
         storage: Optional[FileStorage] = None,
         clock=time.time,
     ):
-        self.directory = directory
-        self.vm_version = vm_version
-        self.host_tag = host_code_tag()
-        self.storage = storage or FileStorage()
-        #: Injectable time source so tests can pin LRU ordering.
-        self.clock = clock
-        #: (kind, filename, reason) records of quarantine/io events, and
-        #: how many of them a session has already reported.
-        self.events: List[tuple] = []
-        self.events_reported = 0
-        #: prefix → (stat signature, parsed entries) revalidated cache.
-        self._shard_cache: Dict[str, tuple] = {}
         # Only the store itself: ``bodies/`` and the pool keyed for this
         # VM appear when ``publish`` first writes to them.
-        self.storage.makedirs(directory)
+        super().__init__(directory, REGISTRY_NAME, storage)
+        self.vm_version = vm_version
+        self.host_tag = host_code_tag()
+        #: Injectable time source so tests can pin LRU ordering.
+        self.clock = clock
+        #: prefix → (stat signature, parsed entries) revalidated cache.
+        self._shard_cache: Dict[str, tuple] = {}
 
     # -- paths ---------------------------------------------------------------
 
@@ -286,14 +298,19 @@ class SharedBodyStore:
             store_keytag(self.vm_version, self.host_tag),
         )
 
+    def _shard_rel(self, prefix: str) -> str:
+        """A shard's path relative to the store."""
+        return os.path.join(
+            BODIES_DIR,
+            store_keytag(self.vm_version, self.host_tag),
+            prefix + SHARD_SUFFIX,
+        )
+
     def shard_path(self, prefix: str) -> str:
-        return os.path.join(self._pool_dir(), prefix + SHARD_SUFFIX)
+        return os.path.join(self.directory, self._shard_rel(prefix))
 
     def _shard_lock_path(self, prefix: str) -> str:
         return self.shard_path(prefix) + LOCK_SUFFIX
-
-    def _registry_path(self) -> str:
-        return os.path.join(self.directory, REGISTRY_NAME)
 
     def _shard_prefixes(self) -> List[str]:
         pool = self._pool_dir()
@@ -313,76 +330,24 @@ class SharedBodyStore:
         The registry is gc's mark root list: a database must be
         registered before its private sidecar protects bodies from the
         sweep.  Registration is idempotent and serialized under its own
-        lock (never held together with a shard lock).
+        lock (never held together with a shard lock).  A damaged registry
+        is quarantined by the write that replaces it.
         """
         path = os.path.abspath(db_directory)
         lock_path = os.path.join(self.directory, REGISTRY_LOCK)
         with self.storage.lock(lock_path):
-            current = self._read_registry()
+            current = self.registered_databases()
             if path in current:
                 return
-            current.append(path)
-            blob = json.dumps(
-                {"version": 1, "databases": sorted(current)}, indent=1
-            ).encode()
-            self.storage.write_atomic(self._registry_path(), blob)
+            self.write_manifest(
+                {"version": 1, "databases": sorted(current + [path])}
+            )
 
     def registered_databases(self) -> List[str]:
-        return self._read_registry()
-
-    def _read_registry(self) -> List[str]:
-        """The registered databases.  A torn or garbage registry must
-        not take the store down: it is quarantined and reads as empty
-        (databases re-register on their next attach)."""
-        databases, damage = self._load_registry()
-        if damage is not None:
-            self._quarantine(self._registry_path(), damage)
-        return databases
-
-    def _load_registry(self) -> Tuple[List[str], Optional[str]]:
-        """``(databases, damage)``: the registered databases, or none
-        and why the registry is corrupt.  Moves nothing."""
-        path = self._registry_path()
-        if not self.storage.exists(path):
-            return [], None
-        try:
-            raw = json.loads(self.storage.read_bytes(path))
-            databases = raw["databases"]
-            if not isinstance(databases, list) or not all(
-                isinstance(entry, str) for entry in databases
-            ):
-                raise ValueError("malformed registry")
-        except (ValueError, TypeError, KeyError) as exc:
-            return [], "corrupt registry: %s" % exc
-        except OSError as exc:
-            self.events.append(("io-error", REGISTRY_NAME, str(exc)))
-            return [], None
-        return list(databases), None
-
-    # -- quarantine ----------------------------------------------------------
-
-    def _quarantine(self, path: str, reason: str) -> None:
-        """Move a damaged file aside — never delete possible evidence."""
-        quarantine_dir = os.path.join(self.directory, QUARANTINE_DIR)
-        name = os.path.relpath(path, self.directory).replace(os.sep, "-")
-        try:
-            self.storage.makedirs(quarantine_dir)
-            destination = os.path.join(quarantine_dir, name)
-            serial = 0
-            while self.storage.exists(destination):
-                serial += 1
-                destination = os.path.join(
-                    quarantine_dir, "%s.%d" % (name, serial)
-                )
-            if self.storage.exists(path):
-                self.storage.rename(path, destination)
-        except OSError as exc:
-            reason = "%s (quarantine move failed: %s)" % (reason, exc)
-        self.events.append(("quarantine", name, reason))
-
-    @property
-    def quarantined_count(self) -> int:
-        return sum(1 for kind, _, _ in self.events if kind == "quarantine")
+        """The registered databases.  A torn or garbage registry reads
+        as empty and moves nothing (databases re-register on their next
+        attach); why is in :attr:`manifest_damage`."""
+        return self.read_manifest(_parse_registry, [])[0]
 
     # -- read path -----------------------------------------------------------
 
@@ -406,7 +371,8 @@ class SharedBodyStore:
         one ``stat``.  Damage quarantines the shard and reads as empty —
         the bodies it held are recompiled, never trusted.
         """
-        path = self.shard_path(prefix)
+        rel = self._shard_rel(prefix)
+        path = os.path.join(self.directory, rel)
         signature = self.storage.stat_signature(path)
         if signature is None:
             self._shard_cache.pop(prefix, None)
@@ -421,21 +387,21 @@ class SharedBodyStore:
             self._shard_cache.pop(prefix, None)
             return {}
         except OSError as exc:
-            self.events.append(("io-error", os.path.basename(path), str(exc)))
+            self.events.append(("io-error", rel, str(exc)))
             return {}
         try:
             vm_version, host_tag, entries = parse_shard(blob)
         except SharedStoreError as exc:
-            self._quarantine(
-                path, "damaged %s: %s" % (exc.section or "unknown", exc)
+            self.quarantine(
+                rel, "damaged %s: %s" % (exc.section or "unknown", exc)
             )
             self._shard_cache.pop(prefix, None)
             return {}
         if vm_version != self.vm_version or host_tag != self.host_tag:
             # Foreign stamps inside our keytag directory can only mean
             # misplaced or hand-moved content; contain it like damage.
-            self._quarantine(
-                path,
+            self.quarantine(
+                rel,
                 "key mismatch: shard stamped (%s, %s)" % (vm_version, host_tag),
             )
             self._shard_cache.pop(prefix, None)
@@ -571,14 +537,16 @@ class SharedBodyStore:
         *cleanly absent* — a racing revive either got its bytes first or
         recompiles.
         """
-        report = GcReport(registered_databases=self.registered_databases())
+        databases, damage = self.read_manifest(_parse_registry, [])
+        report = GcReport(registered_databases=databases,
+                          registry_damage=damage)
         referenced, unreadable = self.collect_referenced()
         report.referenced = len(referenced)
         report.unreadable_indexes = unreadable
 
         self._remove_stale_pools(report)
 
-        quarantined_before = self.quarantined_count
+        mark = len(self.events)
         for prefix in self._shard_prefixes():
             with self.storage.lock(self._shard_lock_path(prefix)):
                 entries = self._load_shard(prefix)
@@ -601,11 +569,7 @@ class SharedBodyStore:
                         if digest not in kept
                     )
                     self._write_shard(prefix, kept)
-        report.quarantined_shards = [
-            filename
-            for kind, filename, _ in self.events[quarantined_before:]
-            if kind == "quarantine"
-        ]
+        report.quarantined_shards = self.quarantined_since(mark)
 
         if max_bytes is not None:
             evicted, evicted_bytes = self._enforce_cap(max_bytes)
@@ -637,7 +601,9 @@ class SharedBodyStore:
                     self.storage.remove(os.path.join(pool, filename))
                 os.rmdir(pool)
             except OSError as exc:
-                self.events.append(("io-error", name, str(exc)))
+                self.events.append(
+                    ("io-error", os.path.join(BODIES_DIR, name), str(exc))
+                )
                 continue
             report.stale_pools_removed.append(name)
 
@@ -692,26 +658,18 @@ class SharedBodyStore:
         """Validate every shard of every pool, section by section.
 
         Shards of the current pool are checked for framing damage and
-        key mismatches (``items``); pools keyed for other VM versions or
+        key mismatches (``items``), on top of the registry and leftover
+        ``.tmp`` rows
+        :meth:`~repro.persist.storage.DurableDirectory.fsck_report` gives
+        every durable directory; pools keyed for other VM versions or
         host tags are *notes* (``stale-keytag`` — expected after an
-        upgrade, removed by ``gc``), as are leftover ``.tmp`` files from
-        interrupted atomic writes, a shard's or the registry's.  A
-        corrupt registry is a ``corrupt``
-        row.  With ``quarantine=True`` damaged shards and a corrupt
-        registry are moved aside; without it, nothing moves.
+        upgrade, removed by ``gc``).  With ``quarantine=True`` damaged
+        shards and a corrupt registry are moved aside; without it,
+        nothing moves.
         """
-        report = FsckReport()
+        self.registered_databases()  # records a damaged registry
+        report = self.fsck_report(quarantine)
         bodies = os.path.join(self.directory, BODIES_DIR)
-        _databases, damage = self._load_registry()
-        if damage is not None:
-            report.items.append(
-                FsckItem(REGISTRY_NAME, "corrupt", detail=damage)
-            )
-            if quarantine:
-                self._quarantine(self._registry_path(), "fsck: " + damage)
-                report.quarantined.append(REGISTRY_NAME)
-        if os.path.exists(self._registry_path() + TMP_SUFFIX):
-            report.notes.append(stale_tmp(REGISTRY_NAME + TMP_SUFFIX))
         if not os.path.isdir(bodies):
             return report
         current = store_keytag(self.vm_version, self.host_tag)
@@ -730,15 +688,13 @@ class SharedBodyStore:
                 )
                 continue
             for filename in self.storage.listdir(pool):
-                rel = os.path.join(BODIES_DIR, name, filename)
-                path = os.path.join(pool, filename)
-                if filename.endswith(TMP_SUFFIX):
-                    report.notes.append(stale_tmp(rel))
                 if not filename.endswith(SHARD_SUFFIX):
                     continue
+                rel = os.path.join(BODIES_DIR, name, filename)
                 shard = report.check(
-                    self.storage, path, rel, parse_shard,
-                    partial(self._quarantine, path) if quarantine else None,
+                    self.storage, os.path.join(pool, filename), rel,
+                    parse_shard,
+                    partial(self.quarantine, rel) if quarantine else None,
                 )
                 if shard is None:
                     continue

@@ -21,12 +21,22 @@ Crash consistency contract (what the rest of the system relies on):
 All primitive operations (``_open_write``, ``_write``, ``_fsync``,
 ``_rename``) are separate methods precisely so the fault shim can
 override them one at a time.
+
+Damage containment (:class:`DurableDirectory`) is one layer above the
+seam: a cache database and a shared body store are each a directory of
+framed files plus one JSON manifest, and they quarantine, read and
+write their manifest, report leftover ``.tmp`` files and log storage
+events by the same rules.
 """
 
 from __future__ import annotations
 
 import contextlib
+import json
 import os
+from typing import Callable, List, Optional, Tuple
+
+from repro.persist.framing import FsckItem, FsckReport
 
 try:  # POSIX advisory locking; degraded to a no-op where unavailable.
     import fcntl
@@ -148,3 +158,145 @@ class FileStorage:
 
 #: Shared default used when callers do not inject their own storage.
 DEFAULT_STORAGE = FileStorage()
+
+
+#: The manifest of each kind of durable directory: a cache database's
+#: index and a shared body store's registry.
+INDEX_NAME = "index.json"
+REGISTRY_NAME = "registry.json"
+
+#: Where a durable directory moves a damaged file: ``quarantine/<rel>``.
+QUARANTINE_DIR = "quarantine"
+
+
+class DurableDirectory:
+    """A directory of framed files plus one JSON manifest.
+
+    Files are named by their path relative to :attr:`directory`
+    (``rel``), in the event log, in fsck rows and in quarantine alike.
+    Damage is contained by one rule per finding:
+
+    * a damaged file is quarantined: moved to ``quarantine/<rel>``,
+      serial-suffixed on collision, never deleted;
+    * a manifest read moves nothing: a damaged manifest reads as empty,
+      and the next :meth:`write_manifest` quarantines it first;
+    * a leftover ``.tmp`` at any depth is a ``stale-tmp`` fsck row.
+
+    Every quarantine and IO error is one ``(kind, rel, reason)`` record
+    in :attr:`events`.
+    """
+
+    def __init__(
+        self, directory: str, manifest: str,
+        storage: Optional[FileStorage] = None,
+    ):
+        self.directory = directory
+        #: The manifest's name, relative to the directory.
+        self.manifest = manifest
+        self.storage = storage or FileStorage()
+        #: Why the manifest could not be read at the last read (it read
+        #: as empty), or None when it is sound or absent.
+        self.manifest_damage: Optional[str] = None
+        #: (kind, rel, reason) records of quarantines and IO errors, and
+        #: how many of them a session has already reported.
+        self.events: List[tuple] = []
+        self.events_reported = 0
+        self.storage.makedirs(directory)
+
+    # -- quarantine and the event log -----------------------------------------
+
+    def quarantine(self, rel: str, reason: str) -> None:
+        """Move the damaged file ``rel`` aside: never delete evidence."""
+        destination = os.path.join(self.directory, QUARANTINE_DIR, rel)
+        try:
+            self.storage.makedirs(os.path.dirname(destination))
+            target, serial = destination, 0
+            while self.storage.exists(target):
+                serial += 1
+                target = "%s.%d" % (destination, serial)
+            source = os.path.join(self.directory, rel)
+            if self.storage.exists(source):
+                self.storage.rename(source, target)
+        except OSError as exc:
+            # Quarantine is best-effort: a failing move must not turn a
+            # contained corruption into a crash.
+            reason = "%s (quarantine move failed: %s)" % (reason, exc)
+        self.events.append(("quarantine", rel, reason))
+
+    def quarantined_since(self, mark: int = 0) -> List[str]:
+        """The files quarantined by the events from index ``mark`` on."""
+        return [rel for kind, rel, _ in self.events[mark:]
+                if kind == "quarantine"]
+
+    @property
+    def quarantined_count(self) -> int:
+        return len(self.quarantined_since())
+
+    def unreported_events(self) -> List[tuple]:
+        """The events no earlier call returned; they are now reported."""
+        events = self.events[self.events_reported:]
+        self.events_reported = len(self.events)
+        return events
+
+    # -- the manifest ---------------------------------------------------------
+
+    def read_manifest(
+        self, parse: Callable[[object], object], empty
+    ) -> Tuple[object, Optional[str]]:
+        """``(value, damage)``: the manifest's JSON through ``parse``.
+
+        A missing manifest is ``(empty, None)``.  One that cannot be
+        read or parsed is ``(empty, reason)``, and the reason is kept in
+        :attr:`manifest_damage` for the next write.  Moves nothing.
+        """
+        path = os.path.join(self.directory, self.manifest)
+        self.manifest_damage = None
+        if not self.storage.exists(path):
+            return empty, None
+        try:
+            return parse(json.loads(self.storage.read_bytes(path))), None
+        except (ValueError, TypeError, KeyError, OSError) as exc:
+            self.manifest_damage = "corrupt %s: %s" % (
+                os.path.splitext(self.manifest)[0], exc)
+            return empty, self.manifest_damage
+
+    def write_manifest(self, value) -> None:
+        """Replace the manifest with ``value`` as JSON; a manifest the
+        last read found damaged is quarantined first."""
+        if self.manifest_damage is not None:
+            self.quarantine(self.manifest, self.manifest_damage)
+            self.manifest_damage = None
+        self.storage.write_atomic(
+            os.path.join(self.directory, self.manifest),
+            json.dumps(value, indent=1).encode(),
+        )
+
+    # -- fsck -----------------------------------------------------------------
+
+    def fsck_report(self, quarantine: bool) -> FsckReport:
+        """A report holding what every durable directory checks alike.
+
+        A damaged manifest (as the last read found it) is a ``corrupt``
+        row, moved aside only under ``quarantine``; each leftover
+        ``.tmp`` is a ``stale-tmp`` row.  The caller adds its own files.
+        """
+        report = FsckReport()
+        damage = self.manifest_damage
+        if damage is not None:
+            report.items.append(FsckItem(self.manifest, "corrupt",
+                                         detail=damage))
+            if quarantine:
+                self.quarantine(self.manifest, damage)
+                self.manifest_damage = None
+                report.quarantined.append(self.manifest)
+        for root, dirs, names in os.walk(self.directory):
+            dirs.sort()
+            for name in sorted(names):
+                if name.endswith(TMP_SUFFIX):
+                    report.items.append(FsckItem(
+                        os.path.relpath(os.path.join(root, name),
+                                        self.directory),
+                        "stale-tmp",
+                        detail="leftover from an interrupted atomic write",
+                    ))
+        return report

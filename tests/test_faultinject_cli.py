@@ -739,3 +739,40 @@ class TestReadOnlyStoreFsck:
         with open(os.path.join(directory, "quarantine",
                                "registry.json")) as handle:
             assert handle.read() == "garbage{"
+
+
+class TestCacheGcDamagedRegistry:
+    """``cache gc`` on a store whose ``registry.json`` is damaged says so
+    and leaves the file for the next registration to move; what it
+    sweeps is what an empty registry gives."""
+
+    def test_gc_warns_and_leaves_the_registry(self, tmp_path, capsys):
+        from tests.test_sharedstore import write_reference_index
+
+        directory = str(tmp_path / "store")
+        store = SharedBodyStore(directory, VM_VERSION)
+        digest = "ab" + "0" * 62
+        store.publish({digest: b"body"})
+        db_dir = str(tmp_path / "db")
+        write_reference_index(db_dir, [digest])
+        store.register_database(db_dir)
+        registry = os.path.join(directory, "registry.json")
+        with open(registry, "w") as handle:
+            handle.write("garbage{")
+
+        code, out = run_cli(capsys, "cache", "gc", directory, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["registry_damage"].startswith("corrupt registry: ")
+        assert report["registered_databases"] == []
+        assert report["swept_entries"] == 1
+
+        code, out = run_cli(capsys, "cache", "gc", directory)
+        assert code == 0
+        [warning] = [line for line in out.splitlines()
+                     if line.startswith("warning: damaged registry.json: ")]
+        assert "corrupt registry: " in warning
+        assert "registered databases:  0" in out
+        with open(registry) as handle:
+            assert handle.read() == "garbage{"
+        assert not os.path.exists(os.path.join(directory, QUARANTINE_DIR))

@@ -84,6 +84,13 @@ def seed_pool(workload, tmp_path):
     return str(tmp_path / "store"), observable(cold), observable(warm)
 
 
+def only_a_stale_tmp(report):
+    """Whether ``report`` holds exactly one ``stale-tmp`` row and every
+    other row is ``ok``: what an interrupted shard write leaves."""
+    return [item.status for item in report.items
+            if item.status != "ok"] == ["stale-tmp"]
+
+
 def pool_shards(store_dir):
     store = make_store(store_dir)
     pool = store._pool_dir()
@@ -117,7 +124,7 @@ class TestDamageReachesTheRegistry:
             (name, reason) for kind, name, reason in host.events
             if kind == "quarantine"
         ]
-        assert sorted(name.rsplit("-", 1)[1] for name, _ in quarantined) == [
+        assert sorted(os.path.basename(name) for name, _ in quarantined) == [
             os.path.basename(shard) for shard in shards
         ]
         assert all(reason.startswith("damaged ") for _, reason in quarantined)
@@ -154,7 +161,10 @@ class TestDamagedShardReads:
         # and the same run's write-back may already have republished the
         # recompiled bodies into a fresh, valid shard at the same path.
         quarantine = os.path.join(store_dir, QUARANTINE_DIR)
-        assert len(os.listdir(quarantine)) == 1
+        assert [
+            os.path.relpath(os.path.join(root, name), quarantine)
+            for root, _dirs, names in os.walk(quarantine) for name in names
+        ] == [os.path.relpath(victim, store_dir)]
         for survivor in shards[1:]:
             assert os.path.exists(survivor)
         # ...the consumer database itself is pristine — no quarantine
@@ -351,9 +361,8 @@ class TestFaultedWrites:
         )
         assert recovered.persistence_report["sidecar_host_compiles"] == 0
         assert observable(recovered) == reference
-        # fsck flags the leftover tmp as a note, not damage.
-        report = make_store(store_dir).fsck()
-        assert report.clean
+        # fsck flags the leftover tmp as a stale-tmp row, and nothing else.
+        assert only_a_stale_tmp(make_store(store_dir).fsck())
 
     def test_registry_write_failure_is_contained(self, workload, tmp_path):
         """A database that cannot register still runs normally — it just
@@ -377,8 +386,9 @@ class TestFaultedWrites:
         self, tmp_path, capsys
     ):
         """A registration that crashes before its rename leaves
-        ``registry.json.tmp`` at the store's root: ``cache fsck`` notes
-        it as it notes a shard's leftover ``.tmp``, and moves nothing."""
+        ``registry.json.tmp`` at the store's root: ``cache fsck`` reports
+        it as a ``stale-tmp`` row, as it does a database's, exits 1 and
+        moves nothing."""
         from repro.cli import main
 
         store_dir = tmp_path / "store"
@@ -390,10 +400,12 @@ class TestFaultedWrites:
             crashing.register_database(str(tmp_path / "db2"))
         before = sorted(os.listdir(store_dir))
         assert REGISTRY_NAME + ".tmp" in before
-        assert main(["cache", "fsck", str(store_dir)]) == 0
+        assert main(["cache", "fsck", str(store_dir)]) == 1
         out = capsys.readouterr().out
-        assert "note: registry.json.tmp stale-tmp: " in out
-        assert "fsck: clean" in out
+        [row] = [line for line in out.splitlines()
+                 if line.startswith("registry.json.tmp ")]
+        assert "stale-tmp" in row
+        assert "fsck: damage found" in out
         assert sorted(os.listdir(store_dir)) == before
 
 
@@ -423,6 +435,26 @@ class TestGcUnderFaults:
         # and the store stays structurally clean.
         assert make_store(store_dir).fsck().clean
 
+    def test_gc_reports_only_the_shards_it_quarantined(self, tmp_path):
+        """``quarantined_shards`` lists the quarantines of this sweep,
+        by their paths in the store: an IO error and a quarantine the
+        store logged before the sweep are not among them."""
+        store_dir = str(tmp_path / "store")
+        healthy = make_store(store_dir)
+        healthy.publish({"aa" + "0" * 62: b"a", "bb" + "0" * 62: b"b"})
+        store = make_store(store_dir, storage=FaultyStorage(
+            FaultPlan(fail_reads=True, match="aa.pcs")
+        ))
+        assert store.lookup("aa" + "0" * 62) is None  # an io-error event
+        flip_byte(store.shard_path("bb"), 20)
+        assert store.lookup("bb" + "0" * 62) is None  # quarantined
+        assert store.gc().quarantined_shards == []
+        healthy.publish({"cc" + "0" * 62: b"c"})
+        flip_byte(store.shard_path("cc"), 20)
+        cc = os.path.relpath(store.shard_path("cc"), store_dir)
+        assert store.gc().quarantined_shards == [cc]
+        assert os.path.exists(os.path.join(store_dir, QUARANTINE_DIR, cc))
+
     def test_gc_write_failure_leaves_shard_serving(self, tmp_path):
         """ENOSPC during a sweep's shard rewrite: the atomic
         write-replace never renamed, so the shard keeps serving its
@@ -451,4 +483,4 @@ class TestGcUnderFaults:
         check = make_store(str(tmp_path / "store"))
         assert check.lookup(kept_digest) == b"kept-body"
         assert check.lookup(swept_digest) == b"garbage"  # sweep never landed
-        assert check.fsck().clean
+        assert only_a_stale_tmp(check.fsck())

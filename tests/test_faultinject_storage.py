@@ -1,15 +1,22 @@
 """Fault-injection tests of the storage seam itself.
 
 The atomic write-replace protocol (tmp file + fsync + rename) must never
-expose a torn destination file, whatever point the IO fails at.
+expose a torn destination file, whatever point the IO fails at.  Above
+the seam, a cache database and a shared store meet the same damage with
+the same rule (:class:`repro.persist.storage.DurableDirectory`).
 """
 
 import errno
+import os
 
 import pytest
 
+from repro.cli import main
+from repro.persist.database import CacheDatabase
+from repro.persist.sharedstore import SharedBodyStore
 from repro.persist.storage import (
     FileStorage,
+    QUARANTINE_DIR,
     TMP_SUFFIX,
     WRITE_CHUNK_BYTES,
 )
@@ -18,7 +25,12 @@ from repro.testing.faultfs import (
     FaultyStorage,
     InjectedIOError,
     SimulatedCrash,
+    flip_byte,
 )
+from repro.vm.engine import VM_VERSION
+
+from tests.test_faultinject_cli import tree_bytes, tree_listing
+from tests.test_replay import _sample_log
 
 pytestmark = pytest.mark.faultinject
 
@@ -155,3 +167,78 @@ class TestLocking:
         # Released: acquirable again.
         with storage.lock(lock_path):
             pass
+
+
+def database_with_a_log(directory):
+    """A database holding one replay log; ``(the log's rel, opener)``."""
+    name = CacheDatabase(directory).store_replay_log(_sample_log())
+    return "replay/" + name, CacheDatabase
+
+
+def store_with_a_shard(directory):
+    """A store holding one shard; ``(the shard's rel, opener)``."""
+    store = SharedBodyStore(directory, VM_VERSION)
+    store.publish({"ab" + "0" * 62: b"body"})
+    return (os.path.relpath(store.shard_path("ab"), directory),
+            lambda path: SharedBodyStore(path, VM_VERSION))
+
+
+def damage_manifest(directory, framed, manifest):
+    with open(os.path.join(directory, manifest), "w") as handle:
+        handle.write("garbage{")
+    return manifest
+
+
+def leave_root_tmp(directory, framed, manifest):
+    with open(os.path.join(directory, manifest + TMP_SUFFIX), "wb") as handle:
+        handle.write(b"partial")
+    return manifest + TMP_SUFFIX
+
+
+def leave_subdirectory_tmp(directory, framed, manifest):
+    with open(os.path.join(directory, framed + TMP_SUFFIX), "wb") as handle:
+        handle.write(b"partial")
+    return framed + TMP_SUFFIX
+
+
+def flip_framed_file(directory, framed, manifest):
+    path = os.path.join(directory, framed)
+    flip_byte(path, os.path.getsize(path) // 2)
+    return framed
+
+
+class TestOneRuleForBothKinds:
+    """A database and a shared store, given the same damage, report it
+    with the same status and exit code, leave it in place under plain
+    fsck and move a damaged file to ``quarantine/<rel>`` intact."""
+
+    @pytest.mark.parametrize("damage, status", [
+        (damage_manifest, "corrupt"),
+        (leave_root_tmp, "stale-tmp"),
+        (leave_subdirectory_tmp, "stale-tmp"),
+        (flip_framed_file, "corrupt"),
+    ])
+    @pytest.mark.parametrize("kind, manifest", [
+        (database_with_a_log, "index.json"),
+        (store_with_a_shard, "registry.json"),
+    ])
+    def test_same_damage_same_finding(
+        self, kind, manifest, damage, status, tmp_path
+    ):
+        directory = str(tmp_path / "dir")
+        framed, opener = kind(directory)
+        rel = damage(directory, framed, manifest)
+        before = tree_bytes(directory)
+        listing = tree_listing(directory)
+
+        report = opener(directory).fsck()
+        assert [(item.filename, item.status) for item in report.items
+                if item.status != "ok"] == [(rel, status)]
+        assert main(["cache", "fsck", directory]) == 1
+        assert tree_bytes(directory) == before
+        assert tree_listing(directory) == listing
+
+        assert main(["cache", "fsck", directory, "--quarantine"]) == 1
+        if status == "corrupt":
+            before[os.path.join(QUARANTINE_DIR, rel)] = before.pop(rel)
+        assert tree_bytes(directory) == before

@@ -246,9 +246,10 @@ class TestRegistry:
         with open(os.path.join(store.directory, "registry.json"), "wb") as fh:
             fh.write(b"{not json")
         assert store.registered_databases() == []
-        assert store.quarantined_count == 1
-        # Re-registration heals it.
+        assert store.quarantined_count == 0  # a read moves nothing
+        # Re-registration quarantines it before writing, and heals it.
         store.register_database(str(tmp_path / "db"))
+        assert store.quarantined_count == 1
         assert store.registered_databases() == [
             os.path.abspath(str(tmp_path / "db"))
         ]
